@@ -216,6 +216,36 @@ std::vector<std::vector<double>> Engine::PairwiseOrderProbabilities(
   });
 }
 
+std::vector<std::vector<double>> Engine::KendallQMatrix(
+    const AndXorTree& tree, int k, const FlatTree* program) const {
+  // One compiled tree shared read-only by all n^2 parallel q cells, each
+  // writing its own cell, so the matrix is schedule-deterministic.
+  const std::vector<KeyId> keys = tree.Keys();
+  std::optional<FlatTree> owned;
+  if (program == nullptr) owned.emplace(CompileCounted(tree));
+  const FlatTree& flat = program != nullptr ? *program : *owned;
+  return PairwiseMatrix(keys.size(), [&](size_t iu, size_t it) {
+    return PrInTopKAndBefore(flat, keys[iu], keys[it], k);
+  });
+}
+
+Result<TopKResult> Engine::MedianSymDiffSearch(
+    const AndXorTree& tree, const RankDistribution& dist) const {
+  if (tree.NumLeaves() == 0) return Status::InvalidArgument("empty tree");
+  // One unit per Theorem 4 search stratum (score-threshold DPs plus the
+  // small-world DP); the merge replays the sequential scan's
+  // first-improvement order, so the winner is schedule-independent.
+  const MedianSymDiffContext context = BuildMedianSymDiffContext(tree, dist);
+  const int num_strata = NumMedianSymDiffStrata(context);
+  std::vector<std::vector<SymDiffMedianCandidate>> per_stratum(
+      static_cast<size_t>(num_strata));
+  pool_.ParallelFor(num_strata, [&](int64_t s) {
+    per_stratum[static_cast<size_t>(s)] =
+        EvalMedianSymDiffStratum(tree, context, static_cast<int>(s));
+  });
+  return PickMedianSymDiffCandidate(tree, dist, per_stratum);
+}
+
 namespace {
 
 // Validates a (metric, answer) combination up front, so unsupported pairs
@@ -266,11 +296,10 @@ Result<TopKResult> Engine::ConsensusTopK(const AndXorTree& tree, int k,
                                metric, answer, program);
 }
 
-Result<TopKResult> Engine::ConsensusTopKWithDist(const AndXorTree& tree,
-                                                 const RankDistribution& dist,
-                                                 TopKMetric metric,
-                                                 TopKAnswer answer,
-                                                 const FlatTree* program) const {
+Result<TopKResult> Engine::ConsensusTopKWithDist(
+    const AndXorTree& tree, const RankDistribution& dist, TopKMetric metric,
+    TopKAnswer answer, const FlatTree* program,
+    const ConsensusTails& tails) const {
   const int k = dist.k();
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   Status valid = ValidateTopKRequest(metric, answer);
@@ -290,24 +319,9 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(const AndXorTree& tree,
       switch (answer) {
         case TopKAnswer::kMean:
           return MeanTopKSymDiff(dist);
-        case TopKAnswer::kMedian: {
-          // One unit per Theorem 4 search stratum (score-threshold DPs plus
-          // the small-world DP); the merge replays the sequential scan's
-          // first-improvement order, so the winner is schedule-independent.
-          if (tree.NumLeaves() == 0) {
-            return Status::InvalidArgument("empty tree");
-          }
-          const MedianSymDiffContext context =
-              BuildMedianSymDiffContext(tree, dist);
-          const int num_strata = NumMedianSymDiffStrata(context);
-          std::vector<std::vector<SymDiffMedianCandidate>> per_stratum(
-              static_cast<size_t>(num_strata));
-          pool_.ParallelFor(num_strata, [&](int64_t s) {
-            per_stratum[static_cast<size_t>(s)] =
-                EvalMedianSymDiffStratum(tree, context, static_cast<int>(s));
-          });
-          return PickMedianSymDiffCandidate(tree, dist, per_stratum);
-        }
+        case TopKAnswer::kMedian:
+          if (tails.symdiff_median != nullptr) return *tails.symdiff_median;
+          return MedianSymDiffSearch(tree, dist);
         case TopKAnswer::kMeanUnrestricted:
           return MeanTopKSymDiffUnrestricted(dist);
         case TopKAnswer::kMeanApprox:
@@ -335,21 +349,15 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(const AndXorTree& tree,
       return MeanTopKFootruleFromColumns(
           dist, PerKeyColumns(dist, FootruleCostColumn));
     case TopKMetric::kKendall: {
-      // The evaluator's O(n^2) q-statistics dominate the query; compile the
-      // flat tree once and fan one flat fold per ordered pair across the
-      // pool (each writes its own cell, so the matrix is
-      // schedule-deterministic), then build the footrule answer from
-      // parallel cost columns and re-score it under d_K.
-      std::vector<KeyId> keys = tree.Keys();
-      std::optional<FlatTree> owned;
-      if (program == nullptr) owned.emplace(CompileCounted(tree));
-      const FlatTree& flat = program != nullptr ? *program : *owned;
-      std::vector<std::vector<double>> q =
-          PairwiseMatrix(keys.size(), [&](size_t iu, size_t it) {
-            return PrInTopKAndBefore(flat, keys[iu], keys[it], k);
-          });
-      CPDB_ASSIGN_OR_RETURN(KendallEvaluator evaluator,
-                            KendallEvaluator::Create(tree, k, std::move(q)));
+      // The evaluator's O(n^2) q statistics dominate the query unless the
+      // caller supplied them; then build the footrule answer from parallel
+      // cost columns and re-score it under d_K.
+      CPDB_ASSIGN_OR_RETURN(
+          KendallEvaluator evaluator,
+          KendallEvaluator::Create(tree, k,
+                                   tails.kendall_q != nullptr
+                                       ? *tails.kendall_q
+                                       : KendallQMatrix(tree, k, program)));
       CPDB_ASSIGN_OR_RETURN(
           TopKResult footrule,
           MeanTopKFootruleFromColumns(dist,
@@ -388,7 +396,7 @@ std::vector<Result<TopKResult>> Engine::EvaluateConsensusBatch(
         return;
       }
       results[static_cast<size_t>(i)] = ConsensusTopKWithDist(
-          *q.tree, *q.dist, q.metric, q.answer, q.program);
+          *q.tree, *q.dist, q.metric, q.answer, q.program, q.tails);
       return;
     }
     results[static_cast<size_t>(i)] =

@@ -121,6 +121,19 @@ struct EngineObsCounters {
 
 class FlatTree;
 
+/// \brief Precomputed metric tails for one consensus query — the inputs a
+/// serving cache can supply so a warm query skips its O(n^2) q folds or its
+/// Theorem 4 search. Null members are computed by the engine exactly as
+/// without them; a non-null member must be this engine's own output for
+/// the query's (tree, k), which makes the answer bitwise identical either
+/// way.
+struct ConsensusTails {
+  /// kendall mean: Engine::KendallQMatrix(tree, k).
+  const std::vector<std::vector<double>>* kendall_q = nullptr;
+  /// symdiff median: Engine::MedianSymDiffSearch(tree, dist).
+  const Result<TopKResult>* symdiff_median = nullptr;
+};
+
 /// \brief Parallel evaluation engine; thread-safe for concurrent queries
 /// against distinct trees (the engine itself holds no per-query state).
 class Engine {
@@ -167,6 +180,21 @@ class Engine {
       const AndXorTree& tree, const std::vector<KeyId>& keys,
       const FlatTree* program = nullptr) const;
 
+  /// \brief The Kendall q statistics over tree.Keys(): q[i][j] =
+  /// PrInTopKAndBefore(keys[i], keys[j], k), one flat fold per ordered pair
+  /// across the pool (diagonal 0) — the O(n^2)-fold precompute of the
+  /// kendall mean answer. Bitwise identical for any thread count.
+  std::vector<std::vector<double>> KendallQMatrix(
+      const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
+
+  /// \brief The Theorem 4 median search under d_Delta: one unit per search
+  /// stratum, merged by replaying the sequential first-improvement scan, so
+  /// the result is bitwise the core MedianTopKSymDiff's for any thread
+  /// count. `dist` must be ComputeRankDistribution(tree, k);
+  /// InvalidArgument on an empty tree.
+  Result<TopKResult> MedianSymDiffSearch(const AndXorTree& tree,
+                                         const RankDistribution& dist) const;
+
   // -- Consensus Top-k (Section 5) ----------------------------------------
 
   /// \brief Computes the consensus Top-k answer for (metric, answer). Every
@@ -204,11 +232,13 @@ class Engine {
   /// *different tree over the identical key set* (say, re-built with new
   /// probabilities) passes undetected — content identity is the caller's
   /// contract, which is why the serving layer keys its RankDistCache by the
-  /// catalog's structural key rather than by name or pointer.
+  /// catalog's structural key rather than by name or pointer. `tails`
+  /// optionally supplies the metric tail's own precompute as well (see
+  /// ConsensusTails); the serving layer's PrecomputeCache feeds it.
   Result<TopKResult> ConsensusTopKWithDist(
       const AndXorTree& tree, const RankDistribution& dist, TopKMetric metric,
-      TopKAnswer answer = TopKAnswer::kMean,
-      const FlatTree* program = nullptr) const;
+      TopKAnswer answer = TopKAnswer::kMean, const FlatTree* program = nullptr,
+      const ConsensusTails& tails = ConsensusTails()) const;
 
   /// \brief One query of a consensus Top-k batch; `tree` (and `dist` when
   /// set) must stay alive for the duration of the EvaluateConsensusBatch
@@ -228,6 +258,9 @@ class Engine {
     /// ComputeRankDistribution. Must be FlatTree::Compile(*tree) when set;
     /// the serving catalog shares one per distinct shape.
     const FlatTree* program = nullptr;
+    /// Optional precomputed metric tails, honored only with `dist` set;
+    /// the pointees must outlive the call like `dist`.
+    ConsensusTails tails = {};
   };
 
   /// \brief Evaluates many consensus Top-k queries in one submission,

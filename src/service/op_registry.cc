@@ -26,6 +26,38 @@ Status MetricsDisabledError() {
       "op=metrics requires metrics enabled (serve without --metrics=off)");
 }
 
+std::shared_ptr<const std::vector<std::vector<double>>> OpHost::KendallFor(
+    const CatalogEntry& entry, int k) {
+  return std::make_shared<const std::vector<std::vector<double>>>(
+      engine()->KendallQMatrix(*entry.tree, k, entry.program.get()));
+}
+
+std::shared_ptr<const Result<TopKResult>> OpHost::MedianSymDiffFor(
+    const CatalogEntry& entry, const RankDistribution& dist) {
+  return std::make_shared<const Result<TopKResult>>(
+      engine()->MedianSymDiffSearch(*entry.tree, dist));
+}
+
+std::shared_ptr<const std::vector<double>> OpHost::ExpectedRanksFor(
+    const CatalogEntry& entry) {
+  return std::make_shared<const std::vector<double>>(
+      engine()->ExpectedRanks(*entry.tree));
+}
+
+ConsensusTailHandles ConsensusTailsFor(OpHost& host, const CatalogEntry& entry,
+                                       const ServiceRequest& request,
+                                       const RankDistribution& dist) {
+  ConsensusTailHandles tails;
+  if (request.metric == TopKMetric::kKendall &&
+      request.answer == TopKAnswer::kMean) {
+    tails.kendall_q = host.KendallFor(entry, request.k);
+  } else if (request.metric == TopKMetric::kSymDiff &&
+             request.answer == TopKAnswer::kMedian) {
+    tails.symdiff_median = host.MedianSymDiffFor(entry, dist);
+  }
+  return tails;
+}
+
 ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
                                       const TopKResult& result) {
   ServiceResponse response;
@@ -176,17 +208,19 @@ Result<ServiceResponse> ExecuteTopKTree(OpHost& host, const CatalogEntry& entry,
   Stopwatch cache_watch(clk);
   std::shared_ptr<const RankDistribution> dist =
       host.GatedDistFor(entry, request);
+  ConsensusTailHandles tails;
+  if (dist != nullptr) tails = ConsensusTailsFor(host, entry, request, *dist);
   AddSpan(timing, "cache", cache_watch);
   // With a cached (or freshly computed and now shared) distribution the
-  // engine runs only the metric tail; without one it runs the full query.
-  // Both paths are the bitwise-identical code ExecuteBatch submits per
-  // fused slot.
+  // engine runs only what the supplied tails leave of the metric tail;
+  // without one it runs the full query. Both paths are the
+  // bitwise-identical code ExecuteBatch submits per fused slot.
   Stopwatch fold_watch(clk);
   Result<TopKResult> result =
       dist != nullptr
-          ? host.engine()->ConsensusTopKWithDist(*entry.tree, *dist,
-                                                 request.metric, request.answer,
-                                                 entry.program.get())
+          ? host.engine()->ConsensusTopKWithDist(
+                *entry.tree, *dist, request.metric, request.answer,
+                entry.program.get(), tails.view())
           : host.engine()->ConsensusTopK(*entry.tree, request.k, request.metric,
                                          request.answer, entry.program.get());
   AddSpan(timing, "fold", fold_watch);
@@ -507,13 +541,20 @@ Result<ServiceResponse> ExecuteBaselineTree(OpHost& host,
     AddSpan(timing, "fold", fold_watch);
     return response;
   }
-  Stopwatch fold_watch(clk);
   if (request.baseline_method == "escore") {
+    Stopwatch fold_watch(clk);
     response.keys = TopKByExpectedScore(tree, request.k);
-  } else {  // erank: the engine's parallel expected-rank form
-    response.keys = TopKByExpectedRankFromRanks(
-        tree.Keys(), host.engine()->ExpectedRanks(tree), request.k);
+    AddSpan(timing, "fold", fold_watch);
+    return response;
   }
+  // erank: the per-shape expected ranks (the engine's parallel O(L^2)
+  // form), shared through the precompute cache by every k.
+  Stopwatch cache_watch(clk);
+  std::shared_ptr<const std::vector<double>> ranks =
+      host.ExpectedRanksFor(entry);
+  AddSpan(timing, "cache", cache_watch);
+  Stopwatch fold_watch(clk);
+  response.keys = TopKByExpectedRankFromRanks(tree.Keys(), *ranks, request.k);
   AddSpan(timing, "fold", fold_watch);
   return response;
 }
@@ -594,6 +635,7 @@ OpRegistry::OpRegistry() {
     spec.batch_phase = kQueryPhase;
     spec.fuse_consensus_batch = true;
     spec.uses_rank_dist_cache = true;
+    spec.uses_precompute_cache = true;  // kendall mean, symdiff median
     spec.parse = ParseTopK;
     spec.execute_tree = ExecuteTopKTree;
     spec.format = FormatTopK;
@@ -663,7 +705,8 @@ OpRegistry::OpRegistry() {
     spec.name = "baseline";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_rank_dist_cache = true;  // method=global|prf
+    spec.uses_rank_dist_cache = true;   // method=global|prf
+    spec.uses_precompute_cache = true;  // method=erank
     spec.parse = ParseBaseline;
     spec.execute_tree = ExecuteBaselineTree;
     spec.format = FormatBaseline;

@@ -106,6 +106,23 @@ class OpHost {
   virtual std::shared_ptr<const std::vector<double>> MarginalsFor(
       const CatalogEntry& entry) = 0;
 
+  /// The metric-tail precomputes, through the PrecomputeCache on a
+  /// scheduler with caching on. The defaults compute fresh through
+  /// engine(), so a host without a cache answers the same bytes.
+  ///
+  /// The Kendall q matrix (Engine::KendallQMatrix) for (entry, k).
+  virtual std::shared_ptr<const std::vector<std::vector<double>>> KendallFor(
+      const CatalogEntry& entry, int k);
+
+  /// The symdiff median search (Engine::MedianSymDiffSearch) over `dist`,
+  /// the entry's rank distribution at cutoff dist.k().
+  virtual std::shared_ptr<const Result<TopKResult>> MedianSymDiffFor(
+      const CatalogEntry& entry, const RankDistribution& dist);
+
+  /// The expected ranks (Engine::ExpectedRanks) behind method=erank.
+  virtual std::shared_ptr<const std::vector<double>> ExpectedRanksFor(
+      const CatalogEntry& entry);
+
   /// The kStats answer as of now (merged across shards by a sharded host).
   virtual ServiceResponse StatsNow() = 0;
 
@@ -137,13 +154,15 @@ struct OpSpec {
   /// Query-phase trait: the slot carries a consensus Top-k query that
   /// ExecuteBatch folds into its single fused
   /// Engine::EvaluateConsensusBatch submission (rank distribution via
-  /// GatedDistFor, one shared fold span). Only kTopK sets it.
+  /// GatedDistFor, tail precomputes via ConsensusTailsFor, a fold span of
+  /// its share of the submission). Only kTopK sets it.
   bool fuse_consensus_batch = false;
 
   /// Cache usage, declared for documentation, tests, and tooling: which of
   /// the scheduler's memo caches the op's precompute routes through.
   bool uses_rank_dist_cache = false;
   bool uses_marginals_cache = false;
+  bool uses_precompute_cache = false;
 
   /// Maps a tokenized protocol line (op field already matched to this
   /// spec; trace already parsed) onto `request`. Strict: unknown fields
@@ -216,6 +235,26 @@ void AddSpan(ResponseTiming* timing, const char* stage,
 /// so the two paths' answer fields cannot drift.
 ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
                                       const TopKResult& result);
+
+/// \brief Owning handles on the metric-tail precomputes of one consensus
+/// query — at most one is set — and the engine's view of them.
+struct ConsensusTailHandles {
+  std::shared_ptr<const std::vector<std::vector<double>>> kendall_q;
+  std::shared_ptr<const Result<TopKResult>> symdiff_median;
+
+  ConsensusTails view() const {
+    return ConsensusTails{kendall_q.get(), symdiff_median.get()};
+  }
+};
+
+/// \brief Fetches through `host` the tail precompute a consensus request's
+/// (metric, answer) needs: the q matrix for kendall mean, the median search
+/// over `dist` for symdiff median, nothing otherwise. Shared by the fused
+/// batch's dedupe step and the one-at-a-time hook, so the two paths fetch
+/// the same keys in the same order.
+ConsensusTailHandles ConsensusTailsFor(OpHost& host, const CatalogEntry& entry,
+                                       const ServiceRequest& request,
+                                       const RankDistribution& dist);
 
 /// \brief The in-band refusal both hosts answer for op=metrics when
 /// metrics are disabled — defined once so the single-engine and sharded

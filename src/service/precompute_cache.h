@@ -1,0 +1,90 @@
+// Copyright 2026 The ConsensusDB Authors
+//
+// PrecomputeCache — memoizes the metric-tail precomputes a warm consensus
+// request still paid after its rank distribution and marginals were cached.
+// One CostLruCache holds three kinds of entry, keyed by (StructKey, kind, k):
+//
+//   * the Kendall q matrix (Engine::KendallQMatrix) per (shape, k) — the
+//     O(n^2)-fold precompute of the kendall mean answer;
+//   * the Theorem 4 median search result (Engine::MedianSymDiffSearch) per
+//     (shape, k) — the final answer, not the per-stratum candidate lists;
+//   * the expected-rank vector (Engine::ExpectedRanks) per shape, with k
+//     fixed at 0 — the O(L^2) pairwise presence sum behind
+//     op=baseline method=erank.
+//
+// Same contract as RankDistCache and MarginalsCache: single-flight
+// computation, one byte budget across all three kinds with LRU eviction,
+// handles that survive eviction, and values the engine computes
+// deterministically — so the cache shows only in its counters (the
+// cpdb_precompute_cache_* scrape names) and in latency, never in answers.
+// Entries are not persisted in catalog snapshots.
+
+#ifndef CPDB_SERVICE_PRECOMPUTE_CACHE_H_
+#define CPDB_SERVICE_PRECOMPUTE_CACHE_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <tuple>
+#include <variant>
+#include <vector>
+
+#include "common/hash.h"
+#include "common/result.h"
+#include "core/topk_symdiff.h"
+#include "service/lru_cache.h"
+
+namespace cpdb {
+
+/// \brief Thread-safe (StructKey, kind, k) -> metric-tail precompute memo
+/// with single-flight computation and byte-budgeted LRU eviction.
+class PrecomputeCache {
+ public:
+  using QMatrix = std::vector<std::vector<double>>;
+
+  /// \brief `byte_budget` caps the charged bytes of all retained entries
+  /// together; kUnboundedCacheBytes never evicts, 0 retains nothing but
+  /// still coalesces concurrent computes.
+  explicit PrecomputeCache(int64_t byte_budget = kUnboundedCacheBytes);
+
+  /// \brief The Kendall q matrix for (struct_key, k), invoking `compute` on
+  /// a miss — at most once across concurrent callers.
+  std::shared_ptr<const QMatrix> KendallQ(
+      StructKey struct_key, int k, const std::function<QMatrix()>& compute);
+
+  /// \brief The symdiff median search result for (struct_key, k). A failed
+  /// search is cached like a success: it is the engine's deterministic
+  /// output for the key too.
+  std::shared_ptr<const Result<TopKResult>> SymDiffMedian(
+      StructKey struct_key, int k,
+      const std::function<Result<TopKResult>()>& compute);
+
+  /// \brief The expected-rank vector for `struct_key` (indexed like the
+  /// canonical tree's Keys()).
+  std::shared_ptr<const std::vector<double>> ExpectedRanks(
+      StructKey struct_key,
+      const std::function<std::vector<double>()>& compute);
+
+  /// \brief Counter snapshot over all kinds; bytes <= byte_budget() in
+  /// every snapshot.
+  CacheStats stats() const { return cache_.stats(); }
+
+ private:
+  // The variant index is the kind, and the kind is part of the key, so
+  // one (shape, k) pair holds its q matrix and its median side by side.
+  using Key = std::tuple<uint64_t, int, int>;  // (StructKey, kind, k)
+  using Value = std::variant<QMatrix, Result<TopKResult>, std::vector<double>>;
+
+  static int64_t ValueBytes(const Value& value);
+
+  template <size_t kKind, typename T>
+  std::shared_ptr<const T> Get(StructKey struct_key, int k,
+                               const std::function<T()>& compute);
+
+  CostLruCache<Key, Value> cache_;
+};
+
+}  // namespace cpdb
+
+#endif  // CPDB_SERVICE_PRECOMPUTE_CACHE_H_

@@ -107,7 +107,8 @@ QueryScheduler::QueryScheduler(const Engine* engine, TreeCatalog* catalog,
       instruments_(options.enable_metrics ? std::make_unique<ServeInstruments>()
                                           : nullptr),
       cache_(options.cache_budget_bytes),
-      marginals_cache_(options.cache_budget_bytes) {}
+      marginals_cache_(options.cache_budget_bytes),
+      precompute_cache_(options.cache_budget_bytes) {}
 
 Result<AndXorTree> LoadRequestTree(const ServiceRequest& request) {
   CPDB_ASSIGN_OR_RETURN(std::string content,
@@ -234,6 +235,8 @@ MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
   AppendCacheStatsMetrics(cache_.stats(), "cpdb_rankdist_cache_", &extra);
   AppendCacheStatsMetrics(marginals_cache_.stats(), "cpdb_marginals_cache_",
                           &extra);
+  AppendCacheStatsMetrics(precompute_cache_.stats(), "cpdb_precompute_cache_",
+                          &extra);
   std::sort(extra.samples.begin(), extra.samples.end(),
             [](const MetricSample& a, const MetricSample& b) {
               return a.name < b.name;
@@ -289,6 +292,36 @@ class SchedulerOpHost : public OpHost {
   std::shared_ptr<const std::vector<double>> MarginalsFor(
       const CatalogEntry& entry) override {
     return scheduler_->MarginalsFor(entry);
+  }
+
+  // The tail precomputes: through the precompute cache when caching is on,
+  // the base class's fresh computation otherwise.
+  std::shared_ptr<const std::vector<std::vector<double>>> KendallFor(
+      const CatalogEntry& entry, int k) override {
+    if (!scheduler_->options_.use_cache) return OpHost::KendallFor(entry, k);
+    return scheduler_->precompute_cache_.KendallQ(
+        entry.struct_key, k, [this, &entry, k] {
+          return engine()->KendallQMatrix(*entry.tree, k, entry.program.get());
+        });
+  }
+
+  std::shared_ptr<const Result<TopKResult>> MedianSymDiffFor(
+      const CatalogEntry& entry, const RankDistribution& dist) override {
+    if (!scheduler_->options_.use_cache) {
+      return OpHost::MedianSymDiffFor(entry, dist);
+    }
+    return scheduler_->precompute_cache_.SymDiffMedian(
+        entry.struct_key, dist.k(), [this, &entry, &dist] {
+          return engine()->MedianSymDiffSearch(*entry.tree, dist);
+        });
+  }
+
+  std::shared_ptr<const std::vector<double>> ExpectedRanksFor(
+      const CatalogEntry& entry) override {
+    if (!scheduler_->options_.use_cache) return OpHost::ExpectedRanksFor(entry);
+    return scheduler_->precompute_cache_.ExpectedRanks(
+        entry.struct_key,
+        [this, &entry] { return engine()->ExpectedRanks(*entry.tree); });
   }
 
   ServiceResponse StatsNow() override { return scheduler_->StatsResponse(); }
@@ -391,41 +424,52 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
     }
   }
 
-  // The deduplication step: route every Top-k query's rank-distribution
-  // precompute through the (fingerprint, k) cache, in slot order, so the
-  // first query of each pair computes the fold and the rest hit — within
-  // this batch and across batches alike. The handles keep cached entries
-  // alive for the duration of the engine call even if entries are evicted
-  // or the cache is Cleared concurrently.
+  // The deduplication step: route every Top-k query's shared precomputes —
+  // its rank distribution, then the tail precompute its metric needs —
+  // through the StructKey-keyed caches, in slot order, so the first query
+  // of each key computes and the rest hit, within this batch and across
+  // batches alike. Misses compute here on the calling thread (each fanning
+  // its own units across the pool), so no pool worker ever waits on
+  // another's in-flight compute. The handles keep cached entries alive for
+  // the duration of the engine call even if they are evicted meanwhile.
   std::vector<std::shared_ptr<const RankDistribution>> dists(
       fused_slots.size());
+  std::vector<ConsensusTailHandles> tails(fused_slots.size());
   for (size_t j = 0; j < fused_slots.size(); ++j) {
+    const ServiceRequest& request = requests[fused_slots[j]];
     Stopwatch cache_watch(clk);
-    dists[j] = DistFor(fused_entries[j], requests[fused_slots[j]]);
+    dists[j] = DistFor(fused_entries[j], request);
+    if (dists[j] != nullptr) {
+      tails[j] = ConsensusTailsFor(host, fused_entries[j], request, *dists[j]);
+    }
     AddSpan(&timings[fused_slots[j]], "cache", cache_watch);
   }
 
   // One engine submission for all fused slots: whole queries fan across
-  // the pool, cached distributions are shared read-only.
+  // the pool, cached precomputes are shared read-only.
   std::vector<Engine::ConsensusQuery> queries(fused_slots.size());
   for (size_t j = 0; j < fused_slots.size(); ++j) {
     const ServiceRequest& request = requests[fused_slots[j]];
     queries[j] = {fused_entries[j].tree.get(), request.k, request.metric,
                   request.answer, dists[j].get(),
-                  fused_entries[j].program.get()};
+                  fused_entries[j].program.get(), tails[j].view()};
   }
   Stopwatch fold_watch(clk);
   std::vector<Result<TopKResult>> results =
       engine_->EvaluateConsensusBatch(queries);
-  // The whole submission is one engine call, so every fused slot records
-  // the same fold duration — per-slot attribution inside a fused batch
-  // would be fiction. The count (one fold span per slot) is what the
-  // sharded-parity tests rely on; values are side-band by contract.
+  // The whole submission is one engine call, so per-slot attribution inside
+  // it would be fiction: its duration is split evenly across the fused
+  // slots, the first also taking the remainder, so the slots' fold spans
+  // sum to the submission's wall time. One fold span per slot is what the
+  // sharded-parity tests count; values are side-band by contract.
   const int64_t batch_fold_nanos = fold_watch.ElapsedNanos();
+  const int64_t num_fused = static_cast<int64_t>(fused_slots.size());
   for (size_t j = 0; j < fused_slots.size(); ++j) {
     const size_t slot = fused_slots[j];
     if (fold_watch.enabled()) {
-      timings[slot].spans.emplace_back("fold", batch_fold_nanos);
+      timings[slot].spans.emplace_back(
+          "fold", batch_fold_nanos / num_fused +
+                      (j == 0 ? batch_fold_nanos % num_fused : 0));
     }
     if (!results[j].ok()) {
       responses[slot] = results[j].status();

@@ -10,17 +10,20 @@
 //      any query — a batch is a unit of work, not a transcript: queries may
 //      reference trees loaded later in the same batch);
 //   2. resolves query trees by name and routes the shared precomputes
-//      through the two owned caches — rank distributions by (StructKey, k)
-//      for Top-k queries, leaf marginals by StructKey for world queries —
-//      so queries sharing a structural key (permuted duplicates included),
-//      within this batch or with any earlier one, pay the fold once; the
+//      through the three owned caches — rank distributions by (StructKey, k)
+//      for Top-k queries, leaf marginals by StructKey for world queries,
+//      and the metric-tail precomputes (Kendall q matrices, symdiff median
+//      searches, expected ranks) by (StructKey, kind, k) — so queries
+//      sharing a structural key (permuted duplicates included), within
+//      this batch or with any earlier one, pay each precompute once; the
 //      folds themselves reuse the catalog's precompiled per-shape program,
 //      so the steady-state query path never compiles;
-//   3. fans the remaining per-query work (strata, Hungarian columns, q
-//      matrices) through Engine::EvaluateConsensusBatch, and answers world
-//      queries through Engine::ConsensusWorldWithMarginals.
+//   3. fans the remaining per-query work (Hungarian columns, re-scoring,
+//      and any tail no cache supplied) through
+//      Engine::EvaluateConsensusBatch, and answers world queries through
+//      Engine::ConsensusWorldWithMarginals.
 //
-// Both caches are single-flight, LRU-evicting under the configured byte
+// All three caches are single-flight, LRU-evicting under the configured byte
 // budget (SchedulerOptions::cache_budget_bytes) — a long-lived server
 // under key churn holds bounded memory. Answers are bitwise identical to
 // one-at-a-time Engine calls with the caches enabled, disabled, cold,
@@ -58,6 +61,7 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "service/marginals_cache.h"
+#include "service/precompute_cache.h"
 #include "service/rank_dist_cache.h"
 #include "service/tree_catalog.h"
 
@@ -182,7 +186,7 @@ Result<AndXorTree> LoadRequestTree(const ServiceRequest& request);
 
 /// \brief Scheduler knobs.
 struct SchedulerOptions {
-  /// Disables both memo caches: every query recomputes its folds through
+  /// Disables all three memo caches: every query recomputes its folds through
   /// the engine. Exists for the parity tests and the cache-speedup
   /// benchmarks; production serving keeps it on.
   bool use_cache = true;
@@ -270,12 +274,12 @@ std::string FormatSlowQueryLine(int64_t line_number,
 
 /// \brief Executes request batches against one engine and one catalog.
 ///
-/// The scheduler owns the RankDistCache and MarginalsCache (the only
-/// mutable state in the serving layer besides the catalog maps) and is
-/// thread-compatible: concurrent ExecuteBatch / ExecuteOne calls are safe —
-/// catalog and caches are internally locked; the engine is stateless per
-/// query — but batches racing on `load` of conflicting content may observe
-/// AlreadyExists.
+/// The scheduler owns the RankDistCache, MarginalsCache and PrecomputeCache
+/// (the only mutable state in the serving layer besides the catalog maps)
+/// and is thread-compatible: concurrent ExecuteBatch / ExecuteOne calls are
+/// safe — catalog and caches are internally locked; the engine is stateless
+/// per query — but batches racing on `load` of conflicting content may
+/// observe AlreadyExists.
 class QueryScheduler {
  public:
   /// \brief Neither pointer is owned; both must outlive the scheduler.
@@ -333,6 +337,10 @@ class QueryScheduler {
   /// \brief Counter snapshot of the owned marginals cache.
   CacheStats marginals_stats() const { return marginals_cache_.stats(); }
 
+  /// \brief Counter snapshot of the owned precompute cache (all kinds).
+  /// Exported only through the metrics scrape, never the stats op.
+  CacheStats precompute_stats() const { return precompute_cache_.stats(); }
+
   const SchedulerOptions& options() const { return options_; }
 
   /// \brief The owned instruments, or nullptr when metrics are disabled.
@@ -347,8 +355,9 @@ class QueryScheduler {
   /// fold/arena counters (cpdb_fold_compiles_total counts the catalog's
   /// per-shape compiles together with the engine's on-demand ones), the
   /// catalog's identity gauges (cpdb_catalog_entries = bound names,
-  /// cpdb_catalog_shapes = distinct structures), and both caches' counters
-  /// re-exported under cpdb_rankdist_cache_* / cpdb_marginals_cache_*.
+  /// cpdb_catalog_shapes = distinct structures), and the three caches'
+  /// counters re-exported under cpdb_rankdist_cache_* /
+  /// cpdb_marginals_cache_* / cpdb_precompute_cache_*.
   /// Must not be called when metrics are disabled (instruments() is
   /// nullptr).
   MetricsSnapshot MetricsSnapshotNow() const;
@@ -406,6 +415,7 @@ class QueryScheduler {
   std::unique_ptr<ServeInstruments> instruments_;
   RankDistCache cache_;
   MarginalsCache marginals_cache_;
+  PrecomputeCache precompute_cache_;
 };
 
 }  // namespace cpdb

@@ -8,7 +8,6 @@
 #include "poly/poly1.h"
 #include "poly/poly2.h"
 #include "poly/poly_arena.h"
-#include "poly/sparse_poly.h"
 
 namespace cpdb {
 namespace {
@@ -203,68 +202,6 @@ TEST(PolyArenaTest, ReserveGrowsOnlyAndKeepsGeometry) {
   EXPECT_GE(arena.CapacityBytes(), big);
   arena.Reserve(16, 32);
   EXPECT_GE(arena.CapacityBytes(), 16 * 32 * sizeof(double));
-}
-
-TEST(SparsePolyTest, BasicArithmetic) {
-  SparsePoly a = SparsePoly::Constant(2, 1.0);
-  SparsePoly x = SparsePoly::Monomial(2, {1, 0}, 1.0);
-  SparsePoly y = SparsePoly::Monomial(2, {0, 1}, 1.0);
-  SparsePoly p = (a + x) * (a + y);
-  EXPECT_EQ(p.Coeff({0, 0}), 1.0);
-  EXPECT_EQ(p.Coeff({1, 0}), 1.0);
-  EXPECT_EQ(p.Coeff({0, 1}), 1.0);
-  EXPECT_EQ(p.Coeff({1, 1}), 1.0);
-  EXPECT_EQ(p.NumTerms(), 4u);
-}
-
-TEST(SparsePolyTest, TotalDegreeTruncation) {
-  SparsePoly x = SparsePoly::Monomial(1, {1}, 1.0, /*max_total_degree=*/2);
-  SparsePoly p = x * x * x;
-  EXPECT_EQ(p.NumTerms(), 0u);
-}
-
-TEST(SparsePolyTest, EvalMatchesExpansion) {
-  SparsePoly p(2);
-  p.AddTerm({1, 2}, 3.0);
-  p.AddTerm({0, 0}, 1.0);
-  EXPECT_NEAR(p.Eval({2.0, 3.0}), 1.0 + 3.0 * 2.0 * 9.0, 1e-12);
-}
-
-TEST(SparsePolyTest, PruneDropsSmallTerms) {
-  SparsePoly p(1);
-  p.AddTerm({0}, 1.0);
-  p.AddTerm({1}, 1e-15);
-  p.Prune(1e-12);
-  EXPECT_EQ(p.NumTerms(), 1u);
-}
-
-TEST(SparsePolyTest, AgreesWithPoly2OnRandomProducts) {
-  // SparsePoly is the reference implementation: random products of bivariate
-  // affine factors must match Poly2 exactly (up to FP rounding).
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    Poly2 dense = Poly2::Constant(6, 6, 1.0);
-    SparsePoly sparse = SparsePoly::Constant(2, 1.0);
-    for (int f = 0; f < 6; ++f) {
-      double c0 = rng.Uniform01(), cx = rng.Uniform01(), cy = rng.Uniform01();
-      Poly2 df = Poly2::Constant(6, 6, c0);
-      df.AddScaled(Poly2::Monomial(6, 6, 1, 0, 1.0), cx);
-      df.AddScaled(Poly2::Monomial(6, 6, 0, 1, 1.0), cy);
-      dense = dense * df;
-      SparsePoly sf = SparsePoly::Constant(2, c0);
-      sf.AddTerm({1, 0}, cx);
-      sf.AddTerm({0, 1}, cy);
-      sparse = sparse * sf;
-    }
-    for (int i = 0; i <= 6; ++i) {
-      for (int j = 0; j <= 6; ++j) {
-        EXPECT_NEAR(dense.Coeff(i, j),
-                    sparse.Coeff({static_cast<uint32_t>(i),
-                                  static_cast<uint32_t>(j)}),
-                    1e-9);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -796,9 +796,10 @@ TEST_F(QuerySchedulerTest, ResponsesRenderToProtocolFields) {
 // for each prefix is pinned here. A rename must show up as a deliberate
 // edit to this list.
 TEST(CacheStatsMetricsTest, ExportedNamesAreGolden) {
-  for (const std::string prefix :
+  for (const std::string& prefix :
        {std::string("cpdb_rankdist_cache_"),
-        std::string("cpdb_marginals_cache_")}) {
+        std::string("cpdb_marginals_cache_"),
+        std::string("cpdb_precompute_cache_")}) {
     CacheStats stats;
     stats.hits = 1;
     stats.misses = 2;
@@ -874,6 +875,45 @@ TEST_F(QuerySchedulerTest, MetricsScrapeAgreesWithStatsOp) {
   EXPECT_EQ(scrape.Find("cpdb_request_errors_total")->value, 0);
   // The engine compiled at least one flat fold to answer the queries.
   EXPECT_GT(scrape.Find("cpdb_fold_compiles_total")->value, 0);
+  // The kendall query's q matrix is the precompute cache's one entry.
+  EXPECT_EQ(scrape.Find("cpdb_precompute_cache_misses_total")->value,
+            scheduler.precompute_stats().misses);
+  EXPECT_EQ(scrape.Find("cpdb_precompute_cache_entries")->value, 1);
+}
+
+// The fused submission's duration is split across its slots, not recorded
+// once per slot: with one engine thread and an auto-advancing FakeClock the
+// submission spans exactly one clock step, and the slots' fold spans —
+// and the fold histogram — sum to that step, the first slot carrying the
+// remainder.
+TEST_F(QuerySchedulerTest, FusedFoldSpansSumToTheBatchDuration) {
+  constexpr int64_t kStep = 7;
+  FakeClock clock(1000);
+  clock.set_auto_advance(kStep);
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  Engine engine(engine_options);
+  SchedulerOptions options;
+  options.clock = &clock;
+  QueryScheduler scheduler(&engine, &catalog_, options);
+
+  auto results = scheduler.ExecuteBatch(
+      {TopKRequest("deep", 3, TopKMetric::kSymDiff),
+       TopKRequest("deep", 3, TopKMetric::kFootrule),
+       TopKRequest("t", 2, TopKMetric::kKendall)});
+  std::vector<int64_t> folds;
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok());
+    for (const auto& [stage, nanos] : result->timing.spans) {
+      if (stage == "fold") folds.push_back(nanos);
+    }
+  }
+  EXPECT_EQ(folds, (std::vector<int64_t>{3, 2, 2}));
+  const MetricsSnapshot scrape = scheduler.MetricsSnapshotNow();
+  const MetricSample* fold = scrape.Find("cpdb_stage_fold_latency_nanoseconds");
+  ASSERT_NE(fold, nullptr);
+  EXPECT_EQ(fold->hist.count, 3);
+  EXPECT_EQ(fold->hist.sum_nanos, kStep);
 }
 
 // trace_* fields appear exactly when the request said trace=on — never
