@@ -2,17 +2,20 @@
 //
 // Thread scaling of the engine's newly parallelized consensus paths: the
 // MedianTopKSymDiff stratum search, the footrule / intersection Hungarian
-// cost-column builds, set consensus with chunked marginal folds, and the
-// batched query API. Every path is schedule-deterministic, so these runs
+// cost-column builds, set consensus with chunked marginal folds, the
+// batched query API, and the heavy tail kernels (Kendall q matrix, median
+// search, expected ranks) one tree at a time. Every path is schedule-deterministic, so these runs
 // double as a determinism smoke check: thread count changes wall-clock only
 // (on multi-core hosts; a 1-core container shows flat curves).
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "engine/engine.h"
+#include "model/flat_tree.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -89,6 +92,61 @@ void BM_EngineSetConsensus(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineSetConsensus)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// The three heavy tail precomputes one at a time, over the trees the serve
+// benchmark's heavy_sharded workload draws: 12 keys, depth 3, 42-45
+// leaves, k = 5. Each iteration runs one tree's tail, cycling through 32
+// trees, so the time per iteration is the per-tree kernel cost.
+enum class HeavyTail { kKendallQ, kMedian, kErank };
+
+void BM_EngineHeavyTails(benchmark::State& state, HeavyTail tail) {
+  constexpr int kK = 5;
+  Rng rng(12);
+  RandomTreeOptions opts;
+  opts.num_keys = 12;
+  opts.max_depth = 3;
+  opts.max_alternatives = 2;
+  std::vector<AndXorTree> trees;
+  while (trees.size() < 32) {
+    AndXorTree tree = *RandomAndXorTree(opts, &rng);
+    if (tree.NumLeaves() >= 42 && tree.NumLeaves() <= 45) {
+      trees.push_back(std::move(tree));
+    }
+  }
+  Engine engine = MakeEngine(static_cast<int>(state.range(0)));
+  std::vector<FlatTree> programs;
+  std::vector<RankDistribution> dists;
+  for (const AndXorTree& tree : trees) {
+    programs.push_back(FlatTree::Compile(tree));
+    dists.push_back(engine.ComputeRankDistribution(tree, kK));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t t = i++ % trees.size();
+    switch (tail) {
+      case HeavyTail::kKendallQ:
+        benchmark::DoNotOptimize(
+            engine.KendallQMatrix(trees[t], kK, &programs[t]));
+        break;
+      case HeavyTail::kMedian:
+        benchmark::DoNotOptimize(
+            engine.MedianSymDiffSearch(trees[t], dists[t]));
+        break;
+      case HeavyTail::kErank:
+        benchmark::DoNotOptimize(engine.ExpectedRanks(trees[t]));
+        break;
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_EngineHeavyTails, kendall_q, HeavyTail::kKendallQ)
+    ->Arg(1)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_EngineHeavyTails, median, HeavyTail::kMedian)
+    ->Arg(1)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_EngineHeavyTails, erank, HeavyTail::kErank)
+    ->Arg(1)
+    ->Arg(4);
 
 // Whole-query fan-out: all four metrics x several k in one submission.
 void BM_EngineConsensusBatch(benchmark::State& state) {

@@ -27,17 +27,22 @@ double ClampProbability(double p) {
 std::vector<double> MaxPlusConvolve(const std::vector<double>& a,
                                     const std::vector<double>& b,
                                     size_t max_size) {
-  size_t out_size = std::min(max_size + 1, a.size() + b.size() - 1);
-  std::vector<double> out(out_size, kNegInf);
-  for (size_t i = 0; i < a.size(); ++i) {
+  std::vector<double> out(std::min(max_size + 1, a.size() + b.size() - 1));
+  MaxPlusConvolveInto(a.data(), a.size(), b.data(), b.size(), out.data(),
+                      out.size());
+  return out;
+}
+
+void MaxPlusConvolveInto(const double* a, size_t a_size, const double* b,
+                         size_t b_size, double* out, size_t out_size) {
+  std::fill(out, out + out_size, kNegInf);
+  for (size_t i = 0; i < a_size && i < out_size; ++i) {
     if (a[i] == kNegInf) continue;
-    size_t j_end = std::min(b.size(), out_size - std::min(out_size, i));
-    for (size_t j = 0; j < j_end && i + j < out_size; ++j) {
+    for (size_t j = 0; j < b_size && i + j < out_size; ++j) {
       if (b[j] == kNegInf) continue;
       out[i + j] = std::max(out[i + j], a[i] + b[j]);
     }
   }
-  return out;
 }
 
 double StableSum(const std::vector<double>& values) {

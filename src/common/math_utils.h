@@ -32,6 +32,12 @@ std::vector<double> MaxPlusConvolve(const std::vector<double>& a,
                                     const std::vector<double>& b,
                                     size_t max_size);
 
+/// \brief The MaxPlusConvolve kernel over raw rows: writes out[0, out_size)
+/// (distinct from a and b), kNegInf where no pair is feasible. Same
+/// comparisons in the same order as MaxPlusConvolve, which calls it.
+void MaxPlusConvolveInto(const double* a, size_t a_size, const double* b,
+                         size_t b_size, double* out, size_t out_size);
+
 /// \brief Kahan-compensated sum, used where many small probabilities
 /// accumulate.
 double StableSum(const std::vector<double>& values);

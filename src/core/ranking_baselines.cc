@@ -39,46 +39,47 @@ std::vector<KeyId> TopKByExpectedScore(const AndXorTree& tree, int k) {
 }
 
 std::vector<double> ExpectedRanks(const AndXorTree& tree) {
-  const std::vector<NodeId>& leaves = tree.LeafIds();
-  std::vector<double> marginal = tree.LeafMarginals();
-  std::vector<KeyId> keys = tree.Keys();
-  std::map<KeyId, size_t> key_index;
-  for (size_t i = 0; i < keys.size(); ++i) key_index[keys[i]] = i;
-
-  std::vector<double> expected(keys.size(), 0.0);
-  for (KeyId key : keys) {
-    double e = 0.0;
-    double p_present = 0.0;
-    // Present case: rank = 1 + #(higher-scoring other-key leaves present).
-    for (NodeId a : leaves) {
-      const TupleAlternative& alt = tree.node(a).leaf;
-      if (alt.key != key) continue;
-      double pa = marginal[static_cast<size_t>(a)];
-      p_present += pa;
-      e += pa;  // the "1 +" part
-      for (NodeId l : leaves) {
-        const TupleAlternative& other = tree.node(l).leaf;
-        if (other.key == key || other.score <= alt.score) continue;
-        e += tree.PairPresenceProbability(a, l);
-      }
-    }
-    // Absent case: rank = |pw| + 1.
-    // E[(|pw| + 1) * 1(key absent)] = Pr(absent) + sum_l Pr(l present and
-    // key absent), and Pr(l and key absent) = Pr(l) - sum_a Pr(l and a).
-    e += 1.0 - p_present;
-    for (NodeId l : leaves) {
-      const TupleAlternative& other = tree.node(l).leaf;
-      if (other.key == key) continue;  // l present with key absent impossible
-      double p_l_and_key = 0.0;
-      for (NodeId a : leaves) {
-        if (tree.node(a).leaf.key != key) continue;
-        p_l_and_key += tree.PairPresenceProbability(l, a);
-      }
-      e += marginal[static_cast<size_t>(l)] - p_l_and_key;
-    }
-    expected[key_index[key]] = e;
+  const std::vector<double> marginal = tree.LeafMarginals();
+  std::vector<double> expected;
+  for (KeyId key : tree.Keys()) {
+    expected.push_back(ExpectedRankOfKey(tree, marginal, key));
   }
   return expected;
+}
+
+double ExpectedRankOfKey(const AndXorTree& tree,
+                         const std::vector<double>& marginal, KeyId key) {
+  const std::vector<NodeId>& leaves = tree.LeafIds();
+  double e = 0.0;
+  double p_present = 0.0;
+  // Present case: rank = 1 + #(higher-scoring other-key leaves present).
+  for (NodeId a : leaves) {
+    const TupleAlternative& alt = tree.node(a).leaf;
+    if (alt.key != key) continue;
+    double pa = marginal[static_cast<size_t>(a)];
+    p_present += pa;
+    e += pa;  // the "1 +" part
+    for (NodeId l : leaves) {
+      const TupleAlternative& other = tree.node(l).leaf;
+      if (other.key == key || other.score <= alt.score) continue;
+      e += tree.PairPresenceProbability(a, l);
+    }
+  }
+  // Absent case: rank = |pw| + 1.
+  // E[(|pw| + 1) * 1(key absent)] = Pr(absent) + sum_l Pr(l present and
+  // key absent), and Pr(l and key absent) = Pr(l) - sum_a Pr(l and a).
+  e += 1.0 - p_present;
+  for (NodeId l : leaves) {
+    const TupleAlternative& other = tree.node(l).leaf;
+    if (other.key == key) continue;  // l present with key absent impossible
+    double p_l_and_key = 0.0;
+    for (NodeId a : leaves) {
+      if (tree.node(a).leaf.key != key) continue;
+      p_l_and_key += tree.PairPresenceProbability(l, a);
+    }
+    e += marginal[static_cast<size_t>(l)] - p_l_and_key;
+  }
+  return e;
 }
 
 std::vector<KeyId> TopKByExpectedRankFromRanks(const std::vector<KeyId>& keys,

@@ -29,6 +29,12 @@ std::vector<KeyId> TopKByExpectedScore(const AndXorTree& tree, int k);
 /// probabilities; O(L^2 * depth) for L leaves. Indexed like tree.Keys().
 std::vector<double> ExpectedRanks(const AndXorTree& tree);
 
+/// \brief One entry of ExpectedRanks: E[r(key)], given `marginal` =
+/// tree.LeafMarginals(). Keys are independent units, which is how
+/// Engine::ExpectedRanks fans them across its pool.
+double ExpectedRankOfKey(const AndXorTree& tree,
+                         const std::vector<double>& marginal, KeyId key);
+
 /// \brief The k keys with the smallest expected rank.
 std::vector<KeyId> TopKByExpectedRank(const AndXorTree& tree, int k);
 

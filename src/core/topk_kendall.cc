@@ -45,52 +45,77 @@ double PrInTopKAndBefore(const AndXorTree& tree, KeyId u, KeyId t, int k) {
   return total;
 }
 
-double PrInTopKAndBefore(const FlatTree& flat, KeyId u, KeyId t, int k) {
-  // Flat form of the fold above: rows have shape (k+1) × 2, row-major, so
-  // y = x^0 y^1 sits at index 1, x = x^1 y^0 at index 2 (guarded like
-  // Poly2::Monomial's truncation), and the forbidden leaves keep their
-  // zeroed row. Bitwise identical to the pointer reference.
-  double total = 0.0;
-  const std::vector<FlatLeaf>& leaves = flat.leaves();
-  std::vector<double> f(static_cast<size_t>(k + 1) * 2);
-  for (int target = 0; target < flat.num_leaves(); ++target) {
-    const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
-    if (alt.key != u) continue;
-    const auto leaf_init = [&](int i, double* row) {
-      if (i == target) {
-        row[1] = 1.0;  // y
-        return;
-      }
-      const FlatLeaf& other = leaves[static_cast<size_t>(i)];
-      if (other.score > alt.score) {
-        if (other.key == t) return;  // forbidden: the zero polynomial
-        if (other.key != u) {
-          if (k >= 1) row[2] = 1.0;  // x, counts toward the rank
-          return;
-        }
-      }
-      row[0] = 1.0;
-    };
-    flat.EvalGeneratingFunction(k, 1, leaf_init, f.data(), &FlatFoldScratch());
-    for (int i = 0; i <= k - 1; ++i) {
-      total += f[static_cast<size_t>(i) * 2 + 1];  // Coeff(i, 1)
+std::vector<double> KendallQRow(const FlatRefold& refold,
+                                const std::vector<KeyId>& keys, size_t iu,
+                                int k) {
+  // Flat form of the pointer fold above, per target b of u: rows have shape
+  // (k+1) × 2, row-major, so y = x^0 y^1 sits at index 1 and x = x^1 y^0 at
+  // index 2 (guarded like Poly2::Monomial's truncation). The base fold
+  // forbids no key; the fold for (b, t) only zeroes t's leaves above b, so
+  // it is a refold of their ancestors, or the base root itself when t has
+  // no such leaf. Each cell sums over targets in leaf order, then i, the
+  // summation order of the pointer form.
+  thread_local FlatRefold::Scratch scratch(&FlatFoldScratch());
+  const std::vector<FlatLeaf>& leaves = refold.flat().leaves();
+  const int num_leaves = static_cast<int>(leaves.size());
+  const KeyId u = keys[iu];
+
+  // The leaves of each key, in leaf order.
+  std::vector<std::vector<int>> leaves_of_key(keys.size());
+  for (int i = 0; i < num_leaves; ++i) {
+    const KeyId key = leaves[static_cast<size_t>(i)].key;
+    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    if (it != keys.end() && *it == key) {
+      leaves_of_key[static_cast<size_t>(it - keys.begin())].push_back(i);
     }
   }
-  return total;
+
+  std::vector<double> q(keys.size(), 0.0);
+  std::vector<int> zeroed;
+  for (int target = 0; target < num_leaves; ++target) {
+    const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
+    if (alt.key != u) continue;
+    const double* base = refold.Fold(
+        k, 1,
+        [&](int i, double* row) {
+          const FlatLeaf& other = leaves[static_cast<size_t>(i)];
+          if (i == target) {
+            row[1] = 1.0;  // y
+          } else if (other.score > alt.score && other.key != u) {
+            if (k >= 1) row[2] = 1.0;  // x, counts toward the rank
+          } else {
+            row[0] = 1.0;
+          }
+        },
+        &scratch);
+    for (size_t it = 0; it < keys.size(); ++it) {
+      if (it == iu) continue;
+      zeroed.clear();
+      for (int leaf : leaves_of_key[it]) {
+        if (leaves[static_cast<size_t>(leaf)].score > alt.score) {
+          zeroed.push_back(leaf);  // forbidden: the zero polynomial
+        }
+      }
+      const double* f =
+          zeroed.empty() ? base : refold.RefoldZeroed(zeroed, &scratch);
+      for (int i = 0; i <= k - 1; ++i) {
+        q[it] += f[static_cast<size_t>(i) * 2 + 1];  // Coeff(i, 1)
+      }
+    }
+  }
+  return q;
 }
 
 KendallEvaluator::KendallEvaluator(const AndXorTree& tree, int k)
     : k_(k), keys_(tree.Keys()) {
   BuildKeyIndex();
-  q_.assign(keys_.size(), std::vector<double>(keys_.size(), 0.0));
-  // One compile shared by all n^2 q cells (the engine fans the same cells
-  // across its pool; this is the sequential form).
+  // One compile and one row graph shared by every row (the engine fans
+  // the same rows across its pool; this is the sequential form).
   const FlatTree flat = FlatTree::Compile(tree);
+  const FlatRefold refold(flat);
+  q_.resize(keys_.size());
   for (size_t iu = 0; iu < keys_.size(); ++iu) {
-    for (size_t it = 0; it < keys_.size(); ++it) {
-      if (iu == it) continue;
-      q_[iu][it] = PrInTopKAndBefore(flat, keys_[iu], keys_[it], k_);
-    }
+    q_[iu] = KendallQRow(refold, keys_, iu, k_);
   }
 }
 

@@ -33,26 +33,33 @@ namespace cpdb {
 
 /// \brief q(u, t) = Pr(r(u) <= k and r(u) < r(t)): u makes the Top-k and
 /// ranks ahead of t (t absent or ranked below both count). Pointer-tree
-/// reference implementation (differential baseline for the flat overload).
+/// reference implementation (differential baseline for KendallQRow).
 double PrInTopKAndBefore(const AndXorTree& tree, KeyId u, KeyId t, int k);
 
-/// \brief Flat-path q(u, t) over an already compiled tree — the form the
-/// O(n^2) q-matrix loops use so the compile cost is paid once per tree.
-/// Bitwise identical to the pointer reference.
-double PrInTopKAndBefore(const FlatTree& flat, KeyId u, KeyId t, int k);
+/// \brief Row iu of the q matrix over `keys` (sorted ascending, the
+/// tree's Keys()): result[it] = PrInTopKAndBefore(keys[iu], keys[it], k),
+/// 0 at it == iu, bitwise equal to the pointer reference. One resident
+/// fold per alternative b of keys[iu], then for each other key t a refold
+/// of only the ancestors of t's leaves scoring above b. Uses a
+/// thread-local scratch; `refold` is only read, so rows may run
+/// concurrently.
+std::vector<double> KendallQRow(const FlatRefold& refold,
+                                const std::vector<KeyId>& keys, size_t iu,
+                                int k);
 
 /// \brief Precomputes the pairwise q statistics for a key set and evaluates
 /// E[d_K(answer, topk(pw))] for arbitrary candidate answers.
 class KendallEvaluator {
  public:
-  /// Precomputation costs O(|keys|^2) generating-function folds.
+  /// Precomputation runs KendallQRow for every key: one fold per leaf
+  /// plus O(|keys|) path refolds per leaf of the row's key.
   KendallEvaluator(const AndXorTree& tree, int k);
 
   /// \brief Builds an evaluator from an externally computed q matrix with
   /// q[i][j] = q(keys[i], keys[j]) over keys = tree.Keys() (diagonal
   /// ignored). Lets callers parallelize the quadratic precompute — the
-  /// engine fans one PrInTopKAndBefore fold per ordered pair across its
-  /// thread pool — while this class stays thread-free. A matrix whose
+  /// engine fans one KendallQRow per key across its thread pool — while
+  /// this class stays thread-free. A matrix whose
   /// shape does not match tree.Keys() (built over a different key list)
   /// would yield silently wrong expectations, so it returns
   /// InvalidArgument instead of an evaluator. O(|keys|^2) to adopt the

@@ -54,36 +54,45 @@ namespace {
 
 constexpr double kValueEps = 1e-9;
 
-// Size-indexed max-value DP over a (possibly score-pruned) and/xor tree.
-// val[s] is the maximum sum of per-leaf values over the positive-probability
-// worlds of the subtree with exactly s surviving leaves; kNegInf marks
-// infeasible sizes.
-struct NodeDp {
+// Flat storage for SizeValueDp: one row of cap + 1 values (and XOR
+// choices) per row of the context's DP layout. Grow-only and one per
+// thread, so a thread's strata after its first allocate nothing.
+struct DpArena {
   std::vector<double> val;
-  // XOR: per size, the chosen child index (-1 = the empty outcome).
   std::vector<int> xor_choice;
-  // AND: prefix[i] is the max-plus convolution of children[0..i]'s vals,
-  // kept for split reconstruction.
-  std::vector<std::vector<double>> and_prefix;
 };
 
+DpArena& ThreadDpArena() {
+  thread_local DpArena arena;
+  return arena;
+}
+
+// Size-indexed max-value DP over a (possibly score-pruned) and/xor tree.
+// A node's value row val[s] is the maximum sum of per-leaf values over the
+// positive-probability worlds of its subtree with exactly s surviving
+// leaves; kNegInf marks infeasible sizes. A XOR row also records, per
+// size, the chosen child index (-1 = the empty outcome). An AND node owns
+// one row per child: row i is the max-plus convolution of children[0..i]'s
+// values, kept for split reconstruction, and the last one is its value.
 class SizeValueDp {
  public:
-  // leaf_value[leaf_id] is the DP value of an active leaf; inactive leaves
-  // (score below the threshold) are treated as absent from the pruned tree.
-  SizeValueDp(const AndXorTree& tree, const std::vector<double>& leaf_value,
-              const std::vector<bool>& leaf_active, int max_size)
+  // Leaves scoring at least `threshold` (every leaf when `all_active`) are
+  // active with DP value leaf_value[leaf_id]; the others are treated as
+  // absent from the pruned tree.
+  SizeValueDp(const AndXorTree& tree, const MedianSymDiffContext& context,
+              const std::vector<double>& leaf_value, double threshold,
+              bool all_active, int max_size, DpArena* arena)
       : tree_(tree),
-        leaf_value_(leaf_value),
-        leaf_active_(leaf_active),
-        cap_(max_size) {
-    Run();
+        context_(context),
+        stride_(static_cast<size_t>(max_size) + 1),
+        arena_(arena) {
+    Run(leaf_value, threshold, all_active);
   }
 
   // Max value over worlds with exactly `size` active leaves (kNegInf if no
   // such world exists).
   double ValueAt(int size) const {
-    return dp_[static_cast<size_t>(tree_.root())].val[static_cast<size_t>(size)];
+    return Val(tree_.root())[static_cast<size_t>(size)];
   }
 
   // The active leaves of one world achieving ValueAt(size).
@@ -95,61 +104,70 @@ class SizeValueDp {
   }
 
  private:
-  void Run() {
-    dp_.assign(static_cast<size_t>(tree_.NumNodes()), NodeDp{});
-    std::vector<std::pair<NodeId, bool>> stack = {{tree_.root(), false}};
-    while (!stack.empty()) {
-      auto [id, expanded] = stack.back();
-      stack.pop_back();
+  double* Row(int32_t row) const {
+    return arena_->val.data() + static_cast<size_t>(row) * stride_;
+  }
+  int* Choice(int32_t row) const {
+    return arena_->xor_choice.data() + static_cast<size_t>(row) * stride_;
+  }
+  int32_t FirstRow(NodeId id) const {
+    return context_.dp_row[static_cast<size_t>(id)];
+  }
+  const double* Val(NodeId id) const {
+    const TreeNode& n = tree_.node(id);
+    const size_t last =
+        n.kind == NodeKind::kAnd ? n.children.size() - 1 : 0;
+    return Row(FirstRow(id) + static_cast<int32_t>(last));
+  }
+
+  void Run(const std::vector<double>& leaf_value, double threshold,
+           bool all_active) {
+    const size_t need = static_cast<size_t>(context_.dp_rows) * stride_;
+    if (arena_->val.size() < need) {
+      arena_->val.resize(need);
+      arena_->xor_choice.resize(need);
+    }
+    const size_t cap = stride_ - 1;
+    for (NodeId id : context_.post_order) {
       const TreeNode& n = tree_.node(id);
-      if (!expanded) {
-        stack.push_back({id, true});
-        for (NodeId c : n.children) stack.push_back({c, false});
-        continue;
-      }
-      NodeDp& e = dp_[static_cast<size_t>(id)];
+      double* val = Row(FirstRow(id));
       switch (n.kind) {
         case NodeKind::kLeaf: {
-          e.val.assign(static_cast<size_t>(cap_) + 1, kNegInf);
-          if (leaf_active_[static_cast<size_t>(id)]) {
-            if (cap_ >= 1) e.val[1] = leaf_value_[static_cast<size_t>(id)];
+          std::fill(val, val + stride_, kNegInf);
+          if (all_active || n.leaf.score >= threshold) {
+            if (cap >= 1) val[1] = leaf_value[static_cast<size_t>(id)];
           } else {
-            e.val[0] = 0.0;  // pruned leaf: contributes nothing
+            val[0] = 0.0;  // pruned leaf: contributes nothing
           }
           break;
         }
         case NodeKind::kAnd: {
-          e.and_prefix.reserve(n.children.size());
-          std::vector<double> acc =
-              dp_[static_cast<size_t>(n.children[0])].val;
-          e.and_prefix.push_back(acc);
+          const double* first = Val(n.children[0]);
+          std::copy(first, first + stride_, val);
           for (size_t i = 1; i < n.children.size(); ++i) {
-            acc = MaxPlusConvolve(
-                acc, dp_[static_cast<size_t>(n.children[i])].val,
-                static_cast<size_t>(cap_));
-            acc.resize(static_cast<size_t>(cap_) + 1, kNegInf);
-            e.and_prefix.push_back(acc);
+            double* acc = val + i * stride_;
+            MaxPlusConvolveInto(acc - stride_, stride_, Val(n.children[i]),
+                                stride_, acc, stride_);
           }
-          e.val = acc;
           break;
         }
         case NodeKind::kXor: {
-          e.val.assign(static_cast<size_t>(cap_) + 1, kNegInf);
-          e.xor_choice.assign(static_cast<size_t>(cap_) + 1, -2);
+          int* choice = Choice(FirstRow(id));
+          std::fill(val, val + stride_, kNegInf);
+          std::fill(choice, choice + stride_, -2);
           double leftover = 1.0;
           for (double p : n.edge_probs) leftover -= p;
           if (leftover > 0.0) {
-            e.val[0] = 0.0;
-            e.xor_choice[0] = -1;
+            val[0] = 0.0;
+            choice[0] = -1;
           }
           for (size_t i = 0; i < n.children.size(); ++i) {
             if (n.edge_probs[i] <= 0.0) continue;
-            const NodeDp& child = dp_[static_cast<size_t>(n.children[i])];
-            for (int s = 0; s <= cap_; ++s) {
-              double v = child.val[static_cast<size_t>(s)];
-              if (v > e.val[static_cast<size_t>(s)]) {
-                e.val[static_cast<size_t>(s)] = v;
-                e.xor_choice[static_cast<size_t>(s)] = static_cast<int>(i);
+            const double* child = Val(n.children[i]);
+            for (size_t s = 0; s <= cap; ++s) {
+              if (child[s] > val[s]) {
+                val[s] = child[s];
+                choice[s] = static_cast<int>(i);
               }
             }
           }
@@ -161,25 +179,24 @@ class SizeValueDp {
 
   void Collect(NodeId id, int size, std::vector<NodeId>* leaves) const {
     const TreeNode& n = tree_.node(id);
-    const NodeDp& e = dp_[static_cast<size_t>(id)];
     switch (n.kind) {
       case NodeKind::kLeaf:
         if (size == 1) leaves->push_back(id);
         return;
       case NodeKind::kXor: {
-        int choice = e.xor_choice[static_cast<size_t>(size)];
+        int choice = Choice(FirstRow(id))[static_cast<size_t>(size)];
         if (choice >= 0) {
           Collect(n.children[static_cast<size_t>(choice)], size, leaves);
         }
         return;
       }
       case NodeKind::kAnd: {
+        const double* prefix = Row(FirstRow(id));
         int remaining = size;
         for (size_t i = n.children.size(); i-- > 1;) {
-          const std::vector<double>& child_val =
-              dp_[static_cast<size_t>(n.children[i])].val;
-          const std::vector<double>& prev = e.and_prefix[i - 1];
-          double target = e.and_prefix[i][static_cast<size_t>(remaining)];
+          const double* child_val = Val(n.children[i]);
+          const double* prev = prefix + (i - 1) * stride_;
+          double target = prefix[i * stride_ + static_cast<size_t>(remaining)];
           // Find the split (remaining - q from the prefix, q from child i).
           for (int q = 0; q <= remaining; ++q) {
             double a = prev[static_cast<size_t>(remaining - q)];
@@ -199,10 +216,9 @@ class SizeValueDp {
   }
 
   const AndXorTree& tree_;
-  const std::vector<double>& leaf_value_;
-  const std::vector<bool>& leaf_active_;
-  int cap_;
-  std::vector<NodeDp> dp_;
+  const MedianSymDiffContext& context_;
+  size_t stride_;
+  DpArena* arena_;
 };
 
 }  // namespace
@@ -216,6 +232,26 @@ MedianSymDiffContext BuildMedianSymDiffContext(const AndXorTree& tree,
   std::set<double> scores;
   for (NodeId l : tree.LeafIds()) scores.insert(tree.node(l).leaf.score);
   context.thresholds.assign(scores.begin(), scores.end());
+  // The DP layout: nodes children-first, and each node's first DP row (an
+  // AND node takes one row per child).
+  context.dp_row.assign(static_cast<size_t>(tree.NumNodes()), -1);
+  std::vector<std::pair<NodeId, bool>> stack;
+  if (tree.root() != kInvalidNode) stack.push_back({tree.root(), false});
+  while (!stack.empty()) {
+    auto [id, expanded] = stack.back();
+    stack.pop_back();
+    const TreeNode& n = tree.node(id);
+    if (!expanded) {
+      stack.push_back({id, true});
+      for (NodeId c : n.children) stack.push_back({c, false});
+      continue;
+    }
+    context.post_order.push_back(id);
+    context.dp_row[static_cast<size_t>(id)] = context.dp_rows;
+    context.dp_rows += n.kind == NodeKind::kAnd
+                           ? static_cast<int32_t>(n.children.size())
+                           : 1;
+  }
   context.value_p.assign(static_cast<size_t>(tree.NumNodes()), 0.0);
   context.value_centered.assign(static_cast<size_t>(tree.NumNodes()), 0.0);
   for (NodeId l : tree.LeafIds()) {
@@ -244,16 +280,13 @@ std::vector<SymDiffMedianCandidate> EvalMedianSymDiffStratum(
     // a size-k world of the pruned tree is exactly the Top-k of a
     // realizable full world. DP values are P(t) = Pr(r(t) <= k).
     const double threshold = context.thresholds[static_cast<size_t>(stratum)];
-    std::vector<bool> active(static_cast<size_t>(tree.NumNodes()), false);
     int num_active = 0;
     for (NodeId l : tree.LeafIds()) {
-      if (tree.node(l).leaf.score >= threshold) {
-        active[static_cast<size_t>(l)] = true;
-        ++num_active;
-      }
+      if (tree.node(l).leaf.score >= threshold) ++num_active;
     }
     if (num_active < k) return candidates;
-    SizeValueDp dp(tree, context.value_p, active, k);
+    SizeValueDp dp(tree, context, context.value_p, threshold,
+                   /*all_active=*/false, k, &ThreadDpArena());
     double v = dp.ValueAt(k);
     if (v == kNegInf) return candidates;
     candidates.push_back({v - 0.5 * k, dp.Reconstruct(k)});
@@ -263,11 +296,8 @@ std::vector<SymDiffMedianCandidate> EvalMedianSymDiffStratum(
   // Final stratum: whole worlds with fewer than k tuples (their Top-k answer
   // is the world itself), over the unpruned tree with centered values
   // P(t) - 1/2 so sizes compare on the uniform objective.
-  std::vector<bool> all_active(static_cast<size_t>(tree.NumNodes()), false);
-  for (NodeId l : tree.LeafIds()) {
-    all_active[static_cast<size_t>(l)] = true;
-  }
-  SizeValueDp dp(tree, context.value_centered, all_active, k - 1);
+  SizeValueDp dp(tree, context, context.value_centered, /*threshold=*/0.0,
+                 /*all_active=*/true, k - 1, &ThreadDpArena());
   for (int size = 0; size < k; ++size) {
     double v = dp.ValueAt(size);
     if (v == kNegInf) continue;

@@ -78,12 +78,18 @@ struct SymDiffMedianCandidate {
 /// distinct-score scan and one PrTopK sweep instead of one per stratum):
 /// the Theorem 4 thresholds ascending, the per-node DP values
 /// Pr(r(t) <= k), and their centered form Pr(r(t) <= k) - 1/2 (leaves
-/// only; other nodes 0). Build with BuildMedianSymDiffContext.
+/// only; other nodes 0). It also fixes the DP's flat layout, shared by
+/// every stratum: the reachable nodes children-first and each node's first
+/// row in the thread's DP arena (an AND node owns one row per child, the
+/// running max-plus prefix). Build with BuildMedianSymDiffContext.
 struct MedianSymDiffContext {
   int k = 0;
   std::vector<double> thresholds;
   std::vector<double> value_p;
   std::vector<double> value_centered;
+  std::vector<NodeId> post_order;
+  std::vector<int32_t> dp_row;  // indexed by NodeId; -1 if unreachable
+  int32_t dp_rows = 0;
 };
 
 /// \brief Precomputes the stratum inputs for MedianTopKSymDiff over `tree`;

@@ -9,6 +9,7 @@
 
 #include "core/jaccard.h"  // IsBlockIndependent
 #include "core/rank_distribution_fast.h"
+#include "core/ranking_baselines.h"
 #include "core/set_consensus.h"
 #include "core/topk_footrule.h"
 #include "core/topk_intersection.h"
@@ -114,21 +115,6 @@ RankDistribution Engine::ComputeRankDistribution(
   return std::move(builder).Build();
 }
 
-std::vector<std::vector<double>> Engine::PairwiseMatrix(
-    size_t n, const std::function<double(size_t, size_t)>& cell) const {
-  std::vector<std::vector<double>> m(n, std::vector<double>(n, 0.0));
-  // One unit per ordered pair, each writing its own cell: embarrassingly
-  // parallel and trivially schedule-deterministic.
-  pool_.ParallelFor(static_cast<int64_t>(n * n), [&](int64_t flat) {
-    size_t i = static_cast<size_t>(flat) / n;
-    size_t j = static_cast<size_t>(flat) % n;
-    if (i == j) return;
-    m[i][j] = cell(i, j);
-    NoteArenaHighWater();
-  });
-  return m;
-}
-
 std::vector<std::vector<double>> Engine::PerKeyColumns(
     const RankDistribution& dist,
     const std::function<std::vector<double>(const RankDistribution&, KeyId)>&
@@ -161,45 +147,16 @@ std::vector<double> Engine::LeafMarginals(const AndXorTree& tree,
 }
 
 std::vector<double> Engine::ExpectedRanks(const AndXorTree& tree) const {
-  // The sequential core ExpectedRanks is an independent per-key outer loop
-  // writing disjoint slots; each task below runs one key's body in the
-  // exact sequential accumulation order, so the vector is bitwise
-  // identical to the core form for any thread count. The shared marginal
-  // fold is computed once, up front, read-only across tasks.
-  const std::vector<NodeId>& leaves = tree.LeafIds();
+  // The core form is an independent loop over keys writing disjoint slots;
+  // each task runs one key's ExpectedRankOfKey, so the vector is bitwise
+  // the core one for any thread count. The marginals are computed once, up
+  // front, and only read by the tasks.
   const std::vector<double> marginal = tree.LeafMarginals();
   const std::vector<KeyId> keys = tree.Keys();
   std::vector<double> expected(keys.size(), 0.0);
   pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
-    const KeyId key = keys[static_cast<size_t>(t)];
-    double e = 0.0;
-    double p_present = 0.0;
-    // Present case: rank = 1 + #(higher-scoring other-key leaves present).
-    for (NodeId a : leaves) {
-      const TupleAlternative& alt = tree.node(a).leaf;
-      if (alt.key != key) continue;
-      double pa = marginal[static_cast<size_t>(a)];
-      p_present += pa;
-      e += pa;  // the "1 +" part
-      for (NodeId l : leaves) {
-        const TupleAlternative& other = tree.node(l).leaf;
-        if (other.key == key || other.score <= alt.score) continue;
-        e += tree.PairPresenceProbability(a, l);
-      }
-    }
-    // Absent case: rank = |pw| + 1, exactly as in the core form.
-    e += 1.0 - p_present;
-    for (NodeId l : leaves) {
-      const TupleAlternative& other = tree.node(l).leaf;
-      if (other.key == key) continue;
-      double p_l_and_key = 0.0;
-      for (NodeId a : leaves) {
-        if (tree.node(a).leaf.key != key) continue;
-        p_l_and_key += tree.PairPresenceProbability(l, a);
-      }
-      e += marginal[static_cast<size_t>(l)] - p_l_and_key;
-    }
-    expected[static_cast<size_t>(t)] = e;
+    expected[static_cast<size_t>(t)] =
+        ExpectedRankOfKey(tree, marginal, keys[static_cast<size_t>(t)]);
   });
   return expected;
 }
@@ -207,26 +164,40 @@ std::vector<double> Engine::ExpectedRanks(const AndXorTree& tree) const {
 std::vector<std::vector<double>> Engine::PairwiseOrderProbabilities(
     const AndXorTree& tree, const std::vector<KeyId>& keys,
     const FlatTree* program) const {
-  // One compiled tree shared read-only by all n^2 parallel cells.
+  // One compiled tree shared read-only by all n^2 parallel cells, one unit
+  // per ordered pair, each writing its own cell: trivially
+  // schedule-deterministic.
   std::optional<FlatTree> owned;
   if (program == nullptr) owned.emplace(CompileCounted(tree));
   const FlatTree& flat = program != nullptr ? *program : *owned;
-  return PairwiseMatrix(keys.size(), [&](size_t i, size_t j) {
-    return PrRanksBefore(flat, keys[i], keys[j]);
+  const size_t n = keys.size();
+  std::vector<std::vector<double>> m(n, std::vector<double>(n, 0.0));
+  pool_.ParallelFor(static_cast<int64_t>(n * n), [&](int64_t cell) {
+    const size_t i = static_cast<size_t>(cell) / n;
+    const size_t j = static_cast<size_t>(cell) % n;
+    if (i == j) return;
+    m[i][j] = PrRanksBefore(flat, keys[i], keys[j]);
+    NoteArenaHighWater();
   });
+  return m;
 }
 
 std::vector<std::vector<double>> Engine::KendallQMatrix(
     const AndXorTree& tree, int k, const FlatTree* program) const {
-  // One compiled tree shared read-only by all n^2 parallel q cells, each
-  // writing its own cell, so the matrix is schedule-deterministic.
+  // One compiled tree and one row graph shared read-only by the n parallel
+  // row tasks, each writing its own row over its thread's scratch, so the
+  // matrix is schedule-deterministic.
   const std::vector<KeyId> keys = tree.Keys();
   std::optional<FlatTree> owned;
   if (program == nullptr) owned.emplace(CompileCounted(tree));
-  const FlatTree& flat = program != nullptr ? *program : *owned;
-  return PairwiseMatrix(keys.size(), [&](size_t iu, size_t it) {
-    return PrInTopKAndBefore(flat, keys[iu], keys[it], k);
+  const FlatRefold refold(program != nullptr ? *program : *owned);
+  std::vector<std::vector<double>> q(keys.size());
+  pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t iu) {
+    q[static_cast<size_t>(iu)] =
+        KendallQRow(refold, keys, static_cast<size_t>(iu), k);
+    NoteArenaHighWater();
   });
+  return q;
 }
 
 Result<TopKResult> Engine::MedianSymDiffSearch(

@@ -122,7 +122,7 @@ struct EngineObsCounters {
 class FlatTree;
 
 /// \brief Precomputed metric tails for one consensus query — the inputs a
-/// serving cache can supply so a warm query skips its O(n^2) q folds or its
+/// serving cache can supply so a warm query skips its O(n^2) q matrix or its
 /// Theorem 4 search. Null members are computed by the engine exactly as
 /// without them; a non-null member must be this engine's own output for
 /// the query's (tree, k), which makes the answer bitwise identical either
@@ -181,9 +181,11 @@ class Engine {
       const FlatTree* program = nullptr) const;
 
   /// \brief The Kendall q statistics over tree.Keys(): q[i][j] =
-  /// PrInTopKAndBefore(keys[i], keys[j], k), one flat fold per ordered pair
-  /// across the pool (diagonal 0) — the O(n^2)-fold precompute of the
-  /// kendall mean answer. Bitwise identical for any thread count.
+  /// PrInTopKAndBefore(keys[i], keys[j], k) (diagonal 0), the precompute of
+  /// the kendall mean answer. One task per key i runs KendallQRow over a
+  /// shared FlatRefold: a resident fold per alternative of keys[i], then a
+  /// dirty-path refold per other key. Bitwise identical to the pointer
+  /// reference and to KendallEvaluator(tree, k) for any thread count.
   std::vector<std::vector<double>> KendallQMatrix(
       const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
 
@@ -305,10 +307,11 @@ class Engine {
                                     const FlatTree* program = nullptr) const;
 
   /// \brief Parallel expected ranks (core/ranking_baselines.h
-  /// ExpectedRanks): one task per key, each accumulating its own expected
-  /// value in the sequential form's exact inner order and writing its own
-  /// disjoint slot — bitwise identical to the core function for any thread
-  /// count. Indexed like tree.Keys(). Serves op=baseline method=erank.
+  /// ExpectedRanks): one task per key runs the core ExpectedRankOfKey and
+  /// writes its own disjoint slot — bitwise identical to the core function
+  /// for any thread count. Each task makes O(L^2) allocation-free
+  /// AndXorTree::PairPresenceProbability walks. Indexed like tree.Keys().
+  /// Serves op=baseline method=erank.
   std::vector<double> ExpectedRanks(const AndXorTree& tree) const;
 
   /// \brief A set-consensus world answer: the chosen world's leaves and its
@@ -372,12 +375,6 @@ class Engine {
   }
 
  private:
-  /// n x n matrix with cell(i, j) evaluated across the pool (diagonal left
-  /// 0): the shared flat-index pairwise pattern behind
-  /// PairwiseOrderProbabilities and the Kendall q precompute.
-  std::vector<std::vector<double>> PairwiseMatrix(
-      size_t n, const std::function<double(size_t, size_t)>& cell) const;
-
   /// One `column(dist, key)` evaluation per key of `dist`, fanned across
   /// the pool — the per-candidate unit of the assignment-based metrics.
   std::vector<std::vector<double>> PerKeyColumns(

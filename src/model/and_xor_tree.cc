@@ -151,8 +151,11 @@ Status AndXorTree::Validate() {
   CPDB_RETURN_NOT_OK(ValidateKeyConstraint());
   // Rebuild the leaf index in deterministic DFS order (children
   // left-to-right) and the parent pointers.
+  // Each node's up-edge probability (1.0 below an AND) rides along, for
+  // the LeafMarginal and PairPresenceProbability walks.
   leaf_ids_.clear();
   parents_.assign(nodes_.size(), kInvalidNode);
+  up_edge_.assign(nodes_.size(), 1.0);
   std::vector<NodeId> stack = {root_};
   while (!stack.empty()) {
     NodeId id = stack.back();
@@ -162,9 +165,11 @@ Status AndXorTree::Validate() {
       leaf_ids_.push_back(id);
       continue;
     }
-    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
-      parents_[static_cast<size_t>(*it)] = id;
-      stack.push_back(*it);
+    for (size_t i = n.children.size(); i-- > 0;) {
+      const size_t c = static_cast<size_t>(n.children[i]);
+      parents_[c] = id;
+      up_edge_[c] = n.kind == NodeKind::kXor ? n.edge_probs[i] : 1.0;
+      stack.push_back(n.children[i]);
     }
   }
   validated_ = true;
@@ -193,24 +198,16 @@ std::vector<double> AndXorTree::LeafMarginals() const {
 }
 
 double AndXorTree::LeafMarginal(NodeId leaf) const {
-  // Root-to-leaf path via the parent index filled in by Validate().
-  std::vector<NodeId> path;
-  for (NodeId v = leaf; v != kInvalidNode;
-       v = parents_[static_cast<size_t>(v)]) {
+  // Multiply the up-edges top-down — the accumulation order of
+  // LeafMarginals()'s DFS, which is what makes the two bitwise
+  // interchangeable (AND edges multiply by an exact 1.0).
+  std::vector<NodeId> path;  // leaf ... the root's child
+  for (NodeId v = leaf; v != root_; v = parents_[static_cast<size_t>(v)]) {
     path.push_back(v);
   }
-  // Multiply edges top-down — the accumulation order of LeafMarginals()'s
-  // DFS, which is what makes the two bitwise interchangeable.
   double p = 1.0;
-  for (size_t i = path.size(); i-- > 1;) {
-    const TreeNode& parent = nodes_[static_cast<size_t>(path[i])];
-    if (parent.kind != NodeKind::kXor) continue;
-    for (size_t c = 0; c < parent.children.size(); ++c) {
-      if (parent.children[c] == path[i - 1]) {
-        p *= parent.edge_probs[c];
-        break;
-      }
-    }
+  for (size_t i = path.size(); i-- > 0;) {
+    p *= up_edge_[static_cast<size_t>(path[i])];
   }
   return p;
 }
@@ -231,47 +228,33 @@ double AndXorTree::KeyMarginal(KeyId key) const {
 }
 
 double AndXorTree::PairPresenceProbability(NodeId leaf1, NodeId leaf2) const {
-  if (leaf1 == leaf2) {
-    std::vector<double> marginal = LeafMarginals();
-    return marginal[static_cast<size_t>(leaf1)];
+  if (leaf1 == leaf2) return LeafMarginal(leaf1);
+  auto parent = [&](NodeId v) { return parents_[static_cast<size_t>(v)]; };
+  // The LCA by the two-pointer walk: each side climbs its own path, then
+  // restarts at the other leaf, so both have walked the same distance when
+  // they first meet, at the LCA. No depths needed.
+  NodeId a = leaf1, b = leaf2;
+  while (a != b) {
+    a = a == root_ ? leaf2 : parent(a);
+    b = b == root_ ? leaf1 : parent(b);
   }
-  // Root paths, leaf first.
-  auto path_of = [&](NodeId leaf) {
-    std::vector<NodeId> path;
-    for (NodeId v = leaf; v != kInvalidNode; v = parents_[static_cast<size_t>(v)]) {
-      path.push_back(v);
-    }
-    return path;  // leaf ... root
-  };
-  std::vector<NodeId> p1 = path_of(leaf1);
-  std::vector<NodeId> p2 = path_of(leaf2);
-  // Find the LCA: longest common suffix of the two root paths.
-  size_t i1 = p1.size(), i2 = p2.size();
-  while (i1 > 0 && i2 > 0 && p1[i1 - 1] == p2[i2 - 1]) {
-    --i1;
-    --i2;
-  }
-  NodeId lca = p1[i1];  // first shared node walking down; i1 < p1.size()
+  const NodeId lca = a;
   // If the LCA is a XOR node, the two leaves descend through different
   // children and can never coexist.
   if (node(lca).kind == NodeKind::kXor) return 0.0;
 
-  // Product of XOR edge probabilities along the union of the two paths.
-  auto edge_prob = [&](NodeId child) {
-    NodeId parent = parents_[static_cast<size_t>(child)];
-    const TreeNode& p = node(parent);
-    if (p.kind != NodeKind::kXor) return 1.0;
-    for (size_t i = 0; i < p.children.size(); ++i) {
-      if (p.children[i] == child) return p.edge_probs[i];
-    }
-    return 0.0;
-  };
+  // Product of the up-edge probabilities on the union of the two paths:
+  // leaf1's distinct part, then leaf2's, then the shared part once, each
+  // bottom-up (AND edges multiply by an exact 1.0).
   double prob = 1.0;
-  // Distinct parts of both paths (below the LCA), then the shared part once.
-  for (size_t i = 0; i < i1; ++i) prob *= edge_prob(p1[i]);
-  for (size_t i = 0; i < i2; ++i) prob *= edge_prob(p2[i]);
-  for (size_t i = i1; i < p1.size(); ++i) {
-    if (p1[i] != root_) prob *= edge_prob(p1[i]);
+  for (NodeId v = leaf1; v != lca; v = parent(v)) {
+    prob *= up_edge_[static_cast<size_t>(v)];
+  }
+  for (NodeId v = leaf2; v != lca; v = parent(v)) {
+    prob *= up_edge_[static_cast<size_t>(v)];
+  }
+  for (NodeId v = lca; v != root_; v = parent(v)) {
+    prob *= up_edge_[static_cast<size_t>(v)];
   }
   return prob;
 }

@@ -89,8 +89,7 @@ class AndXorTree {
   /// \brief Pr(`leaf` present) for a single leaf, multiplying the XOR edge
   /// probabilities root-to-leaf — the same order as LeafMarginals(), so the
   /// value is bitwise identical to LeafMarginals()[leaf]. O(path length)
-  /// per call; the per-leaf unit the engine's chunked set-consensus paths
-  /// distribute. Requires a prior successful Validate().
+  /// per call. Requires a prior successful Validate().
   double LeafMarginal(NodeId leaf) const;
 
   /// \brief Distinct keys appearing in the tree, sorted ascending.
@@ -104,7 +103,10 @@ class AndXorTree {
   /// \brief Pr(both leaves present in the same world): 0 when they sit under
   /// different children of a XOR node; otherwise the product of the XOR edge
   /// probabilities on the union of the two root paths (shared prefix counted
-  /// once). Requires a prior successful Validate().
+  /// once), multiplied bottom-up: leaf1's edges below the LCA, then
+  /// leaf2's, then the LCA's path to the root. For two distinct leaves it
+  /// walks the parent index with no allocation, O(depth); the same-leaf
+  /// case is LeafMarginal(leaf1). Requires a prior successful Validate().
   double PairPresenceProbability(NodeId leaf1, NodeId leaf2) const;
 
   /// \brief Multi-line debug rendering of the tree.
@@ -119,6 +121,9 @@ class AndXorTree {
   std::vector<NodeId> leaf_ids_;   // filled by Validate()
   std::vector<NodeId> parents_;    // filled by Validate(); root's parent is
                                    // kInvalidNode
+  std::vector<double> up_edge_;    // filled by Validate(): the probability
+                                   // of the edge from the parent (1.0
+                                   // under an AND and at the root)
   bool validated_ = false;
 };
 

@@ -208,4 +208,165 @@ PolyArena& FlatFoldScratch() {
   return arena;
 }
 
+FlatRefold::FlatRefold(const FlatTree& flat) : flat_(&flat) {
+  // Replay the op stream tracking which row each slot holds. A row is
+  // numbered when its consumer reads it, and the root last: every input is
+  // consumed while the row reading it is still being built, so inputs
+  // always number below their consumer.
+  struct Draft {
+    FlatOpKind kind;
+    int32_t leaf;
+    double weight;
+    std::vector<Input> in;  // rows in draft numbering
+  };
+  std::vector<Draft> drafts;
+  std::vector<int32_t> slot_draft(static_cast<size_t>(flat.num_slots()), -1);
+  std::vector<int32_t> order;  // drafts in consumption order
+  int32_t next_leaf = 0;
+  auto open = [&](int32_t slot, FlatOpKind kind, int32_t leaf, double weight) {
+    slot_draft[static_cast<size_t>(slot)] = static_cast<int32_t>(drafts.size());
+    drafts.push_back(Draft{kind, leaf, weight, {}});
+  };
+  auto consume = [&](int32_t slot) {
+    order.push_back(slot_draft[static_cast<size_t>(slot)]);
+    return order.back();
+  };
+  for (const FlatOp& op : flat.ops()) {
+    switch (op.kind) {
+      case FlatOpKind::kLeaf:
+        open(op.out_slot, FlatOpKind::kLeaf, next_leaf++, 0.0);
+        break;
+      case FlatOpKind::kXorInit:
+        open(op.out_slot, FlatOpKind::kXorInit, -1, op.weight);
+        break;
+      case FlatOpKind::kXorAccum: {
+        const int32_t child = consume(op.arg_slot);
+        drafts[static_cast<size_t>(slot_draft[static_cast<size_t>(op.out_slot)])]
+            .in.push_back(Input{child, op.weight});
+        break;
+      }
+      case FlatOpKind::kMul: {
+        const int32_t lhs = consume(op.lhs_slot);
+        const int32_t arg = consume(op.arg_slot);
+        open(op.out_slot, FlatOpKind::kMul, -1, 0.0);
+        drafts.back().in = {Input{lhs, 0.0}, Input{arg, 0.0}};
+        break;
+      }
+    }
+  }
+  if (flat.root_slot() < 0) return;
+  order.push_back(slot_draft[static_cast<size_t>(flat.root_slot())]);
+
+  std::vector<int32_t> number(drafts.size(), -1);
+  for (size_t i = 0; i < order.size(); ++i) {
+    number[static_cast<size_t>(order[i])] = static_cast<int32_t>(i);
+  }
+  rows_.resize(order.size());
+  leaf_row_.assign(static_cast<size_t>(flat.num_leaves()), -1);
+  for (size_t r = 0; r < order.size(); ++r) {
+    const Draft& d = drafts[static_cast<size_t>(order[r])];
+    const int32_t in_begin = static_cast<int32_t>(inputs_.size());
+    for (const Input& in : d.in) {
+      const int32_t input = number[static_cast<size_t>(in.row)];
+      inputs_.push_back(Input{input, in.weight});
+      rows_[static_cast<size_t>(input)].parent = static_cast<int32_t>(r);
+    }
+    rows_[r] = Row{d.kind, -1, in_begin, static_cast<int32_t>(inputs_.size()),
+                   d.leaf, d.weight};
+    if (d.kind == FlatOpKind::kLeaf) {
+      leaf_row_[static_cast<size_t>(d.leaf)] = static_cast<int32_t>(r);
+    }
+  }
+}
+
+void FlatRefold::EvalRow(int32_t r, double* out, const Scratch& scratch) const {
+  const Row& row = rows_[static_cast<size_t>(r)];
+  const int32_t n = static_cast<int32_t>(rows_.size());
+  const int row_len = (scratch.max_dx + 1) * (scratch.max_dy + 1);
+  auto input = [&](const Input& in) -> const double* {
+    const bool dirty = scratch.stamp[static_cast<size_t>(in.row)] == scratch.epoch;
+    return scratch.rows->Row(dirty ? n + in.row : in.row);
+  };
+  std::fill(out, out + row_len, 0.0);  // a leaf row stays zero
+  if (row.kind == FlatOpKind::kXorInit) {
+    out[0] = row.weight;
+    for (int32_t i = row.in_begin; i < row.in_end; ++i) {
+      const Input& in = inputs_[static_cast<size_t>(i)];
+      AddScaledRow(out, input(in), in.weight, row_len);
+    }
+  } else if (row.kind == FlatOpKind::kMul) {
+    ConvolveRowsTruncated(input(inputs_[static_cast<size_t>(row.in_begin)]),
+                          input(inputs_[static_cast<size_t>(row.in_begin) + 1]),
+                          out, scratch.max_dx, scratch.max_dy);
+  }
+}
+
+namespace {
+
+// Starts a new dirty-mark epoch: every earlier mark stops matching.
+void NextEpoch(FlatRefold::Scratch* scratch, size_t num_rows) {
+  if (scratch->stamp.size() < num_rows) scratch->stamp.resize(num_rows, 0);
+  if (++scratch->epoch == 0) {
+    std::fill(scratch->stamp.begin(), scratch->stamp.end(), 0);
+    scratch->epoch = 1;
+  }
+}
+
+}  // namespace
+
+const double* FlatRefold::Fold(
+    int max_dx, int max_dy,
+    const std::function<void(int leaf_index, double* row)>& leaf_init,
+    Scratch* scratch) const {
+  const int32_t n = static_cast<int32_t>(rows_.size());
+  const int row_len = (max_dx + 1) * (max_dy + 1);
+  scratch->max_dx = max_dx;
+  scratch->max_dy = max_dy;
+  scratch->rows->Reserve(std::max(2 * n, 1), row_len);
+  NextEpoch(scratch, rows_.size());  // nothing is dirty in the base fold
+  if (n == 0) {
+    double* empty = scratch->rows->Row(0);
+    std::fill(empty, empty + row_len, 0.0);
+    return empty;
+  }
+  for (int32_t r = 0; r < n; ++r) {
+    double* out = scratch->rows->Row(r);
+    const Row& row = rows_[static_cast<size_t>(r)];
+    if (row.kind == FlatOpKind::kLeaf) {
+      std::fill(out, out + row_len, 0.0);
+      leaf_init(row.leaf, out);
+    } else {
+      EvalRow(r, out, *scratch);
+    }
+  }
+  return scratch->rows->Row(n - 1);
+}
+
+const double* FlatRefold::RefoldZeroed(const std::vector<int>& zeroed,
+                                       Scratch* scratch) const {
+  const int32_t n = static_cast<int32_t>(rows_.size());
+  if (n == 0) return scratch->rows->Row(0);
+  NextEpoch(scratch, rows_.size());
+  // Mark each zeroed leaf and its ancestors, stopping where an earlier
+  // leaf's walk already marked the rest of the path.
+  scratch->dirty.clear();
+  for (int leaf : zeroed) {
+    for (int32_t r = leaf_row_[static_cast<size_t>(leaf)];
+         r >= 0 && scratch->stamp[static_cast<size_t>(r)] != scratch->epoch;
+         r = rows_[static_cast<size_t>(r)].parent) {
+      scratch->stamp[static_cast<size_t>(r)] = scratch->epoch;
+      scratch->dirty.push_back(r);
+    }
+  }
+  // Row order puts inputs first, so sorted dirty rows recompute in a valid
+  // post-order.
+  std::sort(scratch->dirty.begin(), scratch->dirty.end());
+  for (int32_t r : scratch->dirty) {
+    EvalRow(r, scratch->rows->Row(n + r), *scratch);
+  }
+  const int32_t root = n - 1;
+  const bool dirty = scratch->stamp[static_cast<size_t>(root)] == scratch->epoch;
+  return scratch->rows->Row(dirty ? n + root : root);
+}
+
 }  // namespace cpdb

@@ -37,7 +37,9 @@
 // left-to-right via ConvolveRowsTruncated — so for identical leaf
 // polynomials the resulting coefficients are bit-identical. Only the memory
 // layout and allocation strategy change. The pointer fold is retained as the
-// differential reference (tests/flat_tree_test.cc).
+// differential reference (tests/flat_tree_test.cc). FlatRefold (below) keeps
+// the same arithmetic but holds every row resident, so a fold that differs
+// in a few zeroed leaves recomputes only their ancestors.
 //
 // A compiled FlatTree is immutable and safe to share across threads; each
 // evaluating thread supplies its own PolyArena (see FlatFoldScratch()).
@@ -111,6 +113,84 @@ class FlatTree {
 /// all through one thread_local arena means zero-allocation steady state,
 /// including across Engine::ParallelFor task boundaries on a pool thread.
 PolyArena& FlatFoldScratch();
+
+/// The resident-row form of a FlatTree's fold, for folds that differ from
+/// a base fold only in a few zeroed leaves.
+///
+/// The constructor derives, once, the row graph of the op stream: one row
+/// per leaf, per XOR node (its kXorInit accumulator plus every kXorAccum
+/// into it) and per kMul product, each knowing its inputs and the one row
+/// that consumes it, numbered so inputs come first. Fold() then runs the
+/// fold with every row kept resident instead of slot-recycled.
+/// RefoldZeroed() recomputes only the zeroed leaves' ancestors, in row
+/// order, into overlay rows: a dirty row re-runs exactly its own ops (XOR:
+/// init to the leftover, then AddScaledRow over its children in child
+/// order; kMul: ConvolveRowsTruncated), reading clean inputs from the
+/// resident rows. Every row is a pure function of its inputs' bits, and a
+/// clean row's subtree holds no zeroed leaf, so the root is bitwise the
+/// full EvalGeneratingFunction fold with those leaves' rows left zero.
+///
+/// Immutable after construction and shareable across threads; each thread
+/// brings its own Scratch. `flat` must outlive the FlatRefold.
+class FlatRefold {
+ public:
+  explicit FlatRefold(const FlatTree& flat);
+
+  const FlatTree& flat() const { return *flat_; }
+
+  /// One thread's refold state. The rows live in `rows` (resident ones
+  /// first, then one overlay row each); the dirty marks are versioned, so
+  /// starting a refold clears the previous one's marks in O(1).
+  struct Scratch {
+    explicit Scratch(PolyArena* rows_arena) : rows(rows_arena) {}
+    PolyArena* rows;
+    std::vector<uint32_t> stamp;  // stamp[r] == epoch: row r is dirty
+    uint32_t epoch = 0;
+    std::vector<int32_t> dirty;
+    int max_dx = 0;
+    int max_dy = 0;
+  };
+
+  /// The full fold, as FlatTree::EvalGeneratingFunction with the same
+  /// geometry and leaf_init (called once per leaf, in unspecified order),
+  /// keeping every row resident in `scratch`. Returns the root row, valid
+  /// until the next Fold on `scratch`.
+  const double* Fold(
+      int max_dx, int max_dy,
+      const std::function<void(int leaf_index, double* row)>& leaf_init,
+      Scratch* scratch) const;
+
+  /// The root row of the last Fold() on `scratch` with the leaves
+  /// `zeroed` (leaf-table indices) replaced by the zero polynomial. The
+  /// resident rows stay as Fold() left them, so refolds over different
+  /// leaf sets may follow one another. The returned row is valid until
+  /// the next Fold or RefoldZeroed on `scratch`.
+  const double* RefoldZeroed(const std::vector<int>& zeroed,
+                             Scratch* scratch) const;
+
+ private:
+  struct Row {
+    FlatOpKind kind;  // kLeaf, kXorInit (the whole XOR node) or kMul
+    int32_t parent;   // the row consuming this one; -1 at the root
+    int32_t in_begin;  // inputs_[in_begin, in_end); kMul: {lhs, arg}
+    int32_t in_end;
+    int32_t leaf;   // kLeaf: leaf-table index
+    double weight;  // kXorInit: the leftover mass
+  };
+  struct Input {
+    int32_t row;
+    double weight;  // kXorInit inputs: the edge probability
+  };
+
+  // Recomputes row r into `out`, reading each input from its overlay row
+  // when it is dirty in `scratch`'s current epoch.
+  void EvalRow(int32_t r, double* out, const Scratch& scratch) const;
+
+  const FlatTree* flat_;
+  std::vector<Row> rows_;  // inputs first; the root is last
+  std::vector<Input> inputs_;
+  std::vector<int32_t> leaf_row_;  // leaf-table index -> row
+};
 
 }  // namespace cpdb
 

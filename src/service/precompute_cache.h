@@ -5,7 +5,7 @@
 // One CostLruCache holds three kinds of entry, keyed by (StructKey, kind, k):
 //
 //   * the Kendall q matrix (Engine::KendallQMatrix) per (shape, k) — the
-//     O(n^2)-fold precompute of the kendall mean answer;
+//     O(n^2)-cell precompute of the kendall mean answer;
 //   * the Theorem 4 median search result (Engine::MedianSymDiffSearch) per
 //     (shape, k) — the final answer, not the per-stratum candidate lists;
 //   * the expected-rank vector (Engine::ExpectedRanks) per shape, with k

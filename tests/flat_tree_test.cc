@@ -3,8 +3,9 @@
 // Flat-vs-pointer differential suite: the flattened fold (FlatTree +
 // PolyArena + vectorized kernels) must be bitwise indistinguishable from
 // the retained pointer-tree fold on every rewired path — rank
-// distributions, pairwise order probabilities, Kendall q statistics, leaf
-// marginals, and the raw generating function — across random generator
+// distributions, pairwise order probabilities, Kendall q statistics (the
+// resident refold), leaf marginals, and the raw generating function — across
+// random generator
 // trees of all three structural families and engine thread counts
 // {1, 2, 4, 8}. Also pins the structural claims: leaf-table order equals
 // LeafIds() order, precompiled marginals match the pointer walks bit for
@@ -140,23 +141,102 @@ TEST_P(FlatTreeDifferential, PairwiseOrderAndKendallBitwiseEqualPointerFold) {
   const int k = 3;
   for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
     const FlatTree flat = FlatTree::Compile(tree);
+    const FlatRefold refold(flat);
     const std::vector<KeyId> keys = tree.Keys();
-    for (KeyId u : keys) {
-      for (KeyId v : keys) {
-        if (u == v) continue;
+    for (size_t iu = 0; iu < keys.size(); ++iu) {
+      const std::vector<double> q_row = KendallQRow(refold, keys, iu, k);
+      ASSERT_EQ(q_row.size(), keys.size());
+      ASSERT_EQ(q_row[iu], 0.0);
+      for (size_t iv = 0; iv < keys.size(); ++iv) {
+        if (iu == iv) continue;
+        const KeyId u = keys[iu];
+        const KeyId v = keys[iv];
         ASSERT_EQ(PrRanksBefore(flat, u, v), PrRanksBeforePointer(tree, u, v))
             << "u " << u << " v " << v;
-        ASSERT_EQ(PrInTopKAndBefore(flat, u, v, k),
-                  PrInTopKAndBefore(tree, u, v, k))
+        ASSERT_EQ(q_row[iv], PrInTopKAndBefore(tree, u, v, k))
             << "u " << u << " v " << v;
       }
     }
   }
 }
 
+TEST_P(FlatTreeDifferential, RefoldZeroedBitwiseEqualsFullFold) {
+  // A refold over any zeroed leaf subset is bitwise the full slot-recycled
+  // fold with those leaves' rows left zero, in both the univariate
+  // (world-size) and the bivariate (Kendall) geometry, and one resident
+  // base fold serves many refolds in a row.
+  Rng rng(GetParam() * 7919 + 1);
+  for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
+    const FlatTree flat = FlatTree::Compile(tree);
+    const FlatRefold refold(flat);
+    FlatRefold::Scratch scratch(&FlatFoldScratch());
+    const int num_leaves = flat.num_leaves();
+    for (int max_dy : {0, 1}) {
+      const int max_dx = max_dy == 0 ? num_leaves : 3;
+      const int row_len = (max_dx + 1) * (max_dy + 1);
+      // Leaves cycle through 1, x and y (x again when univariate).
+      auto base_init = [&](int i, double* row) {
+        const bool y = i % 3 == 2 && max_dy == 1;
+        row[i % 3 == 0 ? 0 : (y ? 1 : max_dy + 1)] = 1.0;
+      };
+      PolyArena reference_arena;
+      std::vector<double> reference(static_cast<size_t>(row_len));
+      std::vector<double> base(static_cast<size_t>(row_len));
+      flat.EvalGeneratingFunction(max_dx, max_dy, base_init, base.data(),
+                                  &reference_arena);
+      const double* root = refold.Fold(max_dx, max_dy, base_init, &scratch);
+      ASSERT_EQ(std::vector<double>(root, root + row_len), base);
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<int> zeroed;
+        std::vector<bool> is_zeroed(static_cast<size_t>(num_leaves), false);
+        for (int i = 0; i < num_leaves; ++i) {
+          if (rng.UniformInt(0, 3) == 0) {
+            zeroed.push_back(i);
+            is_zeroed[static_cast<size_t>(i)] = true;
+          }
+        }
+        flat.EvalGeneratingFunction(
+            max_dx, max_dy,
+            [&](int i, double* row) {
+              if (!is_zeroed[static_cast<size_t>(i)]) base_init(i, row);
+            },
+            reference.data(), &reference_arena);
+        const double* got = refold.RefoldZeroed(zeroed, &scratch);
+        ASSERT_EQ(std::vector<double>(got, got + row_len), reference)
+            << "trial " << trial << " max_dy " << max_dy;
+      }
+    }
+  }
+}
+
+// A tree where key 2's only alternative scores below every alternative of
+// key 1: for each of key 1's targets, the (1, 2) cell reuses the base fold.
+// Key 2 also sits under a single-child AND, which compiles to no op.
+AndXorTree KeyWithNothingAboveTree() {
+  auto alt = [](KeyId key, double score) {
+    TupleAlternative a;
+    a.key = key;
+    a.score = score;
+    return a;
+  };
+  AndXorTree tree;
+  NodeId k1 = tree.AddXor({tree.AddLeaf(alt(1, 9)), tree.AddLeaf(alt(1, 5))},
+                          {0.4, 0.5});
+  NodeId k2 = tree.AddAnd({tree.AddXor({tree.AddLeaf(alt(2, 3))}, {0.7})});
+  NodeId k3 = tree.AddXor({tree.AddLeaf(alt(3, 7)), tree.AddLeaf(alt(3, 1))},
+                          {0.3, 0.6});
+  NodeId k4 = tree.AddLeaf(alt(4, 6));
+  NodeId inner = tree.AddXor({tree.AddAnd({k3, k4})}, {0.8});
+  tree.SetRoot(tree.AddAnd({k1, k2, inner}));
+  EXPECT_TRUE(tree.Validate().ok());
+  return tree;
+}
+
 TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
   const int k = 4;
-  for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
+  std::vector<AndXorTree> trees = GeneratorTrees(GetParam());
+  trees.push_back(KeyWithNothingAboveTree());
+  for (const AndXorTree& tree : trees) {
     const RankDistribution dist_ref = ComputeRankDistributionPointer(tree, k);
     const std::vector<KeyId> keys = tree.Keys();
     std::vector<std::vector<double>> pairwise_ref(
@@ -168,6 +248,7 @@ TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
       }
     }
     const std::vector<double> marginals_ref = tree.LeafMarginals();
+    const FlatTree program = FlatTree::Compile(tree);
 
     for (int threads : {1, 2, 4, 8}) {
       EngineOptions opts;
@@ -191,6 +272,37 @@ TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
           << "threads " << threads;
       ASSERT_EQ(engine.LeafMarginals(tree), marginals_ref)
           << "threads " << threads;
+    }
+
+    // Every Kendall q path — the engine's per-key row tasks with and
+    // without a supplied program, and the sequential KendallEvaluator — is
+    // bitwise the pointer PrInTopKAndBefore matrix.
+    for (int q_k : {1, 3, 5}) {
+      std::vector<std::vector<double>> q_ref(
+          keys.size(), std::vector<double>(keys.size(), 0.0));
+      for (size_t i = 0; i < keys.size(); ++i) {
+        for (size_t j = 0; j < keys.size(); ++j) {
+          if (i != j) {
+            q_ref[i][j] = PrInTopKAndBefore(tree, keys[i], keys[j], q_k);
+          }
+        }
+      }
+      const KendallEvaluator evaluator(tree, q_k);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        for (size_t j = 0; j < keys.size(); ++j) {
+          ASSERT_EQ(evaluator.Q(keys[i], keys[j]), q_ref[i][j])
+              << "k " << q_k << " cell " << i << "," << j;
+        }
+      }
+      for (int threads : {1, 2, 4, 8}) {
+        EngineOptions opts;
+        opts.num_threads = threads;
+        Engine engine(opts);
+        ASSERT_EQ(engine.KendallQMatrix(tree, q_k), q_ref)
+            << "threads " << threads << " k " << q_k;
+        ASSERT_EQ(engine.KendallQMatrix(tree, q_k, &program), q_ref)
+            << "threads " << threads << " k " << q_k;
+      }
     }
   }
 }

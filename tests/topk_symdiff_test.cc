@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "core/evaluation.h"
+#include "engine/engine.h"
 #include "model/possible_worlds.h"
 #include "workload/generators.h"
 
@@ -206,6 +207,85 @@ TEST(TopKSymDiffTest, SmallWorldsAreConsidered) {
   auto median = MedianTopKSymDiff(*tree, dist);
   ASSERT_TRUE(median.ok());
   EXPECT_EQ(median->keys.size(), 2u);  // both tuples, never three
+}
+
+// The median DP's edge cases: every path to the median — the sequential
+// MedianTopKSymDiff and the engine's stratum tasks at 1 and 4 threads —
+// must agree on the keys and the expected_distance bits, and the answer
+// must be the best Top-k answer over all possible worlds.
+void ExpectMedianPathsAgree(const AndXorTree& tree, int k) {
+  const RankDistribution dist = ComputeRankDistribution(tree, k);
+  auto core = MedianTopKSymDiff(tree, dist);
+  ASSERT_TRUE(core.ok()) << core.status().ToString();
+  for (int threads : {1, 4}) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    Engine engine(opts);
+    auto parallel = engine.MedianSymDiffSearch(tree, dist);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(parallel->keys, core->keys) << "threads " << threads;
+    EXPECT_EQ(parallel->expected_distance, core->expected_distance)
+        << "threads " << threads;
+  }
+  auto worlds = EnumerateWorlds(tree);
+  ASSERT_TRUE(worlds.ok());
+  double best = std::numeric_limits<double>::infinity();
+  for (const World& w : *worlds) {
+    best = std::min(
+        best, ExpectedTopKSymDiff(dist, TopKOfWorld(tree, w.leaf_ids, k)));
+  }
+  EXPECT_NEAR(core->expected_distance, best, 1e-9) << "k " << k;
+}
+
+TupleAlternative Alt(KeyId key, double score) {
+  TupleAlternative a;
+  a.key = key;
+  a.score = score;
+  return a;
+}
+
+TEST(TopKSymDiffTest, MedianWithKOneHasZeroCapFinalStratum) {
+  // k = 1: the small-world stratum's DP has cap k - 1 = 0 (only the empty
+  // world qualifies).
+  for (int seed = 0; seed < 8; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 131 + 7);
+    RandomTreeOptions opts;
+    opts.num_keys = 5;
+    opts.max_depth = 3;
+    opts.max_alternatives = 2;
+    auto tree = RandomAndXorTree(opts, &rng);
+    ASSERT_TRUE(tree.ok());
+    ExpectMedianPathsAgree(*tree, 1);
+  }
+}
+
+TEST(TopKSymDiffTest, MedianSkipsStrataWithFewerThanKActiveLeaves) {
+  // Three tuples and k = 3 or 5: the high-threshold strata hold fewer than
+  // k active leaves, and with k = 5 every size-k stratum does.
+  std::vector<IndependentTuple> tuples;
+  for (int i = 0; i < 3; ++i) {
+    IndependentTuple t;
+    t.alt = Alt(i, 2.0 * i + 1.0);
+    t.prob = 0.3 + 0.2 * i;
+    tuples.push_back(t);
+  }
+  auto tree = MakeTupleIndependent(tuples);
+  ASSERT_TRUE(tree.ok());
+  ExpectMedianPathsAgree(*tree, 3);
+  ExpectMedianPathsAgree(*tree, 5);
+}
+
+TEST(TopKSymDiffTest, MedianThroughSingleChildAnd) {
+  // Single-child ANDs, one over a leaf and one over a XOR block, under a
+  // wider AND: each is a one-row prefix copy of its child.
+  AndXorTree tree;
+  NodeId lone = tree.AddAnd({tree.AddLeaf(Alt(1, 4))});
+  NodeId block = tree.AddAnd({tree.AddXor(
+      {tree.AddLeaf(Alt(2, 6)), tree.AddLeaf(Alt(2, 2))}, {0.5, 0.3})});
+  NodeId maybe = tree.AddXor({tree.AddLeaf(Alt(3, 5))}, {0.6});
+  tree.SetRoot(tree.AddAnd({lone, block, maybe}));
+  ASSERT_TRUE(tree.Validate().ok());
+  for (int k : {1, 2, 3, 4}) ExpectMedianPathsAgree(tree, k);
 }
 
 }  // namespace

@@ -201,6 +201,107 @@ TEST_P(PairPresenceProperty, MatchesEnumeration) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PairPresenceProperty,
                          ::testing::Range(0, 12));
 
+// The historical path-vector PairPresenceProbability, kept as the oracle
+// for the parent walk: it builds both root paths (parents recovered from
+// the children lists), finds the LCA as their longest common suffix, and
+// multiplies leaf1's distinct edges, leaf2's, then the shared part.
+double PairPresenceOracle(const AndXorTree& tree, NodeId leaf1, NodeId leaf2) {
+  if (leaf1 == leaf2) {
+    return tree.LeafMarginals()[static_cast<size_t>(leaf1)];
+  }
+  std::vector<NodeId> parents(static_cast<size_t>(tree.NumNodes()),
+                              kInvalidNode);
+  for (NodeId id = 0; id < tree.NumNodes(); ++id) {
+    for (NodeId c : tree.node(id).children) {
+      parents[static_cast<size_t>(c)] = id;
+    }
+  }
+  auto path_of = [&](NodeId leaf) {
+    std::vector<NodeId> path;
+    for (NodeId v = leaf; v != kInvalidNode;
+         v = parents[static_cast<size_t>(v)]) {
+      path.push_back(v);
+    }
+    return path;  // leaf ... root
+  };
+  std::vector<NodeId> p1 = path_of(leaf1);
+  std::vector<NodeId> p2 = path_of(leaf2);
+  size_t i1 = p1.size(), i2 = p2.size();
+  while (i1 > 0 && i2 > 0 && p1[i1 - 1] == p2[i2 - 1]) {
+    --i1;
+    --i2;
+  }
+  if (tree.node(p1[i1]).kind == NodeKind::kXor) return 0.0;
+  auto edge_prob = [&](NodeId child) {
+    const TreeNode& p = tree.node(parents[static_cast<size_t>(child)]);
+    if (p.kind != NodeKind::kXor) return 1.0;
+    for (size_t i = 0; i < p.children.size(); ++i) {
+      if (p.children[i] == child) return p.edge_probs[i];
+    }
+    return 0.0;
+  };
+  double prob = 1.0;
+  for (size_t i = 0; i < i1; ++i) prob *= edge_prob(p1[i]);
+  for (size_t i = 0; i < i2; ++i) prob *= edge_prob(p2[i]);
+  for (size_t i = i1; i < p1.size(); ++i) {
+    if (p1[i] != tree.root()) prob *= edge_prob(p1[i]);
+  }
+  return prob;
+}
+
+// Every ordered leaf pair, same-leaf pairs included, bitwise.
+void ExpectPairPresenceMatchesOracle(const AndXorTree& tree) {
+  const std::vector<NodeId>& leaves = tree.LeafIds();
+  for (NodeId a : leaves) {
+    ASSERT_EQ(tree.LeafMarginal(a), PairPresenceOracle(tree, a, a));
+    for (NodeId b : leaves) {
+      ASSERT_EQ(tree.PairPresenceProbability(a, b),
+                PairPresenceOracle(tree, a, b))
+          << "leaves " << a << ", " << b;
+    }
+  }
+}
+
+// The generator families of the flat-tree differential suite:
+// tuple-independent, BID blocks, and deep correlated and/xor trees.
+class PairPresenceOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PairPresenceOracleTest, ParentWalkBitwiseEqualsPathVectors) {
+  Rng rng(GetParam());
+  RandomTreeOptions opts;
+  opts.num_keys = 7;
+  opts.max_depth = 4;
+  opts.max_alternatives = 3;
+  auto independent = RandomTupleIndependent(6, &rng);
+  ASSERT_TRUE(independent.ok());
+  ExpectPairPresenceMatchesOracle(*independent);
+  auto bid = RandomBid(opts, &rng);
+  ASSERT_TRUE(bid.ok());
+  ExpectPairPresenceMatchesOracle(*bid);
+  auto deep = RandomAndXorTree(opts, &rng);
+  ASSERT_TRUE(deep.ok());
+  ExpectPairPresenceMatchesOracle(*deep);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PairPresenceOracleTest,
+                         ::testing::Range<uint64_t>(1, 9));
+
+TEST(AndXorTreeTest, PairPresenceOnDeepChainWalksWithoutRecursion) {
+  // A 20000-deep XOR chain over and(leaf, xor(leaf, leaf)): the pairs meet
+  // at the AND (20000 shared edges) or at the inner XOR (exclusive).
+  AndXorTree tree;
+  NodeId a = tree.AddLeaf(Alt(1, 3));
+  NodeId b = tree.AddLeaf(Alt(2, 2));
+  NodeId c = tree.AddLeaf(Alt(2, 1));
+  NodeId node = tree.AddAnd({a, tree.AddXor({b, c}, {0.25, 0.5})});
+  for (int i = 0; i < 20000; ++i) node = tree.AddXor({node}, {0.9999});
+  tree.SetRoot(node);
+  ASSERT_TRUE(tree.Validate().ok());
+  EXPECT_EQ(tree.PairPresenceProbability(b, c), 0.0);
+  EXPECT_GT(tree.PairPresenceProbability(a, b), 0.0);
+  ExpectPairPresenceMatchesOracle(tree);
+}
+
 TEST(BuildersTest, TupleIndependentShape) {
   std::vector<IndependentTuple> tuples;
   for (int i = 0; i < 3; ++i) {
