@@ -484,19 +484,19 @@ CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
   return snapshot;
 }
 
+Result<CatalogEntry> InsertSnapshotTree(const SnapshotTree& record,
+                                        TreeCatalog* catalog) {
+  // The content bytes carry the wire identity; the catalog re-canonicalizes
+  // the tree itself, so the record's orientation does not matter.
+  return catalog->InsertCanonical(record.name, AndXorTree(*record.tree),
+                                  record.content, record.content_fp);
+}
+
 Status InstallCatalogSnapshot(const CatalogSnapshot& snapshot,
                               TreeCatalog* catalog,
                               QueryScheduler* scheduler) {
   for (const SnapshotTree& record : snapshot.trees) {
-    // Through InsertCanonical — the seam every line-by-line load ends in —
-    // so identities, dedup, and AlreadyExists/rebind semantics are the
-    // catalog's own, not a snapshot-specific reimplementation. The content
-    // bytes carry the wire identity; the catalog re-canonicalizes the tree
-    // itself, so the record's orientation does not matter.
-    Result<CatalogEntry> inserted =
-        catalog->InsertCanonical(record.name, AndXorTree(*record.tree),
-                                 record.content, record.content_fp);
-    if (!inserted.ok()) return inserted.status();
+    CPDB_RETURN_NOT_OK(InsertSnapshotTree(record, catalog).status());
   }
   if (scheduler != nullptr) {
     for (const SnapshotDistribution& record : snapshot.distributions) {

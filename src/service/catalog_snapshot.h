@@ -141,12 +141,22 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size);
 CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
                                      const QueryScheduler* scheduler);
 
-/// \brief Installs a decoded snapshot: inserts every tree through
-/// TreeCatalog::InsertCanonical — the same seam line-by-line loading ends
-/// in, so identities, dedup, and AlreadyExists/rebind semantics are
-/// byte-identical to feeding the content texts as individual loads — and,
-/// when `scheduler` is non-null, seeds its rank-distribution cache with
-/// the snapshot's precomputed sections. Into a fresh catalog this cannot
+/// \brief Inserts one snapshot binding into `catalog` with the record's
+/// own wire identity (content bytes and fingerprint) through
+/// TreeCatalog::InsertCanonical — the seam line-by-line loading ends in.
+/// The record's tree may be any orientation of that content (a snapshot
+/// built from a live catalog holds the canonical one), so nothing about
+/// the binding's identity is re-derived from it. Every snapshot install
+/// inserts each record through this.
+Result<CatalogEntry> InsertSnapshotTree(const SnapshotTree& record,
+                                        TreeCatalog* catalog);
+
+/// \brief Installs a decoded snapshot into one catalog: inserts every
+/// tree through InsertSnapshotTree — so identities, dedup, and
+/// AlreadyExists/rebind semantics are byte-identical to feeding the
+/// content texts as individual loads — and, when `scheduler` is non-null,
+/// seeds its rank-distribution cache with the snapshot's precomputed
+/// sections. (QueryScheduler::InstallSnapshot is the routed form.) Into a fresh catalog this cannot
 /// fail (decode already validated everything); into a pre-populated
 /// catalog a name bound to different content fails with the catalog's own
 /// AlreadyExists, leaving earlier entries installed — exactly as the same

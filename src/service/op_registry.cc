@@ -322,10 +322,10 @@ Result<ServiceResponse> ExecuteStatsAdmin(OpHost& host,
 
 void FormatStats(const ServiceResponse& response,
                  std::vector<RequestField>* fields) {
-  // The aggregate fields come first and are identical in meaning whether
-  // the answer came from one engine or a sharded front-end; the per-shard
-  // breakdown (when present) trails them, so clients reading only the
-  // totals never notice the shard layout.
+  // The aggregate fields come first and are identical in meaning for any
+  // shard count; the per-shard breakdown (present only with N > 1 shards)
+  // trails them, so clients reading only the totals never notice the shard
+  // layout.
   AppendCacheFields(response.stats, "", fields);
   AppendCacheFields(response.marginals_stats, "marg_", fields);
   // The two-level-identity fields: distinct shapes behind the bound names,

@@ -7,7 +7,8 @@
 //     messages, and the auto-generated per-op instruments all read it);
 //   * its parameter schema (a strict parse hook — unknown fields, unknown
 //     enum values, and out-of-range integers are errors, never defaults);
-//   * its routing trait — how a sharded front-end places the request:
+//   * its routing trait — how the scheduler's front end places the
+//     request among its shards:
 //       kTreeAddressed  routes by the named tree's StructKey to the
 //                       owning shard (topk, world, marginals, aggregate,
 //                       baseline, hardness);
@@ -23,10 +24,10 @@
 //     catalog + merged admin state), and
 //   * a deterministic response formatter.
 //
-// QueryScheduler::ExecuteBatch/ExecuteOne/ExecuteStreaming and the
-// ShardedScheduler fan-out are generic walks of this table: adding an op
-// means adding one row here (plus its core/engine computation), not
-// editing six dispatch sites. The wire error for an unknown op enumerates
+// QueryScheduler::ExecuteBatch/ExecuteOne/ExecuteStreaming and its shard
+// fan-out are generic walks of this table: adding an op means adding one
+// row here (plus its core/engine computation), not editing dispatch
+// sites. The wire error for an unknown op enumerates
 // the valid names from the table, so the message can never go stale.
 //
 // Determinism contract: every execute hook computes through
@@ -50,8 +51,8 @@
 
 namespace cpdb {
 
-/// \brief How a sharded front-end places a request (and which execute hook
-/// an OpSpec provides).
+/// \brief How the scheduler's front end places a request among its shards
+/// (and which execute hook an OpSpec provides).
 enum class OpRouting {
   /// Addressed to one catalog tree by name: routed to the shard owning the
   /// tree's StructKey and executed there through `execute_tree`.
@@ -77,10 +78,9 @@ enum OpBatchPhase : int {
 };
 
 /// \brief The execution surface an OpSpec hook runs against. QueryScheduler
-/// adapts itself behind this for single-engine execution; ShardedScheduler
-/// adapts its merged front-end state for the admin and load hooks
-/// (tree-addressed hooks always run on the owning shard's scheduler, so a
-/// sharded host never implements the tree primitives).
+/// implements it with one private adapter: the tree primitives resolve on
+/// the shard holding the request's tree, the admin and load primitives on
+/// the front end (merged across shards).
 class OpHost {
  public:
   virtual ~OpHost() = default;
@@ -123,15 +123,15 @@ class OpHost {
   virtual std::shared_ptr<const std::vector<double>> ExpectedRanksFor(
       const CatalogEntry& entry);
 
-  /// The kStats answer as of now (merged across shards by a sharded host).
+  /// The kStats answer as of now (merged across shards).
   virtual ServiceResponse StatsNow() = 0;
 
   /// The full metrics scrape, or the in-band refusal
   /// (MetricsDisabledError) when metrics are off.
   virtual Result<MetricsSnapshot> MetricsNow() = 0;
 
-  /// The load path with stage spans (parse, catalog); a sharded host
-  /// computes the identity up front and inserts into the owning shard.
+  /// The load path with stage spans (parse, catalog): the identity is
+  /// computed up front and the tree inserted into the owning shard.
   virtual Result<ServiceResponse> ExecuteLoadOp(const ServiceRequest& request,
                                                 const Clock* clk,
                                                 ResponseTiming* timing) = 0;
@@ -256,9 +256,7 @@ ConsensusTailHandles ConsensusTailsFor(OpHost& host, const CatalogEntry& entry,
                                        const ServiceRequest& request,
                                        const RankDistribution& dist);
 
-/// \brief The in-band refusal both hosts answer for op=metrics when
-/// metrics are disabled — defined once so the single-engine and sharded
-/// paths stay byte-identical by construction.
+/// \brief The in-band refusal for op=metrics when metrics are disabled.
 Status MetricsDisabledError();
 
 }  // namespace cpdb

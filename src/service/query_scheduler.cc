@@ -3,12 +3,16 @@
 #include "service/query_scheduler.h"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
+#include <set>
+#include <thread>
 #include <utility>
 
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/builders.h"
+#include "service/catalog_snapshot.h"
 #include "service/op_registry.h"
 
 namespace cpdb {
@@ -97,19 +101,6 @@ std::string FormatSlowQueryLine(int64_t line_number,
   return out;
 }
 
-QueryScheduler::QueryScheduler(const Engine* engine, TreeCatalog* catalog,
-                               SchedulerOptions options)
-    : engine_(engine),
-      catalog_(catalog),
-      options_(options),
-      clock_(options.clock != nullptr ? options.clock
-                                      : SteadyClock::Instance()),
-      instruments_(options.enable_metrics ? std::make_unique<ServeInstruments>()
-                                          : nullptr),
-      cache_(options.cache_budget_bytes),
-      marginals_cache_(options.cache_budget_bytes),
-      precompute_cache_(options.cache_budget_bytes) {}
-
 Result<AndXorTree> LoadRequestTree(const ServiceRequest& request) {
   CPDB_ASSIGN_OR_RETURN(std::string content,
                         ReadFileToString(request.load_file));
@@ -120,186 +111,186 @@ Result<AndXorTree> LoadRequestTree(const ServiceRequest& request) {
   return MakeBlockIndependent(blocks);
 }
 
-Result<ServiceResponse> QueryScheduler::ExecuteLoadTimed(
-    const ServiceRequest& request, const Clock* clk, ResponseTiming* timing) {
-  Stopwatch parse_watch(clk);
-  Result<AndXorTree> tree = LoadRequestTree(request);
-  AddSpan(timing, "parse", parse_watch);
-  if (!tree.ok()) return tree.status();
-  Stopwatch catalog_watch(clk);
-  Result<CatalogEntry> entry =
-      catalog_->Insert(request.load_name, std::move(*tree));
-  AddSpan(timing, "catalog", catalog_watch);
-  if (!entry.ok()) return entry.status();
-  ServiceResponse response;
-  response.op = ServiceRequest::Op::kLoad;
-  response.tree_name = entry->name;
-  response.fingerprint = entry->content_fp;
-  return response;
+namespace {
+
+void AccumulateCacheStats(CacheStats* total, const CacheStats& part) {
+  total->hits += part.hits;
+  total->misses += part.misses;
+  total->coalesced += part.coalesced;
+  total->entries += part.entries;
+  total->bytes += part.bytes;
+  total->evictions += part.evictions;
 }
 
-std::shared_ptr<const RankDistribution> QueryScheduler::DistFor(
-    const CatalogEntry& entry, const ServiceRequest& request) {
-  // A request that can only fail (bad k, unsupported metric/answer pair)
-  // must not populate the cache: the engine rejects such queries *before*
-  // paying the fold, and the scheduler keeps that property. The engine
-  // call downstream reports the actual error.
-  if (!options_.use_cache || request.k < 1 ||
-      !Engine::ValidateConsensusRequest(request.metric, request.answer).ok()) {
-    return nullptr;
+}  // namespace
+
+// One shard's execution context: an engine and a catalog (owned, or
+// borrowed by the single-shard constructor), the three memo caches — the
+// only mutable serving state besides the catalog maps — and the
+// instruments every request the shard owns records into.
+class QueryScheduler::Shard {
+ public:
+  Shard(const Engine* engine_in, TreeCatalog* catalog_in,
+        const SchedulerOptions& options)
+      : engine(engine_in),
+        catalog(catalog_in),
+        use_cache(options.use_cache),
+        instruments(options.enable_metrics
+                        ? std::make_unique<ServeInstruments>()
+                        : nullptr),
+        cache(options.cache_budget_bytes),
+        marginals_cache(options.cache_budget_bytes),
+        precompute_cache(options.cache_budget_bytes) {}
+
+  Shard(std::unique_ptr<Engine> engine_in,
+        std::unique_ptr<TreeCatalog> catalog_in,
+        const SchedulerOptions& options)
+      : Shard(engine_in.get(), catalog_in.get(), options) {
+    owned_engine = std::move(engine_in);
+    owned_catalog = std::move(catalog_in);
   }
-  // Keyed by struct_key: permuted duplicates resolve to one entry. The
-  // fold itself runs over the catalog's canonical tree with the catalog's
-  // precompiled per-shape program, so a miss pays the O(L^2 k) fold but
-  // never a compile.
-  const AndXorTree& tree = *entry.tree;
-  const int k = request.k;
-  return cache_.GetOrCompute(entry.struct_key, k, [this, &tree, k, &entry] {
-    return engine_->ComputeRankDistribution(tree, k, entry.program.get());
-  });
-}
 
-std::shared_ptr<const RankDistribution> QueryScheduler::RankDistFor(
-    const CatalogEntry& entry, int k) {
-  const AndXorTree& tree = *entry.tree;
-  if (!options_.use_cache) {
-    return std::make_shared<const RankDistribution>(
-        engine_->ComputeRankDistribution(tree, k, entry.program.get()));
+  /// The rank distribution for one valid Top-k request: through the cache
+  /// when enabled (single-flight, charged against the budget), nullptr
+  /// when disabled or when the request can only fail — the engine rejects
+  /// such queries before paying the fold, and the cache must not be
+  /// populated for them.
+  std::shared_ptr<const RankDistribution> DistFor(
+      const CatalogEntry& entry, const ServiceRequest& request) {
+    if (!use_cache || request.k < 1 ||
+        !Engine::ValidateConsensusRequest(request.metric, request.answer)
+             .ok()) {
+      return nullptr;
+    }
+    return RankDistFor(entry, request.k);
   }
-  // Same (StructKey, k) keying as the consensus path's DistFor, so a
-  // baseline probe and a Top-k query against the same content share one
-  // fold — in either order.
-  return cache_.GetOrCompute(entry.struct_key, k, [this, &tree, k, &entry] {
-    return engine_->ComputeRankDistribution(tree, k, entry.program.get());
-  });
-}
 
-std::shared_ptr<const std::vector<double>> QueryScheduler::MarginalsFor(
-    const CatalogEntry& entry) {
-  const AndXorTree& tree = *entry.tree;
-  if (!options_.use_cache) {
-    return std::make_shared<const std::vector<double>>(
-        engine_->LeafMarginals(tree, entry.program.get()));
+  /// The rank distribution at cutoff k unconditionally (the baseline
+  /// rankings' precompute too): through the cache when enabled, computed
+  /// fresh otherwise. Keyed by (StructKey, k), so permuted duplicates, and
+  /// a baseline probe and a Top-k query against one shape, share one fold
+  /// — which runs over the catalog's canonical tree with its precompiled
+  /// program, so a miss pays the O(L^2 k) fold but never a compile.
+  std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
+                                                      int k) {
+    auto fold = [this, &entry, k] {
+      return engine->ComputeRankDistribution(*entry.tree, k,
+                                             entry.program.get());
+    };
+    if (!use_cache) return std::make_shared<const RankDistribution>(fold());
+    return cache.GetOrCompute(entry.struct_key, k, fold);
   }
-  return marginals_cache_.GetOrCompute(entry.struct_key, [this, &tree, &entry] {
-    return engine_->LeafMarginals(tree, entry.program.get());
-  });
-}
 
-ServiceResponse QueryScheduler::StatsResponse() const {
-  ServiceResponse response;
-  response.op = ServiceRequest::Op::kStats;
-  response.stats = cache_.stats();
-  response.marginals_stats = marginals_cache_.stats();
-  response.catalog = catalog_->Counts();
-  return response;
-}
+  /// The leaf marginals for a tree-addressed request: through the
+  /// marginals cache when enabled, computed fresh otherwise.
+  std::shared_ptr<const std::vector<double>> MarginalsFor(
+      const CatalogEntry& entry) {
+    auto fold = [this, &entry] {
+      return engine->LeafMarginals(*entry.tree, entry.program.get());
+    };
+    if (!use_cache) return std::make_shared<const std::vector<double>>(fold());
+    return marginals_cache.GetOrCompute(entry.struct_key, fold);
+  }
 
-MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
-  MetricsSnapshot snapshot = instruments_->registry.Snapshot();
-  // The registry holds the serve-path instruments; the engine counters and
-  // the cache counters live in their own structs and are re-exported into
-  // the same scrape, so one op=metrics answer covers the whole shard.
-  MetricsSnapshot extra;
-  const EngineObsCounters engine_counters = engine_->obs_counters();
-  const CatalogCounts catalog_counts = catalog_->Counts();
-  MetricSample fold_compiles;
-  fold_compiles.name = "cpdb_fold_compiles_total";
-  fold_compiles.help =
-      "FlatTree compilations performed: the catalog's one-per-shape compiles "
-      "plus the engine's on-demand ones.";
-  fold_compiles.kind = MetricSample::Kind::kCounter;
-  fold_compiles.value =
-      engine_counters.fold_compiles + catalog_->fold_compiles();
-  extra.samples.push_back(std::move(fold_compiles));
-  MetricSample catalog_entries;
-  catalog_entries.name = "cpdb_catalog_entries";
-  catalog_entries.help = "Names bound in the tree catalog.";
-  catalog_entries.kind = MetricSample::Kind::kGauge;
-  catalog_entries.value = catalog_counts.names;
-  extra.samples.push_back(std::move(catalog_entries));
-  MetricSample catalog_shapes;
-  catalog_shapes.name = "cpdb_catalog_shapes";
-  catalog_shapes.help =
-      "Distinct tree structures (canonical orientations) in the catalog.";
-  catalog_shapes.kind = MetricSample::Kind::kGauge;
-  catalog_shapes.value = catalog_counts.shapes;
-  extra.samples.push_back(std::move(catalog_shapes));
-  MetricSample arena_highwater;
-  arena_highwater.name = "cpdb_poly_arena_highwater_bytes";
-  arena_highwater.help =
-      "Peak thread-local fold-arena capacity observed on any engine thread.";
-  arena_highwater.kind = MetricSample::Kind::kGauge;
-  arena_highwater.value = engine_counters.arena_highwater_bytes;
-  extra.samples.push_back(std::move(arena_highwater));
-  AppendCacheStatsMetrics(cache_.stats(), "cpdb_rankdist_cache_", &extra);
-  AppendCacheStatsMetrics(marginals_cache_.stats(), "cpdb_marginals_cache_",
-                          &extra);
-  AppendCacheStatsMetrics(precompute_cache_.stats(), "cpdb_precompute_cache_",
-                          &extra);
-  std::sort(extra.samples.begin(), extra.samples.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              return a.name < b.name;
-            });
-  snapshot.MergeFrom(extra);
-  return snapshot;
-}
+  /// Counts one request into this shard's registry.
+  void Count(const ServiceRequest& request) const {
+    if (instruments == nullptr) return;
+    instruments->requests_total->Increment();
+    instruments->op_counter(request.op)->Increment();
+  }
 
-void QueryScheduler::FinishTiming(const ServiceRequest& request,
-                                  ResponseTiming* timing,
-                                  Result<ServiceResponse>* response) {
-  timing->total_ns = 0;
-  for (const auto& [stage, nanos] : timing->spans) timing->total_ns += nanos;
-  if (instruments_ != nullptr && !timing->spans.empty()) {
-    instruments_->op_latency(request.op)->Record(timing->total_ns);
-    for (const auto& [stage, nanos] : timing->spans) {
-      if (LatencyHistogram* hist = instruments_->stage(stage)) {
-        hist->Record(nanos);
+  /// Closes out a load or tree-addressed request: counts it, sums its
+  /// spans into total_ns, records the op and stage histograms and any
+  /// error (when metrics are on), and attaches the timing to an ok
+  /// response — every timed one, not just traced ones, since the
+  /// transport's slow-query log reads total_ns off it. The wire is
+  /// unaffected: ResponseToFields renders trace_* fields only when
+  /// timing.trace (the request said trace=on) is set.
+  void Finish(const ServiceRequest& request, ResponseTiming* timing,
+              Result<ServiceResponse>* response) const {
+    timing->total_ns = 0;
+    for (const auto& [stage, nanos] : timing->spans) timing->total_ns += nanos;
+    if (instruments != nullptr) {
+      Count(request);
+      if (!timing->spans.empty()) {
+        instruments->op_latency(request.op)->Record(timing->total_ns);
+        for (const auto& [stage, nanos] : timing->spans) {
+          if (LatencyHistogram* hist = instruments->stage(stage)) {
+            hist->Record(nanos);
+          }
+        }
       }
+      if (!response->ok()) instruments->request_errors_total->Increment();
+    }
+    if (response->ok() && !timing->spans.empty()) {
+      timing->trace = request.trace;
+      (*response)->timing = std::move(*timing);
     }
   }
-  // Attach timing to every timed ok response — not just traced ones: the
-  // transport's slow-query log reads total_ns off the response. The wire
-  // is unaffected because ResponseToFields only renders trace_* fields
-  // when timing.trace (the request said trace=on) is set.
-  if (response->ok() && !timing->spans.empty()) {
-    timing->trace = request.trace;
-    (*response)->timing = std::move(*timing);
+
+  /// Executes this shard's tree-addressed slots of a batch; writes only
+  /// (*responses)[slot] and (*timings)[slot] for its own slots.
+  void ExecuteSlots(QueryScheduler* front,
+                    const std::vector<ServiceRequest>& requests,
+                    const std::vector<size_t>& slots, const Clock* clk,
+                    std::vector<Result<ServiceResponse>>* responses,
+                    std::vector<ResponseTiming>* timings);
+
+  /// Executes one tree-addressed request through its registry hook.
+  Result<ServiceResponse> ExecuteOne(QueryScheduler* front,
+                                     const ServiceRequest& request,
+                                     const Clock* clk);
+
+  ShardCacheStats Stats() const {
+    return ShardCacheStats{cache.stats(), marginals_cache.stats(),
+                           catalog->Counts()};
   }
-}
 
-// The OpHost surface the registry's hooks execute against when the op runs
-// on this (single-engine) scheduler: straight forwarding onto the private
-// primitives. Lives in namespace cpdb so the header's friend declaration
-// names exactly this class.
-class SchedulerOpHost : public OpHost {
+  /// This shard's scrape: the registry's instruments plus the engine,
+  /// catalog and cache counters re-exported into the same snapshot.
+  MetricsSnapshot Metrics() const;
+
+  std::unique_ptr<Engine> owned_engine;
+  std::unique_ptr<TreeCatalog> owned_catalog;
+  const Engine* engine;
+  TreeCatalog* catalog;
+  const bool use_cache;
+  const std::unique_ptr<ServeInstruments> instruments;
+  RankDistCache cache;
+  MarginalsCache marginals_cache;
+  PrecomputeCache precompute_cache;
+};
+
+// The OpHost surface every registry hook executes against: the tree
+// primitives resolve on `shard` (the one holding the request's tree), the
+// admin and load primitives on the front end.
+class QueryScheduler::Host : public OpHost {
  public:
-  explicit SchedulerOpHost(QueryScheduler* scheduler)
-      : scheduler_(scheduler) {}
+  Host(QueryScheduler* front, Shard* shard) : front_(front), shard_(shard) {}
 
-  const Engine* engine() const override { return scheduler_->engine_; }
+  const Engine* engine() const override { return shard_->engine; }
 
   std::shared_ptr<const RankDistribution> GatedDistFor(
       const CatalogEntry& entry, const ServiceRequest& request) override {
-    return scheduler_->DistFor(entry, request);
+    return shard_->DistFor(entry, request);
   }
 
   std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
                                                       int k) override {
-    return scheduler_->RankDistFor(entry, k);
+    return shard_->RankDistFor(entry, k);
   }
 
   std::shared_ptr<const std::vector<double>> MarginalsFor(
       const CatalogEntry& entry) override {
-    return scheduler_->MarginalsFor(entry);
+    return shard_->MarginalsFor(entry);
   }
 
   // The tail precomputes: through the precompute cache when caching is on,
   // the base class's fresh computation otherwise.
   std::shared_ptr<const std::vector<std::vector<double>>> KendallFor(
       const CatalogEntry& entry, int k) override {
-    if (!scheduler_->options_.use_cache) return OpHost::KendallFor(entry, k);
-    return scheduler_->precompute_cache_.KendallQ(
+    if (!shard_->use_cache) return OpHost::KendallFor(entry, k);
+    return shard_->precompute_cache.KendallQ(
         entry.struct_key, k, [this, &entry, k] {
           return engine()->KendallQMatrix(*entry.tree, k, entry.program.get());
         });
@@ -307,10 +298,8 @@ class SchedulerOpHost : public OpHost {
 
   std::shared_ptr<const Result<TopKResult>> MedianSymDiffFor(
       const CatalogEntry& entry, const RankDistribution& dist) override {
-    if (!scheduler_->options_.use_cache) {
-      return OpHost::MedianSymDiffFor(entry, dist);
-    }
-    return scheduler_->precompute_cache_.SymDiffMedian(
+    if (!shard_->use_cache) return OpHost::MedianSymDiffFor(entry, dist);
+    return shard_->precompute_cache.SymDiffMedian(
         entry.struct_key, dist.k(), [this, &entry, &dist] {
           return engine()->MedianSymDiffSearch(*entry.tree, dist);
         });
@@ -318,108 +307,62 @@ class SchedulerOpHost : public OpHost {
 
   std::shared_ptr<const std::vector<double>> ExpectedRanksFor(
       const CatalogEntry& entry) override {
-    if (!scheduler_->options_.use_cache) return OpHost::ExpectedRanksFor(entry);
-    return scheduler_->precompute_cache_.ExpectedRanks(
+    if (!shard_->use_cache) return OpHost::ExpectedRanksFor(entry);
+    return shard_->precompute_cache.ExpectedRanks(
         entry.struct_key,
         [this, &entry] { return engine()->ExpectedRanks(*entry.tree); });
   }
 
-  ServiceResponse StatsNow() override { return scheduler_->StatsResponse(); }
+  ServiceResponse StatsNow() override { return front_->StatsResponse(); }
 
   Result<MetricsSnapshot> MetricsNow() override {
-    if (scheduler_->instruments_ == nullptr) return MetricsDisabledError();
-    return scheduler_->MetricsSnapshotNow();
+    if (!front_->options_.enable_metrics) return MetricsDisabledError();
+    return front_->MetricsSnapshotNow();
   }
 
+  // The scheduler itself calls ExecuteLoad directly, since it needs the
+  // owning shard to record the load on.
   Result<ServiceResponse> ExecuteLoadOp(const ServiceRequest& request,
                                         const Clock* clk,
                                         ResponseTiming* timing) override {
-    return scheduler_->ExecuteLoadTimed(request, clk, timing);
+    size_t shard = 0;
+    return front_->ExecuteLoad(request, clk, timing, &shard);
   }
 
  private:
-  QueryScheduler* scheduler_;
+  QueryScheduler* front_;
+  Shard* shard_;
 };
 
-namespace {
-
-// The shared admin-op wrapper (stats, metrics — any kAdmin row): one
-// whole-op measurement, no stages, recorded *after* the hook runs so a
-// metrics scrape describes the work before it, never itself. A refused op
-// (e.g. metrics while disabled) records nothing — the caller counts the
-// error.
-Result<ServiceResponse> ExecuteAdminTimed(const OpSpec& spec, OpHost& host,
-                                          const ServiceRequest& request,
-                                          const Clock* clk,
-                                          ServeInstruments* instruments) {
-  Stopwatch watch(clk);
-  Result<ServiceResponse> response = spec.execute_admin(host, request);
-  if (watch.enabled() && response.ok()) {
-    (*response).timing.total_ns = watch.ElapsedNanos();
-    (*response).timing.trace = request.trace;
-    if (instruments != nullptr) {
-      instruments->op_latency(spec.op)->Record((*response).timing.total_ns);
-    }
-  }
-  return response;
-}
-
-}  // namespace
-
-std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
-    const std::vector<ServiceRequest>& requests) {
-  std::vector<Result<ServiceResponse>> responses(
-      requests.size(),
-      Result<ServiceResponse>(Status::Internal("request not executed")));
+void QueryScheduler::Shard::ExecuteSlots(
+    QueryScheduler* front, const std::vector<ServiceRequest>& requests,
+    const std::vector<size_t>& slots, const Clock* clk,
+    std::vector<Result<ServiceResponse>>* responses,
+    std::vector<ResponseTiming>* timings) {
   const OpRegistry& ops = OpRegistry::Get();
-  SchedulerOpHost host(this);
+  Host host(front, this);
 
-  // Timing is live when metrics are on or any request asked for a trace;
-  // otherwise `clk` is null and every Stopwatch below is inert (zero clock
-  // reads). Instrumentation never touches answer bytes either way.
-  bool any_trace = false;
-  for (const ServiceRequest& request : requests) any_trace |= request.trace;
-  const Clock* clk = TimingClock(any_trace);
-  ServeInstruments* instruments = instruments_.get();
-  if (instruments != nullptr) {
-    instruments->requests_total->Increment(
-        static_cast<int64_t>(requests.size()));
-    for (const ServiceRequest& request : requests) {
-      instruments->op_counter(request.op)->Increment();
-    }
-  }
-  std::vector<ResponseTiming> timings(requests.size());
-
-  // Loads first, in request order: a batch is a unit of work, so queries
-  // may reference trees loaded anywhere in the same batch.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (ops.spec(requests[i].op).batch_phase == kLoadPhase) {
-      responses[i] = host.ExecuteLoadOp(requests[i], clk, &timings[i]);
-    }
-  }
-
-  // Resolve every tree-addressed slot's tree; unknown names fail their
-  // slot only. Slots whose spec fuses into the consensus batch are split
-  // from the ones executing their own hook.
+  // Resolve every slot's tree; unknown names fail their slot only. Slots
+  // whose spec fuses into the consensus batch are split from the ones
+  // executing their own hook.
   std::vector<size_t> fused_slots;
   std::vector<CatalogEntry> fused_entries;
   std::vector<size_t> direct_slots;
   std::vector<CatalogEntry> direct_entries;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const OpSpec& spec = ops.spec(requests[i].op);
-    if (spec.routing != OpRouting::kTreeAddressed) continue;
+  for (size_t slot : slots) {
+    const ServiceRequest& request = requests[slot];
     Stopwatch catalog_watch(clk);
-    Result<CatalogEntry> entry = catalog_->Lookup(requests[i].tree_name);
-    AddSpan(&timings[i], "catalog", catalog_watch);
+    Result<CatalogEntry> entry = catalog->Lookup(request.tree_name);
+    AddSpan(&(*timings)[slot], "catalog", catalog_watch);
     if (!entry.ok()) {
-      responses[i] = entry.status();
+      (*responses)[slot] = entry.status();
       continue;
     }
-    if (spec.fuse_consensus_batch) {
-      fused_slots.push_back(i);
+    if (ops.spec(request.op).fuse_consensus_batch) {
+      fused_slots.push_back(slot);
       fused_entries.push_back(*std::move(entry));
     } else {
-      direct_slots.push_back(i);
+      direct_slots.push_back(slot);
       direct_entries.push_back(*std::move(entry));
     }
   }
@@ -428,10 +371,11 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
   // its rank distribution, then the tail precompute its metric needs —
   // through the StructKey-keyed caches, in slot order, so the first query
   // of each key computes and the rest hit, within this batch and across
-  // batches alike. Misses compute here on the calling thread (each fanning
-  // its own units across the pool), so no pool worker ever waits on
-  // another's in-flight compute. The handles keep cached entries alive for
-  // the duration of the engine call even if they are evicted meanwhile.
+  // batches alike. Misses compute here on the shard's dispatching thread
+  // (each fanning its own units across the pool), so no pool worker ever
+  // waits on another's in-flight compute. The handles keep cached entries
+  // alive for the duration of the engine call even if they are evicted
+  // meanwhile.
   std::vector<std::shared_ptr<const RankDistribution>> dists(
       fused_slots.size());
   std::vector<ConsensusTailHandles> tails(fused_slots.size());
@@ -442,7 +386,7 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
     if (dists[j] != nullptr) {
       tails[j] = ConsensusTailsFor(host, fused_entries[j], request, *dists[j]);
     }
-    AddSpan(&timings[fused_slots[j]], "cache", cache_watch);
+    AddSpan(&(*timings)[fused_slots[j]], "cache", cache_watch);
   }
 
   // One engine submission for all fused slots: whole queries fan across
@@ -456,62 +400,462 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
   }
   Stopwatch fold_watch(clk);
   std::vector<Result<TopKResult>> results =
-      engine_->EvaluateConsensusBatch(queries);
+      engine->EvaluateConsensusBatch(queries);
   // The whole submission is one engine call, so per-slot attribution inside
   // it would be fiction: its duration is split evenly across the fused
   // slots, the first also taking the remainder, so the slots' fold spans
-  // sum to the submission's wall time. One fold span per slot is what the
-  // sharded-parity tests count; values are side-band by contract.
+  // sum to the submission's wall time. Values are side-band by contract.
   const int64_t batch_fold_nanos = fold_watch.ElapsedNanos();
   const int64_t num_fused = static_cast<int64_t>(fused_slots.size());
   for (size_t j = 0; j < fused_slots.size(); ++j) {
     const size_t slot = fused_slots[j];
     if (fold_watch.enabled()) {
-      timings[slot].spans.emplace_back(
+      (*timings)[slot].spans.emplace_back(
           "fold", batch_fold_nanos / num_fused +
                       (j == 0 ? batch_fold_nanos % num_fused : 0));
     }
     if (!results[j].ok()) {
-      responses[slot] = results[j].status();
+      (*responses)[slot] = results[j].status();
       continue;
     }
-    responses[slot] = ConsensusTopKResponse(requests[slot], *results[j]);
+    (*responses)[slot] = ConsensusTopKResponse(requests[slot], *results[j]);
   }
 
-  // The direct tree-addressed slots (worlds, the analytics ops) run their
-  // own execute hooks after the fused finalize, in slot order — each
-  // routes its precompute through the caches inside the hook.
+  // The direct slots (worlds, the analytics ops) run their own execute
+  // hooks after the fused finalize, in slot order — each routes its
+  // precompute through the caches inside the hook.
   for (size_t j = 0; j < direct_slots.size(); ++j) {
     const size_t slot = direct_slots[j];
-    responses[slot] = ops.spec(requests[slot].op)
-                          .execute_tree(host, direct_entries[j],
-                                        requests[slot], clk, &timings[slot]);
+    (*responses)[slot] =
+        ops.spec(requests[slot].op)
+            .execute_tree(host, direct_entries[j], requests[slot], clk,
+                          &(*timings)[slot]);
   }
 
-  // Close out load/query timing — histogram records and error counts land
-  // *before* the admin passes below, so a scrape in this batch describes
-  // all of the batch's query work, sharded or not.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (ops.spec(requests[i].op).batch_phase >= kStatsPhase) continue;
-    FinishTiming(requests[i], &timings[i], &responses[i]);
-    if (instruments != nullptr && !responses[i].ok()) {
-      instruments->request_errors_total->Increment();
+  for (size_t slot : slots) {
+    Finish(requests[slot], &(*timings)[slot], &(*responses)[slot]);
+  }
+}
+
+Result<ServiceResponse> QueryScheduler::Shard::ExecuteOne(
+    QueryScheduler* front, const ServiceRequest& request, const Clock* clk) {
+  Host host(front, this);
+  ResponseTiming timing;
+  Stopwatch catalog_watch(clk);
+  Result<CatalogEntry> entry = catalog->Lookup(request.tree_name);
+  AddSpan(&timing, "catalog", catalog_watch);
+  Result<ServiceResponse> response =
+      entry.ok() ? OpRegistry::Get().spec(request.op).execute_tree(
+                       host, *entry, request, clk, &timing)
+                 : Result<ServiceResponse>(entry.status());
+  Finish(request, &timing, &response);
+  return response;
+}
+
+MetricsSnapshot QueryScheduler::Shard::Metrics() const {
+  MetricsSnapshot snapshot = instruments->registry.Snapshot();
+  MetricsSnapshot extra;
+  auto add = [&extra](const char* name, const char* help,
+                      MetricSample::Kind kind, int64_t value) {
+    MetricSample sample;
+    sample.name = name;
+    sample.help = help;
+    sample.kind = kind;
+    sample.value = value;
+    extra.samples.push_back(std::move(sample));
+  };
+  const EngineObsCounters engine_counters = engine->obs_counters();
+  const CatalogCounts catalog_counts = catalog->Counts();
+  add("cpdb_fold_compiles_total",
+      "FlatTree compilations performed: the catalog's one-per-shape compiles "
+      "plus the engine's on-demand ones.",
+      MetricSample::Kind::kCounter,
+      engine_counters.fold_compiles + catalog->fold_compiles());
+  add("cpdb_catalog_entries", "Names bound in the tree catalog.",
+      MetricSample::Kind::kGauge, catalog_counts.names);
+  add("cpdb_catalog_shapes",
+      "Distinct tree structures (canonical orientations) in the catalog.",
+      MetricSample::Kind::kGauge, catalog_counts.shapes);
+  add("cpdb_poly_arena_highwater_bytes",
+      "Peak thread-local fold-arena capacity observed on any engine thread.",
+      MetricSample::Kind::kGauge, engine_counters.arena_highwater_bytes);
+  AppendCacheStatsMetrics(cache.stats(), "cpdb_rankdist_cache_", &extra);
+  AppendCacheStatsMetrics(marginals_cache.stats(), "cpdb_marginals_cache_",
+                          &extra);
+  AppendCacheStatsMetrics(precompute_cache.stats(), "cpdb_precompute_cache_",
+                          &extra);
+  std::sort(extra.samples.begin(), extra.samples.end(),
+            [](const MetricSample& a, const MetricSample& b) {
+              return a.name < b.name;
+            });
+  snapshot.MergeFrom(extra);
+  return snapshot;
+}
+
+QueryScheduler::QueryScheduler(const Engine* engine, TreeCatalog* catalog,
+                               SchedulerOptions options)
+    : options_(options),
+      clock_(options.clock != nullptr ? options.clock
+                                      : SteadyClock::Instance()) {
+  shards_.push_back(std::make_unique<Shard>(engine, catalog, options_));
+}
+
+QueryScheduler::QueryScheduler(int num_shards,
+                               const EngineOptions& engine_options,
+                               SchedulerOptions options)
+    : options_(options),
+      clock_(options.clock != nullptr ? options.clock
+                                      : SteadyClock::Instance()) {
+  const int n = std::max(num_shards, 1);
+  shards_.reserve(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    shards_.push_back(std::make_unique<Shard>(
+        std::make_unique<Engine>(engine_options),
+        std::make_unique<TreeCatalog>(), options_));
+  }
+}
+
+QueryScheduler::~QueryScheduler() = default;
+
+int QueryScheduler::ShardOfKey(StructKey key, int num_shards) {
+  // SplitMix64 finalizer: a bijective remix, so the partition stays a pure
+  // deterministic function of the structural key while spreading any
+  // residual structure in the FNV-1a value across all 64 bits before the
+  // modulo.
+  uint64_t x = key.value();
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return static_cast<int>(x % static_cast<uint64_t>(std::max(num_shards, 1)));
+}
+
+int QueryScheduler::ThreadsPerShard(int total_threads, int num_shards) {
+  int total = total_threads;
+  if (total < 1) {
+    // The ThreadPool convention: values < 1 mean the hardware concurrency.
+    // Resolve it here so the split divides the real budget instead of
+    // handing every shard its own full-machine pool.
+    total = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  }
+  return std::max(1, total / std::max(num_shards, 1));
+}
+
+Result<CatalogEntry> QueryScheduler::InsertRouted(
+    const std::string& name, StructKey key,
+    const std::function<Result<CatalogEntry>(TreeCatalog*)>& insert,
+    size_t* out_shard) {
+  if (shards_.size() == 1) {
+    if (out_shard != nullptr) *out_shard = 0;
+    return insert(shards_[0]->catalog);
+  }
+  // A bound name stays on its shard: re-inserting identical content lands
+  // there anyway (same structural key, same shard), and different content
+  // must reach the catalog that holds the name so the rebind is rejected
+  // with exactly the AlreadyExists one catalog reports. Loads are the cold
+  // path (queries take mu_ only for a map lookup), so holding mu_ across
+  // the catalog insert is cheap.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = directory_.find(name);
+  const size_t shard =
+      it != directory_.end()
+          ? it->second
+          : static_cast<size_t>(ShardOfKey(key, num_shards()));
+  if (out_shard != nullptr) *out_shard = shard;
+  Result<CatalogEntry> entry = insert(shards_[shard]->catalog);
+  if (entry.ok()) directory_.emplace(name, shard);
+  return entry;
+}
+
+Result<CatalogEntry> QueryScheduler::Insert(const std::string& name,
+                                            AndXorTree tree) {
+  return Insert(name, std::move(tree), nullptr);
+}
+
+Result<CatalogEntry> QueryScheduler::Insert(const std::string& name,
+                                            AndXorTree tree,
+                                            size_t* out_shard) {
+  // Same error (and same cheap-first ordering) as TreeCatalog::Insert.
+  if (name.empty()) {
+    return Status::InvalidArgument("catalog name must not be empty");
+  }
+  // Serialize, hash and canonicalize once, outside the directory lock:
+  // routing needs the structural key, and the catalog reuses the identity.
+  CPDB_ASSIGN_OR_RETURN(TreeIdentity identity,
+                        TreeCatalog::ComputeIdentity(std::move(tree)));
+  return InsertRouted(
+      name, identity.struct_key,
+      [&](TreeCatalog* catalog) {
+        return catalog->InsertWithIdentity(name, identity);
+      },
+      out_shard);
+}
+
+Status QueryScheduler::InstallSnapshot(const CatalogSnapshot& snapshot) {
+  for (const SnapshotTree& record : snapshot.trees) {
+    // Routed by the decoder-verified structural key; inserted with the
+    // record's own wire identity, never one re-derived from `record.tree`
+    // (a saved snapshot holds the canonical orientation there).
+    CPDB_RETURN_NOT_OK(InsertRouted(record.name, record.struct_key,
+                                    [&record](TreeCatalog* catalog) {
+                                      return InsertSnapshotTree(record,
+                                                                catalog);
+                                    })
+                           .status());
+  }
+  for (const SnapshotDistribution& record : snapshot.distributions) {
+    SeedRankDistribution(record.struct_key, record.k, record.dist);
+  }
+  return Status::OK();
+}
+
+CatalogSnapshot QueryScheduler::BuildSnapshot(
+    bool include_distributions) const {
+  CatalogSnapshot snapshot;
+  std::set<StructKey> struct_keys;
+  for (const auto& shard : shards_) {
+    CatalogSnapshot part = BuildCatalogSnapshot(*shard->catalog, nullptr);
+    for (SnapshotTree& record : part.trees) {
+      struct_keys.insert(record.struct_key);
+      snapshot.trees.push_back(std::move(record));
     }
   }
+  // Merge order must not leak the shard count: names are disjoint across
+  // shards, so sorting by name yields one canonical order whatever N was.
+  std::sort(snapshot.trees.begin(), snapshot.trees.end(),
+            [](const SnapshotTree& a, const SnapshotTree& b) {
+              return a.name < b.name;
+            });
+  if (include_distributions) {
+    for (RankDistCache::RetainedEntry& entry : RetainedRankDistributions()) {
+      // Only keys of trees the snapshot holds: the decoder rejects a
+      // distribution with no tree record, so never write one.
+      if (struct_keys.count(entry.struct_key) == 0) continue;
+      snapshot.distributions.push_back(SnapshotDistribution{
+          entry.struct_key, entry.k, std::move(entry.dist)});
+    }
+  }
+  return snapshot;
+}
+
+bool QueryScheduler::SeedRankDistribution(
+    StructKey struct_key, int k, std::shared_ptr<const RankDistribution> dist) {
+  if (!options_.use_cache) return false;
+  // Each (StructKey, k) key lives on exactly one shard — the one every
+  // query for that shape reaches.
+  return shards_[static_cast<size_t>(ShardOfKey(struct_key, num_shards()))]
+      ->cache.Seed(struct_key, k, std::move(dist));
+}
+
+std::vector<RankDistCache::RetainedEntry>
+QueryScheduler::RetainedRankDistributions() const {
+  std::vector<RankDistCache::RetainedEntry> entries;
+  for (const auto& shard : shards_) {
+    for (RankDistCache::RetainedEntry& entry : shard->cache.RetainedEntries()) {
+      entries.push_back(std::move(entry));
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const RankDistCache::RetainedEntry& a,
+               const RankDistCache::RetainedEntry& b) {
+              if (a.struct_key != b.struct_key) {
+                return a.struct_key < b.struct_key;
+              }
+              return a.k < b.k;
+            });
+  return entries;
+}
+
+Result<ServiceResponse> QueryScheduler::ExecuteLoad(
+    const ServiceRequest& request, const Clock* clk, ResponseTiming* timing,
+    size_t* out_shard) {
+  *out_shard = 0;
+  Stopwatch parse_watch(clk);
+  Result<AndXorTree> tree = LoadRequestTree(request);
+  AddSpan(timing, "parse", parse_watch);
+  if (!tree.ok()) return tree.status();
+  Stopwatch catalog_watch(clk);
+  Result<CatalogEntry> entry =
+      Insert(request.load_name, std::move(*tree), out_shard);
+  AddSpan(timing, "catalog", catalog_watch);
+  if (!entry.ok()) return entry.status();
+  ServiceResponse response;
+  response.op = ServiceRequest::Op::kLoad;
+  response.tree_name = entry->name;
+  response.fingerprint = entry->content_fp;
+  return response;
+}
+
+Result<size_t> QueryScheduler::RouteTree(const ServiceRequest& request,
+                                         const Clock* clk) {
+  if (shards_.size() == 1) return size_t{0};
+  Stopwatch catalog_watch(clk);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = directory_.find(request.tree_name);
+    if (it != directory_.end()) return it->second;
+  }
+  // The owning shard does its own catalog span on success; an unknown name
+  // stops here and leaves the same records a shard's failed Lookup would
+  // (a catalog span, an op-latency record, an error count) on shard 0,
+  // with the byte-identical NotFound.
+  Result<ServiceResponse> failed =
+      TreeCatalog::UnknownTreeError(request.tree_name);
+  ResponseTiming timing;
+  AddSpan(&timing, "catalog", catalog_watch);
+  shards_[0]->Finish(request, &timing, &failed);
+  return failed.status();
+}
+
+Result<ServiceResponse> QueryScheduler::ExecuteAdmin(
+    const ServiceRequest& request, const Clock* clk) {
+  Host host(this, shards_[0].get());
+  ServeInstruments* front_instruments = instruments();
+  Stopwatch watch(clk);
+  Result<ServiceResponse> response =
+      OpRegistry::Get().spec(request.op).execute_admin(host, request);
+  if (watch.enabled() && response.ok()) {
+    response->timing.total_ns = watch.ElapsedNanos();
+    response->timing.trace = request.trace;
+    if (front_instruments != nullptr) {
+      front_instruments->op_latency(request.op)->Record(
+          response->timing.total_ns);
+    }
+  }
+  if (front_instruments != nullptr && !response.ok()) {
+    front_instruments->request_errors_total->Increment();
+  }
+  return response;
+}
+
+ServiceResponse QueryScheduler::StatsResponse() const {
+  ServiceResponse response;
+  response.op = ServiceRequest::Op::kStats;
+  std::vector<ShardCacheStats> per_shard = PerShardStats();
+  for (const ShardCacheStats& shard : per_shard) {
+    AccumulateCacheStats(&response.stats, shard.rank_dist);
+    AccumulateCacheStats(&response.marginals_stats, shard.marginals);
+    // Exact sums: StructKey routing makes names, contents, and shapes all
+    // disjoint across shards, so the fleet-wide dedup ratio is the ratio
+    // of the sums.
+    response.catalog.names += shard.catalog.names;
+    response.catalog.contents += shard.catalog.contents;
+    response.catalog.shapes += shard.catalog.shapes;
+  }
+  // The breakdown is rendered only when there is more than one shard: a
+  // one-shard stats line stays byte-identical to the pre-sharding one.
+  if (per_shard.size() > 1) response.shard_stats = std::move(per_shard);
+  return response;
+}
+
+std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
+    const std::vector<ServiceRequest>& requests) {
+  std::vector<Result<ServiceResponse>> responses(
+      requests.size(),
+      Result<ServiceResponse>(Status::Internal("request not executed")));
+  std::vector<ResponseTiming> timings(requests.size());
+  const OpRegistry& ops = OpRegistry::Get();
+
+  // Timing is live when metrics are on or any request asked for a trace;
+  // otherwise `clk` is null and every Stopwatch is inert (zero clock
+  // reads). Instrumentation never touches answer bytes either way.
+  bool any_trace = false;
+  for (const ServiceRequest& request : requests) any_trace |= request.trace;
+  const Clock* clk = TimingClock(any_trace);
+
+  // Loads first, in request order, on the calling thread: they are
+  // order-sensitive on names, and each decides the routing of every query
+  // that follows. Each is recorded on the shard it inserted into.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (ops.spec(requests[i].op).batch_phase != kLoadPhase) continue;
+    size_t shard = 0;
+    responses[i] = ExecuteLoad(requests[i], clk, &timings[i], &shard);
+    shards_[shard]->Finish(requests[i], &timings[i], &responses[i]);
+  }
+
+  // Partition the tree-addressed slots by owning shard, preserving slot
+  // order within each shard — per-key request order is what keeps each
+  // shard's cache counters independent of the shard count.
+  std::vector<std::vector<size_t>> slots(shards_.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (ops.spec(requests[i].op).routing != OpRouting::kTreeAddressed) {
+      continue;
+    }
+    Result<size_t> shard = RouteTree(requests[i], clk);
+    if (!shard.ok()) {
+      responses[i] = shard.status();
+      continue;
+    }
+    slots[*shard].push_back(i);
+  }
+
+  // Fan the shards out concurrently: one helper thread per busy shard
+  // beyond the first, which runs on the calling thread (a one-shard
+  // scheduler spawns nothing). Each shard writes only its own slots. The
+  // helpers are created per batch on purpose: the steady-state threads
+  // live in the shard engines' pools, and one short-lived dispatcher per
+  // busy shard is noise next to the folds it dispatches. A throw must fail
+  // slots, not the process: an exception escaping a helper's entry — or
+  // unwinding past joinable threads — is std::terminate.
+  auto run_shard = [&](size_t s) {
+    try {
+      shards_[s]->ExecuteSlots(this, requests, slots[s], clk, &responses,
+                               &timings);
+    } catch (const std::exception& e) {
+      for (size_t slot : slots[s]) {
+        responses[slot] = Status::Internal(
+            std::string("shard execution failed: ") + e.what());
+      }
+    } catch (...) {
+      for (size_t slot : slots[s]) {
+        responses[slot] = Status::Internal("shard execution failed");
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  // Joins whatever was spawned on every exit path (spawning helper K can
+  // throw while helpers 0..K-1 run).
+  struct JoinHelpers {
+    std::vector<std::thread>* threads;
+    ~JoinHelpers() {
+      for (std::thread& helper : *threads) {
+        if (helper.joinable()) helper.join();
+      }
+    }
+  } join_guard{&helpers};
+  int first_busy = -1;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (slots[s].empty()) continue;
+    if (first_busy < 0) {
+      first_busy = static_cast<int>(s);
+      continue;
+    }
+    try {
+      helpers.emplace_back(run_shard, s);
+    } catch (...) {
+      // Thread exhaustion degrades this shard to the calling thread —
+      // slower, never fatal (run_shard itself cannot throw).
+      run_shard(s);
+    }
+  }
+  if (first_busy >= 0) run_shard(static_cast<size_t>(first_busy));
+  for (std::thread& helper : helpers) helper.join();
 
   // Admin phases in declared order — stats next-to-last (the counters
   // describe the batch that just ran), metrics last of all (a scrape in a
-  // batch answers for everything the batch did, its stats probes
-  // included), regardless of slot order.
+  // batch answers for everything the batch did, its own admin requests
+  // included), regardless of slot order. Every helper has joined, so the
+  // shard registries are quiescent.
+  for (const ServiceRequest& request : requests) {
+    if (ops.spec(request.op).routing == OpRouting::kAdmin) {
+      shards_[0]->Count(request);
+    }
+  }
   for (int phase : {kStatsPhase, kMetricsPhase}) {
     for (size_t i = 0; i < requests.size(); ++i) {
-      const OpSpec& spec = ops.spec(requests[i].op);
-      if (spec.batch_phase != phase) continue;
-      responses[i] =
-          ExecuteAdminTimed(spec, host, requests[i], clk, instruments);
-      if (instruments != nullptr && !responses[i].ok()) {
-        instruments->request_errors_total->Increment();
-      }
+      if (ops.spec(requests[i].op).batch_phase != phase) continue;
+      responses[i] = ExecuteAdmin(requests[i], clk);
     }
   }
   return responses;
@@ -519,45 +863,29 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
 
 Result<ServiceResponse> QueryScheduler::ExecuteOne(
     const ServiceRequest& request) {
-  const OpSpec& spec = OpRegistry::Get().spec(request.op);
-  SchedulerOpHost host(this);
   const Clock* clk = TimingClock(request.trace);
-  ServeInstruments* instruments = instruments_.get();
-  if (instruments != nullptr) {
-    instruments->requests_total->Increment();
-    instruments->op_counter(request.op)->Increment();
-  }
-  // Dispatch is by routing trait — three shapes of execution, not one
-  // branch per op. Adding an op touches the registry table, never this
-  // switch.
-  Result<ServiceResponse> result = [&]() -> Result<ServiceResponse> {
-    ResponseTiming timing;
-    switch (spec.routing) {
-      case OpRouting::kCatalogGlobal: {
-        Result<ServiceResponse> response =
-            host.ExecuteLoadOp(request, clk, &timing);
-        FinishTiming(request, &timing, &response);
-        return response;
-      }
-      case OpRouting::kAdmin:
-        return ExecuteAdminTimed(spec, host, request, clk, instruments);
-      case OpRouting::kTreeAddressed: {
-        Stopwatch catalog_watch(clk);
-        Result<CatalogEntry> entry = catalog_->Lookup(request.tree_name);
-        AddSpan(&timing, "catalog", catalog_watch);
-        Result<ServiceResponse> response =
-            entry.ok() ? spec.execute_tree(host, *entry, request, clk, &timing)
-                       : Result<ServiceResponse>(entry.status());
-        FinishTiming(request, &timing, &response);
-        return response;
-      }
+  // Dispatch is by the registry's routing trait — three shapes of
+  // execution, not one branch per op. Adding an op touches the registry
+  // table, never this switch.
+  switch (OpRegistry::Get().spec(request.op).routing) {
+    case OpRouting::kCatalogGlobal: {
+      ResponseTiming timing;
+      size_t shard = 0;
+      Result<ServiceResponse> response =
+          ExecuteLoad(request, clk, &timing, &shard);
+      shards_[shard]->Finish(request, &timing, &response);
+      return response;
     }
-    return Status::Internal("unknown request op");
-  }();
-  if (instruments != nullptr && !result.ok()) {
-    instruments->request_errors_total->Increment();
+    case OpRouting::kAdmin:
+      // Counted before executing: a metrics scrape includes its own count.
+      shards_[0]->Count(request);
+      return ExecuteAdmin(request, clk);
+    case OpRouting::kTreeAddressed: {
+      CPDB_ASSIGN_OR_RETURN(size_t shard, RouteTree(request, clk));
+      return shards_[shard]->ExecuteOne(this, request, clk);
+    }
   }
-  return result;
+  return Status::Internal("unknown request op");
 }
 
 void QueryScheduler::ExecuteStreaming(
@@ -570,6 +898,56 @@ void QueryScheduler::ExecuteStreaming(
   while (next(&request)) {
     emit(ExecuteOne(request));
   }
+}
+
+CacheStats QueryScheduler::cache_stats() const {
+  CacheStats total;
+  for (const auto& shard : shards_) {
+    AccumulateCacheStats(&total, shard->cache.stats());
+  }
+  return total;
+}
+
+CacheStats QueryScheduler::marginals_stats() const {
+  CacheStats total;
+  for (const auto& shard : shards_) {
+    AccumulateCacheStats(&total, shard->marginals_cache.stats());
+  }
+  return total;
+}
+
+CacheStats QueryScheduler::precompute_stats() const {
+  CacheStats total;
+  for (const auto& shard : shards_) {
+    AccumulateCacheStats(&total, shard->precompute_cache.stats());
+  }
+  return total;
+}
+
+std::vector<ShardCacheStats> QueryScheduler::PerShardStats() const {
+  std::vector<ShardCacheStats> stats;
+  stats.reserve(shards_.size());
+  for (const auto& shard : shards_) stats.push_back(shard->Stats());
+  return stats;
+}
+
+ServeInstruments* QueryScheduler::instruments() const {
+  return shards_[0]->instruments.get();
+}
+
+MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
+  MetricsSnapshot merged = shards_[0]->Metrics();
+  for (size_t s = 1; s < shards_.size(); ++s) {
+    merged.MergeFrom(shards_[s]->Metrics());
+  }
+  return merged;
+}
+
+std::vector<MetricsSnapshot> QueryScheduler::PerShardMetricsSnapshots() const {
+  std::vector<MetricsSnapshot> snapshots;
+  snapshots.reserve(shards_.size());
+  for (const auto& shard : shards_) snapshots.push_back(shard->Metrics());
+  return snapshots;
 }
 
 }  // namespace cpdb

@@ -1,56 +1,66 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// QueryScheduler — the batched execution layer between the request
-// protocol and cpdb::Engine. A batch is a vector of heterogeneous typed
-// requests (catalog loads, consensus Top-k under any metric, set-consensus
-// worlds, cache-stats probes), possibly against different catalog trees.
-// The scheduler:
+// QueryScheduler — the serving front end: the batched execution layer
+// between the request protocol and cpdb::Engine, over N >= 1 shards. A
+// batch is a vector of heterogeneous typed requests (catalog loads,
+// consensus Top-k under any metric, set-consensus worlds, the analytics
+// ops, stats and metrics probes), possibly against different catalog
+// trees.
 //
-//   1. applies every `load` to the TreeCatalog (in request order, before
-//      any query — a batch is a unit of work, not a transcript: queries may
-//      reference trees loaded later in the same batch);
-//   2. resolves query trees by name and routes the shared precomputes
-//      through the three owned caches — rank distributions by (StructKey, k)
-//      for Top-k queries, leaf marginals by StructKey for world queries,
-//      and the metric-tail precomputes (Kendall q matrices, symdiff median
+// Consensus answers are a pure function of (tree shape, request), so the
+// scheduler partitions by shape: each shard is a private (Engine,
+// TreeCatalog, three memo caches, instruments) context, and a tree lives on
+// the shard owning its structural key (ShardOfKey) — permuted duplicates of
+// one shape land together, sharing one fold program and one set of cache
+// lines. Everything outside a shard runs once, on the front end:
+//
+//   1. every `load` applies first, in request order (a batch is a unit of
+//      work, not a transcript: queries may reference trees loaded later in
+//      the same batch) — read and parse, identity, then the insert into the
+//      owning shard's catalog;
+//   2. every tree-addressed request (the OpRegistry's kTreeAddressed rows)
+//      routes to the shard holding its tree, and the per-shard sub-batches
+//      run concurrently, each on its shard's engine. Inside a shard the
+//      shared precomputes route through the three caches — rank
+//      distributions by (StructKey, k), leaf marginals by StructKey, and
+//      the metric-tail precomputes (Kendall q matrices, symdiff median
 //      searches, expected ranks) by (StructKey, kind, k) — so queries
-//      sharing a structural key (permuted duplicates included), within
-//      this batch or with any earlier one, pay each precompute once; the
-//      folds themselves reuse the catalog's precompiled per-shape program,
-//      so the steady-state query path never compiles;
-//   3. fans the remaining per-query work (Hungarian columns, re-scoring,
-//      and any tail no cache supplied) through
-//      Engine::EvaluateConsensusBatch, and answers world queries through
-//      Engine::ConsensusWorldWithMarginals.
+//      sharing a structural key pay each precompute once; the remaining
+//      Top-k work fans through one Engine::EvaluateConsensusBatch
+//      submission per shard, and the other ops run their registry hooks;
+//   3. the admin ops (stats, metrics) answer last with the shards' state
+//      merged: counters summed, registries merged bucket-wise.
 //
-// All three caches are single-flight, LRU-evicting under the configured byte
-// budget (SchedulerOptions::cache_budget_bytes) — a long-lived server
-// under key churn holds bounded memory. Answers are bitwise identical to
-// one-at-a-time Engine calls with the caches enabled, disabled, cold,
-// warm, or evicting, for any thread count — the caches store values the
-// engine computes deterministically, so memoization is invisible except in
-// the CacheStats counters and the latency.
+// With one shard there is nothing to route: every tree-addressed request
+// goes to shard 0, whose catalog Lookup reports unknown names. That is
+// also what lets the single-shard constructor borrow a caller's engine and
+// catalog — trees inserted straight into that catalog are served. With N >
+// 1 a name directory remembers which shard each bound name lives on.
+//
+// Determinism: every (StructKey, k) cache key lives on exactly one shard
+// and sees its requests in slot order, and the engine is schedule
+// deterministic, so answers are bitwise identical for every op, thread
+// count, shard count and cache budget — with the caches enabled,
+// disabled, cold, warm or evicting. Sharding shows only in throughput and
+// in the kStats per-shard breakdown (rendered only when N > 1); a finite
+// budget applies per shard cache, so eviction-driven counters may differ
+// across shard counts while answers never do.
 //
 // Besides ExecuteBatch there is a streaming path: ExecuteStreaming pulls
 // requests one at a time and emits each response before reading the next
 // request — the serve --stream mode, where a client on a pipe sees answer
-// N before writing request N+1. Streaming trades the batch conveniences
-// for incrementality: requests execute strictly in input order (a query
-// may only reference trees loaded *earlier*), and `stats` reports the
-// counters at its point in the stream rather than post-batch.
-//
-// This is the chassis for sharding, and service/sharded_scheduler.h is the
-// front-end built on it: a ShardedScheduler owns one (Engine, TreeCatalog,
-// QueryScheduler) context per shard and partitions batches across them by
-// tree fingerprint — exactly this interface (catalog handles + a batch
-// call with per-slot Results), replicated.
+// N before writing request N+1. Requests then execute strictly in input
+// order (a query may only reference trees loaded *earlier*), and `stats`
+// reports the counters at its point in the stream rather than post-batch.
 
 #ifndef CPDB_SERVICE_QUERY_SCHEDULER_H_
 #define CPDB_SERVICE_QUERY_SCHEDULER_H_
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -66,6 +76,8 @@
 #include "service/tree_catalog.h"
 
 namespace cpdb {
+
+struct CatalogSnapshot;
 
 /// \brief One typed request of a service batch. The set of ops, their wire
 /// names, parameter schemas, and routing traits are declared in one place:
@@ -115,8 +127,8 @@ struct ServiceRequest {
 /// never defaults. `line` must be non-empty (callers skip comment lines).
 Result<ServiceRequest> ServiceRequestFromLine(const RequestLine& line);
 
-/// \brief One shard's pair of cache counter snapshots — the per-shard
-/// breakdown a sharded front-end attaches to its kStats answers.
+/// \brief One shard's cache and catalog counter snapshots — the per-shard
+/// breakdown a multi-shard scheduler attaches to its kStats answers.
 struct ShardCacheStats {
   CacheStats rank_dist;   ///< the shard's RankDistCache counters
   CacheStats marginals;   ///< the shard's MarginalsCache counters
@@ -147,17 +159,16 @@ struct ServiceResponse {
   std::vector<KeyId> keys;   // kTopK: answer keys; kWorld: world keys
   double expected_distance = 0.0;  // kTopK/kWorld
   CacheStats stats;                // kStats: rank-distribution cache
-                                   // (aggregated totals when sharded)
+                                   // (summed across shards)
   CacheStats marginals_stats;      // kStats: marginals cache (ditto)
-  /// kStats: catalog name/content/shape counts (summed across shards when
-  /// sharded — StructKey routing keeps shard catalogs disjoint at every
-  /// level, so the sums are exact). Rendered as the `shapes=` and
-  /// `dedup_ratio=` fields.
+  /// kStats: catalog name/content/shape counts (summed across shards —
+  /// StructKey routing keeps shard catalogs disjoint at every level, so
+  /// the sums are exact). Rendered as the `shapes=` and `dedup_ratio=`
+  /// fields.
   CatalogCounts catalog;
-  /// kStats via a ShardedScheduler: one entry per shard, in shard order,
-  /// summing to the two aggregate members above. Empty for the
-  /// single-engine QueryScheduler, whose wire output stays byte-identical
-  /// to what it was before sharding existed.
+  /// kStats with N > 1 shards: one entry per shard, in shard order,
+  /// summing to the aggregate members above. Empty for one shard, whose
+  /// wire output stays byte-identical to the pre-sharding protocol.
   std::vector<ShardCacheStats> shard_stats;
   std::string metrics_format;  // kMetrics echo (kv | prom)
   MetricsSnapshot metrics;     // kMetrics: the scrape
@@ -178,10 +189,8 @@ struct ServiceResponse {
 std::vector<RequestField> ResponseToFields(const ServiceResponse& response);
 
 /// \brief Reads and parses a kLoad request's file into a validated tree
-/// (request.load_format selects the parser). The single shared front half
-/// of load execution — both QueryScheduler and ShardedScheduler route
-/// through it, so the two paths' read/parse error statuses are
-/// byte-identical by construction, not by convention.
+/// (request.load_format selects the parser) — the front half of load
+/// execution, ahead of identity and routing.
 Result<AndXorTree> LoadRequestTree(const ServiceRequest& request);
 
 /// \brief Scheduler knobs.
@@ -214,8 +223,8 @@ struct SchedulerOptions {
   const Clock* clock = nullptr;
 };
 
-/// \brief The serve path's instruments, owned by one scheduler (one per
-/// shard when sharded — cheap per-shard instances, merged at scrape time).
+/// \brief The serve path's instruments, one per scheduler shard (cheap
+/// per-shard instances, merged at scrape time).
 /// The per-op instruments are generated from the OpRegistry's wire names
 /// (cpdb_<op>_requests_total / cpdb_<op>_latency_nanoseconds, registered
 /// in table order), so adding an op auto-registers its pair while every
@@ -272,19 +281,71 @@ std::string FormatSlowQueryLine(int64_t line_number,
                                 const std::string& raw_request,
                                 const ResponseTiming& timing);
 
-/// \brief Executes request batches against one engine and one catalog.
+/// \brief Executes request batches over N >= 1 shards, each an (Engine,
+/// TreeCatalog, caches, instruments) context.
 ///
-/// The scheduler owns the RankDistCache, MarginalsCache and PrecomputeCache
-/// (the only mutable state in the serving layer besides the catalog maps)
-/// and is thread-compatible: concurrent ExecuteBatch / ExecuteOne calls are
-/// safe — catalog and caches are internally locked; the engine is stateless
-/// per query — but batches racing on `load` of conflicting content may
-/// observe AlreadyExists.
+/// Thread-compatible: concurrent ExecuteBatch / ExecuteOne calls are safe
+/// (catalogs and caches are internally locked, the name directory has its
+/// own mutex, the engines are stateless per query), though batches racing
+/// on `load` of conflicting content may observe AlreadyExists.
 class QueryScheduler {
  public:
-  /// \brief Neither pointer is owned; both must outlive the scheduler.
+  /// \brief One shard over a caller-owned engine and catalog. Neither
+  /// pointer is owned; both must outlive the scheduler. Trees the caller
+  /// inserts straight into `catalog` are served.
   QueryScheduler(const Engine* engine, TreeCatalog* catalog,
                  SchedulerOptions options = SchedulerOptions());
+
+  /// \brief `num_shards` (clamped to >= 1) owned contexts, each with its
+  /// own Engine(engine_options) — callers wanting a fixed total thread
+  /// count split it with ThreadsPerShard — and caches configured by
+  /// `options` (so a cache budget applies to each shard's caches).
+  QueryScheduler(int num_shards, const EngineOptions& engine_options,
+                 SchedulerOptions options = SchedulerOptions());
+
+  ~QueryScheduler();
+
+  /// \brief The shard owning structural key `key`: a deterministic pure
+  /// function of (key, num_shards), identical across processes and runs.
+  /// The key — already a canonical-orientation hash — is remixed through a
+  /// finalizer before the modulo so shard balance never leans on FNV-1a's
+  /// low-bit behavior. Routing by StructKey (not ContentFp) pins every
+  /// permuted duplicate of one shape to one shard, so the whole fleet
+  /// compiles each shape once and shares its cache entries.
+  static int ShardOfKey(StructKey key, int num_shards);
+
+  /// \brief The per-shard engine-thread count for a total budget:
+  /// max(1, total / num_shards), with total < 1 first resolved to the
+  /// hardware concurrency (the ThreadPool convention). The floor division
+  /// drops any remainder, and the floor of 1 means more shards than
+  /// threads raises the effective total to num_shards — every shard
+  /// engine needs at least one thread to exist. `serve --shards=N
+  /// --threads=T` sizes each shard engine with this.
+  static int ThreadsPerShard(int total_threads, int num_shards);
+
+  /// \brief Registers `tree` under `name` in the owning shard's catalog —
+  /// the direct seam tests and benchmarks use to seed shards without going
+  /// through kLoad files. Same semantics as TreeCatalog::Insert
+  /// (idempotent for identical content, AlreadyExists on a rebind).
+  Result<CatalogEntry> Insert(const std::string& name, AndXorTree tree);
+
+  /// \brief Installs a decoded catalog snapshot (service/catalog_snapshot.h):
+  /// every record inserts with its own wire identity (InsertSnapshotTree)
+  /// into the shard owning its structural key, through the same routing
+  /// kLoad takes — so query routing, dedup, and AlreadyExists/rebind
+  /// semantics are identical to loading the same trees line-by-line — and
+  /// every persisted rank distribution seeds the cache of the shard that
+  /// owns its key. Placement is a pure function of content, so a snapshot
+  /// saved at --shards=M restores correctly at --shards=N for any M, N.
+  Status InstallSnapshot(const CatalogSnapshot& snapshot);
+
+  /// \brief Captures the merged serving state as one snapshot: the union
+  /// of the shard catalogs (each name lives on exactly one shard) plus,
+  /// when `include_distributions` is set, the retained rank distributions
+  /// of the trees it holds. Records are sorted, so saving at --shards=M
+  /// and at --shards=N produces byte-identical files for the same logical
+  /// state.
+  CatalogSnapshot BuildSnapshot(bool include_distributions) const;
 
   /// \brief Executes a batch; results[i] answers requests[i]. Per-request
   /// failures (unknown tree, unreadable file, unsupported metric/answer
@@ -297,8 +358,9 @@ class QueryScheduler {
   /// \brief Executes one request immediately — the unit of the streaming
   /// path. Same cache routing and bitwise-identical answers as a
   /// single-request ExecuteBatch, with the two order-sensitive
-  /// differences streaming implies: a kTopK/kWorld request sees only trees
-  /// loaded before this call, and kStats reports the counters as of now.
+  /// differences streaming implies: a tree-addressed request sees only
+  /// trees loaded before this call, and kStats reports the counters as of
+  /// now.
   Result<ServiceResponse> ExecuteOne(const ServiceRequest& request);
 
   /// \brief The incremental serve loop: repeatedly pulls a request from
@@ -312,86 +374,106 @@ class QueryScheduler {
       const std::function<bool(ServiceRequest*)>& next,
       const std::function<void(const Result<ServiceResponse>&)>& emit);
 
-  /// \brief Seeds the owned rank-distribution cache with a precomputed
-  /// entry — the warm-restart seam: a catalog snapshot's persisted
-  /// distributions land here so a restarted replica's first batch hits
-  /// warm instead of re-folding. No-op (returns false) when caching is
-  /// disabled or the entry is not retained (existing entry, over-budget);
-  /// never changes answers, exactly like every other cache path.
+  /// \brief Seeds the owning shard's rank-distribution cache with a
+  /// precomputed entry — the warm-restart seam: a catalog snapshot's
+  /// persisted distributions land here so a restarted replica's first
+  /// batch hits warm instead of re-folding. No-op (returns false) when
+  /// caching is disabled or the entry is not retained (existing entry,
+  /// over-budget); never changes answers, exactly like every other cache
+  /// path.
   bool SeedRankDistribution(StructKey struct_key, int k,
-                            std::shared_ptr<const RankDistribution> dist) {
-    if (!options_.use_cache) return false;
-    return cache_.Seed(struct_key, k, std::move(dist));
-  }
+                            std::shared_ptr<const RankDistribution> dist);
 
-  /// \brief The rank-distribution cache's retained entries, in
+  /// \brief Every shard's retained rank-distribution cache entries, in
   /// (struct_key, k) order — what a snapshot save persists as the
   /// precomputed-distributions section.
-  std::vector<RankDistCache::RetainedEntry> RetainedRankDistributions() const {
-    return cache_.RetainedEntries();
-  }
+  std::vector<RankDistCache::RetainedEntry> RetainedRankDistributions() const;
 
-  /// \brief Counter snapshot of the owned rank-distribution cache.
-  CacheStats cache_stats() const { return cache_.stats(); }
+  int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// \brief Counter snapshot of the owned marginals cache.
-  CacheStats marginals_stats() const { return marginals_cache_.stats(); }
+  /// \brief Rank-distribution cache counters, summed over shards (each
+  /// shard's snapshot is consistent; the sum is taken shard by shard, like
+  /// any fleet-wide roll-up).
+  CacheStats cache_stats() const;
 
-  /// \brief Counter snapshot of the owned precompute cache (all kinds).
+  /// \brief Marginals cache counters, summed over shards.
+  CacheStats marginals_stats() const;
+
+  /// \brief Precompute cache counters (all kinds), summed over shards.
   /// Exported only through the metrics scrape, never the stats op.
-  CacheStats precompute_stats() const { return precompute_cache_.stats(); }
+  CacheStats precompute_stats() const;
+
+  /// \brief Per-shard counter snapshots, in shard order.
+  std::vector<ShardCacheStats> PerShardStats() const;
 
   const SchedulerOptions& options() const { return options_; }
 
-  /// \brief The owned instruments, or nullptr when metrics are disabled.
-  /// The sharded front-end records its front-end work (loads, routing
-  /// failures, stats/metrics ops) through this.
-  ServeInstruments* instruments() const { return instruments_.get(); }
+  /// \brief The front end's instruments — shard 0's, where every request
+  /// no shard owns (admin ops, unknown names) is recorded — or nullptr
+  /// when metrics are disabled. The transport records its parse/format
+  /// stages here.
+  ServeInstruments* instruments() const;
 
   /// \brief The injected clock (never null; defaults to SteadyClock).
   const Clock* clock() const { return clock_; }
 
-  /// \brief The full metrics scrape: the registry's instruments plus the
-  /// fold/arena counters (cpdb_fold_compiles_total counts the catalog's
-  /// per-shape compiles together with the engine's on-demand ones), the
-  /// catalog's identity gauges (cpdb_catalog_entries = bound names,
-  /// cpdb_catalog_shapes = distinct structures), and the three caches'
-  /// counters re-exported under cpdb_rankdist_cache_* /
-  /// cpdb_marginals_cache_* / cpdb_precompute_cache_*.
-  /// Must not be called when metrics are disabled (instruments() is
-  /// nullptr).
+  /// \brief The full metrics scrape, the shards' snapshots merged
+  /// (counters and gauges sum, histograms merge bucket-wise). Each shard
+  /// contributes its registry's instruments plus the fold/arena counters
+  /// (cpdb_fold_compiles_total counts the catalog's per-shape compiles
+  /// together with the engine's on-demand ones), the catalog's identity
+  /// gauges (cpdb_catalog_entries = bound names, cpdb_catalog_shapes =
+  /// distinct structures), and the three caches' counters re-exported
+  /// under cpdb_rankdist_cache_* / cpdb_marginals_cache_* /
+  /// cpdb_precompute_cache_*. Must not be called when metrics are
+  /// disabled (instruments() is nullptr).
   MetricsSnapshot MetricsSnapshotNow() const;
 
+  /// \brief Each shard's own scrape, in shard order — the seam the parity
+  /// test uses to pin merged == bucket-wise sum of per-shard.
+  std::vector<MetricsSnapshot> PerShardMetricsSnapshots() const;
+
  private:
-  /// The OpRegistry hooks execute against the scheduler through a private
-  /// OpHost adapter (service/op_registry.h) defined in the .cc — the
-  /// primitives below are its surface.
-  friend class SchedulerOpHost;
-
-  /// The rank distribution for one valid Top-k request: through the cache
-  /// when enabled (single-flight, charged against the budget), nullptr
-  /// when disabled or when the request can only fail — the engine rejects
-  /// such queries before paying the fold, and the scheduler must not
-  /// populate the cache for them.
-  std::shared_ptr<const RankDistribution> DistFor(const CatalogEntry& entry,
-                                                  const ServiceRequest& request);
-
-  /// The rank distribution at cutoff k unconditionally (the baseline
-  /// rankings' precompute): through the cache when enabled, computed fresh
-  /// otherwise.
-  std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
-                                                      int k);
-
-  /// The leaf marginals for a tree-addressed request: through the
-  /// marginals cache when enabled, computed fresh otherwise.
-  std::shared_ptr<const std::vector<double>> MarginalsFor(
-      const CatalogEntry& entry);
+  /// One shard's execution context; defined in the .cc.
+  class Shard;
+  /// The one OpHost adapter (service/op_registry.h) the registry hooks
+  /// execute against; defined in the .cc.
+  class Host;
 
   /// The load path with stage spans: parse (read + parse the tree file)
-  /// and catalog (the insert). `clk` null means no spans are recorded.
-  Result<ServiceResponse> ExecuteLoadTimed(const ServiceRequest& request,
-                                           const Clock* clk,
-                                           ResponseTiming* timing);
+  /// and catalog (identity + the routed insert). `*out_shard` receives the
+  /// shard the load is recorded on (0 when it fails before routing).
+  Result<ServiceResponse> ExecuteLoad(const ServiceRequest& request,
+                                      const Clock* clk, ResponseTiming* timing,
+                                      size_t* out_shard);
+
+  /// Insert, also reporting the shard the name routed to.
+  Result<CatalogEntry> Insert(const std::string& name, AndXorTree tree,
+                              size_t* out_shard);
+
+  /// The shared back half of Insert and InstallSnapshot: picks the shard
+  /// for `name` — shard 0 with one shard; otherwise the directory's
+  /// binding, or ShardOfKey(key) for a new name — and runs `insert`
+  /// against that shard's catalog. With N > 1 it holds mu_ across the
+  /// insert, so racing loads of one unbound name cannot route to different
+  /// shards, and records the binding on success.
+  Result<CatalogEntry> InsertRouted(
+      const std::string& name, StructKey key,
+      const std::function<Result<CatalogEntry>(TreeCatalog*)>& insert,
+      size_t* out_shard = nullptr);
+
+  /// The shard a tree-addressed request executes on: shard 0 with one
+  /// shard (its catalog Lookup reports unknown names), otherwise the
+  /// directory's binding. An unknown name fails here with
+  /// TreeCatalog::UnknownTreeError, recorded on shard 0.
+  Result<size_t> RouteTree(const ServiceRequest& request, const Clock* clk);
+
+  /// Executes an admin row (stats, metrics) against the merged state,
+  /// timed as one whole-op measurement recorded *after* the hook runs — a
+  /// scrape describes the work before it, never itself. The caller has
+  /// already counted the request against shard 0.
+  Result<ServiceResponse> ExecuteAdmin(const ServiceRequest& request,
+                                       const Clock* clk);
 
   ServiceResponse StatsResponse() const;
 
@@ -399,23 +481,17 @@ class QueryScheduler {
   /// request must be timed (metrics on, or the request said trace=on),
   /// nullptr — which makes every Stopwatch inert — otherwise.
   const Clock* TimingClock(bool any_trace) const {
-    return (instruments_ != nullptr || any_trace) ? clock_ : nullptr;
+    return (options_.enable_metrics || any_trace) ? clock_ : nullptr;
   }
 
-  /// Sums a finished request's spans into total_ns, records the op and
-  /// stage histograms (when metrics are on), and attaches trace output to
-  /// an ok response when the request asked for it.
-  void FinishTiming(const ServiceRequest& request, ResponseTiming* timing,
-                    Result<ServiceResponse>* response);
-
-  const Engine* engine_;
-  TreeCatalog* catalog_;
   SchedulerOptions options_;
   const Clock* clock_;
-  std::unique_ptr<ServeInstruments> instruments_;
-  RankDistCache cache_;
-  MarginalsCache marginals_cache_;
-  PrecomputeCache precompute_cache_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  // Guards directory_ (name -> owning shard), used only with N > 1: queries
+  // address trees by name, and the key is only known to the shard that
+  // loaded it.
+  mutable std::mutex mu_;
+  std::map<std::string, size_t> directory_;
 };
 
 }  // namespace cpdb

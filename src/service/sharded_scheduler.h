@@ -1,265 +1,17 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// ShardedScheduler — the partitioned serving front-end, the first step from
-// one process toward replicated serving. The observation it exploits is
-// that consensus answers are embarrassingly partitionable by tree shape:
-// every expensive precompute (the rank-distribution fold, the leaf-marginal
-// fold) is keyed by *structural key* — the canonical-orientation hash — so
-// requests against disjoint shapes never share state, and permuted
-// duplicates of one shape always land on the same shard, where they share
-// one fold program and one set of cache lines. The front-end therefore owns
-// N shard contexts — each a private Engine (with its own thread pool),
-// TreeCatalog, and QueryScheduler (with its own RankDistCache /
-// MarginalsCache) — and:
-//
-//   * routes every kLoad to the shard owning the loaded content's
-//     structural key (deterministic key-hash partitioning; a name
-//     already bound stays on its shard so rebind conflicts surface exactly
-//     as the single catalog reports them);
-//   * routes every tree-addressed op (kTopK, kWorld, and the analytics
-//     ops — the OpRegistry's kTreeAddressed rows) to the shard owning its
-//     tree, fanning the per-shard sub-batches across threads — sub-batches
-//     execute concurrently, each on its shard's engine — and reassembles
-//     the per-slot Results in input order;
-//   * answers the admin ops (the registry's kAdmin rows) on the front end:
-//     kStats with the *sum* of the shards' cache counters plus the
-//     per-shard breakdown (ServiceResponse::shard_stats), kMetrics with
-//     the shards' registries merged.
-//
-// The dispatch is a generic walk of the OpRegistry (service/op_registry.h):
-// the fan-out keys on each op's routing trait and batch phase, never on the
-// op itself, so a new tree-addressed op shards correctly with no change
-// here.
-//
-// Determinism: because the partitioning is a pure function of structural
-// keys, every (StructKey, k) cache key lives on exactly one
-// shard, and requests for it arrive there in the same slot order the
-// single-engine QueryScheduler would process them. Combined with the
-// engine's schedule determinism, answers are bitwise identical to a
-// single-engine QueryScheduler for every op, metric, thread count, shard
-// count, and cache budget — sharding is observable only in throughput and
-// in the kStats shard breakdown (tests/sharded_service_test.cc pins this,
-// including aggregate counter totals for unbounded budgets; a *finite*
-// budget applies per shard cache, so eviction-driven counters may
-// legitimately differ across shard counts while answers never do).
-//
-// Scope: shards are in-process today (contexts, not processes). The
-// interface is deliberately the QueryScheduler's — ExecuteBatch /
-// ExecuteOne / ExecuteStreaming with per-slot Results — so replacing a
-// shard context with a remote replica changes the transport, not the
-// partitioning or the callers.
+// ShardedScheduler — an alias of QueryScheduler, the serving front end
+// over N >= 1 shards (service/query_scheduler.h), kept for callers that
+// still spell this name.
 
 #ifndef CPDB_SERVICE_SHARDED_SCHEDULER_H_
 #define CPDB_SERVICE_SHARDED_SCHEDULER_H_
 
-#include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "common/result.h"
-#include "engine/engine.h"
 #include "service/query_scheduler.h"
-#include "service/tree_catalog.h"
 
 namespace cpdb {
 
-struct CatalogSnapshot;
-
-/// \brief Executes request batches partitioned across N private
-/// (Engine, TreeCatalog, QueryScheduler) shard contexts.
-///
-/// Thread-compatible like the QueryScheduler it fans out to: concurrent
-/// ExecuteBatch / ExecuteOne calls are safe (the name directory has its own
-/// mutex; shard contexts are internally locked), though batches racing on
-/// `load` of conflicting content may observe AlreadyExists.
-class ShardedScheduler {
- public:
-  /// \brief Builds `num_shards` contexts (clamped to >= 1), each with its
-  /// own Engine(engine_options) — callers wanting a fixed total thread
-  /// count split it with ThreadsPerShard — and a QueryScheduler configured
-  /// with `options` (so a cache budget applies to each shard's caches).
-  ShardedScheduler(int num_shards, const EngineOptions& engine_options,
-                   SchedulerOptions options = SchedulerOptions());
-
-  /// \brief The shard owning structural key `key`: a deterministic pure
-  /// function of (key, num_shards), identical across processes and runs.
-  /// The key — already a canonical-orientation hash — is remixed through a
-  /// finalizer before the modulo so shard balance never leans on FNV-1a's
-  /// low-bit behavior. Routing by StructKey (not ContentFp) pins every
-  /// permuted duplicate of one shape to one shard, so the whole fleet
-  /// compiles each shape once and shares its cache entries.
-  static int ShardOfKey(StructKey key, int num_shards);
-
-  /// \brief The per-shard engine-thread count for a total budget:
-  /// max(1, total / num_shards), with total < 1 first resolved to the
-  /// hardware concurrency (the ThreadPool convention). The floor division
-  /// drops any remainder, and the floor of 1 means more shards than
-  /// threads raises the effective total to num_shards — every shard
-  /// engine needs at least one thread to exist. The CLI's
-  /// `serve --shards=N --threads=T` sizes each shard engine with this.
-  static int ThreadsPerShard(int total_threads, int num_shards);
-
-  /// \brief Registers `tree` under `name` in the owning shard's catalog —
-  /// the direct seam tests and benchmarks use to seed shards without going
-  /// through kLoad files. Same semantics as TreeCatalog::Insert
-  /// (idempotent for identical content, AlreadyExists on a rebind).
-  Result<CatalogEntry> Insert(const std::string& name, AndXorTree tree);
-
-  /// \brief Installs a decoded catalog snapshot (service/catalog_snapshot.h)
-  /// across the shards: every tree routes to the shard owning its
-  /// structural key through the same directory-updating path kLoad takes —
-  /// so query routing, dedup, and AlreadyExists/rebind semantics are
-  /// identical to loading the same trees line-by-line — and every persisted
-  /// rank distribution seeds the cache of the shard that owns its key.
-  /// The per-shard placement is a pure function of content, so a snapshot
-  /// saved at --shards=M restores correctly at --shards=N for any M, N.
-  Status InstallSnapshot(const CatalogSnapshot& snapshot);
-
-  /// \brief Captures the merged serving state of all shards as one
-  /// snapshot: the union of the shard catalogs (disjoint by construction —
-  /// each name lives on exactly one shard) plus, when
-  /// `include_distributions` is set, the union of the shards' retained
-  /// rank-distribution caches (disjoint too: each (StructKey, k) lives on
-  /// one shard). The result is independent of shard count:
-  /// entries are merged and sorted, so saving at --shards=M and at
-  /// --shards=N produces byte-identical files for the same logical state.
-  CatalogSnapshot BuildSnapshot(bool include_distributions) const;
-
-  /// \brief Executes a batch with QueryScheduler::ExecuteBatch semantics:
-  /// loads apply first in request order, per-request failures land in
-  /// their slot, kStats reports post-batch counters. Shard sub-batches run
-  /// concurrently; results[i] answers requests[i] regardless of which
-  /// shard served it.
-  std::vector<Result<ServiceResponse>> ExecuteBatch(
-      const std::vector<ServiceRequest>& requests);
-
-  /// \brief Executes one request on its owning shard — the unit of the
-  /// streaming path, with QueryScheduler::ExecuteOne's order-sensitive
-  /// semantics (queries see only earlier loads; kStats is point-in-time).
-  Result<ServiceResponse> ExecuteOne(const ServiceRequest& request);
-
-  /// \brief The incremental serve loop, same interleaving contract as
-  /// QueryScheduler::ExecuteStreaming: request N's response is emitted
-  /// before request N+1 is pulled, no matter which shards serve them.
-  void ExecuteStreaming(
-      const std::function<bool(ServiceRequest*)>& next,
-      const std::function<void(const Result<ServiceResponse>&)>& emit);
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  /// \brief Aggregate rank-distribution cache counters: the sum over
-  /// shards (each shard's snapshot is consistent; the sum is taken shard
-  /// by shard, like any fleet-wide metric roll-up).
-  CacheStats cache_stats() const;
-
-  /// \brief Aggregate marginals cache counters (sum over shards).
-  CacheStats marginals_stats() const;
-
-  /// \brief Per-shard counter snapshots, in shard order.
-  std::vector<ShardCacheStats> PerShardStats() const;
-
-  /// \brief The fleet metrics scrape: the shards' snapshots merged
-  /// (counters and gauges sum, histograms merge bucket-wise) — a pure
-  /// function of the per-shard snapshots, independent of shard count or
-  /// merge order. This is what op=metrics answers when sharded. Must not
-  /// be called with metrics disabled.
-  MetricsSnapshot MetricsSnapshotNow() const;
-
-  /// \brief Each shard's own scrape, in shard order — the seam the parity
-  /// test uses to pin merged == bucket-wise sum of per-shard.
-  std::vector<MetricsSnapshot> PerShardMetricsSnapshots() const;
-
-  /// \brief The instruments front-end work records into (shard 0's — the
-  /// shard that fields every ownerless request), or nullptr when metrics
-  /// are off. The transport records its parse/format stages here, exactly
-  /// as it records into a single scheduler's instruments().
-  ServeInstruments* frontend_instruments() const {
-    return shards_[0].scheduler->instruments();
-  }
-
-  /// \brief The injected clock (never null; defaults to SteadyClock).
-  const Clock* clock() const { return clock_; }
-
- private:
-  /// The registry's admin hooks execute against the front end through a
-  /// private OpHost adapter (service/op_registry.h) defined in the .cc —
-  /// the primitives below are its surface.
-  friend class ShardedOpHost;
-
-  struct Shard {
-    std::unique_ptr<Engine> engine;
-    std::unique_ptr<TreeCatalog> catalog;
-    std::unique_ptr<QueryScheduler> scheduler;
-  };
-
-  /// Front-end load execution with stage spans (parse, catalog). Requests
-  /// and timing attribute to the shard owning the loaded content
-  /// (*out_shard; 0 when the load fails before routing) — so summing the
-  /// shards' registries reproduces the single scheduler's counts exactly.
-  Result<ServiceResponse> ExecuteLoad(const ServiceRequest& request,
-                                      const Clock* clk, ResponseTiming* timing,
-                                      int* out_shard);
-
-  /// The shared back half of Insert, ExecuteLoad, and InstallSnapshot:
-  /// routes by the directory (bound names stay on their shard) or the
-  /// StructKey partition, inserts via the shard catalog's
-  /// InsertWithIdentity, and records the binding — all under mu_, so
-  /// racing loads of one unbound name cannot route to different shards.
-  /// The identity is computed once on the front end (outside mu_) so the
-  /// locked section does only map work plus the catalog's own insert.
-  /// `out_shard` (optional) receives the shard the name routed to.
-  Result<CatalogEntry> InsertIdentityRouted(const std::string& name,
-                                            const TreeIdentity& identity,
-                                            int* out_shard = nullptr);
-
-  /// The shard bound to `name`, or NotFound with the same message
-  /// TreeCatalog::Lookup reports — routing must not change error lines.
-  Result<int> ShardForName(const std::string& name) const;
-
-  ServiceResponse StatsResponse() const;
-
-  /// Executes one kAdmin registry row (stats, metrics) against the merged
-  /// front-end state: the request counts against shard 0 *before* the hook
-  /// runs (a metrics scrape includes its own count, matching the single
-  /// scheduler's count-at-entry), and its latency is recorded after —
-  /// a scrape describes the work before it, never itself. Refusals (the
-  /// hook's own in-band errors, e.g. metrics while disabled) are
-  /// byte-identical to the single scheduler's by construction.
-  Result<ServiceResponse> ExecuteAdminOne(const ServiceRequest& request,
-                                          const Clock* clk);
-
-  /// Shard `s`'s instruments (nullptr when metrics are off). Front-end
-  /// work — loads, routing failures, stats/metrics ops — is recorded here
-  /// against its owning shard (shard 0 when no shard owns it), keeping
-  /// "merged scrape == what a single scheduler would have recorded" exact.
-  ServeInstruments* ShardInstruments(size_t s) const {
-    return shards_[s].scheduler->instruments();
-  }
-
-  /// Counts one front-end request (and its optional error/latency/stage
-  /// records) into shard `s`'s registry; no-op when metrics are off.
-  void RecordFrontend(size_t s, const ServiceRequest& request,
-                      const ResponseTiming& timing, bool ok) const;
-
-  /// The front-end timing gate, same rule as the per-shard schedulers:
-  /// live when metrics are on or this batch asked for a trace.
-  const Clock* TimingClock(bool any_trace) const {
-    return (ShardInstruments(0) != nullptr || any_trace) ? clock_ : nullptr;
-  }
-
-  std::vector<Shard> shards_;
-  const Clock* clock_;
-  // Guards directory_: name -> owning shard. Names route to the shard
-  // owning their content's structural key; the directory exists because
-  // queries address trees by name and the key is only known to the shard
-  // that loaded it.
-  mutable std::mutex mu_;
-  std::map<std::string, int> directory_;
-};
+using ShardedScheduler = QueryScheduler;
 
 }  // namespace cpdb
 

@@ -62,7 +62,7 @@ struct CatalogEntry {
 };
 
 /// \brief The full identity of one tree, computed once and reusable across
-/// catalogs (ShardedScheduler computes it on the front end, routes by
+/// catalogs (QueryScheduler computes it on the front end, routes by
 /// struct_key, then inserts into the target shard without re-serializing).
 struct TreeIdentity {
   ContentFp content_fp;
@@ -119,7 +119,7 @@ class TreeCatalog {
 
   /// \brief Insert with the identity precomputed by ComputeIdentity. Exists
   /// so a routing layer that already computed the identity to pick a shard
-  /// (ShardedScheduler) does not pay the serialization + canonicalization
+  /// (QueryScheduler) does not pay the serialization + canonicalization
   /// twice per load; Insert is ComputeIdentity + this.
   Result<CatalogEntry> InsertWithIdentity(const std::string& name,
                                           const TreeIdentity& identity);
@@ -142,7 +142,7 @@ class TreeCatalog {
 
   /// \brief The NotFound status Lookup reports for an unknown `name`.
   /// Exposed so routing layers that resolve names before reaching any
-  /// catalog (ShardedScheduler's directory) emit the byte-identical error
+  /// catalog (QueryScheduler's name directory) emit the byte-identical error
   /// line by construction, not by keeping a copied string in sync.
   static Status UnknownTreeError(const std::string& name);
 

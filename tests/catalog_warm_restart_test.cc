@@ -446,6 +446,60 @@ TEST_F(CatalogWarmRestartTest, SeedingRespectsTheCacheBudget) {
 }
 
 // ---------------------------------------------------------------------------
+// In-memory install of a non-canonical load
+// ---------------------------------------------------------------------------
+
+// A snapshot built from live state holds each tree's canonical orientation
+// in `record.tree`; installing it without an encode/decode round trip must
+// still bind the name to the record's own content identity. Re-loading the
+// original file under the same name is then an idempotent ok with the
+// original fingerprint, and the transcript equals the one after installing
+// the decoded file.
+TEST_F(CatalogWarmRestartTest, InMemoryInstallKeepsNonCanonicalIdentity) {
+  const std::string tree_path =
+      ::testing::TempDir() + "/warm_restart_noncanonical.sexp";
+  ASSERT_TRUE(WriteStringToFile(tree_path, kOtherTreeText).ok());
+  Result<TreeIdentity> identity =
+      TreeCatalog::ComputeIdentity(*ParseTree(kOtherTreeText));
+  ASSERT_TRUE(identity.ok());
+  ASSERT_NE(identity->content_fp.value(), identity->struct_key.value())
+      << "the fixture must be a non-canonical orientation";
+
+  ServiceRequest load;
+  load.op = ServiceRequest::Op::kLoad;
+  load.load_name = "t";
+  load.load_file = tree_path;
+  const std::vector<ServiceRequest> batch = {
+      load, TopKRequest("t", 2, TopKMetric::kSymDiff), WorldRequest("t"),
+      StatsRequest()};
+
+  for (int shards : {1, 4}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    QueryScheduler source(shards, ReferenceEngineOptions());
+    auto loaded = source.ExecuteBatch(batch);
+    ASSERT_TRUE(loaded[0].ok()) << label << loaded[0].status().ToString();
+    ASSERT_EQ(loaded[0]->fingerprint, identity->content_fp) << label;
+    const CatalogSnapshot snapshot = source.BuildSnapshot(true);
+    ASSERT_EQ(snapshot.trees.size(), 1u);
+
+    QueryScheduler direct(shards, ReferenceEngineOptions());
+    ASSERT_TRUE(direct.InstallSnapshot(snapshot).ok()) << label;
+    auto got = direct.ExecuteBatch(batch);
+    ASSERT_TRUE(got[0].ok()) << label << " " << got[0].status().ToString();
+    EXPECT_EQ(got[0]->fingerprint, identity->content_fp) << label;
+
+    const std::string bytes = EncodeCatalogSnapshot(snapshot);
+    Result<CatalogSnapshot> decoded =
+        DecodeCatalogSnapshot(bytes.data(), bytes.size());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    QueryScheduler from_file(shards, ReferenceEngineOptions());
+    ASSERT_TRUE(from_file.InstallSnapshot(*decoded).ok()) << label;
+    ExpectSameWire(got, from_file.ExecuteBatch(batch),
+                   /*compare_stats=*/true, label);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Concurrency (the TSan target): queries racing the snapshot install
 // ---------------------------------------------------------------------------
 

@@ -582,10 +582,13 @@ TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
                   .ok());
   CliResult plain = RunCliArgs({"serve", requests_path, "--threads=2"});
   ASSERT_EQ(plain.code, 1);  // the op=topk tree=nope slot fails in-band
+  CliResult plain_streamed =
+      RunCliArgs({"serve", requests_path, "--threads=2", "--stream"});
+  ASSERT_EQ(plain_streamed.code, 1);
 
   // Everything except the trailing stats line must be byte-identical
-  // across the default scheduler and every shard count, in batch and
-  // streaming modes alike.
+  // across the default and every shard count, in batch and streaming
+  // modes alike.
   auto lines_before_stats = [](const std::string& out) {
     return out.substr(0, out.find("ok\top=stats"));
   };
@@ -601,6 +604,13 @@ TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
     ASSERT_EQ(streamed.code, 1) << flag << " --stream: " << streamed.err;
     EXPECT_EQ(lines_before_stats(streamed.out), lines_before_stats(plain.out))
         << flag << " --stream";
+    if (shards == 1) {
+      // One shard is the default configuration: the whole transcript,
+      // stats line included, is the default one — no breakdown fields.
+      EXPECT_EQ(sharded.out, plain.out);
+      EXPECT_EQ(streamed.out, plain_streamed.out);
+      continue;
+    }
 
     // Aggregate stats totals equal the unsharded scheduler's counters;
     // the breakdown names the shard layout and sums to the totals.

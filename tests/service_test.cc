@@ -24,6 +24,7 @@
 #include "io/tree_text.h"
 #include "model/canonical.h"
 #include "model/possible_worlds.h"
+#include "service/catalog_snapshot.h"
 #include "service/rank_dist_cache.h"
 #include "service/tree_catalog.h"
 #include "workload/generators.h"
@@ -937,6 +938,86 @@ TEST_F(QuerySchedulerTest, TraceFieldsGatedByRequest) {
   // The answer prefix is byte-identical; trace fields are a pure suffix.
   EXPECT_EQ(traced_line.substr(0, traced_line.find("\ttrace_")),
             plain_line.substr(0, plain_line.size() - 1));
+}
+
+// With one shard there is nothing to route: the scheduler over a borrowed
+// catalog serves whatever that catalog holds — trees inserted straight
+// into it before or after construction, and trees installed through
+// InstallCatalogSnapshot — and an unknown name gets the catalog's own
+// NotFound bytes, in batch and one-at-a-time alike.
+TEST_F(QuerySchedulerTest, BorrowedCatalogServesEveryWayATreeArrives) {
+  Engine engine;
+  QueryScheduler scheduler(&engine, &catalog_);  // "t", "deep" inserted
+  ASSERT_TRUE(catalog_.InsertFromText("later", kOtherTreeText).ok());
+  TreeCatalog source;
+  ASSERT_TRUE(source.Insert("installed", RandomDeepTree(7)).ok());
+  ASSERT_TRUE(InstallCatalogSnapshot(BuildCatalogSnapshot(source, nullptr),
+                                     &catalog_, &scheduler)
+                  .ok());
+
+  // The reference: an owned one-shard scheduler fed the same trees.
+  QueryScheduler reference(1, EngineOptions());
+  for (const char* name : {"t", "deep", "later"}) {
+    ASSERT_TRUE(reference.Insert(name, *catalog_.Lookup(name)->tree).ok());
+  }
+  ASSERT_TRUE(reference.Insert("installed", RandomDeepTree(7)).ok());
+
+  for (const char* name : {"t", "deep", "later", "installed"}) {
+    SCOPED_TRACE(name);
+    const ServiceRequest request = TopKRequest(name, 2, TopKMetric::kSymDiff);
+    const Result<ServiceResponse> want = reference.ExecuteOne(request);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (const Result<ServiceResponse>& got :
+         {scheduler.ExecuteBatch({request})[0],
+          scheduler.ExecuteOne(request)}) {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->keys, want->keys);
+      EXPECT_EQ(got->expected_distance, want->expected_distance);
+    }
+  }
+
+  const ServiceRequest ghost = TopKRequest("ghost", 2, TopKMetric::kSymDiff);
+  const Status unknown = TreeCatalog::UnknownTreeError("ghost");
+  for (const Result<ServiceResponse>& got :
+       {scheduler.ExecuteBatch({ghost})[0], scheduler.ExecuteOne(ghost)}) {
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), unknown.code());
+    EXPECT_EQ(got.status().message(), unknown.message());
+  }
+}
+
+// An unknown name leaves exactly one set of metric records, whether the
+// shard's catalog (one shard) or the front end's directory (N > 1)
+// reports it.
+TEST_F(QuerySchedulerTest, UnknownTreeLeavesOneSetOfMetricRecords) {
+  Engine engine;
+  QueryScheduler borrowed(&engine, &catalog_);
+  QueryScheduler sharded(4, EngineOptions());
+  const ServiceRequest ghost = TopKRequest("ghost", 2, TopKMetric::kSymDiff);
+  for (QueryScheduler* scheduler : {&borrowed, &sharded}) {
+    for (bool batch : {true, false}) {
+      SCOPED_TRACE("shards=" + std::to_string(scheduler->num_shards()) +
+                   (batch ? " batch" : " one"));
+      const MetricsSnapshot before = scheduler->MetricsSnapshotNow();
+      const Result<ServiceResponse> got =
+          batch ? scheduler->ExecuteBatch({ghost})[0]
+                : scheduler->ExecuteOne(ghost);
+      ASSERT_FALSE(got.ok());
+      const MetricsSnapshot after = scheduler->MetricsSnapshotNow();
+      for (const char* counter :
+           {"cpdb_request_errors_total", "cpdb_topk_requests_total",
+            "cpdb_requests_total"}) {
+        EXPECT_EQ(after.Find(counter)->value, before.Find(counter)->value + 1)
+            << counter;
+      }
+      for (const char* histogram : {"cpdb_topk_latency_nanoseconds",
+                                    "cpdb_stage_catalog_latency_nanoseconds"}) {
+        EXPECT_EQ(after.Find(histogram)->hist.count,
+                  before.Find(histogram)->hist.count + 1)
+            << histogram;
+      }
+    }
+  }
 }
 
 }  // namespace

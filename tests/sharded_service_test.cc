@@ -437,17 +437,22 @@ TEST_F(ShardedSchedulerTest, StatsResponseRendersShardBreakdownFields) {
   EXPECT_EQ(std::stoll(*parsed->Find("misses")),
             std::stoll(*parsed->Find("s0_misses")) +
                 std::stoll(*parsed->Find("s1_misses")));
-  // The single-engine scheduler's stats line carries no shard fields at
-  // all — its wire output is byte-identical to the pre-sharding protocol.
+  // A one-shard scheduler's stats line carries no shard fields at all,
+  // from either constructor — its wire output is byte-identical to the
+  // pre-sharding protocol.
   Engine engine(ReferenceEngineOptions());
   TreeCatalog catalog;
-  QueryScheduler single(&engine, &catalog);
-  auto single_stats = single.ExecuteBatch({StatsRequest()});
-  ASSERT_TRUE(single_stats[0].ok());
-  std::string single_line =
-      FormatResponseLine(ResponseToFields(*single_stats[0]));
-  EXPECT_EQ(single_line.find("shards="), std::string::npos);
-  EXPECT_EQ(single_line.find("s0_"), std::string::npos);
+  QueryScheduler borrowed(&engine, &catalog);
+  QueryScheduler owned(1, ReferenceEngineOptions());
+  for (QueryScheduler* single : {&borrowed, &owned}) {
+    auto single_stats = single->ExecuteBatch({StatsRequest()});
+    ASSERT_TRUE(single_stats[0].ok());
+    EXPECT_TRUE(single_stats[0]->shard_stats.empty());
+    std::string single_line =
+        FormatResponseLine(ResponseToFields(*single_stats[0]));
+    EXPECT_EQ(single_line.find("shards="), std::string::npos);
+    EXPECT_EQ(single_line.find("s0_"), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@
 #include "obs/clock.h"
 #include "service/catalog_snapshot.h"
 #include "service/query_scheduler.h"
-#include "service/sharded_scheduler.h"
 #include "service/tree_catalog.h"
 
 namespace cpdb {
@@ -47,7 +46,7 @@ struct CliOptions {
   int64_t cache_budget = kUnboundedCacheBytes;  // serve: cache byte budget
   bool cache_budget_set = false;  // --cache-budget given (serve only)
   bool stream = false;     // serve: flush one response per request
-  int shards = 0;          // serve: 0 = single scheduler, N >= 1 = sharded
+  int shards = 1;          // serve: scheduler shards
   bool shards_set = false;  // --shards given (serve only)
   std::string catalog_path;       // serve: snapshot to load at startup
   std::string save_catalog_path;  // serve: snapshot to write at shutdown
@@ -543,11 +542,11 @@ bool ReadLine(std::FILE* in, std::string* line) {
 }
 
 // The serve command: reads one request per line (the protocol of
-// io/request_protocol.h) and answers through a QueryScheduler — or, with
-// --shards=N, through a ShardedScheduler that partitions requests across N
-// (engine, catalog, cache) contexts by tree fingerprint, splitting
-// --threads evenly across the shard engines. Answers are bitwise identical
-// in every configuration; only throughput and the stats breakdown change.
+// io/request_protocol.h) and answers through a QueryScheduler over
+// --shards=N (engine, catalog, cache) contexts, default 1, partitioned by
+// tree shape, splitting --threads evenly across the shard engines. Answers
+// are bitwise identical in every configuration; only throughput and, with
+// N > 1, the stats breakdown change.
 // Two execution modes:
 //
 //   batch (default)  — the whole input is one scheduler batch: catalog
@@ -584,30 +583,10 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   scheduler_options.cache_budget_bytes = opts.cache_budget;
   scheduler_options.enable_metrics = opts.metrics;
 
-  // One of the two back ends; the batch and streaming paths below
-  // dispatch on which pointer is set. The plain QueryScheduler is the
-  // default (wire output unchanged from before sharding existed);
-  // --shards=N builds the ShardedScheduler (N >= 1, so the one-shard
-  // configuration exercises the same front-end the differential tests
-  // compare against).
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<TreeCatalog> catalog;
-  std::unique_ptr<QueryScheduler> scheduler;
-  std::unique_ptr<ShardedScheduler> sharded;
-  if (opts.shards >= 1) {
-    EngineOptions engine_options;
-    engine_options.num_threads =
-        ShardedScheduler::ThreadsPerShard(opts.threads, opts.shards);
-    sharded = std::make_unique<ShardedScheduler>(opts.shards, engine_options,
-                                                 scheduler_options);
-  } else {
-    EngineOptions engine_options;
-    engine_options.num_threads = opts.threads;
-    engine = std::make_unique<Engine>(engine_options);
-    catalog = std::make_unique<TreeCatalog>();
-    scheduler = std::make_unique<QueryScheduler>(engine.get(), catalog.get(),
-                                                 scheduler_options);
-  }
+  EngineOptions engine_options;
+  engine_options.num_threads =
+      QueryScheduler::ThreadsPerShard(opts.threads, opts.shards);
+  QueryScheduler scheduler(opts.shards, engine_options, scheduler_options);
 
   // Warm restart: install the snapshot before reading any request. A
   // missing, unreadable, or corrupt snapshot is a *startup error* — the
@@ -618,13 +597,8 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
     Result<CatalogSnapshot> snapshot =
         opts.mmap ? MmapCatalogSnapshotFile(opts.catalog_path)
                   : ReadCatalogSnapshotFile(opts.catalog_path);
-    Status installed =
-        snapshot.ok()
-            ? (sharded != nullptr
-                   ? sharded->InstallSnapshot(*snapshot)
-                   : InstallCatalogSnapshot(*snapshot, catalog.get(),
-                                            scheduler.get()))
-            : snapshot.status();
+    Status installed = snapshot.ok() ? scheduler.InstallSnapshot(*snapshot)
+                                     : snapshot.status();
     if (!installed.ok()) {
       std::fprintf(err, "catalog error: cannot load '%s': %s\n",
                    opts.catalog_path.c_str(), installed.ToString().c_str());
@@ -634,17 +608,11 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   }
 
   // The transport's own instrumentation: parse and format stages record
-  // into the scheduler's registry (shard 0's when sharded — the same place
-  // every other front-end record lands), and the slow-query log reads the
-  // side-band timing off each answered response. All of it is inert when
-  // metrics are off.
-  ServeInstruments* instruments = sharded != nullptr
-                                      ? sharded->frontend_instruments()
-                                      : scheduler->instruments();
-  const Clock* clk = instruments != nullptr
-                         ? (sharded != nullptr ? sharded->clock()
-                                               : scheduler->clock())
-                         : nullptr;
+  // into the scheduler's front-end registry, and the slow-query log reads
+  // the side-band timing off each answered response. All of it is inert
+  // when metrics are off.
+  ServeInstruments* instruments = scheduler.instruments();
+  const Clock* clk = instruments != nullptr ? scheduler.clock() : nullptr;
   const int64_t slow_nanos =
       opts.slow_query_set ? opts.slow_query_ms * 1000000 : -1;
   // Logs one stderr line for an answered request that ran longer than the
@@ -714,13 +682,7 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
       }
       std::fflush(out);
     };
-    // Both back ends share the scheduler-level interleaving contract;
-    // dispatch to whichever owns this serve.
-    if (sharded != nullptr) {
-      sharded->ExecuteStreaming(next, emit);
-    } else {
-      scheduler->ExecuteStreaming(next, emit);
-    }
+    scheduler.ExecuteStreaming(next, emit);
   } else {
     // Batch: tokenize and type every line up front; comment lines produce
     // no response. Slots keep their input line number for error reporting.
@@ -747,8 +709,7 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
       if (request.ok()) batch.push_back(*request);
     }
     std::vector<Result<ServiceResponse>> results =
-        sharded != nullptr ? sharded->ExecuteBatch(batch)
-                           : scheduler->ExecuteBatch(batch);
+        scheduler.ExecuteBatch(batch);
 
     size_t cursor = 0;
     for (size_t i = 0; i < parsed.size(); ++i) {
@@ -782,9 +743,7 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   // A failed save is a failed serve: the operator asked for durability.
   if (!opts.save_catalog_path.empty()) {
     CatalogSnapshot snapshot =
-        sharded != nullptr
-            ? sharded->BuildSnapshot(/*include_distributions=*/true)
-            : BuildCatalogSnapshot(*catalog, scheduler.get());
+        scheduler.BuildSnapshot(/*include_distributions=*/true);
     Status saved = WriteCatalogSnapshotFile(opts.save_catalog_path, snapshot);
     if (!saved.ok()) {
       std::fprintf(err, "catalog error: cannot save '%s': %s\n",
@@ -973,13 +932,14 @@ std::string CliUsage() {
       "                      queries see only trees loaded earlier in the\n"
       "                      stream\n"
       "  --shards=N          serve only: partition requests across N\n"
-      "                      engine shards by structural key (each\n"
-      "                      shard engine gets max(1, threads/N) threads,\n"
-      "                      so N > threads raises the total to N; a\n"
-      "                      --cache-budget applies to each shard's\n"
+      "                      engine shards by structural key (default 1;\n"
+      "                      each shard engine gets max(1, threads/N)\n"
+      "                      threads, so N > threads raises the total to\n"
+      "                      N; a --cache-budget applies to each shard's\n"
       "                      caches, so retained bytes scale with N;\n"
       "                      answers are bitwise identical for any N;\n"
-      "                      op=stats adds per-shard breakdown fields)\n"
+      "                      with N > 1 op=stats adds per-shard breakdown\n"
+      "                      fields)\n"
       "  --catalog=FILE      serve only: load a catalog snapshot (written\n"
       "                      by --save-catalog) before reading requests —\n"
       "                      the warm-restart path. A missing or corrupt\n"
