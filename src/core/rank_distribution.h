@@ -18,6 +18,12 @@
 
 namespace cpdb {
 
+/// \brief The largest rank cutoff k any input surface accepts: a request's
+/// k= field, the CLI's --k, and a snapshot's persisted distribution
+/// records. A distribution holds k doubles per key, so the ceiling bounds
+/// what one request (or one forged file) can make the process allocate.
+inline constexpr int kMaxRankK = 1 << 20;
+
 /// \brief Pr(r(t) = i) and Pr(r(t) <= i) for every key and every i in 1..k.
 ///
 /// Paper semantics: these positional probabilities are the sufficient

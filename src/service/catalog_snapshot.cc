@@ -13,7 +13,6 @@
 #include "io/mmap_file.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
-#include "model/canonical.h"
 #include "service/query_scheduler.h"
 
 namespace cpdb {
@@ -30,7 +29,6 @@ constexpr size_t kMinTreeRecordBytesV1 = 4 + 8 + 8;      // empty name/content
 constexpr size_t kMinTreeRecordBytesV2 = 4 + 8 + 8 + 8;  // + struct key
 constexpr size_t kMinDistRecordBytes = 8 + 4 + 8;   // zero keys
 constexpr size_t kMinKeyBlockBytes = 4 + 8;         // key id + one double
-constexpr int kMaxSnapshotK = 1 << 20;  // the scheduler's own k ceiling
 
 // --- little-endian primitives (explicit byte shifts: the format must not
 // depend on host endianness or on struct layout) -------------------------
@@ -252,24 +250,19 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
   snapshot.trees.reserve(static_cast<size_t>(tree_count));
   std::set<std::string> seen_names;
   // v1 dist records address trees by content fingerprint; v2 by structural
-  // key. Both maps note whether the stored content is already canonical —
-  // the condition under which a v1 fingerprint-keyed fold may legally be
-  // remapped to the shape key.
-  struct TreeRef {
-    const SnapshotTree* record;
-    bool content_is_canonical;
-  };
-  std::map<uint64_t, TreeRef> by_fingerprint;
-  std::map<uint64_t, TreeRef> by_struct_key;
+  // key.
+  std::map<uint64_t, const SnapshotTree*> by_fingerprint;
+  std::map<uint64_t, const SnapshotTree*> by_struct_key;
 
   for (uint64_t index = 0; index < tree_count; ++index) {
     const std::string where = "tree record " + std::to_string(index);
-    SnapshotTree record;
+    std::string name;
+    std::string text;
     uint32_t name_len = 0;
     if (!reader.ReadU32(&name_len) || reader.remaining() < name_len) {
       return Truncated(where + " name");
     }
-    reader.ReadBytes(name_len, &record.name);
+    reader.ReadBytes(name_len, &name);
     uint64_t fingerprint = 0;
     uint64_t stored_struct_key = 0;
     uint64_t content_len = 0;
@@ -281,7 +274,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
     if (content_len > reader.remaining()) {
       return Truncated(where + " tree text");
     }
-    reader.ReadBytes(static_cast<size_t>(content_len), &record.content);
+    reader.ReadBytes(static_cast<size_t>(content_len), &text);
 
     // Semantic validation. Names and content go through exactly the checks
     // line-by-line loading applies, plus the format's own invariants: the
@@ -290,55 +283,51 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
     // stays injective over formatted texts — a hand-crafted denormalized
     // record would corrupt the catalog's content dedup), and in v2 the
     // stored structural key must hash the canonical re-orientation.
-    if (record.name.empty()) {
+    if (name.empty()) {
       return Status::ParseError(where + ": catalog name must not be empty");
     }
-    if (!seen_names.insert(record.name).second) {
-      return Status::ParseError(where + ": duplicate catalog name '" +
-                                record.name + "'");
+    if (!seen_names.insert(name).second) {
+      return Status::ParseError(where + ": duplicate catalog name '" + name +
+                                "'");
     }
-    if (fingerprint != Fnv1a64(record.content)) {
+    if (fingerprint != Fnv1a64(text)) {
       return Status::ParseError(
-          where + " ('" + record.name +
+          where + " ('" + name +
           "'): stored fingerprint does not hash the stored tree text");
     }
-    record.content_fp = ContentFp(fingerprint);
-    Result<AndXorTree> parsed = ParseTree(record.content);
+    Result<AndXorTree> parsed = ParseTree(text);
     if (!parsed.ok()) {
-      return Status::ParseError(where + " ('" + record.name +
+      return Status::ParseError(where + " ('" + name +
                                 "'): embedded tree does not parse: " +
                                 parsed.status().message());
     }
-    if (FormatTree(*parsed, /*indent=*/false) != record.content) {
+    // The identity is derived exactly as a live load derives it; only the
+    // stored fields are checked against it, never trusted (v1 has no
+    // structural key to go by; in v2 a forged key would route the binding
+    // to the wrong shard and the wrong cache lines).
+    Result<TreeIdentity> identity =
+        TreeCatalog::ComputeIdentity(std::move(parsed).ValueOrDie());
+    if (!identity.ok()) {
+      return Status::ParseError(where + " ('" + name +
+                                "'): embedded tree does not canonicalize: " +
+                                identity.status().message());
+    }
+    if (identity->content != text) {
       return Status::ParseError(
-          where + " ('" + record.name +
+          where + " ('" + name +
           "'): stored tree text is not in canonical form");
     }
-    // The structural key is never trusted: recompute it from the parsed
-    // tree (v1 has nothing else to go by; in v2 a forged key would route
-    // the binding to the wrong shard and the wrong cache lines).
-    Result<AndXorTree> canonical = CanonicalizeTree(*parsed);
-    if (!canonical.ok()) {
-      return Status::ParseError(where + " ('" + record.name +
-                                "'): embedded tree does not canonicalize: " +
-                                canonical.status().message());
-    }
-    const std::string canonical_bytes =
-        FormatTree(*canonical, /*indent=*/false);
-    const bool content_is_canonical = canonical_bytes == record.content;
-    record.struct_key = StructKey(Fnv1a64(canonical_bytes));
-    if (version >= 2 && stored_struct_key != record.struct_key.value()) {
+    if (version >= 2 && stored_struct_key != identity->struct_key.value()) {
       return Status::ParseError(
-          where + " ('" + record.name +
+          where + " ('" + name +
           "'): stored structural key does not hash the canonical form of "
           "the stored tree");
     }
-    record.tree =
-        std::make_shared<const AndXorTree>(std::move(parsed).ValueOrDie());
-    snapshot.trees.push_back(std::move(record));
-    const TreeRef ref{&snapshot.trees.back(), content_is_canonical};
-    by_fingerprint.emplace(fingerprint, ref);
-    by_struct_key.emplace(snapshot.trees.back().struct_key.value(), ref);
+    snapshot.trees.push_back(
+        SnapshotTree{std::move(identity).ValueOrDie(), std::move(name)});
+    const SnapshotTree* record = &snapshot.trees.back();
+    by_fingerprint.emplace(fingerprint, record);
+    by_struct_key.emplace(record->struct_key.value(), record);
   }
 
   snapshot.distributions.reserve(static_cast<size_t>(dist_count));
@@ -353,10 +342,10 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
         !reader.ReadU64(&key_count)) {
       return Truncated(where);
     }
-    if (k < 1 || k > static_cast<uint32_t>(kMaxSnapshotK)) {
+    if (k < 1 || k > static_cast<uint32_t>(kMaxRankK)) {
       return Status::ParseError(where + ": k " + std::to_string(k) +
                                 " out of range [1, " +
-                                std::to_string(kMaxSnapshotK) + "]");
+                                std::to_string(kMaxRankK) + "]");
     }
     const size_t key_block = kMinKeyBlockBytes +
                              (static_cast<size_t>(k) - 1) * sizeof(uint64_t);
@@ -366,7 +355,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
     }
     // v1 addresses the owning tree by content fingerprint, v2 by
     // structural key; a dangling reference is a defect in both.
-    const std::map<uint64_t, TreeRef>& dist_index =
+    const std::map<uint64_t, const SnapshotTree*>& dist_index =
         version >= 2 ? by_struct_key : by_fingerprint;
     auto tree_it = dist_index.find(dist_key);
     if (tree_it == dist_index.end()) {
@@ -376,6 +365,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
           HashToHex(dist_key) +
           ", which no tree record in this snapshot carries");
     }
+    const SnapshotTree& tree = *tree_it->second;
     if (!seen_dists.emplace(dist_key, static_cast<int>(k)).second) {
       return Status::ParseError(
           where + ": duplicate (" +
@@ -415,12 +405,12 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
     // permutes children, never leaves, so the key set is orientation-
     // independent and this check is valid under both addressings.)
     RankDistribution dist = std::move(builder).Build();
-    if (dist.keys() != tree_it->second.record->tree->Keys()) {
+    if (dist.keys() != tree.canonical_tree->Keys()) {
       return Status::ParseError(
           where + ": distribution keys do not match the keys of its tree ('" +
-          tree_it->second.record->name + "')");
+          tree.name + "')");
     }
-    if (version < 2 && !tree_it->second.content_is_canonical) {
+    if (version < 2 && tree.canonical_bytes != tree.content) {
       // A v1 fold persisted for a non-canonical orientation: the re-keyed
       // cache serves only canonical-orientation folds, and remapping this
       // one could differ in the last bit. Fully validated above, then
@@ -428,8 +418,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
       continue;
     }
     SnapshotDistribution record;
-    record.struct_key = version >= 2 ? StructKey(dist_key)
-                                     : tree_it->second.record->struct_key;
+    record.struct_key = tree.struct_key;
     record.k = static_cast<int>(k);
     record.dist = std::make_shared<const RankDistribution>(std::move(dist));
     snapshot.distributions.push_back(std::move(record));
@@ -452,20 +441,15 @@ CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
   CatalogSnapshot snapshot;
   std::set<uint64_t> struct_keys;
   for (CatalogEntry& entry : catalog.SnapshotEntries()) {
-    SnapshotTree record;
-    record.name = std::move(entry.name);
-    record.content_fp = entry.content_fp;
-    record.struct_key = entry.struct_key;
-    // The stored bytes are the binding's wire identity — what kLoad
+    // The stored identity carries the binding's wire bytes — what kLoad
     // carried, which ContentFp hashes — not the canonical orientation the
     // entry's shared tree holds; the catalog retains them for exactly this
     // round trip.
-    Result<std::string> content = catalog.ContentBytes(entry.content_fp);
-    if (!content.ok()) continue;  // unreachable for a live entry
-    record.content = std::move(content).ValueOrDie();
-    record.tree = std::move(entry.tree);
-    struct_keys.insert(record.struct_key.value());
-    snapshot.trees.push_back(std::move(record));
+    Result<TreeIdentity> identity = catalog.IdentityOf(entry.content_fp);
+    if (!identity.ok()) continue;  // unreachable for a live entry
+    struct_keys.insert(identity->struct_key.value());
+    snapshot.trees.push_back(
+        SnapshotTree{std::move(identity).ValueOrDie(), std::move(entry.name)});
   }
   if (scheduler != nullptr) {
     for (RankDistCache::RetainedEntry& entry :
@@ -484,19 +468,12 @@ CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
   return snapshot;
 }
 
-Result<CatalogEntry> InsertSnapshotTree(const SnapshotTree& record,
-                                        TreeCatalog* catalog) {
-  // The content bytes carry the wire identity; the catalog re-canonicalizes
-  // the tree itself, so the record's orientation does not matter.
-  return catalog->InsertCanonical(record.name, AndXorTree(*record.tree),
-                                  record.content, record.content_fp);
-}
-
 Status InstallCatalogSnapshot(const CatalogSnapshot& snapshot,
                               TreeCatalog* catalog,
                               QueryScheduler* scheduler) {
   for (const SnapshotTree& record : snapshot.trees) {
-    CPDB_RETURN_NOT_OK(InsertSnapshotTree(record, catalog).status());
+    CPDB_RETURN_NOT_OK(
+        catalog->InsertWithIdentity(record.name, record).status());
   }
   if (scheduler != nullptr) {
     for (const SnapshotDistribution& record : snapshot.distributions) {

@@ -10,9 +10,10 @@
 //     structural key, content serialization). The content text is the
 //     format's source of truth: ContentFp is definitionally Fnv1a64 over
 //     it, and StructKey is Fnv1a64 over the canonical re-orientation of
-//     the tree it parses to, so a loaded catalog's identities are
-//     byte-identical to a cold catalog's by construction, not by trust in
-//     the file (the stored StructKey is verified against the recomputed
+//     the tree it parses to. The decoder derives both with the catalog's
+//     own TreeCatalog::ComputeIdentity, so a loaded catalog's identities
+//     are byte-identical to a cold catalog's by construction, not by trust
+//     in the file (the stored StructKey is verified against the recomputed
 //     one — it exists in the file so operators and tools can read the
 //     dedup identity without re-canonicalizing);
 //   * optional precomputed (StructKey, k) rank-distribution sections —
@@ -71,7 +72,6 @@
 #include "common/hash.h"
 #include "common/result.h"
 #include "core/rank_distribution.h"
-#include "model/and_xor_tree.h"
 #include "service/tree_catalog.h"
 
 namespace cpdb {
@@ -89,17 +89,16 @@ inline constexpr char kCatalogSnapshotMagic[8] = {'C', 'P', 'D', 'B',
 /// notes above for how their records map into the two-level identity.
 inline constexpr uint32_t kCatalogSnapshotVersion = 2;
 
-/// \brief One persisted catalog binding. `content` is the wire-visible
-/// serialization (what a kLoad of this binding carried); `tree` is its
-/// parsed, validated form; `content_fp` is Fnv1a64(content) and
-/// `struct_key` hashes the canonical re-orientation (all verified on
-/// decode, supplied by the catalog on save).
-struct SnapshotTree {
+/// \brief One persisted catalog binding: a named TreeIdentity. `content` is
+/// the wire-visible serialization (what a kLoad of this binding carried)
+/// and `content_fp` its Fnv1a64; `struct_key`, `canonical_bytes` and
+/// `canonical_tree` are its shape. The decoder fills the identity from one
+/// TreeCatalog::ComputeIdentity call over the parsed content and verifies
+/// it against the stored fields; a built snapshot copies the catalog's
+/// stored identity (TreeCatalog::IdentityOf). Either way install inserts
+/// the record as is, without re-deriving anything.
+struct SnapshotTree : TreeIdentity {
   std::string name;
-  ContentFp content_fp;
-  StructKey struct_key;
-  std::string content;
-  std::shared_ptr<const AndXorTree> tree;
 };
 
 /// \brief One persisted precomputed rank distribution, keyed exactly like
@@ -141,26 +140,19 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size);
 CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
                                      const QueryScheduler* scheduler);
 
-/// \brief Inserts one snapshot binding into `catalog` with the record's
-/// own wire identity (content bytes and fingerprint) through
-/// TreeCatalog::InsertCanonical — the seam line-by-line loading ends in.
-/// The record's tree may be any orientation of that content (a snapshot
-/// built from a live catalog holds the canonical one), so nothing about
-/// the binding's identity is re-derived from it. Every snapshot install
-/// inserts each record through this.
-Result<CatalogEntry> InsertSnapshotTree(const SnapshotTree& record,
-                                        TreeCatalog* catalog);
-
 /// \brief Installs a decoded snapshot into one catalog: inserts every
-/// tree through InsertSnapshotTree — so identities, dedup, and
-/// AlreadyExists/rebind semantics are byte-identical to feeding the
-/// content texts as individual loads — and, when `scheduler` is non-null,
-/// seeds its rank-distribution cache with the snapshot's precomputed
-/// sections. (QueryScheduler::InstallSnapshot is the routed form.) Into a fresh catalog this cannot
-/// fail (decode already validated everything); into a pre-populated
-/// catalog a name bound to different content fails with the catalog's own
-/// AlreadyExists, leaving earlier entries installed — exactly as the same
-/// sequence of loads would.
+/// record through TreeCatalog::InsertWithIdentity — the seam line-by-line
+/// loading ends in, so identities, dedup, and AlreadyExists/rebind
+/// semantics are byte-identical to feeding the content texts as individual
+/// loads, and the first record of each shape donates its canonical tree to
+/// the catalog — and, when `scheduler` is non-null, seeds its
+/// rank-distribution cache with the snapshot's precomputed sections.
+/// (QueryScheduler::InstallSnapshot is the routed form.) Records are
+/// trusted: the decoder verified every field, and a built snapshot copies a
+/// live catalog's. Into a fresh catalog this cannot fail; into a
+/// pre-populated catalog a name bound to different content fails with the
+/// catalog's own AlreadyExists, leaving earlier entries installed — exactly
+/// as the same sequence of loads would.
 Status InstallCatalogSnapshot(const CatalogSnapshot& snapshot,
                               TreeCatalog* catalog, QueryScheduler* scheduler);
 

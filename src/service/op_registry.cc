@@ -9,6 +9,7 @@
 
 #include "common/hash.h"
 #include "core/aggregates.h"
+#include "core/rank_distribution.h"
 #include "core/ranking_baselines.h"
 #include "core/topk_metrics.h"
 #include "model/possible_worlds.h"
@@ -110,7 +111,7 @@ Result<std::string> RequiredField(const RequestLine& line,
 Result<int> ParseKField(const RequestLine& line) {
   CPDB_ASSIGN_OR_RETURN(std::string k_text, RequiredField(line, "k"));
   CPDB_ASSIGN_OR_RETURN(long long k, ParseStrictInt("k", k_text));
-  if (k < 1 || k > (1 << 20)) {
+  if (k < 1 || k > kMaxRankK) {
     return Status::InvalidArgument("k out of range, got '" + k_text + "'");
   }
   return static_cast<int>(k);

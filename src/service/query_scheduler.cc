@@ -595,12 +595,11 @@ Result<CatalogEntry> QueryScheduler::Insert(const std::string& name,
 Status QueryScheduler::InstallSnapshot(const CatalogSnapshot& snapshot) {
   for (const SnapshotTree& record : snapshot.trees) {
     // Routed by the decoder-verified structural key; inserted with the
-    // record's own wire identity, never one re-derived from `record.tree`
-    // (a saved snapshot holds the canonical orientation there).
+    // record's own identity as is, like a live load after ComputeIdentity.
     CPDB_RETURN_NOT_OK(InsertRouted(record.name, record.struct_key,
                                     [&record](TreeCatalog* catalog) {
-                                      return InsertSnapshotTree(record,
-                                                                catalog);
+                                      return catalog->InsertWithIdentity(
+                                          record.name, record);
                                     })
                            .status());
   }

@@ -330,8 +330,9 @@ class QueryScheduler {
   Result<CatalogEntry> Insert(const std::string& name, AndXorTree tree);
 
   /// \brief Installs a decoded catalog snapshot (service/catalog_snapshot.h):
-  /// every record inserts with its own wire identity (InsertSnapshotTree)
-  /// into the shard owning its structural key, through the same routing
+  /// every record inserts as is (TreeCatalog::InsertWithIdentity — the
+  /// identity the decoder computed, or a live catalog's) into the shard
+  /// owning its structural key, through the same routing
   /// kLoad takes — so query routing, dedup, and AlreadyExists/rebind
   /// semantics are identical to loading the same trees line-by-line — and
   /// every persisted rank distribution seeds the cache of the shard that

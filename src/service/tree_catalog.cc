@@ -9,18 +9,13 @@
 
 namespace cpdb {
 
-ContentFp TreeCatalog::FingerprintTree(const AndXorTree& tree) {
-  // The canonical single-line serialization, not the user's input text:
-  // formatting differences must not split identical trees into distinct
-  // fingerprints.
-  return ContentFp(Fnv1a64(FormatTree(tree, /*indent=*/false)));
-}
-
 Result<TreeIdentity> TreeCatalog::ComputeIdentity(AndXorTree tree) {
   CPDB_RETURN_NOT_OK(tree.Validate());
   TreeIdentity identity;
-  identity.content_bytes = FormatTree(tree, /*indent=*/false);
-  identity.content_fp = ContentFp(Fnv1a64(identity.content_bytes));
+  // The single-line serialization, not the user's input text: formatting
+  // differences must not split identical trees into distinct fingerprints.
+  identity.content = FormatTree(tree, /*indent=*/false);
+  identity.content_fp = ContentFp(Fnv1a64(identity.content));
   CPDB_ASSIGN_OR_RETURN(AndXorTree canonical, CanonicalizeTree(tree));
   identity.canonical_bytes = FormatTree(canonical, /*indent=*/false);
   identity.struct_key = StructKey(Fnv1a64(identity.canonical_bytes));
@@ -63,7 +58,7 @@ Result<CatalogEntry> TreeCatalog::InsertWithIdentityLocked(
     auto content = by_content_.find(named->second.content_fp);
     if (named->second.content_fp == identity.content_fp &&
         content != by_content_.end() &&
-        content->second.bytes == identity.content_bytes) {
+        content->second.bytes == identity.content) {
       return named->second;  // idempotent re-load of identical content
     }
     return Status::AlreadyExists("catalog name '" + name +
@@ -71,7 +66,7 @@ Result<CatalogEntry> TreeCatalog::InsertWithIdentityLocked(
   }
   auto content = by_content_.find(identity.content_fp);
   if (content != by_content_.end() &&
-      content->second.bytes != identity.content_bytes) {
+      content->second.bytes != identity.content) {
     return Status::Internal("fingerprint collision: '" + name +
                             "' hashes like existing content it does not "
                             "equal; rename is no workaround — the content "
@@ -100,35 +95,12 @@ Result<CatalogEntry> TreeCatalog::InsertWithIdentityLocked(
   if (content == by_content_.end()) {
     by_content_.emplace(identity.content_fp,
                         ContentRecord{identity.struct_key,
-                                      identity.content_bytes});
+                                      identity.content});
   }
   CatalogEntry entry{name, identity.content_fp, identity.struct_key,
                      shape->second.tree, shape->second.program};
   by_name_.emplace(name, entry);
   return entry;
-}
-
-Result<CatalogEntry> TreeCatalog::InsertCanonical(const std::string& name,
-                                                  AndXorTree tree,
-                                                  std::string content_bytes,
-                                                  ContentFp content_fp) {
-  if (name.empty()) {
-    return Status::InvalidArgument("catalog name must not be empty");
-  }
-  // The caller owns the wire identity (content bytes + fingerprint); derive
-  // only the structural level here. `tree` may be any orientation of the
-  // content — canonicalization collapses it to the shape's one orientation.
-  CPDB_RETURN_NOT_OK(tree.Validate());
-  TreeIdentity identity;
-  identity.content_bytes = std::move(content_bytes);
-  identity.content_fp = content_fp;
-  CPDB_ASSIGN_OR_RETURN(AndXorTree canonical,
-                        CanonicalizeTree(std::move(tree)));
-  identity.canonical_bytes = FormatTree(canonical, /*indent=*/false);
-  identity.struct_key = StructKey(Fnv1a64(identity.canonical_bytes));
-  identity.canonical_tree =
-      std::make_shared<const AndXorTree>(std::move(canonical));
-  return InsertWithIdentity(name, identity);
 }
 
 Result<CatalogEntry> TreeCatalog::InsertFromText(const std::string& name,
@@ -169,14 +141,18 @@ int64_t TreeCatalog::fold_compiles() const {
   return fold_compiles_;
 }
 
-Result<std::string> TreeCatalog::ContentBytes(ContentFp content_fp) const {
+Result<TreeIdentity> TreeCatalog::IdentityOf(ContentFp content_fp) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_content_.find(content_fp);
-  if (it == by_content_.end()) {
+  auto content = by_content_.find(content_fp);
+  if (content == by_content_.end()) {
     return Status::NotFound("no catalog content with fingerprint " +
                             HashToHex(content_fp));
   }
-  return it->second.bytes;
+  // Every content record's shape is present: both levels are immortal.
+  const ShapeRecord& shape = by_shape_.at(content->second.struct_key);
+  return TreeIdentity{content_fp, content->second.struct_key,
+                      content->second.bytes, shape.canonical_bytes,
+                      shape.tree};
 }
 
 std::vector<CatalogEntry> TreeCatalog::SnapshotEntries() const {

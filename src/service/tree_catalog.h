@@ -61,16 +61,18 @@ struct CatalogEntry {
   std::shared_ptr<const FlatTree> program;
 };
 
-/// \brief The full identity of one tree, computed once and reusable across
-/// catalogs (QueryScheduler computes it on the front end, routes by
-/// struct_key, then inserts into the target shard without re-serializing).
+/// \brief The full identity of one tree. ComputeIdentity is the only place
+/// it is derived; everything else carries it: QueryScheduler computes it on
+/// the front end, routes by struct_key, then inserts into the target shard
+/// without re-serializing, and a decoded snapshot record is one
+/// (service/catalog_snapshot.h), inserted as is.
 struct TreeIdentity {
   ContentFp content_fp;
   StructKey struct_key;
   /// FormatTree(loaded tree, indent=false) — the bytes ContentFp hashes.
-  std::string content_bytes;
+  std::string content;
   /// FormatTree(canonical orientation, indent=false) — the bytes StructKey
-  /// hashes. Equal to content_bytes iff the input was already canonical.
+  /// hashes. Equal to content iff the input was already canonical.
   std::string canonical_bytes;
   std::shared_ptr<const AndXorTree> canonical_tree;
 };
@@ -93,11 +95,6 @@ struct CatalogCounts {
 /// shape arrives (bounded by tree size, and exactly once per shape).
 class TreeCatalog {
  public:
-  /// \brief The wire-visible fingerprint `tree` would be stored under: the
-  /// stable hash of its canonical serialization. Exposed so callers can
-  /// compute identities for trees that never enter a catalog.
-  static ContentFp FingerprintTree(const AndXorTree& tree);
-
   /// \brief Computes the full two-level identity of `tree`: content bytes
   /// and ContentFp of the given orientation, plus the canonical orientation
   /// (model/canonical.h) with its bytes and StructKey. Validates the tree;
@@ -120,21 +117,12 @@ class TreeCatalog {
   /// \brief Insert with the identity precomputed by ComputeIdentity. Exists
   /// so a routing layer that already computed the identity to pick a shard
   /// (QueryScheduler) does not pay the serialization + canonicalization
-  /// twice per load; Insert is ComputeIdentity + this.
+  /// twice per load, and so a snapshot record (an identity the decoder
+  /// computed and verified, or one IdentityOf returned) installs without
+  /// re-deriving it; Insert is ComputeIdentity + this. The identity is
+  /// trusted: every field must be what ComputeIdentity would return.
   Result<CatalogEntry> InsertWithIdentity(const std::string& name,
                                           const TreeIdentity& identity);
-
-  /// \brief Insert with the wire identity precomputed by the caller:
-  /// `content_bytes` MUST be the canonical serialization the caller loaded
-  /// (FormatTree of the orientation `content_fp` fingerprints) and
-  /// `content_fp` its Fnv1a64 — a mismatch corrupts the content dedup.
-  /// `tree` may be any orientation of that content (snapshot install hands
-  /// in the canonical orientation; live loads the as-parsed one): it is
-  /// canonicalized here to derive the structural level.
-  Result<CatalogEntry> InsertCanonical(const std::string& name,
-                                       AndXorTree tree,
-                                       std::string content_bytes,
-                                       ContentFp content_fp);
 
   /// \brief Parses `text` (the s-expression tree format) and inserts it.
   Result<CatalogEntry> InsertFromText(const std::string& name,
@@ -161,11 +149,12 @@ class TreeCatalog {
   /// cpdb_fold_compiles_total metric alongside the engine's own counter.
   int64_t fold_compiles() const;
 
-  /// \brief The stored content bytes for a ContentFp (the exact
-  /// serialization its wire identity hashes), or NotFound. Snapshot
-  /// building reads this so v2 records persist the content orientation,
-  /// not the canonical one.
-  Result<std::string> ContentBytes(ContentFp content_fp) const;
+  /// \brief The stored identity of a ContentFp, or NotFound: the content
+  /// bytes its wire identity hashes, plus its shape's key, canonical bytes
+  /// and shared canonical tree. Snapshot building reads this so records
+  /// persist the content orientation, not the canonical one, and carry the
+  /// tree the catalog already holds.
+  Result<TreeIdentity> IdentityOf(ContentFp content_fp) const;
 
   /// \brief Every entry, in name order — deterministic regardless of load
   /// order, which is what makes a catalog snapshot saved from live state

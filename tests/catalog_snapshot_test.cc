@@ -80,8 +80,8 @@ SnapshotTree MakeTreeRecord(const std::string& name,
           StructKey(Fnv1a64(FormatTree(*canonical, /*indent=*/false)));
     }
   }
-  // Encoding never consults `tree`, which is what lets these tests craft
-  // records whose bytes a live catalog could not produce.
+  // Encoding never consults `canonical_tree`, which is what lets these
+  // tests craft records whose bytes a live catalog could not produce.
   return record;
 }
 
@@ -90,7 +90,8 @@ SnapshotTree CatalogTreeRecord(const std::string& name,
   AndXorTree tree = Tree(text);
   SnapshotTree record =
       MakeTreeRecord(name, FormatTree(tree, /*indent=*/false));
-  record.tree = std::make_shared<const AndXorTree>(std::move(tree));
+  record.canonical_tree =
+      std::make_shared<const AndXorTree>(std::move(tree));
   return record;
 }
 
@@ -325,7 +326,7 @@ TEST(CatalogSnapshotCorruptionTest, NonCanonicalTreeTextIsRejected) {
   // kTreeText parses fine but is the *indented-author* form; the canonical
   // form is FormatTree's single line. Accepting it would let a
   // hand-crafted snapshot plant a (fingerprint, canonical) pair that
-  // disagrees with what InsertCanonical requires.
+  // disagrees with what ComputeIdentity derives.
   AndXorTree tree = Tree(kTreeText);
   const std::string canonical = FormatTree(tree, /*indent=*/false);
   const std::string indented = FormatTree(tree, /*indent=*/true);
@@ -392,7 +393,7 @@ TEST(CatalogSnapshotCorruptionTest, DistributionRecordDefectsAreRejected) {
   // Non-finite and out-of-range probabilities.
   for (double bad : {std::nan(""), 2.0, -0.5}) {
     RankDistributionBuilder builder(2);
-    for (KeyId key : valid.trees[0].tree->Keys()) {
+    for (KeyId key : valid.trees[0].canonical_tree->Keys()) {
       builder.EnsureKey(key);
       builder.Add(key, 1, bad);
     }
@@ -434,6 +435,20 @@ TEST(CatalogSnapshotCorruptionTest, DistributionRecordDefectsAreRejected) {
   zero.distributions.push_back(std::move(zero_dist));
   ExpectRejected(EncodeCatalogSnapshot(zero), StatusCode::kParseError,
                  "out of range", "k=0");
+
+  // k one past the ceiling (no keys, so the record stays small; the range
+  // check fires before the key set is compared).
+  RankDistributionBuilder huge_k(kMaxRankK + 1);
+  CatalogSnapshot huge;
+  huge.trees.push_back(valid.trees[0]);
+  SnapshotDistribution huge_dist;
+  huge_dist.struct_key = valid.trees[0].struct_key;
+  huge_dist.k = kMaxRankK + 1;
+  huge_dist.dist =
+      std::make_shared<const RankDistribution>(std::move(huge_k).Build());
+  huge.distributions.push_back(std::move(huge_dist));
+  ExpectRejected(EncodeCatalogSnapshot(huge), StatusCode::kParseError,
+                 "out of range", "k=2^20+1");
 }
 
 // A missing path is an error, not an empty snapshot — the warm-restart
@@ -496,7 +511,7 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     insert("ti", RandomTupleIndependent(8, &rng));
     insert("fixed", Tree(kTreeText));
     // Warm the cache so the snapshot carries distribution sections too.
-    for (const std::string& name : {"deep", "bid", "ti", "fixed"}) {
+    for (const char* name : {"deep", "bid", "ti", "fixed"}) {
       ASSERT_TRUE(scheduler.ExecuteOne(TopKRequest(name, 3)).ok());
     }
 
@@ -523,8 +538,9 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     // Every loaded tree re-fingerprints to the original value — the loaded
     // catalog's identity map is the cold catalog's by construction.
     for (size_t i = 0; i < decoded->trees.size(); ++i) {
+      const AndXorTree reparsed = Tree(decoded->trees[i].content);
       EXPECT_EQ(decoded->trees[i].content_fp,
-                TreeCatalog::FingerprintTree(*decoded->trees[i].tree));
+                ContentFp(Fnv1a64(FormatTree(reparsed, /*indent=*/false))));
       EXPECT_EQ(decoded->trees[i].content_fp, original.trees[i].content_fp);
       EXPECT_EQ(decoded->trees[i].struct_key, original.trees[i].struct_key);
       EXPECT_EQ(decoded->trees[i].name, original.trees[i].name);
@@ -545,7 +561,7 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
   }
 }
 
-// Install reuses InsertCanonical, so its conflict semantics are the
+// Install reuses InsertWithIdentity, so its conflict semantics are the
 // catalog's own: identical content re-installs idempotently; a name bound
 // to different content fails with AlreadyExists.
 TEST(CatalogSnapshotRoundTripTest, InstallSemanticsMatchLineByLineLoads) {
@@ -652,7 +668,7 @@ std::string EncodeV1Snapshot(
   return out;
 }
 
-// A v1 file loads through the same decode + InsertCanonical seam, with
+// A v1 file loads through the same decode + InsertWithIdentity seam, with
 // structural keys recomputed from the stored content. Distributions keyed
 // by content fingerprint remap to their tree's StructKey only when the
 // stored orientation is already canonical; a non-canonical orientation's

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -450,11 +451,11 @@ TEST_F(CatalogWarmRestartTest, SeedingRespectsTheCacheBudget) {
 // ---------------------------------------------------------------------------
 
 // A snapshot built from live state holds each tree's canonical orientation
-// in `record.tree`; installing it without an encode/decode round trip must
-// still bind the name to the record's own content identity. Re-loading the
-// original file under the same name is then an idempotent ok with the
-// original fingerprint, and the transcript equals the one after installing
-// the decoded file.
+// in `record.canonical_tree`; installing it without an encode/decode round
+// trip must still bind the name to the record's own content identity.
+// Re-loading the original file under the same name is then an idempotent ok
+// with the original fingerprint, and the transcript equals the one after
+// installing the decoded file.
 TEST_F(CatalogWarmRestartTest, InMemoryInstallKeepsNonCanonicalIdentity) {
   const std::string tree_path =
       ::testing::TempDir() + "/warm_restart_noncanonical.sexp";
@@ -496,6 +497,63 @@ TEST_F(CatalogWarmRestartTest, InMemoryInstallKeepsNonCanonicalIdentity) {
     ASSERT_TRUE(from_file.InstallSnapshot(*decoded).ok()) << label;
     ExpectSameWire(got, from_file.ExecuteBatch(batch),
                    /*compare_stats=*/true, label);
+  }
+}
+
+// Install adopts the decoded tree: a decoded record already carries its
+// canonical orientation, so installing it must not rebuild the tree. Every
+// binding of a shape resolves to the canonical_tree of the first decoded
+// record of that shape, and each shape compiles exactly once — through
+// InstallCatalogSnapshot and through the routed QueryScheduler form.
+TEST_F(CatalogWarmRestartTest, InstallAdoptsTheDecodedCanonicalTree) {
+  // kOtherTreeText with its two xor children swapped: one shape, two
+  // contents.
+  constexpr char kPermutedOtherText[] =
+      "(and (xor 0.25 (leaf key=5 score=1)) (xor 0.5 (leaf key=4 score=3)))";
+  TreeCatalog source;
+  ASSERT_TRUE(source.Insert("a", *ParseTree(kOtherTreeText)).ok());
+  ASSERT_TRUE(source.Insert("b", *ParseTree(kPermutedOtherText)).ok());
+  ASSERT_TRUE(source.Insert("c", *ParseTree(kTreeText)).ok());
+  ASSERT_EQ(source.Lookup("a")->struct_key, source.Lookup("b")->struct_key);
+  ASSERT_NE(source.Lookup("a")->content_fp, source.Lookup("b")->content_fp);
+  ASSERT_NE(source.Lookup("a")->content_fp.value(),
+            source.Lookup("a")->struct_key.value())
+      << "the fixture must hold a non-canonical orientation";
+
+  const std::string bytes =
+      EncodeCatalogSnapshot(BuildCatalogSnapshot(source, nullptr));
+  Result<CatalogSnapshot> decoded =
+      DecodeCatalogSnapshot(bytes.data(), bytes.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->trees.size(), 3u);
+  std::map<StructKey, const AndXorTree*> first_of_shape;
+  for (const SnapshotTree& record : decoded->trees) {
+    first_of_shape.emplace(record.struct_key, record.canonical_tree.get());
+  }
+  ASSERT_EQ(first_of_shape.size(), 2u);
+
+  TreeCatalog catalog;
+  ASSERT_TRUE(InstallCatalogSnapshot(*decoded, &catalog, nullptr).ok());
+  for (const SnapshotTree& record : decoded->trees) {
+    EXPECT_EQ(catalog.Lookup(record.name)->tree.get(),
+              first_of_shape.at(record.struct_key))
+        << record.name;
+  }
+  EXPECT_EQ(catalog.fold_compiles(),
+            static_cast<int64_t>(first_of_shape.size()));
+
+  for (int shards : {1, 4}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    QueryScheduler scheduler(shards, ReferenceEngineOptions());
+    ASSERT_TRUE(scheduler.InstallSnapshot(*decoded).ok()) << label;
+    const CatalogSnapshot rebuilt = scheduler.BuildSnapshot(false);
+    ASSERT_EQ(rebuilt.trees.size(), decoded->trees.size()) << label;
+    for (size_t i = 0; i < rebuilt.trees.size(); ++i) {
+      ASSERT_EQ(rebuilt.trees[i].name, decoded->trees[i].name) << label;
+      EXPECT_EQ(rebuilt.trees[i].canonical_tree.get(),
+                first_of_shape.at(decoded->trees[i].struct_key))
+          << label << " " << rebuilt.trees[i].name;
+    }
   }
 }
 

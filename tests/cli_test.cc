@@ -365,7 +365,8 @@ TEST_F(CliTest, IntegerFlagsParseStrictly) {
   CliResult neg = RunCliArgs({"worlds", tree_path_, "--max-worlds=-1"});
   EXPECT_EQ(neg.code, 2);
   EXPECT_NE(neg.err.find("must be >= 0"), std::string::npos);
-  for (const char* flag : {"--k=-2", "--k=9999999", "--count=-5"}) {
+  for (const char* flag :
+       {"--k=-2", "--k=9999999", "--k=1048577", "--count=-5"}) {
     CliResult r = RunCliArgs({"sample", tree_path_, flag});
     EXPECT_EQ(r.code, 2) << flag << " was accepted";
     EXPECT_NE(r.err.find("out of range"), std::string::npos) << flag;

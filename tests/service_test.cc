@@ -141,10 +141,10 @@ TEST(TreeCatalogTest, ConcurrentInsertsAndLookupsShareOneTree) {
   }
 }
 
-TEST(TreeCatalogTest, FingerprintTreeMatchesCanonicalHash) {
+TEST(TreeCatalogTest, ContentFpHashesTheSingleLineSerialization) {
   auto tree = ParseTree(kTreeText);
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(TreeCatalog::FingerprintTree(*tree),
+  EXPECT_EQ(TreeCatalog::ComputeIdentity(*tree)->content_fp,
             ContentFp(Fnv1a64(FormatTree(*tree, /*indent=*/false))));
 }
 
@@ -285,6 +285,7 @@ TEST(ServiceRequestTest, GarbageNeverBecomesADefault) {
            "op=topk tree=t k=0",               // out of range
            "op=topk tree=t k=-3",              // out of range
            "op=topk tree=t k=9999999",         // out of range
+           "op=topk tree=t k=1048577",         // one past the k ceiling
            "op=topk tree=t k=2 metric=nope",   // unknown metric
            "op=topk tree=t k=2 answer=nope",   // unknown answer
            "op=topk tree=t k=2 metrc=kendall", // typo'd field name

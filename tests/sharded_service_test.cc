@@ -490,7 +490,8 @@ TEST_F(ShardedSchedulerTest, LoadsRouteByFingerprintAndApplyBeforeQueries) {
   // The fingerprint on the wire is the catalog's content hash, identical
   // to what an unsharded load reports.
   EXPECT_EQ(results[1]->fingerprint,
-            TreeCatalog::FingerprintTree(*ParseTree(kOtherTreeText)));
+            TreeCatalog::ComputeIdentity(*ParseTree(kOtherTreeText))
+                ->content_fp);
 }
 
 TEST_F(ShardedSchedulerTest, DirectorySemanticsMatchTheSingleCatalog) {

@@ -10,6 +10,7 @@
 #include "core/aggregates.h"
 #include "core/hardness.h"
 #include "core/jaccard.h"
+#include "core/rank_distribution.h"
 #include "core/ranking_baselines.h"
 #include "core/set_consensus.h"
 #include "core/topk_metrics.h"
@@ -114,7 +115,7 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       // silently answer a different query. (Range checks like k >= 1 stay
       // with the commands, which know their semantics.)
       CPDB_ASSIGN_OR_RETURN(long long k, ParseIntFlag(name, value));
-      if (k < 0 || k > (1 << 20)) {
+      if (k < 0 || k > kMaxRankK) {
         return Status::InvalidArgument("--k out of range, got '" + value +
                                        "'");
       }
@@ -346,7 +347,7 @@ int CmdDumpCanon(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   }
   std::fprintf(out, "content_fp %s\n", HashToHex(identity->content_fp).c_str());
   std::fprintf(out, "struct_key %s\n", HashToHex(identity->struct_key).c_str());
-  std::fprintf(out, "content %s\n", identity->content_bytes.c_str());
+  std::fprintf(out, "content %s\n", identity->content.c_str());
   std::fprintf(out, "canonical %s\n", identity->canonical_bytes.c_str());
   return 0;
 }
@@ -919,10 +920,11 @@ std::string CliUsage() {
       "                      (expected rank), global (global top-k) or prf\n"
       "                      (PRF-upsilon with harmonic weights; default\n"
       "                      escore)\n"
-      "  --cache=on|off      serve only: the rank-distribution and\n"
-      "                      marginals caches (default on; answers are\n"
-      "                      bitwise identical either way — off exists for\n"
-      "                      benchmarking)\n"
+      "  --cache=on|off      serve only: the rank-distribution,\n"
+      "                      marginals and precompute (Kendall q, symdiff\n"
+      "                      median, expected ranks) caches (default on;\n"
+      "                      answers are bitwise identical either way —\n"
+      "                      off exists for benchmarking)\n"
       "  --cache-budget=B    serve only: byte budget per cache; retained\n"
       "                      entries are LRU-evicted to fit (default\n"
       "                      unbounded; 0 retains nothing; answers are\n"
