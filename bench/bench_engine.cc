@@ -94,19 +94,6 @@ BENCHMARK(BM_EngineMonteCarlo)
     ->Args({10000, 4})
     ->Args({10000, 8});
 
-void BM_EnginePairwiseOrder(benchmark::State& state) {
-  AndXorTree tree = MakeTree(24);
-  std::vector<KeyId> keys = tree.Keys();
-  EngineOptions opts;
-  opts.num_threads = static_cast<int>(state.range(0));
-  Engine engine(opts);
-  for (auto _ : state) {
-    auto p = engine.PairwiseOrderProbabilities(tree, keys);
-    benchmark::DoNotOptimize(p);
-  }
-}
-BENCHMARK(BM_EnginePairwiseOrder)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 }  // namespace
 }  // namespace cpdb
 

@@ -13,7 +13,7 @@
 
 #include "common/rng.h"
 #include "model/flat_tree.h"
-#include "model/generating_function.h"
+#include "oracle/generating_function.h"
 #include "poly/poly1.h"
 #include "poly/poly_arena.h"
 #include "workload/generators.h"

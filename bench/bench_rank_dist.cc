@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "core/rank_distribution.h"
 #include "core/rank_distribution_fast.h"
+#include "oracle/fold_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "core/topk_kendall.h"
+#include "oracle/fold_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {

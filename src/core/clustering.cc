@@ -8,9 +8,8 @@
 #include <set>
 
 #include "core/jaccard.h"  // IsBlockIndependent
-#include "model/generating_function.h"
+#include "model/flat_tree.h"
 #include "model/possible_worlds.h"
-#include "poly/poly1.h"
 
 namespace cpdb {
 
@@ -19,35 +18,34 @@ namespace {
 // Generic (correlation-aware) w_ij via generating functions: x tags the
 // leaves of both keys carrying label a; [x^2] is Pr(i.A = a and j.A = a).
 // Both-absent: x tags every leaf of either key; [x^0] is Pr(both absent).
-double PairCoClusterGeneric(const AndXorTree& tree, KeyId ki, KeyId kj) {
+// Rows are Poly1-shaped: max_dx = 2, max_dy = 0, so x^d sits at index d.
+double PairCoClusterGeneric(const FlatTree& flat, KeyId ki, KeyId kj) {
+  const std::vector<FlatLeaf>& leaves = flat.leaves();
   std::set<int32_t> labels_i, labels_j;
-  for (NodeId l : tree.LeafIds()) {
-    const TupleAlternative& alt = tree.node(l).leaf;
-    if (alt.key == ki) labels_i.insert(alt.label);
-    if (alt.key == kj) labels_j.insert(alt.label);
+  for (const FlatLeaf& leaf : leaves) {
+    if (leaf.key == ki) labels_i.insert(leaf.label);
+    if (leaf.key == kj) labels_j.insert(leaf.label);
   }
+  // x on the leaves `tagged` selects, the constant 1 elsewhere.
+  double f[3];
+  const auto fold = [&](const auto& tagged) {
+    flat.EvalGeneratingFunction(
+        2, 0,
+        [&](int i, double* row) {
+          row[tagged(leaves[static_cast<size_t>(i)]) ? 1 : 0] = 1.0;
+        },
+        f, &FlatFoldScratch());
+  };
   double w = 0.0;
-  auto make_const = [](double c) { return Poly1::Constant(2, c); };
   for (int32_t a : labels_i) {
     if (labels_j.count(a) == 0) continue;
-    auto leaf_poly = [&](NodeId id) {
-      const TupleAlternative& alt = tree.node(id).leaf;
-      if ((alt.key == ki || alt.key == kj) && alt.label == a) {
-        return Poly1::Monomial(2, 1, 1.0);
-      }
-      return Poly1::Constant(2, 1.0);
-    };
-    Poly1 f = EvalGeneratingFunction<Poly1>(tree, leaf_poly, make_const);
-    w += f.Coeff(2);
+    fold([&](const FlatLeaf& leaf) {
+      return (leaf.key == ki || leaf.key == kj) && leaf.label == a;
+    });
+    w += f[2];
   }
-  // Both absent.
-  auto leaf_poly_absent = [&](NodeId id) {
-    const TupleAlternative& alt = tree.node(id).leaf;
-    if (alt.key == ki || alt.key == kj) return Poly1::Monomial(2, 1, 1.0);
-    return Poly1::Constant(2, 1.0);
-  };
-  Poly1 f = EvalGeneratingFunction<Poly1>(tree, leaf_poly_absent, make_const);
-  w += f.Coeff(0);
+  fold([&](const FlatLeaf& leaf) { return leaf.key == ki || leaf.key == kj; });
+  w += f[0];
   return w;
 }
 
@@ -89,10 +87,11 @@ Result<ClusteringProblem> ClusteringProblem::FromTree(const AndXorTree& tree) {
       }
     }
   } else {
+    const FlatTree flat = FlatTree::Compile(tree);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
         double w =
-            PairCoClusterGeneric(tree, problem.keys_[i], problem.keys_[j]);
+            PairCoClusterGeneric(flat, problem.keys_[i], problem.keys_[j]);
         problem.w_[i][j] = problem.w_[j][i] = w;
       }
     }
@@ -203,7 +202,7 @@ Result<ClusteringAnswer> ExactClustering(const ClusteringProblem& problem,
         break;
       }
     }
-    if (i == 0) break;
+    if (i <= 0) break;  // n == 0 starts at i == -1: one empty clustering
   }
   return best;
 }

@@ -5,8 +5,7 @@
 #include <algorithm>
 #include <set>
 
-#include "model/generating_function.h"
-#include "poly/poly2.h"
+#include "model/flat_tree.h"
 
 namespace cpdb {
 
@@ -30,24 +29,35 @@ double JaccardDistance(const std::vector<NodeId>& s1,
   return static_cast<double>(uni - inter) / static_cast<double>(uni);
 }
 
-double ExpectedJaccardDistance(const AndXorTree& tree,
+namespace {
+
+// Lemma 1 over an already compiled tree, so a prefix scan compiles once.
+double ExpectedJaccardDistance(const FlatTree& flat,
                                const std::vector<NodeId>& world) {
   std::set<NodeId> in_world(world.begin(), world.end());
   int w = static_cast<int>(world.size());
-  int out = tree.NumLeaves() - w;
+  int out = flat.num_leaves() - w;
   // x tags leaves of W, y tags the rest; the coefficient of x^i y^j is the
   // probability that |pw ∩ W| = i and |pw \ W| = j, hence
-  // d_J = (|W| - i + j) / (|W| + j).
-  auto leaf_poly = [&](NodeId id) {
-    if (in_world.count(id) > 0) return Poly2::Monomial(w, out, 1, 0, 1.0);
-    return Poly2::Monomial(w, out, 0, 1, 1.0);
+  // d_J = (|W| - i + j) / (|W| + j). Rows have shape (w+1) × (out+1),
+  // row-major: Index(i, j) = i * (out + 1) + j; a monomial beyond the
+  // bounds is the zero polynomial.
+  const std::vector<FlatLeaf>& leaves = flat.leaves();
+  const auto leaf_init = [&](int i, double* row) {
+    if (in_world.count(leaves[static_cast<size_t>(i)].node) > 0) {
+      if (w >= 1) row[out + 1] = 1.0;  // x = x^1 y^0
+    } else if (out >= 1) {
+      row[1] = 1.0;  // y = x^0 y^1
+    }
   };
-  auto make_const = [&](double c) { return Poly2::Constant(w, out, c); };
-  Poly2 f = EvalGeneratingFunction<Poly2>(tree, leaf_poly, make_const);
+  std::vector<double> f(static_cast<size_t>(w + 1) *
+                        static_cast<size_t>(out + 1));
+  flat.EvalGeneratingFunction(w, out, leaf_init, f.data(), &FlatFoldScratch());
   double expected = 0.0;
   for (int i = 0; i <= w; ++i) {
     for (int j = 0; j <= out; ++j) {
-      double c = f.Coeff(i, j);
+      double c = f[static_cast<size_t>(i) * static_cast<size_t>(out + 1) +
+                   static_cast<size_t>(j)];
       if (c == 0.0) continue;
       double uni = static_cast<double>(w + j);
       if (uni == 0.0) continue;  // W = pw = empty set: distance 0
@@ -55,6 +65,13 @@ double ExpectedJaccardDistance(const AndXorTree& tree,
     }
   }
   return expected;
+}
+
+}  // namespace
+
+double ExpectedJaccardDistance(const AndXorTree& tree,
+                               const std::vector<NodeId>& world) {
+  return ExpectedJaccardDistance(FlatTree::Compile(tree), world);
 }
 
 namespace {
@@ -95,14 +112,15 @@ bool HasBlockShape(const AndXorTree& tree, bool single_leaf_blocks) {
 // Jaccard distance, including the empty prefix.
 std::vector<NodeId> BestPrefix(const AndXorTree& tree,
                                const std::vector<NodeId>& order) {
+  const FlatTree flat = FlatTree::Compile(tree);
   std::vector<NodeId> best;
-  double best_cost = ExpectedJaccardDistance(tree, {});
+  double best_cost = ExpectedJaccardDistance(flat, {});
   std::vector<NodeId> prefix;
   for (NodeId id : order) {
     prefix.push_back(id);
     std::vector<NodeId> sorted = prefix;
     std::sort(sorted.begin(), sorted.end());
-    double cost = ExpectedJaccardDistance(tree, sorted);
+    double cost = ExpectedJaccardDistance(flat, sorted);
     if (cost < best_cost) {
       best_cost = cost;
       best = sorted;

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "model/generating_function.h"
-#include "poly/poly2.h"
 
 namespace cpdb {
 
@@ -84,36 +82,13 @@ RankDistribution RankDistributionBuilder::Build() && {
   return std::move(dist_);
 }
 
-std::vector<double> LeafRankContribution(const AndXorTree& tree, NodeId target,
-                                         int k) {
-  // One bivariate generating function per tuple alternative. Truncations:
-  // x (count of higher-ranked tuples) at k-1 is enough for ranks <= k, but
-  // we keep k to read Pr(r = k) from x^{k-1}; y (the alternative itself) at 1.
-  const TupleAlternative& alt = tree.node(target).leaf;
-  auto leaf_poly = [&](NodeId id) {
-    if (id == target) return Poly2::Monomial(k, 1, 0, 1, 1.0);
-    const TupleAlternative& other = tree.node(id).leaf;
-    if (other.key != alt.key && other.score > alt.score) {
-      return Poly2::Monomial(k, 1, 1, 0, 1.0);  // counts toward the rank
-    }
-    return Poly2::Constant(k, 1, 1.0);
-  };
-  auto make_const = [&](double c) { return Poly2::Constant(k, 1, c); };
-  Poly2 f = EvalGeneratingFunction<Poly2>(tree, leaf_poly, make_const);
-  std::vector<double> contribution(static_cast<size_t>(k) + 1, 0.0);
-  for (int i = 1; i <= k; ++i) {
-    contribution[static_cast<size_t>(i)] = f.Coeff(i - 1, 1);
-  }
-  return contribution;
-}
-
 std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
                                          int k) {
-  // Same generating function as the pointer reference above, evaluated over
-  // the flat instruction stream. Rows have shape (k+1) × 2, row-major:
-  // Index(i, j) = i * 2 + j. Leaf classification reads the packed leaf
-  // table; the monomial guards mirror Poly2::Monomial's truncation (a
-  // monomial beyond the bounds is the zero polynomial).
+  // One bivariate generating function per tuple alternative: x (count of
+  // higher-ranked tuples) truncated at k, enough to read Pr(r = k) from
+  // x^{k-1}; y (the alternative itself) at 1. Rows have shape (k+1) × 2,
+  // row-major: Index(i, j) = i * 2 + j. Leaf classification reads the
+  // packed leaf table; a monomial beyond the bounds is the zero polynomial.
   const std::vector<FlatLeaf>& leaves = flat.leaves();
   const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
   const auto leaf_init = [&](int i, double* row) {
@@ -164,109 +139,6 @@ RankDistribution ComputeRankDistribution(const AndXorTree& tree, int k) {
     for (size_t i = 2; i < row.size(); ++i) row[i] += row[i - 1];
   }
   return dist;
-}
-
-RankDistribution ComputeRankDistributionPointer(const AndXorTree& tree,
-                                                int k) {
-  RankDistribution dist;
-  dist.k_ = k;
-  dist.keys_ = tree.Keys();
-  for (size_t i = 0; i < dist.keys_.size(); ++i) {
-    dist.key_index_[dist.keys_[i]] = static_cast<int>(i);
-  }
-  dist.pr_eq_.assign(dist.keys_.size(),
-                     std::vector<double>(static_cast<size_t>(k) + 1, 0.0));
-
-  // FlatTree leaf order is LeafIds() order, so the two paths accumulate
-  // per-leaf contributions into each key's row in the same sequence —
-  // summation order, and therefore every output bit, matches.
-  for (NodeId target : tree.LeafIds()) {
-    std::vector<double> contribution = LeafRankContribution(tree, target, k);
-    int key_idx = dist.key_index_[tree.node(target).leaf.key];
-    for (int i = 1; i <= k; ++i) {
-      dist.pr_eq_[static_cast<size_t>(key_idx)][static_cast<size_t>(i)] +=
-          contribution[static_cast<size_t>(i)];
-    }
-  }
-
-  dist.pr_le_ = dist.pr_eq_;
-  for (auto& row : dist.pr_le_) {
-    for (size_t i = 2; i < row.size(); ++i) row[i] += row[i - 1];
-  }
-  return dist;
-}
-
-double PrRanksBeforePointer(const AndXorTree& tree, KeyId u, KeyId v) {
-  // Sum over alternatives a of u of Pr(a present and no alternative of v
-  // with a higher score present). Variables: y tags a (need y^1), z tags
-  // higher-scoring alternatives of v (need z^0); everything else is 1.
-  double total = 0.0;
-  for (NodeId target : tree.LeafIds()) {
-    const TupleAlternative& alt = tree.node(target).leaf;
-    if (alt.key != u) continue;
-    auto leaf_poly = [&](NodeId id) {
-      if (id == target) return Poly2::Monomial(1, 1, 1, 0, 1.0);  // y
-      const TupleAlternative& other = tree.node(id).leaf;
-      if (other.key == v && other.score > alt.score) {
-        return Poly2::Monomial(1, 1, 0, 1, 1.0);  // z
-      }
-      return Poly2::Constant(1, 1, 1.0);
-    };
-    auto make_const = [&](double c) { return Poly2::Constant(1, 1, c); };
-    Poly2 f = EvalGeneratingFunction<Poly2>(tree, leaf_poly, make_const);
-    total += f.Coeff(1, 0);
-  }
-  return total;
-}
-
-double PrRanksBefore(const FlatTree& flat, KeyId u, KeyId v) {
-  // Flat form of the fold above: rows have shape 2 × 2 (max_dx = max_dy =
-  // 1), row-major, so y = x^1 y^0 sits at index 2 and z = x^0 y^1 at
-  // index 1; the answer Coeff(1, 0) is read from index 2. The alternatives
-  // of u are found by one linear scan of the packed leaf table, and every
-  // per-alternative fold reuses this thread's arena.
-  double total = 0.0;
-  const std::vector<FlatLeaf>& leaves = flat.leaves();
-  double f[4];
-  for (int target = 0; target < flat.num_leaves(); ++target) {
-    const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
-    if (alt.key != u) continue;
-    const auto leaf_init = [&](int i, double* row) {
-      if (i == target) {
-        row[2] = 1.0;  // y = x^1 y^0
-        return;
-      }
-      const FlatLeaf& other = leaves[static_cast<size_t>(i)];
-      if (other.key == v && other.score > alt.score) {
-        row[1] = 1.0;  // z = x^0 y^1
-        return;
-      }
-      row[0] = 1.0;  // constant 1
-    };
-    flat.EvalGeneratingFunction(1, 1, leaf_init, f, &FlatFoldScratch());
-    total += f[2];  // Coeff(1, 0)
-  }
-  return total;
-}
-
-double PrRanksBefore(const AndXorTree& tree, KeyId u, KeyId v) {
-  return PrRanksBefore(FlatTree::Compile(tree), u, v);
-}
-
-std::vector<std::vector<double>> PairwiseOrderProbabilities(
-    const AndXorTree& tree, const std::vector<KeyId>& keys) {
-  // One compile, n^2 cells: the per-cell work drops to the folds
-  // themselves, instead of re-walking the pointer tree per (u, v) pair.
-  const FlatTree flat = FlatTree::Compile(tree);
-  std::vector<std::vector<double>> p(
-      keys.size(), std::vector<double>(keys.size(), 0.0));
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (size_t j = 0; j < keys.size(); ++j) {
-      if (i == j) continue;
-      p[i][j] = PrRanksBefore(flat, keys[i], keys[j]);
-    }
-  }
-  return p;
 }
 
 }  // namespace cpdb

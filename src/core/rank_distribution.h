@@ -68,8 +68,6 @@ class RankDistribution {
  private:
   friend RankDistribution ComputeRankDistribution(const AndXorTree& tree,
                                                   int k);
-  friend RankDistribution ComputeRankDistributionPointer(
-      const AndXorTree& tree, int k);
   friend class RankDistributionBuilder;
   int k_ = 0;
   std::vector<KeyId> keys_;
@@ -103,20 +101,12 @@ class RankDistributionBuilder {
 
 /// \brief The contribution of one leaf to its key's rank distribution:
 /// entry i of the returned vector (size k + 1, entry 0 unused) is
-/// Pr(`target` is present and ranked i-th), i.e. the coefficient of
+/// Pr(the leaf is present and ranked i-th), i.e. the coefficient of
 /// x^{i-1} y^1 of the leaf's bivariate generating function. Summing over a
 /// key's alternatives yields Pr(r(key) = i). One evaluation costs O(L k)
 /// for L leaves; this is the unit of work the parallel engine distributes.
-///
-/// This is the pointer-tree reference implementation, retained as the
-/// differential baseline for the flat overload below
-/// (tests/flat_tree_test.cc asserts bitwise equality).
-std::vector<double> LeafRankContribution(const AndXorTree& tree, NodeId target,
-                                         int k);
-
-/// \brief Flat-path LeafRankContribution: same value, bit for bit, computed
-/// over a compiled FlatTree. `target` indexes flat.leaves() (left-to-right
-/// DFS order == AndXorTree::LeafIds() order). Per-target leaf
+/// `target` indexes flat.leaves() (left-to-right DFS order ==
+/// AndXorTree::LeafIds() order). Per-target leaf
 /// classification is a linear scan over the packed leaf table and all
 /// polynomial scratch lives in this thread's reusable arena, so repeated
 /// calls over one compiled tree allocate only the returned vector.
@@ -134,38 +124,9 @@ std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
 ///
 /// Runs the flat fold: the tree is compiled once (FlatTree::Compile) and
 /// each leaf evaluation is a linear pass over the instruction stream with
-/// arena scratch. Bitwise identical to ComputeRankDistributionPointer.
+/// arena scratch. The pointer-fold oracle in tests/oracle/ pins it bit for
+/// bit.
 RankDistribution ComputeRankDistribution(const AndXorTree& tree, int k);
-
-/// \brief Pointer-tree reference for ComputeRankDistribution — the
-/// historical per-leaf EvalGeneratingFunction walk, kept as the
-/// differential baseline for the flat path.
-RankDistribution ComputeRankDistributionPointer(const AndXorTree& tree, int k);
-
-/// \brief Pr(r(t_u) < r(t_v)): the probability that key u ranks strictly
-/// ahead of key v (v absent counts as rank infinity, so u present with v
-/// absent qualifies). Used by Kendall-tau aggregation (Section 5.5).
-/// O(A_u L) for A_u alternatives of u over L leaves. Compiles the tree
-/// once and runs the flat fold per alternative; bitwise identical to
-/// PrRanksBeforePointer.
-double PrRanksBefore(const AndXorTree& tree, KeyId u, KeyId v);
-
-/// \brief Flat-path PrRanksBefore over an already compiled tree — the form
-/// the O(n^2) pairwise loops use so the compile cost is paid once per tree,
-/// not once per (u, v) cell.
-double PrRanksBefore(const FlatTree& flat, KeyId u, KeyId v);
-
-/// \brief Pointer-tree reference for PrRanksBefore (differential baseline).
-double PrRanksBeforePointer(const AndXorTree& tree, KeyId u, KeyId v);
-
-/// \brief All pairwise order probabilities among `keys`;
-/// result[i][j] = Pr(r(keys[i]) < r(keys[j])). Diagonal is 0. The tree is
-/// compiled to a FlatTree once and reused across all n^2 cells — the
-/// quadratic precomputation behind every Kendall consensus answer
-/// (Engine::PairwiseOrderProbabilities runs the same cells in parallel,
-/// sharing one compiled tree across tasks).
-std::vector<std::vector<double>> PairwiseOrderProbabilities(
-    const AndXorTree& tree, const std::vector<KeyId>& keys);
 
 }  // namespace cpdb
 

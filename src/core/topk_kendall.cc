@@ -13,48 +13,23 @@
 
 #include "core/topk_footrule.h"
 #include "model/flat_tree.h"
-#include "model/generating_function.h"
-#include "poly/poly2.h"
 
 namespace cpdb {
-
-double PrInTopKAndBefore(const AndXorTree& tree, KeyId u, KeyId t, int k) {
-  // Sum over alternatives b of u of
-  //   Pr(b present, no higher-scoring alternative of t present, and at most
-  //      k-1 higher-scoring tuples of other keys present).
-  // Higher-scoring alternatives of t are excluded by assigning them the zero
-  // polynomial (their worlds contribute no mass); higher-scoring leaves of
-  // other keys count toward the rank via variable x; b itself is tagged y.
-  double total = 0.0;
-  for (NodeId target : tree.LeafIds()) {
-    const TupleAlternative& alt = tree.node(target).leaf;
-    if (alt.key != u) continue;
-    auto leaf_poly = [&](NodeId id) {
-      if (id == target) return Poly2::Monomial(k, 1, 0, 1, 1.0);  // y
-      const TupleAlternative& other = tree.node(id).leaf;
-      if (other.score > alt.score) {
-        if (other.key == t) return Poly2::Constant(k, 1, 0.0);  // forbidden
-        if (other.key != u) return Poly2::Monomial(k, 1, 1, 0, 1.0);  // x
-      }
-      return Poly2::Constant(k, 1, 1.0);
-    };
-    auto make_const = [&](double c) { return Poly2::Constant(k, 1, c); };
-    Poly2 f = EvalGeneratingFunction<Poly2>(tree, leaf_poly, make_const);
-    for (int i = 0; i <= k - 1; ++i) total += f.Coeff(i, 1);
-  }
-  return total;
-}
 
 std::vector<double> KendallQRow(const FlatRefold& refold,
                                 const std::vector<KeyId>& keys, size_t iu,
                                 int k) {
-  // Flat form of the pointer fold above, per target b of u: rows have shape
-  // (k+1) × 2, row-major, so y = x^0 y^1 sits at index 1 and x = x^1 y^0 at
-  // index 2 (guarded like Poly2::Monomial's truncation). The base fold
-  // forbids no key; the fold for (b, t) only zeroes t's leaves above b, so
-  // it is a refold of their ancestors, or the base root itself when t has
-  // no such leaf. Each cell sums over targets in leaf order, then i, the
-  // summation order of the pointer form.
+  // Sum over alternatives b of u of
+  //   Pr(b present, no higher-scoring alternative of t present, and at most
+  //      k-1 higher-scoring tuples of other keys present).
+  // Per target b: rows have shape (k+1) × 2, row-major, so y (tags b) =
+  // x^0 y^1 sits at index 1 and x (counts toward the rank) = x^1 y^0 at
+  // index 2, dropped when beyond the truncation. Higher-scoring leaves of t
+  // are forbidden: the zero polynomial, so their worlds carry no mass. The
+  // base fold forbids no key; the fold for (b, t) only zeroes t's leaves
+  // above b, so it is a refold of their ancestors, or the base root itself
+  // when t has no such leaf. Each cell sums over targets in leaf order,
+  // then i, the summation order of the pointer-fold oracle.
   thread_local FlatRefold::Scratch scratch(&FlatFoldScratch());
   const std::vector<FlatLeaf>& leaves = refold.flat().leaves();
   const int num_leaves = static_cast<int>(leaves.size());

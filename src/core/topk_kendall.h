@@ -31,14 +31,11 @@
 
 namespace cpdb {
 
-/// \brief q(u, t) = Pr(r(u) <= k and r(u) < r(t)): u makes the Top-k and
-/// ranks ahead of t (t absent or ranked below both count). Pointer-tree
-/// reference implementation (differential baseline for KendallQRow).
-double PrInTopKAndBefore(const AndXorTree& tree, KeyId u, KeyId t, int k);
-
 /// \brief Row iu of the q matrix over `keys` (sorted ascending, the
-/// tree's Keys()): result[it] = PrInTopKAndBefore(keys[iu], keys[it], k),
-/// 0 at it == iu, bitwise equal to the pointer reference. One resident
+/// tree's Keys()): result[it] = q(keys[iu], keys[it]) with
+/// q(u, t) = Pr(r(u) <= k and r(u) < r(t)) — u makes the Top-k and ranks
+/// ahead of t (t absent or ranked below both count) — and 0 at it == iu.
+/// Bitwise the pointer-fold oracle in tests/oracle/. One resident
 /// fold per alternative b of keys[iu], then for each other key t a refold
 /// of only the ancestors of t's leaves scoring above b. Uses a
 /// thread-local scratch; `refold` is only read, so rows may run

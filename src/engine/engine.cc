@@ -161,27 +161,6 @@ std::vector<double> Engine::ExpectedRanks(const AndXorTree& tree) const {
   return expected;
 }
 
-std::vector<std::vector<double>> Engine::PairwiseOrderProbabilities(
-    const AndXorTree& tree, const std::vector<KeyId>& keys,
-    const FlatTree* program) const {
-  // One compiled tree shared read-only by all n^2 parallel cells, one unit
-  // per ordered pair, each writing its own cell: trivially
-  // schedule-deterministic.
-  std::optional<FlatTree> owned;
-  if (program == nullptr) owned.emplace(CompileCounted(tree));
-  const FlatTree& flat = program != nullptr ? *program : *owned;
-  const size_t n = keys.size();
-  std::vector<std::vector<double>> m(n, std::vector<double>(n, 0.0));
-  pool_.ParallelFor(static_cast<int64_t>(n * n), [&](int64_t cell) {
-    const size_t i = static_cast<size_t>(cell) / n;
-    const size_t j = static_cast<size_t>(cell) % n;
-    if (i == j) return;
-    m[i][j] = PrRanksBefore(flat, keys[i], keys[j]);
-    NoteArenaHighWater();
-  });
-  return m;
-}
-
 std::vector<std::vector<double>> Engine::KendallQMatrix(
     const AndXorTree& tree, int k, const FlatTree* program) const {
   // One compiled tree and one row graph shared read-only by the n parallel

@@ -11,8 +11,7 @@
 //   * rank distributions — one unit per leaf (LeafRankContribution), merged
 //     in DFS leaf order, which is exactly the accumulation order of the
 //     sequential ComputeRankDistribution;
-//   * pairwise matrices (order probabilities, Kendall q statistics) — one
-//     unit per ordered key pair, each writing its own matrix cell;
+//   * the Kendall q matrix — one unit per key, each writing its own row;
 //   * median symdiff — one unit per Theorem 4 search stratum (score
 //     threshold DPs plus the small-world DP), merged by replaying the
 //     sequential first-improvement scan;
@@ -156,7 +155,7 @@ class Engine {
   /// (each over its thread's arena scratch) are evaluated in parallel and
   /// merged in DFS leaf order. Bitwise identical for any thread count; on
   /// the general path this also means bitwise identity with the sequential
-  /// core function and with the retained pointer-tree fold. When the fast BID
+  /// core function and with the pointer-fold test oracle. When the fast BID
   /// path engages (options().use_fast_bid_path on a block-independent
   /// tree), the result is that of ComputeRankDistributionFast — sequential
   /// and deterministic, but a numerically different (equally correct)
@@ -172,20 +171,12 @@ class Engine {
   RankDistribution ComputeRankDistribution(
       const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
 
-  /// \brief Parallel PairwiseOrderProbabilities: one task per ordered pair,
-  /// all sharing a single compiled FlatTree (the compile — or the supplied
-  /// `program` — is shared across cells, never paid per cell).
-  /// result[i][j] = Pr(r(keys[i]) < r(keys[j])); diagonal is 0.
-  std::vector<std::vector<double>> PairwiseOrderProbabilities(
-      const AndXorTree& tree, const std::vector<KeyId>& keys,
-      const FlatTree* program = nullptr) const;
-
   /// \brief The Kendall q statistics over tree.Keys(): q[i][j] =
-  /// PrInTopKAndBefore(keys[i], keys[j], k) (diagonal 0), the precompute of
+  /// q(keys[i], keys[j]) (see KendallQRow; diagonal 0), the precompute of
   /// the kendall mean answer. One task per key i runs KendallQRow over a
   /// shared FlatRefold: a resident fold per alternative of keys[i], then a
-  /// dirty-path refold per other key. Bitwise identical to the pointer
-  /// reference and to KendallEvaluator(tree, k) for any thread count.
+  /// dirty-path refold per other key. Bitwise identical to the pointer-fold
+  /// oracle and to KendallEvaluator(tree, k) for any thread count.
   std::vector<std::vector<double>> KendallQMatrix(
       const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
 

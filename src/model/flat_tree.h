@@ -12,10 +12,10 @@
 
 // A flattened, cache-friendly compilation of a validated AndXorTree.
 //
-// The pointer-tree generating-function fold (EvalGeneratingFunction in
-// model/generating_function.h) re-walks parent/child pointers and allocates a
-// fresh coefficient vector per node on every evaluation. FlatTree::Compile
-// walks the tree ONCE and emits:
+// This is the library's one generating-function fold. A pointer-tree fold
+// (the test oracle EvalGeneratingFunction in tests/oracle/) re-walks
+// parent/child pointers and allocates a fresh coefficient vector per node on
+// every evaluation. FlatTree::Compile walks the tree ONCE and emits:
 //
 //   * an instruction stream of fixed-stride FlatOp records in evaluation
 //     (post-order) order — evaluating the fold becomes one linear pass over
@@ -36,10 +36,11 @@
 // accumulators via AddScaledRow in child order, AND children combine
 // left-to-right via ConvolveRowsTruncated — so for identical leaf
 // polynomials the resulting coefficients are bit-identical. Only the memory
-// layout and allocation strategy change. The pointer fold is retained as the
-// differential reference (tests/flat_tree_test.cc). FlatRefold (below) keeps
-// the same arithmetic but holds every row resident, so a fold that differs
-// in a few zeroed leaves recomputes only their ancestors.
+// layout and allocation strategy change. The pointer fold lives on as the
+// differential reference in tests/oracle/ (tests/flat_tree_test.cc).
+// FlatRefold (below) keeps the same arithmetic but holds every row
+// resident, so a fold that differs in a few zeroed leaves recomputes only
+// their ancestors.
 //
 // A compiled FlatTree is immutable and safe to share across threads; each
 // evaluating thread supplies its own PolyArena (see FlatFoldScratch()).

@@ -5,8 +5,9 @@
 #include <vector>
 
 // Arena scratch for the flattened generating-function fold, plus the shared
-// raw-row convolution kernels that Poly1/Poly2 multiplication and the flat
-// fold both compile down to.
+// raw-row convolution kernels that Poly1 multiplication, the flat fold and
+// the pointer-fold test oracle (tests/oracle/, with its Poly2) all compile
+// down to.
 //
 // The pointer-tree fold heap-allocates one coefficient vector per tree node.
 // The flat fold instead works on a fixed number of equally sized coefficient

@@ -161,6 +161,13 @@ TEST(ClusteringTest, ExactRefusesLargeInstances) {
             StatusCode::kResourceExhausted);
 }
 
+TEST(ClusteringTest, ExactReturnsTheEmptyClusteringWithoutKeys) {
+  // Zero keys have exactly one clustering, the empty one.
+  auto exact = ExactClustering(ClusteringProblem());
+  ASSERT_TRUE(exact.ok());
+  EXPECT_TRUE(exact->cluster_of.empty());
+}
+
 TEST(ClusteringTest, ClusteringOfWorldGroupsAbsentKeys) {
   std::vector<std::vector<double>> probs = {{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}};
   auto tree = MakeAttributeUncertain(probs);

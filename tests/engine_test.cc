@@ -152,21 +152,6 @@ TEST(EngineTest, RankDistributionUsesFastBidPathByDefault) {
   }
 }
 
-TEST(EngineTest, PairwiseOrderProbabilitiesMatchCore) {
-  AndXorTree tree = RandomDeepTree(11, 6);
-  std::vector<KeyId> keys = tree.Keys();
-  std::vector<std::vector<double>> expected =
-      PairwiseOrderProbabilities(tree, keys);
-  for (int threads : {1, 4}) {
-    EngineOptions opts;
-    opts.num_threads = threads;
-    Engine engine(opts);
-    std::vector<std::vector<double>> got =
-        engine.PairwiseOrderProbabilities(tree, keys);
-    ASSERT_EQ(got, expected) << "threads " << threads;
-  }
-}
-
 TEST(EngineTest, ConsensusTopKMatchesDirectCoreCalls) {
   const int k = 3;
   AndXorTree tree = RandomDeepTree(13);

@@ -2,12 +2,12 @@
 //
 // Flat-vs-pointer differential suite: the flattened fold (FlatTree +
 // PolyArena + vectorized kernels) must be bitwise indistinguishable from
-// the retained pointer-tree fold on every rewired path — rank
+// the pointer-tree fold oracle (tests/oracle/) on every path — rank
 // distributions, pairwise order probabilities, Kendall q statistics (the
-// resident refold), leaf marginals, and the raw generating function — across
-// random generator
-// trees of all three structural families and engine thread counts
-// {1, 2, 4, 8}. Also pins the structural claims: leaf-table order equals
+// resident refold), Lemma 1's expected Jaccard distance, clustering's
+// co-clustering probabilities, leaf marginals, and the raw generating
+// function — across random generator trees of all three structural
+// families and engine thread counts {1, 2, 4, 8}. Also pins the structural claims: leaf-table order equals
 // LeafIds() order, precompiled marginals match the pointer walks bit for
 // bit, and slot recycling keeps the arena working set O(depth) rather than
 // O(nodes).
@@ -16,14 +16,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/clustering.h"
+#include "core/jaccard.h"
 #include "core/rank_distribution.h"
 #include "core/topk_kendall.h"
 #include "engine/engine.h"
-#include "model/generating_function.h"
+#include "oracle/fold_oracles.h"
+#include "oracle/generating_function.h"
 #include "poly/poly1.h"
 #include "workload/generators.h"
 
@@ -209,6 +214,58 @@ TEST_P(FlatTreeDifferential, RefoldZeroedBitwiseEqualsFullFold) {
   }
 }
 
+TEST_P(FlatTreeDifferential, JaccardBitwiseEqualsPointerFold) {
+  // Lemma 1 over fixed worlds: empty, every leaf, alternating leaves and
+  // random subsets.
+  Rng rng(GetParam() * 6151 + 3);
+  for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
+    const std::vector<NodeId>& leaf_ids = tree.LeafIds();
+    std::vector<std::vector<NodeId>> worlds = {{}, leaf_ids, {}};
+    for (size_t i = 0; i < leaf_ids.size(); i += 2) {
+      worlds.back().push_back(leaf_ids[i]);
+    }
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<NodeId> world;
+      for (NodeId leaf : leaf_ids) {
+        if (rng.Bernoulli(0.5)) world.push_back(leaf);
+      }
+      worlds.push_back(std::move(world));
+    }
+    for (std::vector<NodeId>& world : worlds) {
+      std::sort(world.begin(), world.end());
+      ASSERT_EQ(ExpectedJaccardDistance(tree, world),
+                ExpectedJaccardDistancePointer(tree, world))
+          << "|W| = " << world.size();
+    }
+  }
+}
+
+TEST_P(FlatTreeDifferential, ClusteringBitwiseEqualsPointerFold) {
+  // FromTree takes the closed form on block-independent trees, so each
+  // labelled tree is also wrapped in a single-child XOR, which is never
+  // block-independent: the generic fold runs on every wrapped tree.
+  for (const AndXorTree& generated : GeneratorTrees(GetParam())) {
+    if (generated.node(generated.LeafIds()[0]).leaf.label < 0) continue;
+    AndXorTree wrapped = generated;
+    wrapped.SetRoot(wrapped.AddXor({wrapped.root()}, {0.9}));
+    ASSERT_TRUE(wrapped.Validate().ok());
+    ASSERT_FALSE(IsBlockIndependent(wrapped));
+    for (const AndXorTree* tree : {&generated, &std::as_const(wrapped)}) {
+      if (IsBlockIndependent(*tree)) continue;
+      auto problem = ClusteringProblem::FromTree(*tree);
+      ASSERT_TRUE(problem.ok());
+      const std::vector<KeyId>& keys = problem->keys();
+      for (size_t i = 0; i < keys.size(); ++i) {
+        for (size_t j = i + 1; j < keys.size(); ++j) {
+          ASSERT_EQ(problem->W(static_cast<int>(i), static_cast<int>(j)),
+                    PairCoClusterPointer(*tree, keys[i], keys[j]))
+              << "keys " << keys[i] << ", " << keys[j];
+        }
+      }
+    }
+  }
+}
+
 // A tree where key 2's only alternative scores below every alternative of
 // key 1: for each of key 1's targets, the (1, 2) cell reuses the base fold.
 // Key 2 also sits under a single-child AND, which compiles to no op.
@@ -239,14 +296,6 @@ TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
   for (const AndXorTree& tree : trees) {
     const RankDistribution dist_ref = ComputeRankDistributionPointer(tree, k);
     const std::vector<KeyId> keys = tree.Keys();
-    std::vector<std::vector<double>> pairwise_ref(
-        keys.size(), std::vector<double>(keys.size(), 0.0));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      for (size_t j = 0; j < keys.size(); ++j) {
-        if (i == j) continue;
-        pairwise_ref[i][j] = PrRanksBeforePointer(tree, keys[i], keys[j]);
-      }
-    }
     const std::vector<double> marginals_ref = tree.LeafMarginals();
     const FlatTree program = FlatTree::Compile(tree);
 
@@ -268,8 +317,6 @@ TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
         }
       }
 
-      ASSERT_EQ(engine.PairwiseOrderProbabilities(tree, keys), pairwise_ref)
-          << "threads " << threads;
       ASSERT_EQ(engine.LeafMarginals(tree), marginals_ref)
           << "threads " << threads;
     }

@@ -4,7 +4,7 @@
 // possible-world enumeration: world-size distributions (Example 1), subset
 // intersection counts (Example 2), and the Figure 1 worked examples.
 
-#include "model/generating_function.h"
+#include "oracle/generating_function.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "model/builders.h"
 #include "model/possible_worlds.h"
 #include "poly/poly1.h"
-#include "poly/poly2.h"
+#include "oracle/poly2.h"
 #include "workload/generators.h"
 
 namespace cpdb {

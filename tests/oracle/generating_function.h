@@ -12,12 +12,13 @@
 // probability of the possible worlds containing exactly i_j leaves tagged
 // with variable x_j, for all j.
 //
-// This header is the generic pointer-tree fold; model/flat_tree.h compiles
-// the same recurrence into a flat instruction stream over arena rows for the
-// hot paths, with this template retained as the differential reference.
+// This header is the generic pointer-tree fold, kept as a test oracle: the
+// library folds only through model/flat_tree.h, which compiles the same
+// recurrence into a flat instruction stream over arena rows. The
+// differential suites (tests/flat_tree_test.cc) pin the two bit for bit.
 
-#ifndef CPDB_MODEL_GENERATING_FUNCTION_H_
-#define CPDB_MODEL_GENERATING_FUNCTION_H_
+#ifndef CPDB_ORACLE_GENERATING_FUNCTION_H_
+#define CPDB_ORACLE_GENERATING_FUNCTION_H_
 
 #include <optional>
 #include <utility>
@@ -143,4 +144,4 @@ PolyT EvalGeneratingFunction(const AndXorTree& tree, LeafPolyFn&& leaf_poly,
 
 }  // namespace cpdb
 
-#endif  // CPDB_MODEL_GENERATING_FUNCTION_H_
+#endif  // CPDB_ORACLE_GENERATING_FUNCTION_H_

@@ -1,6 +1,6 @@
 // Copyright 2026 The ConsensusDB Authors
 
-#include "poly/poly2.h"
+#include "oracle/poly2.h"
 
 #include "poly/poly_arena.h"
 

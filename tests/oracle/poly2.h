@@ -1,14 +1,16 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// Dense bivariate polynomials with per-variable degree truncation. Used for
-// the two-variable generating functions of the paper:
+// Dense bivariate polynomials with per-variable degree truncation, the
+// polynomial type of the pointer-fold oracles for the paper's two-variable
+// generating functions (the library folds them over FlatTree rows in the
+// same row-major layout):
 //  * rank distributions (Example 3): variables (x, y) truncated at (k, 1);
 //  * expected Jaccard distance (Lemma 1): variables (x, y) truncated at
 //    (|W|, n - |W|);
-//  * pairwise co-occurrence probabilities for Kendall tau and clustering.
+//  * pairwise order probabilities and q statistics for Kendall tau.
 
-#ifndef CPDB_POLY_POLY2_H_
-#define CPDB_POLY_POLY2_H_
+#ifndef CPDB_ORACLE_POLY2_H_
+#define CPDB_ORACLE_POLY2_H_
 
 #include <string>
 #include <vector>
@@ -72,4 +74,4 @@ class Poly2 {
 
 }  // namespace cpdb
 
-#endif  // CPDB_POLY_POLY2_H_
+#endif  // CPDB_ORACLE_POLY2_H_

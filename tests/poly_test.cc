@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracle/poly2.h"
 #include "poly/poly1.h"
-#include "poly/poly2.h"
 #include "poly/poly_arena.h"
 
 namespace cpdb {

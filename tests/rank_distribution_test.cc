@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/fold_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -14,6 +14,7 @@
 #include "core/evaluation.h"
 #include "core/topk_footrule.h"
 #include "model/possible_worlds.h"
+#include "oracle/fold_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {
