@@ -2,8 +2,8 @@
 //
 // Thread scaling of the engine's newly parallelized consensus paths: the
 // MedianTopKSymDiff stratum search, the footrule / intersection Hungarian
-// cost-column builds, set consensus with chunked marginal folds, the
-// batched query API, and the heavy tail kernels (Kendall q matrix, median
+// cost-column builds, set consensus with chunked marginal folds, whole
+// queries fanned across the pool, and the heavy tail kernels (Kendall q matrix, median
 // search, expected ranks) one tree at a time. Every path is schedule-deterministic, so these runs
 // double as a determinism smoke check: thread count changes wall-clock only
 // (on multi-core hosts; a 1-core container shows flat curves).
@@ -148,20 +148,27 @@ BENCHMARK_CAPTURE(BM_EngineHeavyTails, erank, HeavyTail::kErank)
     ->Arg(1)
     ->Arg(4);
 
-// Whole-query fan-out: all four metrics x several k in one submission.
+// Whole-query fan-out: all four metrics x several k, one ConsensusTopK per
+// query fanned across the engine's own pool (the serving layer's solve
+// fan-out shape).
 void BM_EngineConsensusBatch(benchmark::State& state) {
   AndXorTree tree = MakeDeepTree(30);
   Engine engine = MakeEngine(static_cast<int>(state.range(0)));
-  std::vector<Engine::ConsensusQuery> queries;
+  std::vector<std::pair<int, TopKMetric>> queries;
   for (int k : {2, 4, 8}) {
     for (TopKMetric metric :
          {TopKMetric::kSymDiff, TopKMetric::kIntersection,
           TopKMetric::kFootrule, TopKMetric::kKendall}) {
-      queries.push_back({&tree, k, metric, TopKAnswer::kMean});
+      queries.emplace_back(k, metric);
     }
   }
+  std::vector<Result<TopKResult>> results(
+      queries.size(), Result<TopKResult>(Status::Internal("not run")));
   for (auto _ : state) {
-    auto results = engine.EvaluateConsensusBatch(queries);
+    engine.ParallelFor(static_cast<int64_t>(queries.size()), [&](int64_t i) {
+      const auto& [k, metric] = queries[static_cast<size_t>(i)];
+      results[static_cast<size_t>(i)] = engine.ConsensusTopK(tree, k, metric);
+    });
     benchmark::DoNotOptimize(results);
   }
 }

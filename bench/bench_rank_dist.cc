@@ -37,7 +37,8 @@ BENCHMARK(BM_RankDistBid)
 // Pointer-tree reference for BM_RankDistBid (identical inputs, identical
 // bits out): the per-leaf EvalGeneratingFunction walk that allocates one
 // Poly2 per node visit. The gap between the two at large n is the
-// flatten+arena+vectorize win persisted in BENCH_fold_flatten.json.
+// flatten+arena+vectorize win; perfbench's engine.fold.rankdist_ns times
+// the flat fold inside serve.
 void BM_RankDistBidPointer(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   int k = static_cast<int>(state.range(1));

@@ -47,7 +47,8 @@
 //       catalog of 8·D names holding commutative shuffles of 8 shapes.
 //       Structural keys collapse the duplicates to one compiled fold and
 //       one retained distribution per shape, so throughput stays flat as
-//       D grows (BENCH_serve_dedup.json).
+//       D grows (perfbench measures the same effect end to end as
+//       service.catalog.dedup_ratio and engine.fold_compiles).
 
 #include <benchmark/benchmark.h>
 
@@ -446,10 +447,10 @@ BENCHMARK(BM_ServeWarmRestart)
 // Args: {metrics, trace}. (0,0) is the uninstrumented baseline (zero clock
 // reads on the serve path); (1,0) is production serving with the registry
 // recording every request; (1,1) additionally asks for trace=on output on
-// every request. The contract (BENCH_serve_trace.json): instruments cost
-// under 2% of per-request throughput — recording is a handful of relaxed
-// atomics and two steady-clock reads per span, nothing allocated, nothing
-// locked.
+// every request. Recording is a handful of relaxed atomics and two
+// steady-clock reads per span, nothing allocated, nothing locked;
+// perfbench's --trace 1 run reports the end-to-end cost as
+// trace.overhead_ratio.
 std::vector<ServiceRequest> MixedTrace(int num_trees, bool traced) {
   std::vector<ServiceRequest> trace;
   constexpr TopKMetric kMetricCycle[] = {TopKMetric::kSymDiff,
@@ -634,8 +635,9 @@ AndXorTree ShuffledCopy(const AndXorTree& tree, Rng* rng) {
 // line, and compiled FlatTree by *shape*, so the counters pin the dedup
 // (shapes=8 and fold_compiles=8 at every D) and per-request throughput
 // stays flat as duplicates multiply: D=4 serves 32 names for the cost of 8
-// (BENCH_serve_dedup.json). Without the structural level every duplicate
-// would pay its own fold and its own retained distribution.
+// (perfbench: service.catalog.dedup_ratio, engine.fold_compiles). Without
+// the structural level every duplicate would pay its own fold and its own
+// retained distribution.
 void BM_ServeDedupedCatalog(benchmark::State& state) {
   const int dups = static_cast<int>(state.range(0));
   constexpr int kShapes = 8;

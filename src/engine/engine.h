@@ -25,12 +25,9 @@
 //     size is an algorithm parameter (EngineOptions::mc_chunk_size), not a
 //     scheduling hint: changing it changes the sample stream.
 //
-// EvaluateConsensusBatch fans whole queries across the same pool (queries
-// nest their own ParallelFor calls; the pool is nest-safe), so callers with
-// many (tree, k, metric) combinations pay one submission. Future scaling
-// work (sharding trees across engines, caching rank distributions) should
-// hang off this facade rather than the core functions, so callers keep a
-// single entry point.
+// ParallelFor hands the same pool to callers fanning whole queries (the
+// serving layer's per-batch solves): queries nest their own ParallelFor
+// calls, and the pool is nest-safe.
 
 #ifndef CPDB_ENGINE_ENGINE_H_
 #define CPDB_ENGINE_ENGINE_H_
@@ -148,6 +145,14 @@ class Engine {
 
   const EngineOptions& options() const { return options_; }
 
+  /// \brief Runs body(0) ... body(n - 1) across the engine's pool and
+  /// returns when all have finished (ThreadPool::ParallelFor). Bodies may
+  /// call back into this engine — the pool is nest-safe, so inner units of
+  /// one body fill gaps left by another — and must not throw.
+  void ParallelFor(int64_t n, const std::function<void(int64_t)>& body) const {
+    pool_.ParallelFor(n, body);
+  }
+
   // -- Rank distributions (Section 5 sufficient statistics) ---------------
 
   /// \brief Parallel ComputeRankDistribution: the tree is compiled to a
@@ -232,39 +237,6 @@ class Engine {
       const AndXorTree& tree, const RankDistribution& dist, TopKMetric metric,
       TopKAnswer answer = TopKAnswer::kMean, const FlatTree* program = nullptr,
       const ConsensusTails& tails = ConsensusTails()) const;
-
-  /// \brief One query of a consensus Top-k batch; `tree` (and `dist` when
-  /// set) must stay alive for the duration of the EvaluateConsensusBatch
-  /// call (several queries may share one tree).
-  struct ConsensusQuery {
-    const AndXorTree* tree = nullptr;
-    int k = 1;
-    TopKMetric metric = TopKMetric::kSymDiff;
-    TopKAnswer answer = TopKAnswer::kMean;
-    /// Optional precomputed rank distribution for (tree, k) — see
-    /// ConsensusTopKWithDist. When set, its k() must equal `k` (the slot
-    /// fails with InvalidArgument otherwise) and the query skips the
-    /// rank-distribution fold; the QueryScheduler points several queries
-    /// sharing (StructKey, k) at one cached instance.
-    const RankDistribution* dist = nullptr;
-    /// Optional precompiled fold program for `tree` — see
-    /// ComputeRankDistribution. Must be FlatTree::Compile(*tree) when set;
-    /// the serving catalog shares one per distinct shape.
-    const FlatTree* program = nullptr;
-    /// Optional precomputed metric tails, honored only with `dist` set;
-    /// the pointees must outlive the call like `dist`.
-    ConsensusTails tails = {};
-  };
-
-  /// \brief Evaluates many consensus Top-k queries in one submission,
-  /// fanning whole queries across the pool (each query may nest its own
-  /// ParallelFor; the pool is nest-safe, and idle threads inside one query
-  /// steal units of another). results[i] corresponds to queries[i] and
-  /// equals what ConsensusTopK(queries[i]...) returns — bitwise, for any
-  /// thread count; per-query failures (null tree, bad k, unsupported
-  /// combination) land in their slot without affecting other queries.
-  std::vector<Result<TopKResult>> EvaluateConsensusBatch(
-      const std::vector<ConsensusQuery>& queries) const;
 
   // -- Set consensus (Section 4.1) ----------------------------------------
 

@@ -34,8 +34,8 @@ struct Assignment {
 /// least one row.
 ///
 /// Pure function of `cost` (no shared or global state), so distinct solves
-/// may run concurrently — Engine::EvaluateConsensusBatch fans one solve per
-/// footrule/intersection query across its thread pool.
+/// may run concurrently — the serving layer fans the solves of a batch's
+/// footrule/intersection queries across an engine's thread pool.
 Result<Assignment> SolveAssignmentMin(
     const std::vector<std::vector<double>>& cost);
 

@@ -45,30 +45,24 @@ std::shared_ptr<const std::vector<double>> OpHost::ExpectedRanksFor(
       engine()->ExpectedRanks(*entry.tree));
 }
 
-ConsensusTailHandles ConsensusTailsFor(OpHost& host, const CatalogEntry& entry,
-                                       const ServiceRequest& request,
-                                       const RankDistribution& dist) {
-  ConsensusTailHandles tails;
-  if (request.metric == TopKMetric::kKendall &&
-      request.answer == TopKAnswer::kMean) {
-    tails.kendall_q = host.KendallFor(entry, request.k);
-  } else if (request.metric == TopKMetric::kSymDiff &&
-             request.answer == TopKAnswer::kMedian) {
-    tails.symdiff_median = host.MedianSymDiffFor(entry, dist);
-  }
-  return tails;
+OpInputs FetchOpInputs(const OpSpec& spec, OpHost& host,
+                       const CatalogEntry& entry,
+                       const ServiceRequest& request, const Clock* clk,
+                       ResponseTiming* timing) {
+  Stopwatch cache_watch(clk);
+  OpInputs inputs = spec.fetch(host, entry, request);
+  if (inputs.fetched) AddSpan(timing, "cache", cache_watch);
+  return inputs;
 }
 
-ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
-                                      const TopKResult& result) {
-  ServiceResponse response;
-  response.op = ServiceRequest::Op::kTopK;
-  response.tree_name = request.tree_name;
-  response.k = request.k;
-  response.metric = TopKMetricName(request.metric);
-  response.answer = TopKAnswerName(request.answer);
-  response.keys = result.keys;
-  response.expected_distance = result.expected_distance;
+Result<ServiceResponse> SolveOp(const OpSpec& spec, const Engine& engine,
+                                const CatalogEntry& entry,
+                                const ServiceRequest& request,
+                                const OpInputs& inputs, const Clock* clk,
+                                ResponseTiming* timing) {
+  Stopwatch fold_watch(clk);
+  Result<ServiceResponse> response = spec.solve(engine, entry, request, inputs);
+  AddSpan(timing, "fold", fold_watch);
   return response;
 }
 
@@ -160,6 +154,33 @@ void AppendCacheFields(const CacheStats& stats, const std::string& prefix,
   add("bytes", stats.bytes);
 }
 
+// The execute_tree of every tree-addressed row: one request's fetch, then
+// its solve.
+Result<ServiceResponse> ExecuteTreeOp(OpHost& host, const CatalogEntry& entry,
+                                      const ServiceRequest& request,
+                                      const Clock* clk,
+                                      ResponseTiming* timing) {
+  const OpSpec& spec = OpRegistry::Get().spec(request.op);
+  const OpInputs inputs =
+      FetchOpInputs(spec, host, entry, request, clk, timing);
+  return SolveOp(spec, *host.engine(), entry, request, inputs, clk, timing);
+}
+
+// The fetch of an op that looks nothing up.
+OpInputs FetchNothing(OpHost&, const CatalogEntry&, const ServiceRequest&) {
+  return OpInputs();
+}
+
+// The fetch of world, marginals and aggregate: the leaf marginals, one fold
+// shared through the cache by every such request against the shape.
+OpInputs FetchMarginals(OpHost& host, const CatalogEntry& entry,
+                        const ServiceRequest&) {
+  OpInputs inputs;
+  inputs.fetched = true;
+  inputs.marginals = host.MarginalsFor(entry);
+  return inputs;
+}
+
 // ---------------------------------------------------------------------------
 // op=load
 
@@ -202,31 +223,51 @@ Status ParseTopK(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
-Result<ServiceResponse> ExecuteTopKTree(OpHost& host, const CatalogEntry& entry,
-                                        const ServiceRequest& request,
-                                        const Clock* clk,
-                                        ResponseTiming* timing) {
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const RankDistribution> dist =
-      host.GatedDistFor(entry, request);
-  ConsensusTailHandles tails;
-  if (dist != nullptr) tails = ConsensusTailsFor(host, entry, request, *dist);
-  AddSpan(timing, "cache", cache_watch);
-  // With a cached (or freshly computed and now shared) distribution the
-  // engine runs only what the supplied tails leave of the metric tail;
-  // without one it runs the full query. Both paths are the
-  // bitwise-identical code ExecuteBatch submits per fused slot.
-  Stopwatch fold_watch(clk);
-  Result<TopKResult> result =
-      dist != nullptr
-          ? host.engine()->ConsensusTopKWithDist(
-                *entry.tree, *dist, request.metric, request.answer,
-                entry.program.get(), tails.view())
-          : host.engine()->ConsensusTopK(*entry.tree, request.k, request.metric,
-                                         request.answer, entry.program.get());
-  AddSpan(timing, "fold", fold_watch);
-  if (!result.ok()) return result.status();
-  return ConsensusTopKResponse(request, *result);
+// The rank distribution, then the tail precompute the (metric, answer)
+// needs: the q matrix for kendall mean, the median search over the
+// distribution for symdiff median, nothing otherwise.
+OpInputs FetchTopK(OpHost& host, const CatalogEntry& entry,
+                   const ServiceRequest& request) {
+  OpInputs inputs;
+  inputs.fetched = true;
+  inputs.dist = host.GatedDistFor(entry, request);
+  if (inputs.dist == nullptr) return inputs;
+  if (request.metric == TopKMetric::kKendall &&
+      request.answer == TopKAnswer::kMean) {
+    inputs.kendall_q = host.KendallFor(entry, request.k);
+  } else if (request.metric == TopKMetric::kSymDiff &&
+             request.answer == TopKAnswer::kMedian) {
+    inputs.symdiff_median = host.MedianSymDiffFor(entry, *inputs.dist);
+  }
+  return inputs;
+}
+
+Result<ServiceResponse> SolveTopK(const Engine& engine,
+                                  const CatalogEntry& entry,
+                                  const ServiceRequest& request,
+                                  const OpInputs& inputs) {
+  // With a fetched distribution the engine runs only what the fetched
+  // tails leave of the metric tail; without one (caching off, or a request
+  // that can only fail) it runs the full query.
+  CPDB_ASSIGN_OR_RETURN(
+      TopKResult result,
+      inputs.dist != nullptr
+          ? engine.ConsensusTopKWithDist(
+                *entry.tree, *inputs.dist, request.metric, request.answer,
+                entry.program.get(),
+                ConsensusTails{inputs.kendall_q.get(),
+                               inputs.symdiff_median.get()})
+          : engine.ConsensusTopK(*entry.tree, request.k, request.metric,
+                                 request.answer, entry.program.get()));
+  ServiceResponse response;
+  response.op = ServiceRequest::Op::kTopK;
+  response.tree_name = request.tree_name;
+  response.k = request.k;
+  response.metric = TopKMetricName(request.metric);
+  response.answer = TopKAnswerName(request.answer);
+  response.keys = std::move(result.keys);
+  response.expected_distance = result.expected_distance;
+  return response;
 }
 
 void FormatTopK(const ServiceResponse& response,
@@ -265,26 +306,17 @@ Status ParseWorld(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
-Result<ServiceResponse> ExecuteWorldTree(OpHost& host,
-                                         const CatalogEntry& entry,
-                                         const ServiceRequest& request,
-                                         const Clock* clk,
-                                         ResponseTiming* timing) {
+Result<ServiceResponse> SolveWorld(const Engine& engine,
+                                   const CatalogEntry& entry,
+                                   const ServiceRequest& request,
+                                   const OpInputs& inputs) {
   const AndXorTree& tree = *entry.tree;
   // One marginal fold — shared through the cache with every other world
   // query against this content — serves the answer and its expected
   // distance via the engine's marginals-reuse entry point.
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const std::vector<double>> marginals =
-      host.MarginalsFor(entry);
-  AddSpan(timing, "cache", cache_watch);
-  Stopwatch fold_watch(clk);
-  Result<Engine::WorldResult> world_result =
-      host.engine()->ConsensusWorldWithMarginals(tree, *marginals,
-                                                 request.median_world);
-  AddSpan(timing, "fold", fold_watch);
-  if (!world_result.ok()) return world_result.status();
-  Engine::WorldResult& world = *world_result;
+  CPDB_ASSIGN_OR_RETURN(Engine::WorldResult world,
+                        engine.ConsensusWorldWithMarginals(
+                            tree, *inputs.marginals, request.median_world));
   ServiceResponse response;
   response.op = ServiceRequest::Op::kWorld;
   response.tree_name = request.tree_name;
@@ -407,16 +439,11 @@ Status ParseMarginals(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
-Result<ServiceResponse> ExecuteMarginalsTree(OpHost& host,
-                                             const CatalogEntry& entry,
-                                             const ServiceRequest& request,
-                                             const Clock* clk,
-                                             ResponseTiming* timing) {
+Result<ServiceResponse> SolveMarginals(const Engine&,
+                                       const CatalogEntry& entry,
+                                       const ServiceRequest& request,
+                                       const OpInputs& inputs) {
   const AndXorTree& tree = *entry.tree;
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const std::vector<double>> marginals =
-      host.MarginalsFor(entry);
-  AddSpan(timing, "cache", cache_watch);
   // Per-key marginal = the sum of the key's alternative-leaf marginals in
   // DFS leaf order — exactly tree.KeyMarginal's accumulation, so the
   // response bytes match the offline `marginals` command for canonical
@@ -424,7 +451,6 @@ Result<ServiceResponse> ExecuteMarginalsTree(OpHost& host,
   // the leaves: each key's contributions arrive in the same DFS order the
   // per-key fold would add them, so the sums are bitwise identical while
   // the scan is O(leaves), not O(keys * leaves).
-  Stopwatch fold_watch(clk);
   ServiceResponse response;
   response.op = ServiceRequest::Op::kMarginals;
   response.tree_name = request.tree_name;
@@ -437,9 +463,8 @@ Result<ServiceResponse> ExecuteMarginalsTree(OpHost& host,
   response.values.assign(response.keys.size(), 0.0);
   for (NodeId l : tree.LeafIds()) {
     response.values[slot_of_key.at(tree.node(l).leaf.key)] +=
-        (*marginals)[static_cast<size_t>(l)];
+        (*inputs.marginals)[static_cast<size_t>(l)];
   }
-  AddSpan(timing, "fold", fold_watch);
   return response;
 }
 
@@ -460,32 +485,21 @@ Status ParseAggregate(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
-Result<ServiceResponse> ExecuteAggregateTree(OpHost& host,
-                                             const CatalogEntry& entry,
-                                             const ServiceRequest& request,
-                                             const Clock* clk,
-                                             ResponseTiming* timing) {
-  const AndXorTree& tree = *entry.tree;
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const std::vector<double>> marginals =
-      host.MarginalsFor(entry);
-  AddSpan(timing, "cache", cache_watch);
-  Stopwatch fold_watch(clk);
-  Result<ServiceResponse> out = [&]() -> Result<ServiceResponse> {
-    CPDB_ASSIGN_OR_RETURN(GroupByInstance instance,
-                          GroupByInstanceFromTree(tree, *marginals));
-    std::vector<double> mean = MeanAggregate(instance);
-    CPDB_ASSIGN_OR_RETURN(std::vector<int64_t> median,
-                          ClosestPossibleAggregate(instance));
-    ServiceResponse response;
-    response.op = ServiceRequest::Op::kAggregate;
-    response.tree_name = request.tree_name;
-    response.values = std::move(mean);
-    response.group_counts = std::move(median);
-    return response;
-  }();
-  AddSpan(timing, "fold", fold_watch);
-  return out;
+Result<ServiceResponse> SolveAggregate(const Engine&,
+                                       const CatalogEntry& entry,
+                                       const ServiceRequest& request,
+                                       const OpInputs& inputs) {
+  CPDB_ASSIGN_OR_RETURN(GroupByInstance instance,
+                        GroupByInstanceFromTree(*entry.tree, *inputs.marginals));
+  std::vector<double> mean = MeanAggregate(instance);
+  CPDB_ASSIGN_OR_RETURN(std::vector<int64_t> median,
+                        ClosestPossibleAggregate(instance));
+  ServiceResponse response;
+  response.op = ServiceRequest::Op::kAggregate;
+  response.tree_name = request.tree_name;
+  response.values = std::move(mean);
+  response.group_counts = std::move(median);
+  return response;
 }
 
 void FormatAggregate(const ServiceResponse& response,
@@ -516,47 +530,44 @@ Status ParseBaseline(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
-Result<ServiceResponse> ExecuteBaselineTree(OpHost& host,
-                                            const CatalogEntry& entry,
-                                            const ServiceRequest& request,
-                                            const Clock* clk,
-                                            ResponseTiming* timing) {
+OpInputs FetchBaseline(OpHost& host, const CatalogEntry& entry,
+                       const ServiceRequest& request) {
+  OpInputs inputs;
+  if (request.baseline_method == "global" || request.baseline_method == "prf") {
+    // The distribution-backed semantics share the consensus path's
+    // (StructKey, k) cache entries: a baseline probe after a topk query
+    // (or vice versa) pays the O(L^2 k) fold once.
+    inputs.fetched = true;
+    inputs.dist = host.RankDistFor(entry, request.k);
+  } else if (request.baseline_method == "erank") {
+    // The per-shape expected ranks (the engine's parallel O(L^2) form),
+    // shared through the precompute cache by every k.
+    inputs.fetched = true;
+    inputs.expected_ranks = host.ExpectedRanksFor(entry);
+  }
+  return inputs;
+}
+
+Result<ServiceResponse> SolveBaseline(const Engine&, const CatalogEntry& entry,
+                                      const ServiceRequest& request,
+                                      const OpInputs& inputs) {
   const AndXorTree& tree = *entry.tree;
   ServiceResponse response;
   response.op = ServiceRequest::Op::kBaseline;
   response.tree_name = request.tree_name;
   response.method = request.baseline_method;
   response.k = request.k;
-  if (request.baseline_method == "global" || request.baseline_method == "prf") {
-    // The distribution-backed semantics share the consensus path's
-    // (StructKey, k) cache entries: a baseline probe after a topk query
-    // (or vice versa) pays the O(L^2 k) fold once.
-    Stopwatch cache_watch(clk);
-    std::shared_ptr<const RankDistribution> dist =
-        host.RankDistFor(entry, request.k);
-    AddSpan(timing, "cache", cache_watch);
-    Stopwatch fold_watch(clk);
-    response.keys = request.baseline_method == "global"
-                        ? GlobalTopK(*dist)
-                        : TopKByPRF(*dist, PrfUpsilonHWeights(request.k));
-    AddSpan(timing, "fold", fold_watch);
-    return response;
-  }
-  if (request.baseline_method == "escore") {
-    Stopwatch fold_watch(clk);
+  if (request.baseline_method == "global") {
+    response.keys = GlobalTopK(*inputs.dist);
+  } else if (request.baseline_method == "prf") {
+    response.keys = TopKByPRF(*inputs.dist, PrfUpsilonHWeights(request.k));
+  } else if (request.baseline_method == "escore") {
     response.keys = TopKByExpectedScore(tree, request.k);
-    AddSpan(timing, "fold", fold_watch);
-    return response;
+  } else {
+    response.keys = TopKByExpectedRankFromRanks(tree.Keys(),
+                                                *inputs.expected_ranks,
+                                                request.k);
   }
-  // erank: the per-shape expected ranks (the engine's parallel O(L^2)
-  // form), shared through the precompute cache by every k.
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const std::vector<double>> ranks =
-      host.ExpectedRanksFor(entry);
-  AddSpan(timing, "cache", cache_watch);
-  Stopwatch fold_watch(clk);
-  response.keys = TopKByExpectedRankFromRanks(tree.Keys(), *ranks, request.k);
-  AddSpan(timing, "fold", fold_watch);
   return response;
 }
 
@@ -578,18 +589,14 @@ Status ParseHardness(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
-Result<ServiceResponse> ExecuteHardnessTree(OpHost& host,
-                                            const CatalogEntry& entry,
-                                            const ServiceRequest& request,
-                                            const Clock* clk,
-                                            ResponseTiming* timing) {
-  (void)host;
-  Stopwatch fold_watch(clk);
+Result<ServiceResponse> SolveHardness(const Engine&,
+                                      const CatalogEntry& entry,
+                                      const ServiceRequest& request,
+                                      const OpInputs&) {
   ServiceResponse response;
   response.op = ServiceRequest::Op::kHardness;
   response.tree_name = request.tree_name;
   response.hardness = ComputeTreeHardness(*entry.tree);
-  AddSpan(timing, "fold", fold_watch);
   return response;
 }
 
@@ -616,6 +623,9 @@ OpRegistry::OpRegistry() {
   auto add = [this](OpSpec spec) {
     // specs()[i].op == Op(i): the enum is the table index, which is what
     // lets ServeInstruments and spec() use O(1) array lookups.
+    if (spec.routing == OpRouting::kTreeAddressed) {
+      spec.execute_tree = ExecuteTreeOp;
+    }
     specs_.push_back(spec);
   };
   {
@@ -634,11 +644,9 @@ OpRegistry::OpRegistry() {
     spec.name = "topk";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.fuse_consensus_batch = true;
-    spec.uses_rank_dist_cache = true;
-    spec.uses_precompute_cache = true;  // kendall mean, symdiff median
     spec.parse = ParseTopK;
-    spec.execute_tree = ExecuteTopKTree;
+    spec.fetch = FetchTopK;
+    spec.solve = SolveTopK;
     spec.format = FormatTopK;
     add(spec);
   }
@@ -648,9 +656,9 @@ OpRegistry::OpRegistry() {
     spec.name = "world";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_marginals_cache = true;
     spec.parse = ParseWorld;
-    spec.execute_tree = ExecuteWorldTree;
+    spec.fetch = FetchMarginals;
+    spec.solve = SolveWorld;
     spec.format = FormatWorld;
     add(spec);
   }
@@ -682,9 +690,9 @@ OpRegistry::OpRegistry() {
     spec.name = "marginals";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_marginals_cache = true;
     spec.parse = ParseMarginals;
-    spec.execute_tree = ExecuteMarginalsTree;
+    spec.fetch = FetchMarginals;
+    spec.solve = SolveMarginals;
     spec.format = FormatMarginals;
     add(spec);
   }
@@ -694,9 +702,9 @@ OpRegistry::OpRegistry() {
     spec.name = "aggregate";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_marginals_cache = true;
     spec.parse = ParseAggregate;
-    spec.execute_tree = ExecuteAggregateTree;
+    spec.fetch = FetchMarginals;
+    spec.solve = SolveAggregate;
     spec.format = FormatAggregate;
     add(spec);
   }
@@ -706,10 +714,9 @@ OpRegistry::OpRegistry() {
     spec.name = "baseline";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_rank_dist_cache = true;   // method=global|prf
-    spec.uses_precompute_cache = true;  // method=erank
     spec.parse = ParseBaseline;
-    spec.execute_tree = ExecuteBaselineTree;
+    spec.fetch = FetchBaseline;
+    spec.solve = SolveBaseline;
     spec.format = FormatBaseline;
     add(spec);
   }
@@ -720,7 +727,8 @@ OpRegistry::OpRegistry() {
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
     spec.parse = ParseHardness;
-    spec.execute_tree = ExecuteHardnessTree;
+    spec.fetch = FetchNothing;
+    spec.solve = SolveHardness;
     spec.format = FormatHardness;
     add(spec);
   }

@@ -18,23 +18,28 @@
 //                       state (stats, metrics);
 //   * its batch phase — the position ExecuteBatch runs it in (loads
 //     before queries before stats before metrics);
-//   * its cache usage (which of the scheduler's memo caches the op routes
-//     its precompute through);
-//   * an execute hook against an abstract OpHost (Engine + caches +
-//     catalog + merged admin state), and
+//   * its hooks against an abstract OpHost (Engine + caches + catalog +
+//     merged admin state): for a tree-addressed op a fetch (the cache
+//     lookups of every precompute the request needs) and a solve (the pure
+//     engine work over what fetch returned), for an admin op one execute
+//     hook, and
 //   * a deterministic response formatter.
 //
 // QueryScheduler::ExecuteBatch/ExecuteOne/ExecuteStreaming and its shard
 // fan-out are generic walks of this table: adding an op means adding one
 // row here (plus its core/engine computation), not editing dispatch
-// sites. The wire error for an unknown op enumerates
-// the valid names from the table, so the message can never go stale.
+// sites. Every tree-addressed request runs the same pipeline: its fetch in
+// slot order on the shard's dispatching thread, then its solve, fanned
+// with the batch's other solves across the shard engine's pool. The wire
+// error for an unknown op enumerates the valid names from the table, so
+// the message can never go stale.
 //
-// Determinism contract: every execute hook computes through
-// schedule-deterministic Engine forms, so answers are bitwise identical
-// for any thread count, shard count, or cache budget — the differential
-// suite (tests/op_registry_test.cc) pins this, and pins the four
-// analytics ops against their offline CLI twins to the byte.
+// Determinism contract: every solve computes through schedule-deterministic
+// Engine forms over inputs that are a pure function of (tree shape,
+// request), so answers are bitwise identical for any thread count, shard
+// count, or cache budget — the differential suite
+// (tests/op_registry_test.cc) pins this, and pins the four analytics ops
+// against their offline CLI twins to the byte.
 
 #ifndef CPDB_SERVICE_OP_REGISTRY_H_
 #define CPDB_SERVICE_OP_REGISTRY_H_
@@ -55,7 +60,7 @@ namespace cpdb {
 /// (and which execute hook an OpSpec provides).
 enum class OpRouting {
   /// Addressed to one catalog tree by name: routed to the shard owning the
-  /// tree's StructKey and executed there through `execute_tree`.
+  /// tree's StructKey and executed there through `fetch` then `solve`.
   kTreeAddressed,
   /// Touches the catalog as a whole: executed on the front-end thread
   /// (which routes the result to the owning shard) through the host's
@@ -137,6 +142,26 @@ class OpHost {
                                                 ResponseTiming* timing) = 0;
 };
 
+/// \brief The precomputes a tree-addressed op's fetch looked up, held by
+/// owning handles so they stay alive through the solve even if their cache
+/// evicts them meanwhile. Each op sets only the members its request needs.
+struct OpInputs {
+  /// Whether the fetch made any lookup: the `cache` span is recorded only
+  /// then (hardness and baseline method=escore look nothing up).
+  bool fetched = false;
+  /// topk (GatedDistFor: null when caching is off or the request can only
+  /// fail); baseline method=global|prf (RankDistFor).
+  std::shared_ptr<const RankDistribution> dist;
+  /// world, marginals, aggregate.
+  std::shared_ptr<const std::vector<double>> marginals;
+  /// topk metric=kendall answer=mean.
+  std::shared_ptr<const std::vector<std::vector<double>>> kendall_q;
+  /// topk metric=symdiff answer=median.
+  std::shared_ptr<const Result<TopKResult>> symdiff_median;
+  /// baseline method=erank.
+  std::shared_ptr<const std::vector<double>> expected_ranks;
+};
+
 /// \brief One op, declaratively. The function members are stateless hooks
 /// (plain function pointers — the table is immutable and shareable across
 /// threads without synchronization).
@@ -151,28 +176,32 @@ struct OpSpec {
   OpRouting routing = OpRouting::kTreeAddressed;
   int batch_phase = kQueryPhase;
 
-  /// Query-phase trait: the slot carries a consensus Top-k query that
-  /// ExecuteBatch folds into its single fused
-  /// Engine::EvaluateConsensusBatch submission (rank distribution via
-  /// GatedDistFor, tail precomputes via ConsensusTailsFor, a fold span of
-  /// its share of the submission). Only kTopK sets it.
-  bool fuse_consensus_batch = false;
-
-  /// Cache usage, declared for documentation, tests, and tooling: which of
-  /// the scheduler's memo caches the op's precompute routes through.
-  bool uses_rank_dist_cache = false;
-  bool uses_marginals_cache = false;
-  bool uses_precompute_cache = false;
-
   /// Maps a tokenized protocol line (op field already matched to this
   /// spec; trace already parsed) onto `request`. Strict: unknown fields
   /// for this op, unknown enum values, and out-of-range integers are
   /// errors.
   Status (*parse)(const RequestLine& line, ServiceRequest* request) = nullptr;
 
-  /// Executes a kTreeAddressed op against its resolved catalog entry,
-  /// recording cache/fold spans on `timing` (clk null = inert watches).
-  /// Null for non-tree ops.
+  /// kTreeAddressed only: the cache lookups — every precompute the request
+  /// needs, through `host`, in a fixed order. The scheduler runs the
+  /// fetches of a batch one by one in slot order on the shard's
+  /// dispatching thread, so each cache sees its lookups in slot order.
+  OpInputs (*fetch)(OpHost& host, const CatalogEntry& entry,
+                    const ServiceRequest& request) = nullptr;
+
+  /// kTreeAddressed only: the engine work over the fetched inputs. Touches
+  /// no cache and no catalog, so the scheduler fans the solves of a batch
+  /// across the shard engine's pool.
+  Result<ServiceResponse> (*solve)(const Engine& engine,
+                                   const CatalogEntry& entry,
+                                   const ServiceRequest& request,
+                                   const OpInputs& inputs) = nullptr;
+
+  /// kTreeAddressed only: one request end to end — FetchOpInputs then
+  /// SolveOp, recording cache/fold spans on `timing` (clk null = inert
+  /// watches). The same function on every tree-addressed row; it exists
+  /// for callers that replay one request at a time against their own
+  /// OpHost.
   Result<ServiceResponse> (*execute_tree)(OpHost& host,
                                           const CatalogEntry& entry,
                                           const ServiceRequest& request,
@@ -230,31 +259,19 @@ class OpRegistry {
 void AddSpan(ResponseTiming* timing, const char* stage,
              const Stopwatch& stopwatch);
 
-/// \brief Builds the kTopK ok response for a finished consensus result —
-/// shared by the fused batch finalizer and the one-at-a-time execute hook,
-/// so the two paths' answer fields cannot drift.
-ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
-                                      const TopKResult& result);
+/// \brief Runs `spec.fetch` inside a `cache` span, recorded only when the
+/// fetch made a lookup.
+OpInputs FetchOpInputs(const OpSpec& spec, OpHost& host,
+                       const CatalogEntry& entry,
+                       const ServiceRequest& request, const Clock* clk,
+                       ResponseTiming* timing);
 
-/// \brief Owning handles on the metric-tail precomputes of one consensus
-/// query — at most one is set — and the engine's view of them.
-struct ConsensusTailHandles {
-  std::shared_ptr<const std::vector<std::vector<double>>> kendall_q;
-  std::shared_ptr<const Result<TopKResult>> symdiff_median;
-
-  ConsensusTails view() const {
-    return ConsensusTails{kendall_q.get(), symdiff_median.get()};
-  }
-};
-
-/// \brief Fetches through `host` the tail precompute a consensus request's
-/// (metric, answer) needs: the q matrix for kendall mean, the median search
-/// over `dist` for symdiff median, nothing otherwise. Shared by the fused
-/// batch's dedupe step and the one-at-a-time hook, so the two paths fetch
-/// the same keys in the same order.
-ConsensusTailHandles ConsensusTailsFor(OpHost& host, const CatalogEntry& entry,
-                                       const ServiceRequest& request,
-                                       const RankDistribution& dist);
+/// \brief Runs `spec.solve` inside a `fold` span.
+Result<ServiceResponse> SolveOp(const OpSpec& spec, const Engine& engine,
+                                const CatalogEntry& entry,
+                                const ServiceRequest& request,
+                                const OpInputs& inputs, const Clock* clk,
+                                ResponseTiming* timing);
 
 /// \brief The in-band refusal for op=metrics when metrics are disabled.
 Status MetricsDisabledError();

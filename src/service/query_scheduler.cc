@@ -150,21 +150,6 @@ class QueryScheduler::Shard {
     owned_catalog = std::move(catalog_in);
   }
 
-  /// The rank distribution for one valid Top-k request: through the cache
-  /// when enabled (single-flight, charged against the budget), nullptr
-  /// when disabled or when the request can only fail — the engine rejects
-  /// such queries before paying the fold, and the cache must not be
-  /// populated for them.
-  std::shared_ptr<const RankDistribution> DistFor(
-      const CatalogEntry& entry, const ServiceRequest& request) {
-    if (!use_cache || request.k < 1 ||
-        !Engine::ValidateConsensusRequest(request.metric, request.answer)
-             .ok()) {
-      return nullptr;
-    }
-    return RankDistFor(entry, request.k);
-  }
-
   /// The rank distribution at cutoff k unconditionally (the baseline
   /// rankings' precompute too): through the cache when enabled, computed
   /// fresh otherwise. Keyed by (StructKey, k), so permuted duplicates, and
@@ -228,18 +213,16 @@ class QueryScheduler::Shard {
     }
   }
 
-  /// Executes this shard's tree-addressed slots of a batch; writes only
-  /// (*responses)[slot] and (*timings)[slot] for its own slots.
+  /// Executes this shard's tree-addressed slots of a batch — the only way
+  /// a tree-addressed request executes: catalog lookups, then every
+  /// slot's fetch in slot order, then every slot's solve fanned across the
+  /// engine's pool. Writes only (*responses)[slot] and (*timings)[slot]
+  /// for its own slots.
   void ExecuteSlots(QueryScheduler* front,
                     const std::vector<ServiceRequest>& requests,
                     const std::vector<size_t>& slots, const Clock* clk,
                     std::vector<Result<ServiceResponse>>* responses,
                     std::vector<ResponseTiming>* timings);
-
-  /// Executes one tree-addressed request through its registry hook.
-  Result<ServiceResponse> ExecuteOne(QueryScheduler* front,
-                                     const ServiceRequest& request,
-                                     const Clock* clk);
 
   ShardCacheStats Stats() const {
     return ShardCacheStats{cache.stats(), marginals_cache.stats(),
@@ -270,9 +253,18 @@ class QueryScheduler::Host : public OpHost {
 
   const Engine* engine() const override { return shard_->engine; }
 
+  // Through the cache (single-flight, charged against the budget), or
+  // nullptr when caching is off or the request can only fail — the engine
+  // rejects such queries before paying the fold, and the cache must not be
+  // populated for them.
   std::shared_ptr<const RankDistribution> GatedDistFor(
       const CatalogEntry& entry, const ServiceRequest& request) override {
-    return shard_->DistFor(entry, request);
+    if (!shard_->use_cache || request.k < 1 ||
+        !Engine::ValidateConsensusRequest(request.metric, request.answer)
+             .ok()) {
+      return nullptr;
+    }
+    return shard_->RankDistFor(entry, request.k);
   }
 
   std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
@@ -342,114 +334,58 @@ void QueryScheduler::Shard::ExecuteSlots(
   const OpRegistry& ops = OpRegistry::Get();
   Host host(front, this);
 
-  // Resolve every slot's tree; unknown names fail their slot only. Slots
-  // whose spec fuses into the consensus batch are split from the ones
-  // executing their own hook.
-  std::vector<size_t> fused_slots;
-  std::vector<CatalogEntry> fused_entries;
-  std::vector<size_t> direct_slots;
-  std::vector<CatalogEntry> direct_entries;
+  // 1. Resolve every slot's tree; unknown names fail their slot only.
+  std::vector<size_t> live;
+  std::vector<CatalogEntry> entries;
   for (size_t slot : slots) {
-    const ServiceRequest& request = requests[slot];
     Stopwatch catalog_watch(clk);
-    Result<CatalogEntry> entry = catalog->Lookup(request.tree_name);
+    Result<CatalogEntry> entry = catalog->Lookup(requests[slot].tree_name);
     AddSpan(&(*timings)[slot], "catalog", catalog_watch);
     if (!entry.ok()) {
       (*responses)[slot] = entry.status();
       continue;
     }
-    if (ops.spec(request.op).fuse_consensus_batch) {
-      fused_slots.push_back(slot);
-      fused_entries.push_back(*std::move(entry));
-    } else {
-      direct_slots.push_back(slot);
-      direct_entries.push_back(*std::move(entry));
-    }
+    live.push_back(slot);
+    entries.push_back(*std::move(entry));
   }
 
-  // The deduplication step: route every Top-k query's shared precomputes —
-  // its rank distribution, then the tail precompute its metric needs —
-  // through the StructKey-keyed caches, in slot order, so the first query
-  // of each key computes and the rest hit, within this batch and across
-  // batches alike. Misses compute here on the shard's dispatching thread
-  // (each fanning its own units across the pool), so no pool worker ever
+  // 2. Fetch, in slot order on this thread: every slot's precomputes route
+  // through the StructKey-keyed caches, so the first request of each key
+  // computes and the rest hit, within this batch and across batches alike.
+  // A miss fans its own units across the pool, so no pool worker ever
   // waits on another's in-flight compute. The handles keep cached entries
-  // alive for the duration of the engine call even if they are evicted
-  // meanwhile.
-  std::vector<std::shared_ptr<const RankDistribution>> dists(
-      fused_slots.size());
-  std::vector<ConsensusTailHandles> tails(fused_slots.size());
-  for (size_t j = 0; j < fused_slots.size(); ++j) {
-    const ServiceRequest& request = requests[fused_slots[j]];
-    Stopwatch cache_watch(clk);
-    dists[j] = DistFor(fused_entries[j], request);
-    if (dists[j] != nullptr) {
-      tails[j] = ConsensusTailsFor(host, fused_entries[j], request, *dists[j]);
-    }
-    AddSpan(&(*timings)[fused_slots[j]], "cache", cache_watch);
+  // alive through the solves even if they are evicted meanwhile.
+  std::vector<OpInputs> inputs(live.size());
+  for (size_t j = 0; j < live.size(); ++j) {
+    const ServiceRequest& request = requests[live[j]];
+    inputs[j] = FetchOpInputs(ops.spec(request.op), host, entries[j], request,
+                              clk, &(*timings)[live[j]]);
   }
 
-  // One engine submission for all fused slots: whole queries fan across
-  // the pool, cached precomputes are shared read-only.
-  std::vector<Engine::ConsensusQuery> queries(fused_slots.size());
-  for (size_t j = 0; j < fused_slots.size(); ++j) {
-    const ServiceRequest& request = requests[fused_slots[j]];
-    queries[j] = {fused_entries[j].tree.get(), request.k, request.metric,
-                  request.answer, dists[j].get(),
-                  fused_entries[j].program.get(), tails[j].view()};
-  }
-  Stopwatch fold_watch(clk);
-  std::vector<Result<TopKResult>> results =
-      engine->EvaluateConsensusBatch(queries);
-  // The whole submission is one engine call, so per-slot attribution inside
-  // it would be fiction: its duration is split evenly across the fused
-  // slots, the first also taking the remainder, so the slots' fold spans
-  // sum to the submission's wall time. Values are side-band by contract.
-  const int64_t batch_fold_nanos = fold_watch.ElapsedNanos();
-  const int64_t num_fused = static_cast<int64_t>(fused_slots.size());
-  for (size_t j = 0; j < fused_slots.size(); ++j) {
-    const size_t slot = fused_slots[j];
-    if (fold_watch.enabled()) {
-      (*timings)[slot].spans.emplace_back(
-          "fold", batch_fold_nanos / num_fused +
-                      (j == 0 ? batch_fold_nanos % num_fused : 0));
+  // 3. Solve: whole solves fan across the pool, each timed by its own fold
+  // span. A slot is written by exactly one unit and every solve is
+  // schedule-deterministic, so the answers are those of a sequential loop,
+  // bitwise. Solves nest their own ParallelFor (the pool is nest-safe), so
+  // inner units of one solve fill gaps left by another. Pool tasks must
+  // not throw: a throwing solve fails its own slot.
+  engine->ParallelFor(static_cast<int64_t>(live.size()), [&](int64_t i) {
+    const size_t j = static_cast<size_t>(i);
+    const size_t slot = live[j];
+    const ServiceRequest& request = requests[slot];
+    try {
+      (*responses)[slot] = SolveOp(ops.spec(request.op), *engine, entries[j],
+                                   request, inputs[j], clk, &(*timings)[slot]);
+    } catch (const std::exception& e) {
+      (*responses)[slot] =
+          Status::Internal(std::string("solve failed: ") + e.what());
+    } catch (...) {
+      (*responses)[slot] = Status::Internal("solve failed");
     }
-    if (!results[j].ok()) {
-      (*responses)[slot] = results[j].status();
-      continue;
-    }
-    (*responses)[slot] = ConsensusTopKResponse(requests[slot], *results[j]);
-  }
-
-  // The direct slots (worlds, the analytics ops) run their own execute
-  // hooks after the fused finalize, in slot order — each routes its
-  // precompute through the caches inside the hook.
-  for (size_t j = 0; j < direct_slots.size(); ++j) {
-    const size_t slot = direct_slots[j];
-    (*responses)[slot] =
-        ops.spec(requests[slot].op)
-            .execute_tree(host, direct_entries[j], requests[slot], clk,
-                          &(*timings)[slot]);
-  }
+  });
 
   for (size_t slot : slots) {
     Finish(requests[slot], &(*timings)[slot], &(*responses)[slot]);
   }
-}
-
-Result<ServiceResponse> QueryScheduler::Shard::ExecuteOne(
-    QueryScheduler* front, const ServiceRequest& request, const Clock* clk) {
-  Host host(front, this);
-  ResponseTiming timing;
-  Stopwatch catalog_watch(clk);
-  Result<CatalogEntry> entry = catalog->Lookup(request.tree_name);
-  AddSpan(&timing, "catalog", catalog_watch);
-  Result<ServiceResponse> response =
-      entry.ok() ? OpRegistry::Get().spec(request.op).execute_tree(
-                       host, *entry, request, clk, &timing)
-                 : Result<ServiceResponse>(entry.status());
-  Finish(request, &timing, &response);
-  return response;
 }
 
 MetricsSnapshot QueryScheduler::Shard::Metrics() const {
@@ -862,29 +798,7 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
 
 Result<ServiceResponse> QueryScheduler::ExecuteOne(
     const ServiceRequest& request) {
-  const Clock* clk = TimingClock(request.trace);
-  // Dispatch is by the registry's routing trait — three shapes of
-  // execution, not one branch per op. Adding an op touches the registry
-  // table, never this switch.
-  switch (OpRegistry::Get().spec(request.op).routing) {
-    case OpRouting::kCatalogGlobal: {
-      ResponseTiming timing;
-      size_t shard = 0;
-      Result<ServiceResponse> response =
-          ExecuteLoad(request, clk, &timing, &shard);
-      shards_[shard]->Finish(request, &timing, &response);
-      return response;
-    }
-    case OpRouting::kAdmin:
-      // Counted before executing: a metrics scrape includes its own count.
-      shards_[0]->Count(request);
-      return ExecuteAdmin(request, clk);
-    case OpRouting::kTreeAddressed: {
-      CPDB_ASSIGN_OR_RETURN(size_t shard, RouteTree(request, clk));
-      return shards_[shard]->ExecuteOne(this, request, clk);
-    }
-  }
-  return Status::Internal("unknown request op");
+  return ExecuteBatch({request})[0];
 }
 
 void QueryScheduler::ExecuteStreaming(

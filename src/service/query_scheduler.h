@@ -20,14 +20,14 @@
 //      owning shard's catalog;
 //   2. every tree-addressed request (the OpRegistry's kTreeAddressed rows)
 //      routes to the shard holding its tree, and the per-shard sub-batches
-//      run concurrently, each on its shard's engine. Inside a shard the
-//      shared precomputes route through the three caches — rank
-//      distributions by (StructKey, k), leaf marginals by StructKey, and
-//      the metric-tail precomputes (Kendall q matrices, symdiff median
-//      searches, expected ranks) by (StructKey, kind, k) — so queries
-//      sharing a structural key pay each precompute once; the remaining
-//      Top-k work fans through one Engine::EvaluateConsensusBatch
-//      submission per shard, and the other ops run their registry hooks;
+//      run concurrently, each on its shard's engine. Inside a shard every
+//      slot's fetch runs first, in slot order: the shared precomputes
+//      route through the three caches — rank distributions by
+//      (StructKey, k), leaf marginals by StructKey, and the metric-tail
+//      precomputes (Kendall q matrices, symdiff median searches, expected
+//      ranks) by (StructKey, kind, k) — so queries sharing a structural
+//      key pay each precompute once. Then every slot's solve fans across
+//      the shard engine's pool;
 //   3. the admin ops (stats, metrics) answer last with the shards' state
 //      merged: counters summed, registries merged bucket-wise.
 //
@@ -357,11 +357,10 @@ class QueryScheduler {
       const std::vector<ServiceRequest>& requests);
 
   /// \brief Executes one request immediately — the unit of the streaming
-  /// path. Same cache routing and bitwise-identical answers as a
-  /// single-request ExecuteBatch, with the two order-sensitive
-  /// differences streaming implies: a tree-addressed request sees only
-  /// trees loaded before this call, and kStats reports the counters as of
-  /// now.
+  /// path: exactly ExecuteBatch({request})[0]. Streaming implies two
+  /// order-sensitive differences from one whole batch: a tree-addressed
+  /// request sees only trees loaded before this call, and kStats reports
+  /// the counters as of now.
   Result<ServiceResponse> ExecuteOne(const ServiceRequest& request);
 
   /// \brief The incremental serve loop: repeatedly pulls a request from

@@ -243,6 +243,70 @@ TEST_F(CliTest, TopKAcrossMetrics) {
   EXPECT_EQ(any_size.code, 0);
 }
 
+// --answer is parsed strictly: a misspelled answer, or a (metric, answer)
+// pair the engine does not implement, exits 1 with serve's message instead
+// of silently running the mean answer under the flag's text.
+TEST_F(CliTest, TopKRejectsAnswersItDoesNotRun) {
+  const Status kendall_median = Engine::ValidateConsensusRequest(
+      TopKMetric::kKendall, TopKAnswer::kMedian);
+  ASSERT_FALSE(kendall_median.ok());
+  CliResult r = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
+                            "--metric=kendall", "--answer=median"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.out, "");
+  EXPECT_EQ(r.err, kendall_median.ToString() + "\n");
+  for (const char* pair : {"footrule:median", "symdiff:approx",
+                           "intersection:any-size", "intersection:median"}) {
+    const std::string text = pair;
+    const std::string metric = text.substr(0, text.find(':'));
+    const std::string answer = text.substr(text.find(':') + 1);
+    CliResult bad = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
+                                "--metric=" + metric, "--answer=" + answer});
+    EXPECT_EQ(bad.code, 1) << pair;
+    EXPECT_EQ(bad.err,
+              Engine::ValidateConsensusRequest(*ParseTopKMetricName(metric),
+                                               *ParseTopKAnswerName(answer))
+                      .ToString() +
+                  "\n")
+        << pair;
+  }
+
+  CliResult typo = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
+                               "--metric=symdiff", "--answer=medain"});
+  EXPECT_EQ(typo.code, 1);
+  EXPECT_EQ(typo.out, "");
+  EXPECT_EQ(typo.err,
+            ParseTopKAnswerName("medain").status().ToString() + "\n");
+
+  CliResult all = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
+                              "--metric=all", "--answer=median"});
+  EXPECT_EQ(all.code, 1);
+  EXPECT_EQ(all.out, "");
+  EXPECT_NE(all.err.find("--metric=all"), std::string::npos) << all.err;
+
+  // The supported pairs still run, echoing the flag.
+  CliResult approx = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
+                                 "--metric=intersection", "--answer=approx"});
+  EXPECT_EQ(approx.code, 0) << approx.err;
+  EXPECT_EQ(approx.out.rfind("top-2 (intersection, approx): [", 0), 0u)
+      << approx.out;
+  CliResult all_mean = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
+                                   "--metric=all", "--answer=mean"});
+  EXPECT_EQ(all_mean.code, 0) << all_mean.err;
+}
+
+TEST_F(CliTest, ConsensusWorldRejectsUnknownAnswers) {
+  for (const char* metric : {"symdiff", "jaccard"}) {
+    CliResult r = RunCliArgs({"consensus-world", tree_path_,
+                              std::string("--metric=") + metric,
+                              "--answer=bogus"});
+    EXPECT_EQ(r.code, 1) << metric;
+    EXPECT_EQ(r.out, "") << metric;
+    EXPECT_EQ(r.err, "unknown --answer=bogus (expected mean or median)\n")
+        << metric;
+  }
+}
+
 TEST_F(CliTest, TopKAllMetricsBatchesEveryMetric) {
   CliResult r = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
                             "--metric=all", "--threads=2"});

@@ -342,31 +342,22 @@ TEST(DifferentialTest, SetConsensusMatchesEnumeration) {
   }
 }
 
-// --- Batch API --------------------------------------------------------------
+// --- Every metric per tree --------------------------------------------------
 
-TEST(DifferentialTest, BatchAnswersMatchEnumeration) {
+TEST(DifferentialTest, EveryMetricPerTreeMatchesEnumeration) {
   Engine engine = MakeEngine();
-  std::vector<AndXorTree> trees = SmallTrees(12);
   const int k = 2;
-  std::vector<Engine::ConsensusQuery> queries;
-  for (const AndXorTree& tree : trees) {
+  for (const AndXorTree& tree : SmallTrees(12)) {
+    std::vector<RankedWorld> worlds = MaterializeWorlds(tree, k);
     for (TopKMetric metric :
          {TopKMetric::kSymDiff, TopKMetric::kIntersection,
           TopKMetric::kFootrule, TopKMetric::kKendall}) {
-      queries.push_back({&tree, k, metric, TopKAnswer::kMean});
+      Result<TopKResult> result = engine.ConsensusTopK(tree, k, metric);
+      ASSERT_TRUE(result.ok()) << TopKMetricName(metric);
+      ASSERT_NEAR(result->expected_distance,
+                  BruteExpectedTopK(worlds, result->keys, k, metric), kTol)
+          << TopKMetricName(metric);
     }
-  }
-  std::vector<Result<TopKResult>> results =
-      engine.EvaluateConsensusBatch(queries);
-  ASSERT_EQ(results.size(), queries.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << "slot " << i;
-    std::vector<RankedWorld> worlds = MaterializeWorlds(*queries[i].tree, k);
-    ASSERT_NEAR(results[i]->expected_distance,
-                BruteExpectedTopK(worlds, results[i]->keys, k,
-                                  queries[i].metric),
-                kTol)
-        << "slot " << i;
   }
 }
 

@@ -283,91 +283,6 @@ TEST(EngineTest, SetConsensusBitwiseAcrossThreadCounts) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Engine — consensus batch API
-// ---------------------------------------------------------------------------
-
-// A batch over mixed trees, metrics, answers, and k values must return, in
-// every slot, exactly what the one-at-a-time API returns — bitwise, for
-// every thread count.
-TEST(EngineTest, ConsensusBatchMatchesIndividualQueries) {
-  AndXorTree deep = RandomDeepTree(67);
-  AndXorTree bid = RandomBidTree(71);
-  std::vector<Engine::ConsensusQuery> queries = {
-      {&deep, 2, TopKMetric::kSymDiff, TopKAnswer::kMean},
-      {&deep, 3, TopKMetric::kSymDiff, TopKAnswer::kMedian},
-      {&bid, 3, TopKMetric::kIntersection, TopKAnswer::kMean},
-      {&bid, 2, TopKMetric::kIntersection, TopKAnswer::kMeanApprox},
-      {&deep, 3, TopKMetric::kFootrule, TopKAnswer::kMean},
-      {&bid, 2, TopKMetric::kKendall, TopKAnswer::kMean},
-      {&deep, 1, TopKMetric::kSymDiff, TopKAnswer::kMeanUnrestricted},
-  };
-  for (int threads : {1, 2, 4, 8}) {
-    EngineOptions opts;
-    opts.num_threads = threads;
-    Engine engine(opts);
-    std::vector<Result<TopKResult>> batch =
-        engine.EvaluateConsensusBatch(queries);
-    ASSERT_EQ(batch.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto single = engine.ConsensusTopK(*queries[i].tree, queries[i].k,
-                                         queries[i].metric, queries[i].answer);
-      ASSERT_TRUE(batch[i].ok()) << "slot " << i << " threads " << threads;
-      ASSERT_TRUE(single.ok());
-      ASSERT_EQ(batch[i]->keys, single->keys)
-          << "slot " << i << " threads " << threads;
-      ASSERT_EQ(batch[i]->expected_distance, single->expected_distance);
-    }
-  }
-}
-
-// Two identical batch submissions must agree bitwise (seeded
-// reproducibility: nothing in the batch path may depend on scheduling).
-TEST(EngineTest, ConsensusBatchIsReproducible) {
-  AndXorTree tree = RandomDeepTree(73);
-  std::vector<Engine::ConsensusQuery> queries;
-  for (int k = 1; k <= 4; ++k) {
-    queries.push_back({&tree, k, TopKMetric::kSymDiff, TopKAnswer::kMedian});
-    queries.push_back({&tree, k, TopKMetric::kFootrule, TopKAnswer::kMean});
-  }
-  EngineOptions opts;
-  opts.num_threads = 4;
-  Engine engine(opts);
-  auto a = engine.EvaluateConsensusBatch(queries);
-  auto b = engine.EvaluateConsensusBatch(queries);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].ok());
-    ASSERT_TRUE(b[i].ok());
-    ASSERT_EQ(a[i]->keys, b[i]->keys) << "slot " << i;
-    ASSERT_EQ(a[i]->expected_distance, b[i]->expected_distance);
-  }
-}
-
-// Per-query failures stay in their slot; healthy queries still succeed.
-TEST(EngineTest, ConsensusBatchIsolatesFailures) {
-  AndXorTree tree = RandomDeepTree(79);
-  std::vector<Engine::ConsensusQuery> queries = {
-      {&tree, 2, TopKMetric::kSymDiff, TopKAnswer::kMean},
-      {&tree, 0, TopKMetric::kSymDiff, TopKAnswer::kMean},  // bad k
-      {nullptr, 2, TopKMetric::kSymDiff, TopKAnswer::kMean},  // null tree
-      {&tree, 2, TopKMetric::kFootrule, TopKAnswer::kMedian},  // unsupported
-      {&tree, 2, TopKMetric::kFootrule, TopKAnswer::kMean},
-  };
-  EngineOptions opts;
-  opts.num_threads = 4;
-  Engine engine(opts);
-  auto results = engine.EvaluateConsensusBatch(queries);
-  ASSERT_EQ(results.size(), queries.size());
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_FALSE(results[2].ok());
-  EXPECT_FALSE(results[3].ok());
-  EXPECT_TRUE(results[4].ok());
-  EXPECT_EQ(results[0]->keys,
-            engine.ConsensusTopK(tree, 2, TopKMetric::kSymDiff)->keys);
-}
-
 // The cache-aware entry point: supplying the precomputed rank distribution
 // must change nothing about the answer — bitwise — for every metric. This
 // is the engine-level half of the serving layer's cache-parity guarantee.
@@ -389,34 +304,6 @@ TEST(EngineTest, ConsensusTopKWithDistMatchesFreshComputation) {
     EXPECT_EQ(cached->keys, fresh->keys);
     EXPECT_EQ(cached->expected_distance, fresh->expected_distance);
   }
-}
-
-// Batch slots carrying a shared precomputed distribution must agree with
-// dist-free slots bitwise; a k mismatch fails its slot, never reinterprets.
-TEST(EngineTest, ConsensusBatchHonorsSuppliedDistributions) {
-  const int k = 3;
-  AndXorTree tree = RandomDeepTree(89);
-  EngineOptions opts;
-  opts.num_threads = 4;
-  opts.use_fast_bid_path = false;
-  Engine engine(opts);
-  RankDistribution dist = engine.ComputeRankDistribution(tree, k);
-  std::vector<Engine::ConsensusQuery> queries = {
-      {&tree, k, TopKMetric::kSymDiff, TopKAnswer::kMean, &dist},
-      {&tree, k, TopKMetric::kSymDiff, TopKAnswer::kMean, nullptr},
-      {&tree, k, TopKMetric::kFootrule, TopKAnswer::kMean, &dist},
-      {&tree, k + 1, TopKMetric::kSymDiff, TopKAnswer::kMean,
-       &dist},  // k mismatch
-  };
-  auto results = engine.EvaluateConsensusBatch(queries);
-  ASSERT_TRUE(results[0].ok());
-  ASSERT_TRUE(results[1].ok());
-  ASSERT_TRUE(results[2].ok());
-  EXPECT_EQ(results[0]->keys, results[1]->keys);
-  EXPECT_EQ(results[0]->expected_distance, results[1]->expected_distance);
-  ASSERT_FALSE(results[3].ok());
-  EXPECT_NE(results[3].status().ToString().find("different k"),
-            std::string::npos);
 }
 
 // A distribution computed for one tree must never be silently applied to

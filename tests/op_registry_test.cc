@@ -30,6 +30,7 @@
 #include "core/ranking_baselines.h"
 #include "engine/engine.h"
 #include "io/request_protocol.h"
+#include "obs/clock.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
@@ -226,18 +227,19 @@ TEST(OpRegistryTest, TableIndexIsTheOpEnumAndNamesRoundTrip) {
     EXPECT_EQ(registry.FindByName(spec.name), &spec) << spec.name;
   }
   EXPECT_EQ(registry.FindByName("frobnicate"), nullptr);
-  // Every spec is fully wired: a parse, a formatter, and exactly one
-  // execute hook matching its routing class.
+  // Every spec is fully wired: a parse, a formatter, and the hooks of its
+  // routing class — fetch + solve (and the shared execute_tree) for a
+  // tree-addressed op, one execute_admin for an admin op.
   for (const OpSpec& spec : registry.specs()) {
     EXPECT_NE(spec.parse, nullptr) << spec.name;
     EXPECT_NE(spec.format, nullptr) << spec.name;
-    if (spec.routing == OpRouting::kAdmin) {
-      EXPECT_NE(spec.execute_admin, nullptr) << spec.name;
-      EXPECT_EQ(spec.execute_tree, nullptr) << spec.name;
-    } else if (spec.routing == OpRouting::kTreeAddressed) {
-      EXPECT_NE(spec.execute_tree, nullptr) << spec.name;
-      EXPECT_EQ(spec.execute_admin, nullptr) << spec.name;
-    }
+    const bool tree = spec.routing == OpRouting::kTreeAddressed;
+    EXPECT_EQ(spec.fetch != nullptr, tree) << spec.name;
+    EXPECT_EQ(spec.solve != nullptr, tree) << spec.name;
+    EXPECT_EQ(spec.execute_tree != nullptr, tree) << spec.name;
+    EXPECT_EQ(spec.execute_admin != nullptr,
+              spec.routing == OpRouting::kAdmin)
+        << spec.name;
   }
 }
 
@@ -500,6 +502,95 @@ TEST_F(OpPipelineTest, TranscriptIsByteIdenticalAcrossConfigurations) {
   for (const auto& flags : kVariants) {
     EXPECT_EQ(ServeTranscript(path, flags), baseline)
         << "flags " << ::testing::PrintToString(flags);
+  }
+}
+
+// ExecuteOne is ExecuteBatch({request})[0]: for every tree-addressed op of
+// the request mix — its error rows and a few failing topk pairs included —
+// the two answer the same bytes, record the same trace span names, and
+// leave the same per-op instrument counts, each scheduler on its own
+// auto-advancing FakeClock.
+TEST_F(OpPipelineTest, ExecuteOneIsAOneSlotBatch) {
+  FakeClock one_clock;
+  FakeClock batch_clock;
+  one_clock.set_auto_advance(1);
+  batch_clock.set_auto_advance(1);
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  SchedulerOptions one_options;
+  one_options.clock = &one_clock;
+  SchedulerOptions batch_options;
+  batch_options.clock = &batch_clock;
+  QueryScheduler one(1, engine_options, one_options);
+  QueryScheduler batch(1, engine_options, batch_options);
+  for (QueryScheduler* scheduler : {&one, &batch}) {
+    for (size_t i = 0; i < trees_.size(); ++i) {
+      ASSERT_TRUE(scheduler->Insert(names_[i], trees_[i]).ok());
+    }
+    ASSERT_TRUE(
+        scheduler->Insert("unlab", *ParseTree(*ReadFileToString(unlabeled_path_)))
+            .ok());
+  }
+
+  const std::string extra =
+      "op=topk tree=d0 k=3 metric=kendall answer=median\n"
+      "op=topk tree=d1 k=2 metric=footrule answer=approx\n"
+      "op=topk tree=d0 k=2 metric=symdiff answer=median\n"
+      "op=topk tree=no_such_tree k=2\n"
+      "op=world tree=d1 answer=median\n";
+  int tree_ops = 0;
+  for (const std::string& text : SplitLines(QueryRequests() + extra)) {
+    Result<ServiceRequest> parsed = ParseLine(text);
+    if (!parsed.ok()) continue;  // op=frobnicate never reaches a scheduler
+    ServiceRequest request = *parsed;
+    ASSERT_EQ(OpRegistry::Get().spec(request.op).routing,
+              OpRouting::kTreeAddressed);
+    request.trace = true;
+    ++tree_ops;
+    SCOPED_TRACE(text);
+    const Result<ServiceResponse> got = one.ExecuteOne(request);
+    const Result<ServiceResponse> want = batch.ExecuteBatch({request})[0];
+    ASSERT_EQ(got.ok(), want.ok());
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(FormatResponseLine(ResponseToFields(*got)),
+              FormatResponseLine(ResponseToFields(*want)));
+    std::vector<std::string> got_spans;
+    std::vector<std::string> want_spans;
+    for (const auto& span : got->timing.spans) got_spans.push_back(span.first);
+    for (const auto& span : want->timing.spans) want_spans.push_back(span.first);
+    EXPECT_EQ(got_spans, want_spans);
+  }
+  EXPECT_EQ(tree_ops, 23);
+
+  const MetricsSnapshot one_scrape = one.MetricsSnapshotNow();
+  const MetricsSnapshot batch_scrape = batch.MetricsSnapshotNow();
+  for (const OpSpec& spec : OpRegistry::Get().specs()) {
+    const std::string stem = "cpdb_" + std::string(spec.name);
+    EXPECT_EQ(one_scrape.Find(stem + "_requests_total")->value,
+              batch_scrape.Find(stem + "_requests_total")->value)
+        << spec.name;
+    const HistogramSnapshot& one_latency =
+        one_scrape.Find(stem + "_latency_nanoseconds")->hist;
+    const HistogramSnapshot& batch_latency =
+        batch_scrape.Find(stem + "_latency_nanoseconds")->hist;
+    EXPECT_EQ(one_latency.count, batch_latency.count) << spec.name;
+    EXPECT_EQ(one_latency.sum_nanos, batch_latency.sum_nanos) << spec.name;
+  }
+  for (const char* counter :
+       {"cpdb_requests_total", "cpdb_request_errors_total"}) {
+    EXPECT_EQ(one_scrape.Find(counter)->value,
+              batch_scrape.Find(counter)->value)
+        << counter;
+  }
+  for (const char* stage : {"catalog", "cache", "fold"}) {
+    const std::string name =
+        std::string("cpdb_stage_") + stage + "_latency_nanoseconds";
+    EXPECT_EQ(one_scrape.Find(name)->hist.count,
+              batch_scrape.Find(name)->hist.count)
+        << name;
   }
 }
 

@@ -414,6 +414,11 @@ int CmdConsensusWorld(const CliOptions& opts, std::FILE* out, std::FILE* err) {
     std::fprintf(err, "--threads must be >= 0 (0 = all hardware cores)\n");
     return 1;
   }
+  if (opts.answer != "mean" && opts.answer != "median") {
+    std::fprintf(err, "unknown --answer=%s (expected mean or median)\n",
+                 opts.answer.c_str());
+    return 1;
+  }
   std::vector<NodeId> world;
   double expected = 0.0;
   if (opts.metric == "symdiff") {
@@ -465,34 +470,35 @@ int CmdTopK(const CliOptions& opts, std::FILE* out, std::FILE* err) {
     std::fprintf(err, "--threads must be >= 0 (0 = all hardware cores)\n");
     return 1;
   }
+  Result<TopKAnswer> answer = ParseTopKAnswerName(opts.answer);
+  if (!answer.ok()) {
+    std::fprintf(err, "%s\n", answer.status().ToString().c_str());
+    return 1;
+  }
+  Engine engine = MakeEngine(opts);
   if (opts.metric == "all") {
-    // All four metrics (mean answers) over the same tree, submitted as one
-    // Engine::EvaluateConsensusBatch call: the rank distribution, strata,
-    // columns, and q-matrix units of all queries share the pool.
-    const TopKMetric kMetrics[] = {
-        TopKMetric::kSymDiff,
-        TopKMetric::kIntersection,
-        TopKMetric::kFootrule,
-        TopKMetric::kKendall,
-    };
-    Engine engine = MakeEngine(opts);
-    std::vector<Engine::ConsensusQuery> queries;
-    for (TopKMetric m : kMetrics) {
-      queries.push_back({&*tree, opts.k, m, TopKAnswer::kMean});
+    // All four metrics' mean answers over the same tree: one rank
+    // distribution fold feeds every metric's tail.
+    if (*answer != TopKAnswer::kMean) {
+      std::fprintf(err,
+                   "--metric=all runs the mean answers only, got --answer=%s\n",
+                   opts.answer.c_str());
+      return 1;
     }
-    std::vector<Result<TopKResult>> results =
-        engine.EvaluateConsensusBatch(queries);
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) {
-        std::fprintf(err, "%s: %s\n", TopKMetricName(kMetrics[i]),
-                     results[i].status().ToString().c_str());
+    const RankDistribution dist = engine.ComputeRankDistribution(*tree, opts.k);
+    for (TopKMetric metric : {TopKMetric::kSymDiff, TopKMetric::kIntersection,
+                              TopKMetric::kFootrule, TopKMetric::kKendall}) {
+      Result<TopKResult> result =
+          engine.ConsensusTopKWithDist(*tree, dist, metric);
+      if (!result.ok()) {
+        std::fprintf(err, "%s: %s\n", TopKMetricName(metric),
+                     result.status().ToString().c_str());
         return 1;
       }
-      std::fprintf(out, "top-%d (%s, mean): [", opts.k,
-                   TopKMetricName(kMetrics[i]));
-      for (KeyId key : results[i]->keys) std::fprintf(out, " %d", key);
+      std::fprintf(out, "top-%d (%s, mean): [", opts.k, TopKMetricName(metric));
+      for (KeyId key : result->keys) std::fprintf(out, " %d", key);
       std::fprintf(out, " ]  E[distance] = %s\n",
-                   FormatRoundTripDouble(results[i]->expected_distance).c_str());
+                   FormatRoundTripDouble(result->expected_distance).c_str());
     }
     return 0;
   }
@@ -504,19 +510,9 @@ int CmdTopK(const CliOptions& opts, std::FILE* out, std::FILE* err) {
                  opts.metric.c_str());
     return 1;
   }
-  // Historical flag behavior: --answer values that don't apply to the
-  // chosen metric fall back to the mean answer rather than erroring.
-  TopKAnswer answer = TopKAnswer::kMean;
-  if (opts.answer == "median" && opts.metric == "symdiff") {
-    answer = TopKAnswer::kMedian;
-  } else if (opts.answer == "any-size" && opts.metric == "symdiff") {
-    answer = TopKAnswer::kMeanUnrestricted;
-  } else if (opts.answer == "approx" && opts.metric == "intersection") {
-    answer = TopKAnswer::kMeanApprox;
-  }
-  Engine engine = MakeEngine(opts);
-  Result<TopKResult> result = engine.ConsensusTopK(*tree, opts.k, *metric,
-                                                   answer);
+  // An unsupported (metric, answer) pair fails here with serve's message.
+  Result<TopKResult> result =
+      engine.ConsensusTopK(*tree, opts.k, *metric, *answer);
   if (!result.ok()) {
     std::fprintf(err, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -868,8 +864,8 @@ std::string CliUsage() {
       "  sample           draw random worlds (--count, --seed)\n"
       "  consensus-world  --metric=symdiff|jaccard --answer=mean|median\n"
       "  topk             --k=K --metric=symdiff|intersection|footrule|kendall\n"
-      "                   (--metric=all batches every metric's mean answer\n"
-      "                   through the engine in one submission)\n"
+      "                   (--metric=all prints every metric's mean answer\n"
+      "                   from one rank-distribution fold)\n"
       "                   --answer=mean|median|approx|any-size\n"
       "  aggregate        consensus group-by COUNT over the label attribute\n"
       "  baseline         --k=K --method=escore|erank|global|prf: the\n"
