@@ -49,6 +49,15 @@
 //       one retained distribution per shape, so throughput stays flat as
 //       D grows (perfbench measures the same effect end to end as
 //       service.catalog.dedup_ratio and engine.fold_compiles).
+//
+// And the load path every start-up pays:
+//
+//   BM_TreeLoad — ParseTree + TreeCatalog::ComputeIdentity of one tree's
+//       text: arg 0 is a cold_batch deep shape (~100 leaves), arg 1 a
+//       heavy_sharded shape (~44 leaves). Each load validates once,
+//       serializes once and canonicalizes in one walk.
+//   BM_SnapshotDecode — DecodeCatalogSnapshot of 256 heavy_sharded-shaped
+//       tree records, the bulk of `serve --catalog` set-up.
 
 #include <benchmark/benchmark.h>
 
@@ -689,6 +698,54 @@ void BM_ServeDedupedCatalog(benchmark::State& state) {
       static_cast<double>(scheduler.cache_stats().entries);
 }
 BENCHMARK(BM_ServeDedupedCatalog)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// A random tree with a leaf count in [min_leaves, max_leaves], drawn like
+// perfbench's workload shapes: arg 0 = cold_batch deep, 1 = heavy_sharded.
+AndXorTree LoadShape(int shape, Rng* rng) {
+  RandomTreeOptions opts;
+  opts.num_keys = shape == 0 ? 24 : 12;
+  opts.max_depth = shape == 0 ? 5 : 3;
+  opts.max_alternatives = 2;
+  const int min_leaves = shape == 0 ? 100 : 42;
+  const int max_leaves = shape == 0 ? 110 : 45;
+  while (true) {
+    AndXorTree tree = *RandomAndXorTree(opts, rng);
+    if (tree.NumLeaves() >= min_leaves && tree.NumLeaves() <= max_leaves) {
+      return tree;
+    }
+  }
+}
+
+void BM_TreeLoad(benchmark::State& state) {
+  Rng rng(71);
+  const std::string text =
+      FormatTree(LoadShape(static_cast<int>(state.range(0)), &rng));
+  for (auto _ : state) {
+    TreeIdentity identity =
+        TreeCatalog::ComputeIdentity(*ParseTree(text)).ValueOrDie();
+    benchmark::DoNotOptimize(identity);
+  }
+  state.counters["bytes"] = static_cast<double>(text.size());
+}
+BENCHMARK(BM_TreeLoad)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_SnapshotDecode(benchmark::State& state) {
+  constexpr int kRecords = 256;
+  Rng rng(73);
+  TreeCatalog catalog;
+  for (int i = 0; i < kRecords; ++i) {
+    catalog.Insert("h" + std::to_string(i), LoadShape(1, &rng)).ValueOrDie();
+  }
+  const std::string bytes =
+      EncodeCatalogSnapshot(BuildCatalogSnapshot(catalog, nullptr));
+  for (auto _ : state) {
+    CatalogSnapshot snapshot =
+        DecodeCatalogSnapshot(bytes.data(), bytes.size()).ValueOrDie();
+    benchmark::DoNotOptimize(snapshot);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes.size());
+}
+BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cpdb

@@ -6,18 +6,6 @@
 
 namespace cpdb {
 
-uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
-  // FNV-1a: xor the byte in, then multiply by the 64-bit FNV prime.
-  constexpr uint64_t kPrime = 0x100000001b3ULL;
-  uint64_t hash = seed;
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= static_cast<uint64_t>(bytes[i]);
-    hash *= kPrime;
-  }
-  return hash;
-}
-
 uint64_t Fnv1a64(const std::string& text) {
   return Fnv1a64(text.data(), text.size());
 }

@@ -22,9 +22,20 @@ inline constexpr uint64_t kFnv1a64OffsetBasis = 0xcbf29ce484222325ULL;
 
 /// \brief 64-bit FNV-1a over a byte range, starting from `seed` (the offset
 /// basis by default). Passing a previous hash as `seed` chains ranges:
-/// Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a ++ b).
-uint64_t Fnv1a64(const void* data, size_t len,
-                 uint64_t seed = kFnv1a64OffsetBasis);
+/// Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a ++ b). Inline, because the
+/// canonicalizer feeds it a few bytes at a time, several times per node.
+inline uint64_t Fnv1a64(const void* data, size_t len,
+                        uint64_t seed = kFnv1a64OffsetBasis) {
+  // FNV-1a: xor the byte in, then multiply by the 64-bit FNV prime.
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
+  uint64_t hash = seed;
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    hash ^= static_cast<uint64_t>(bytes[i]);
+    hash *= kPrime;
+  }
+  return hash;
+}
 
 /// \brief 64-bit FNV-1a of a string's bytes.
 uint64_t Fnv1a64(const std::string& text);

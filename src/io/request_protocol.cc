@@ -104,11 +104,17 @@ Result<long long> ParseStrictInt(const std::string& name,
 }
 
 std::string FormatRoundTripDouble(double value) {
+  std::string out;
+  AppendRoundTripDouble(value, &out);
+  return out;
+}
+
+void AppendRoundTripDouble(double value, std::string* out) {
   // 32 bytes comfortably hold the longest shortest-representation double
   // ("-2.2250738585072014e-308" is 24 characters).
   char buf[32];
   std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
-  return std::string(buf, r.ptr);
+  out->append(buf, r.ptr);
 }
 
 std::string EscapeFieldValue(const std::string& value) {

@@ -89,6 +89,10 @@ Result<long long> ParseStrictInt(const std::string& name,
 /// silently truncates what the engine computed exactly ("%.6f" used to).
 std::string FormatRoundTripDouble(double value);
 
+/// \brief Appends FormatRoundTripDouble(value) to `out`, without the
+/// temporary string.
+void AppendRoundTripDouble(double value, std::string* out);
+
 /// \brief Escapes a response value for the tab-separated framing: backslash
 /// becomes "\\", tab/newline/CR become "\t"/"\n"/"\r", and every other
 /// control character (0x00-0x1F, 0x7F) becomes "\xHH". The identity on

@@ -2,13 +2,39 @@
 
 #include "io/table_io.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 
 namespace cpdb {
+
+namespace {
+
+// A decimal integer token in [lo, hi] — the whole token, with an optional
+// sign, as stream extraction spells integers — or false: a fraction, an
+// exponent or an out-of-range value is an error, never truncated, partly
+// read or wrapped into an int32.
+bool ParseIntToken(const std::string& token, long long lo, long long hi,
+                   int32_t* out) {
+  const char* begin = token.data();
+  const char* end = begin + token.size();
+  // from_chars takes no '+'; stream extraction takes one before digits.
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') ++begin;
+  long long value = 0;
+  std::from_chars_result r = std::from_chars(begin, end, value);
+  if (r.ec != std::errc() || r.ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  *out = static_cast<int32_t>(value);
+  return true;
+}
+
+}  // namespace
 
 Result<std::vector<Block>> ParseBidTable(const std::string& text) {
   std::vector<Block> blocks;
@@ -22,15 +48,28 @@ Result<std::vector<Block>> ParseBidTable(const std::string& text) {
     size_t hash = line.find('#');
     if (hash != std::string::npos) line = line.substr(0, hash);
     std::istringstream ls(line);
-    long long key;
+    std::string key_token;
     double prob, score;
-    if (!(ls >> key)) continue;  // blank or comment-only line
+    if (!(ls >> key_token)) continue;  // blank or comment-only line
+    TupleAlternative alt;
+    if (!ParseIntToken(key_token, std::numeric_limits<int32_t>::min(),
+                       std::numeric_limits<int32_t>::max(), &alt.key)) {
+      return Status::ParseError(
+          "line " + std::to_string(line_no) + ": key '" + key_token +
+          "' is not an integer in [-2147483648, 2147483647]");
+    }
     if (!(ls >> prob >> score)) {
       return Status::ParseError("line " + std::to_string(line_no) +
                                 ": expected 'key prob score [label]'");
     }
-    long long label = -1;
-    ls >> label;  // optional
+    std::string label_token;
+    if (ls >> label_token &&  // optional
+        !ParseIntToken(label_token, 0, std::numeric_limits<int32_t>::max(),
+                       &alt.label)) {
+      return Status::ParseError("line " + std::to_string(line_no) +
+                                ": label '" + label_token +
+                                "' is not an integer in [0, 2147483647]");
+    }
     std::string rest;
     if (ls >> rest) {
       return Status::ParseError("line " + std::to_string(line_no) +
@@ -49,14 +88,11 @@ Result<std::vector<Block>> ParseBidTable(const std::string& text) {
       return Status::ParseError("line " + std::to_string(line_no) +
                                 ": probability out of [0,1]");
     }
-    if (!seen.insert({static_cast<KeyId>(key), score}).second) {
+    if (!seen.insert({alt.key, score}).second) {
       return Status::ParseError("line " + std::to_string(line_no) +
                                 ": duplicate (key, score) alternative");
     }
-    TupleAlternative alt;
-    alt.key = static_cast<KeyId>(key);
     alt.score = score;
-    alt.label = static_cast<int32_t>(label);
     auto [it, inserted] = block_of_key.insert({alt.key, blocks.size()});
     if (inserted) blocks.emplace_back();
     blocks[it->second].push_back({alt, prob});

@@ -26,8 +26,10 @@
 namespace cpdb {
 
 /// \brief Parses the BID text format into blocks grouped by key, in first-
-/// appearance order. Fails on malformed lines, duplicate (key, score) pairs,
-/// probabilities outside [0, 1], or block mass exceeding 1.
+/// appearance order. Fails on malformed lines, a key that is not an
+/// integer in the int32 range or a label not in [0, INT32_MAX], duplicate
+/// (key, score) pairs, probabilities outside [0, 1], or block mass
+/// exceeding 1.
 Result<std::vector<Block>> ParseBidTable(const std::string& text);
 
 /// \brief Formats blocks in the format accepted by ParseBidTable.

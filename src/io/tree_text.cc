@@ -2,57 +2,60 @@
 
 #include "io/tree_text.h"
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <vector>
 
 #include "io/request_protocol.h"
-#include <cmath>
-#include <cstdlib>
-#include <sstream>
-#include <vector>
 
 namespace cpdb {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Tokenizer: parentheses, and whitespace-separated atoms.
+// Tokenizer: parentheses, and whitespace-separated atoms. Atoms are views
+// into the input text; nothing is copied.
 // ---------------------------------------------------------------------------
+
+// The separators: std::isspace's set in the "C" locale (space, \t, \n, \v,
+// \f, \r), without a locale lookup per byte.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
 struct Token {
   enum Kind { kLParen, kRParen, kAtom, kEnd } kind;
-  std::string text;
+  std::string_view text;
   size_t pos;  // byte offset, for error messages
 };
 
 class Lexer {
  public:
-  explicit Lexer(const std::string& text) : text_(text) {}
+  explicit Lexer(std::string_view text) : text_(text) {}
 
   Token Next() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return {Token::kEnd, "", pos_};
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+    if (pos_ >= text_.size()) return {Token::kEnd, {}, pos_};
     size_t start = pos_;
     char c = text_[pos_];
     if (c == '(') {
       ++pos_;
-      return {Token::kLParen, "(", start};
+      return {Token::kLParen, text_.substr(start, 1), start};
     }
     if (c == ')') {
       ++pos_;
-      return {Token::kRParen, ")", start};
+      return {Token::kRParen, text_.substr(start, 1), start};
     }
     while (pos_ < text_.size() && text_[pos_] != '(' && text_[pos_] != ')' &&
-           !std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+           !IsSpace(text_[pos_])) {
       ++pos_;
     }
     return {Token::kAtom, text_.substr(start, pos_ - start), start};
   }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
 };
 
@@ -62,7 +65,7 @@ class Lexer {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : lexer_(text) { Advance(); }
+  explicit Parser(std::string_view text) : lexer_(text) { Advance(); }
 
   Result<AndXorTree> Parse() {
     AndXorTree tree;
@@ -82,11 +85,14 @@ class Parser {
     return Status::ParseError(what + " at offset " + std::to_string(cur_.pos));
   }
 
-  Result<double> ParseDouble(const std::string& s) const {
+  Result<double> ParseDouble(std::string_view s) {
+    // strtod needs a NUL-terminated string: the atom is copied into a
+    // reused buffer (an embedded NUL still ends the number).
+    number_.assign(s.data(), s.size());
     char* end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == nullptr || *end != '\0' || end == s.c_str()) {
-      return Err("expected a number, got '" + s + "'");
+    double v = std::strtod(number_.c_str(), &end);
+    if (end == nullptr || *end != '\0' || end == number_.c_str()) {
+      return Err("expected a number, got '" + number_ + "'");
     }
     // strtod happily accepts "inf"/"nan" literals and turns overflowing
     // magnitudes like 1e999 into HUGE_VAL — any of which would smuggle a
@@ -95,9 +101,22 @@ class Parser {
     // poisons every answer). Underflow to a denormal/zero is a
     // representable approximation and stays accepted.
     if (!std::isfinite(v)) {
-      return Err("expected a finite number, got '" + s + "'");
+      return Err("expected a finite number, got '" + number_ + "'");
     }
     return v;
+  }
+
+  // A leaf's key or label: the number must be an integer in [lo, hi], so it
+  // converts to int32_t exactly instead of being truncated or wrapped.
+  Result<int32_t> ParseLeafInt(std::string_view name, double v, double lo,
+                               double hi) const {
+    if (v != std::trunc(v) || v < lo || v > hi) {
+      return Err("leaf " + std::string(name) + " must be an integer in [" +
+                 std::to_string(static_cast<int64_t>(lo)) + ", " +
+                 std::to_string(static_cast<int64_t>(hi)) + "], got '" +
+                 number_ + "'");
+    }
+    return static_cast<int32_t>(v);
   }
 
   // The parser recurses on input nesting; cap the depth so adversarial
@@ -119,33 +138,37 @@ class Parser {
     if (cur_.kind != Token::kLParen) return Err("expected '('");
     Advance();
     if (cur_.kind != Token::kAtom) return Err("expected node kind");
-    std::string kind = cur_.text;
+    const std::string_view kind = cur_.text;
     Advance();
     if (kind == "leaf") return ParseLeaf(tree);
     if (kind == "and") return ParseAnd(tree);
     if (kind == "xor") return ParseXor(tree);
-    return Err("unknown node kind '" + kind + "'");
+    return Err("unknown node kind '" + std::string(kind) + "'");
   }
 
   Result<NodeId> ParseLeaf(AndXorTree* tree) {
+    constexpr double kInt32Min = std::numeric_limits<int32_t>::min();
+    constexpr double kInt32Max = std::numeric_limits<int32_t>::max();
     TupleAlternative alt;
     bool have_key = false;
     while (cur_.kind == Token::kAtom) {
-      const std::string& a = cur_.text;
+      const std::string_view a = cur_.text;
       size_t eq = a.find('=');
-      if (eq == std::string::npos) return Err("expected attr=value in leaf");
-      std::string name = a.substr(0, eq);
-      std::string value = a.substr(eq + 1);
-      CPDB_ASSIGN_OR_RETURN(double v, ParseDouble(value));
+      if (eq == std::string_view::npos) {
+        return Err("expected attr=value in leaf");
+      }
+      const std::string_view name = a.substr(0, eq);
+      CPDB_ASSIGN_OR_RETURN(double v, ParseDouble(a.substr(eq + 1)));
       if (name == "key") {
-        alt.key = static_cast<KeyId>(v);
+        CPDB_ASSIGN_OR_RETURN(alt.key,
+                              ParseLeafInt(name, v, kInt32Min, kInt32Max));
         have_key = true;
       } else if (name == "score") {
         alt.score = v;
       } else if (name == "label") {
-        alt.label = static_cast<int32_t>(v);
+        CPDB_ASSIGN_OR_RETURN(alt.label, ParseLeafInt(name, v, 0, kInt32Max));
       } else {
-        return Err("unknown leaf attribute '" + name + "'");
+        return Err("unknown leaf attribute '" + std::string(name) + "'");
       }
       Advance();
     }
@@ -155,48 +178,74 @@ class Parser {
     return tree->AddLeaf(alt);
   }
 
+  // Inner nodes collect their children (and XOR probabilities) on stacks
+  // shared by every nesting level, then take an exactly sized copy: one
+  // allocation per list instead of a growing vector per node, and no slack
+  // in the lists a catalog goes on to keep.
   Result<NodeId> ParseAnd(AndXorTree* tree) {
-    std::vector<NodeId> children;
+    const size_t base = child_stack_.size();
     while (cur_.kind == Token::kLParen) {
       CPDB_ASSIGN_OR_RETURN(NodeId child, ParseNode(tree));
-      children.push_back(child);
+      child_stack_.push_back(child);
     }
-    if (children.empty()) return Err("and node needs at least one child");
+    if (child_stack_.size() == base) {
+      return Err("and node needs at least one child");
+    }
     if (cur_.kind != Token::kRParen) return Err("expected ')' after and");
     Advance();
-    return tree->AddAnd(std::move(children));
+    return tree->AddAnd(PopFrom(base, &child_stack_));
   }
 
   Result<NodeId> ParseXor(AndXorTree* tree) {
-    std::vector<NodeId> children;
-    std::vector<double> probs;
+    const size_t base = child_stack_.size();
+    const size_t prob_base = prob_stack_.size();
     while (cur_.kind == Token::kAtom) {
       CPDB_ASSIGN_OR_RETURN(double p, ParseDouble(cur_.text));
       Advance();
       CPDB_ASSIGN_OR_RETURN(NodeId child, ParseNode(tree));
-      probs.push_back(p);
-      children.push_back(child);
+      prob_stack_.push_back(p);
+      child_stack_.push_back(child);
     }
-    if (children.empty()) return Err("xor node needs at least one child");
+    if (child_stack_.size() == base) {
+      return Err("xor node needs at least one child");
+    }
     if (cur_.kind != Token::kRParen) return Err("expected ')' after xor");
     Advance();
-    return tree->AddXor(std::move(children), std::move(probs));
+    std::vector<NodeId> children = PopFrom(base, &child_stack_);
+    return tree->AddXor(std::move(children), PopFrom(prob_base, &prob_stack_));
+  }
+
+  template <typename T>
+  static std::vector<T> PopFrom(size_t base, std::vector<T>* stack) {
+    std::vector<T> top(stack->begin() + static_cast<ptrdiff_t>(base),
+                       stack->end());
+    stack->resize(base);
+    return top;
   }
 
   Lexer lexer_;
-  Token cur_{Token::kEnd, "", 0};
+  Token cur_{Token::kEnd, {}, 0};
   int depth_ = 0;
+  std::string number_;  // NUL-terminated copy of the atom being parsed
+  std::vector<NodeId> child_stack_;
+  std::vector<double> prob_stack_;
 };
 
+void AppendInt(int32_t v, std::string* out) {
+  char buf[16];
+  std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
 void FormatNode(const AndXorTree& tree, NodeId id, bool indent, int depth,
-                std::ostringstream* os) {
+                std::string* out) {
   const TreeNode& n = tree.node(id);
   auto newline = [&] {
     if (indent) {
-      *os << "\n";
-      for (int i = 0; i < depth + 1; ++i) *os << "  ";
+      out->push_back('\n');
+      out->append(2 * static_cast<size_t>(depth + 1), ' ');
     } else {
-      *os << " ";
+      out->push_back(' ');
     }
   };
   switch (n.kind) {
@@ -207,42 +256,56 @@ void FormatNode(const AndXorTree& tree, NodeId id, bool indent, int depth,
       // whose probabilities differ past the 6th digit share a canonical
       // text (hence a fingerprint), and made a snapshot-restored tree
       // numerically drift from the one that saved it.
-      *os << "(leaf key=" << n.leaf.key
-          << " score=" << FormatRoundTripDouble(n.leaf.score);
-      if (n.leaf.label >= 0) *os << " label=" << n.leaf.label;
-      *os << ")";
+      out->append("(leaf key=");
+      AppendInt(n.leaf.key, out);
+      out->append(" score=");
+      AppendRoundTripDouble(n.leaf.score, out);
+      if (n.leaf.label >= 0) {
+        out->append(" label=");
+        AppendInt(n.leaf.label, out);
+      }
+      out->push_back(')');
       break;
     case NodeKind::kAnd:
-      *os << "(and";
+      out->append("(and");
       for (NodeId c : n.children) {
         newline();
-        FormatNode(tree, c, indent, depth + 1, os);
+        FormatNode(tree, c, indent, depth + 1, out);
       }
-      *os << ")";
+      out->push_back(')');
       break;
     case NodeKind::kXor:
-      *os << "(xor";
+      out->append("(xor");
       for (size_t i = 0; i < n.children.size(); ++i) {
         newline();
-        *os << FormatRoundTripDouble(n.edge_probs[i]) << " ";
-        FormatNode(tree, n.children[i], indent, depth + 1, os);
+        AppendRoundTripDouble(n.edge_probs[i], out);
+        out->push_back(' ');
+        FormatNode(tree, n.children[i], indent, depth + 1, out);
       }
-      *os << ")";
+      out->push_back(')');
       break;
   }
 }
 
 }  // namespace
 
-Result<AndXorTree> ParseTree(const std::string& text) {
+Result<AndXorTree> ParseTree(std::string_view text) {
   Parser parser(text);
   return parser.Parse();
 }
 
 std::string FormatTree(const AndXorTree& tree, bool indent) {
-  std::ostringstream os;
-  FormatNode(tree, tree.root(), indent, 0, &os);
-  return os.str();
+  // Format into a per-thread buffer that keeps its capacity, then copy out
+  // exactly the bytes written: no growth reallocations per call, and the
+  // returned string (which catalogs and snapshots retain) carries no slack.
+  // A buffer grown past 1 MiB by one outsized tree is released.
+  constexpr size_t kMaxRetainedBytes = size_t{1} << 20;
+  thread_local std::string buffer;
+  buffer.clear();
+  FormatNode(tree, tree.root(), indent, 0, &buffer);
+  std::string text = buffer;
+  if (buffer.capacity() > kMaxRetainedBytes) std::string().swap(buffer);
+  return text;
 }
 
 }  // namespace cpdb

@@ -3,8 +3,6 @@
 #include "model/and_xor_tree.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -43,24 +41,81 @@ NodeId AndXorTree::AddXor(std::vector<NodeId> children,
   return static_cast<NodeId>(nodes_.size()) - 1;
 }
 
-Status AndXorTree::ValidateStructure() const {
+Status AndXorTree::Validate() {
+  validated_ = false;
+  CPDB_RETURN_NOT_OK(CheckConstraints());
+  BuildIndex();
+  return Status::OK();
+}
+
+Status AndXorTree::CheckConstraints() const {
   if (root_ == kInvalidNode || root_ < 0 || root_ >= NumNodes()) {
     return Status::InvalidArgument("tree has no valid root");
   }
-  std::vector<int> parent_count(nodes_.size(), 0);
-  // Iterative DFS from the root; `visited` guards against sharing/cycles.
-  std::vector<bool> visited(nodes_.size(), false);
-  std::vector<NodeId> stack = {root_};
-  visited[static_cast<size_t>(root_)] = true;
-  while (!stack.empty()) {
-    NodeId id = stack.back();
-    stack.pop_back();
+  // One DFS from the root, children left to right, checks all of
+  // Definition 1:
+  //  * structure — every node is entered at most once (a second arrival
+  //    means sharing or a cycle), inner nodes have children, XOR nodes one
+  //    probability per child, non-negative and summing to at most 1;
+  //  * keys — the LCA of two leaves holding the same key is a XOR node.
+  //    Checking each leaf against the previous leaf of its key in DFS
+  //    order is enough: the LCA of any same-key pair is the shallowest LCA
+  //    of the consecutive pairs between them. Those LCAs come from a
+  //    union-find over finished nodes (Tarjan's offline LCA): a finished
+  //    node links to its parent, so when a leaf is entered, Find(previous
+  //    leaf of its key) is that leaf's nearest ancestor still on the DFS
+  //    path — their LCA.
+  const size_t size = nodes_.size();
+
+  // Dense key slots, so "previous leaf of this key" is an array read.
+  std::vector<std::pair<KeyId, NodeId>> by_key;
+  for (NodeId id = 0; id < NumNodes(); ++id) {
+    const TreeNode& n = nodes_[static_cast<size_t>(id)];
+    if (n.kind == NodeKind::kLeaf) by_key.emplace_back(n.leaf.key, id);
+  }
+  std::sort(by_key.begin(), by_key.end());
+  std::vector<int32_t> key_slot(size, 0);
+  int32_t slots = 0;
+  for (size_t i = 0; i < by_key.size(); ++i) {
+    if (i > 0 && by_key[i].first != by_key[i - 1].first) ++slots;
+    key_slot[static_cast<size_t>(by_key[i].second)] = slots;
+  }
+  std::vector<NodeId> last_leaf(static_cast<size_t>(slots) + 1, kInvalidNode);
+
+  // kInvalidNode: not entered yet; itself: on the DFS path; else a finished
+  // node's link toward its nearest ancestor on the path.
+  std::vector<NodeId> link(size, kInvalidNode);
+  auto find = [&link](NodeId v) {
+    while (link[static_cast<size_t>(v)] != v) {
+      NodeId& up = link[static_cast<size_t>(v)];
+      up = link[static_cast<size_t>(up)];  // path halving
+      v = up;
+    }
+    return v;
+  };
+
+  // DFS frames: (inner node, position of the next child to enter).
+  std::vector<std::pair<NodeId, size_t>> stack;
+  auto enter = [&](NodeId id, NodeId parent) -> Status {
     const TreeNode& n = nodes_[static_cast<size_t>(id)];
     if (n.kind == NodeKind::kLeaf) {
       if (!n.children.empty()) {
         return Status::InvalidArgument("leaf node has children");
       }
-      continue;
+      NodeId& last = last_leaf[static_cast<size_t>(
+          key_slot[static_cast<size_t>(id)])];
+      if (last != kInvalidNode) {
+        const NodeId lca = find(last);
+        if (nodes_[static_cast<size_t>(lca)].kind == NodeKind::kAnd) {
+          return Status::InvalidArgument(
+              "key constraint violated: key " + std::to_string(n.leaf.key) +
+              " appears in two children of AND node " + std::to_string(lca));
+        }
+      }
+      last = id;
+      // A leaf finishes as soon as it is entered.
+      link[static_cast<size_t>(id)] = parent == kInvalidNode ? id : parent;
+      return Status::OK();
     }
     if (n.children.empty()) {
       return Status::InvalidArgument("inner node " + std::to_string(id) +
@@ -86,69 +141,40 @@ Status AndXorTree::ValidateStructure() const {
             " sum to " + std::to_string(sum) + " > 1");
       }
     }
-    for (NodeId c : n.children) {
-      if (c < 0 || c >= NumNodes()) {
-        return Status::InvalidArgument("child id out of range at node " +
-                                       std::to_string(id));
-      }
-      ++parent_count[static_cast<size_t>(c)];
-      if (parent_count[static_cast<size_t>(c)] > 1) {
-        return Status::InvalidArgument(
-            "node " + std::to_string(c) +
-            " has multiple parents; the structure must be a tree");
-      }
-      if (visited[static_cast<size_t>(c)]) {
-        return Status::InvalidArgument("cycle detected at node " +
-                                       std::to_string(c));
-      }
-      visited[static_cast<size_t>(c)] = true;
-      stack.push_back(c);
-    }
-  }
-  return Status::OK();
-}
+    link[static_cast<size_t>(id)] = id;
+    stack.emplace_back(id, 0);
+    return Status::OK();
+  };
 
-Status AndXorTree::ValidateKeyConstraint() const {
-  // The LCA condition of Definition 1 is equivalent to: for every AND node,
-  // the key sets of its children's subtrees are pairwise disjoint. We DFS
-  // post-order, merging child key sets small-to-large.
-  std::vector<std::set<KeyId>> key_sets(nodes_.size());
-  // Post-order via two-phase stack.
-  std::vector<std::pair<NodeId, bool>> stack = {{root_, false}};
+  CPDB_RETURN_NOT_OK(enter(root_, kInvalidNode));
   while (!stack.empty()) {
-    auto [id, expanded] = stack.back();
-    stack.pop_back();
-    const TreeNode& n = nodes_[static_cast<size_t>(id)];
-    if (!expanded) {
-      stack.push_back({id, true});
-      for (NodeId c : n.children) stack.push_back({c, false});
+    const NodeId id = stack.back().first;
+    const std::vector<NodeId>& children =
+        nodes_[static_cast<size_t>(id)].children;
+    const size_t next = stack.back().second++;
+    if (next == children.size()) {
+      stack.pop_back();
+      if (!stack.empty()) link[static_cast<size_t>(id)] = stack.back().first;
       continue;
     }
-    auto& keys = key_sets[static_cast<size_t>(id)];
-    if (n.kind == NodeKind::kLeaf) {
-      keys.insert(n.leaf.key);
-      continue;
+    const NodeId c = children[next];
+    if (c < 0 || c >= NumNodes()) {
+      return Status::InvalidArgument("child id out of range at node " +
+                                     std::to_string(id));
     }
-    for (NodeId c : n.children) {
-      auto& child_keys = key_sets[static_cast<size_t>(c)];
-      if (keys.size() < child_keys.size()) keys.swap(child_keys);
-      for (KeyId k : child_keys) {
-        bool inserted = keys.insert(k).second;
-        if (!inserted && n.kind == NodeKind::kAnd) {
-          return Status::InvalidArgument(
-              "key constraint violated: key " + std::to_string(k) +
-              " appears in two children of AND node " + std::to_string(id));
-        }
-      }
-      child_keys.clear();
+    if (link[static_cast<size_t>(c)] != kInvalidNode) {
+      return Status::InvalidArgument(
+          c == root_ ? "cycle detected at node " + std::to_string(c)
+                     : "node " + std::to_string(c) +
+                           " has multiple parents; the structure must be a "
+                           "tree");
     }
+    CPDB_RETURN_NOT_OK(enter(c, id));
   }
   return Status::OK();
 }
 
-Status AndXorTree::Validate() {
-  CPDB_RETURN_NOT_OK(ValidateStructure());
-  CPDB_RETURN_NOT_OK(ValidateKeyConstraint());
+void AndXorTree::BuildIndex() {
   // Rebuild the leaf index in deterministic DFS order (children
   // left-to-right) and the parent pointers.
   // Each node's up-edge probability (1.0 below an AND) rides along, for
@@ -173,7 +199,6 @@ Status AndXorTree::Validate() {
     }
   }
   validated_ = true;
-  return Status::OK();
 }
 
 std::vector<double> AndXorTree::LeafMarginals() const {
@@ -213,9 +238,12 @@ double AndXorTree::LeafMarginal(NodeId leaf) const {
 }
 
 std::vector<KeyId> AndXorTree::Keys() const {
-  std::set<KeyId> keys;
-  for (NodeId l : leaf_ids_) keys.insert(node(l).leaf.key);
-  return std::vector<KeyId>(keys.begin(), keys.end());
+  std::vector<KeyId> keys;
+  keys.reserve(leaf_ids_.size());
+  for (NodeId l : leaf_ids_) keys.push_back(node(l).leaf.key);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
 }
 
 double AndXorTree::KeyMarginal(KeyId key) const {

@@ -64,7 +64,10 @@ class AndXorTree {
   /// probabilities (parallel vectors); returns its NodeId.
   NodeId AddXor(std::vector<NodeId> children, std::vector<double> edge_probs);
 
-  void SetRoot(NodeId root) { root_ = root; }
+  void SetRoot(NodeId root) {
+    root_ = root;
+    validated_ = false;
+  }
   NodeId root() const { return root_; }
 
   const TreeNode& node(NodeId id) const {
@@ -80,6 +83,11 @@ class AndXorTree {
   /// index. Must be called (and succeed) before using the query helpers
   /// below.
   Status Validate();
+
+  /// \brief Whether the last Validate() succeeded and the tree has not
+  /// changed since: Add* and SetRoot clear it. Loaders check it so a tree
+  /// is validated once however many layers it passes through.
+  bool validated() const { return validated_; }
 
   /// \brief Pr(leaf present): the product of the XOR edge probabilities on
   /// the root-to-leaf path. Indexed by NodeId; non-leaf entries are 0.
@@ -113,8 +121,17 @@ class AndXorTree {
   std::string ToString() const;
 
  private:
-  Status ValidateStructure() const;
-  Status ValidateKeyConstraint() const;
+  // The canonical orientation of a validated tree is a child-list
+  // permutation of it, valid by construction: model/canonical.cc reorders
+  // a tree's nodes into it and seals it with BuildIndex, without re-running
+  // the checks.
+  friend class Canonicalizer;
+
+  // All Definition 1 checks, in one DFS.
+  Status CheckConstraints() const;
+  // Fills leaf_ids_, parents_ and up_edge_ and marks the tree validated;
+  // the caller vouches that the Definition 1 checks hold.
+  void BuildIndex();
 
   std::vector<TreeNode> nodes_;
   NodeId root_ = kInvalidNode;

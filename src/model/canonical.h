@@ -36,6 +36,8 @@
 #define CPDB_MODEL_CANONICAL_H_
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "model/and_xor_tree.h"
@@ -44,10 +46,29 @@ namespace cpdb {
 
 /// \brief Rewrites `tree` into its canonical orientation: commutative AND /
 /// XOR child lists sorted by bottom-up structural hash (ties broken by
-/// structural comparison). The input must be a valid Definition 1 tree
-/// (Validate() is run on a copy and its error propagated); the returned
-/// tree is validated and its nodes are numbered in serialization post-order.
+/// structural comparison). The input must be a valid Definition 1 tree; an
+/// input whose `validated()` flag is unset is validated on a copy first,
+/// and its error propagated. The returned tree is validated and its nodes
+/// are numbered in serialization post-order.
 Result<AndXorTree> CanonicalizeTree(const AndXorTree& tree);
+
+/// \brief A canonical orientation and its single-line serialization.
+struct CanonicalForm {
+  /// Validated; nodes numbered in serialization post-order.
+  AndXorTree tree;
+  /// FormatTree(tree, /*indent=*/false): the bytes StructKey hashes.
+  std::string bytes;
+};
+
+/// \brief CanonicalizeTree for the load path, which has already validated
+/// `tree` and serialized it as `content` (FormatTree(tree, false)); neither
+/// is checked again. One walk derives the canonical tree and its bytes
+/// together. An input already in canonical form — every child list in
+/// canonical order and its nodes numbered as the walk would number them,
+/// as ParseTree numbers them — is moved through unchanged, with `content`
+/// as its bytes.
+Result<CanonicalForm> CanonicalizeValidated(AndXorTree tree,
+                                            std::string_view content);
 
 /// \brief Bottom-up structural hash of the subtree rooted at `node` —
 /// invariant under commutative child permutations. Exposed for tests; the

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "common/hash.h"
@@ -90,9 +91,9 @@ class Reader {
     return true;
   }
 
-  bool ReadBytes(size_t n, std::string* out) {
+  bool ReadBytes(size_t n, std::string_view* out) {
     if (remaining() < n) return false;
-    out->assign(reinterpret_cast<const char*>(data_ + pos_), n);
+    *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return true;
   }
@@ -185,7 +186,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
   // past) the trailing u64 however its lengths are forged.
   const size_t payload_end = size - kChecksumBytes;
   Reader reader(bytes, payload_end);
-  std::string magic;
+  std::string_view magic;
   reader.ReadBytes(sizeof(kCatalogSnapshotMagic), &magic);
 
   // 3. Version: refuse anything newer than this build writes — a future
@@ -256,13 +257,16 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
 
   for (uint64_t index = 0; index < tree_count; ++index) {
     const std::string where = "tree record " + std::to_string(index);
-    std::string name;
-    std::string text;
+    // Views into the snapshot bytes: the text is parsed in place, and only
+    // the identity derived from it is kept.
+    std::string_view name_bytes;
+    std::string_view text;
     uint32_t name_len = 0;
     if (!reader.ReadU32(&name_len) || reader.remaining() < name_len) {
       return Truncated(where + " name");
     }
-    reader.ReadBytes(name_len, &name);
+    reader.ReadBytes(name_len, &name_bytes);
+    std::string name(name_bytes);
     uint64_t fingerprint = 0;
     uint64_t stored_struct_key = 0;
     uint64_t content_len = 0;
@@ -290,7 +294,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
       return Status::ParseError(where + ": duplicate catalog name '" + name +
                                 "'");
     }
-    if (fingerprint != Fnv1a64(text)) {
+    if (fingerprint != Fnv1a64(text.data(), text.size())) {
       return Status::ParseError(
           where + " ('" + name +
           "'): stored fingerprint does not hash the stored tree text");

@@ -10,17 +10,25 @@
 namespace cpdb {
 
 Result<TreeIdentity> TreeCatalog::ComputeIdentity(AndXorTree tree) {
-  CPDB_RETURN_NOT_OK(tree.Validate());
+  // ParseTree hands over a validated tree; only a hand-built one pays here.
+  if (!tree.validated()) CPDB_RETURN_NOT_OK(tree.Validate());
   TreeIdentity identity;
   // The single-line serialization, not the user's input text: formatting
   // differences must not split identical trees into distinct fingerprints.
   identity.content = FormatTree(tree, /*indent=*/false);
   identity.content_fp = ContentFp(Fnv1a64(identity.content));
-  CPDB_ASSIGN_OR_RETURN(AndXorTree canonical, CanonicalizeTree(tree));
-  identity.canonical_bytes = FormatTree(canonical, /*indent=*/false);
-  identity.struct_key = StructKey(Fnv1a64(identity.canonical_bytes));
+  CPDB_ASSIGN_OR_RETURN(CanonicalForm canonical,
+                        CanonicalizeValidated(std::move(tree),
+                                              identity.content));
+  identity.canonical_bytes = std::move(canonical.bytes);
+  // An input already in canonical orientation hashes the same bytes twice;
+  // the compare is far cheaper than the byte-serial hash.
+  identity.struct_key = StructKey(
+      identity.canonical_bytes == identity.content
+          ? identity.content_fp.value()
+          : Fnv1a64(identity.canonical_bytes));
   identity.canonical_tree =
-      std::make_shared<const AndXorTree>(std::move(canonical));
+      std::make_shared<const AndXorTree>(std::move(canonical.tree));
   return identity;
 }
 

@@ -97,8 +97,10 @@ class TreeCatalog {
  public:
   /// \brief Computes the full two-level identity of `tree`: content bytes
   /// and ContentFp of the given orientation, plus the canonical orientation
-  /// (model/canonical.h) with its bytes and StructKey. Validates the tree;
-  /// the returned canonical_tree is validated and ready to compile.
+  /// (model/canonical.h) with its bytes and StructKey. Validates the tree
+  /// unless its `validated()` flag is already set (ParseTree's output is),
+  /// so a load runs the Definition 1 checks once; the returned
+  /// canonical_tree is validated and ready to compile.
   static Result<TreeIdentity> ComputeIdentity(AndXorTree tree);
 
   /// \brief Registers `tree` under `name` and returns its entry.

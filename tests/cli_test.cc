@@ -95,6 +95,30 @@ TEST_F(CliTest, ValidateRejectsBrokenInput) {
   EXPECT_NE(r.err.find("INVALID"), std::string::npos);
 }
 
+TEST_F(CliTest, ValidateRejectsKeysAndLabelsThatDoNotFitInt32) {
+  // Each of these used to validate, and dump-canon showed what the cast
+  // made of it: key=-2147483648 for 1e20 and 4294967297, key=1 for 1.5,
+  // and no label at all for label=-5.
+  const std::string path = ::testing::TempDir() + "/cli_narrow.sexp";
+  for (const char* bad : {"(leaf key=1e20 score=1)",
+                          "(leaf key=4294967297 score=1)",
+                          "(leaf key=1.5 score=1)",
+                          "(leaf key=1 score=1 label=-5)"}) {
+    ASSERT_TRUE(WriteStringToFile(path, bad).ok());
+    for (const char* command : {"validate", "dump-canon"}) {
+      CliResult r = RunCliArgs({command, path});
+      EXPECT_EQ(r.code, 1) << command << " " << bad << "\n" << r.out;
+      EXPECT_NE(r.err.find("must be an integer"), std::string::npos)
+          << command << " " << bad << "\n" << r.err;
+    }
+  }
+  const std::string bid = ::testing::TempDir() + "/cli_narrow.bid";
+  ASSERT_TRUE(WriteStringToFile(bid, "4294967297 0.5 1\n").ok());
+  CliResult r = RunCliArgs({"validate", bid, "--format=bid"});
+  EXPECT_EQ(r.code, 1) << r.out;
+  EXPECT_NE(r.err.find("is not an integer"), std::string::npos) << r.err;
+}
+
 TEST_F(CliTest, MarginalsRoundTripTheComputedDoublesExactly) {
   // The satellite regression: offline output now uses the same shortest
   // round-trip formatting as the serve wire, so strtod of every printed

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
@@ -77,6 +82,115 @@ TEST(TreeTextTest, RejectsNonFiniteNumbers) {
   EXPECT_TRUE(ParseTree("(leaf key=1 score=1e-999)").ok());
 }
 
+// The number grammar of score and probability atoms is strtod's, minus
+// non-finite results. This table pins exactly which spellings are accepted
+// and what they parse to, so a change of lexer or number parser cannot
+// widen or narrow the accepted set unnoticed.
+TEST(TreeTextTest, NumberGrammarTable) {
+  struct Case {
+    const char* atom;
+    bool score_ok;            // as `score=<atom>`
+    StatusCode prob_status;   // as `(xor <atom> leaf)`
+    double value;             // parsed value when accepted
+  };
+  const StatusCode kOk = StatusCode::kOk;
+  const StatusCode kParse = StatusCode::kParseError;
+  const StatusCode kInvalid = StatusCode::kInvalidArgument;
+  const Case cases[] = {
+      {"+1", true, kOk, 1.0},
+      {".5", true, kOk, 0.5},
+      {"5.", true, kInvalid, 5.0},
+      {"1e", false, kParse, 0.0},
+      {"1e+5", true, kInvalid, 1e5},
+      {"1E5", true, kInvalid, 1e5},
+      {"-0", true, kOk, -0.0},
+      {"0x1p3", true, kInvalid, 8.0},
+      {"inf", false, kParse, 0.0},
+      {"nan", false, kParse, 0.0},
+      {"1e999", false, kParse, 0.0},
+      {"1e-400", true, kOk, 0.0},
+      {"1_0", false, kParse, 0.0},
+  };
+  for (const Case& c : cases) {
+    const std::string atom = c.atom;
+    auto leaf = ParseTree("(leaf key=1 score=" + atom + ")");
+    EXPECT_EQ(leaf.ok(), c.score_ok) << atom << ": "
+                                     << leaf.status().ToString();
+    if (leaf.ok()) {
+      const double score = leaf->node(leaf->LeafIds()[0]).leaf.score;
+      EXPECT_EQ(score, c.value) << atom;
+      EXPECT_EQ(std::signbit(score), std::signbit(c.value)) << atom;
+    } else {
+      EXPECT_EQ(leaf.status().code(), kParse) << atom;
+    }
+    auto xor_tree = ParseTree("(xor " + atom + " (leaf key=1 score=1))");
+    EXPECT_EQ(xor_tree.status().code(), c.prob_status)
+        << atom << ": " << xor_tree.status().ToString();
+    if (xor_tree.ok()) {
+      EXPECT_EQ(xor_tree->node(xor_tree->root()).edge_probs[0], c.value)
+          << atom;
+    }
+  }
+}
+
+// Every ASCII whitespace character separates tokens, alone or in runs.
+TEST(TreeTextTest, EveryAsciiWhitespaceSeparates) {
+  for (const char* ws : {" ", "\t", "\n", "\v", "\f", "\r", " \t\r\n"}) {
+    const std::string sep = ws;
+    auto tree = ParseTree(sep + "(xor" + sep + "0.5" + sep + "(leaf" + sep +
+                          "key=1" + sep + "score=2" + sep + "label=3)" + sep +
+                          ")" + sep);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    const TupleAlternative& alt = tree->node(tree->LeafIds()[0]).leaf;
+    EXPECT_EQ(alt.key, 1);
+    EXPECT_EQ(alt.score, 2.0);
+    EXPECT_EQ(alt.label, 3);
+    EXPECT_EQ(FormatTree(*tree), "(xor 0.5 (leaf key=1 score=2 label=3))");
+  }
+}
+
+// Keys and labels are int32 values, and the parser reads them as doubles:
+// a value that is not an integer, or does not fit, is a ParseError rather
+// than a silent cast (1e20 was UB, 4294967297 wrapped, 1.5 truncated, and
+// a negative label vanished from the output).
+TEST(TreeTextTest, RejectsKeysAndLabelsThatDoNotFitInt32) {
+  for (const char* bad : {
+           "(leaf key=1e20 score=1)",
+           "(leaf key=4294967297 score=1)",
+           "(leaf key=2147483648 score=1)",
+           "(leaf key=-2147483649 score=1)",
+           "(leaf key=1.5 score=1)",
+           "(leaf key=1 score=1 label=-5)",
+           "(leaf key=1 score=1 label=-1)",
+           "(leaf key=1 score=1 label=0.5)",
+           "(leaf key=1 score=1 label=2147483648)",
+           "(xor 0.5 (leaf key=1 score=1) 0.5 (leaf key=2 score=1 label=1e10))",
+       }) {
+    auto result = ParseTree(bad);
+    ASSERT_FALSE(result.ok()) << "'" << bad << "' was accepted";
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << bad;
+    EXPECT_NE(result.status().message().find("must be an integer"),
+              std::string::npos)
+        << bad << ": " << result.status().ToString();
+  }
+  // In-range integers keep their exact value and serialization, whatever
+  // number spelling they arrive in.
+  for (const auto& [text, formatted] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"(leaf key=-2147483648 score=1 label=2147483647)",
+            "(leaf key=-2147483648 score=1 label=2147483647)"},
+           {"(leaf key=2147483647 score=1 label=0)",
+            "(leaf key=2147483647 score=1 label=0)"},
+           {"(leaf key=1e3 score=1 label=+2)",
+            "(leaf key=1000 score=1 label=2)"},
+           {"(leaf key=-0 score=1)", "(leaf key=0 score=1)"},
+       }) {
+    auto tree = ParseTree(text);
+    ASSERT_TRUE(tree.ok()) << text << ": " << tree.status().ToString();
+    EXPECT_EQ(FormatTree(*tree), formatted);
+  }
+}
+
 TEST(TreeTextTest, RejectsSemanticViolations) {
   // Parsing succeeds syntactically but Validate() catches the constraint.
   EXPECT_FALSE(
@@ -143,6 +257,39 @@ TEST(BidTableTest, RejectsBadInput) {
     ASSERT_FALSE(result.ok()) << "'" << bad << "' was accepted";
     EXPECT_EQ(result.status().code(), StatusCode::kParseError) << bad;
   }
+}
+
+// The BID key and label columns are int32 values: a token that is not an
+// integer in range is a ParseError, not a narrowed or half-read number
+// ("1.5" used to read as key 1 and shift ".5" into the probability
+// column; "abc" silently skipped its line).
+TEST(BidTableTest, RejectsKeysAndLabelsThatDoNotFitInt32) {
+  for (const char* bad : {
+           "4294967297 0.5 1\n",
+           "2147483648 0.5 1\n",
+           "-2147483649 0.5 1\n",
+           "1.5 0.5 1\n",
+           "1e3 0.5 1\n",
+           "1 0.5 1\nabc 0.5 1\n",
+           "1 0.5 1\n99999999999999999999 0.5 1\n",
+           "1 0.5 1 -5\n",
+           "1 0.5 1 2147483648\n",
+           "1 0.5 1 x\n",
+       }) {
+    auto result = ParseBidTable(bad);
+    ASSERT_FALSE(result.ok()) << "'" << bad << "' was accepted";
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << bad;
+    EXPECT_NE(result.status().message().find("is not an integer in"),
+              std::string::npos)
+        << bad << ": " << result.status().ToString();
+  }
+  auto blocks = ParseBidTable("-2147483648 0.5 1 2147483647\n+7 0.5 2 0\n");
+  ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
+  ASSERT_EQ(blocks->size(), 2u);
+  EXPECT_EQ((*blocks)[0][0].alt.key, -2147483647 - 1);
+  EXPECT_EQ((*blocks)[0][0].alt.label, 2147483647);
+  EXPECT_EQ((*blocks)[1][0].alt.key, 7);
+  EXPECT_EQ((*blocks)[1][0].alt.label, 0);
 }
 
 TEST(BidTableTest, RoundTrip) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
@@ -96,6 +99,118 @@ TEST(AndXorTreeTest, RejectsKeyConstraintViolation) {
   Status st = tree.Validate();
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("key constraint"), std::string::npos);
+}
+
+// The key check pairs each leaf with the previous leaf of its key in DFS
+// order and finds their LCA with a union-find. Pin it against the
+// definition — every same-key pair's LCA, by parent walks — on random
+// trees whose keys are then scrambled into a small range, so that both
+// verdicts occur often. A violation must name an AND node that is the LCA
+// of a same-key pair.
+TEST(AndXorTreeTest, KeyConstraintMatchesPairwiseLcaDefinition) {
+  int violations = 0;
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(seed + 4242);
+    RandomTreeOptions opts;
+    opts.num_keys = 2 + static_cast<int>(seed % 9);
+    opts.max_depth = 1 + static_cast<int>(seed % 5);
+    opts.max_alternatives = 1 + static_cast<int>(seed % 3);
+    auto base = RandomAndXorTree(opts, &rng);
+    ASSERT_TRUE(base.ok());
+    // Same shape, leaf keys redrawn from a seed-dependent small range.
+    AndXorTree tree;
+    for (NodeId id = 0; id < base->NumNodes(); ++id) {
+      const TreeNode& n = base->node(id);
+      if (n.kind == NodeKind::kLeaf) {
+        TupleAlternative alt = n.leaf;
+        alt.key = static_cast<KeyId>(
+            rng.UniformInt(-2, static_cast<int64_t>(seed % 40)));
+        tree.AddLeaf(alt);
+      } else if (n.kind == NodeKind::kAnd) {
+        tree.AddAnd(n.children);
+      } else {
+        tree.AddXor(n.children, n.edge_probs);
+      }
+    }
+    tree.SetRoot(base->root());
+
+    std::vector<NodeId> parent(static_cast<size_t>(tree.NumNodes()),
+                               kInvalidNode);
+    std::vector<int> depth(static_cast<size_t>(tree.NumNodes()), 0);
+    std::vector<NodeId> leaves;
+    std::vector<NodeId> stack = {tree.root()};
+    while (!stack.empty()) {
+      const NodeId id = stack.back();
+      stack.pop_back();
+      if (tree.node(id).kind == NodeKind::kLeaf) leaves.push_back(id);
+      for (NodeId c : tree.node(id).children) {
+        parent[static_cast<size_t>(c)] = id;
+        depth[static_cast<size_t>(c)] = depth[static_cast<size_t>(id)] + 1;
+        stack.push_back(c);
+      }
+    }
+    auto lca = [&](NodeId a, NodeId b) {
+      while (depth[static_cast<size_t>(a)] > depth[static_cast<size_t>(b)]) {
+        a = parent[static_cast<size_t>(a)];
+      }
+      while (depth[static_cast<size_t>(b)] > depth[static_cast<size_t>(a)]) {
+        b = parent[static_cast<size_t>(b)];
+      }
+      while (a != b) {
+        a = parent[static_cast<size_t>(a)];
+        b = parent[static_cast<size_t>(b)];
+      }
+      return a;
+    };
+    std::vector<NodeId> and_lcas;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      for (size_t j = i + 1; j < leaves.size(); ++j) {
+        if (tree.node(leaves[i]).leaf.key != tree.node(leaves[j]).leaf.key) {
+          continue;
+        }
+        const NodeId l = lca(leaves[i], leaves[j]);
+        if (tree.node(l).kind == NodeKind::kAnd) and_lcas.push_back(l);
+      }
+    }
+
+    const Status st = tree.Validate();
+    EXPECT_EQ(st.ok(), and_lcas.empty()) << "seed " << seed << ": "
+                                         << st.ToString();
+    if (!st.ok()) {
+      ++violations;
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      bool named = false;
+      for (NodeId l : and_lcas) {
+        named = named || st.message().find("AND node " + std::to_string(l)) !=
+                             std::string::npos;
+      }
+      EXPECT_TRUE(named) << "seed " << seed << ": " << st.ToString();
+    }
+  }
+  EXPECT_GT(violations, 30);
+  EXPECT_LT(violations, 270);
+}
+
+TEST(AndXorTreeTest, ValidatedFlagTracksTheLastValidation) {
+  AndXorTree tree;
+  NodeId a = tree.AddLeaf(Alt(1, 1));
+  tree.SetRoot(a);
+  EXPECT_FALSE(tree.validated());
+  ASSERT_TRUE(tree.Validate().ok());
+  EXPECT_TRUE(tree.validated());
+  const AndXorTree copy = tree;
+  EXPECT_TRUE(copy.validated());
+
+  NodeId b = tree.AddLeaf(Alt(1, 2));
+  EXPECT_FALSE(tree.validated());  // Add* clears it
+  tree.SetRoot(tree.AddAnd({a, b}));
+  EXPECT_FALSE(tree.Validate().ok());  // key constraint
+  EXPECT_FALSE(tree.validated());
+
+  tree.SetRoot(a);
+  ASSERT_TRUE(tree.Validate().ok());
+  tree.SetRoot(a);  // SetRoot clears it too
+  EXPECT_FALSE(tree.validated());
 }
 
 TEST(AndXorTreeTest, AcceptsSameKeyUnderXor) {

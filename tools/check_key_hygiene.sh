@@ -13,10 +13,11 @@
 #
 # It also keeps the identity RULE in one place: a tree's (ContentFp,
 # StructKey) is derived only by TreeCatalog::ComputeIdentity
-# (src/service/tree_catalog.cc), so in src/ and tools/ CanonicalizeTree( may
-# appear only there and in its own definition (src/model/canonical.{h,cc}).
-# A second caller would be a second copy of the rule that can drift from the
-# first. Tests, benches and perfbench are exempt.
+# (src/service/tree_catalog.cc), so in src/ and tools/ CanonicalizeTree( and
+# CanonicalizeValidated( may appear only there and in their own definitions
+# (src/model/canonical.{h,cc}). A second caller would be a second copy of
+# the rule that can drift from the first. Tests, benches and perfbench are
+# exempt.
 #
 # Usage: tools/check_key_hygiene.sh [repo-root]
 
@@ -37,17 +38,17 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
-canon_violations=$(grep -RnE 'CanonicalizeTree\(' src tools \
+canon_violations=$(grep -RnE 'Canonicalize(Tree|Validated)\(' src tools \
   --include='*.h' --include='*.cc' |
   grep -vE '^(src/model/canonical\.(h|cc)|src/service/tree_catalog\.cc):' ||
   true)
 
 if [ -n "$canon_violations" ]; then
-  echo "key-hygiene lint FAILED: CanonicalizeTree( outside TreeCatalog::ComputeIdentity." >&2
+  echo "key-hygiene lint FAILED: canonicalization outside TreeCatalog::ComputeIdentity." >&2
   echo "Derive identities with TreeCatalog::ComputeIdentity (src/service/tree_catalog.h):" >&2
   echo "$canon_violations" >&2
   exit 1
 fi
 
 echo "key hygiene OK: service headers carry identities as ContentFp/StructKey;"
-echo "  CanonicalizeTree( is called only by TreeCatalog::ComputeIdentity."
+echo "  trees are canonicalized only by TreeCatalog::ComputeIdentity."
