@@ -13,6 +13,7 @@
 #include "core/monte_carlo.h"
 #include "core/rank_distribution.h"
 #include "engine/engine.h"
+#include "model/flat_tree.h"
 #include "model/possible_worlds.h"
 #include "workload/generators.h"
 
@@ -59,6 +60,42 @@ BENCHMARK(BM_EngineRankDist)
     ->Args({80, 2})
     ->Args({80, 4})
     ->Args({80, 8});
+
+// The two tree shapes perfbench's cold_batch workload loads: deep (24
+// keys, depth 5, 100-110 leaves) and wide (64 keys, depth 2, 160-170
+// leaves), drawn until the leaf count lands in the band.
+AndXorTree ColdBatchShape(bool wide) {
+  Rng rng(wide ? 29 : 23);
+  RandomTreeOptions opts;
+  opts.num_keys = wide ? 64 : 24;
+  opts.max_depth = wide ? 2 : 5;
+  opts.max_alternatives = wide ? 3 : 2;
+  const int min_leaves = wide ? 160 : 100;
+  const int max_leaves = wide ? 170 : 110;
+  while (true) {
+    AndXorTree tree = *RandomAndXorTree(opts, &rng);
+    if (tree.NumLeaves() >= min_leaves && tree.NumLeaves() <= max_leaves) {
+      return tree;
+    }
+  }
+}
+
+// Args: {shape (0 deep, 1 wide), k, threads}. The general-path fold a
+// cold_batch miss pays, with the program compiled once as the catalog does.
+void BM_EngineRankDistColdShapes(benchmark::State& state) {
+  const AndXorTree tree = ColdBatchShape(state.range(0) == 1);
+  const FlatTree program = FlatTree::Compile(tree);
+  const int k = static_cast<int>(state.range(1));
+  EngineOptions opts;
+  opts.num_threads = static_cast<int>(state.range(2));
+  Engine engine(opts);
+  state.counters["leaves"] = tree.NumLeaves();
+  for (auto _ : state) {
+    RankDistribution dist = engine.ComputeRankDistribution(tree, k, &program);
+    benchmark::DoNotOptimize(dist);
+  }
+}
+BENCHMARK(BM_EngineRankDistColdShapes)->ArgsProduct({{0, 1}, {4, 8}, {1, 4}});
 
 void BM_CoreMonteCarlo(benchmark::State& state) {
   AndXorTree tree = MakeTree(60);

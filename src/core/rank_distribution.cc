@@ -3,7 +3,9 @@
 #include "core/rank_distribution.h"
 
 #include <algorithm>
-
+#include <cstddef>
+#include <numeric>
+#include <utility>
 
 namespace cpdb {
 
@@ -60,6 +62,16 @@ void RankDistributionBuilder::Add(KeyId key, int i, double prob) {
               [static_cast<size_t>(i)] += prob;
 }
 
+void RankDistributionBuilder::AddRow(KeyId key, const double* probs,
+                                     int count) {
+  EnsureKey(key);
+  std::vector<double>& row =
+      dist_.pr_eq_[static_cast<size_t>(dist_.key_index_[key])];
+  for (int i = 1; i <= std::min(count, dist_.k_); ++i) {
+    row[static_cast<size_t>(i)] += probs[i - 1];
+  }
+}
+
 RankDistribution RankDistributionBuilder::Build() && {
   // keys_ must be sorted ascending like ComputeRankDistribution produces;
   // reindex after sorting.
@@ -82,63 +94,117 @@ RankDistribution RankDistributionBuilder::Build() && {
   return std::move(dist_);
 }
 
-std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
-                                         int k) {
-  // One bivariate generating function per tuple alternative: x (count of
-  // higher-ranked tuples) truncated at k, enough to read Pr(r = k) from
-  // x^{k-1}; y (the alternative itself) at 1. Rows have shape (k+1) × 2,
-  // row-major: Index(i, j) = i * 2 + j. Leaf classification reads the
-  // packed leaf table; a monomial beyond the bounds is the zero polynomial.
+RankDistributionScan::RankDistributionScan(const FlatTree& flat, int k,
+                                           int max_chunks)
+    : refold_(flat),
+      k_(k),
+      // At most L - 1 leaves count toward a rank, so coefficients above
+      // x^L are zero; a cell's terms do not depend on the truncation, so
+      // folding at min(k, L) leaves every coefficient read bitwise as is.
+      max_dx_(std::max(0, std::min(k, flat.num_leaves()))),
+      ranks_(std::max(0, std::min(k, max_dx_ + 1))) {
   const std::vector<FlatLeaf>& leaves = flat.leaves();
-  const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
-  const auto leaf_init = [&](int i, double* row) {
-    if (i == target) {
-      row[1] = 1.0;  // y = x^0 y^1
-      return;
-    }
-    const FlatLeaf& other = leaves[static_cast<size_t>(i)];
-    if (other.key != alt.key && other.score > alt.score) {
-      if (k >= 1) row[2] = 1.0;  // x = x^1 y^0, counts toward the rank
-      return;
-    }
-    row[0] = 1.0;  // constant 1
+  const size_t n = leaves.size();
+  // Scores are finite (AndXorTree::Validate), so the order is total.
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(), [&](int a, int b) {
+    const double sa = leaves[static_cast<size_t>(a)].score;
+    const double sb = leaves[static_cast<size_t>(b)].score;
+    return sa > sb || (sa == sb && a < b);
+  });
+  rank_.resize(n);
+  for (size_t p = 0; p < n; ++p) rank_[static_cast<size_t>(order_[p])] = p;
+  // Nominal boundaries at equal leaf counts, each moved forward past the
+  // tie group it splits.
+  auto score_at = [&](size_t p) {
+    return leaves[static_cast<size_t>(order_[p])].score;
   };
-  std::vector<double> f(static_cast<size_t>(k + 1) * 2);
-  flat.EvalGeneratingFunction(k, 1, leaf_init, f.data(), &FlatFoldScratch());
-  std::vector<double> contribution(static_cast<size_t>(k) + 1, 0.0);
-  for (int i = 1; i <= k; ++i) {
-    contribution[static_cast<size_t>(i)] =
-        f[static_cast<size_t>(i - 1) * 2 + 1];  // Coeff(i - 1, 1)
+  chunk_begin_.push_back(0);
+  for (int c = 1; c < max_chunks && n > 0; ++c) {
+    size_t b = n * static_cast<size_t>(c) / static_cast<size_t>(max_chunks);
+    while (b > 0 && b < n && score_at(b) == score_at(b - 1)) ++b;
+    if (b > chunk_begin_.back() && b < n) chunk_begin_.push_back(b);
   }
-  return contribution;
+  if (n > 0) chunk_begin_.push_back(n);
+  scratch_.resize(static_cast<size_t>(num_chunks()));
+  for (FlatRefold::Scratch& scratch : scratch_) {
+    refold_.Reserve(max_dx_, 1, &scratch);
+  }
+  contributions_.assign(n * static_cast<size_t>(ranks_), 0.0);
+}
+
+void RankDistributionScan::RunChunk(int chunk) {
+  const std::vector<FlatLeaf>& leaves = refold_.flat().leaves();
+  FlatRefold::Scratch& scratch = scratch_[static_cast<size_t>(chunk)];
+  const size_t begin = chunk_begin_[static_cast<size_t>(chunk)];
+  const size_t end = chunk_begin_[static_cast<size_t>(chunk) + 1];
+  // Rows have shape (max_dx + 1) × 2, row-major: 1 = x^0 y^0 at index 0,
+  // y (tags the target) = x^0 y^1 at 1, x (counts toward the rank) =
+  // x^1 y^0 at 2, which is beyond the row (the zero polynomial) when
+  // k == 0.
+  constexpr int kOne = 0, kY = 1, kX = 2;
+  // The base fold: every leaf scoring above the chunk's first group is x.
+  refold_.Fold(max_dx_, 1,
+               [&](int i) {
+                 return rank_[static_cast<size_t>(i)] < begin ? kX : kOne;
+               },
+               &scratch);
+  std::vector<int> leaf_set;
+  for (size_t g = begin; g < end;) {
+    const double score = leaves[static_cast<size_t>(order_[g])].score;
+    size_t g_end = g + 1;
+    while (g_end < end &&
+           leaves[static_cast<size_t>(order_[g_end])].score == score) {
+      ++g_end;
+    }
+    for (size_t p = g; p < g_end; ++p) {
+      const int target = order_[p];
+      leaf_set.assign(1, target);
+      const double* f =
+          refold_.Refold(leaf_set, [](int) { return kY; }, &scratch);
+      double* c = contributions_.data() +
+                  static_cast<size_t>(target) * static_cast<size_t>(ranks_);
+      for (int i = 1; i <= ranks_; ++i) {
+        c[i - 1] = f[static_cast<size_t>(i - 1) * 2 + 1];  // Coeff(i - 1, 1)
+      }
+    }
+    if (g_end < end) {
+      leaf_set.assign(order_.begin() + static_cast<std::ptrdiff_t>(g),
+                      order_.begin() + static_cast<std::ptrdiff_t>(g_end));
+      refold_.Commit(leaf_set, [](int) { return kX; }, &scratch);
+    }
+    g = g_end;
+  }
+}
+
+size_t RankDistributionScan::ChunkScratchBytes() const {
+  size_t bytes = 0;
+  for (const FlatRefold::Scratch& scratch : scratch_) {
+    bytes = std::max(bytes, scratch.CapacityBytes());
+  }
+  return bytes;
+}
+
+RankDistribution RankDistributionScan::Build(
+    const std::vector<KeyId>& keys) const {
+  RankDistributionBuilder builder(k_);
+  for (KeyId key : keys) builder.EnsureKey(key);
+  const std::vector<FlatLeaf>& leaves = refold_.flat().leaves();
+  for (size_t l = 0; l < leaves.size(); ++l) {
+    // Ranks past ranks_ hold exact zeros, which would add nothing.
+    builder.AddRow(leaves[l].key,
+                   contributions_.data() + l * static_cast<size_t>(ranks_),
+                   ranks_);
+  }
+  return std::move(builder).Build();
 }
 
 RankDistribution ComputeRankDistribution(const AndXorTree& tree, int k) {
-  RankDistribution dist;
-  dist.k_ = k;
-  dist.keys_ = tree.Keys();
-  for (size_t i = 0; i < dist.keys_.size(); ++i) {
-    dist.key_index_[dist.keys_[i]] = static_cast<int>(i);
-  }
-  dist.pr_eq_.assign(dist.keys_.size(),
-                     std::vector<double>(static_cast<size_t>(k) + 1, 0.0));
-
   const FlatTree flat = FlatTree::Compile(tree);
-  for (int target = 0; target < flat.num_leaves(); ++target) {
-    std::vector<double> contribution = LeafRankContribution(flat, target, k);
-    int key_idx =
-        dist.key_index_[flat.leaves()[static_cast<size_t>(target)].key];
-    for (int i = 1; i <= k; ++i) {
-      dist.pr_eq_[static_cast<size_t>(key_idx)][static_cast<size_t>(i)] +=
-          contribution[static_cast<size_t>(i)];
-    }
-  }
-
-  dist.pr_le_ = dist.pr_eq_;
-  for (auto& row : dist.pr_le_) {
-    for (size_t i = 2; i < row.size(); ++i) row[i] += row[i - 1];
-  }
-  return dist;
+  RankDistributionScan scan(flat, k, /*max_chunks=*/1);
+  for (int c = 0; c < scan.num_chunks(); ++c) scan.RunChunk(c);
+  return scan.Build(tree.Keys());
 }
 
 }  // namespace cpdb

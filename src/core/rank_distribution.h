@@ -66,8 +66,6 @@ class RankDistribution {
   int64_t ApproxBytes() const;
 
  private:
-  friend RankDistribution ComputeRankDistribution(const AndXorTree& tree,
-                                                  int k);
   friend class RankDistributionBuilder;
   int k_ = 0;
   std::vector<KeyId> keys_;
@@ -79,7 +77,7 @@ class RankDistribution {
 
 /// \brief Assembles a RankDistribution from externally computed
 /// Pr(r(key) = i) values (used by the fast block-independent algorithm in
-/// rank_distribution_fast.h and by the parallel engine's per-leaf merge).
+/// rank_distribution_fast.h and by RankDistributionScan's per-leaf merge).
 /// Build() sorts keys and finalizes prefix sums in O(n (log n + k)).
 class RankDistributionBuilder {
  public:
@@ -92,6 +90,10 @@ class RankDistributionBuilder {
   /// \brief Adds `prob` to Pr(r(key) = i); creates the key on first use.
   void Add(KeyId key, int i, double prob);
 
+  /// \brief Add(key, i, probs[i - 1]) for i = 1..count, in that order,
+  /// with one key lookup.
+  void AddRow(KeyId key, const double* probs, int count);
+
   /// \brief Finalizes prefix sums and returns the distribution.
   RankDistribution Build() &&;
 
@@ -99,33 +101,80 @@ class RankDistributionBuilder {
   RankDistribution dist_;
 };
 
-/// \brief The contribution of one leaf to its key's rank distribution:
-/// entry i of the returned vector (size k + 1, entry 0 unused) is
-/// Pr(the leaf is present and ranked i-th), i.e. the coefficient of
-/// x^{i-1} y^1 of the leaf's bivariate generating function. Summing over a
-/// key's alternatives yields Pr(r(key) = i). One evaluation costs O(L k)
-/// for L leaves; this is the unit of work the parallel engine distributes.
-/// `target` indexes flat.leaves() (left-to-right DFS order ==
-/// AndXorTree::LeafIds() order). Per-target leaf
-/// classification is a linear scan over the packed leaf table and all
-/// polynomial scratch lives in this thread's reusable arena, so repeated
-/// calls over one compiled tree allocate only the returned vector.
-std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
-                                         int k);
+/// \brief The score-ordered incremental scan behind every general-tree
+/// rank distribution (Example 3).
+///
+/// For a leaf a with score s, Pr(a is present and ranked i-th) is the
+/// coefficient of x^{i-1} y^1 of the bivariate generating function that
+/// tags a with y, every leaf of another key scoring above s with x, and
+/// every other leaf with 1; summing over a key's alternatives gives
+/// Pr(r(key) = i). Rather than one full O(N k) fold per leaf, the scan
+/// walks the leaves in decreasing score over one FlatRefold whose resident
+/// rows hold the fold with every leaf scoring above the current tie group
+/// set to x. A leaf's query refolds only its own root path, with the leaf
+/// set to y; after each tie group, a commit rewrites the group's paths with
+/// the group set to x. Per leaf the work is one root path of the row graph
+/// for the query and one for the commit, where the per-leaf fold pays every
+/// row. A path row costs O(fan-in k) at a XOR node and O(k^2) per product
+/// of an AND node's left-fold chain, which puts up to fan-in - 1 rows on
+/// the path.
+///
+/// Each contribution is bitwise the per-leaf full fold (the flat
+/// LeafRankContribution oracle in tests/oracle/). Refolded rows re-run
+/// their own ops, so the two folds differ only in the leaf's higher-scoring
+/// key-mates: x here, 1 there. Those cannot move a y^1 bit. A row whose
+/// subtree lacks the leaf has an all-+0.0 y^1 column, so a key-mate, which
+/// sits below a XOR node on the leaf's path (the key constraint), reaches
+/// y^1 cells only as weight × (+0.0) at that XOR and, above it, as
+/// (y^0 cell) × (a sibling's +0.0 y^1 cell) in products: ±0.0 terms added
+/// to accumulators that are never -0.0, the bitwise no-op
+/// ConvolveRowsTruncated's zero skip rests on. Tied leaves are committed
+/// only after the whole group is queried, since a tie scores 1, not x.
+///
+/// The score order splits into chunks at tie-group boundaries. Each chunk
+/// starts from its own base fold in its own scratch, so chunks run
+/// independently, on any thread, and no bit depends on how many there are.
+class RankDistributionScan {
+ public:
+  /// Orders `flat`'s leaves, splits them into at most `max_chunks` chunks
+  /// of about equal size, and sizes each chunk's scratch on the calling
+  /// thread. `flat` must outlive the scan.
+  RankDistributionScan(const FlatTree& flat, int k, int max_chunks);
 
-/// \brief Computes the rank distribution of every key, truncated at rank k.
-///
-/// Implementation (Example 3): for each tuple alternative a with score s,
-/// the bivariate generating function with variable x on higher-scoring
-/// leaves of other keys and y on a has Pr(rank via a = i) as the coefficient
-/// of x^{i-1} y; summing over a's alternatives gives the key's distribution.
-/// Cost O(L^2 k) for L leaves (L independent O(L k) leaf evaluations; see
-/// LeafRankContribution, the unit the parallel engine distributes).
-///
-/// Runs the flat fold: the tree is compiled once (FlatTree::Compile) and
-/// each leaf evaluation is a linear pass over the instruction stream with
-/// arena scratch. The pointer-fold oracle in tests/oracle/ pins it bit for
-/// bit.
+  int num_chunks() const { return static_cast<int>(chunk_begin_.size()) - 1; }
+
+  /// Scans one chunk, writing its leaves' contributions. The chunk's
+  /// resident rows live in its own scratch, not in thread-local storage,
+  /// and the body never calls into a thread pool, so it does not matter
+  /// which thread runs it or what ran there before. Distinct chunks write
+  /// disjoint leaves and scratches and may run concurrently.
+  void RunChunk(int chunk);
+
+  /// The largest chunk scratch's arena bytes: the scan's per-thread
+  /// working set.
+  size_t ChunkScratchBytes() const;
+
+  /// The distribution over `keys` (the tree's Keys()) once every chunk has
+  /// run: each key's leaf contributions summed in leaf-table order, the
+  /// order of the pointer-fold oracle.
+  RankDistribution Build(const std::vector<KeyId>& keys) const;
+
+ private:
+  FlatRefold refold_;
+  int k_;
+  int max_dx_;  // the fold's x truncation
+  int ranks_;   // the ranks a leaf can reach, min(k, max_dx_ + 1)
+  std::vector<int> order_;     // leaf indices by decreasing score, ties in
+                               // leaf order
+  std::vector<size_t> rank_;   // leaf -> its position in order_
+  std::vector<size_t> chunk_begin_;  // chunk c is order_[begin[c], begin[c+1])
+  std::vector<FlatRefold::Scratch> scratch_;  // one per chunk
+  std::vector<double> contributions_;  // leaf l, rank i: [l * ranks_ + i - 1]
+};
+
+/// \brief Computes the rank distribution of every key, truncated at rank k,
+/// with one sequential RankDistributionScan over the compiled tree. The
+/// pointer-fold oracle in tests/oracle/ pins it bit for bit.
 RankDistribution ComputeRankDistribution(const AndXorTree& tree, int k);
 
 }  // namespace cpdb

@@ -30,7 +30,7 @@ std::vector<double> KendallQRow(const FlatRefold& refold,
   // above b, so it is a refold of their ancestors, or the base root itself
   // when t has no such leaf. Each cell sums over targets in leaf order,
   // then i, the summation order of the pointer-fold oracle.
-  thread_local FlatRefold::Scratch scratch(&FlatFoldScratch());
+  FlatRefold::Scratch& scratch = FlatRefoldScratch();
   const std::vector<FlatLeaf>& leaves = refold.flat().leaves();
   const int num_leaves = static_cast<int>(leaves.size());
   const KeyId u = keys[iu];
@@ -52,15 +52,13 @@ std::vector<double> KendallQRow(const FlatRefold& refold,
     if (alt.key != u) continue;
     const double* base = refold.Fold(
         k, 1,
-        [&](int i, double* row) {
+        [&](int i) {
           const FlatLeaf& other = leaves[static_cast<size_t>(i)];
-          if (i == target) {
-            row[1] = 1.0;  // y
-          } else if (other.score > alt.score && other.key != u) {
-            if (k >= 1) row[2] = 1.0;  // x, counts toward the rank
-          } else {
-            row[0] = 1.0;
+          if (i == target) return 1;  // y
+          if (other.score > alt.score && other.key != u) {
+            return 2;  // x, counts toward the rank (zero when k == 0)
           }
+          return 0;
         },
         &scratch);
     for (size_t it = 0; it < keys.size(); ++it) {

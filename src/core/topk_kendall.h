@@ -37,8 +37,8 @@ namespace cpdb {
 /// ahead of t (t absent or ranked below both count) — and 0 at it == iu.
 /// Bitwise the pointer-fold oracle in tests/oracle/. One resident
 /// fold per alternative b of keys[iu], then for each other key t a refold
-/// of only the ancestors of t's leaves scoring above b. Uses a
-/// thread-local scratch; `refold` is only read, so rows may run
+/// of only the ancestors of t's leaves scoring above b. Uses this thread's
+/// FlatRefoldScratch(); `refold` is only read, so rows may run
 /// concurrently.
 std::vector<double> KendallQRow(const FlatRefold& refold,
                                 const std::vector<KeyId>& keys, size_t iu,

@@ -86,33 +86,21 @@ RankDistribution Engine::ComputeRankDistribution(
   }
 
   // Compile the flat form once (or reuse the caller's shared program); the
-  // immutable FlatTree is shared read-only across all parallel leaf tasks,
-  // each of which folds over its own thread-local arena scratch.
+  // immutable FlatTree and the scan's row graph are shared read-only by one
+  // score-order chunk per pool thread. Each chunk folds in its own scratch,
+  // sized here on the calling thread, so no pool thread keeps fold rows.
   std::optional<FlatTree> owned;
   if (program == nullptr) owned.emplace(CompileCounted(tree));
-  const FlatTree& flat = program != nullptr ? *program : *owned;
-  const int num_leaves = flat.num_leaves();
-  std::vector<std::vector<double>> contributions(
-      static_cast<size_t>(num_leaves));
-  pool_.ParallelFor(num_leaves, [&](int64_t i) {
-    contributions[static_cast<size_t>(i)] =
-        LeafRankContribution(flat, static_cast<int>(i), k);
-    NoteArenaHighWater();
+  RankDistributionScan scan(program != nullptr ? *program : *owned, k,
+                            num_threads());
+  pool_.ParallelFor(scan.num_chunks(), [&](int64_t c) {
+    scan.RunChunk(static_cast<int>(c));
   });
-
-  // Merge in DFS leaf order (== flat leaf-table order) — the exact
-  // accumulation order of the sequential ComputeRankDistribution, hence
-  // bitwise-identical sums.
-  RankDistributionBuilder builder(k);
-  for (KeyId key : tree.Keys()) builder.EnsureKey(key);
-  for (int l = 0; l < num_leaves; ++l) {
-    KeyId key = flat.leaves()[static_cast<size_t>(l)].key;
-    for (int i = 1; i <= k; ++i) {
-      builder.Add(key, i, contributions[static_cast<size_t>(l)]
-                                       [static_cast<size_t>(i)]);
-    }
-  }
-  return std::move(builder).Build();
+  NoteArenaHighWater(scan.ChunkScratchBytes());
+  // Every query root is bitwise its leaf's full fold, whichever chunk ran
+  // it, and Build merges in leaf-table order: bitwise the sequential
+  // ComputeRankDistribution for any thread count.
+  return scan.Build(tree.Keys());
 }
 
 std::vector<std::vector<double>> Engine::PerKeyColumns(
@@ -124,7 +112,7 @@ std::vector<std::vector<double>> Engine::PerKeyColumns(
   pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
     columns[static_cast<size_t>(t)] =
         column(dist, keys[static_cast<size_t>(t)]);
-    NoteArenaHighWater();
+    NoteArenaHighWater(FlatFoldScratch().CapacityBytes());
   });
   return columns;
 }
@@ -174,7 +162,7 @@ std::vector<std::vector<double>> Engine::KendallQMatrix(
   pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t iu) {
     q[static_cast<size_t>(iu)] =
         KendallQRow(refold, keys, static_cast<size_t>(iu), k);
-    NoteArenaHighWater();
+    NoteArenaHighWater(FlatRefoldScratch().CapacityBytes());
   });
   return q;
 }
@@ -397,14 +385,12 @@ FlatTree Engine::CompileCounted(const AndXorTree& tree) const {
   return FlatTree::Compile(tree);
 }
 
-void Engine::NoteArenaHighWater() const {
-  // Reads the *calling thread's* scratch arena — meaningful only from
-  // inside fold units, where FlatFoldScratch() is the arena the fold just
-  // grew. The CAS-max publishes a fleet-wide peak across all pool threads.
-  const int64_t bytes = static_cast<int64_t>(FlatFoldScratch().CapacityBytes());
+void Engine::NoteArenaHighWater(size_t bytes) const {
+  // The CAS-max publishes a fleet-wide peak across all pool threads.
+  const int64_t value = static_cast<int64_t>(bytes);
   int64_t seen = arena_highwater_bytes_.load(std::memory_order_relaxed);
-  while (bytes > seen && !arena_highwater_bytes_.compare_exchange_weak(
-                             seen, bytes, std::memory_order_relaxed)) {
+  while (value > seen && !arena_highwater_bytes_.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
   }
 }
 

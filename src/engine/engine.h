@@ -8,9 +8,13 @@
 // work is split into fixed units whose partial results are merged in a
 // fixed order on the calling thread:
 //
-//   * rank distributions — one unit per leaf (LeafRankContribution), merged
-//     in DFS leaf order, which is exactly the accumulation order of the
-//     sequential ComputeRankDistribution;
+//   * rank distributions — one RankDistributionScan chunk per pool thread:
+//     a run of the score order, cut at tie-group boundaries, scanned from
+//     its own base fold. Each leaf's contribution is bitwise its full
+//     per-leaf fold whichever chunk computes it, and the merge runs in DFS
+//     leaf order, the accumulation order of the sequential
+//     ComputeRankDistribution — so the chunk count moves no bit and needs
+//     no knob;
 //   * the Kendall q matrix — one unit per key, each writing its own row;
 //   * median symdiff — one unit per Theorem 4 search stratum (score
 //     threshold DPs plus the small-world DP), merged by replaying the
@@ -83,7 +87,7 @@ struct EngineOptions {
   /// be reproduced bitwise by pinning that value here.
   int mc_chunk_size = 256;
 
-  /// Use the O(n k) block-independent fast path for rank distributions
+  /// Use the O(L k^2 log n) block-independent scan for rank distributions
   /// when the tree qualifies (matches the CLI's historical behavior).
   bool use_fast_bid_path = true;
 };
@@ -109,7 +113,7 @@ struct EngineObsCounters {
   /// over a tree; the serving caches exist to keep this flat under
   /// repeated traffic).
   int64_t fold_compiles = 0;
-  /// High-water mark of any single worker thread's PolyArena scratch
+  /// High-water mark of any single fold unit's PolyArena scratch
   /// capacity, in bytes — the peak per-thread working set of the flat
   /// fold (see poly/poly_arena.h). A gauge, not a counter: it only rises.
   int64_t arena_highwater_bytes = 0;
@@ -156,15 +160,18 @@ class Engine {
   // -- Rank distributions (Section 5 sufficient statistics) ---------------
 
   /// \brief Parallel ComputeRankDistribution: the tree is compiled to a
-  /// FlatTree once, shared read-only across the pool; per-leaf flat folds
-  /// (each over its thread's arena scratch) are evaluated in parallel and
-  /// merged in DFS leaf order. Bitwise identical for any thread count; on
-  /// the general path this also means bitwise identity with the sequential
-  /// core function and with the pointer-fold test oracle. When the fast BID
-  /// path engages (options().use_fast_bid_path on a block-independent
-  /// tree), the result is that of ComputeRankDistributionFast — sequential
-  /// and deterministic, but a numerically different (equally correct)
-  /// algorithm than the general path, agreeing only to ~1e-9.
+  /// FlatTree once and scanned by a RankDistributionScan split into one
+  /// score-order chunk per pool thread (chunk boundaries on tie groups).
+  /// Each chunk runs its own base fold, then per leaf a refold of only the
+  /// leaf's root path, in the chunk's own resident rows. Every leaf's
+  /// contribution is bitwise its full per-leaf fold and the merge runs in
+  /// DFS leaf order, so the result is bitwise identical for any thread
+  /// count, to the sequential core function, and to the pointer-fold test
+  /// oracle. When the fast BID path engages (options().use_fast_bid_path on
+  /// a block-independent tree), the result is that of
+  /// ComputeRankDistributionFast — sequential and deterministic, but a
+  /// numerically different (equally correct) algorithm than the general
+  /// path, agreeing only to ~1e-9.
   ///
   /// `program`, when non-null, must be FlatTree::Compile(tree) (the
   /// serving catalog holds exactly that, one per distinct shape); the call
@@ -349,10 +356,10 @@ class Engine {
   /// compiles through, so fold_compiles_ cannot undercount.
   FlatTree CompileCounted(const AndXorTree& tree) const;
 
-  /// Folds the calling thread's arena capacity into the high-water gauge —
-  /// called from inside parallel fold units, where the thread-local
-  /// scratch the unit just used is this thread's.
-  void NoteArenaHighWater() const;
+  /// Folds one fold unit's scratch bytes into the high-water gauge: the
+  /// calling thread's arena from inside a pool task that used it, or a
+  /// scan's largest chunk scratch.
+  void NoteArenaHighWater(size_t bytes) const;
 
   EngineOptions options_;
   // ParallelFor mutates pool bookkeeping; queries are logically const.

@@ -3,6 +3,7 @@
 #include "model/and_xor_tree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -56,7 +57,8 @@ Status AndXorTree::CheckConstraints() const {
   // Definition 1:
   //  * structure — every node is entered at most once (a second arrival
   //    means sharing or a cycle), inner nodes have children, XOR nodes one
-  //    probability per child, non-negative and summing to at most 1;
+  //    probability per child, finite, non-negative and summing to at most
+  //    1, and leaf scores are finite (score orders need a total order);
   //  * keys — the LCA of two leaves holding the same key is a XOR node.
   //    Checking each leaf against the previous leaf of its key in DFS
   //    order is enough: the LCA of any same-key pair is the shallowest LCA
@@ -102,6 +104,10 @@ Status AndXorTree::CheckConstraints() const {
       if (!n.children.empty()) {
         return Status::InvalidArgument("leaf node has children");
       }
+      if (!std::isfinite(n.leaf.score)) {
+        return Status::InvalidArgument("non-finite score at leaf " +
+                                       std::to_string(id));
+      }
       NodeId& last = last_leaf[static_cast<size_t>(
           key_slot[static_cast<size_t>(id)])];
       if (last != kInvalidNode) {
@@ -129,6 +135,10 @@ Status AndXorTree::CheckConstraints() const {
       }
       double sum = 0.0;
       for (double p : n.edge_probs) {
+        if (!std::isfinite(p)) {
+          return Status::InvalidArgument(
+              "non-finite edge probability at node " + std::to_string(id));
+        }
         if (p < -kProbEps) {
           return Status::InvalidArgument("negative edge probability at node " +
                                          std::to_string(id));

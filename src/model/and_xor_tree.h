@@ -42,14 +42,16 @@ struct TreeNode {
 ///
 /// Built incrementally with AddLeaf / AddAnd / AddXor, then sealed with
 /// SetRoot. Validate() checks Definition 1's constraints:
-///  * probability constraint — XOR edge probabilities are non-negative and
-///    sum to at most 1 per node;
+///  * probability constraint — XOR edge probabilities are finite,
+///    non-negative and sum to at most 1 per node;
 ///  * key constraint — the LCA of two leaves holding the same key is an XOR
 ///    node (equivalently: the children of an AND node span disjoint key
 ///    sets);
 ///  * structural sanity — the nodes reachable from the root form a tree
 ///    (every node has at most one parent), inner nodes have children, and
-///    XOR nodes have one probability per child.
+///    XOR nodes have one probability per child;
+///  * finite scores — every leaf score is finite, so score orders (the rank
+///    scans' sorts) are total.
 class AndXorTree {
  public:
   AndXorTree() = default;

@@ -209,29 +209,33 @@ PolyArena& FlatFoldScratch() {
 }
 
 FlatRefold::FlatRefold(const FlatTree& flat) : flat_(&flat) {
-  // Replay the op stream tracking which row each slot holds. A row is
-  // numbered when its consumer reads it, and the root last: every input is
-  // consumed while the row reading it is still being built, so inputs
-  // always number below their consumer.
-  struct Draft {
-    FlatOpKind kind;
-    int32_t leaf;
+  if (flat.root_slot() < 0) return;
+  // Replay the op stream tracking which draft row each slot holds; drafts
+  // number in op order. A row is numbered when its consumer reads it, and
+  // the root last: every input is consumed while the row reading it is
+  // still being built, so inputs always number below their consumer. Each
+  // draft is consumed once (or is the root), so this numbers every draft.
+  struct Edge {
+    int32_t consumer;  // drafts
+    int32_t input;
     double weight;
-    std::vector<Input> in;  // rows in draft numbering
   };
-  std::vector<Draft> drafts;
+  const std::vector<FlatOp>& ops = flat.ops();
   std::vector<int32_t> slot_draft(static_cast<size_t>(flat.num_slots()), -1);
-  std::vector<int32_t> order;  // drafts in consumption order
+  std::vector<Row> drafts;
+  std::vector<Edge> edges;  // in op order, hence child order per consumer
+  drafts.reserve(ops.size());
+  edges.reserve(ops.size());
   int32_t next_leaf = 0;
   auto open = [&](int32_t slot, FlatOpKind kind, int32_t leaf, double weight) {
     slot_draft[static_cast<size_t>(slot)] = static_cast<int32_t>(drafts.size());
-    drafts.push_back(Draft{kind, leaf, weight, {}});
+    drafts.push_back(Row{kind, -1, 0, 0, leaf, -1, weight});
   };
-  auto consume = [&](int32_t slot) {
-    order.push_back(slot_draft[static_cast<size_t>(slot)]);
-    return order.back();
+  auto consume = [&](int32_t slot, int32_t consumer, double weight) {
+    edges.push_back(
+        Edge{consumer, slot_draft[static_cast<size_t>(slot)], weight});
   };
-  for (const FlatOp& op : flat.ops()) {
+  for (const FlatOp& op : ops) {
     switch (op.kind) {
       case FlatOpKind::kLeaf:
         open(op.out_slot, FlatOpKind::kLeaf, next_leaf++, 0.0);
@@ -239,73 +243,96 @@ FlatRefold::FlatRefold(const FlatTree& flat) : flat_(&flat) {
       case FlatOpKind::kXorInit:
         open(op.out_slot, FlatOpKind::kXorInit, -1, op.weight);
         break;
-      case FlatOpKind::kXorAccum: {
-        const int32_t child = consume(op.arg_slot);
-        drafts[static_cast<size_t>(slot_draft[static_cast<size_t>(op.out_slot)])]
-            .in.push_back(Input{child, op.weight});
+      case FlatOpKind::kXorAccum:
+        consume(op.arg_slot, slot_draft[static_cast<size_t>(op.out_slot)],
+                op.weight);
         break;
-      }
       case FlatOpKind::kMul: {
-        const int32_t lhs = consume(op.lhs_slot);
-        const int32_t arg = consume(op.arg_slot);
+        const int32_t product = static_cast<int32_t>(drafts.size());
+        consume(op.lhs_slot, product, 0.0);
+        consume(op.arg_slot, product, 0.0);
         open(op.out_slot, FlatOpKind::kMul, -1, 0.0);
-        drafts.back().in = {Input{lhs, 0.0}, Input{arg, 0.0}};
         break;
       }
     }
   }
-  if (flat.root_slot() < 0) return;
-  order.push_back(slot_draft[static_cast<size_t>(flat.root_slot())]);
 
   std::vector<int32_t> number(drafts.size(), -1);
-  for (size_t i = 0; i < order.size(); ++i) {
-    number[static_cast<size_t>(order[i])] = static_cast<int32_t>(i);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    number[static_cast<size_t>(edges[i].input)] = static_cast<int32_t>(i);
   }
-  rows_.resize(order.size());
+  number[static_cast<size_t>(slot_draft[static_cast<size_t>(flat.root_slot())])] =
+      static_cast<int32_t>(edges.size());
+  rows_.resize(drafts.size());
   leaf_row_.assign(static_cast<size_t>(flat.num_leaves()), -1);
-  for (size_t r = 0; r < order.size(); ++r) {
-    const Draft& d = drafts[static_cast<size_t>(order[r])];
-    const int32_t in_begin = static_cast<int32_t>(inputs_.size());
-    for (const Input& in : d.in) {
-      const int32_t input = number[static_cast<size_t>(in.row)];
-      inputs_.push_back(Input{input, in.weight});
-      rows_[static_cast<size_t>(input)].parent = static_cast<int32_t>(r);
-    }
-    rows_[r] = Row{d.kind, -1, in_begin, static_cast<int32_t>(inputs_.size()),
-                   d.leaf, d.weight};
-    if (d.kind == FlatOpKind::kLeaf) {
-      leaf_row_[static_cast<size_t>(d.leaf)] = static_cast<int32_t>(r);
+  for (size_t d = 0; d < drafts.size(); ++d) {
+    rows_[static_cast<size_t>(number[d])] = drafts[d];
+  }
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    Row& row = rows_[r];
+    if (row.kind == FlatOpKind::kLeaf) {
+      leaf_row_[static_cast<size_t>(row.leaf)] = static_cast<int32_t>(r);
+    } else {
+      row.resident = num_resident_++;
     }
   }
-}
-
-void FlatRefold::EvalRow(int32_t r, double* out, const Scratch& scratch) const {
-  const Row& row = rows_[static_cast<size_t>(r)];
-  const int32_t n = static_cast<int32_t>(rows_.size());
-  const int row_len = (scratch.max_dx + 1) * (scratch.max_dy + 1);
-  auto input = [&](const Input& in) -> const double* {
-    const bool dirty = scratch.stamp[static_cast<size_t>(in.row)] == scratch.epoch;
-    return scratch.rows->Row(dirty ? n + in.row : in.row);
-  };
-  std::fill(out, out + row_len, 0.0);  // a leaf row stays zero
-  if (row.kind == FlatOpKind::kXorInit) {
-    out[0] = row.weight;
-    for (int32_t i = row.in_begin; i < row.in_end; ++i) {
-      const Input& in = inputs_[static_cast<size_t>(i)];
-      AddScaledRow(out, input(in), in.weight, row_len);
-    }
-  } else if (row.kind == FlatOpKind::kMul) {
-    ConvolveRowsTruncated(input(inputs_[static_cast<size_t>(row.in_begin)]),
-                          input(inputs_[static_cast<size_t>(row.in_begin) + 1]),
-                          out, scratch.max_dx, scratch.max_dy);
+  // Inputs grouped by consumer row, in row order; within a row, in op
+  // order. in_end counts first, then serves as each row's fill cursor.
+  for (const Edge& e : edges) {
+    ++rows_[static_cast<size_t>(number[static_cast<size_t>(e.consumer)])]
+          .in_end;
+  }
+  int32_t begin = 0;
+  for (Row& row : rows_) {
+    row.in_begin = begin;
+    begin += row.in_end;
+    row.in_end = row.in_begin;
+  }
+  inputs_.resize(edges.size());
+  for (const Edge& e : edges) {
+    const int32_t consumer = number[static_cast<size_t>(e.consumer)];
+    const int32_t input = number[static_cast<size_t>(e.input)];
+    inputs_[static_cast<size_t>(rows_[static_cast<size_t>(consumer)].in_end++)] =
+        Input{input, e.weight};
+    rows_[static_cast<size_t>(input)].parent = consumer;
+  }
+  // Ancestor counts, root first: every parent numbers above its inputs.
+  std::vector<int32_t> ancestors(rows_.size(), 0);
+  for (size_t r = rows_.size() - 1; r-- > 0;) {
+    ancestors[r] = ancestors[static_cast<size_t>(rows_[r].parent)] + 1;
+    max_path_ = std::max(max_path_, ancestors[r]);
   }
 }
 
 namespace {
 
+int RowLen(const FlatRefold::Scratch& scratch) {
+  return (scratch.max_dx + 1) * (scratch.max_dy + 1);
+}
+
+// The row of scratch->units holding `term`'s monomial, adding unit rows up
+// to it on first use; a term outside the row is the zero polynomial.
+int32_t UnitRowOf(int32_t term, FlatRefold::Scratch* scratch) {
+  const int row_len = RowLen(*scratch);
+  if (term < 0 || term >= row_len) return 0;
+  if (term >= scratch->unit_terms) {
+    scratch->unit_terms = term + 1;
+    scratch->units.Reserve(term + 2, row_len);
+    for (int32_t t = 0; t <= term + 1; ++t) {
+      double* unit = scratch->units.Row(t);
+      std::fill(unit, unit + row_len, 0.0);
+      if (t > 0) unit[t - 1] = 1.0;
+    }
+  }
+  return term + 1;
+}
+
 // Starts a new dirty-mark epoch: every earlier mark stops matching.
 void NextEpoch(FlatRefold::Scratch* scratch, size_t num_rows) {
-  if (scratch->stamp.size() < num_rows) scratch->stamp.resize(num_rows, 0);
+  if (scratch->stamp.size() < num_rows) {
+    scratch->stamp.resize(num_rows, 0);
+    scratch->overlay_row.resize(num_rows, -1);
+  }
   if (++scratch->epoch == 0) {
     std::fill(scratch->stamp.begin(), scratch->stamp.end(), 0);
     scratch->epoch = 1;
@@ -314,43 +341,76 @@ void NextEpoch(FlatRefold::Scratch* scratch, size_t num_rows) {
 
 }  // namespace
 
-const double* FlatRefold::Fold(
-    int max_dx, int max_dy,
-    const std::function<void(int leaf_index, double* row)>& leaf_init,
-    Scratch* scratch) const {
-  const int32_t n = static_cast<int32_t>(rows_.size());
-  const int row_len = (max_dx + 1) * (max_dy + 1);
-  scratch->max_dx = max_dx;
-  scratch->max_dy = max_dy;
-  scratch->rows->Reserve(std::max(2 * n, 1), row_len);
-  NextEpoch(scratch, rows_.size());  // nothing is dirty in the base fold
-  if (n == 0) {
-    double* empty = scratch->rows->Row(0);
-    std::fill(empty, empty + row_len, 0.0);
-    return empty;
+const double* FlatRefold::RowData(int32_t r, const Scratch& scratch) const {
+  const Row& row = rows_[static_cast<size_t>(r)];
+  const bool dirty = scratch.stamp[static_cast<size_t>(r)] == scratch.epoch;
+  if (row.kind == FlatOpKind::kLeaf) {
+    return scratch.units.Row(
+        dirty ? scratch.overlay_row[static_cast<size_t>(r)]
+              : scratch.leaf_unit[static_cast<size_t>(row.leaf)]);
   }
-  for (int32_t r = 0; r < n; ++r) {
-    double* out = scratch->rows->Row(r);
-    const Row& row = rows_[static_cast<size_t>(r)];
-    if (row.kind == FlatOpKind::kLeaf) {
-      std::fill(out, out + row_len, 0.0);
-      leaf_init(row.leaf, out);
-    } else {
-      EvalRow(r, out, *scratch);
-    }
-  }
-  return scratch->rows->Row(n - 1);
+  return dirty ? scratch.overlay.Row(scratch.overlay_row[static_cast<size_t>(r)])
+               : scratch.rows.Row(row.resident);
 }
 
-const double* FlatRefold::RefoldZeroed(const std::vector<int>& zeroed,
-                                       Scratch* scratch) const {
-  const int32_t n = static_cast<int32_t>(rows_.size());
-  if (n == 0) return scratch->rows->Row(0);
+void FlatRefold::EvalRow(int32_t r, double* out, const Scratch& scratch) const {
+  const Row& row = rows_[static_cast<size_t>(r)];
+  const int row_len = RowLen(scratch);
+  std::fill(out, out + row_len, 0.0);
+  if (row.kind == FlatOpKind::kXorInit) {
+    out[0] = row.weight;
+    for (int32_t i = row.in_begin; i < row.in_end; ++i) {
+      const Input& in = inputs_[static_cast<size_t>(i)];
+      AddScaledRow(out, RowData(in.row, scratch), in.weight, row_len);
+    }
+  } else {  // kMul
+    ConvolveRowsTruncated(
+        RowData(inputs_[static_cast<size_t>(row.in_begin)].row, scratch),
+        RowData(inputs_[static_cast<size_t>(row.in_begin) + 1].row, scratch),
+        out, scratch.max_dx, scratch.max_dy);
+  }
+}
+
+const double* FlatRefold::Fold(int max_dx, int max_dy,
+                               const LeafTerm& leaf_term,
+                               Scratch* scratch) const {
+  scratch->max_dx = max_dx;
+  scratch->max_dy = max_dy;
+  const int row_len = RowLen(*scratch);
+  scratch->unit_terms = 0;
+  scratch->units.Reserve(1, row_len);
+  std::fill(scratch->units.Row(0), scratch->units.Row(0) + row_len, 0.0);
+  scratch->rows.Reserve(num_resident_, row_len);
+  NextEpoch(scratch, rows_.size());  // nothing is dirty in the base fold
+  if (rows_.empty()) return scratch->units.Row(0);
+  scratch->leaf_unit.resize(leaf_row_.size());
+  for (size_t l = 0; l < leaf_row_.size(); ++l) {
+    scratch->leaf_unit[l] = UnitRowOf(leaf_term(static_cast<int>(l)), scratch);
+  }
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    if (rows_[r].kind == FlatOpKind::kLeaf) continue;
+    EvalRow(static_cast<int32_t>(r), scratch->rows.Row(rows_[r].resident),
+            *scratch);
+  }
+  return RowData(static_cast<int32_t>(rows_.size()) - 1, *scratch);
+}
+
+void FlatRefold::Reserve(int max_dx, int max_dy, Scratch* scratch) const {
+  const int row_len = (max_dx + 1) * (max_dy + 1);
+  scratch->rows.Reserve(num_resident_, row_len);
+  scratch->overlay.Reserve(max_path_, row_len);
+  scratch->leaf_unit.reserve(leaf_row_.size());
+  scratch->dirty.reserve(rows_.size());
   NextEpoch(scratch, rows_.size());
-  // Mark each zeroed leaf and its ancestors, stopping where an earlier
-  // leaf's walk already marked the rest of the path.
+}
+
+void FlatRefold::MarkPaths(const std::vector<int>& leaves,
+                           Scratch* scratch) const {
+  NextEpoch(scratch, rows_.size());
+  // Mark each leaf and its ancestors, stopping where an earlier leaf's
+  // walk already marked the rest of the path.
   scratch->dirty.clear();
-  for (int leaf : zeroed) {
+  for (int leaf : leaves) {
     for (int32_t r = leaf_row_[static_cast<size_t>(leaf)];
          r >= 0 && scratch->stamp[static_cast<size_t>(r)] != scratch->epoch;
          r = rows_[static_cast<size_t>(r)].parent) {
@@ -361,12 +421,55 @@ const double* FlatRefold::RefoldZeroed(const std::vector<int>& zeroed,
   // Row order puts inputs first, so sorted dirty rows recompute in a valid
   // post-order.
   std::sort(scratch->dirty.begin(), scratch->dirty.end());
+}
+
+const double* FlatRefold::Refold(const std::vector<int>& leaves,
+                                 const LeafTerm& leaf_term,
+                                 Scratch* scratch) const {
+  if (rows_.empty()) return scratch->units.Row(0);
+  MarkPaths(leaves, scratch);
+  int32_t overlay_rows = 0;
   for (int32_t r : scratch->dirty) {
-    EvalRow(r, scratch->rows->Row(n + r), *scratch);
+    const Row& row = rows_[static_cast<size_t>(r)];
+    scratch->overlay_row[static_cast<size_t>(r)] =
+        row.kind == FlatOpKind::kLeaf ? UnitRowOf(leaf_term(row.leaf), scratch)
+                                      : overlay_rows++;
   }
-  const int32_t root = n - 1;
-  const bool dirty = scratch->stamp[static_cast<size_t>(root)] == scratch->epoch;
-  return scratch->rows->Row(dirty ? n + root : root);
+  scratch->overlay.Reserve(overlay_rows, RowLen(*scratch));
+  for (int32_t r : scratch->dirty) {
+    if (rows_[static_cast<size_t>(r)].kind == FlatOpKind::kLeaf) continue;
+    EvalRow(r, scratch->overlay.Row(scratch->overlay_row[static_cast<size_t>(r)]),
+            *scratch);
+  }
+  return RowData(static_cast<int32_t>(rows_.size()) - 1, *scratch);
+}
+
+const double* FlatRefold::RefoldZeroed(const std::vector<int>& zeroed,
+                                       Scratch* scratch) const {
+  return Refold(zeroed, [](int) { return -1; }, scratch);
+}
+
+void FlatRefold::Commit(const std::vector<int>& leaves,
+                        const LeafTerm& leaf_term, Scratch* scratch) const {
+  if (rows_.empty()) return;
+  MarkPaths(leaves, scratch);
+  for (int leaf : leaves) {
+    scratch->leaf_unit[static_cast<size_t>(leaf)] =
+        UnitRowOf(leaf_term(leaf), scratch);
+  }
+  // In place: clear the marks so every input reads its resident row. Rows
+  // recompute in row order, so a dirty input is already rewritten.
+  NextEpoch(scratch, rows_.size());
+  for (int32_t r : scratch->dirty) {
+    const Row& row = rows_[static_cast<size_t>(r)];
+    if (row.kind == FlatOpKind::kLeaf) continue;
+    EvalRow(r, scratch->rows.Row(row.resident), *scratch);
+  }
+}
+
+FlatRefold::Scratch& FlatRefoldScratch() {
+  thread_local FlatRefold::Scratch scratch;
+  return scratch;
 }
 
 }  // namespace cpdb

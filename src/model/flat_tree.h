@@ -39,8 +39,8 @@
 // layout and allocation strategy change. The pointer fold lives on as the
 // differential reference in tests/oracle/ (tests/flat_tree_test.cc).
 // FlatRefold (below) keeps the same arithmetic but holds every row
-// resident, so a fold that differs in a few zeroed leaves recomputes only
-// their ancestors.
+// resident, so a fold that differs in a few leaves recomputes only their
+// ancestors.
 //
 // A compiled FlatTree is immutable and safe to share across threads; each
 // evaluating thread supplies its own PolyArena (see FlatFoldScratch()).
@@ -116,58 +116,97 @@ class FlatTree {
 PolyArena& FlatFoldScratch();
 
 /// The resident-row form of a FlatTree's fold, for folds that differ from
-/// a base fold only in a few zeroed leaves.
+/// a base fold only in a few leaves, each leaf a monomial.
 ///
 /// The constructor derives, once, the row graph of the op stream: one row
 /// per leaf, per XOR node (its kXorInit accumulator plus every kXorAccum
 /// into it) and per kMul product, each knowing its inputs and the one row
 /// that consumes it, numbered so inputs come first. Fold() then runs the
-/// fold with every row kept resident instead of slot-recycled.
-/// RefoldZeroed() recomputes only the zeroed leaves' ancestors, in row
-/// order, into overlay rows: a dirty row re-runs exactly its own ops (XOR:
-/// init to the leftover, then AddScaledRow over its children in child
-/// order; kMul: ConvolveRowsTruncated), reading clean inputs from the
-/// resident rows. Every row is a pure function of its inputs' bits, and a
-/// clean row's subtree holds no zeroed leaf, so the root is bitwise the
-/// full EvalGeneratingFunction fold with those leaves' rows left zero.
+/// fold with every row kept resident instead of slot-recycled. Leaf
+/// polynomials are unit monomials, so a leaf row is not stored: it reads
+/// one of the scratch's shared unit rows. Refold() re-sets a leaf set's
+/// monomials and recomputes only those leaves' ancestors, in row order,
+/// into overlay rows: a dirty row re-runs exactly its own ops (XOR: init to
+/// the leftover, then AddScaledRow over its children in child order; kMul:
+/// ConvolveRowsTruncated), reading clean inputs from the resident rows.
+/// Every row is a pure function of its inputs' bits, and a clean row's
+/// subtree holds no re-set leaf, so the root is bitwise the full
+/// EvalGeneratingFunction fold with those leaves' rows holding the new
+/// monomials. Commit() makes such a change permanent by recomputing the
+/// same rows in place.
 ///
 /// Immutable after construction and shareable across threads; each thread
 /// brings its own Scratch. `flat` must outlive the FlatRefold.
 class FlatRefold {
  public:
+  /// A leaf's polynomial: the row-major index (max_dy + 1) * i + j of its
+  /// one coefficient x^i y^j, which is 1. An index outside the row (-1, or
+  /// a power beyond the truncation) is the zero polynomial.
+  using LeafTerm = std::function<int(int leaf_index)>;
+
   explicit FlatRefold(const FlatTree& flat);
 
   const FlatTree& flat() const { return *flat_; }
 
-  /// One thread's refold state. The rows live in `rows` (resident ones
-  /// first, then one overlay row each); the dirty marks are versioned, so
-  /// starting a refold clears the previous one's marks in O(1).
+  /// One refold's state, used by one thread at a time: the resident rows
+  /// in `rows` (one per non-leaf row of the graph), the leaf monomials in
+  /// `units`, each leaf's resident unit row, and one `overlay` row per
+  /// dirty non-leaf row of the last Refold. The dirty marks are versioned,
+  /// so starting a refold clears the previous one's marks in O(1).
   struct Scratch {
-    explicit Scratch(PolyArena* rows_arena) : rows(rows_arena) {}
-    PolyArena* rows;
+    PolyArena rows;
+    // Row 0 is the zero polynomial; row t + 1 holds term t's monomial for
+    // every term t < unit_terms (added on first use).
+    PolyArena units;
+    int32_t unit_terms = 0;
+    PolyArena overlay;
+    std::vector<int32_t> leaf_unit;  // leaf -> its resident unit row
     std::vector<uint32_t> stamp;  // stamp[r] == epoch: row r is dirty
+    // Dirty row r: its overlay row, or for a leaf row its unit row.
+    std::vector<int32_t> overlay_row;
     uint32_t epoch = 0;
-    std::vector<int32_t> dirty;
+    std::vector<int32_t> dirty;  // the dirty rows, ascending
     int max_dx = 0;
     int max_dy = 0;
+
+    /// Bytes held by the three coefficient arenas.
+    size_t CapacityBytes() const {
+      return rows.CapacityBytes() + units.CapacityBytes() +
+             overlay.CapacityBytes();
+    }
   };
 
-  /// The full fold, as FlatTree::EvalGeneratingFunction with the same
-  /// geometry and leaf_init (called once per leaf, in unspecified order),
-  /// keeping every row resident in `scratch`. Returns the root row, valid
-  /// until the next Fold on `scratch`.
-  const double* Fold(
-      int max_dx, int max_dy,
-      const std::function<void(int leaf_index, double* row)>& leaf_init,
-      Scratch* scratch) const;
+  /// Sizes every buffer of `scratch` for a Fold of this geometry and
+  /// refolds of one leaf at a time. Fold, Refold and Commit grow a scratch
+  /// on demand anyway; reserving first lets one thread allocate a scratch
+  /// that another then uses without allocating.
+  void Reserve(int max_dx, int max_dy, Scratch* scratch) const;
 
-  /// The root row of the last Fold() on `scratch` with the leaves
-  /// `zeroed` (leaf-table indices) replaced by the zero polynomial. The
-  /// resident rows stay as Fold() left them, so refolds over different
-  /// leaf sets may follow one another. The returned row is valid until
-  /// the next Fold or RefoldZeroed on `scratch`.
+  /// The full fold, as FlatTree::EvalGeneratingFunction with the same
+  /// geometry and each leaf's row holding the monomial `leaf_term` names
+  /// (called once per leaf, in leaf order), keeping every row resident in
+  /// `scratch`. Returns the root row, valid until the next Fold or Commit
+  /// on `scratch`.
+  const double* Fold(int max_dx, int max_dy, const LeafTerm& leaf_term,
+                     Scratch* scratch) const;
+
+  /// The root row of the resident fold with the leaves `leaves`
+  /// (leaf-table indices) set to the monomials `leaf_term` names. The
+  /// resident rows are left as they are, so refolds over different leaf
+  /// sets may follow one another. The returned row is valid until the next
+  /// Fold, Refold or Commit on `scratch`.
+  const double* Refold(const std::vector<int>& leaves,
+                       const LeafTerm& leaf_term, Scratch* scratch) const;
+
+  /// Refold() with the leaves `zeroed` replaced by the zero polynomial.
   const double* RefoldZeroed(const std::vector<int>& zeroed,
                              Scratch* scratch) const;
+
+  /// Sets `leaves` as Refold() does, but in the resident rows: every row on
+  /// their root paths is recomputed in place, in row order, so later
+  /// folds, refolds and commits start from the changed leaves.
+  void Commit(const std::vector<int>& leaves, const LeafTerm& leaf_term,
+              Scratch* scratch) const;
 
  private:
   struct Row {
@@ -175,23 +214,39 @@ class FlatRefold {
     int32_t parent;   // the row consuming this one; -1 at the root
     int32_t in_begin;  // inputs_[in_begin, in_end); kMul: {lhs, arg}
     int32_t in_end;
-    int32_t leaf;   // kLeaf: leaf-table index
-    double weight;  // kXorInit: the leftover mass
+    int32_t leaf;      // kLeaf: leaf-table index
+    int32_t resident;  // otherwise: its row in Scratch::rows
+    double weight;     // kXorInit: the leftover mass
   };
   struct Input {
     int32_t row;
     double weight;  // kXorInit inputs: the edge probability
   };
 
-  // Recomputes row r into `out`, reading each input from its overlay row
-  // when it is dirty in `scratch`'s current epoch.
+  // Marks `leaves` and their ancestors dirty in a new epoch and lists the
+  // dirty rows, ascending, in scratch->dirty.
+  void MarkPaths(const std::vector<int>& leaves, Scratch* scratch) const;
+
+  // Row r's coefficients: a leaf row's unit row; otherwise its overlay row
+  // when it is dirty in `scratch`'s current epoch, else its resident row.
+  const double* RowData(int32_t r, const Scratch& scratch) const;
+
+  // Recomputes non-leaf row r into `out` from its inputs' RowData.
   void EvalRow(int32_t r, double* out, const Scratch& scratch) const;
 
   const FlatTree* flat_;
   std::vector<Row> rows_;  // inputs first; the root is last
   std::vector<Input> inputs_;
   std::vector<int32_t> leaf_row_;  // leaf-table index -> row
+  int32_t num_resident_ = 0;       // non-leaf rows
+  int32_t max_path_ = 0;  // the most non-leaf rows on one leaf's root path
 };
+
+/// This thread's reusable refold state, for refold users that run as pool
+/// tasks (the Kendall q rows). Safe because such a task never calls back
+/// into a thread pool while its rows are live: nothing else can run on the
+/// thread between its Fold and its last refold.
+FlatRefold::Scratch& FlatRefoldScratch();
 
 }  // namespace cpdb
 

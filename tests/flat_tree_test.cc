@@ -174,22 +174,23 @@ TEST_P(FlatTreeDifferential, RefoldZeroedBitwiseEqualsFullFold) {
   for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
     const FlatTree flat = FlatTree::Compile(tree);
     const FlatRefold refold(flat);
-    FlatRefold::Scratch scratch(&FlatFoldScratch());
+    FlatRefold::Scratch scratch;
     const int num_leaves = flat.num_leaves();
     for (int max_dy : {0, 1}) {
       const int max_dx = max_dy == 0 ? num_leaves : 3;
       const int row_len = (max_dx + 1) * (max_dy + 1);
       // Leaves cycle through 1, x and y (x again when univariate).
-      auto base_init = [&](int i, double* row) {
+      auto base_term = [&](int i) {
         const bool y = i % 3 == 2 && max_dy == 1;
-        row[i % 3 == 0 ? 0 : (y ? 1 : max_dy + 1)] = 1.0;
+        return i % 3 == 0 ? 0 : (y ? 1 : max_dy + 1);
       };
+      auto base_init = [&](int i, double* row) { row[base_term(i)] = 1.0; };
       PolyArena reference_arena;
       std::vector<double> reference(static_cast<size_t>(row_len));
       std::vector<double> base(static_cast<size_t>(row_len));
       flat.EvalGeneratingFunction(max_dx, max_dy, base_init, base.data(),
                                   &reference_arena);
-      const double* root = refold.Fold(max_dx, max_dy, base_init, &scratch);
+      const double* root = refold.Fold(max_dx, max_dy, base_term, &scratch);
       ASSERT_EQ(std::vector<double>(root, root + row_len), base);
       for (int trial = 0; trial < 6; ++trial) {
         std::vector<int> zeroed;

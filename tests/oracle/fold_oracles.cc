@@ -34,6 +34,35 @@ std::vector<double> LeafRankContribution(const AndXorTree& tree, NodeId target,
   return contribution;
 }
 
+std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
+                                         int k) {
+  // The pointer form above, folded over the flat program: rows have shape
+  // (k+1) × 2, row-major, Index(i, j) = i * 2 + j; a monomial beyond the
+  // bounds is the zero polynomial.
+  const std::vector<FlatLeaf>& leaves = flat.leaves();
+  const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
+  const auto leaf_init = [&](int i, double* row) {
+    if (i == target) {
+      row[1] = 1.0;  // y = x^0 y^1
+      return;
+    }
+    const FlatLeaf& other = leaves[static_cast<size_t>(i)];
+    if (other.key != alt.key && other.score > alt.score) {
+      if (k >= 1) row[2] = 1.0;  // x = x^1 y^0, counts toward the rank
+      return;
+    }
+    row[0] = 1.0;  // constant 1
+  };
+  std::vector<double> f(static_cast<size_t>(k + 1) * 2);
+  flat.EvalGeneratingFunction(k, 1, leaf_init, f.data(), &FlatFoldScratch());
+  std::vector<double> contribution(static_cast<size_t>(k) + 1, 0.0);
+  for (int i = 1; i <= k; ++i) {
+    contribution[static_cast<size_t>(i)] =
+        f[static_cast<size_t>(i - 1) * 2 + 1];  // Coeff(i - 1, 1)
+  }
+  return contribution;
+}
+
 RankDistribution ComputeRankDistributionPointer(const AndXorTree& tree,
                                                 int k) {
   RankDistributionBuilder builder(k);

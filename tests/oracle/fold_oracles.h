@@ -4,11 +4,14 @@
 // every one of them with the compiled FlatTree fold; the forms here are the
 // references the differential suites compare it against:
 //
+//   * the per-leaf rank contribution as one full fold per leaf, pointer and
+//     flat — the unit RankDistributionScan's incremental refolds must
+//     reproduce bit for bit;
 //   * pointer-fold forms (EvalGeneratingFunction over the AndXorTree) of
-//     the per-leaf rank contribution, the rank distribution, the Kendall
-//     q statistic, Lemma 1's expected Jaccard distance and clustering's
-//     co-clustering probability w_ij — each bitwise the flat path, because
-//     both folds run the same kernels in the same order;
+//     the rank distribution, the Kendall q statistic, Lemma 1's expected
+//     Jaccard distance and clustering's co-clustering probability w_ij —
+//     each bitwise the flat path, because both folds run the same kernels
+//     in the same order;
 //   * the pairwise order probability Pr(r(u) < r(v)), which no production
 //     path needs (Kendall answers run on the q statistic), kept to
 //     cross-check the Kendall pivot heuristic and enumeration.
@@ -30,6 +33,12 @@ namespace cpdb {
 /// unused) is Pr(`target` is present and ranked i-th). Bitwise the flat
 /// LeafRankContribution at the target's leaf-table index.
 std::vector<double> LeafRankContribution(const AndXorTree& tree, NodeId target,
+                                         int k);
+
+/// \brief LeafRankContribution as one full flat fold over the leaf table:
+/// `target` indexes flat.leaves(). Bitwise the pointer form at
+/// LeafIds()[target], and bitwise each query of RankDistributionScan.
+std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
                                          int k);
 
 /// \brief Pointer-fold ComputeRankDistribution: per-leaf contributions

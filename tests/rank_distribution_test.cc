@@ -9,9 +9,13 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "engine/engine.h"
 #include "model/builders.h"
+#include "model/flat_tree.h"
 #include "model/possible_worlds.h"
 #include "oracle/fold_oracles.h"
 #include "workload/generators.h"
@@ -111,6 +115,96 @@ TEST_P(RankDistProperty, PairwiseOrderMatchesEnumeration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RankDistProperty, ::testing::Range(0, 12));
+
+// Copies `src`'s subtree at `id` into `dst` with every leaf score redrawn
+// from {1, ..., pool}: ties fall across keys and within a key.
+NodeId CopyWithPooledScores(const AndXorTree& src, NodeId id, int pool,
+                            Rng* rng, AndXorTree* dst) {
+  const TreeNode& node = src.node(id);
+  if (node.kind == NodeKind::kLeaf) {
+    TupleAlternative alt = node.leaf;
+    alt.score = static_cast<double>(rng->UniformInt(1, pool));
+    return dst->AddLeaf(alt);
+  }
+  std::vector<NodeId> children;
+  for (NodeId child : node.children) {
+    children.push_back(CopyWithPooledScores(src, child, pool, rng, dst));
+  }
+  return node.kind == NodeKind::kAnd
+             ? dst->AddAnd(std::move(children))
+             : dst->AddXor(std::move(children), node.edge_probs);
+}
+
+// Whether two leaves of one key share a score.
+bool HasTieWithinKey(const AndXorTree& tree) {
+  std::map<std::pair<KeyId, double>, int> seen;
+  for (NodeId leaf : tree.LeafIds()) {
+    const TupleAlternative& alt = tree.node(leaf).leaf;
+    if (++seen[{alt.key, alt.score}] > 1) return true;
+  }
+  return false;
+}
+
+TEST(RankDistributionScanTest, TiesAndChunkBoundariesBitwiseEqualPointerFold) {
+  // The scan commits a tie group only after all of its queries, and each
+  // chunk rebuilds the resident rows from its own base fold. Trees of 200+
+  // leaves with scores from a small pool put tie groups across keys and
+  // within a key, and the nominal chunk boundaries inside tie groups; every
+  // coefficient must still be the pointer fold's, for any thread count.
+  Rng rng(2027);
+  RandomTreeOptions deep;
+  deep.num_keys = 40;
+  deep.max_depth = 4;
+  deep.max_alternatives = 3;
+  RandomTreeOptions bid;
+  bid.num_keys = 90;
+  bid.max_alternatives = 4;
+  int multi_chunk_scans = 0;
+  for (int pool : {1, 3, 7, 50}) {
+    for (int shape = 0; shape < 2; ++shape) {
+      Result<AndXorTree> base = Status::Internal("unset");
+      do {
+        base = shape == 0 ? RandomAndXorTree(deep, &rng) : RandomBid(bid, &rng);
+        ASSERT_TRUE(base.ok());
+      } while (base->NumLeaves() < 200 || base->NumLeaves() > 240);
+      AndXorTree tree;
+      tree.SetRoot(CopyWithPooledScores(*base, base->root(), pool, &rng, &tree));
+      ASSERT_TRUE(tree.Validate().ok());
+      if (pool > 1) {
+        EXPECT_TRUE(HasTieWithinKey(tree)) << "pool " << pool;
+      }
+      const FlatTree flat = FlatTree::Compile(tree);
+      const int num_leaves = tree.NumLeaves();
+      for (int k : {1, 4, 8, num_leaves + 3}) {
+        const RankDistribution reference =
+            ComputeRankDistributionPointer(tree, k);
+        std::vector<RankDistribution> dists;
+        dists.push_back(ComputeRankDistribution(tree, k));
+        for (int threads : {1, 2, 3, 4, 8}) {
+          if (RankDistributionScan(flat, k, threads).num_chunks() > 1) {
+            ++multi_chunk_scans;
+          }
+          EngineOptions opts;
+          opts.num_threads = threads;
+          opts.use_fast_bid_path = false;  // the scan, on BID trees too
+          dists.push_back(Engine(opts).ComputeRankDistribution(tree, k));
+        }
+        for (const RankDistribution& dist : dists) {
+          ASSERT_EQ(dist.keys(), reference.keys());
+          for (KeyId key : reference.keys()) {
+            for (int i = 1; i <= k; ++i) {
+              ASSERT_EQ(dist.PrRankEq(key, i), reference.PrRankEq(key, i))
+                  << "pool " << pool << " shape " << shape << " k " << k
+                  << " key " << key << " rank " << i;
+              ASSERT_EQ(dist.PrRankLe(key, i), reference.PrRankLe(key, i));
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_chunk_scans, 0);
+}
 
 TEST(RankDistributionTest, RowMassAccounting) {
   // Pr(r(t) <= k) + Pr(r(t) > k) = 1 by construction of the accessors.

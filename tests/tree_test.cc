@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,28 @@ TEST(AndXorTreeTest, RejectsProbabilityMassAboveOne) {
   NodeId b = tree.AddLeaf(Alt(1, 2));
   tree.SetRoot(tree.AddXor({a, b}, {0.7, 0.7}));
   EXPECT_FALSE(tree.Validate().ok());
+}
+
+TEST(AndXorTreeTest, RejectsNonFiniteScoresAndEdgeProbabilities) {
+  // NaN slips past both range checks (NaN < -eps and sum > 1 + eps are
+  // false), and a NaN score leaves score sorts without a total order.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf}) {
+    AndXorTree score_tree;
+    NodeId a = score_tree.AddLeaf(Alt(1, bad));
+    NodeId b = score_tree.AddLeaf(Alt(2, 3));
+    score_tree.SetRoot(score_tree.AddAnd({a, b}));
+    EXPECT_EQ(score_tree.Validate().code(), StatusCode::kInvalidArgument)
+        << "score " << bad;
+
+    AndXorTree prob_tree;
+    NodeId c = prob_tree.AddLeaf(Alt(1, 1));
+    NodeId d = prob_tree.AddLeaf(Alt(1, 2));
+    prob_tree.SetRoot(prob_tree.AddXor({c, d}, {0.2, bad}));
+    EXPECT_EQ(prob_tree.Validate().code(), StatusCode::kInvalidArgument)
+        << "edge probability " << bad;
+  }
 }
 
 TEST(AndXorTreeTest, RejectsMismatchedProbabilityCount) {

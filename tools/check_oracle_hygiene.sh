@@ -11,7 +11,9 @@
 #   * an EvalGeneratingFunction< instantiation (the pointer-fold template;
 #     FlatTree::EvalGeneratingFunction is not a template);
 #   * a *Pointer( function — the naming convention of the pointer-fold
-#     oracles — declared, defined or called.
+#     oracles — declared, defined or called;
+#   * LeafRankContribution( — the one-full-fold-per-leaf rank contribution,
+#     pointer or flat: production runs RankDistributionScan instead.
 # Tests, benches and perfbench are exempt.
 #
 # Usage: tools/check_oracle_hygiene.sh [repo-root]
@@ -24,9 +26,10 @@ cd "$root"
 include_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]([^">]*/)?(oracle/[^">]*|generating_function\.h|poly2\.h)[">]'
 template_pattern='EvalGeneratingFunction[[:space:]]*<'
 pointer_pattern='[A-Za-z0-9_]Pointer[[:space:]]*\('
+per_leaf_pattern='LeafRankContribution[[:space:]]*\('
 
 violations=$(grep -RnE -e "$include_pattern" -e "$template_pattern" \
-  -e "$pointer_pattern" src tools \
+  -e "$pointer_pattern" -e "$per_leaf_pattern" src tools \
   --include='*.h' --include='*.cc' || true)
 
 if [ -n "$violations" ]; then
