@@ -151,6 +151,11 @@ void RankDistributionScan::RunChunk(int chunk) {
                },
                &scratch);
   std::vector<int> leaf_set;
+  std::vector<double> column(static_cast<size_t>(max_dx_) + 1);
+  auto contribution = [&](int leaf) {
+    return contributions_.data() +
+           static_cast<size_t>(leaf) * static_cast<size_t>(ranks_);
+  };
   for (size_t g = begin; g < end;) {
     const double score = leaves[static_cast<size_t>(order_[g])].score;
     size_t g_end = g + 1;
@@ -158,13 +163,20 @@ void RankDistributionScan::RunChunk(int chunk) {
            leaves[static_cast<size_t>(order_[g_end])].score == score) {
       ++g_end;
     }
+    if (g_end == g + 1) {
+      // A lone leaf: its query and its commit in one pass.
+      const int target = order_[g];
+      refold_.CommitAndQuery(target, kX, kY, column.data(), &scratch);
+      std::copy(column.begin(), column.begin() + ranks_, contribution(target));
+      g = g_end;
+      continue;
+    }
     for (size_t p = g; p < g_end; ++p) {
       const int target = order_[p];
       leaf_set.assign(1, target);
       const double* f =
           refold_.Refold(leaf_set, [](int) { return kY; }, &scratch);
-      double* c = contributions_.data() +
-                  static_cast<size_t>(target) * static_cast<size_t>(ranks_);
+      double* c = contribution(target);
       for (int i = 1; i <= ranks_; ++i) {
         c[i - 1] = f[static_cast<size_t>(i - 1) * 2 + 1];  // Coeff(i - 1, 1)
       }

@@ -111,13 +111,15 @@ class RankDistributionBuilder {
 /// Pr(r(key) = i). Rather than one full O(N k) fold per leaf, the scan
 /// walks the leaves in decreasing score over one FlatRefold whose resident
 /// rows hold the fold with every leaf scoring above the current tie group
-/// set to x. A leaf's query refolds only its own root path, with the leaf
-/// set to y; after each tie group, a commit rewrites the group's paths with
-/// the group set to x. Per leaf the work is one root path of the row graph
-/// for the query and one for the commit, where the per-leaf fold pays every
-/// row. A path row costs O(fan-in k) at a XOR node and O(k^2) per product
-/// of an AND node's left-fold chain, which puts up to fan-in - 1 rows on
-/// the path.
+/// set to x. A leaf that ties no other is set to x + y in one in-place pass
+/// over its root path (FlatRefold::CommitAndQuery): the root's y^1 column
+/// is its query, and the y^0 columns its commit to x. A tie group of two
+/// or more leaves refolds each leaf's root path with the leaf set to y,
+/// then commits the group's paths with the group set to x. Per leaf the
+/// work is one root path of the row graph (two for a tied leaf), where the
+/// per-leaf fold pays every row. A path row costs O(fan-in k) at a XOR
+/// node and O(k^2) per product of an AND node's left-fold chain, which
+/// puts up to fan-in - 1 rows on the path.
 ///
 /// Each contribution is bitwise the per-leaf full fold (the flat
 /// LeafRankContribution oracle in tests/oracle/). Refolded rows re-run

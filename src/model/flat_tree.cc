@@ -310,6 +310,9 @@ int RowLen(const FlatRefold::Scratch& scratch) {
   return (scratch.max_dx + 1) * (scratch.max_dy + 1);
 }
 
+// The units row of the running CommitAndQuery's two-term leaf.
+constexpr int32_t kTwoTermRow = 1;
+
 // The row of scratch->units holding `term`'s monomial, adding unit rows up
 // to it on first use; a term outside the row is the zero polynomial.
 int32_t UnitRowOf(int32_t term, FlatRefold::Scratch* scratch) {
@@ -317,14 +320,15 @@ int32_t UnitRowOf(int32_t term, FlatRefold::Scratch* scratch) {
   if (term < 0 || term >= row_len) return 0;
   if (term >= scratch->unit_terms) {
     scratch->unit_terms = term + 1;
-    scratch->units.Reserve(term + 2, row_len);
-    for (int32_t t = 0; t <= term + 1; ++t) {
+    scratch->units.Reserve(term + 3, row_len);
+    for (int32_t t = 0; t <= term + 2; ++t) {
+      if (t == kTwoTermRow) continue;
       double* unit = scratch->units.Row(t);
       std::fill(unit, unit + row_len, 0.0);
-      if (t > 0) unit[t - 1] = 1.0;
+      if (t > kTwoTermRow) unit[t - 2] = 1.0;
     }
   }
-  return term + 1;
+  return term + 2;
 }
 
 // Starts a new dirty-mark epoch: every earlier mark stops matching.
@@ -378,7 +382,7 @@ const double* FlatRefold::Fold(int max_dx, int max_dy,
   scratch->max_dy = max_dy;
   const int row_len = RowLen(*scratch);
   scratch->unit_terms = 0;
-  scratch->units.Reserve(1, row_len);
+  scratch->units.Reserve(kTwoTermRow + 1, row_len);
   std::fill(scratch->units.Row(0), scratch->units.Row(0) + row_len, 0.0);
   scratch->rows.Reserve(num_resident_, row_len);
   NextEpoch(scratch, rows_.size());  // nothing is dirty in the base fold
@@ -465,6 +469,39 @@ void FlatRefold::Commit(const std::vector<int>& leaves,
     if (row.kind == FlatOpKind::kLeaf) continue;
     EvalRow(r, scratch->rows.Row(row.resident), *scratch);
   }
+}
+
+void FlatRefold::CommitAndQuery(int leaf, int commit, int query,
+                                double* query_column, Scratch* scratch) const {
+  if (rows_.empty()) return;
+  const int row_len = RowLen(*scratch);
+  const int32_t commit_row = UnitRowOf(commit, scratch);
+  const int32_t query_row = UnitRowOf(query, scratch);
+  const double* c = scratch->units.Row(commit_row);
+  const double* q = scratch->units.Row(query_row);
+  double* two_term = scratch->units.Row(kTwoTermRow);
+  for (int i = 0; i < row_len; ++i) two_term[i] = c[i] + q[i];
+  scratch->leaf_unit[static_cast<size_t>(leaf)] = kTwoTermRow;
+  // In place, as Commit: with no row dirty, every input reads its resident
+  // row, and the path child is rewritten before its parent reads it. A
+  // child's y^1 column is cleared once its parent has read it.
+  NextEpoch(scratch, rows_.size());
+  auto clear_y1 = [&](int32_t r) {
+    double* row = scratch->rows.Row(rows_[static_cast<size_t>(r)].resident);
+    for (int i = 1; i < row_len; i += 2) row[i] = 0.0;
+  };
+  const int32_t leaf_row = leaf_row_[static_cast<size_t>(leaf)];
+  for (int32_t r = rows_[static_cast<size_t>(leaf_row)].parent, child = -1;
+       r >= 0; child = r, r = rows_[static_cast<size_t>(r)].parent) {
+    EvalRow(r, scratch->rows.Row(rows_[static_cast<size_t>(r)].resident),
+            *scratch);
+    if (child >= 0) clear_y1(child);
+  }
+  const int32_t root = static_cast<int32_t>(rows_.size()) - 1;
+  const double* root_row = RowData(root, *scratch);
+  for (int i = 1; i < row_len; i += 2) query_column[i / 2] = root_row[i];
+  if (root != leaf_row) clear_y1(root);
+  scratch->leaf_unit[static_cast<size_t>(leaf)] = commit_row;
 }
 
 FlatRefold::Scratch& FlatRefoldScratch() {

@@ -155,8 +155,9 @@ class FlatRefold {
   /// so starting a refold clears the previous one's marks in O(1).
   struct Scratch {
     PolyArena rows;
-    // Row 0 is the zero polynomial; row t + 1 holds term t's monomial for
-    // every term t < unit_terms (added on first use).
+    // Row 0 is the zero polynomial and row 1 the two-term leaf of the
+    // running CommitAndQuery; row t + 2 holds term t's monomial for every
+    // term t < unit_terms (added on first use).
     PolyArena units;
     int32_t unit_terms = 0;
     PolyArena overlay;
@@ -207,6 +208,23 @@ class FlatRefold {
   /// folds, refolds and commits start from the changed leaves.
   void Commit(const std::vector<int>& leaves, const LeafTerm& leaf_term,
               Scratch* scratch) const;
+
+  /// Commit() of `leaf` to the term `commit` and Refold() of it to the
+  /// term `query`, in one in-place pass over its root path. For rows with
+  /// max_dy == 1 whose resident y^1 columns are all +0.0, as every Fold and
+  /// Commit to y^0-column terms leaves them; `commit` must lie in the y^0
+  /// column (an even index) and `query` in the y^1 column (an odd index).
+  /// The pass sets the leaf to the two-term polynomial commit + query. A
+  /// y^0 cell takes terms only from its inputs' y^0 cells, so every path
+  /// row's y^0 column is bitwise Commit()'s. A y^1 cell takes the terms of
+  /// Refold()'s y^1 cell plus, in products, a path row's y^0 cell times a
+  /// clean sibling's +0.0 y^1 cell: ±0.0 terms added to accumulators that
+  /// are never -0.0, which move no bit (see RankDistributionScan). So the
+  /// root's y^1 column is bitwise Refold()'s; it is copied into
+  /// `query_column` (max_dx + 1 values, x^0 first). The pass then clears
+  /// each path row's y^1 column to +0.0, which is what Commit() leaves.
+  void CommitAndQuery(int leaf, int commit, int query, double* query_column,
+                      Scratch* scratch) const;
 
  private:
   struct Row {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -410,6 +411,79 @@ TEST(FlatTreeTest, WideAndCompilesToConstantSlotCount) {
   const FlatTree flat = FlatTree::Compile(tree);
   EXPECT_LE(flat.num_slots(), 4);
   EXPECT_EQ(flat.num_leaves(), 500);
+}
+
+// An AND of `fan_in` blocks: every third block an AND of two single-leaf
+// XORs of distinct keys, the others a XOR over two alternatives of one key.
+// Scores come from a small pool, so tie groups occur.
+AndXorTree WideAndOfBlocks(int fan_in, Rng* rng) {
+  AndXorTree tree;
+  std::vector<NodeId> blocks;
+  auto score = [&] { return static_cast<double>(rng->UniformInt(0, 40)); };
+  for (int i = 0; i < fan_in; ++i) {
+    if (i % 3 == 0) {
+      NodeId a = tree.AddXor({tree.AddLeaf(Alt(2 * i, score()))}, {0.6});
+      NodeId b = tree.AddXor({tree.AddLeaf(Alt(2 * i + 1, score()))}, {0.3});
+      blocks.push_back(tree.AddAnd({a, b}));
+    } else {
+      blocks.push_back(tree.AddXor({tree.AddLeaf(Alt(2 * i, score())),
+                                    tree.AddLeaf(Alt(2 * i, score()))},
+                                   {0.25, 0.5}));
+    }
+  }
+  tree.SetRoot(tree.AddAnd(std::move(blocks)));
+  return tree;
+}
+
+bool SameBits(const double* a, const double* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+TEST(FlatTreeTest, CommitAndQueryBitwiseEqualsRefoldThenCommit) {
+  // One two-term pass per leaf, walking the leaves as the rank scan does,
+  // against a second scratch that refolds the leaf to y and then commits
+  // it to x. After every leaf, the root's y^1 column must be the refold's
+  // and every resident row the commit's, bit for bit; the y^1 columns
+  // included, so the pass's clear is pinned too.
+  Rng rng(4099);
+  for (int fan_in : {3, 4, 37, 500}) {
+    AndXorTree tree = WideAndOfBlocks(fan_in, &rng);
+    ASSERT_TRUE(tree.Validate().ok());
+    const FlatTree flat = FlatTree::Compile(tree);
+    const FlatRefold refold(flat);
+    std::vector<int> order(static_cast<size_t>(flat.num_leaves()));
+    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return flat.leaves()[static_cast<size_t>(a)].score >
+             flat.leaves()[static_cast<size_t>(b)].score;
+    });
+    for (int k : {0, 1, 8}) {
+      // Row-major (k + 1) × 2 rows: 1 at 0, y at 1, x at 2 (beyond the row,
+      // the zero polynomial, at k = 0).
+      constexpr int kOne = 0, kY = 1, kX = 2;
+      FlatRefold::Scratch pass;
+      FlatRefold::Scratch reference;
+      refold.Fold(k, 1, [](int) { return kOne; }, &pass);
+      refold.Fold(k, 1, [](int) { return kOne; }, &reference);
+      const size_t column_len = static_cast<size_t>(k) + 1;
+      std::vector<double> got(column_len);
+      std::vector<double> want(column_len);
+      for (int leaf : order) {
+        refold.CommitAndQuery(leaf, kX, kY, got.data(), &pass);
+        const double* root =
+            refold.Refold({leaf}, [](int) { return kY; }, &reference);
+        for (size_t i = 0; i < column_len; ++i) want[i] = root[2 * i + 1];
+        refold.Commit({leaf}, [](int) { return kX; }, &reference);
+        ASSERT_TRUE(SameBits(got.data(), want.data(), column_len))
+            << "fan-in " << fan_in << " k " << k << " leaf " << leaf;
+        const size_t resident = static_cast<size_t>(pass.rows.num_slots()) *
+                                static_cast<size_t>(pass.rows.row_len());
+        ASSERT_TRUE(
+            SameBits(pass.rows.Row(0), reference.rows.Row(0), resident))
+            << "fan-in " << fan_in << " k " << k << " leaf " << leaf;
+      }
+    }
+  }
 }
 
 TEST(FlatTreeTest, EmptyTreeYieldsEmptyFlatTree) {
