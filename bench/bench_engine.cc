@@ -44,7 +44,6 @@ void BM_EngineRankDist(benchmark::State& state) {
   const int k = 10;
   EngineOptions opts;
   opts.num_threads = static_cast<int>(state.range(1));
-  opts.use_fast_bid_path = false;
   Engine engine(opts);
   for (auto _ : state) {
     RankDistribution dist = engine.ComputeRankDistribution(tree, k);

@@ -33,7 +33,6 @@ AndXorTree MakeDeepTree(int num_keys) {
 Engine MakeEngine(int threads) {
   EngineOptions opts;
   opts.num_threads = threads;
-  opts.use_fast_bid_path = false;
   return Engine(opts);
 }
 

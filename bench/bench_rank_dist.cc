@@ -1,20 +1,23 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // Experiment E4: the rank-distribution engine (Example 3 machinery) that
-// powers every Section 5 algorithm: O(n^2 k) scaling over n and k, on BID
-// and deep and/xor inputs, plus the pairwise order statistics for Kendall.
+// powers every Section 5 algorithm: the rank scan's scaling over n and k,
+// on BID and deep and/xor inputs, plus the pairwise order statistics for
+// Kendall.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "core/rank_distribution.h"
-#include "core/rank_distribution_fast.h"
 #include "oracle/fold_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {
 namespace {
 
+// The rank scan on BID trees, where each leaf's root path crosses its
+// block's XOR and O(log n) balanced AND products: O(L (k^2 log n + k a))
+// for L alternatives, a per block.
 void BM_RankDistBid(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   int k = static_cast<int>(state.range(1));
@@ -30,9 +33,9 @@ void BM_RankDistBid(benchmark::State& state) {
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_RankDistBid)
-    ->ArgsProduct({{32, 64, 128, 256, 512}, {10}})
+    ->ArgsProduct({{32, 64, 128, 256, 512, 1024, 2048}, {10}})
     ->ArgsProduct({{128}, {5, 10, 20, 40}})
-    ->Complexity(benchmark::oNSquared);
+    ->Complexity(benchmark::oNLogN);
 
 // Pointer-tree reference for BM_RankDistBid (identical inputs, identical
 // bits out): the per-leaf EvalGeneratingFunction walk that allocates one
@@ -74,28 +77,6 @@ void BM_RankDistDeepAndXor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankDistDeepAndXor)->ArgsProduct({{16, 32, 64, 128}, {10}});
-
-// E4b ablation: the segment-tree fast path (O(L k^2 log n)) vs the generic
-// generating-function engine (O(L^2 k)) on the same BID inputs. Expected
-// shape: the fast path wins by a growing factor as n rises.
-void BM_RankDistBidFast(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  int k = static_cast<int>(state.range(1));
-  Rng rng(17);
-  RandomTreeOptions opts;
-  opts.num_keys = n;
-  opts.max_alternatives = 2;
-  auto tree = RandomBid(opts, &rng);
-  for (auto _ : state) {
-    auto dist = ComputeRankDistributionFast(*tree, k);
-    benchmark::DoNotOptimize(dist);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_RankDistBidFast)
-    ->ArgsProduct({{32, 64, 128, 256, 512, 1024, 2048}, {10}})
-    ->ArgsProduct({{128}, {5, 10, 20, 40}})
-    ->Complexity(benchmark::oNLogN);
 
 void BM_PairwiseOrderProbabilities(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

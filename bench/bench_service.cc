@@ -136,7 +136,6 @@ struct ServiceFixture {
   explicit ServiceFixture(int num_keys, int threads) {
     EngineOptions engine_options;
     engine_options.num_threads = threads;
-    engine_options.use_fast_bid_path = false;
     engine = std::make_unique<Engine>(engine_options);
     catalog.Insert("serving", MakeServingTree(num_keys)).ValueOrDie();
   }
@@ -193,7 +192,6 @@ struct ChurnFixture {
   explicit ChurnFixture(int threads) {
     EngineOptions engine_options;
     engine_options.num_threads = threads;
-    engine_options.use_fast_bid_path = false;
     engine = std::make_unique<Engine>(engine_options);
     Rng rng(97);
     for (int i = 0; i < kTrees; ++i) {
@@ -294,7 +292,6 @@ void BM_ServeSharded(benchmark::State& state) {
   constexpr int kTrees = 32;
   EngineOptions engine_options;
   engine_options.num_threads = 1;
-  engine_options.use_fast_bid_path = false;
   SchedulerOptions options;
   options.use_cache = false;
   ShardedScheduler sharded(shards, engine_options, options);
@@ -380,7 +377,6 @@ void BM_ServeWarmRestart(benchmark::State& state) {
   constexpr int kTrees = 16;
   EngineOptions engine_options;
   engine_options.num_threads = 4;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
 
   // The catalog source of truth, as serve sees it: canonical text.
@@ -519,7 +515,6 @@ void BM_ServeTraceReplay(benchmark::State& state) {
   // machines) would otherwise swamp the sub-2% effect being measured.
   EngineOptions engine_options;
   engine_options.num_threads = 1;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
   TreeCatalog catalog;
   // Serving-sized trees: per-request work must dwarf the instruments'
@@ -565,7 +560,6 @@ void BM_ServeMarginalsCached(benchmark::State& state) {
   constexpr int kTrees = 8;
   EngineOptions engine_options;
   engine_options.num_threads = 1;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
 
   // The BM_ServeTraceReplay shapes (same generator seed): serving-sized
@@ -653,7 +647,6 @@ void BM_ServeDedupedCatalog(benchmark::State& state) {
 
   EngineOptions engine_options;
   engine_options.num_threads = 1;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
 
   // The same serving-sized shapes as BM_ServeTraceReplay (same generator

@@ -10,6 +10,7 @@
 #ifndef CPDB_CORE_RANK_DISTRIBUTION_H_
 #define CPDB_CORE_RANK_DISTRIBUTION_H_
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -76,12 +77,12 @@ class RankDistribution {
 };
 
 /// \brief Assembles a RankDistribution from externally computed
-/// Pr(r(key) = i) values (used by the fast block-independent algorithm in
-/// rank_distribution_fast.h and by RankDistributionScan's per-leaf merge).
-/// Build() sorts keys and finalizes prefix sums in O(n (log n + k)).
+/// Pr(r(key) = i) values (RankDistributionScan's per-leaf merge and the
+/// snapshot decoder). A k below 0 is k = 0. Build() sorts keys and
+/// finalizes prefix sums in O(n (log n + k)).
 class RankDistributionBuilder {
  public:
-  explicit RankDistributionBuilder(int k) { dist_.k_ = k; }
+  explicit RankDistributionBuilder(int k) { dist_.k_ = std::max(k, 0); }
 
   /// \brief Registers `key` with an all-zero distribution if absent (keys
   /// that never reach the Top-k must still appear in keys()).
@@ -118,8 +119,10 @@ class RankDistributionBuilder {
 /// then commits the group's paths with the group set to x. Per leaf the
 /// work is one root path of the row graph (two for a tied leaf), where the
 /// per-leaf fold pays every row. A path row costs O(fan-in k) at a XOR
-/// node and O(k^2) per product of an AND node's left-fold chain, which
-/// puts up to fan-in - 1 rows on the path.
+/// node and O(k^2) per product, and an AND's children multiply as
+/// balanced products (model/flat_tree.h), so a path crosses O(log fan-in)
+/// products per AND. On a BID tree, an AND of n XOR blocks, a leaf costs
+/// O(k^2 log n) plus O(k) per alternative of its block.
 ///
 /// Each contribution is bitwise the per-leaf full fold (the flat
 /// LeafRankContribution oracle in tests/oracle/). Refolded rows re-run

@@ -7,8 +7,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/jaccard.h"  // IsBlockIndependent
-#include "core/rank_distribution_fast.h"
 #include "core/ranking_baselines.h"
 #include "core/set_consensus.h"
 #include "core/topk_footrule.h"
@@ -79,12 +77,6 @@ int Engine::num_threads() const { return pool_.num_threads(); }
 
 RankDistribution Engine::ComputeRankDistribution(
     const AndXorTree& tree, int k, const FlatTree* program) const {
-  if (options_.use_fast_bid_path && IsBlockIndependent(tree)) {
-    Result<RankDistribution> fast = ComputeRankDistributionFast(tree, k);
-    if (fast.ok()) return std::move(fast).ValueOrDie();
-    // Fall through to the general path on any fast-path failure.
-  }
-
   // Compile the flat form once (or reuse the caller's shared program); the
   // immutable FlatTree and the scan's row graph are shared read-only by one
   // score-order chunk per pool thread. Each chunk folds in its own scratch,

@@ -86,10 +86,6 @@ struct EngineOptions {
   /// used is recorded in McEstimate::chunk_size either way, so any run can
   /// be reproduced bitwise by pinning that value here.
   int mc_chunk_size = 256;
-
-  /// Use the O(L k^2 log n) block-independent scan for rank distributions
-  /// when the tree qualifies (matches the CLI's historical behavior).
-  bool use_fast_bid_path = true;
 };
 
 /// \brief The chunk size EngineOptions::mc_chunk_size = 0 resolves to: a
@@ -162,24 +158,19 @@ class Engine {
   /// \brief Parallel ComputeRankDistribution: the tree is compiled to a
   /// FlatTree once and scanned by a RankDistributionScan split into one
   /// score-order chunk per pool thread (chunk boundaries on tie groups).
-  /// Each chunk runs its own base fold, then per leaf a refold of only the
-  /// leaf's root path, in the chunk's own resident rows. Every leaf's
+  /// Each chunk runs its own base fold, then per leaf one pass over only
+  /// the leaf's root path, in the chunk's own resident rows. Every leaf's
   /// contribution is bitwise its full per-leaf fold and the merge runs in
   /// DFS leaf order, so the result is bitwise identical for any thread
   /// count, to the sequential core function, and to the pointer-fold test
-  /// oracle. When the fast BID path engages (options().use_fast_bid_path on
-  /// a block-independent tree), the result is that of
-  /// ComputeRankDistributionFast — sequential and deterministic, but a
-  /// numerically different (equally correct) algorithm than the general
-  /// path, agreeing only to ~1e-9.
+  /// oracle. A k below 0 is k = 0: every key, no ranks.
   ///
   /// `program`, when non-null, must be FlatTree::Compile(tree) (the
   /// serving catalog holds exactly that, one per distinct shape); the call
   /// then skips its own compile. A compiled program is a pure function of
   /// the tree, so the answer is bitwise identical either way — this and
   /// the other `program` parameters below only move WHERE the one compile
-  /// happens (catalog insert vs. first query). Ignored on the fast BID
-  /// path, which never compiles.
+  /// happens (catalog insert vs. first query).
   RankDistribution ComputeRankDistribution(
       const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
 

@@ -50,24 +50,43 @@ FlatTree FlatTree::Compile(const AndXorTree& tree) {
   if (tree.root() == kInvalidNode) return flat;
 
   // Iterative DFS with an interleaved consume-and-free schedule: a parent
-  // consumes each child's result immediately after that child completes
-  // (instead of waiting for all siblings), so at most one child result per
-  // ancestor level is live at a time and the slot high-water mark is
-  // O(depth) even for wide AND/XOR fan-outs. XOR output rows are allocated
-  // lazily at the first child's completion for the same reason — a chain of
-  // XOR nodes must not pre-allocate an accumulator per level on the way
-  // down.
+  // consumes each child's result as soon as that child completes (instead
+  // of waiting for all siblings). A XOR adds it to its accumulator, which
+  // is allocated lazily at the first child's completion, so a chain of XOR
+  // nodes does not pre-allocate an accumulator per level on the way down.
+  // An AND multiplies its children as a binary counter: each finished
+  // child is a partial product of level 0, and while the newest earlier
+  // partial has the same level the two multiply into one of the next
+  // level, the earlier on the left. When the children run out, the
+  // partials left (at most one per level, levels falling) multiply from
+  // the newest back, the earlier on the left. Two or three children thus
+  // multiply left to right; more form a balanced product tree, so a leaf's
+  // root path crosses O(log fan-in) products and an AND keeps at most
+  // ceil(log2 fan-in) + 1 partials live.
   struct Frame {
     NodeId id;
     size_t next_child;
-    int32_t acc_slot;  // AND: running product; XOR: accumulator; -1 if none
+    int32_t acc_slot;  // XOR: accumulator; AND: the product; -1 if none
+    size_t partial_base;  // AND: its partials are partials[partial_base..]
     double path_prob;  // product of XOR edge probs root -> this node
+  };
+  struct Partial {
+    int32_t slot;
+    int32_t level;  // the product covers 2^level children
   };
 
   SlotAllocator slots;
   std::vector<Frame> stack;
-  stack.push_back(Frame{tree.root(), 0, -1, 1.0});
+  std::vector<Partial> partials;  // every open AND's, innermost last
+  stack.push_back(Frame{tree.root(), 0, -1, 0, 1.0});
   int32_t last_slot = -1;  // result slot of the most recently completed node
+  auto multiply = [&](int32_t lhs, int32_t rhs, NodeId node) {
+    const int32_t out = slots.Alloc();
+    flat.ops_.push_back(FlatOp{FlatOpKind::kMul, out, lhs, rhs, node, 0.0});
+    slots.Release(lhs);
+    slots.Release(rhs);
+    return out;
+  };
 
   while (!stack.empty()) {
     Frame& f = stack.back();
@@ -102,16 +121,15 @@ FlatTree FlatTree::Compile(const AndXorTree& tree) {
                                    last_slot, f.id,
                                    n.edge_probs[f.next_child - 1]});
         slots.Release(last_slot);
-      } else if (f.next_child == 1) {
-        // AND's first child IS the running product; no op emitted.
-        f.acc_slot = last_slot;
       } else {
-        int32_t out = slots.Alloc();
-        flat.ops_.push_back(FlatOp{FlatOpKind::kMul, out, f.acc_slot,
-                                   last_slot, f.id, 0.0});
-        slots.Release(f.acc_slot);
-        slots.Release(last_slot);
-        f.acc_slot = out;
+        Partial p{last_slot, 0};
+        while (partials.size() > f.partial_base &&
+               partials.back().level == p.level) {
+          p = Partial{multiply(partials.back().slot, p.slot, f.id),
+                      p.level + 1};
+          partials.pop_back();
+        }
+        partials.push_back(p);
       }
     }
 
@@ -125,10 +143,18 @@ FlatTree FlatTree::Compile(const AndXorTree& tree) {
                                     : f.path_prob;
       ++f.next_child;
       // Note: push_back may invalidate `f`; it is not used past this point.
-      stack.push_back(Frame{child, 0, -1, child_prob});
+      stack.push_back(Frame{child, 0, -1, partials.size(), child_prob});
       continue;
     }
 
+    if (n.kind == NodeKind::kAnd) {
+      f.acc_slot = partials.back().slot;
+      partials.pop_back();
+      while (partials.size() > f.partial_base) {
+        f.acc_slot = multiply(partials.back().slot, f.acc_slot, f.id);
+        partials.pop_back();
+      }
+    }
     last_slot = f.acc_slot;
     stack.pop_back();
   }

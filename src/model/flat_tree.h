@@ -23,7 +23,8 @@
 //   * compile-time slot lifetimes: each op names which scratch rows it reads
 //     and writes, slot ids are assigned from a LIFO free list, and a child's
 //     row is recycled the moment its parent consumes it, so num_slots() is
-//     the fold's live high-water mark (O(depth), not O(nodes)) and all
+//     the fold's live high-water mark (O(depth × log fan-in), not
+//     O(nodes)) and all
 //     scratch lives in one reusable PolyArena buffer;
 //   * a leaf table (FlatLeaf) in left-to-right DFS order — identical to
 //     AndXorTree::LeafIds() order — carrying (key, score, label, node id)
@@ -33,10 +34,14 @@
 //
 // Bitwise contract: EvalGeneratingFunction here performs the same arithmetic
 // operations in the same order as the pointer fold — leaves combine into XOR
-// accumulators via AddScaledRow in child order, AND children combine
-// left-to-right via ConvolveRowsTruncated — so for identical leaf
-// polynomials the resulting coefficients are bit-identical. Only the memory
-// layout and allocation strategy change. The pointer fold lives on as the
+// accumulators via AddScaledRow in child order, and AND children multiply
+// via ConvolveRowsTruncated as balanced products, not left to right: a
+// binary counter pairs equal-sized partial products as children finish,
+// earlier on the left, then multiplies the partials left from the newest
+// back (see Compile) — so for identical leaf polynomials the resulting
+// coefficients are bit-identical. An AND of two or three children
+// multiplies left to right either way. Only the memory layout and
+// allocation strategy change. The pointer fold lives on as the
 // differential reference in tests/oracle/ (tests/flat_tree_test.cc).
 // FlatRefold (below) keeps the same arithmetic but holds every row
 // resident, so a fold that differs in a few leaves recomputes only their

@@ -250,8 +250,8 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
   CatalogSnapshot snapshot;
   snapshot.trees.reserve(static_cast<size_t>(tree_count));
   std::set<std::string> seen_names;
-  // v1 dist records address trees by content fingerprint; v2 by structural
-  // key.
+  // v1 dist records address trees by content fingerprint; v2 and v3 by
+  // structural key.
   std::map<uint64_t, const SnapshotTree*> by_fingerprint;
   std::map<uint64_t, const SnapshotTree*> by_struct_key;
 
@@ -357,8 +357,8 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
       return Truncated(where + ": key count " + std::to_string(key_count) +
                        " cannot fit in the remaining payload");
     }
-    // v1 addresses the owning tree by content fingerprint, v2 by
-    // structural key; a dangling reference is a defect in both.
+    // v1 addresses the owning tree by content fingerprint, v2 and v3 by
+    // structural key; a dangling reference is a defect in all.
     const std::map<uint64_t, const SnapshotTree*>& dist_index =
         version >= 2 ? by_struct_key : by_fingerprint;
     auto tree_it = dist_index.find(dist_key);
@@ -414,11 +414,13 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
           where + ": distribution keys do not match the keys of its tree ('" +
           tree.name + "')");
     }
-    if (version < 2 && tree.canonical_bytes != tree.content) {
-      // A v1 fold persisted for a non-canonical orientation: the re-keyed
-      // cache serves only canonical-orientation folds, and remapping this
-      // one could differ in the last bit. Fully validated above, then
-      // dropped — the restarted replica recomputes it on first use.
+    if (version < 3) {
+      // Folded before v3, with AND children multiplied left to right (and
+      // in v1 possibly over a non-canonical orientation): its bits can
+      // differ in the last place from this build's balanced-product fold,
+      // so seeding it would make an answer depend on which entries a warm
+      // restart kept. Fully validated above, then dropped — the restarted
+      // replica recomputes it on first use.
       continue;
     }
     SnapshotDistribution record;

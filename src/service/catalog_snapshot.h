@@ -30,10 +30,10 @@
 // catalog (tests/catalog_snapshot_test.cc runs the corruption torture
 // matrix under ASan/UBSan).
 //
-// Format v2 (the version this build writes), all integers little-endian:
+// Format v3 (the version this build writes), all integers little-endian:
 //
 //   offset 0   8 bytes   magic "CPDBSNAP"
-//   offset 8   u32       format version (2)
+//   offset 8   u32       format version (3)
 //   offset 12  u32       reserved (must be 0)
 //   offset 16  u64       tree record count
 //   offset 24  u64       distribution record count
@@ -46,14 +46,16 @@
 //                 i32 key id, then k doubles (raw IEEE-754 bits, little-
 //                 endian): Pr(r(key) = i) for i = 1..k
 //
-// Format v1 (still readable) differs in two ways: tree records carry no
-// structural key (it is recomputed on load by canonicalizing the parsed
-// tree), and dist records are keyed by content fingerprint. A v1 dist
-// record is remapped to its tree's StructKey only when the stored content
-// is already in canonical orientation — otherwise it is dropped (still
-// fully validated) rather than seeded, because the persisted fold ran over
-// an orientation the re-keyed cache will never serve, and a last-bit
-// mismatch there would break bitwise determinism.
+// Format v2 (still readable) has v3's layout; only its distributions'
+// bits differ: they were folded with AND children multiplied left to
+// right, where this build multiplies them as balanced products (see
+// model/flat_tree.h). Format v1 (still readable) also differs in layout:
+// tree records carry no structural key (it is recomputed on load by
+// canonicalizing the parsed tree), and dist records are keyed by content
+// fingerprint. The trees of a v1 or v2 file load as usual; its dist
+// records are fully validated and then dropped, not seeded: a persisted
+// fold could differ in the last bit from the fold this build would serve
+// cold, and an answer must not depend on what a warm restart kept.
 //
 // Records are written in sorted order (trees by name, distributions by
 // (StructKey, k)), so encoding is a pure function of the logical content:
@@ -85,9 +87,9 @@ inline constexpr char kCatalogSnapshotMagic[8] = {'C', 'P', 'D', 'B',
 /// \brief The newest format version this build reads and the only one it
 /// writes. A file stamped with a larger version is refused outright — a
 /// newer format may carry semantics this decoder would silently drop.
-/// Version 1 (pre-structural-key) files are still read; see the format
-/// notes above for how their records map into the two-level identity.
-inline constexpr uint32_t kCatalogSnapshotVersion = 2;
+/// Versions 1 and 2 are still read, without their distributions; see the
+/// format notes above.
+inline constexpr uint32_t kCatalogSnapshotVersion = 3;
 
 /// \brief One persisted catalog binding: a named TreeIdentity. `content` is
 /// the wire-visible serialization (what a kLoad of this binding carried)
@@ -115,13 +117,14 @@ struct CatalogSnapshot {
   std::vector<SnapshotDistribution> distributions;
 };
 
-/// \brief Serializes a snapshot to the v2 byte format. Deterministic:
+/// \brief Serializes a snapshot to the v3 byte format. Deterministic:
 /// records are emitted in sorted order (trees by name, distributions by
 /// (StructKey, k)) whatever order the vectors hold, so the bytes are a
 /// pure function of the logical content.
 std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot);
 
-/// \brief Parses and fully validates `size` bytes of snapshot (v1 or v2).
+/// \brief Parses and fully validates `size` bytes of snapshot (v1, v2 or
+/// v3; the distributions of a v1 or v2 file are validated, not returned).
 /// On any defect — truncation, bad magic, unsupported future version,
 /// checksum mismatch, counts or lengths overflowing the payload, an
 /// embedded tree that fails ParseTree or whose stored text is not the

@@ -333,7 +333,6 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
   constexpr int kTrees = 6;
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
   TreeCatalog catalog;
   for (int i = 0; i < kTrees; ++i) {

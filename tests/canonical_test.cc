@@ -193,7 +193,6 @@ TEST(CanonicalPropertyTest, CanonicalizationIsIdempotent) {
 TEST(CanonicalPropertyTest, ConsensusAnswersAreOrientationIndependent) {
   EngineOptions options;
   options.num_threads = 2;
-  options.use_fast_bid_path = false;
   Engine engine(options);
   for (uint64_t seed : {5u, 23u}) {
     const AndXorTree base = RandomTree(seed, /*num_keys=*/6);
@@ -274,7 +273,6 @@ std::vector<std::string> WireLines(
 EngineOptions ReferenceEngineOptions(int threads) {
   EngineOptions options;
   options.num_threads = threads;
-  options.use_fast_bid_path = false;
   return options;
 }
 

@@ -669,11 +669,10 @@ std::string EncodeV1Snapshot(
 }
 
 // A v1 file loads through the same decode + InsertWithIdentity seam, with
-// structural keys recomputed from the stored content. Distributions keyed
-// by content fingerprint remap to their tree's StructKey only when the
-// stored orientation is already canonical; a non-canonical orientation's
-// fold is dropped, because the re-keyed cache serves only canonical-
-// orientation folds.
+// structural keys recomputed from the stored content. Its distributions,
+// keyed by content fingerprint, are validated and dropped: they predate
+// the balanced-product fold, so this build's cold fold could differ in the
+// last bit (see V2DistributionsAreNotSeeded).
 TEST(CatalogSnapshotV1CompatTest, V1FilesLoadWithRecomputedKeys) {
   // Two orientations of one shape: exactly one is the canonical one.
   AndXorTree ab = Tree(
@@ -710,13 +709,10 @@ TEST(CatalogSnapshotV1CompatTest, V1FilesLoadWithRecomputedKeys) {
     EXPECT_EQ(record.content_fp, ContentFp(Fnv1a64(record.content)));
     EXPECT_EQ(record.struct_key, shape_key);
   }
-  // Only the canonical orientation's fold survives the re-keying.
-  ASSERT_EQ(decoded->distributions.size(), 1u);
-  EXPECT_EQ(decoded->distributions[0].struct_key, shape_key);
-  EXPECT_EQ(decoded->distributions[0].k, 2);
+  // No v1 fold is seeded, the canonical orientation's included.
+  EXPECT_TRUE(decoded->distributions.empty());
 
-  // Installing lands both names on one shared shape, with the persisted
-  // fold pre-seeded for it.
+  // Installing lands both names on one shared shape, with no fold seeded.
   Engine engine(TestEngineOptions());
   TreeCatalog catalog;
   QueryScheduler scheduler(&engine, &catalog);
@@ -725,7 +721,7 @@ TEST(CatalogSnapshotV1CompatTest, V1FilesLoadWithRecomputedKeys) {
   EXPECT_EQ(counts.names, 2);
   EXPECT_EQ(counts.contents, 2);
   EXPECT_EQ(counts.shapes, 1);
-  EXPECT_EQ(scheduler.cache_stats().entries, 1);
+  EXPECT_EQ(scheduler.cache_stats().entries, 0);
 
   // Re-saving writes the current version; the upgraded file round-trips
   // byte-identically from then on.
@@ -735,6 +731,67 @@ TEST(CatalogSnapshotV1CompatTest, V1FilesLoadWithRecomputedKeys) {
       DecodeCatalogSnapshot(upgraded.data(), upgraded.size());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(EncodeCatalogSnapshot(*reloaded), upgraded);
+}
+
+// A v2 file has the v3 layout, but its distributions were folded with AND
+// children multiplied left to right. Its trees install; its distributions
+// are not seeded, so the served distribution is bitwise a cold fold's
+// whatever the file carried.
+TEST(CatalogSnapshotVersionTest, V2DistributionsAreNotSeeded) {
+  const std::string text =
+      "(and (xor 0.6 (leaf key=1 score=8) 0.3 (leaf key=1 score=5))"
+      " (xor 0.7 (leaf key=2 score=9))"
+      " (xor 0.5 (leaf key=3 score=7) 0.5 (leaf key=3 score=6))"
+      " (xor 0.45 (leaf key=4 score=4)) (xor 0.35 (leaf key=5 score=6.5)))";
+  const int k = 3;
+  Engine engine(TestEngineOptions());
+  TreeCatalog catalog;
+  QueryScheduler scheduler(&engine, &catalog);
+  ASSERT_TRUE(catalog.Insert("t", Tree(text)).ok());
+  ASSERT_TRUE(scheduler.ExecuteOne(TopKRequest("t", k)).ok());
+  CatalogSnapshot snapshot = BuildCatalogSnapshot(catalog, &scheduler);
+  ASSERT_EQ(snapshot.distributions.size(), 1u);
+  // A stale record, valid but not the fold: if it were seeded, it would
+  // be served.
+  RankDistributionBuilder stale(k);
+  for (KeyId key : snapshot.distributions[0].dist->keys()) {
+    for (int i = 1; i <= k; ++i) stale.Add(key, i, 0.125);
+  }
+  snapshot.distributions[0].dist =
+      std::make_shared<const RankDistribution>(std::move(stale).Build());
+  const std::string v3 = EncodeCatalogSnapshot(snapshot);
+  Result<CatalogSnapshot> as_v3 = DecodeCatalogSnapshot(v3.data(), v3.size());
+  ASSERT_TRUE(as_v3.ok()) << as_v3.status().ToString();
+  ASSERT_EQ(as_v3->distributions.size(), 1u);
+
+  std::string v2 = v3;
+  PokeU32(&v2, kVersionOffset, 2);
+  v2 = Restamped(std::move(v2));
+  Result<CatalogSnapshot> decoded = DecodeCatalogSnapshot(v2.data(), v2.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->trees.size(), 1u);
+  EXPECT_TRUE(decoded->distributions.empty());
+
+  Engine warm_engine(TestEngineOptions());
+  TreeCatalog warm_catalog;
+  QueryScheduler warm(&warm_engine, &warm_catalog);
+  ASSERT_TRUE(InstallCatalogSnapshot(*decoded, &warm_catalog, &warm).ok());
+  ASSERT_TRUE(warm.ExecuteOne(TopKRequest("t", k)).ok());
+  EXPECT_EQ(warm.cache_stats().misses, 1);
+  const std::vector<RankDistCache::RetainedEntry> served =
+      warm.RetainedRankDistributions();
+  ASSERT_EQ(served.size(), 1u);
+  const RankDistribution cold = Engine(TestEngineOptions())
+      .ComputeRankDistribution(*decoded->trees[0].canonical_tree, k);
+  ASSERT_EQ(served[0].dist->keys(), cold.keys());
+  for (KeyId key : cold.keys()) {
+    for (int i = 1; i <= k; ++i) {
+      const double got = served[0].dist->PrRankEq(key, i);
+      const double want = cold.PrRankEq(key, i);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "key " << key << " rank " << i;
+    }
+  }
 }
 
 // v1 files get the same adversarial treatment as v2: a fingerprint that

@@ -151,7 +151,6 @@ void ExpectSameWire(const std::vector<Result<ServiceResponse>>& got,
 EngineOptions ReferenceEngineOptions(int threads = 2) {
   EngineOptions options;
   options.num_threads = threads;
-  options.use_fast_bid_path = false;
   return options;
 }
 

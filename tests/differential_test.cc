@@ -138,7 +138,6 @@ std::vector<AndXorTree> SmallTrees(int max_leaves) {
 Engine MakeEngine() {
   EngineOptions opts;
   opts.num_threads = 2;
-  opts.use_fast_bid_path = false;
   return Engine(opts);
 }
 

@@ -22,6 +22,7 @@
 #include "core/topk_kendall.h"
 #include "core/topk_symdiff.h"
 #include "model/builders.h"
+#include "oracle/fold_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -135,19 +136,37 @@ TEST(EngineTest, RankDistributionBitwiseEqualAcrossThreadCounts) {
   }
 }
 
-TEST(EngineTest, RankDistributionUsesFastBidPathByDefault) {
+TEST(EngineTest, RankDistributionOnBidTreeBitwiseEqualsPointerFold) {
+  // BID trees take the general scan like every other tree, with default
+  // options, so the pointer fold pins them bit for bit.
   const int k = 4;
-  AndXorTree tree = RandomBidTree(7);
+  AndXorTree tree = RandomBidTree(7, 40);
   EngineOptions opts;
   opts.num_threads = 4;
   Engine engine(opts);
   RankDistribution dist = engine.ComputeRankDistribution(tree, k);
-  // The fast path and the general path agree analytically; check against
-  // the sequential general-path computation to a tight tolerance.
-  RankDistribution general = ComputeRankDistribution(tree, k);
-  for (KeyId key : general.keys()) {
+  RankDistribution reference = ComputeRankDistributionPointer(tree, k);
+  ASSERT_EQ(dist.keys(), reference.keys());
+  for (KeyId key : reference.keys()) {
     for (int i = 1; i <= k; ++i) {
-      EXPECT_NEAR(dist.PrRankEq(key, i), general.PrRankEq(key, i), 1e-9);
+      ASSERT_EQ(dist.PrRankEq(key, i), reference.PrRankEq(key, i))
+          << "key " << key << " rank " << i;
+    }
+  }
+}
+
+TEST(EngineTest, NegativeKRankDistributionIsKZero) {
+  // k < 0 reads as k = 0: every key, no ranks. It used to size the
+  // per-key rows by k + 1 through size_t and throw std::length_error.
+  AndXorTree tree = RandomDeepTree(13);
+  Engine engine;
+  for (int k : {-1, -2}) {
+    RankDistribution dist = engine.ComputeRankDistribution(tree, k);
+    EXPECT_EQ(dist.k(), 0);
+    EXPECT_EQ(dist.keys(), tree.Keys());
+    for (KeyId key : dist.keys()) {
+      EXPECT_EQ(dist.PrTopK(key), 0.0);
+      EXPECT_EQ(dist.PrRankEq(key, 1), 0.0);
     }
   }
 }
@@ -158,7 +177,6 @@ TEST(EngineTest, ConsensusTopKMatchesDirectCoreCalls) {
   RankDistribution dist = ComputeRankDistribution(tree, k);
   EngineOptions opts;
   opts.num_threads = 4;
-  opts.use_fast_bid_path = false;
   Engine engine(opts);
 
   auto mean_sym = engine.ConsensusTopK(tree, k, TopKMetric::kSymDiff);
@@ -197,7 +215,6 @@ TEST(EngineTest, KendallConsensusMatchesSequentialEvaluator) {
   for (int threads : {1, 2, 4, 8}) {
     EngineOptions opts;
     opts.num_threads = threads;
-    opts.use_fast_bid_path = false;
     Engine engine(opts);
     auto got = engine.ConsensusTopK(tree, k, TopKMetric::kKendall);
     ASSERT_TRUE(got.ok());
@@ -219,7 +236,6 @@ TEST(EngineTest, MedianSymDiffBitwiseAcrossThreadCounts) {
     for (int threads : {1, 2, 4, 8}) {
       EngineOptions opts;
       opts.num_threads = threads;
-      opts.use_fast_bid_path = false;
       Engine engine(opts);
       auto got = engine.ConsensusTopK(tree, k, TopKMetric::kSymDiff,
                                       TopKAnswer::kMedian);
@@ -246,7 +262,6 @@ TEST(EngineTest, AssignmentMetricsBitwiseAcrossThreadCounts) {
     for (int threads : {1, 2, 4, 8}) {
       EngineOptions opts;
       opts.num_threads = threads;
-      opts.use_fast_bid_path = false;
       Engine engine(opts);
       auto foot = engine.ConsensusTopK(tree, k, TopKMetric::kFootrule);
       ASSERT_TRUE(foot.ok());
@@ -291,7 +306,6 @@ TEST(EngineTest, ConsensusTopKWithDistMatchesFreshComputation) {
   AndXorTree tree = RandomDeepTree(83);
   EngineOptions opts;
   opts.num_threads = 4;
-  opts.use_fast_bid_path = false;
   Engine engine(opts);
   RankDistribution dist = engine.ComputeRankDistribution(tree, k);
   for (TopKMetric metric :
@@ -313,7 +327,6 @@ TEST(EngineTest, ConsensusTopKWithDistRejectsForeignDistribution) {
   AndXorTree tree = RandomDeepTree(91, 8);
   AndXorTree other = RandomDeepTree(93, 5);  // different key count
   EngineOptions opts;
-  opts.use_fast_bid_path = false;
   Engine engine(opts);
   RankDistribution foreign = engine.ComputeRankDistribution(other, 3);
   auto result =

@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "core/evaluation.h"
 #include "core/monte_carlo.h"
-#include "core/rank_distribution_fast.h"
 #include "core/ranking_baselines.h"
 #include "core/set_consensus.h"
 #include "core/topk_footrule.h"
@@ -21,6 +20,7 @@
 #include "core/topk_symdiff.h"
 #include "io/tree_text.h"
 #include "model/possible_worlds.h"
+#include "oracle/fold_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -72,8 +72,8 @@ TEST(IntegrationTest, Figure1WorldsAndRanks) {
 TEST(IntegrationTest, FullPipelineConsistency) {
   Rng rng(20260613);
   // A moderate BID instance: every closed form must agree with Monte Carlo,
-  // the fast and generic rank engines must agree, and the stated identities
-  // between answers must hold.
+  // the rank scan must be bitwise the pointer-fold oracle, and the stated
+  // identities between answers must hold.
   RandomTreeOptions opts;
   opts.num_keys = 18;
   opts.max_alternatives = 3;
@@ -87,10 +87,12 @@ TEST(IntegrationTest, FullPipelineConsistency) {
 
   const int k = 5;
   RankDistribution dist = ComputeRankDistribution(*tree, k);
-  auto fast = ComputeRankDistributionFast(*tree, k);
-  ASSERT_TRUE(fast.ok());
+  RankDistribution reference = ComputeRankDistributionPointer(*tree, k);
+  ASSERT_EQ(dist.keys(), reference.keys());
   for (KeyId key : dist.keys()) {
-    EXPECT_NEAR(fast->PrTopK(key), dist.PrTopK(key), 1e-9);
+    for (int i = 1; i <= k; ++i) {
+      ASSERT_EQ(dist.PrRankEq(key, i), reference.PrRankEq(key, i));
+    }
   }
 
   // Identity (Theorem 3): Global Top-k == mean answer under d_Delta.

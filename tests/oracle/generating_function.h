@@ -31,8 +31,9 @@ namespace cpdb {
 /// \brief Instrumentation for EvalGeneratingFunction's slot recycling.
 struct GenFunFoldStats {
   /// Peak number of simultaneously live intermediate polynomials. Bounded by
-  /// O(tree depth), not O(nodes): a child's slot is recycled the moment its
-  /// parent consumes it (a 20000-deep XOR chain peaks at 2).
+  /// O(depth × log fan-in), not O(nodes): a child's slot is recycled the
+  /// moment its parent consumes it (a 20000-deep XOR chain peaks at 2, a
+  /// 500-child AND of single-leaf XORs at 10).
   int max_live_slots = 0;
 };
 
@@ -52,12 +53,18 @@ struct GenFunFoldStats {
 /// Memory: intermediate polynomials live in a recycled slot pool. Each
 /// parent consumes a child's result as soon as that child's subtree
 /// completes — XOR children are AddScaled into the accumulator one by one,
-/// AND children are multiplied into the running product left-to-right — and
-/// the consumed slot is immediately freed for reuse, so peak memory is
-/// O(max live slots × poly bytes) instead of the historical
-/// O(nodes × poly bytes). The combination order (AND left-to-right products,
-/// XOR leftover-then-AddScaled in child order) is unchanged, so results are
-/// bitwise identical to the retained-everything fold.
+/// AND children are multiplied as a binary counter of partial products —
+/// and each consumed slot is immediately freed for reuse, so peak memory is
+/// O(max live slots × poly bytes) instead of O(nodes × poly bytes).
+///
+/// The combination order is FlatTree::Compile's, so the two folds agree
+/// bit for bit: a XOR starts from its leftover and AddScaled's its
+/// children in child order. An AND's finished child is a partial of level
+/// 0; while the newest earlier partial has the same level, the two multiply
+/// into one of the next level (the earlier on the left). The partials left
+/// at the end multiply from the newest back, the earlier on the left. Two
+/// or three children multiply left to right; more form a balanced product
+/// tree with at most ceil(log2 fan-in) + 1 partials live.
 template <typename PolyT, typename LeafPolyFn, typename MakeConstFn>
 PolyT EvalGeneratingFunction(const AndXorTree& tree, LeafPolyFn&& leaf_poly,
                              MakeConstFn&& make_const,
@@ -83,10 +90,24 @@ PolyT EvalGeneratingFunction(const AndXorTree& tree, LeafPolyFn&& leaf_poly,
   struct Frame {
     NodeId id;
     size_t next_child;
-    int acc;  // AND: running product slot; XOR: accumulator slot; -1 if none
+    int acc;  // XOR: accumulator slot; AND: the product's slot; -1 if none
+    size_t partial_base;  // AND: its partials are partials[partial_base..]
   };
-  std::vector<Frame> stack = {Frame{tree.root(), 0, -1}};
+  struct Partial {
+    int slot;
+    int level;  // the product covers 2^level children
+  };
+  std::vector<Frame> stack = {Frame{tree.root(), 0, -1, 0}};
+  std::vector<Partial> partials;  // every open AND's, innermost last
   int last = -1;  // result slot of the most recently completed subtree
+  auto multiply = [&](int lhs, int rhs) {
+    int out = alloc();
+    slot[static_cast<size_t>(out)] =
+        *slot[static_cast<size_t>(lhs)] * *slot[static_cast<size_t>(rhs)];
+    release(lhs);
+    release(rhs);
+    return out;
+  };
 
   while (!stack.empty()) {
     Frame& f = stack.back();
@@ -114,15 +135,14 @@ PolyT EvalGeneratingFunction(const AndXorTree& tree, LeafPolyFn&& leaf_poly,
         slot[static_cast<size_t>(f.acc)]->AddScaled(
             *slot[static_cast<size_t>(last)], n.edge_probs[f.next_child - 1]);
         release(last);
-      } else if (f.next_child == 1) {
-        f.acc = last;  // AND adopts its first child's slot as the product.
       } else {
-        int out = alloc();
-        slot[static_cast<size_t>(out)] = *slot[static_cast<size_t>(f.acc)] *
-                                         *slot[static_cast<size_t>(last)];
-        release(f.acc);
-        release(last);
-        f.acc = out;
+        Partial p{last, 0};
+        while (partials.size() > f.partial_base &&
+               partials.back().level == p.level) {
+          p = Partial{multiply(partials.back().slot, p.slot), p.level + 1};
+          partials.pop_back();
+        }
+        partials.push_back(p);
       }
     }
 
@@ -130,10 +150,18 @@ PolyT EvalGeneratingFunction(const AndXorTree& tree, LeafPolyFn&& leaf_poly,
       const NodeId child = n.children[f.next_child];
       ++f.next_child;
       // push_back may invalidate `f`; it is not used past this point.
-      stack.push_back(Frame{child, 0, -1});
+      stack.push_back(Frame{child, 0, -1, partials.size()});
       continue;
     }
 
+    if (n.kind == NodeKind::kAnd) {
+      f.acc = partials.back().slot;
+      partials.pop_back();
+      while (partials.size() > f.partial_base) {
+        f.acc = multiply(partials.back().slot, f.acc);
+        partials.pop_back();
+      }
+    }
     last = f.acc;
     stack.pop_back();
   }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -118,17 +119,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RankDistProperty, ::testing::Range(0, 12));
 
 // Copies `src`'s subtree at `id` into `dst` with every leaf score redrawn
 // from {1, ..., pool}: ties fall across keys and within a key.
+// Keys shift by `key_offset`.
 NodeId CopyWithPooledScores(const AndXorTree& src, NodeId id, int pool,
-                            Rng* rng, AndXorTree* dst) {
+                            Rng* rng, AndXorTree* dst, KeyId key_offset = 0) {
   const TreeNode& node = src.node(id);
   if (node.kind == NodeKind::kLeaf) {
     TupleAlternative alt = node.leaf;
+    alt.key += key_offset;
     alt.score = static_cast<double>(rng->UniformInt(1, pool));
     return dst->AddLeaf(alt);
   }
   std::vector<NodeId> children;
   for (NodeId child : node.children) {
-    children.push_back(CopyWithPooledScores(src, child, pool, rng, dst));
+    children.push_back(
+        CopyWithPooledScores(src, child, pool, rng, dst, key_offset));
   }
   return node.kind == NodeKind::kAnd
              ? dst->AddAnd(std::move(children))
@@ -160,6 +164,33 @@ TEST(RankDistributionScanTest, TiesAndChunkBoundariesBitwiseEqualPointerFold) {
   bid.num_keys = 90;
   bid.max_alternatives = 4;
   int multi_chunk_scans = 0;
+  auto check = [&](const AndXorTree& tree, const std::vector<int>& ks,
+                   const std::string& label) {
+    const FlatTree flat = FlatTree::Compile(tree);
+    for (int k : ks) {
+      const RankDistribution reference = ComputeRankDistributionPointer(tree, k);
+      std::vector<RankDistribution> dists;
+      dists.push_back(ComputeRankDistribution(tree, k));
+      for (int threads : {1, 2, 3, 4, 8}) {
+        if (RankDistributionScan(flat, k, threads).num_chunks() > 1) {
+          ++multi_chunk_scans;
+        }
+        EngineOptions opts;
+        opts.num_threads = threads;
+        dists.push_back(Engine(opts).ComputeRankDistribution(tree, k));
+      }
+      for (const RankDistribution& dist : dists) {
+        ASSERT_EQ(dist.keys(), reference.keys());
+        for (KeyId key : reference.keys()) {
+          for (int i = 1; i <= k; ++i) {
+            ASSERT_EQ(dist.PrRankEq(key, i), reference.PrRankEq(key, i))
+                << label << " k " << k << " key " << key << " rank " << i;
+            ASSERT_EQ(dist.PrRankLe(key, i), reference.PrRankLe(key, i));
+          }
+        }
+      }
+    }
+  };
   for (int pool : {1, 3, 7, 50}) {
     for (int shape = 0; shape < 2; ++shape) {
       Result<AndXorTree> base = Status::Internal("unset");
@@ -173,36 +204,40 @@ TEST(RankDistributionScanTest, TiesAndChunkBoundariesBitwiseEqualPointerFold) {
       if (pool > 1) {
         EXPECT_TRUE(HasTieWithinKey(tree)) << "pool " << pool;
       }
-      const FlatTree flat = FlatTree::Compile(tree);
-      const int num_leaves = tree.NumLeaves();
-      for (int k : {1, 4, 8, num_leaves + 3}) {
-        const RankDistribution reference =
-            ComputeRankDistributionPointer(tree, k);
-        std::vector<RankDistribution> dists;
-        dists.push_back(ComputeRankDistribution(tree, k));
-        for (int threads : {1, 2, 3, 4, 8}) {
-          if (RankDistributionScan(flat, k, threads).num_chunks() > 1) {
-            ++multi_chunk_scans;
-          }
-          EngineOptions opts;
-          opts.num_threads = threads;
-          opts.use_fast_bid_path = false;  // the scan, on BID trees too
-          dists.push_back(Engine(opts).ComputeRankDistribution(tree, k));
-        }
-        for (const RankDistribution& dist : dists) {
-          ASSERT_EQ(dist.keys(), reference.keys());
-          for (KeyId key : reference.keys()) {
-            for (int i = 1; i <= k; ++i) {
-              ASSERT_EQ(dist.PrRankEq(key, i), reference.PrRankEq(key, i))
-                  << "pool " << pool << " shape " << shape << " k " << k
-                  << " key " << key << " rank " << i;
-              ASSERT_EQ(dist.PrRankLe(key, i), reference.PrRankLe(key, i));
-            }
-          }
-        }
-      }
+      check(tree, {1, 4, 8, tree.NumLeaves() + 3},
+            "pool " + std::to_string(pool) + " shape " +
+                std::to_string(shape));
     }
   }
+  // Wide ANDs, whose balanced products put several levels of partial
+  // products on each root path: an AND of 37 and one of 150 random
+  // subtrees over disjoint keys, and a 150-block BID tree.
+  RandomTreeOptions small;
+  small.num_keys = 2;
+  small.max_depth = 2;
+  small.max_alternatives = 2;
+  for (int fan_in : {37, 150}) {
+    AndXorTree tree;
+    std::vector<NodeId> children;
+    for (int c = 0; c < fan_in; ++c) {
+      Result<AndXorTree> sub = RandomAndXorTree(small, &rng);
+      ASSERT_TRUE(sub.ok());
+      children.push_back(CopyWithPooledScores(
+          *sub, sub->root(), 30, &rng, &tree, small.num_keys * c));
+    }
+    tree.SetRoot(tree.AddAnd(std::move(children)));
+    ASSERT_TRUE(tree.Validate().ok());
+    check(tree, {1, 10, 40}, "wide and " + std::to_string(fan_in));
+  }
+  RandomTreeOptions wide_bid;
+  wide_bid.num_keys = 150;
+  wide_bid.max_alternatives = 3;
+  Result<AndXorTree> base = RandomBid(wide_bid, &rng);
+  ASSERT_TRUE(base.ok());
+  AndXorTree tree;
+  tree.SetRoot(CopyWithPooledScores(*base, base->root(), 40, &rng, &tree));
+  ASSERT_TRUE(tree.Validate().ok());
+  check(tree, {1, 10, 40}, "bid 150");
   EXPECT_GT(multi_chunk_scans, 0);
 }
 

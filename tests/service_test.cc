@@ -345,7 +345,6 @@ TEST_F(QuerySchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
 
   EngineOptions engine_options;
   engine_options.num_threads = 4;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
 
   QueryScheduler cached(&engine, &catalog_);
@@ -401,7 +400,6 @@ TEST_F(QuerySchedulerTest, BatchMatchesOneAtATimeEngineAnswers) {
   };
   EngineOptions engine_options;
   engine_options.num_threads = 4;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
   QueryScheduler scheduler(&engine, &catalog_);
   auto results = scheduler.ExecuteBatch(batch);
@@ -469,7 +467,6 @@ TEST_F(QuerySchedulerTest, AnswersBitwiseIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     EngineOptions engine_options;
     engine_options.num_threads = threads;
-    engine_options.use_fast_bid_path = false;
     Engine engine(engine_options);
     QueryScheduler scheduler(&engine, &catalog_);
     auto results = scheduler.ExecuteBatch(batch);
@@ -496,7 +493,6 @@ TEST_F(QuerySchedulerTest, AnswersBitwiseIdenticalAcrossThreadCounts) {
 TEST_F(QuerySchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
   QueryScheduler scheduler(&engine, &catalog_);
   const std::vector<ServiceRequest> batch = {
@@ -678,7 +674,6 @@ TEST_F(QuerySchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
 TEST_F(QuerySchedulerTest, StreamingAnswersMatchBatchBitwise) {
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
   ServiceRequest world;
   world.op = ServiceRequest::Op::kWorld;
