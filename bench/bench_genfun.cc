@@ -14,7 +14,7 @@
 #include "common/rng.h"
 #include "model/flat_tree.h"
 #include "oracle/generating_function.h"
-#include "poly/poly1.h"
+#include "oracle/poly1.h"
 #include "poly/poly_arena.h"
 #include "workload/generators.h"
 

@@ -15,6 +15,11 @@
 // Answers are bitwise identical in all three modes (tests/service_test.cc);
 // only the fold count changes.
 //
+//   BM_ServeColdMixedK — fresh scheduler per iteration, 16 shapes each
+//       asked for k = 4 then k = 8 in one batch: the batch's fold plan
+//       folds each shape once, at k = 8, and serves k = 4 its prefix
+//       (rank_folds counts the folds per iteration: 16, not 32).
+//
 // Plus the long-lived-server scenarios the eviction PR added:
 //
 //   BM_ServeChurnBudgeted — a churn workload (requests cycling through many
@@ -182,6 +187,43 @@ void BM_ServeBatchWarmCache(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServeBatchWarmCache)->Args({40, 1})->Args({40, 4})->Args({80, 4});
+
+void BM_ServeColdMixedK(benchmark::State& state) {
+  constexpr int kShapes = 16;
+  EngineOptions engine_options;
+  engine_options.num_threads = 4;
+  Engine engine(engine_options);
+  TreeCatalog catalog;
+  Rng rng(404);
+  RandomTreeOptions tree_options;
+  tree_options.num_keys = 24;
+  tree_options.max_depth = 4;
+  tree_options.max_alternatives = 3;
+  std::vector<ServiceRequest> batch;
+  for (int t = 0; t < kShapes; ++t) {
+    const std::string name = "mixed" + std::to_string(t);
+    catalog.Insert(name, *RandomAndXorTree(tree_options, &rng)).ValueOrDie();
+    for (int k : {4, 8}) {
+      ServiceRequest request = TopKRequest(TopKMetric::kSymDiff);
+      request.tree_name = name;
+      request.k = k;
+      batch.push_back(request);
+    }
+  }
+  const int64_t folds_before = engine.obs_counters().rank_folds;
+  for (auto _ : state) {
+    // A fresh scheduler per iteration: every shape folds cold.
+    QueryScheduler scheduler(&engine, &catalog);
+    auto results = scheduler.ExecuteBatch(batch);
+    benchmark::DoNotOptimize(results);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(batch.size()));
+  state.counters["rank_folds"] = benchmark::Counter(
+      static_cast<double>(engine.obs_counters().rank_folds - folds_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ServeColdMixedK)->UseRealTime();
 
 // A catalog of many distinct small trees plus a request stream that cycles
 // through (tree, k) combinations — the key-churn traffic shape a long-lived

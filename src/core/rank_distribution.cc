@@ -46,6 +46,18 @@ int64_t RankDistribution::ApproxBytes() const {
          n * kMapNodeBytes + 2 * n * per_row;
 }
 
+RankDistribution RankDistribution::Prefix(int k) const {
+  // Rebuilding from the first k ranks of pr_eq_ reproduces both tables bit
+  // for bit: every cell was summed onto +0.0, so it is never -0.0 and adds
+  // back onto the builder's +0.0 unchanged, and Build sums pr_le_ in the
+  // same order.
+  RankDistributionBuilder builder(std::min(k, k_));
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    builder.AddRow(keys_[i], pr_eq_[i].data() + 1, k_);
+  }
+  return std::move(builder).Build();
+}
+
 void RankDistributionBuilder::EnsureKey(KeyId key) {
   auto [it, inserted] =
       dist_.key_index_.insert({key, static_cast<int>(dist_.keys_.size())});

@@ -66,6 +66,13 @@ class RankDistribution {
   /// both factors are stored.
   int64_t ApproxBytes() const;
 
+  /// \brief The distribution at cutoff min(k, this->k()), k < 0 read as 0
+  /// (as RankDistributionBuilder clamps): every key, its first k ranks.
+  /// Bitwise the fold at that cutoff (the prefix lemma under
+  /// RankDistributionScan), so a fold at the largest k serves every
+  /// smaller one. O(n (log n + k)).
+  RankDistribution Prefix(int k) const;
+
  private:
   friend class RankDistributionBuilder;
   int k_ = 0;
@@ -139,6 +146,21 @@ class RankDistributionBuilder {
 /// The score order splits into chunks at tie-group boundaries. Each chunk
 /// starts from its own base fold in its own scratch, so chunks run
 /// independently, on any thread, and no bit depends on how many there are.
+///
+/// Prefix lemma: the fold at cutoff k' <= k is bitwise the first k' ranks
+/// of the fold at k, i.e. RankDistribution::Prefix(k'). A row cell of
+/// x-degree c is the sum of the same terms in the same order at every
+/// truncation max_dx >= c: a XOR row scales and adds cell by cell, and
+/// ConvolveRowsTruncated adds a(ia, ja) * b(c - ia, jb) for ia = 0..c in
+/// ascending (ia, ja) order, reading only cells of x-degree <= c, and
+/// skips an all-zero a row by a test on that row alone. By induction over
+/// the ops, every cell of x-degree up to min(k', L) is bitwise equal, and
+/// those cells are all that rank i <= k' reads (coefficient x^{i-1}).
+/// Nothing else depends on k: the score order and the chunk boundaries
+/// follow the leaves and the chunk count, Build adds each rank's leaf
+/// contributions in leaf-table order, and PrRankLe's prefix sums run up
+/// from rank 1. The same argument is why truncating at min(k, L) above
+/// moves no bit.
 class RankDistributionScan {
  public:
   /// Orders `flat`'s leaves, splits them into at most `max_chunks` chunks

@@ -81,6 +81,7 @@ RankDistribution Engine::ComputeRankDistribution(
   // immutable FlatTree and the scan's row graph are shared read-only by one
   // score-order chunk per pool thread. Each chunk folds in its own scratch,
   // sized here on the calling thread, so no pool thread keeps fold rows.
+  rank_folds_.fetch_add(1, std::memory_order_relaxed);
   std::optional<FlatTree> owned;
   if (program == nullptr) owned.emplace(CompileCounted(tree));
   RankDistributionScan scan(program != nullptr ? *program : *owned, k,

@@ -101,14 +101,19 @@ int AdaptiveMcChunkSize(int num_samples, int num_threads);
 
 /// \brief Monotonic counters describing an engine's fold machinery — the
 /// observability surface the serving layer's `op=metrics` scrape re-exports
-/// (as cpdb_fold_compiles_total and cpdb_poly_arena_highwater_bytes). Plain
-/// counting, no clock reads: maintaining them costs a relaxed atomic add
-/// per compile and a CAS-max per fold unit, so they are always on.
+/// (as cpdb_fold_compiles_total, cpdb_rank_folds_total and
+/// cpdb_poly_arena_highwater_bytes). Plain counting, no clock reads:
+/// maintaining them costs a relaxed atomic add per compile or fold and a
+/// CAS-max per fold unit, so they are always on.
 struct EngineObsCounters {
   /// FlatTree::Compile calls this engine has paid (each is one O(N) pass
   /// over a tree; the serving caches exist to keep this flat under
   /// repeated traffic).
   int64_t fold_compiles = 0;
+  /// ComputeRankDistribution calls this engine has paid, the fold behind
+  /// every consensus Top-k query (the serving layer plans a batch to fold
+  /// each shape once, at its largest k).
+  int64_t rank_folds = 0;
   /// High-water mark of any single fold unit's PolyArena scratch
   /// capacity, in bytes — the peak per-thread working set of the flat
   /// fold (see poly/poly_arena.h). A gauge, not a counter: it only rises.
@@ -330,6 +335,7 @@ class Engine {
   EngineObsCounters obs_counters() const {
     EngineObsCounters counters;
     counters.fold_compiles = fold_compiles_.load(std::memory_order_relaxed);
+    counters.rank_folds = rank_folds_.load(std::memory_order_relaxed);
     counters.arena_highwater_bytes =
         arena_highwater_bytes_.load(std::memory_order_relaxed);
     return counters;
@@ -358,6 +364,7 @@ class Engine {
   // Observability counters (see obs_counters()); queries are logically
   // const, so the instruments they bump are mutable atomics.
   mutable std::atomic<int64_t> fold_compiles_{0};
+  mutable std::atomic<int64_t> rank_folds_{0};
   mutable std::atomic<int64_t> arena_highwater_bytes_{0};
 };
 

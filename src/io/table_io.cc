@@ -2,10 +2,12 @@
 
 #include "io/table_io.h"
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
@@ -32,6 +34,16 @@ bool ParseIntToken(const std::string& token, long long lo, long long hi,
   }
   *out = static_cast<int32_t>(value);
   return true;
+}
+
+// "<what><path>: <the errno text>", the message of a failed read or write.
+std::string IoErrorMessage(const char* what, const std::string& path,
+                           int err) {
+  std::string message = what;
+  message += path;
+  message += ": ";
+  message += std::strerror(err);
+  return message;
 }
 
 }  // namespace
@@ -130,17 +142,29 @@ Result<std::string> ReadFileToString(const std::string& path) {
   char buf[4096];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
+  // fread returns 0 at end of file and on error alike; a directory or a
+  // failing device must not read as a (truncated) file.
+  const int read_errno = std::ferror(f) ? errno : 0;
   std::fclose(f);
+  if (read_errno != 0) {
+    return Status::InvalidArgument(
+        IoErrorMessage("cannot read file: ", path, read_errno));
+  }
   return content;
 }
 
 Status WriteStringToFile(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::InvalidArgument("cannot open file: " + path);
-  size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) {
-    return Status::Internal("short write to " + path);
+  const bool wrote =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  const int write_errno = errno;
+  // The bytes may still sit in stdio's buffer: a full device reports only
+  // when fclose flushes them.
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed) {
+    return Status::Internal(IoErrorMessage("cannot write file: ", path,
+                                           wrote ? errno : write_errno));
   }
   return Status::OK();
 }

@@ -35,10 +35,13 @@ Result<std::vector<Block>> ParseBidTable(const std::string& text);
 /// \brief Formats blocks in the format accepted by ParseBidTable.
 std::string FormatBidTable(const std::vector<Block>& blocks);
 
-/// \brief Reads an entire file into a string.
+/// \brief Reads an entire file into a string. NotFound when the file cannot
+/// be opened; InvalidArgument naming the path when a read fails (a
+/// directory, an I/O error), never a truncated string.
 Result<std::string> ReadFileToString(const std::string& path);
 
-/// \brief Writes a string to a file (truncating).
+/// \brief Writes a string to a file (truncating). Internal naming the path
+/// when a write or the closing flush fails (a full device).
 Status WriteStringToFile(const std::string& path, const std::string& content);
 
 }  // namespace cpdb

@@ -166,6 +166,9 @@ Result<ServiceResponse> ExecuteTreeOp(OpHost& host, const CatalogEntry& entry,
   return SolveOp(spec, *host.engine(), entry, request, inputs, clk, timing);
 }
 
+// The rank_k of an op whose fetch reads no rank distribution.
+int NoRankK(const ServiceRequest&) { return 0; }
+
 // The fetch of an op that looks nothing up.
 OpInputs FetchNothing(OpHost&, const CatalogEntry&, const ServiceRequest&) {
   return OpInputs();
@@ -221,6 +224,17 @@ Status ParseTopK(const RequestLine& line, ServiceRequest* request) {
     CPDB_ASSIGN_OR_RETURN(request->answer, ParseTopKAnswerName(*answer));
   }
   return Status::OK();
+}
+
+// The gate GatedDistFor applies: a request that can only fail reads no
+// distribution.
+int TopKRankK(const ServiceRequest& request) {
+  return request.k >= 1 &&
+                 Engine::ValidateConsensusRequest(request.metric,
+                                                  request.answer)
+                     .ok()
+             ? request.k
+             : 0;
 }
 
 // The rank distribution, then the tail precompute the (metric, answer)
@@ -530,10 +544,19 @@ Status ParseBaseline(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
+bool BaselineReadsDist(const ServiceRequest& request) {
+  return request.baseline_method == "global" ||
+         request.baseline_method == "prf";
+}
+
+int BaselineRankK(const ServiceRequest& request) {
+  return BaselineReadsDist(request) ? request.k : 0;
+}
+
 OpInputs FetchBaseline(OpHost& host, const CatalogEntry& entry,
                        const ServiceRequest& request) {
   OpInputs inputs;
-  if (request.baseline_method == "global" || request.baseline_method == "prf") {
+  if (BaselineReadsDist(request)) {
     // The distribution-backed semantics share the consensus path's
     // (StructKey, k) cache entries: a baseline probe after a topk query
     // (or vice versa) pays the O(L^2 k) fold once.
@@ -646,6 +669,7 @@ OpRegistry::OpRegistry() {
     spec.batch_phase = kQueryPhase;
     spec.parse = ParseTopK;
     spec.fetch = FetchTopK;
+    spec.rank_k = TopKRankK;
     spec.solve = SolveTopK;
     spec.format = FormatTopK;
     add(spec);
@@ -658,6 +682,7 @@ OpRegistry::OpRegistry() {
     spec.batch_phase = kQueryPhase;
     spec.parse = ParseWorld;
     spec.fetch = FetchMarginals;
+    spec.rank_k = NoRankK;
     spec.solve = SolveWorld;
     spec.format = FormatWorld;
     add(spec);
@@ -692,6 +717,7 @@ OpRegistry::OpRegistry() {
     spec.batch_phase = kQueryPhase;
     spec.parse = ParseMarginals;
     spec.fetch = FetchMarginals;
+    spec.rank_k = NoRankK;
     spec.solve = SolveMarginals;
     spec.format = FormatMarginals;
     add(spec);
@@ -704,6 +730,7 @@ OpRegistry::OpRegistry() {
     spec.batch_phase = kQueryPhase;
     spec.parse = ParseAggregate;
     spec.fetch = FetchMarginals;
+    spec.rank_k = NoRankK;
     spec.solve = SolveAggregate;
     spec.format = FormatAggregate;
     add(spec);
@@ -716,6 +743,7 @@ OpRegistry::OpRegistry() {
     spec.batch_phase = kQueryPhase;
     spec.parse = ParseBaseline;
     spec.fetch = FetchBaseline;
+    spec.rank_k = BaselineRankK;
     spec.solve = SolveBaseline;
     spec.format = FormatBaseline;
     add(spec);
@@ -728,6 +756,7 @@ OpRegistry::OpRegistry() {
     spec.batch_phase = kQueryPhase;
     spec.parse = ParseHardness;
     spec.fetch = FetchNothing;
+    spec.rank_k = NoRankK;
     spec.solve = SolveHardness;
     spec.format = FormatHardness;
     add(spec);

@@ -96,7 +96,8 @@ class OpHost {
   /// The rank distribution for a *valid* consensus request, through the
   /// RankDistCache when enabled: nullptr when caching is off or the request
   /// can only fail (the engine rejects it before paying the fold, and the
-  /// cache must not be populated for it).
+  /// cache must not be populated for it). The topk row's rank_k hook is
+  /// that gate: 0 for a request that can only fail.
   virtual std::shared_ptr<const RankDistribution> GatedDistFor(
       const CatalogEntry& entry, const ServiceRequest& request) = 0;
 
@@ -188,6 +189,12 @@ struct OpSpec {
   /// dispatching thread, so each cache sees its lookups in slot order.
   OpInputs (*fetch)(OpHost& host, const CatalogEntry& entry,
                     const ServiceRequest& request) = nullptr;
+
+  /// kTreeAddressed only: the cutoff k at which `fetch` reads the
+  /// rank-distribution cache, or 0 when it reads none. The scheduler plans
+  /// a batch's folds from it: each shape folds once, at its largest k, and
+  /// every smaller k is served a prefix of that fold.
+  int (*rank_k)(const ServiceRequest& request) = nullptr;
 
   /// kTreeAddressed only: the engine work over the fetched inputs. Touches
   /// no cache and no catalog, so the scheduler fans the solves of a batch

@@ -122,6 +122,18 @@ void AccumulateCacheStats(CacheStats* total, const CacheStats& part) {
   total->evictions += part.evictions;
 }
 
+// One shape in a shard's fold plan for one batch: the largest k the
+// batch's fetches read the shape's rank distribution at, and a fold at that
+// k taken early for a smaller k's miss, waiting for k's own miss.
+struct PlannedShape {
+  int k = 0;
+  std::unique_ptr<RankDistribution> stash;
+};
+
+// A shard's fold plan for one batch. It lives in ExecuteSlots' frame, never
+// on the shard, since concurrent batches share shards.
+using FoldPlan = std::map<StructKey, PlannedShape>;
+
 }  // namespace
 
 // One shard's execution context: an engine and a catalog (owned, or
@@ -156,14 +168,43 @@ class QueryScheduler::Shard {
   /// a baseline probe and a Top-k query against one shape, share one fold
   /// — which runs over the catalog's canonical tree with its precompiled
   /// program, so a miss pays the O(L^2 k) fold but never a compile.
+  ///
+  /// With a batch's `plan`, each shape folds once, at its planned k: a miss
+  /// below it is a prefix (bitwise the direct fold, the prefix lemma in
+  /// core/rank_distribution.h) of, in order, the stashed fold, a resident
+  /// entry at the planned k, or a fresh fold at the planned k, which is
+  /// stashed; the planned k's own miss takes the stash over, so no second
+  /// copy stays alive. The cache sees exactly the lookups it would without
+  /// a plan.
   std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
-                                                      int k) {
-    auto fold = [this, &entry, k] {
-      return engine->ComputeRankDistribution(*entry.tree, k,
+                                                      int k, FoldPlan* plan) {
+    auto fold = [this, &entry](int at) {
+      return engine->ComputeRankDistribution(*entry.tree, at,
                                              entry.program.get());
     };
-    if (!use_cache) return std::make_shared<const RankDistribution>(fold());
-    return cache.GetOrCompute(entry.struct_key, k, fold);
+    if (!use_cache) return std::make_shared<const RankDistribution>(fold(k));
+    return cache.GetOrCompute(entry.struct_key, k, [&]() -> RankDistribution {
+      PlannedShape* shape = nullptr;
+      if (plan != nullptr) {
+        auto planned = plan->find(entry.struct_key);
+        if (planned != plan->end()) shape = &planned->second;
+      }
+      if (shape == nullptr) return fold(k);
+      if (k >= shape->k) {
+        if (shape->stash == nullptr || shape->stash->k() != k) return fold(k);
+        RankDistribution taken = std::move(*shape->stash);
+        shape->stash.reset();
+        return taken;
+      }
+      if (shape->stash == nullptr) {
+        if (std::shared_ptr<const RankDistribution> resident =
+                cache.Peek(entry.struct_key, shape->k)) {
+          return resident->Prefix(k);
+        }
+        shape->stash = std::make_unique<RankDistribution>(fold(shape->k));
+      }
+      return shape->stash->Prefix(k);
+    });
   }
 
   /// The leaf marginals for a tree-addressed request: through the
@@ -249,7 +290,8 @@ class QueryScheduler::Shard {
 // admin and load primitives on the front end.
 class QueryScheduler::Host : public OpHost {
  public:
-  Host(QueryScheduler* front, Shard* shard) : front_(front), shard_(shard) {}
+  Host(QueryScheduler* front, Shard* shard, FoldPlan* plan = nullptr)
+      : front_(front), shard_(shard), plan_(plan) {}
 
   const Engine* engine() const override { return shard_->engine; }
 
@@ -259,17 +301,14 @@ class QueryScheduler::Host : public OpHost {
   // populated for them.
   std::shared_ptr<const RankDistribution> GatedDistFor(
       const CatalogEntry& entry, const ServiceRequest& request) override {
-    if (!shard_->use_cache || request.k < 1 ||
-        !Engine::ValidateConsensusRequest(request.metric, request.answer)
-             .ok()) {
-      return nullptr;
-    }
-    return shard_->RankDistFor(entry, request.k);
+    const int k = OpRegistry::Get().spec(request.op).rank_k(request);
+    if (!shard_->use_cache || k == 0) return nullptr;
+    return RankDistFor(entry, k);
   }
 
   std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
                                                       int k) override {
-    return shard_->RankDistFor(entry, k);
+    return shard_->RankDistFor(entry, k, plan_);
   }
 
   std::shared_ptr<const std::vector<double>> MarginalsFor(
@@ -324,6 +363,7 @@ class QueryScheduler::Host : public OpHost {
  private:
   QueryScheduler* front_;
   Shard* shard_;
+  FoldPlan* plan_;
 };
 
 void QueryScheduler::Shard::ExecuteSlots(
@@ -332,7 +372,8 @@ void QueryScheduler::Shard::ExecuteSlots(
     std::vector<Result<ServiceResponse>>* responses,
     std::vector<ResponseTiming>* timings) {
   const OpRegistry& ops = OpRegistry::Get();
-  Host host(front, this);
+  FoldPlan plan;
+  Host host(front, this, &plan);
 
   // 1. Resolve every slot's tree; unknown names fail their slot only.
   std::vector<size_t> live;
@@ -349,7 +390,18 @@ void QueryScheduler::Shard::ExecuteSlots(
     entries.push_back(*std::move(entry));
   }
 
-  // 2. Fetch, in slot order on this thread: every slot's precomputes route
+  // 2. Plan: each shape's largest rank cutoff among the live slots, so a
+  // smaller cutoff's miss folds once, at it (RankDistFor).
+  for (size_t j = 0; j < live.size(); ++j) {
+    const ServiceRequest& request = requests[live[j]];
+    const int k = ops.spec(request.op).rank_k(request);
+    if (k > 0) {
+      int& planned = plan[entries[j].struct_key].k;
+      planned = std::max(planned, k);
+    }
+  }
+
+  // 3. Fetch, in slot order on this thread: every slot's precomputes route
   // through the StructKey-keyed caches, so the first request of each key
   // computes and the rest hit, within this batch and across batches alike.
   // A miss fans its own units across the pool, so no pool worker ever
@@ -362,7 +414,7 @@ void QueryScheduler::Shard::ExecuteSlots(
                               clk, &(*timings)[live[j]]);
   }
 
-  // 3. Solve: whole solves fan across the pool, each timed by its own fold
+  // 4. Solve: whole solves fan across the pool, each timed by its own fold
   // span. A slot is written by exactly one unit and every solve is
   // schedule-deterministic, so the answers are those of a sequential loop,
   // bitwise. Solves nest their own ParallelFor (the pool is nest-safe), so
@@ -407,6 +459,10 @@ MetricsSnapshot QueryScheduler::Shard::Metrics() const {
       "plus the engine's on-demand ones.",
       MetricSample::Kind::kCounter,
       engine_counters.fold_compiles + catalog->fold_compiles());
+  add("cpdb_rank_folds_total",
+      "Rank-distribution folds performed; a batch folds each shape once, at "
+      "its largest k.",
+      MetricSample::Kind::kCounter, engine_counters.rank_folds);
   add("cpdb_catalog_entries", "Names bound in the tree catalog.",
       MetricSample::Kind::kGauge, catalog_counts.names);
   add("cpdb_catalog_shapes",

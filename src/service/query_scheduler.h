@@ -26,8 +26,9 @@
 //      (StructKey, k), leaf marginals by StructKey, and the metric-tail
 //      precomputes (Kendall q matrices, symdiff median searches, expected
 //      ranks) by (StructKey, kind, k) — so queries sharing a structural
-//      key pay each precompute once. Then every slot's solve fans across
-//      the shard engine's pool;
+//      key pay each precompute once, and a batch folds each shape's rank
+//      distribution once, at its largest k, serving smaller k a prefix.
+//      Then every slot's solve fans across the shard engine's pool;
 //   3. the admin ops (stats, metrics) answer last with the shards' state
 //      merged: counters summed, registries merged bucket-wise.
 //
@@ -421,7 +422,8 @@ class QueryScheduler {
   /// (counters and gauges sum, histograms merge bucket-wise). Each shard
   /// contributes its registry's instruments plus the fold/arena counters
   /// (cpdb_fold_compiles_total counts the catalog's per-shape compiles
-  /// together with the engine's on-demand ones), the catalog's identity
+  /// together with the engine's on-demand ones, cpdb_rank_folds_total the
+  /// engine's rank-distribution folds), the catalog's identity
   /// gauges (cpdb_catalog_entries = bound names, cpdb_catalog_shapes =
   /// distinct structures), and the three caches' counters re-exported
   /// under cpdb_rankdist_cache_* / cpdb_marginals_cache_* /

@@ -892,6 +892,16 @@ TEST_F(CliTest, ServeSnapshotFlagHygiene) {
   EXPECT_EQ(unwritable.code, 1);
   EXPECT_NE(unwritable.err.find("catalog error: cannot save"),
             std::string::npos);
+
+  // So does a target whose write fails only at the closing flush.
+  std::FILE* probe = std::fopen("/dev/full", "wb");
+  if (probe == nullptr) return;
+  std::fclose(probe);
+  CliResult full =
+      RunCliArgs({"serve", requests_path, "--save-catalog=/dev/full"});
+  EXPECT_NE(full.code, 0);
+  EXPECT_NE(full.err.find("cannot write file: /dev/full"), std::string::npos)
+      << full.err;
 }
 
 TEST_F(CliTest, AggregateUsesLabels) {

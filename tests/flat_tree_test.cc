@@ -30,7 +30,7 @@
 #include "engine/engine.h"
 #include "oracle/fold_oracles.h"
 #include "oracle/generating_function.h"
-#include "poly/poly1.h"
+#include "oracle/poly1.h"
 #include "workload/generators.h"
 
 namespace cpdb {

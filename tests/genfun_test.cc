@@ -14,7 +14,7 @@
 #include "common/rng.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
-#include "poly/poly1.h"
+#include "oracle/poly1.h"
 #include "oracle/poly2.h"
 #include "workload/generators.h"
 

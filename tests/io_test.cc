@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -318,6 +319,31 @@ TEST(FileIoTest, WriteAndReadBack) {
   EXPECT_EQ(*content, "hello\nworld\n");
   EXPECT_EQ(ReadFileToString("/nonexistent/path").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(FileIoTest, ReadingADirectoryIsAnErrorNamingThePath) {
+  // fopen succeeds on a directory; only the read fails. It must not pass
+  // for an empty file (which a parser then reports at offset 0).
+  const std::string dir = ::testing::TempDir();
+  auto content = ReadFileToString(dir);
+  ASSERT_FALSE(content.ok());
+  EXPECT_EQ(content.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(content.status().message().find("cannot read file: " + dir),
+            std::string::npos)
+      << content.status().ToString();
+}
+
+TEST(FileIoTest, WriteToAFullDeviceIsAnErrorNamingThePath) {
+  // /dev/full accepts the buffered fwrite and fails the flush at fclose.
+  std::FILE* probe = std::fopen("/dev/full", "wb");
+  if (probe == nullptr) GTEST_SKIP() << "no /dev/full on this platform";
+  std::fclose(probe);
+  Status status = WriteStringToFile("/dev/full", "some bytes\n");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("cannot write file: /dev/full"),
+            std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

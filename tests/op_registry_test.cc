@@ -228,18 +228,43 @@ TEST(OpRegistryTest, TableIndexIsTheOpEnumAndNamesRoundTrip) {
   }
   EXPECT_EQ(registry.FindByName("frobnicate"), nullptr);
   // Every spec is fully wired: a parse, a formatter, and the hooks of its
-  // routing class — fetch + solve (and the shared execute_tree) for a
-  // tree-addressed op, one execute_admin for an admin op.
+  // routing class — fetch + rank_k + solve (and the shared execute_tree)
+  // for a tree-addressed op, one execute_admin for an admin op.
   for (const OpSpec& spec : registry.specs()) {
     EXPECT_NE(spec.parse, nullptr) << spec.name;
     EXPECT_NE(spec.format, nullptr) << spec.name;
     const bool tree = spec.routing == OpRouting::kTreeAddressed;
     EXPECT_EQ(spec.fetch != nullptr, tree) << spec.name;
+    EXPECT_EQ(spec.rank_k != nullptr, tree) << spec.name;
     EXPECT_EQ(spec.solve != nullptr, tree) << spec.name;
     EXPECT_EQ(spec.execute_tree != nullptr, tree) << spec.name;
     EXPECT_EQ(spec.execute_admin != nullptr,
               spec.routing == OpRouting::kAdmin)
         << spec.name;
+  }
+}
+
+TEST(OpRegistryTest, RankKNamesTheCutoffEachFetchReads) {
+  // The fold plan's input: the k at which a fetch reads the
+  // rank-distribution cache, 0 when it reads none. topk's is the gate
+  // GatedDistFor applies, so a request that can only fail plans nothing.
+  const OpRegistry& registry = OpRegistry::Get();
+  auto rank_k = [&](const std::string& text) {
+    Result<RequestLine> line = ParseRequestLine(text);
+    EXPECT_TRUE(line.ok()) << text;
+    Result<ServiceRequest> request = ServiceRequestFromLine(*line);
+    EXPECT_TRUE(request.ok()) << text;
+    return registry.spec(request->op).rank_k(*request);
+  };
+  EXPECT_EQ(rank_k("op=topk tree=t k=6 metric=footrule"), 6);
+  EXPECT_EQ(rank_k("op=topk tree=t k=6 metric=kendall answer=median"), 0);
+  EXPECT_EQ(rank_k("op=baseline tree=t k=5 method=global"), 5);
+  EXPECT_EQ(rank_k("op=baseline tree=t k=5 method=prf"), 5);
+  EXPECT_EQ(rank_k("op=baseline tree=t k=5 method=erank"), 0);
+  EXPECT_EQ(rank_k("op=baseline tree=t k=5 method=escore"), 0);
+  for (const char* text : {"op=world tree=t", "op=marginals tree=t",
+                           "op=aggregate tree=t", "op=hardness tree=t"}) {
+    EXPECT_EQ(rank_k(text), 0) << text;
   }
 }
 

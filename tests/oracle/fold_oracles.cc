@@ -7,7 +7,7 @@
 
 #include "oracle/generating_function.h"
 #include "oracle/poly2.h"
-#include "poly/poly1.h"
+#include "oracle/poly1.h"
 
 namespace cpdb {
 

@@ -1,6 +1,6 @@
 // Copyright 2026 The ConsensusDB Authors
 
-#include "poly/poly1.h"
+#include "oracle/poly1.h"
 
 #include "poly/poly_arena.h"
 

@@ -1,14 +1,15 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// Dense univariate polynomials with degree truncation. These are the
-// workhorse of the generating-function method of Section 3.3 of the paper:
-// the coefficient of x^i in the tree's generating function equals the total
-// probability of the possible worlds with exactly i leaves tagged x
-// (Theorem 1). Truncation makes every query output-sensitive: a Top-k
-// computation only ever needs degrees 0..k.
+// Dense univariate polynomials with degree truncation, the one-variable
+// polynomial type of the pointer-fold oracles for the generating-function
+// method of Section 3.3 of the paper (the library folds over FlatTree rows
+// instead): the coefficient of x^i in the tree's generating function
+// equals the total probability of the possible worlds with exactly i
+// leaves tagged x (Theorem 1). Truncation makes every query
+// output-sensitive: a Top-k computation only ever needs degrees 0..k.
 
-#ifndef CPDB_POLY_POLY1_H_
-#define CPDB_POLY_POLY1_H_
+#ifndef CPDB_ORACLE_POLY1_H_
+#define CPDB_ORACLE_POLY1_H_
 
 #include <cstddef>
 #include <string>
@@ -89,4 +90,4 @@ class Poly1 {
 
 }  // namespace cpdb
 
-#endif  // CPDB_POLY_POLY1_H_
+#endif  // CPDB_ORACLE_POLY1_H_

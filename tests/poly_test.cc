@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "oracle/poly2.h"
-#include "poly/poly1.h"
+#include "oracle/poly1.h"
 #include "poly/poly_arena.h"
 
 namespace cpdb {

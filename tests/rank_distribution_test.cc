@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,6 +240,97 @@ TEST(RankDistributionScanTest, TiesAndChunkBoundariesBitwiseEqualPointerFold) {
   ASSERT_TRUE(tree.Validate().ok());
   check(tree, {1, 10, 40}, "bid 150");
   EXPECT_GT(multi_chunk_scans, 0);
+}
+
+// Asserts `prefix` is bitwise `direct`: the same keys, cutoff and charge,
+// and every rank statistic.
+void ExpectBitwiseEqual(const RankDistribution& prefix,
+                        const RankDistribution& direct,
+                        const std::string& label) {
+  ASSERT_EQ(prefix.keys(), direct.keys()) << label;
+  ASSERT_EQ(prefix.k(), direct.k()) << label;
+  ASSERT_EQ(prefix.ApproxBytes(), direct.ApproxBytes()) << label;
+  for (KeyId key : direct.keys()) {
+    // Ranks 0 and k + 1 probe the accessors' edges.
+    for (int i = 0; i <= direct.k() + 1; ++i) {
+      ASSERT_EQ(prefix.PrRankEq(key, i), direct.PrRankEq(key, i))
+          << label << " key " << key << " rank " << i;
+      ASSERT_EQ(prefix.PrRankLe(key, i), direct.PrRankLe(key, i))
+          << label << " key " << key << " rank " << i;
+    }
+    ASSERT_EQ(prefix.PrTopK(key), direct.PrTopK(key)) << label;
+  }
+}
+
+TEST(RankDistributionTest, PrefixOfLargerFoldBitwiseEqualsDirectFold) {
+  // The prefix lemma (core/rank_distribution.h): the first k' ranks of a
+  // fold at k are the fold at k', bit for bit, whatever the tree, the ties
+  // or the thread count. Tree sizes from a few leaves to over a hundred put
+  // L on both sides of k' and k, so the min(k, L) truncation is crossed
+  // too.
+  Rng rng(4242);
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (int threads : {1, 4}) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    engines.push_back(std::make_unique<Engine>(opts));
+  }
+  int trees = 0;
+  for (int t = 0; t < 24; ++t) {
+    RandomTreeOptions opts;
+    opts.num_keys = static_cast<int>(rng.UniformInt(2, 40));
+    opts.max_depth = static_cast<int>(rng.UniformInt(1, 4));
+    opts.max_alternatives = static_cast<int>(rng.UniformInt(1, 4));
+    for (int shape = 0; shape < 2; ++shape) {
+      Result<AndXorTree> base =
+          shape == 0 ? RandomAndXorTree(opts, &rng) : RandomBid(opts, &rng);
+      ASSERT_TRUE(base.ok());
+      AndXorTree tree;
+      // Every other tree redraws its scores from a small pool for ties.
+      tree.SetRoot(t % 2 == 0 ? CopyWithPooledScores(*base, base->root(), 5,
+                                                     &rng, &tree)
+                              : CopyWithPooledScores(*base, base->root(),
+                                                     1 << 30, &rng, &tree));
+      ASSERT_TRUE(tree.Validate().ok());
+      ++trees;
+      for (size_t e = 0; e < engines.size(); ++e) {
+        for (int k : {8, 20, 40}) {
+          const RankDistribution full =
+              engines[e]->ComputeRankDistribution(tree, k);
+          for (int k_small : {1, 3, 4, 7}) {
+            ExpectBitwiseEqual(
+                full.Prefix(k_small),
+                engines[e]->ComputeRankDistribution(tree, k_small),
+                "tree " + std::to_string(t) + " shape " +
+                    std::to_string(shape) + " engine " + std::to_string(e) +
+                    " k " + std::to_string(k) + " k' " +
+                    std::to_string(k_small));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(trees, 48);
+}
+
+TEST(RankDistributionTest, PrefixClampsItsCutoff) {
+  Rng rng(17);
+  RandomTreeOptions opts;
+  opts.num_keys = 12;
+  Result<AndXorTree> tree = RandomBid(opts, &rng);
+  ASSERT_TRUE(tree.ok());
+  const RankDistribution dist = ComputeRankDistribution(*tree, 5);
+  // At or above the cutoff, a copy.
+  for (int k : {5, 6, 1000}) {
+    ExpectBitwiseEqual(dist.Prefix(k), dist, "k " + std::to_string(k));
+  }
+  // At or below zero, every key and no ranks: the fold at k = 0.
+  const RankDistribution none = ComputeRankDistribution(*tree, 0);
+  ASSERT_EQ(none.k(), 0);
+  ASSERT_EQ(none.keys(), dist.keys());
+  for (int k : {0, -1, -7}) {
+    ExpectBitwiseEqual(dist.Prefix(k), none, "k " + std::to_string(k));
+  }
 }
 
 TEST(RankDistributionTest, RowMassAccounting) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -536,6 +537,175 @@ TEST_F(QuerySchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.hits + stats.misses + stats.coalesced,
             3 * (kThreads * kRounds + 1));
+}
+
+// ---------------------------------------------------------------------------
+// QueryScheduler — the per-batch fold plan
+// ---------------------------------------------------------------------------
+
+ServiceRequest BaselineRequest(const std::string& tree, int k,
+                               const std::string& method) {
+  ServiceRequest request;
+  request.op = ServiceRequest::Op::kBaseline;
+  request.tree_name = tree;
+  request.k = k;
+  request.baseline_method = method;
+  return request;
+}
+
+// Every shape read at two cutoffs in one batch: topk k=4, topk k=8,
+// baseline global k=8 and prf k=4.
+std::vector<ServiceRequest> MixedKRequests(
+    const std::vector<std::string>& trees) {
+  std::vector<ServiceRequest> requests;
+  for (const std::string& tree : trees) {
+    ServiceRequest small;
+    small.op = ServiceRequest::Op::kTopK;
+    small.tree_name = tree;
+    small.k = 4;
+    small.metric = TopKMetric::kSymDiff;
+    requests.push_back(small);
+    ServiceRequest large = small;
+    large.k = 8;
+    large.metric = TopKMetric::kFootrule;
+    requests.push_back(large);
+    requests.push_back(BaselineRequest(tree, 8, "global"));
+    requests.push_back(BaselineRequest(tree, 4, "prf"));
+  }
+  return requests;
+}
+
+// The response as its wire line.
+std::string WireLine(const Result<ServiceResponse>& response) {
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  if (!response.ok()) return "";
+  return FormatResponseLine(ResponseToFields(*response));
+}
+
+int64_t RankFolds(const QueryScheduler& scheduler) {
+  return scheduler.MetricsSnapshotNow().Find("cpdb_rank_folds_total")->value;
+}
+
+// A batch folds each shape once, at its largest k, and serves the smaller
+// k a bitwise prefix: the answers and the stats line equal those of the
+// same requests sent one per batch, which fold once per (shape, k).
+TEST(FoldPlanTest, OneFoldPerShapePerBatchAtItsLargestK) {
+  std::vector<std::string> names;
+  std::vector<AndXorTree> trees;
+  for (int t = 0; t < 6; ++t) {
+    names.push_back("s" + std::to_string(t));
+    trees.push_back(RandomDeepTree(700 + static_cast<uint64_t>(t), 10));
+  }
+  std::vector<ServiceRequest> batch = MixedKRequests(names);
+  batch.emplace_back();
+  batch.back().op = ServiceRequest::Op::kStats;
+  for (int shards : {1, 4}) {
+    EngineOptions engine_options;
+    engine_options.num_threads = 2;
+    QueryScheduler batched(shards, engine_options);
+    QueryScheduler one_by_one(shards, engine_options);
+    for (size_t t = 0; t < trees.size(); ++t) {
+      ASSERT_TRUE(batched.Insert(names[t], trees[t]).ok());
+      ASSERT_TRUE(one_by_one.Insert(names[t], trees[t]).ok());
+    }
+    const auto together = batched.ExecuteBatch(batch);
+    EXPECT_EQ(RankFolds(batched), static_cast<int64_t>(trees.size()))
+        << shards << " shards";
+
+    std::vector<Result<ServiceResponse>> apart;
+    for (const ServiceRequest& request : batch) {
+      apart.push_back(one_by_one.ExecuteOne(request));
+    }
+    EXPECT_EQ(RankFolds(one_by_one), 2 * static_cast<int64_t>(trees.size()))
+        << shards << " shards";
+    ASSERT_EQ(together.size(), apart.size());
+    for (size_t i = 0; i < together.size(); ++i) {
+      EXPECT_EQ(WireLine(together[i]), WireLine(apart[i]))
+          << shards << " shards, slot " << i;
+    }
+  }
+}
+
+// A warm batch whose (shape, 8) entry is resident serves k=4 from it: a
+// cache miss at 4, answered by a prefix of the resident entry, no fold.
+TEST_F(QuerySchedulerTest, ResidentLargerKServesASmallerKWithoutAFold) {
+  Engine engine;
+  QueryScheduler scheduler(&engine, &catalog_);
+  QueryScheduler uncached(&engine, &catalog_, [] {
+    SchedulerOptions options;
+    options.use_cache = false;
+    return options;
+  }());
+  const std::vector<ServiceRequest> warm = {
+      TopKRequest("deep", 8, TopKMetric::kSymDiff)};
+  ASSERT_TRUE(scheduler.ExecuteBatch(warm)[0].ok());
+  ASSERT_EQ(RankFolds(scheduler), 1);
+
+  const std::vector<ServiceRequest> batch = {
+      TopKRequest("deep", 4, TopKMetric::kIntersection),
+      TopKRequest("deep", 8, TopKMetric::kFootrule),
+      BaselineRequest("deep", 3, "prf")};
+  const auto served = scheduler.ExecuteBatch(batch);
+  EXPECT_EQ(RankFolds(scheduler), 1);
+  const CacheStats stats = scheduler.cache_stats();
+  EXPECT_EQ(stats.misses, 3);  // 8 cold, then 4 and 3 warm
+  EXPECT_EQ(stats.hits, 1);
+  const auto reference = uncached.ExecuteBatch(batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(WireLine(served[i]), WireLine(reference[i])) << "slot " << i;
+  }
+}
+
+// The plan and its stash live in each ExecuteSlots call, not on the shard:
+// two threads batch over overlapping shapes at mixed k through one
+// scheduler, each from a cold cache, and every answer must be bitwise the
+// sequential reference's. TSan watches the plan's state.
+TEST_F(QuerySchedulerTest, ConcurrentBatchesPlanTheirOwnFolds) {
+  std::vector<std::string> names;
+  for (int t = 0; t < 5; ++t) {
+    names.push_back("p" + std::to_string(t));
+    ASSERT_TRUE(
+        catalog_.Insert(names.back(), RandomDeepTree(900 + t, 9)).ok());
+  }
+  // Thread 0 reads p0..p3, thread 1 p1..p4, each at 4 and 8 and in its
+  // own order.
+  std::vector<std::vector<ServiceRequest>> batches(2);
+  batches[0] = MixedKRequests({names[0], names[1], names[2], names[3]});
+  batches[1] = MixedKRequests({names[4], names[3], names[2], names[1]});
+  std::reverse(batches[1].begin(), batches[1].end());
+
+  Engine engine;
+  SchedulerOptions off;
+  off.use_cache = false;
+  QueryScheduler sequential(&engine, &catalog_, off);
+  std::vector<std::vector<std::string>> reference(2);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    for (const auto& response : sequential.ExecuteBatch(batches[b])) {
+      reference[b].push_back(WireLine(response));
+    }
+  }
+
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  Engine shared_engine(engine_options);
+  for (int round = 0; round < 4; ++round) {
+    QueryScheduler scheduler(&shared_engine, &catalog_);
+    std::vector<std::vector<Result<ServiceResponse>>> observed(2);
+    std::vector<std::thread> workers;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      workers.emplace_back([&, b] {
+        observed[b] = scheduler.ExecuteBatch(batches[b]);
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+    for (size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_EQ(observed[b].size(), reference[b].size());
+      for (size_t i = 0; i < observed[b].size(); ++i) {
+        EXPECT_EQ(WireLine(observed[b][i]), reference[b][i])
+            << "round " << round << " batch " << b << " slot " << i;
+      }
+    }
+  }
 }
 
 // Loads apply before queries in the same batch, both input formats work,

@@ -3,11 +3,12 @@
 #
 # Every generating-function statistic in cpdb runs on the compiled FlatTree
 # fold (src/model/flat_tree.h). The pointer-tree fold (EvalGeneratingFunction
-# and its Poly2 type) and the oracle-only statistics live in tests/oracle/,
-# linked into the test and bench binaries alone, so the differential suites
-# keep an independent reference. This script fails the build when production
+# and its Poly1/Poly2 types) and the oracle-only statistics live in
+# tests/oracle/, linked into the test and bench binaries alone, so the
+# differential suites keep an independent reference. This script fails the build when production
 # code (src/ and tools/) reaches back for them:
-#   * an #include of an oracle/ header, generating_function.h or poly2.h;
+#   * an #include of an oracle/ header, generating_function.h, poly1.h or
+#     poly2.h;
 #   * an EvalGeneratingFunction< instantiation (the pointer-fold template;
 #     FlatTree::EvalGeneratingFunction is not a template);
 #   * a *Pointer( function — the naming convention of the pointer-fold
@@ -23,7 +24,7 @@ set -eu
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
 
-include_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]([^">]*/)?(oracle/[^">]*|generating_function\.h|poly2\.h)[">]'
+include_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]([^">]*/)?(oracle/[^">]*|generating_function\.h|poly[12]\.h)[">]'
 template_pattern='EvalGeneratingFunction[[:space:]]*<'
 pointer_pattern='[A-Za-z0-9_]Pointer[[:space:]]*\('
 per_leaf_pattern='LeafRankContribution[[:space:]]*\('
