@@ -59,7 +59,8 @@
 //
 //   BM_TreeLoad — ParseTree + TreeCatalog::ComputeIdentity of one tree's
 //       text: arg 0 is a cold_batch deep shape (~100 leaves), arg 1 a
-//       heavy_sharded shape (~44 leaves). Each load validates once,
+//       heavy_sharded shape (~44 leaves), arg 2 a cold_batch wide shape
+//       (64 keys, depth 2, ~165 leaves). Each load validates once,
 //       serializes once and canonicalizes in one walk.
 //   BM_SnapshotDecode — DecodeCatalogSnapshot of 256 heavy_sharded-shaped
 //       tree records, the bulk of `serve --catalog` set-up.
@@ -735,17 +736,22 @@ void BM_ServeDedupedCatalog(benchmark::State& state) {
 BENCHMARK(BM_ServeDedupedCatalog)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // A random tree with a leaf count in [min_leaves, max_leaves], drawn like
-// perfbench's workload shapes: arg 0 = cold_batch deep, 1 = heavy_sharded.
+// perfbench's workload shapes: arg 0 = cold_batch deep, 1 = heavy_sharded,
+// 2 = cold_batch wide.
 AndXorTree LoadShape(int shape, Rng* rng) {
+  struct Shape {
+    int num_keys, max_depth, max_alternatives, min_leaves, max_leaves;
+  };
+  constexpr Shape kShapes[] = {
+      {24, 5, 2, 100, 110}, {12, 3, 2, 42, 45}, {64, 2, 3, 160, 170}};
+  const Shape& s = kShapes[shape];
   RandomTreeOptions opts;
-  opts.num_keys = shape == 0 ? 24 : 12;
-  opts.max_depth = shape == 0 ? 5 : 3;
-  opts.max_alternatives = 2;
-  const int min_leaves = shape == 0 ? 100 : 42;
-  const int max_leaves = shape == 0 ? 110 : 45;
+  opts.num_keys = s.num_keys;
+  opts.max_depth = s.max_depth;
+  opts.max_alternatives = s.max_alternatives;
   while (true) {
     AndXorTree tree = *RandomAndXorTree(opts, rng);
-    if (tree.NumLeaves() >= min_leaves && tree.NumLeaves() <= max_leaves) {
+    if (tree.NumLeaves() >= s.min_leaves && tree.NumLeaves() <= s.max_leaves) {
       return tree;
     }
   }
@@ -756,13 +762,15 @@ void BM_TreeLoad(benchmark::State& state) {
   const std::string text =
       FormatTree(LoadShape(static_cast<int>(state.range(0)), &rng));
   for (auto _ : state) {
+    // The parsed tree moves into ComputeIdentity, as on serve's load path.
     TreeIdentity identity =
-        TreeCatalog::ComputeIdentity(*ParseTree(text)).ValueOrDie();
+        TreeCatalog::ComputeIdentity(ParseTree(text).ValueOrDie())
+            .ValueOrDie();
     benchmark::DoNotOptimize(identity);
   }
   state.counters["bytes"] = static_cast<double>(text.size());
 }
-BENCHMARK(BM_TreeLoad)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TreeLoad)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_SnapshotDecode(benchmark::State& state) {
   constexpr int kRecords = 256;

@@ -14,11 +14,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace cpdb {
 
 /// \brief FNV-1a offset basis: the hash of the empty byte string.
 inline constexpr uint64_t kFnv1a64OffsetBasis = 0xcbf29ce484222325ULL;
+
+/// \brief The 64-bit FNV prime each byte step multiplies by.
+inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ULL;
 
 /// \brief 64-bit FNV-1a over a byte range, starting from `seed` (the offset
 /// basis by default). Passing a previous hash as `seed` chains ranges:
@@ -27,14 +31,29 @@ inline constexpr uint64_t kFnv1a64OffsetBasis = 0xcbf29ce484222325ULL;
 inline uint64_t Fnv1a64(const void* data, size_t len,
                         uint64_t seed = kFnv1a64OffsetBasis) {
   // FNV-1a: xor the byte in, then multiply by the 64-bit FNV prime.
-  constexpr uint64_t kPrime = 0x100000001b3ULL;
   uint64_t hash = seed;
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < len; ++i) {
     hash ^= static_cast<uint64_t>(bytes[i]);
-    hash *= kPrime;
+    hash *= kFnv1a64Prime;
   }
   return hash;
+}
+
+/// \brief {Fnv1a64(a, len), Fnv1a64(b, len)} in one loop over two
+/// equal-length byte ranges. The two multiply chains are independent, so
+/// they overlap in the pipeline instead of running back to back.
+inline std::pair<uint64_t, uint64_t> Fnv1a64Pair(const void* a, const void* b,
+                                                 size_t len) {
+  uint64_t hash_a = kFnv1a64OffsetBasis;
+  uint64_t hash_b = kFnv1a64OffsetBasis;
+  const unsigned char* bytes_a = static_cast<const unsigned char*>(a);
+  const unsigned char* bytes_b = static_cast<const unsigned char*>(b);
+  for (size_t i = 0; i < len; ++i) {
+    hash_a = (hash_a ^ static_cast<uint64_t>(bytes_a[i])) * kFnv1a64Prime;
+    hash_b = (hash_b ^ static_cast<uint64_t>(bytes_b[i])) * kFnv1a64Prime;
+  }
+  return {hash_a, hash_b};
 }
 
 /// \brief 64-bit FNV-1a of a string's bytes.

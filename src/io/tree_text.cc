@@ -86,11 +86,22 @@ class Parser {
   }
 
   Result<double> ParseDouble(std::string_view s) {
-    // strtod needs a NUL-terminated string: the atom is copied into a
-    // reused buffer (an embedded NUL still ends the number).
+    // Fast path: from_chars' grammar is a subset of strtod's and both round
+    // correctly, so a finite conversion of the whole atom is exactly the
+    // value strtod would give, without the copy.
+    double v = 0.0;
+    const char* const atom_end = s.data() + s.size();
+    const std::from_chars_result r = std::from_chars(s.data(), atom_end, v);
+    if (r.ec == std::errc() && r.ptr == atom_end && std::isfinite(v)) {
+      return v;
+    }
+    // Everything else ('+', hex, underflow, overflow, inf/nan, garbage)
+    // takes strtod, which decides acceptance and the error text. strtod
+    // needs a NUL-terminated string: the atom is copied into a reused buffer
+    // (an embedded NUL still ends the number).
     number_.assign(s.data(), s.size());
     char* end = nullptr;
-    double v = std::strtod(number_.c_str(), &end);
+    v = std::strtod(number_.c_str(), &end);
     if (end == nullptr || *end != '\0' || end == number_.c_str()) {
       return Err("expected a number, got '" + number_ + "'");
     }
@@ -106,15 +117,16 @@ class Parser {
     return v;
   }
 
-  // A leaf's key or label: the number must be an integer in [lo, hi], so it
-  // converts to int32_t exactly instead of being truncated or wrapped.
-  Result<int32_t> ParseLeafInt(std::string_view name, double v, double lo,
-                               double hi) const {
+  // A leaf's key or label: the number `v` parsed from `atom` must be an
+  // integer in [lo, hi], so it converts to int32_t exactly instead of being
+  // truncated or wrapped.
+  Result<int32_t> ParseLeafInt(std::string_view name, std::string_view atom,
+                               double v, double lo, double hi) const {
     if (v != std::trunc(v) || v < lo || v > hi) {
       return Err("leaf " + std::string(name) + " must be an integer in [" +
                  std::to_string(static_cast<int64_t>(lo)) + ", " +
                  std::to_string(static_cast<int64_t>(hi)) + "], got '" +
-                 number_ + "'");
+                 std::string(atom) + "'");
     }
     return static_cast<int32_t>(v);
   }
@@ -151,6 +163,8 @@ class Parser {
     constexpr double kInt32Max = std::numeric_limits<int32_t>::max();
     TupleAlternative alt;
     bool have_key = false;
+    bool have_score = false;
+    bool have_label = false;
     while (cur_.kind == Token::kAtom) {
       const std::string_view a = cur_.text;
       size_t eq = a.find('=');
@@ -158,18 +172,28 @@ class Parser {
         return Err("expected attr=value in leaf");
       }
       const std::string_view name = a.substr(0, eq);
-      CPDB_ASSIGN_OR_RETURN(double v, ParseDouble(a.substr(eq + 1)));
+      const std::string_view atom = a.substr(eq + 1);
+      CPDB_ASSIGN_OR_RETURN(double v, ParseDouble(atom));
+      bool* seen = nullptr;
       if (name == "key") {
-        CPDB_ASSIGN_OR_RETURN(alt.key,
-                              ParseLeafInt(name, v, kInt32Min, kInt32Max));
-        have_key = true;
+        seen = &have_key;
+        CPDB_ASSIGN_OR_RETURN(
+            alt.key, ParseLeafInt(name, atom, v, kInt32Min, kInt32Max));
       } else if (name == "score") {
+        seen = &have_score;
         alt.score = v;
       } else if (name == "label") {
-        CPDB_ASSIGN_OR_RETURN(alt.label, ParseLeafInt(name, v, 0, kInt32Max));
+        seen = &have_label;
+        CPDB_ASSIGN_OR_RETURN(alt.label,
+                              ParseLeafInt(name, atom, v, 0, kInt32Max));
       } else {
         return Err("unknown leaf attribute '" + std::string(name) + "'");
       }
+      if (*seen) {
+        return Err("leaf attribute '" + std::string(name) +
+                   "' appears more than once");
+      }
+      *seen = true;
       Advance();
     }
     if (!have_key) return Err("leaf missing key attribute");
@@ -226,7 +250,7 @@ class Parser {
   Lexer lexer_;
   Token cur_{Token::kEnd, {}, 0};
   int depth_ = 0;
-  std::string number_;  // NUL-terminated copy of the atom being parsed
+  std::string number_;  // strtod's NUL-terminated copy of the atom
   std::vector<NodeId> child_stack_;
   std::vector<double> prob_stack_;
 };

@@ -11,8 +11,11 @@
 // Example:  (and (xor 0.3 (leaf key=1 score=8) 0.5 (leaf key=1 score=2))
 //                (xor 0.9 (leaf key=2 score=5)))
 //
-// Numbers are strtod's grammar minus non-finite values; a key must be an
-// integer in the int32 range and a label an integer in [0, INT32_MAX].
+// Numbers are strtod's grammar minus non-finite values, converted by a
+// std::from_chars fast path that falls back to strtod wherever the two
+// could differ, so every accepted spelling gives strtod's bits. A key must
+// be an integer in the int32 range and a label an integer in
+// [0, INT32_MAX]. Each leaf attribute appears at most once.
 
 #ifndef CPDB_IO_TREE_TEXT_H_
 #define CPDB_IO_TREE_TEXT_H_

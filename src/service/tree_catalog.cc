@@ -2,6 +2,7 @@
 
 #include "service/tree_catalog.h"
 
+#include <cassert>
 #include <utility>
 
 #include "io/tree_text.h"
@@ -16,17 +17,25 @@ Result<TreeIdentity> TreeCatalog::ComputeIdentity(AndXorTree tree) {
   // The single-line serialization, not the user's input text: formatting
   // differences must not split identical trees into distinct fingerprints.
   identity.content = FormatTree(tree, /*indent=*/false);
-  identity.content_fp = ContentFp(Fnv1a64(identity.content));
   CPDB_ASSIGN_OR_RETURN(CanonicalForm canonical,
                         CanonicalizeValidated(std::move(tree),
                                               identity.content));
   identity.canonical_bytes = std::move(canonical.bytes);
   // An input already in canonical orientation hashes the same bytes twice;
-  // the compare is far cheaper than the byte-serial hash.
-  identity.struct_key = StructKey(
-      identity.canonical_bytes == identity.content
-          ? identity.content_fp.value()
-          : Fnv1a64(identity.canonical_bytes));
+  // the compare is far cheaper than the byte-serial hash. Otherwise the
+  // canonical bytes are the content's tokens in another order, so the two
+  // strings have equal length and one interleaved pass hashes both.
+  if (identity.canonical_bytes == identity.content) {
+    identity.content_fp = ContentFp(Fnv1a64(identity.content));
+    identity.struct_key = StructKey(identity.content_fp.value());
+  } else {
+    assert(identity.canonical_bytes.size() == identity.content.size());
+    const auto [content_fp, struct_key] =
+        Fnv1a64Pair(identity.content.data(), identity.canonical_bytes.data(),
+                    identity.content.size());
+    identity.content_fp = ContentFp(content_fp);
+    identity.struct_key = StructKey(struct_key);
+  }
   identity.canonical_tree =
       std::make_shared<const AndXorTree>(std::move(canonical.tree));
   return identity;

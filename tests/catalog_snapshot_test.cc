@@ -38,6 +38,7 @@
 #include "model/canonical.h"
 #include "service/query_scheduler.h"
 #include "service/tree_catalog.h"
+#include "strtod_reference.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -199,6 +200,23 @@ void ExpectRejected(const std::string& bytes, StatusCode code,
   EXPECT_EQ(catalog.size(), 1u);
   EXPECT_EQ(scheduler.cache_stats().entries, before.entries);
   EXPECT_EQ(scheduler.cache_stats().bytes, before.bytes);
+}
+
+// Every number token the test snapshots carry parses to the bits strtod
+// gives it (tests/strtod_reference.h).
+TEST(CatalogSnapshotNumberTest, EveryNumberTokenParsesLikeStrtod) {
+  for (bool with_dists : {false, true}) {
+    const std::string bytes = ValidBytes(with_dists);
+    Result<CatalogSnapshot> decoded =
+        DecodeCatalogSnapshot(bytes.data(), bytes.size());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_FALSE(decoded->trees.empty());
+    for (const SnapshotTree& record : decoded->trees) {
+      for (const std::string& token : NumberTokens(record.content)) {
+        EXPECT_TRUE(ParsesLikeStrtod(token)) << record.name;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

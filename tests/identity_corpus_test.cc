@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "model/and_xor_tree.h"
 #include "model/canonical.h"
 #include "service/tree_catalog.h"
+#include "strtod_reference.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -241,6 +243,28 @@ TEST(IdentityCorpusTest, IdentitiesMatchGoldenDigests) {
       digest = HashU64(digest, canonical_fp);
     }
     EXPECT_EQ(HashToHex(digest), golden[c].second) << corpus[c].name;
+  }
+}
+
+// Every number token of the corpus, in content and canonical bytes, parses
+// to the bits strtod gives it (tests/strtod_reference.h).
+TEST(IdentityCorpusTest, EveryNumberTokenParsesLikeStrtod) {
+  std::set<std::string> tokens;
+  for (const Category& category : Corpus()) {
+    for (const AndXorTree& tree : category.trees) {
+      auto identity = TreeCatalog::ComputeIdentity(tree);
+      ASSERT_TRUE(identity.ok()) << identity.status().ToString();
+      for (const std::string* text :
+           {&identity->content, &identity->canonical_bytes}) {
+        for (std::string& token : NumberTokens(*text)) {
+          tokens.insert(std::move(token));
+        }
+      }
+    }
+  }
+  EXPECT_GT(tokens.size(), 1000u);
+  for (const std::string& token : tokens) {
+    EXPECT_TRUE(ParsesLikeStrtod(token));
   }
 }
 

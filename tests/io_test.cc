@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +16,7 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/possible_worlds.h"
+#include "strtod_reference.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -189,6 +194,174 @@ TEST(TreeTextTest, RejectsKeysAndLabelsThatDoNotFitInt32) {
     auto tree = ParseTree(text);
     ASSERT_TRUE(tree.ok()) << text << ": " << tree.status().ToString();
     EXPECT_EQ(FormatTree(*tree), formatted);
+  }
+}
+
+// The error names the atom that failed, never an earlier token: each case
+// converts a hex probability first, which only strtod's path accepts, then
+// fails on a leaf integer that the from_chars path converts.
+TEST(TreeTextTest, LeafIntegerErrorsNameTheirOwnAtom) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"(xor 0x1p-1 (leaf key=1.5 score=1))",
+       "leaf key must be an integer in [-2147483648, 2147483647], got '1.5' "
+       "at offset 18"},
+      {"(xor 0x1p-1 (leaf key=1 score=1 label=-5))",
+       "leaf label must be an integer in [0, 2147483647], got '-5' at "
+       "offset 32"},
+      {"(xor 0x1p-1 (leaf key=3e9 score=1))",
+       "leaf key must be an integer in [-2147483648, 2147483647], got '3e9' "
+       "at offset 18"},
+      {"(xor 0x1p-1 (leaf key=1 score=abc))",
+       "expected a number, got 'abc' at offset 24"},
+  };
+  for (const auto& [text, message] : cases) {
+    auto result = ParseTree(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << text;
+    EXPECT_EQ(result.status().message(), message) << text;
+  }
+}
+
+// The grammar allows each leaf attribute once; a repeat is an error naming
+// it rather than a silent overwrite of the first value.
+TEST(TreeTextTest, RejectsRepeatedLeafAttributes) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"(leaf key=1 key=2 score=3)",
+       "leaf attribute 'key' appears more than once at offset 12"},
+      {"(leaf key=1 score=3 score=4)",
+       "leaf attribute 'score' appears more than once at offset 20"},
+      {"(leaf key=1 label=2 score=3 label=5)",
+       "leaf attribute 'label' appears more than once at offset 28"},
+  };
+  for (const auto& [text, message] : cases) {
+    auto result = ParseTree(text);
+    if (result.ok()) {
+      ADD_FAILURE() << text << " loaded as " << FormatTree(*result);
+      continue;
+    }
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << text;
+    EXPECT_EQ(result.status().message(), message) << text;
+  }
+}
+
+// ParseTree converts numbers with a from_chars fast path and falls back to
+// strtod; tests/strtod_reference.h holds both to strtod alone.
+TEST(TreeNumberTest, GrammarEdgeCasesParseLikeStrtod) {
+  for (const std::string& atom : std::vector<std::string>{
+           "+0.5", "-0", "0x1p-1", "0x10", ".5", "5.", "1e", "1E5", "inf",
+           "-nan", "NAN", "-inf", "1e999", "-1e999", "1e-400", "-1e-400",
+           "", "-", "+", ".", "e5", "0x", "1.2.3", "1e+", "1e-5x", "00012",
+           "-.5e-3", "1_0", "0X1P3", "infinity", std::string("1\0" "5", 3),
+           std::string("\0" "1", 2), std::string("1e5\0" "x", 5)}) {
+    EXPECT_TRUE(ParsesLikeStrtod(atom));
+  }
+}
+
+TEST(TreeNumberTest, ExtremeMagnitudesParseLikeStrtod) {
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const double dbl_min = std::numeric_limits<double>::min();
+  const double dbl_max = std::numeric_limits<double>::max();
+  std::vector<double> values = {denorm_min, 2 * denorm_min, dbl_min,
+                                std::nextafter(dbl_min, 0.0), dbl_max,
+                                std::nextafter(dbl_max, 0.0), 0.5 * dbl_min};
+  for (int i = 0; i < 64; ++i) values.push_back(std::ldexp(1.0 + i, -1074 + i));
+  std::vector<std::string> atoms = {
+      "1.7976931348623158e308", "1.7976931348623159e308", "1.8e308",
+      "2.4703282292062327e-324", "2.4703282292062328e-324",
+      "4.9406564584124654e-324", "2.2250738585072011e-308",
+      "2.2250738585072012e-308", "1e-400", "1e-320", "1e308", "9e307"};
+  for (double v : values) {
+    for (double signed_v : {v, -v}) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g", signed_v);
+      atoms.push_back(buf);
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), signed_v);
+      atoms.emplace_back(buf, r.ptr);
+    }
+  }
+  for (const std::string& atom : atoms) EXPECT_TRUE(ParsesLikeStrtod(atom));
+}
+
+// Mantissas of 20 to 800 digits: random digit strings, and the exact
+// decimal expansion of the midpoint between two adjacent doubles (a
+// rounding tie, held exactly by long double) with and without a digit that
+// breaks the tie upward.
+TEST(TreeNumberTest, LongMantissasParseLikeStrtod) {
+  Rng rng(2101);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int digits = static_cast<int>(rng.UniformInt(20, 800));
+    std::string atom = rng.UniformInt(0, 1) == 1 ? "-" : "";
+    const int point = static_cast<int>(rng.UniformInt(0, digits));
+    for (int d = 0; d < digits; ++d) {
+      if (d == point) atom += '.';
+      atom += static_cast<char>('0' + rng.UniformInt(0, 9));
+    }
+    atom += "e" + std::to_string(rng.UniformInt(-340, 310));
+    EXPECT_TRUE(ParsesLikeStrtod(atom));
+  }
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> lows = {0.0, denorm_min, 1.0, 0.1, 1e-310,
+                                    std::numeric_limits<double>::min(), 1e300,
+                                    9007199254740992.0};
+  for (double low : lows) {
+    const double high = std::nextafter(low, 1e308);
+    const long double mid =
+        (static_cast<long double>(low) + static_cast<long double>(high)) / 2;
+    for (int precision : {19, 25, 60, 200, 500, 799}) {
+      char buf[1024];
+      std::snprintf(buf, sizeof(buf), "%.*Le", precision, mid);
+      std::string tie = buf;
+      EXPECT_TRUE(ParsesLikeStrtod(tie));
+      const size_t e = tie.find('e');
+      EXPECT_TRUE(ParsesLikeStrtod(tie.substr(0, e) + "1" + tie.substr(e)));
+    }
+  }
+}
+
+// 10^6 random finite bit patterns, each spelled by %.17g and by the
+// shortest to_chars form, loaded 1000 leaves per tree.
+TEST(TreeNumberTest, RandomFiniteDoublesParseLikeStrtod) {
+  constexpr int kValues = 1000000;
+  constexpr int kPerTree = 1000;
+  Rng rng(2102);
+  std::vector<std::string> atoms;
+  std::string text;
+  for (int done = 0; done < kValues;) {
+    atoms.clear();
+    while (static_cast<int>(atoms.size()) < 2 * kPerTree) {
+      double v;
+      const uint64_t bits = rng.Next();
+      std::memcpy(&v, &bits, sizeof(v));
+      if (!std::isfinite(v)) continue;
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g", v);
+      atoms.push_back(buf);
+      const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+      atoms.emplace_back(buf, r.ptr);
+      ++done;
+    }
+    text = "(and";
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      text.append(" (leaf key=").append(std::to_string(i));
+      text.append(" score=").append(atoms[i]).push_back(')');
+    }
+    text.push_back(')');
+    auto tree = ParseTree(text);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    const std::vector<NodeId>& leaves = tree->LeafIds();
+    ASSERT_EQ(leaves.size(), atoms.size());
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      // Every atom is a whole finite strtod number, so the reference is
+      // strtod itself.
+      char* end = nullptr;
+      const double want = std::strtod(atoms[i].c_str(), &end);
+      const double got = tree->node(leaves[i]).leaf.score;
+      if (*end != '\0' || DoubleBitsOf(got) != DoubleBitsOf(want)) {
+        FAIL() << atoms[i] << ": parser " << std::hexfloat << got
+               << ", strtod " << want;
+      }
+    }
   }
 }
 
