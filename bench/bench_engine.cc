@@ -1,20 +1,20 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// Scaling of the parallel evaluation engine: rank distributions and chunked
-// Monte-Carlo estimation at 1/2/4/8 threads, against the sequential core
-// functions as the 1-thread baseline. Because every engine path is
-// schedule-deterministic, these runs also double as a determinism smoke
-// check: all thread counts produce the same answers, only the wall-clock
-// changes (on multi-core hosts; a 1-core container shows flat curves).
+// Scaling of the parallel evaluation engine: rank distributions at 1/2/4/8
+// threads, against the sequential core function as the 1-thread baseline.
+// Because every engine path is schedule-deterministic, these runs also
+// double as a determinism smoke check: all thread counts produce the same
+// answers, only the wall-clock changes (on multi-core hosts; a 1-core
+// container shows flat curves). BM_CoreMonteCarlo times the sequential
+// world-sampling oracle the tests check closed forms against.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "core/monte_carlo.h"
 #include "core/rank_distribution.h"
 #include "engine/engine.h"
 #include "model/flat_tree.h"
-#include "model/possible_worlds.h"
+#include "oracle/world_estimators.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -109,26 +109,6 @@ void BM_CoreMonteCarlo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoreMonteCarlo)->Arg(10000);
-
-void BM_EngineMonteCarlo(benchmark::State& state) {
-  AndXorTree tree = MakeTree(60);
-  const int samples = static_cast<int>(state.range(0));
-  EngineOptions opts;
-  opts.num_threads = static_cast<int>(state.range(1));
-  Engine engine(opts);
-  for (auto _ : state) {
-    McEstimate e = engine.EstimateOverWorlds(
-        tree, samples, 5, [](const std::vector<NodeId>& world) {
-          return static_cast<double>(world.size());
-        });
-    benchmark::DoNotOptimize(e);
-  }
-}
-BENCHMARK(BM_EngineMonteCarlo)
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4})
-    ->Args({10000, 8});
 
 }  // namespace
 }  // namespace cpdb

@@ -119,13 +119,5 @@ int main() {
   for (KeyId key : engine_topk->keys) std::printf(" %d", key);
   std::printf(" ]  E[d_Delta] = %.3f\n", engine_topk->expected_distance);
 
-  // A chunked-parallel Monte-Carlo cross-check of the closed form: the
-  // estimate is reproducible from (seed, chunk size) alone.
-  McEstimate mc = engine.McExpectedTopKDistance(
-      tree, engine_topk->keys, k, TopKMetric::kSymDiff,
-      /*num_samples=*/20000, /*seed=*/42);
-  std::printf("Monte-Carlo E[d_Delta] = %.3f +/- %.3f (%d samples)\n",
-              mc.mean, 1.96 * mc.std_error, mc.samples);
-
   return 0;
 }

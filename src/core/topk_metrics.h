@@ -37,9 +37,8 @@ const char* TopKMetricName(TopKMetric metric);
 /// accepted values) for anything else. Strict: callers must not default.
 Result<TopKMetric> ParseTopKMetricName(const std::string& name);
 
-/// \brief d(a, b) under `metric` — the single distance dispatch shared by
-/// every metric-parameterized caller (core/evaluation.cc, core/monte_carlo.cc,
-/// engine/engine.cc). Unknown enum values return 0.
+/// \brief d(a, b) under `metric` — the single distance dispatch, called only
+/// by the test oracles and the differential suite. Unknown enums return 0.
 double TopKListDistance(const std::vector<KeyId>& a,
                         const std::vector<KeyId>& b, int k, TopKMetric metric);
 

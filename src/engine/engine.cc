@@ -2,8 +2,6 @@
 
 #include "engine/engine.h"
 
-#include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -14,22 +12,8 @@
 #include "core/topk_kendall.h"
 #include "core/topk_metrics.h"
 #include "model/flat_tree.h"
-#include "model/possible_worlds.h"
 
 namespace cpdb {
-
-namespace {
-
-// SplitMix64 over (seed, chunk): decorrelates per-chunk Rng streams while
-// staying a pure function of the user seed and the chunk index.
-uint64_t ChunkSeed(uint64_t seed, int64_t chunk) {
-  uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(chunk) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 const char* TopKAnswerName(TopKAnswer answer) {
   switch (answer) {
@@ -56,20 +40,7 @@ Result<TopKAnswer> ParseTopKAnswerName(const std::string& name) {
       "' (expected mean, median, any-size or approx)");
 }
 
-int AdaptiveMcChunkSize(int num_samples, int num_threads) {
-  if (num_samples <= 0) return 32;
-  if (num_threads < 1) num_threads = 1;
-  // Aim for ~4 chunks per thread: enough slack that a slow chunk doesn't
-  // serialize the tail, few enough that per-chunk Rng setup stays noise.
-  int64_t target_chunks = 4 * static_cast<int64_t>(num_threads);
-  int64_t chunk = num_samples / target_chunks;
-  if (chunk < 32) chunk = 32;
-  if (chunk > 4096) chunk = 4096;
-  return static_cast<int>(chunk);
-}
-
-Engine::Engine(const EngineOptions& options)
-    : options_(options), pool_(options.num_threads) {}
+Engine::Engine(const EngineOptions& options) : pool_(options.num_threads) {}
 
 Engine::~Engine() = default;
 
@@ -329,48 +300,6 @@ Result<Engine::WorldResult> Engine::ConsensusWorldWithMarginals(
   result.expected_distance =
       ExpectedSymDiffDistanceFromMarginals(tree, marginals, result.leaf_ids);
   return result;
-}
-
-McEstimate Engine::EstimateOverWorlds(
-    const AndXorTree& tree, int num_samples, uint64_t seed,
-    const std::function<double(const std::vector<NodeId>&)>& f) const {
-  if (num_samples <= 0) return McEstimate{};
-  // 0 = adaptive (resolved from the workload and the thread count); other
-  // non-positive values degrade to 1 as before. Either way the size used is
-  // recorded in the result, so the run can be replayed bitwise by pinning
-  // EngineOptions::mc_chunk_size.
-  int64_t chunk_size =
-      options_.mc_chunk_size == 0
-          ? AdaptiveMcChunkSize(num_samples, num_threads())
-          : (options_.mc_chunk_size < 1 ? 1 : options_.mc_chunk_size);
-  int64_t num_chunks = (num_samples + chunk_size - 1) / chunk_size;
-  std::vector<Welford> stats(static_cast<size_t>(num_chunks));
-  pool_.ParallelFor(num_chunks, [&](int64_t c) {
-    Rng rng(ChunkSeed(seed, c));
-    int64_t begin = c * chunk_size;
-    int64_t end = std::min<int64_t>(begin + chunk_size, num_samples);
-    Welford& acc = stats[static_cast<size_t>(c)];
-    for (int64_t s = begin; s < end; ++s) {
-      acc.Add(f(SampleWorld(tree, &rng)));
-    }
-  });
-  Welford total;
-  for (const Welford& chunk : stats) total.Merge(chunk);
-  McEstimate estimate = FinishEstimate(total);
-  estimate.chunk_size = static_cast<int>(chunk_size);
-  return estimate;
-}
-
-McEstimate Engine::McExpectedTopKDistance(const AndXorTree& tree,
-                                          const std::vector<KeyId>& answer,
-                                          int k, TopKMetric metric,
-                                          int num_samples,
-                                          uint64_t seed) const {
-  return EstimateOverWorlds(
-      tree, num_samples, seed, [&](const std::vector<NodeId>& world) {
-        return TopKListDistance(answer, TopKOfWorld(tree, world, k), k,
-                                metric);
-      });
 }
 
 FlatTree Engine::CompileCounted(const AndXorTree& tree) const {

@@ -2,11 +2,11 @@
 //
 // cpdb::Engine — the parallel evaluation facade over the Section 4-5
 // consensus algorithms. One Engine owns one ThreadPool and routes
-// rank-distribution, consensus Top-k, set-consensus, and Monte-Carlo
-// queries through it. Every parallel path is *schedule-deterministic*: the
-// result is bitwise identical for any thread count (including 1), because
-// work is split into fixed units whose partial results are merged in a
-// fixed order on the calling thread:
+// rank-distribution, consensus Top-k and set-consensus queries through it.
+// Every parallel path is *schedule-deterministic*: the result is bitwise
+// identical for any thread count (including 1), because work is split into
+// fixed units whose partial results are merged in a fixed order on the
+// calling thread:
 //
 //   * rank distributions — one RankDistributionScan chunk per pool thread:
 //     a run of the score order, cut at tie-group boundaries, scanned from
@@ -22,12 +22,7 @@
 //   * footrule / intersection assignment — one cost (profit) column per
 //     candidate tuple, fanned across the pool before the Hungarian solve;
 //   * set consensus — one marginal fold per leaf, with the O(N) filter / DP
-//     on the calling thread;
-//   * Monte-Carlo estimation — samples are drawn in fixed-size chunks, each
-//     chunk from its own Rng seeded by (seed, chunk index), and the
-//     per-chunk Welford statistics are combined in chunk order. The chunk
-//     size is an algorithm parameter (EngineOptions::mc_chunk_size), not a
-//     scheduling hint: changing it changes the sample stream.
+//     on the calling thread.
 //
 // ParallelFor hands the same pool to callers fanning whole queries (the
 // serving layer's per-batch solves): queries nest their own ParallelFor
@@ -44,9 +39,8 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "core/evaluation.h"
-#include "core/monte_carlo.h"
 #include "core/rank_distribution.h"
+#include "core/topk_metrics.h"
 #include "core/topk_symdiff.h"
 #include "model/and_xor_tree.h"
 
@@ -77,27 +71,7 @@ struct EngineOptions {
   /// Threads used for query evaluation, counting the calling thread;
   /// values < 1 use the hardware concurrency. 1 means fully sequential.
   int num_threads = 0;
-
-  /// Samples per Monte-Carlo chunk. Part of the sampling algorithm (it
-  /// seeds one Rng per chunk): two engines agree bitwise only if their
-  /// chunk sizes agree. The default balances scheduling granularity
-  /// against per-chunk Rng setup. 0 selects the chunk size adaptively via
-  /// AdaptiveMcChunkSize(num_samples, num_threads()); the size actually
-  /// used is recorded in McEstimate::chunk_size either way, so any run can
-  /// be reproduced bitwise by pinning that value here.
-  int mc_chunk_size = 256;
 };
-
-/// \brief The chunk size EngineOptions::mc_chunk_size = 0 resolves to: a
-/// pure function of the workload size and the thread count that targets a
-/// handful of chunks per thread (enough slack for dynamic load balancing)
-/// while clamping to [32, 4096] so tiny workloads keep per-chunk Rng setup
-/// amortized and huge ones keep the chunk table small. Because the chunk
-/// size defines the sample stream, an adaptive run is reproduced bitwise by
-/// pinning the returned value (reported in McEstimate::chunk_size) — which
-/// is also why the estimate depends on the thread count *only* through this
-/// resolution, never through scheduling.
-int AdaptiveMcChunkSize(int num_samples, int num_threads);
 
 /// \brief Monotonic counters describing an engine's fold machinery — the
 /// observability surface the serving layer's `op=metrics` scrape re-exports
@@ -145,10 +119,8 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// \brief Actual thread count (options().num_threads resolved).
+  /// \brief Actual thread count (EngineOptions::num_threads resolved).
   int num_threads() const;
-
-  const EngineOptions& options() const { return options_; }
 
   /// \brief Runs body(0) ... body(n - 1) across the engine's pool and
   /// returns when all have finished (ThreadPool::ParallelFor). Bodies may
@@ -305,29 +277,6 @@ class Engine {
       const AndXorTree& tree, const std::vector<double>& marginals,
       bool median) const;
 
-  // -- Monte-Carlo estimation ---------------------------------------------
-
-  /// \brief Chunked-parallel E[f(pw)] estimate: deterministic in `seed` and
-  /// the resolved chunk size, which is recorded in the returned
-  /// McEstimate::chunk_size. With an explicit options().mc_chunk_size the
-  /// result is independent of the thread count; with the adaptive setting
-  /// (mc_chunk_size = 0) the chunk size — and hence the sample stream — is
-  /// a pure function of (num_samples, num_threads()), so runs reproduce
-  /// bitwise for a fixed configuration and can be replayed on any
-  /// configuration by pinning the recorded value. The sample stream differs
-  /// from the sequential core EstimateOverWorlds (which threads one Rng
-  /// through all samples) but is an equally valid draw. `f` may be called
-  /// concurrently and must be thread-safe.
-  McEstimate EstimateOverWorlds(
-      const AndXorTree& tree, int num_samples, uint64_t seed,
-      const std::function<double(const std::vector<NodeId>&)>& f) const;
-
-  /// \brief Chunked-parallel E[d(answer, topk(pw))] estimate.
-  McEstimate McExpectedTopKDistance(const AndXorTree& tree,
-                                    const std::vector<KeyId>& answer, int k,
-                                    TopKMetric metric, int num_samples,
-                                    uint64_t seed) const;
-
   // -- Observability -------------------------------------------------------
 
   /// \brief Snapshot of the fold-machinery counters (see EngineObsCounters).
@@ -358,7 +307,6 @@ class Engine {
   /// scan's largest chunk scratch.
   void NoteArenaHighWater(size_t bytes) const;
 
-  EngineOptions options_;
   // ParallelFor mutates pool bookkeeping; queries are logically const.
   mutable ThreadPool pool_;
   // Observability counters (see obs_counters()); queries are logically

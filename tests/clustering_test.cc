@@ -11,9 +11,9 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "core/evaluation.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/world_estimators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

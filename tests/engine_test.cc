@@ -2,8 +2,7 @@
 //
 // Tests for the thread pool and the parallel evaluation engine: full index
 // coverage, schedule determinism (bitwise-identical results for any thread
-// count), parity with the sequential core functions, and seeded-Rng
-// reproducibility of the chunked Monte-Carlo paths.
+// count) and parity with the sequential core functions.
 
 #include "engine/engine.h"
 
@@ -14,7 +13,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/evaluation.h"
 #include "core/rank_distribution.h"
 #include "core/set_consensus.h"
 #include "core/topk_footrule.h"
@@ -355,137 +353,6 @@ TEST(EngineTest, SetConsensusDelegatesToCore) {
   Engine engine;
   EXPECT_EQ(engine.MeanWorldSymDiff(tree), MeanWorldSymDiff(tree));
   EXPECT_EQ(engine.MedianWorldSymDiff(tree), MedianWorldSymDiff(tree));
-}
-
-// ---------------------------------------------------------------------------
-// Engine — chunked Monte Carlo
-// ---------------------------------------------------------------------------
-
-TEST(EngineTest, MonteCarloBitwiseEqualAcrossThreadCounts) {
-  AndXorTree tree = RandomDeepTree(23);
-  const uint64_t seed = 42;
-  McEstimate reference;
-  for (int threads : {1, 2, 4, 8}) {
-    EngineOptions opts;
-    opts.num_threads = threads;
-    Engine engine(opts);
-    McEstimate e = engine.EstimateOverWorlds(
-        tree, 2000, seed,
-        [](const std::vector<NodeId>& world) {
-          return static_cast<double>(world.size());
-        });
-    if (threads == 1) {
-      reference = e;
-    } else {
-      // Bitwise: the chunk decomposition, per-chunk Rng streams, and merge
-      // order are all independent of the schedule.
-      ASSERT_EQ(e.mean, reference.mean) << "threads " << threads;
-      ASSERT_EQ(e.std_error, reference.std_error) << "threads " << threads;
-      ASSERT_EQ(e.samples, reference.samples);
-    }
-  }
-}
-
-TEST(EngineTest, MonteCarloReproducibleAndSeedSensitive) {
-  AndXorTree tree = RandomDeepTree(29);
-  EngineOptions opts;
-  opts.num_threads = 4;
-  Engine engine(opts);
-  auto size_of = [](const std::vector<NodeId>& world) {
-    return static_cast<double>(world.size());
-  };
-  McEstimate a = engine.EstimateOverWorlds(tree, 1000, 7, size_of);
-  McEstimate b = engine.EstimateOverWorlds(tree, 1000, 7, size_of);
-  McEstimate c = engine.EstimateOverWorlds(tree, 1000, 8, size_of);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.std_error, b.std_error);
-  EXPECT_NE(a.mean, c.mean);
-}
-
-TEST(EngineTest, MonteCarloTopKDistanceCoversEnumeratedTruth) {
-  const int k = 3;
-  AndXorTree tree = RandomDeepTree(31, 6);
-  RankDistribution dist = ComputeRankDistribution(tree, k);
-  std::vector<KeyId> answer = MeanTopKSymDiff(dist).keys;
-  auto exact =
-      EnumExpectedTopKDistance(tree, answer, k, TopKMetric::kSymDiff);
-  ASSERT_TRUE(exact.ok());
-  EngineOptions opts;
-  opts.num_threads = 4;
-  Engine engine(opts);
-  McEstimate est = engine.McExpectedTopKDistance(
-      tree, answer, k, TopKMetric::kSymDiff, 20000, 123);
-  EXPECT_EQ(est.samples, 20000);
-  EXPECT_TRUE(est.Covers(*exact, 4.0))
-      << "exact " << *exact << " vs [" << est.ci95_low() << ", "
-      << est.ci95_high() << "]";
-}
-
-// The adaptive chunk size (mc_chunk_size = 0) must resolve to the
-// documented pure function of (samples, threads), be recorded in the
-// result, and reproduce bitwise when the recorded value is pinned — that
-// recording is what keeps adaptive runs replayable.
-TEST(EngineTest, AdaptiveMonteCarloChunkIsRecordedAndReplayable) {
-  AndXorTree tree = RandomDeepTree(97);
-  auto size_of = [](const std::vector<NodeId>& world) {
-    return static_cast<double>(world.size());
-  };
-  const int samples = 5000;
-  for (int threads : {1, 4}) {
-    EngineOptions adaptive_opts;
-    adaptive_opts.num_threads = threads;
-    adaptive_opts.mc_chunk_size = 0;  // adaptive
-    Engine adaptive(adaptive_opts);
-    McEstimate a = adaptive.EstimateOverWorlds(tree, samples, 11, size_of);
-    EXPECT_EQ(a.chunk_size,
-              AdaptiveMcChunkSize(samples, adaptive.num_threads()));
-    EXPECT_GT(a.chunk_size, 0);
-    // Same configuration, same seed: bitwise reproducible.
-    McEstimate b = adaptive.EstimateOverWorlds(tree, samples, 11, size_of);
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.std_error, b.std_error);
-    // Pinning the recorded chunk size replays the run exactly, on any
-    // thread count.
-    EngineOptions pinned_opts;
-    pinned_opts.num_threads = 8;
-    pinned_opts.mc_chunk_size = a.chunk_size;
-    Engine pinned(pinned_opts);
-    McEstimate replay = pinned.EstimateOverWorlds(tree, samples, 11, size_of);
-    EXPECT_EQ(replay.mean, a.mean);
-    EXPECT_EQ(replay.std_error, a.std_error);
-    EXPECT_EQ(replay.chunk_size, a.chunk_size);
-  }
-  // The fixed default keeps recording its value too.
-  Engine fixed;
-  McEstimate fixed_estimate =
-      fixed.EstimateOverWorlds(tree, samples, 11, size_of);
-  EXPECT_EQ(fixed_estimate.chunk_size, fixed.options().mc_chunk_size);
-}
-
-TEST(EngineTest, AdaptiveChunkSizeIsClampedAndMonotoneInWorkload) {
-  // Small workloads floor at 32; huge ones cap at 4096; in between the
-  // chunk grows with the workload and shrinks with the thread count.
-  EXPECT_EQ(AdaptiveMcChunkSize(1, 1), 32);
-  EXPECT_EQ(AdaptiveMcChunkSize(100, 8), 32);
-  EXPECT_EQ(AdaptiveMcChunkSize(10000000, 1), 4096);
-  EXPECT_GE(AdaptiveMcChunkSize(100000, 2), AdaptiveMcChunkSize(100000, 8));
-  EXPECT_GE(AdaptiveMcChunkSize(200000, 4), AdaptiveMcChunkSize(50000, 4));
-  // Degenerate arguments stay sane.
-  EXPECT_EQ(AdaptiveMcChunkSize(0, 4), 32);
-  EXPECT_EQ(AdaptiveMcChunkSize(1000, 0), AdaptiveMcChunkSize(1000, 1));
-}
-
-TEST(EngineTest, MonteCarloHandlesDegenerateSampleCounts) {
-  AndXorTree tree = RandomDeepTree(37);
-  Engine engine;
-  McEstimate none = engine.EstimateOverWorlds(
-      tree, 0, 1, [](const std::vector<NodeId>&) { return 1.0; });
-  EXPECT_EQ(none.samples, 0);
-  McEstimate one = engine.EstimateOverWorlds(
-      tree, 1, 1, [](const std::vector<NodeId>&) { return 1.0; });
-  EXPECT_EQ(one.samples, 1);
-  EXPECT_EQ(one.mean, 1.0);
-  EXPECT_EQ(one.std_error, 0.0);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // instances (everything else in the suite trusts these as oracles, so they
 // get direct tests here).
 
-#include "core/evaluation.h"
+#include "oracle/world_estimators.h"
 
 #include <gtest/gtest.h>
 

@@ -11,8 +11,6 @@
 #include <set>
 
 #include "common/rng.h"
-#include "core/evaluation.h"
-#include "core/monte_carlo.h"
 #include "core/ranking_baselines.h"
 #include "core/set_consensus.h"
 #include "core/topk_footrule.h"
@@ -21,6 +19,7 @@
 #include "io/tree_text.h"
 #include "model/possible_worlds.h"
 #include "oracle/fold_oracles.h"
+#include "oracle/world_estimators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

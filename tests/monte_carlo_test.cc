@@ -1,9 +1,9 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // Monte-Carlo estimators: unbiasedness against exact enumeration, CI
-// behavior, and the adaptive stopping rule.
+// behavior, and degenerate sample counts.
 
-#include "core/monte_carlo.h"
+#include "oracle/world_estimators.h"
 
 #include <gtest/gtest.h>
 
@@ -91,20 +91,6 @@ TEST(MonteCarloTest, DeterministicInstanceHasZeroError) {
   EXPECT_NEAR(estimate.mean, 0.0, 1e-12);
 }
 
-TEST(MonteCarloTest, AdaptiveStopsEarlyOnLowVariance) {
-  Rng rng(5);
-  auto tree = RandomTupleIndependent(10, &rng);
-  ASSERT_TRUE(tree.ok());
-  McEstimate loose = EstimateOverWorldsAdaptive(
-      *tree, /*target_std_error=*/0.5, /*max_samples=*/100000, &rng,
-      [](const std::vector<NodeId>& w) { return static_cast<double>(w.size()); });
-  McEstimate tight = EstimateOverWorldsAdaptive(
-      *tree, /*target_std_error=*/0.001, /*max_samples=*/100000, &rng,
-      [](const std::vector<NodeId>& w) { return static_cast<double>(w.size()); });
-  EXPECT_LT(loose.samples, tight.samples);
-  EXPECT_LE(loose.std_error, 0.5 + 1e-9);
-}
-
 TEST(MonteCarloTest, CiBoundsAreOrdered) {
   Rng rng(7);
   auto tree = RandomTupleIndependent(6, &rng);
@@ -115,6 +101,20 @@ TEST(MonteCarloTest, CiBoundsAreOrdered) {
   EXPECT_LE(estimate.ci95_low(), estimate.mean);
   EXPECT_GE(estimate.ci95_high(), estimate.mean);
   EXPECT_GT(estimate.std_error, 0.0);
+}
+
+TEST(MonteCarloTest, HandlesDegenerateSampleCounts) {
+  Rng rng(37);
+  auto tree = RandomTupleIndependent(6, &rng);
+  ASSERT_TRUE(tree.ok());
+  McEstimate none = EstimateOverWorlds(
+      *tree, 0, &rng, [](const std::vector<NodeId>&) { return 1.0; });
+  EXPECT_EQ(none.samples, 0);
+  McEstimate one = EstimateOverWorlds(
+      *tree, 1, &rng, [](const std::vector<NodeId>&) { return 1.0; });
+  EXPECT_EQ(one.samples, 1);
+  EXPECT_EQ(one.mean, 1.0);
+  EXPECT_EQ(one.std_error, 0.0);
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "core/evaluation.h"
 #include "model/builders.h"
+#include "oracle/world_estimators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -14,7 +14,7 @@
 
 #include "common/math_utils.h"
 #include "common/rng.h"
-#include "core/evaluation.h"
+#include "oracle/world_estimators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -11,10 +11,10 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "core/evaluation.h"
 #include "core/topk_footrule.h"
 #include "model/possible_worlds.h"
 #include "oracle/fold_oracles.h"
+#include "oracle/world_estimators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -14,9 +14,9 @@
 #include <set>
 
 #include "common/rng.h"
-#include "core/evaluation.h"
 #include "engine/engine.h"
 #include "model/possible_worlds.h"
+#include "oracle/world_estimators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -3,18 +3,22 @@
 #
 # Every generating-function statistic in cpdb runs on the compiled FlatTree
 # fold (src/model/flat_tree.h). The pointer-tree fold (EvalGeneratingFunction
-# and its Poly1/Poly2 types) and the oracle-only statistics live in
+# and its Poly1/Poly2 types), the oracle-only statistics and the
+# possible-worlds estimators (enumerated and sampled expectations) live in
 # tests/oracle/, linked into the test and bench binaries alone, so the
-# differential suites keep an independent reference. This script fails the build when production
-# code (src/ and tools/) reaches back for them:
-#   * an #include of an oracle/ header, generating_function.h, poly1.h or
-#     poly2.h;
+# differential suites keep an independent reference. This script fails the
+# build when production code (src/ and tools/) reaches back for them:
+#   * an #include of an oracle/ header, generating_function.h, poly1.h,
+#     poly2.h, or the Monte-Carlo and evaluation headers that used to hold
+#     the possible-worlds estimators;
 #   * an EvalGeneratingFunction< instantiation (the pointer-fold template;
 #     FlatTree::EvalGeneratingFunction is not a template);
 #   * a *Pointer( function — the naming convention of the pointer-fold
 #     oracles — declared, defined or called;
 #   * LeafRankContribution( — the one-full-fold-per-leaf rank contribution,
-#     pointer or flat: production runs RankDistributionScan instead.
+#     pointer or flat: production runs RankDistributionScan instead;
+#   * an estimator name (estimator_pattern): the estimate struct, the world
+#     sampler, or an enumerated or sampled expected distance.
 # Tests, benches and perfbench are exempt.
 #
 # Usage: tools/check_oracle_hygiene.sh [repo-root]
@@ -24,14 +28,17 @@ set -eu
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
 
-include_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]([^">]*/)?(oracle/[^">]*|generating_function\.h|poly[12]\.h)[">]'
+# One letter of each estimator name sits in a bracket class, so a plain grep
+# for the names finds no use in src/ or tools/, this file included.
+include_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]([^">]*/)?(oracle/[^">]*|generating_function\.h|poly[12]\.h|[m]onte_carlo\.h|[e]valuation\.h)[">]'
 template_pattern='EvalGeneratingFunction[[:space:]]*<'
 pointer_pattern='[A-Za-z0-9_]Pointer[[:space:]]*\('
 per_leaf_pattern='LeafRankContribution[[:space:]]*\('
+estimator_pattern='[M]cEstimate|[E]stimateOverWorlds|([E]numExpected|[M]cExpected)[A-Za-z0-9_]*[[:space:]]*\('
 
 violations=$(grep -RnE -e "$include_pattern" -e "$template_pattern" \
-  -e "$pointer_pattern" -e "$per_leaf_pattern" src tools \
-  --include='*.h' --include='*.cc' || true)
+  -e "$pointer_pattern" -e "$per_leaf_pattern" -e "$estimator_pattern" \
+  src tools --include='*.h' --include='*.cc' || true)
 
 if [ -n "$violations" ]; then
   echo "oracle-hygiene lint FAILED: production code reaches the test oracles." >&2
