@@ -9,26 +9,6 @@
 
 namespace cpdb {
 
-double JaccardDistance(const std::vector<NodeId>& s1,
-                       const std::vector<NodeId>& s2) {
-  size_t inter = 0;
-  size_t i = 0, j = 0;
-  while (i < s1.size() && j < s2.size()) {
-    if (s1[i] == s2[j]) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (s1[i] < s2[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  size_t uni = s1.size() + s2.size() - inter;
-  if (uni == 0) return 0.0;
-  return static_cast<double>(uni - inter) / static_cast<double>(uni);
-}
-
 namespace {
 
 // Lemma 1 over an already compiled tree, so a prefix scan compiles once.

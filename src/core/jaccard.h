@@ -16,11 +16,6 @@
 
 namespace cpdb {
 
-/// \brief d_J(S1, S2) = |S1 Δ S2| / |S1 ∪ S2| over leaf-id sets
-/// (d_J(∅, ∅) = 0). Inputs must be sorted.
-double JaccardDistance(const std::vector<NodeId>& s1,
-                       const std::vector<NodeId>& s2);
-
 /// \brief Lemma 1: E[d_J(W, pw)] for a fixed leaf set W, exactly, via the
 /// bivariate generating function; O(L * |W| * (L - |W|)) for L leaves.
 double ExpectedJaccardDistance(const AndXorTree& tree,

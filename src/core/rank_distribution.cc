@@ -110,10 +110,11 @@ RankDistributionScan::RankDistributionScan(const FlatTree& flat, int k,
                                            int max_chunks)
     : refold_(flat),
       k_(k),
-      // At most L - 1 leaves count toward a rank, so coefficients above
-      // x^L are zero; a cell's terms do not depend on the truncation, so
-      // folding at min(k, L) leaves every coefficient read bitwise as is.
-      max_dx_(std::max(0, std::min(k, flat.num_leaves()))),
+      // Rank i reads x^{i-1}, and at most L - 1 other leaves count toward
+      // a rank, so nothing above x^{min(k, L) - 1} is read; a cell's terms
+      // do not depend on the truncation, so folding there leaves every
+      // coefficient read bitwise as is.
+      max_dx_(std::max(0, std::min(k, flat.num_leaves()) - 1)),
       ranks_(std::max(0, std::min(k, max_dx_ + 1))) {
   const std::vector<FlatLeaf>& leaves = flat.leaves();
   const size_t n = leaves.size();
@@ -138,7 +139,7 @@ RankDistributionScan::RankDistributionScan(const FlatTree& flat, int k,
     while (b > 0 && b < n && score_at(b) == score_at(b - 1)) ++b;
     if (b > chunk_begin_.back() && b < n) chunk_begin_.push_back(b);
   }
-  if (n > 0) chunk_begin_.push_back(n);
+  if (n > 0 && max_chunks > 0) chunk_begin_.push_back(n);
   scratch_.resize(static_cast<size_t>(num_chunks()));
   for (FlatRefold::Scratch& scratch : scratch_) {
     refold_.Reserve(max_dx_, 1, &scratch);
@@ -147,25 +148,37 @@ RankDistributionScan::RankDistributionScan(const FlatTree& flat, int k,
 }
 
 void RankDistributionScan::RunChunk(int chunk) {
+  Scan(chunk_begin_[static_cast<size_t>(chunk)],
+       chunk_begin_[static_cast<size_t>(chunk) + 1], std::nullopt,
+       contributions_.data(), &scratch_[static_cast<size_t>(chunk)]);
+}
+
+void RankDistributionScan::Scan(size_t begin, size_t end,
+                                std::optional<KeyId> excluded,
+                                double* contributions,
+                                FlatRefold::Scratch* scratch) const {
   const std::vector<FlatLeaf>& leaves = refold_.flat().leaves();
-  FlatRefold::Scratch& scratch = scratch_[static_cast<size_t>(chunk)];
-  const size_t begin = chunk_begin_[static_cast<size_t>(chunk)];
-  const size_t end = chunk_begin_[static_cast<size_t>(chunk) + 1];
   // Rows have shape (max_dx + 1) × 2, row-major: 1 = x^0 y^0 at index 0,
   // y (tags the target) = x^0 y^1 at 1, x (counts toward the rank) =
   // x^1 y^0 at 2, which is beyond the row (the zero polynomial) when
-  // k == 0.
-  constexpr int kOne = 0, kY = 1, kX = 2;
-  // The base fold: every leaf scoring above the chunk's first group is x.
+  // max_dx == 0. -1 is the zero polynomial, which a passed leaf of the
+  // excluded key takes.
+  constexpr int kZero = -1, kOne = 0, kY = 1, kX = 2;
+  auto is_excluded = [&](int leaf) {
+    return leaves[static_cast<size_t>(leaf)].key == excluded;
+  };
+  auto passed = [&](int leaf) { return is_excluded(leaf) ? kZero : kX; };
+  // The base fold: every leaf scoring above the first group is passed.
   refold_.Fold(max_dx_, 1,
                [&](int i) {
-                 return rank_[static_cast<size_t>(i)] < begin ? kX : kOne;
+                 return rank_[static_cast<size_t>(i)] < begin ? passed(i)
+                                                              : kOne;
                },
-               &scratch);
+               scratch);
   std::vector<int> leaf_set;
   std::vector<double> column(static_cast<size_t>(max_dx_) + 1);
   auto contribution = [&](int leaf) {
-    return contributions_.data() +
+    return contributions +
            static_cast<size_t>(leaf) * static_cast<size_t>(ranks_);
   };
   for (size_t g = begin; g < end;) {
@@ -175,19 +188,20 @@ void RankDistributionScan::RunChunk(int chunk) {
            leaves[static_cast<size_t>(order_[g_end])].score == score) {
       ++g_end;
     }
-    if (g_end == g + 1) {
+    if (g_end == g + 1 && !is_excluded(order_[g])) {
       // A lone leaf: its query and its commit in one pass.
       const int target = order_[g];
-      refold_.CommitAndQuery(target, kX, kY, column.data(), &scratch);
+      refold_.CommitAndQuery(target, kX, kY, column.data(), scratch);
       std::copy(column.begin(), column.begin() + ranks_, contribution(target));
       g = g_end;
       continue;
     }
     for (size_t p = g; p < g_end; ++p) {
       const int target = order_[p];
+      if (is_excluded(target)) continue;
       leaf_set.assign(1, target);
       const double* f =
-          refold_.Refold(leaf_set, [](int) { return kY; }, &scratch);
+          refold_.Refold(leaf_set, [](int) { return kY; }, scratch);
       double* c = contribution(target);
       for (int i = 1; i <= ranks_; ++i) {
         c[i - 1] = f[static_cast<size_t>(i - 1) * 2 + 1];  // Coeff(i - 1, 1)
@@ -196,7 +210,7 @@ void RankDistributionScan::RunChunk(int chunk) {
     if (g_end < end) {
       leaf_set.assign(order_.begin() + static_cast<std::ptrdiff_t>(g),
                       order_.begin() + static_cast<std::ptrdiff_t>(g_end));
-      refold_.Commit(leaf_set, [](int) { return kX; }, &scratch);
+      refold_.Commit(leaf_set, passed, scratch);
     }
     g = g_end;
   }

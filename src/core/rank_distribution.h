@@ -11,7 +11,9 @@
 #define CPDB_CORE_RANK_DISTRIBUTION_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "model/and_xor_tree.h"
@@ -154,21 +156,34 @@ class RankDistributionBuilder {
 /// ConvolveRowsTruncated adds a(ia, ja) * b(c - ia, jb) for ia = 0..c in
 /// ascending (ia, ja) order, reading only cells of x-degree <= c, and
 /// skips an all-zero a row by a test on that row alone. By induction over
-/// the ops, every cell of x-degree up to min(k', L) is bitwise equal, and
+/// the ops, every cell of x-degree below min(k', L) is bitwise equal, and
 /// those cells are all that rank i <= k' reads (coefficient x^{i-1}).
 /// Nothing else depends on k: the score order and the chunk boundaries
 /// follow the leaves and the chunk count, Build adds each rank's leaf
 /// contributions in leaf-table order, and PrRankLe's prefix sums run up
-/// from rank 1. The same argument is why truncating at min(k, L) above
-/// moves no bit.
+/// from rank 1. The same argument is why truncating at x^{min(k, L) - 1}
+/// moves no bit: no leaf ranks past L.
+///
+/// The loop takes an optional excluded key t (Scan): t's leaves are set to
+/// the zero polynomial instead of x once passed, and are never queried.
+/// Each other leaf b then reads Pr(b present, ranked i-th, and no leaf of
+/// t scoring above b present), the cells the Kendall q statistic
+/// q(key(b), t) sums (core/topk_kendall.h). A lone leaf of t is a group
+/// with nothing to query.
 class RankDistributionScan {
  public:
   /// Orders `flat`'s leaves, splits them into at most `max_chunks` chunks
   /// of about equal size, and sizes each chunk's scratch on the calling
-  /// thread. `flat` must outlive the scan.
+  /// thread. A `max_chunks` of 0 plans no chunk: the scan then only serves
+  /// Scan() in the caller's scratch. `flat` must outlive the scan.
   RankDistributionScan(const FlatTree& flat, int k, int max_chunks);
 
   int num_chunks() const { return static_cast<int>(chunk_begin_.size()) - 1; }
+
+  const FlatTree& flat() const { return refold_.flat(); }
+
+  /// The ranks a leaf can reach, min(k, L): the cells Scan writes per leaf.
+  int ranks() const { return ranks_; }
 
   /// Scans one chunk, writing its leaves' contributions. The chunk's
   /// resident rows live in its own scratch, not in thread-local storage,
@@ -176,6 +191,16 @@ class RankDistributionScan {
   /// which thread runs it or what ran there before. Distinct chunks write
   /// disjoint leaves and scratches and may run concurrently.
   void RunChunk(int chunk);
+
+  /// The loop behind RunChunk, over positions [begin, end) of the score
+  /// order, from a base fold in `scratch` with every leaf before `begin`
+  /// set to x, or to zero if it is of key `excluded`. Writes the ranks()
+  /// cells of each leaf l not of key `excluded` at contributions +
+  /// l * ranks(), rank 1 first; the excluded key's cells are left as they
+  /// are. Only reads the scan, so scans in distinct scratches may run
+  /// concurrently.
+  void Scan(size_t begin, size_t end, std::optional<KeyId> excluded,
+            double* contributions, FlatRefold::Scratch* scratch) const;
 
   /// The largest chunk scratch's arena bytes: the scan's per-thread
   /// working set.

@@ -12,83 +12,43 @@
 #include <utility>
 
 #include "core/topk_footrule.h"
-#include "model/flat_tree.h"
 
 namespace cpdb {
 
-std::vector<double> KendallQRow(const FlatRefold& refold,
-                                const std::vector<KeyId>& keys, size_t iu,
-                                int k) {
-  // Sum over alternatives b of u of
+std::vector<double> KendallQColumn(const RankDistributionScan& scan,
+                                   const std::vector<KeyId>& keys, size_t it,
+                                   FlatRefold::Scratch* scratch) {
+  // q(u, t) sums over alternatives b of u of
   //   Pr(b present, no higher-scoring alternative of t present, and at most
-  //      k-1 higher-scoring tuples of other keys present).
-  // Per target b: rows have shape (k+1) × 2, row-major, so y (tags b) =
-  // x^0 y^1 sits at index 1 and x (counts toward the rank) = x^1 y^0 at
-  // index 2, dropped when beyond the truncation. Higher-scoring leaves of t
-  // are forbidden: the zero polynomial, so their worlds carry no mass. The
-  // base fold forbids no key; the fold for (b, t) only zeroes t's leaves
-  // above b, so it is a refold of their ancestors, or the base root itself
-  // when t has no such leaf. Each cell sums over targets in leaf order,
-  // then i, the summation order of the pointer-fold oracle.
-  FlatRefold::Scratch& scratch = FlatRefoldScratch();
-  const std::vector<FlatLeaf>& leaves = refold.flat().leaves();
-  const int num_leaves = static_cast<int>(leaves.size());
-  const KeyId u = keys[iu];
-
-  // The leaves of each key, in leaf order.
-  std::vector<std::vector<int>> leaves_of_key(keys.size());
-  for (int i = 0; i < num_leaves; ++i) {
-    const KeyId key = leaves[static_cast<size_t>(i)].key;
-    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
-    if (it != keys.end() && *it == key) {
-      leaves_of_key[static_cast<size_t>(it - keys.begin())].push_back(i);
-    }
-  }
-
+  //      k-1 higher-scoring tuples of other keys present),
+  // the first k cells of b's query in the scan that zeroes t's leaves.
+  const std::vector<FlatLeaf>& leaves = scan.flat().leaves();
+  const size_t ranks = static_cast<size_t>(scan.ranks());
+  std::vector<double> cells(leaves.size() * ranks);
+  scan.Scan(0, leaves.size(), keys[it], cells.data(), scratch);
   std::vector<double> q(keys.size(), 0.0);
-  std::vector<int> zeroed;
-  for (int target = 0; target < num_leaves; ++target) {
-    const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
-    if (alt.key != u) continue;
-    const double* base = refold.Fold(
-        k, 1,
-        [&](int i) {
-          const FlatLeaf& other = leaves[static_cast<size_t>(i)];
-          if (i == target) return 1;  // y
-          if (other.score > alt.score && other.key != u) {
-            return 2;  // x, counts toward the rank (zero when k == 0)
-          }
-          return 0;
-        },
-        &scratch);
-    for (size_t it = 0; it < keys.size(); ++it) {
-      if (it == iu) continue;
-      zeroed.clear();
-      for (int leaf : leaves_of_key[it]) {
-        if (leaves[static_cast<size_t>(leaf)].score > alt.score) {
-          zeroed.push_back(leaf);  // forbidden: the zero polynomial
-        }
-      }
-      const double* f =
-          zeroed.empty() ? base : refold.RefoldZeroed(zeroed, &scratch);
-      for (int i = 0; i <= k - 1; ++i) {
-        q[it] += f[static_cast<size_t>(i) * 2 + 1];  // Coeff(i, 1)
-      }
-    }
+  for (size_t l = 0; l < leaves.size(); ++l) {
+    const KeyId key = leaves[l].key;
+    const auto u = std::lower_bound(keys.begin(), keys.end(), key);
+    if (u == keys.end() || *u != key || key == keys[it]) continue;
+    // Cells past `ranks` are exact zeros, which would add nothing.
+    double& cell = q[static_cast<size_t>(u - keys.begin())];
+    for (size_t i = 0; i < ranks; ++i) cell += cells[l * ranks + i];
   }
   return q;
 }
 
 KendallEvaluator::KendallEvaluator(const AndXorTree& tree, int k)
     : k_(k), keys_(tree.Keys()) {
-  BuildKeyIndex();
-  // One compile and one row graph shared by every row (the engine fans
-  // the same rows across its pool; this is the sequential form).
+  // One compile and one score order shared by every column (the engine
+  // fans the same columns across its pool; this is the sequential form).
   const FlatTree flat = FlatTree::Compile(tree);
-  const FlatRefold refold(flat);
-  q_.resize(keys_.size());
-  for (size_t iu = 0; iu < keys_.size(); ++iu) {
-    q_[iu] = KendallQRow(refold, keys_, iu, k_);
+  const RankDistributionScan scan(flat, k_, /*max_chunks=*/0);
+  FlatRefold::Scratch scratch;
+  q_.assign(keys_.size(), std::vector<double>(keys_.size(), 0.0));
+  for (size_t it = 0; it < keys_.size(); ++it) {
+    const std::vector<double> column = KendallQColumn(scan, keys_, it, &scratch);
+    for (size_t iu = 0; iu < keys_.size(); ++iu) q_[iu][it] = column[iu];
   }
 }
 
@@ -110,22 +70,13 @@ Result<KendallEvaluator> KendallEvaluator::Create(
 KendallEvaluator::KendallEvaluator(int k, std::vector<KeyId> keys,
                                    std::vector<std::vector<double>> q)
     : k_(k), keys_(std::move(keys)), q_(std::move(q)) {
-  BuildKeyIndex();
   for (size_t i = 0; i < keys_.size(); ++i) q_[i][i] = 0.0;
 }
 
-void KendallEvaluator::BuildKeyIndex() {
-  KeyId max_key = 0;
-  for (KeyId key : keys_) max_key = std::max(max_key, key);
-  index_of_key_.assign(static_cast<size_t>(max_key) + 1, -1);
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    index_of_key_[static_cast<size_t>(keys_[i])] = static_cast<int>(i);
-  }
-}
-
 int KendallEvaluator::IndexOf(KeyId key) const {
-  if (key < 0 || static_cast<size_t>(key) >= index_of_key_.size()) return -1;
-  return index_of_key_[static_cast<size_t>(key)];
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it == keys_.end() || *it != key) return -1;
+  return static_cast<int>(it - keys_.begin());
 }
 
 double KendallEvaluator::Q(KeyId u, KeyId t) const {

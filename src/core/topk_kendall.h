@@ -28,34 +28,37 @@
 #include "core/rank_distribution.h"
 #include "core/topk_symdiff.h"
 #include "model/and_xor_tree.h"
+#include "model/flat_tree.h"
 
 namespace cpdb {
 
-/// \brief Row iu of the q matrix over `keys` (sorted ascending, the
-/// tree's Keys()): result[it] = q(keys[iu], keys[it]) with
+/// \brief Column it of the q matrix over `keys` (sorted ascending, the
+/// tree's Keys()): result[iu] = q(keys[iu], keys[it]) with
 /// q(u, t) = Pr(r(u) <= k and r(u) < r(t)) — u makes the Top-k and ranks
-/// ahead of t (t absent or ranked below both count) — and 0 at it == iu.
-/// Bitwise the pointer-fold oracle in tests/oracle/. One resident
-/// fold per alternative b of keys[iu], then for each other key t a refold
-/// of only the ancestors of t's leaves scoring above b. Uses this thread's
-/// FlatRefoldScratch(); `refold` is only read, so rows may run
-/// concurrently.
-std::vector<double> KendallQRow(const FlatRefold& refold,
-                                const std::vector<KeyId>& keys, size_t iu,
-                                int k);
+/// ahead of t (t absent or ranked below both count) — and 0 at iu == it.
+/// One pass of `scan`, built over the tree's FlatTree at cutoff k (no
+/// chunks needed), with keys[it] excluded: each leaf b of another key
+/// reads its first k cells with t's leaves above b set to zero. A cell
+/// sums over the leaves of its key in leaf order, then over ranks, the
+/// order of the pointer-fold oracle in tests/oracle/, so the column is
+/// bitwise the oracle's. `scan` is only read, so columns in distinct
+/// scratches may run concurrently.
+std::vector<double> KendallQColumn(const RankDistributionScan& scan,
+                                   const std::vector<KeyId>& keys, size_t it,
+                                   FlatRefold::Scratch* scratch);
 
 /// \brief Precomputes the pairwise q statistics for a key set and evaluates
 /// E[d_K(answer, topk(pw))] for arbitrary candidate answers.
 class KendallEvaluator {
  public:
-  /// Precomputation runs KendallQRow for every key: one fold per leaf
-  /// plus O(|keys|) path refolds per leaf of the row's key.
+  /// Precomputation runs KendallQColumn for every key: one score-ordered
+  /// pass of one root path per leaf (two for a tied leaf) per column.
   KendallEvaluator(const AndXorTree& tree, int k);
 
   /// \brief Builds an evaluator from an externally computed q matrix with
   /// q[i][j] = q(keys[i], keys[j]) over keys = tree.Keys() (diagonal
   /// ignored). Lets callers parallelize the quadratic precompute — the
-  /// engine fans one KendallQRow per key across its thread pool — while
+  /// engine fans one KendallQColumn per key across its thread pool — while
   /// this class stays thread-free. A matrix whose
   /// shape does not match tree.Keys() (built over a different key list)
   /// would yield silently wrong expectations, so it returns
@@ -82,8 +85,8 @@ class KendallEvaluator {
   int k_;
   std::vector<KeyId> keys_;
   std::vector<std::vector<double>> q_;  // q_[u_idx][t_idx]
-  std::vector<int> index_of_key_;       // dense map; keys are validated ids
-  void BuildKeyIndex();
+  // keys_ position of `key`, -1 if absent: a binary search, since keys
+  // span all of int32 (negative ones too), so no dense map over them fits.
   int IndexOf(KeyId key) const;
 };
 

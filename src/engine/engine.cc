@@ -115,18 +115,22 @@ std::vector<double> Engine::ExpectedRanks(const AndXorTree& tree) const {
 
 std::vector<std::vector<double>> Engine::KendallQMatrix(
     const AndXorTree& tree, int k, const FlatTree* program) const {
-  // One compiled tree and one row graph shared read-only by the n parallel
-  // row tasks, each writing its own row over its thread's scratch, so the
-  // matrix is schedule-deterministic.
+  // One compiled tree and one score order shared read-only by the n column
+  // tasks, each scanning in its thread's scratch and writing only its own
+  // column, so the matrix is schedule-deterministic.
   const std::vector<KeyId> keys = tree.Keys();
   std::optional<FlatTree> owned;
   if (program == nullptr) owned.emplace(CompileCounted(tree));
-  const FlatRefold refold(program != nullptr ? *program : *owned);
-  std::vector<std::vector<double>> q(keys.size());
-  pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t iu) {
-    q[static_cast<size_t>(iu)] =
-        KendallQRow(refold, keys, static_cast<size_t>(iu), k);
-    NoteArenaHighWater(FlatRefoldScratch().CapacityBytes());
+  const RankDistributionScan scan(program != nullptr ? *program : *owned, k,
+                                  /*max_chunks=*/0);
+  std::vector<std::vector<double>> q(keys.size(),
+                                     std::vector<double>(keys.size(), 0.0));
+  pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
+    const size_t it = static_cast<size_t>(t);
+    FlatRefold::Scratch& scratch = FlatRefoldScratch();
+    const std::vector<double> column = KendallQColumn(scan, keys, it, &scratch);
+    for (size_t iu = 0; iu < keys.size(); ++iu) q[iu][it] = column[iu];
+    NoteArenaHighWater(scratch.CapacityBytes());
   });
   return q;
 }

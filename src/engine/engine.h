@@ -15,7 +15,7 @@
 //     leaf order, the accumulation order of the sequential
 //     ComputeRankDistribution — so the chunk count moves no bit and needs
 //     no knob;
-//   * the Kendall q matrix — one unit per key, each writing its own row;
+//   * the Kendall q matrix — one unit per key, each writing its own column;
 //   * median symdiff — one unit per Theorem 4 search stratum (score
 //     threshold DPs plus the small-world DP), merged by replaying the
 //     sequential first-improvement scan;
@@ -152,10 +152,11 @@ class Engine {
       const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
 
   /// \brief The Kendall q statistics over tree.Keys(): q[i][j] =
-  /// q(keys[i], keys[j]) (see KendallQRow; diagonal 0), the precompute of
-  /// the kendall mean answer. One task per key i runs KendallQRow over a
-  /// shared FlatRefold: a resident fold per alternative of keys[i], then a
-  /// dirty-path refold per other key. Bitwise identical to the pointer-fold
+  /// q(keys[i], keys[j]) (see KendallQColumn; diagonal 0), the precompute
+  /// of the kendall mean answer. One task per key j runs KendallQColumn in
+  /// its thread's FlatRefoldScratch(): one score-ordered scan shared
+  /// read-only by every task, one root path per leaf, with keys[j]'s
+  /// leaves zeroed once passed. Bitwise identical to the pointer-fold
   /// oracle and to KendallEvaluator(tree, k) for any thread count.
   std::vector<std::vector<double>> KendallQMatrix(
       const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;

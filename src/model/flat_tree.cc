@@ -474,11 +474,6 @@ const double* FlatRefold::Refold(const std::vector<int>& leaves,
   return RowData(static_cast<int32_t>(rows_.size()) - 1, *scratch);
 }
 
-const double* FlatRefold::RefoldZeroed(const std::vector<int>& zeroed,
-                                       Scratch* scratch) const {
-  return Refold(zeroed, [](int) { return -1; }, scratch);
-}
-
 void FlatRefold::Commit(const std::vector<int>& leaves,
                         const LeafTerm& leaf_term, Scratch* scratch) const {
   if (rows_.empty()) return;

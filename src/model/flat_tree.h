@@ -204,10 +204,6 @@ class FlatRefold {
   const double* Refold(const std::vector<int>& leaves,
                        const LeafTerm& leaf_term, Scratch* scratch) const;
 
-  /// Refold() with the leaves `zeroed` replaced by the zero polynomial.
-  const double* RefoldZeroed(const std::vector<int>& zeroed,
-                             Scratch* scratch) const;
-
   /// Sets `leaves` as Refold() does, but in the resident rows: every row on
   /// their root paths is recomputed in place, in row order, so later
   /// folds, refolds and commits start from the changed leaves.
@@ -266,7 +262,7 @@ class FlatRefold {
 };
 
 /// This thread's reusable refold state, for refold users that run as pool
-/// tasks (the Kendall q rows). Safe because such a task never calls back
+/// tasks (the Kendall q columns). Safe because such a task never calls back
 /// into a thread pool while its rows are live: nothing else can run on the
 /// thread between its Fold and its last refold.
 FlatRefold::Scratch& FlatRefoldScratch();

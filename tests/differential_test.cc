@@ -25,6 +25,7 @@
 #include "core/topk_metrics.h"
 #include "engine/engine.h"
 #include "model/possible_worlds.h"
+#include "oracle/list_distances.h"
 #include "workload/generators.h"
 
 namespace cpdb {

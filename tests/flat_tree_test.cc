@@ -147,19 +147,21 @@ TEST_P(FlatTreeDifferential, PairwiseOrderAndKendallBitwiseEqualPointerFold) {
   const int k = 3;
   for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
     const FlatTree flat = FlatTree::Compile(tree);
-    const FlatRefold refold(flat);
+    const RankDistributionScan scan(flat, k, /*max_chunks=*/0);
+    FlatRefold::Scratch scratch;
     const std::vector<KeyId> keys = tree.Keys();
-    for (size_t iu = 0; iu < keys.size(); ++iu) {
-      const std::vector<double> q_row = KendallQRow(refold, keys, iu, k);
-      ASSERT_EQ(q_row.size(), keys.size());
-      ASSERT_EQ(q_row[iu], 0.0);
-      for (size_t iv = 0; iv < keys.size(); ++iv) {
+    for (size_t iv = 0; iv < keys.size(); ++iv) {
+      const std::vector<double> q_column =
+          KendallQColumn(scan, keys, iv, &scratch);
+      ASSERT_EQ(q_column.size(), keys.size());
+      ASSERT_EQ(q_column[iv], 0.0);
+      for (size_t iu = 0; iu < keys.size(); ++iu) {
         if (iu == iv) continue;
         const KeyId u = keys[iu];
         const KeyId v = keys[iv];
         ASSERT_EQ(PrRanksBefore(flat, u, v), PrRanksBeforePointer(tree, u, v))
             << "u " << u << " v " << v;
-        ASSERT_EQ(q_row[iv], PrInTopKAndBefore(tree, u, v, k))
+        ASSERT_EQ(q_column[iu], PrInTopKAndBefore(tree, u, v, k))
             << "u " << u << " v " << v;
       }
     }
@@ -208,7 +210,8 @@ TEST_P(FlatTreeDifferential, RefoldZeroedBitwiseEqualsFullFold) {
               if (!is_zeroed[static_cast<size_t>(i)]) base_init(i, row);
             },
             reference.data(), &reference_arena);
-        const double* got = refold.RefoldZeroed(zeroed, &scratch);
+        const double* got =
+            refold.Refold(zeroed, [](int) { return -1; }, &scratch);
         ASSERT_EQ(std::vector<double>(got, got + row_len), reference)
             << "trial " << trial << " max_dy " << max_dy;
       }
@@ -320,7 +323,7 @@ TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
           << "threads " << threads;
     }
 
-    // Every Kendall q path — the engine's per-key row tasks with and
+    // Every Kendall q path — the engine's per-key column tasks with and
     // without a supplied program, and the sequential KendallEvaluator — is
     // bitwise the pointer PrInTopKAndBefore matrix.
     for (int q_k : {1, 3, 5}) {

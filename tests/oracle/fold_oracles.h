@@ -62,7 +62,7 @@ std::vector<std::vector<double>> PairwiseOrderProbabilities(
     const AndXorTree& tree, const std::vector<KeyId>& keys);
 
 /// \brief Pointer-fold q(u, t) = Pr(r(u) <= k and r(u) < r(t)); bitwise
-/// KendallQRow's cell.
+/// KendallQColumn's cell.
 double PrInTopKAndBefore(const AndXorTree& tree, KeyId u, KeyId t, int k);
 
 /// \brief Pointer-fold Lemma 1 E[d_J(W, pw)]; bitwise

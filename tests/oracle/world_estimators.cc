@@ -5,8 +5,8 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/jaccard.h"
 #include "model/possible_worlds.h"
+#include "oracle/list_distances.h"
 
 namespace cpdb {
 

@@ -20,6 +20,7 @@
 #include "model/flat_tree.h"
 #include "model/possible_worlds.h"
 #include "oracle/fold_oracles.h"
+#include "pooled_scores.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -117,38 +118,6 @@ TEST_P(RankDistProperty, PairwiseOrderMatchesEnumeration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RankDistProperty, ::testing::Range(0, 12));
-
-// Copies `src`'s subtree at `id` into `dst` with every leaf score redrawn
-// from {1, ..., pool}: ties fall across keys and within a key.
-// Keys shift by `key_offset`.
-NodeId CopyWithPooledScores(const AndXorTree& src, NodeId id, int pool,
-                            Rng* rng, AndXorTree* dst, KeyId key_offset = 0) {
-  const TreeNode& node = src.node(id);
-  if (node.kind == NodeKind::kLeaf) {
-    TupleAlternative alt = node.leaf;
-    alt.key += key_offset;
-    alt.score = static_cast<double>(rng->UniformInt(1, pool));
-    return dst->AddLeaf(alt);
-  }
-  std::vector<NodeId> children;
-  for (NodeId child : node.children) {
-    children.push_back(
-        CopyWithPooledScores(src, child, pool, rng, dst, key_offset));
-  }
-  return node.kind == NodeKind::kAnd
-             ? dst->AddAnd(std::move(children))
-             : dst->AddXor(std::move(children), node.edge_probs);
-}
-
-// Whether two leaves of one key share a score.
-bool HasTieWithinKey(const AndXorTree& tree) {
-  std::map<std::pair<KeyId, double>, int> seen;
-  for (NodeId leaf : tree.LeafIds()) {
-    const TupleAlternative& alt = tree.node(leaf).leaf;
-    if (++seen[{alt.key, alt.score}] > 1) return true;
-  }
-  return false;
-}
 
 TEST(RankDistributionScanTest, TiesAndChunkBoundariesBitwiseEqualPointerFold) {
   // The scan commits a tie group only after all of its queries, and each

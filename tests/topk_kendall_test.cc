@@ -9,12 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/topk_footrule.h"
+#include "engine/engine.h"
+#include "model/flat_tree.h"
 #include "model/possible_worlds.h"
 #include "oracle/fold_oracles.h"
 #include "oracle/world_estimators.h"
+#include "pooled_scores.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -204,6 +211,105 @@ TEST(TopKKendallTest, CreateValidatesExternalMatrixShape) {
   ragged_q.back().pop_back();
   EXPECT_EQ(KendallEvaluator::Create(*tree, kK, ragged_q).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(TopKKendallTest, TiedScoresBitwiseEqualPointerFold) {
+  // A q column's scan queries every leaf of a tie group before it commits
+  // the group, the column's own key to zero and the rest to x. Scores from
+  // small pools put ties across keys, within a key and against the
+  // column's key; every path must still give the pointer fold's bits: the
+  // engine's column tasks with and without a program at any thread count,
+  // and the sequential evaluator. Trees stay at 60 leaves or fewer, so the
+  // pointer fold at k = L + 3 stays cheap.
+  Rng rng(2026);
+  RandomTreeOptions deep;
+  deep.num_keys = 8;
+  deep.max_depth = 3;
+  deep.max_alternatives = 3;
+  RandomTreeOptions bid;
+  bid.num_keys = 10;
+  bid.max_alternatives = 4;
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (int threads : {1, 2, 4, 8}) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    engines.push_back(std::make_unique<Engine>(opts));
+  }
+  for (int pool : {1, 3, 7, 50}) {
+    for (int shape = 0; shape < 2; ++shape) {
+      AndXorTree tree;
+      do {
+        Result<AndXorTree> base =
+            shape == 0 ? RandomAndXorTree(deep, &rng) : RandomBid(bid, &rng);
+        ASSERT_TRUE(base.ok());
+        tree = AndXorTree();
+        tree.SetRoot(
+            CopyWithPooledScores(*base, base->root(), pool, &rng, &tree));
+        ASSERT_TRUE(tree.Validate().ok());
+      } while (tree.NumLeaves() > 60 || !HasTieWithinKey(tree));
+      const FlatTree program = FlatTree::Compile(tree);
+      const std::vector<KeyId> keys = tree.Keys();
+      for (int k : {1, 3, 5, tree.NumLeaves() + 3}) {
+        const std::string label = "pool " + std::to_string(pool) +
+                                  " shape " + std::to_string(shape) + " k " +
+                                  std::to_string(k);
+        std::vector<std::vector<double>> q_ref(
+            keys.size(), std::vector<double>(keys.size(), 0.0));
+        for (size_t i = 0; i < keys.size(); ++i) {
+          for (size_t j = 0; j < keys.size(); ++j) {
+            if (i != j) {
+              q_ref[i][j] = PrInTopKAndBefore(tree, keys[i], keys[j], k);
+            }
+          }
+        }
+        const KendallEvaluator evaluator(tree, k);
+        for (size_t i = 0; i < keys.size(); ++i) {
+          for (size_t j = 0; j < keys.size(); ++j) {
+            ASSERT_EQ(evaluator.Q(keys[i], keys[j]), q_ref[i][j])
+                << label << " cell " << i << "," << j;
+          }
+        }
+        for (const std::unique_ptr<Engine>& engine : engines) {
+          ASSERT_EQ(engine->KendallQMatrix(tree, k), q_ref)
+              << label << " threads " << engine->num_threads();
+          ASSERT_EQ(engine->KendallQMatrix(tree, k, &program), q_ref)
+              << label << " threads " << engine->num_threads();
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKKendallTest, KeysAcrossTheWholeInt32Range) {
+  // Keys are any int32 (the parsers accept negative ones): the evaluator
+  // must index them without a dense table, which negative keys overran and
+  // a key near INT32_MAX would size at gigabytes.
+  std::vector<IndependentTuple> tuples;
+  const KeyId keys[] = {std::numeric_limits<KeyId>::min(), -7, -1, 0,
+                        std::numeric_limits<KeyId>::max()};
+  for (int i = 0; i < 5; ++i) {
+    IndependentTuple t;
+    t.alt.key = keys[i];
+    t.alt.score = 10.0 + ((i * 3) % 5);
+    t.prob = 0.3 + 0.1 * i;
+    tuples.push_back(t);
+  }
+  auto tree = MakeTupleIndependent(tuples);
+  ASSERT_TRUE(tree.ok());
+  const KendallEvaluator evaluator(*tree, kK);
+  for (KeyId u : keys) {
+    for (KeyId t : keys) {
+      EXPECT_EQ(evaluator.Q(u, t),
+                u == t ? 0.0 : PrInTopKAndBefore(*tree, u, t, kK))
+          << "u=" << u << " t=" << t;
+    }
+  }
+  EXPECT_EQ(evaluator.Q(5, keys[0]), 0.0);  // not a key of the tree
+  const std::vector<KeyId> answer = {keys[4], keys[0]};
+  auto expected =
+      EnumExpectedTopKDistance(*tree, answer, kK, TopKMetric::kKendall);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_NEAR(evaluator.Expected(answer), *expected, 1e-9);
 }
 
 TEST(TopKKendallTest, CertainDatabaseExactIsTrueTopK) {

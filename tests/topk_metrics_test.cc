@@ -2,7 +2,7 @@
 //
 // The Fagin et al. Top-k list distances used throughout Section 5.
 
-#include "core/topk_metrics.h"
+#include "oracle/list_distances.h"
 
 #include <gtest/gtest.h>
 

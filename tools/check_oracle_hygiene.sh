@@ -18,7 +18,10 @@
 #   * LeafRankContribution( — the one-full-fold-per-leaf rank contribution,
 #     pointer or flat: production runs RankDistributionScan instead;
 #   * an estimator name (estimator_pattern): the estimate struct, the world
-#     sampler, or an enumerated or sampled expected distance.
+#     sampler, or an enumerated or sampled expected distance;
+#   * a per-world distance (distance_pattern) declared, defined or called:
+#     TopKListDistance( and the four Top-k list distances it dispatches to,
+#     or JaccardDistance( — production computes expected distances only.
 # Tests, benches and perfbench are exempt.
 #
 # Usage: tools/check_oracle_hygiene.sh [repo-root]
@@ -35,10 +38,11 @@ template_pattern='EvalGeneratingFunction[[:space:]]*<'
 pointer_pattern='[A-Za-z0-9_]Pointer[[:space:]]*\('
 per_leaf_pattern='LeafRankContribution[[:space:]]*\('
 estimator_pattern='[M]cEstimate|[E]stimateOverWorlds|([E]numExpected|[M]cExpected)[A-Za-z0-9_]*[[:space:]]*\('
+distance_pattern='(^|[^A-Za-z0-9_])([T]opKListDistance|[T]opKSymmetricDifference|[T]opKIntersectionDistance|[T]opKFootrule|[T]opKKendall|[J]accardDistance)[[:space:]]*\('
 
 violations=$(grep -RnE -e "$include_pattern" -e "$template_pattern" \
   -e "$pointer_pattern" -e "$per_leaf_pattern" -e "$estimator_pattern" \
-  src tools --include='*.h' --include='*.cc' || true)
+  -e "$distance_pattern" src tools --include='*.h' --include='*.cc' || true)
 
 if [ -n "$violations" ]; then
   echo "oracle-hygiene lint FAILED: production code reaches the test oracles." >&2
