@@ -3,8 +3,9 @@
 // Thread scaling of the engine's newly parallelized consensus paths: the
 // MedianTopKSymDiff stratum search, the footrule / intersection Hungarian
 // cost-column builds, set consensus with chunked marginal folds, whole
-// queries fanned across the pool, and the heavy tail kernels (Kendall q matrix, median
-// search, expected ranks) one tree at a time. Every path is schedule-deterministic, so these runs
+// queries fanned across the pool, and the heavy tail kernels (Kendall q
+// columns and mean answer, median search, expected ranks) one tree at a
+// time. Every path is schedule-deterministic, so these runs
 // double as a determinism smoke check: thread count changes wall-clock only
 // (on multi-core hosts; a 1-core container shows flat curves).
 
@@ -69,7 +70,7 @@ BENCHMARK(BM_EngineFootrule)
     ->Args({60, 4})
     ->Args({60, 8});
 
-// Pairwise q matrix + footrule columns + d_K re-score.
+// Footrule columns + the answer keys' q columns + d_K re-score.
 void BM_EngineKendall(benchmark::State& state) {
   AndXorTree tree = MakeDeepTree(20);
   Engine engine = MakeEngine(static_cast<int>(state.range(0)));
@@ -95,8 +96,11 @@ BENCHMARK(BM_EngineSetConsensus)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // The three heavy tail precomputes one at a time, over the trees the serve
 // benchmark's heavy_sharded workload draws: 12 keys, depth 3, 42-45
 // leaves, k = 5. Each iteration runs one tree's tail, cycling through 32
-// trees, so the time per iteration is the per-tree kernel cost.
-enum class HeavyTail { kKendallQ, kMedian, kErank };
+// trees, so the time per iteration is the per-tree kernel cost. kendall_q
+// is every key's q column (the whole matrix); kendall_mean is the answer
+// serve computes on a cache miss, over the cached rank distribution: the
+// footrule solve plus its answer keys' columns.
+enum class HeavyTail { kKendallQ, kKendallMean, kMedian, kErank };
 
 void BM_EngineHeavyTails(benchmark::State& state, HeavyTail tail) {
   constexpr int kK = 5;
@@ -124,8 +128,13 @@ void BM_EngineHeavyTails(benchmark::State& state, HeavyTail tail) {
     const size_t t = i++ % trees.size();
     switch (tail) {
       case HeavyTail::kKendallQ:
-        benchmark::DoNotOptimize(
-            engine.KendallQMatrix(trees[t], kK, &programs[t]));
+        benchmark::DoNotOptimize(engine.KendallQColumns(
+            trees[t], kK, dists[t].keys(), &programs[t]));
+        break;
+      case HeavyTail::kKendallMean:
+        benchmark::DoNotOptimize(engine.ConsensusTopKWithDist(
+            trees[t], dists[t], TopKMetric::kKendall, TopKAnswer::kMean,
+            &programs[t]));
         break;
       case HeavyTail::kMedian:
         benchmark::DoNotOptimize(
@@ -138,6 +147,9 @@ void BM_EngineHeavyTails(benchmark::State& state, HeavyTail tail) {
   }
 }
 BENCHMARK_CAPTURE(BM_EngineHeavyTails, kendall_q, HeavyTail::kKendallQ)
+    ->Arg(1)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_EngineHeavyTails, kendall_mean, HeavyTail::kKendallMean)
     ->Arg(1)
     ->Arg(4);
 BENCHMARK_CAPTURE(BM_EngineHeavyTails, median, HeavyTail::kMedian)

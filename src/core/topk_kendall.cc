@@ -4,12 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
-#include <string>
-#include <utility>
 
 #include "core/topk_footrule.h"
 
@@ -38,6 +34,38 @@ std::vector<double> KendallQColumn(const RankDistributionScan& scan,
   return q;
 }
 
+double KendallExpectedFromColumns(
+    const std::vector<KeyId>& keys, const std::vector<KeyId>& answer,
+    const std::vector<const std::vector<double>*>& columns) {
+  // keys position of each answer key, -1 outside keys: its terms are zero,
+  // and skipping them leaves the non-negative sum's bits as adding them.
+  std::vector<int> row(answer.size(), -1);
+  std::vector<bool> in_answer(keys.size(), false);
+  for (size_t a = 0; a < answer.size(); ++a) {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), answer[a]);
+    if (it == keys.end() || *it != answer[a]) continue;
+    row[a] = static_cast<int>(it - keys.begin());
+    in_answer[static_cast<size_t>(row[a])] = true;
+  }
+  double expected = 0.0;
+  // Pairs ranked by the answer: t before u contributes q(u, t).
+  for (size_t a = 0; a < answer.size(); ++a) {
+    if (columns[a] == nullptr) continue;
+    for (size_t b = a + 1; b < answer.size(); ++b) {
+      if (row[b] >= 0) expected += (*columns[a])[static_cast<size_t>(row[b])];
+    }
+  }
+  // Pairs with t in the answer, u outside it: the answer's extensions place
+  // t first, so disagreement happens when u enters the Top-k ahead of t.
+  for (size_t a = 0; a < answer.size(); ++a) {
+    if (columns[a] == nullptr) continue;
+    for (size_t iu = 0; iu < keys.size(); ++iu) {
+      if (!in_answer[iu]) expected += (*columns[a])[iu];
+    }
+  }
+  return expected;
+}
+
 KendallEvaluator::KendallEvaluator(const AndXorTree& tree, int k)
     : k_(k), keys_(tree.Keys()) {
   // One compile and one score order shared by every column (the engine
@@ -45,32 +73,9 @@ KendallEvaluator::KendallEvaluator(const AndXorTree& tree, int k)
   const FlatTree flat = FlatTree::Compile(tree);
   const RankDistributionScan scan(flat, k_, /*max_chunks=*/0);
   FlatRefold::Scratch scratch;
-  q_.assign(keys_.size(), std::vector<double>(keys_.size(), 0.0));
   for (size_t it = 0; it < keys_.size(); ++it) {
-    const std::vector<double> column = KendallQColumn(scan, keys_, it, &scratch);
-    for (size_t iu = 0; iu < keys_.size(); ++iu) q_[iu][it] = column[iu];
+    columns_.push_back(KendallQColumn(scan, keys_, it, &scratch));
   }
-}
-
-Result<KendallEvaluator> KendallEvaluator::Create(
-    const AndXorTree& tree, int k, std::vector<std::vector<double>> q) {
-  std::vector<KeyId> keys = tree.Keys();
-  // A mis-shaped matrix (built over a different key list) must be rejected:
-  // padding it out would silently produce wrong Kendall expectations.
-  bool shape_ok = q.size() == keys.size();
-  for (const auto& row : q) shape_ok = shape_ok && row.size() == keys.size();
-  if (!shape_ok) {
-    return Status::InvalidArgument(
-        "KendallEvaluator: q matrix shape does not match " +
-        std::to_string(keys.size()) + " keys");
-  }
-  return KendallEvaluator(k, std::move(keys), std::move(q));
-}
-
-KendallEvaluator::KendallEvaluator(int k, std::vector<KeyId> keys,
-                                   std::vector<std::vector<double>> q)
-    : k_(k), keys_(std::move(keys)), q_(std::move(q)) {
-  for (size_t i = 0; i < keys_.size(); ++i) q_[i][i] = 0.0;
 }
 
 int KendallEvaluator::IndexOf(KeyId key) const {
@@ -83,31 +88,16 @@ double KendallEvaluator::Q(KeyId u, KeyId t) const {
   int iu = IndexOf(u);
   int it = IndexOf(t);
   if (iu < 0 || it < 0) return 0.0;
-  return q_[static_cast<size_t>(iu)][static_cast<size_t>(it)];
+  return columns_[static_cast<size_t>(it)][static_cast<size_t>(iu)];
 }
 
 double KendallEvaluator::Expected(const std::vector<KeyId>& answer) const {
-  std::vector<bool> in_answer(keys_.size(), false);
+  std::vector<const std::vector<double>*> columns;
   for (KeyId t : answer) {
-    int idx = IndexOf(t);
-    if (idx >= 0) in_answer[static_cast<size_t>(idx)] = true;
+    const int it = IndexOf(t);
+    columns.push_back(it < 0 ? nullptr : &columns_[static_cast<size_t>(it)]);
   }
-  double expected = 0.0;
-  // Pairs ranked by the answer: t before u contributes q(u, t).
-  for (size_t a = 0; a < answer.size(); ++a) {
-    for (size_t b = a + 1; b < answer.size(); ++b) {
-      expected += Q(answer[b], answer[a]);
-    }
-  }
-  // Pairs with t in the answer, u outside it: the answer's extensions place
-  // t first, so disagreement happens when u enters the Top-k ahead of t.
-  for (KeyId t : answer) {
-    for (size_t iu = 0; iu < keys_.size(); ++iu) {
-      if (in_answer[iu]) continue;
-      expected += Q(keys_[iu], t);
-    }
-  }
-  return expected;
+  return KendallExpectedFromColumns(keys_, answer, columns);
 }
 
 Result<TopKResult> MeanTopKKendallPivot(
@@ -156,16 +146,11 @@ Result<TopKResult> MeanTopKKendallPivot(
   return result;
 }
 
-TopKResult RescoreUnderKendall(const KendallEvaluator& evaluator,
-                               TopKResult answer) {
-  answer.expected_distance = evaluator.Expected(answer.keys);
-  return answer;
-}
-
 Result<TopKResult> MeanTopKKendallViaFootrule(const KendallEvaluator& evaluator,
                                               const RankDistribution& dist) {
-  CPDB_ASSIGN_OR_RETURN(TopKResult footrule, MeanTopKFootrule(dist));
-  return RescoreUnderKendall(evaluator, std::move(footrule));
+  CPDB_ASSIGN_OR_RETURN(TopKResult answer, MeanTopKFootrule(dist));
+  answer.expected_distance = evaluator.Expected(answer.keys);
+  return answer;
 }
 
 Result<TopKResult> MeanTopKKendallExactDp(const KendallEvaluator& evaluator,

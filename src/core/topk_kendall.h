@@ -47,6 +47,17 @@ std::vector<double> KendallQColumn(const RankDistributionScan& scan,
                                    const std::vector<KeyId>& keys, size_t it,
                                    FlatRefold::Scratch* scratch);
 
+/// \brief E[d_K(answer, topk(pw))] from the q columns of the answer's own
+/// keys: columns[a][iu] = q(keys[iu], answer[a]) over `keys` (sorted
+/// ascending, the tree's Keys()), or null for a key outside `keys`, whose
+/// terms are all zero. Every term of the decomposition has its t in the
+/// answer, so these |answer| columns are all the sum reads. It adds the
+/// answer's pairs a < b first, then each t of the answer over every u
+/// outside it in key order: one fixed order, whoever supplies the columns.
+double KendallExpectedFromColumns(
+    const std::vector<KeyId>& keys, const std::vector<KeyId>& answer,
+    const std::vector<const std::vector<double>*>& columns);
+
 /// \brief Precomputes the pairwise q statistics for a key set and evaluates
 /// E[d_K(answer, topk(pw))] for arbitrary candidate answers.
 class KendallEvaluator {
@@ -55,18 +66,6 @@ class KendallEvaluator {
   /// pass of one root path per leaf (two for a tied leaf) per column.
   KendallEvaluator(const AndXorTree& tree, int k);
 
-  /// \brief Builds an evaluator from an externally computed q matrix with
-  /// q[i][j] = q(keys[i], keys[j]) over keys = tree.Keys() (diagonal
-  /// ignored). Lets callers parallelize the quadratic precompute — the
-  /// engine fans one KendallQColumn per key across its thread pool — while
-  /// this class stays thread-free. A matrix whose
-  /// shape does not match tree.Keys() (built over a different key list)
-  /// would yield silently wrong expectations, so it returns
-  /// InvalidArgument instead of an evaluator. O(|keys|^2) to adopt the
-  /// matrix.
-  static Result<KendallEvaluator> Create(const AndXorTree& tree, int k,
-                                         std::vector<std::vector<double>> q);
-
   int k() const { return k_; }
   const std::vector<KeyId>& keys() const { return keys_; }
 
@@ -74,17 +73,13 @@ class KendallEvaluator {
   double Q(KeyId u, KeyId t) const;
 
   /// \brief E[d_K(answer, topk(pw))] for an ordered candidate answer of
-  /// distinct keys.
+  /// distinct keys (KendallExpectedFromColumns over the answer's columns).
   double Expected(const std::vector<KeyId>& answer) const;
 
  private:
-  // Adopts a shape-checked matrix; reached only through Create.
-  KendallEvaluator(int k, std::vector<KeyId> keys,
-                   std::vector<std::vector<double>> q);
-
   int k_;
   std::vector<KeyId> keys_;
-  std::vector<std::vector<double>> q_;  // q_[u_idx][t_idx]
+  std::vector<std::vector<double>> columns_;  // columns_[t_idx][u_idx]
   // keys_ position of `key`, -1 if absent: a binary search, since keys
   // span all of int32 (negative ones too), so no dense map over them fits.
   int IndexOf(KeyId key) const;
@@ -100,12 +95,6 @@ Result<TopKResult> MeanTopKKendallPivot(const KendallEvaluator& evaluator,
 /// 2-approximation by the Fagin et al. equivalence class).
 Result<TopKResult> MeanTopKKendallViaFootrule(const KendallEvaluator& evaluator,
                                               const RankDistribution& dist);
-
-/// \brief Re-scores an already computed answer under d_K — the tail of
-/// MeanTopKKendallViaFootrule, split out so the engine can supply a footrule
-/// answer whose cost columns were built across its thread pool.
-TopKResult RescoreUnderKendall(const KendallEvaluator& evaluator,
-                               TopKResult answer);
 
 /// \brief Exact mean answer by exhaustive search over ordered k-subsets of
 /// the candidate keys (those with Pr(r(t) <= k) > 0). Exponential; fails

@@ -2,6 +2,7 @@
 
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -113,26 +114,27 @@ std::vector<double> Engine::ExpectedRanks(const AndXorTree& tree) const {
   return expected;
 }
 
-std::vector<std::vector<double>> Engine::KendallQMatrix(
-    const AndXorTree& tree, int k, const FlatTree* program) const {
-  // One compiled tree and one score order shared read-only by the n column
+std::vector<std::vector<double>> Engine::KendallQColumns(
+    const AndXorTree& tree, int k, const std::vector<KeyId>& targets,
+    const FlatTree* program) const {
+  // One compiled tree and one score order shared read-only by the column
   // tasks, each scanning in its thread's scratch and writing only its own
-  // column, so the matrix is schedule-deterministic.
+  // column, so the columns are schedule-deterministic.
   const std::vector<KeyId> keys = tree.Keys();
   std::optional<FlatTree> owned;
   if (program == nullptr) owned.emplace(CompileCounted(tree));
   const RankDistributionScan scan(program != nullptr ? *program : *owned, k,
                                   /*max_chunks=*/0);
-  std::vector<std::vector<double>> q(keys.size(),
-                                     std::vector<double>(keys.size(), 0.0));
-  pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
-    const size_t it = static_cast<size_t>(t);
+  std::vector<std::vector<double>> columns(targets.size());
+  pool_.ParallelFor(static_cast<int64_t>(targets.size()), [&](int64_t j) {
+    const KeyId target = targets[static_cast<size_t>(j)];
+    const size_t it = static_cast<size_t>(
+        std::lower_bound(keys.begin(), keys.end(), target) - keys.begin());
     FlatRefold::Scratch& scratch = FlatRefoldScratch();
-    const std::vector<double> column = KendallQColumn(scan, keys, it, &scratch);
-    for (size_t iu = 0; iu < keys.size(); ++iu) q[iu][it] = column[iu];
+    columns[static_cast<size_t>(j)] = KendallQColumn(scan, keys, it, &scratch);
     NoteArenaHighWater(scratch.CapacityBytes());
   });
-  return q;
+  return columns;
 }
 
 Result<TopKResult> Engine::MedianSymDiffSearch(
@@ -212,7 +214,7 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(
   if (!valid.ok()) return valid;
   // A distribution computed for a different tree would make the metric
   // heads optimize over one key set while the tree-folding tails (kendall
-  // q matrix, median strata) use another — a silently wrong answer. The
+  // q columns, median strata) use another — a silently wrong answer. The
   // O(n) key compare is noise next to the O(L^2 k) fold being skipped; it
   // cannot catch a stale dist from different *content* over the same keys,
   // which is the caller's contract (see the header).
@@ -255,20 +257,23 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(
       return MeanTopKFootruleFromColumns(
           dist, PerKeyColumns(dist, FootruleCostColumn));
     case TopKMetric::kKendall: {
-      // The evaluator's O(n^2) q statistics dominate the query unless the
-      // caller supplied them; then build the footrule answer from parallel
-      // cost columns and re-score it under d_K.
+      if (tails.kendall_mean != nullptr) return *tails.kendall_mean;
+      // The footrule answer from parallel cost columns, re-scored under d_K
+      // from the q columns of its own keys: every term of E[d_K] has its t
+      // in the answer, so the other keys' columns are never read.
       CPDB_ASSIGN_OR_RETURN(
-          KendallEvaluator evaluator,
-          KendallEvaluator::Create(tree, k,
-                                   tails.kendall_q != nullptr
-                                       ? *tails.kendall_q
-                                       : KendallQMatrix(tree, k, program)));
-      CPDB_ASSIGN_OR_RETURN(
-          TopKResult footrule,
+          TopKResult answer,
           MeanTopKFootruleFromColumns(dist,
                                       PerKeyColumns(dist, FootruleCostColumn)));
-      return RescoreUnderKendall(evaluator, std::move(footrule));
+      const std::vector<std::vector<double>> columns =
+          KendallQColumns(tree, k, answer.keys, program);
+      std::vector<const std::vector<double>*> column_ptrs;
+      for (const std::vector<double>& column : columns) {
+        column_ptrs.push_back(&column);
+      }
+      answer.expected_distance =
+          KendallExpectedFromColumns(dist.keys(), answer.keys, column_ptrs);
+      return answer;
     }
   }
   return Status::InvalidArgument("unknown metric or answer kind");

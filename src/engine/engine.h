@@ -15,7 +15,8 @@
 //     leaf order, the accumulation order of the sequential
 //     ComputeRankDistribution — so the chunk count moves no bit and needs
 //     no knob;
-//   * the Kendall q matrix — one unit per key, each writing its own column;
+//   * Kendall q columns — one unit per target key, each writing its own
+//     column (the kendall mean reads only its answer's keys' columns);
 //   * median symdiff — one unit per Theorem 4 search stratum (score
 //     threshold DPs plus the small-world DP), merged by replaying the
 //     sequential first-improvement scan;
@@ -96,15 +97,15 @@ struct EngineObsCounters {
 
 class FlatTree;
 
-/// \brief Precomputed metric tails for one consensus query — the inputs a
-/// serving cache can supply so a warm query skips its O(n^2) q matrix or its
-/// Theorem 4 search. Null members are computed by the engine exactly as
-/// without them; a non-null member must be this engine's own output for
-/// the query's (tree, k), which makes the answer bitwise identical either
-/// way.
+/// \brief Precomputed metric tails for one consensus query — the answers a
+/// serving cache can supply so a warm query skips its Kendall tail (footrule
+/// solve plus q columns) or its Theorem 4 search. Null members are computed
+/// by the engine exactly as without them; a non-null member must be this
+/// engine's own output for the query's (tree, dist), which makes the answer
+/// bitwise identical either way.
 struct ConsensusTails {
-  /// kendall mean: Engine::KendallQMatrix(tree, k).
-  const std::vector<std::vector<double>>* kendall_q = nullptr;
+  /// kendall mean: ConsensusTopKWithDist(tree, dist, kKendall, kMean).
+  const Result<TopKResult>* kendall_mean = nullptr;
   /// symdiff median: Engine::MedianSymDiffSearch(tree, dist).
   const Result<TopKResult>* symdiff_median = nullptr;
 };
@@ -151,15 +152,18 @@ class Engine {
   RankDistribution ComputeRankDistribution(
       const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
 
-  /// \brief The Kendall q statistics over tree.Keys(): q[i][j] =
-  /// q(keys[i], keys[j]) (see KendallQColumn; diagonal 0), the precompute
-  /// of the kendall mean answer. One task per key j runs KendallQColumn in
-  /// its thread's FlatRefoldScratch(): one score-ordered scan shared
-  /// read-only by every task, one root path per leaf, with keys[j]'s
-  /// leaves zeroed once passed. Bitwise identical to the pointer-fold
-  /// oracle and to KendallEvaluator(tree, k) for any thread count.
-  std::vector<std::vector<double>> KendallQMatrix(
-      const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
+  /// \brief The Kendall q columns of `targets`, each a key of the tree:
+  /// result[j][i] = q(keys[i], targets[j]) over keys = tree.Keys() (see
+  /// KendallQColumn; 0 at targets[j] itself). One task per target runs
+  /// KendallQColumn in its thread's FlatRefoldScratch(): one score-ordered
+  /// scan shared read-only by every task, one root path per leaf, with the
+  /// target's leaves zeroed once passed. The kendall mean asks for its
+  /// answer's keys only; every key gives the whole q matrix, column by
+  /// column. Bitwise identical to the pointer-fold oracle and to
+  /// KendallEvaluator(tree, k) for any thread count.
+  std::vector<std::vector<double>> KendallQColumns(
+      const AndXorTree& tree, int k, const std::vector<KeyId>& targets,
+      const FlatTree* program = nullptr) const;
 
   /// \brief The Theorem 4 median search under d_Delta: one unit per search
   /// stratum, merged by replaying the sequential first-improvement scan, so
@@ -175,11 +179,11 @@ class Engine {
   /// metric's heavy precomputation runs through the pool: the rank
   /// distribution always; additionally the Theorem 4 strata (symdiff
   /// median), the per-candidate Hungarian cost/profit columns (footrule,
-  /// intersection exact), and the pairwise q matrix plus footrule columns
-  /// (kendall). Results are bitwise identical to the sequential core
-  /// functions for any thread count. Unsupported combinations (e.g.
-  /// footrule median) return NotImplemented; unknown enum values return
-  /// InvalidArgument.
+  /// intersection exact), and the footrule columns plus the q columns of
+  /// the answer's keys (kendall). Results are bitwise identical to the
+  /// sequential core functions for any thread count. Unsupported
+  /// combinations (e.g. footrule median) return NotImplemented; unknown
+  /// enum values return InvalidArgument.
   Result<TopKResult> ConsensusTopK(const AndXorTree& tree, int k,
                                    TopKMetric metric,
                                    TopKAnswer answer = TopKAnswer::kMean,
@@ -200,7 +204,7 @@ class Engine {
   /// repeated queries against one shape skip the O(L^2 k) fold. Because the
   /// fold is schedule-deterministic, answers are bitwise identical whether
   /// `dist` was computed fresh or served from a cache. The metric-specific
-  /// tails (strata, columns, q matrix) still run through the pool. The
+  /// tails (strata, columns, q columns) still run through the pool. The
   /// guard here is a cheap key-set compare: a `dist` whose key set does not
   /// match tree.Keys() is InvalidArgument, but a stale distribution from a
   /// *different tree over the identical key set* (say, re-built with new

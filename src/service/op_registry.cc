@@ -27,10 +27,11 @@ Status MetricsDisabledError() {
       "op=metrics requires metrics enabled (serve without --metrics=off)");
 }
 
-std::shared_ptr<const std::vector<std::vector<double>>> OpHost::KendallFor(
-    const CatalogEntry& entry, int k) {
-  return std::make_shared<const std::vector<std::vector<double>>>(
-      engine()->KendallQMatrix(*entry.tree, k, entry.program.get()));
+std::shared_ptr<const Result<TopKResult>> OpHost::KendallMeanFor(
+    const CatalogEntry& entry, const RankDistribution& dist) {
+  return std::make_shared<const Result<TopKResult>>(
+      engine()->ConsensusTopKWithDist(*entry.tree, dist, TopKMetric::kKendall,
+                                      TopKAnswer::kMean, entry.program.get()));
 }
 
 std::shared_ptr<const Result<TopKResult>> OpHost::MedianSymDiffFor(
@@ -237,9 +238,9 @@ int TopKRankK(const ServiceRequest& request) {
              : 0;
 }
 
-// The rank distribution, then the tail precompute the (metric, answer)
-// needs: the q matrix for kendall mean, the median search over the
-// distribution for symdiff median, nothing otherwise.
+// The rank distribution, then the tail the (metric, answer) caches: the
+// kendall mean answer or the symdiff median search over the distribution,
+// nothing otherwise.
 OpInputs FetchTopK(OpHost& host, const CatalogEntry& entry,
                    const ServiceRequest& request) {
   OpInputs inputs;
@@ -248,7 +249,7 @@ OpInputs FetchTopK(OpHost& host, const CatalogEntry& entry,
   if (inputs.dist == nullptr) return inputs;
   if (request.metric == TopKMetric::kKendall &&
       request.answer == TopKAnswer::kMean) {
-    inputs.kendall_q = host.KendallFor(entry, request.k);
+    inputs.kendall_mean = host.KendallMeanFor(entry, *inputs.dist);
   } else if (request.metric == TopKMetric::kSymDiff &&
              request.answer == TopKAnswer::kMedian) {
     inputs.symdiff_median = host.MedianSymDiffFor(entry, *inputs.dist);
@@ -269,7 +270,7 @@ Result<ServiceResponse> SolveTopK(const Engine& engine,
           ? engine.ConsensusTopKWithDist(
                 *entry.tree, *inputs.dist, request.metric, request.answer,
                 entry.program.get(),
-                ConsensusTails{inputs.kendall_q.get(),
+                ConsensusTails{inputs.kendall_mean.get(),
                                inputs.symdiff_median.get()})
           : engine.ConsensusTopK(*entry.tree, request.k, request.metric,
                                  request.answer, entry.program.get()));

@@ -116,9 +116,12 @@ class OpHost {
   /// scheduler with caching on. The defaults compute fresh through
   /// engine(), so a host without a cache answers the same bytes.
   ///
-  /// The Kendall q matrix (Engine::KendallQMatrix) for (entry, k).
-  virtual std::shared_ptr<const std::vector<std::vector<double>>> KendallFor(
-      const CatalogEntry& entry, int k);
+  /// The kendall mean answer (Engine::ConsensusTopKWithDist, metric
+  /// kendall, answer mean) over `dist`, the entry's rank distribution at
+  /// cutoff dist.k(): the footrule answer re-scored from its keys' q
+  /// columns.
+  virtual std::shared_ptr<const Result<TopKResult>> KendallMeanFor(
+      const CatalogEntry& entry, const RankDistribution& dist);
 
   /// The symdiff median search (Engine::MedianSymDiffSearch) over `dist`,
   /// the entry's rank distribution at cutoff dist.k().
@@ -156,7 +159,7 @@ struct OpInputs {
   /// world, marginals, aggregate.
   std::shared_ptr<const std::vector<double>> marginals;
   /// topk metric=kendall answer=mean.
-  std::shared_ptr<const std::vector<std::vector<double>>> kendall_q;
+  std::shared_ptr<const Result<TopKResult>> kendall_mean;
   /// topk metric=symdiff answer=median.
   std::shared_ptr<const Result<TopKResult>> symdiff_median;
   /// baseline method=erank.

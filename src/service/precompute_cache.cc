@@ -21,47 +21,43 @@ PrecomputeCache::PrecomputeCache(int64_t byte_budget)
 // Size-based like the sibling caches' charges: deterministic in the value's
 // shape, so eviction decisions replay identically across runs.
 int64_t PrecomputeCache::ValueBytes(const Value& value) {
-  if (const QMatrix* q = std::get_if<QMatrix>(&value)) {
-    int64_t bytes = static_cast<int64_t>(sizeof(QMatrix));
-    for (const std::vector<double>& row : *q) bytes += DoublesBytes(row);
-    return bytes;
-  }
   if (const auto* ranks = std::get_if<std::vector<double>>(&value)) {
     return DoublesBytes(*ranks);
   }
-  const Result<TopKResult>& median = std::get<Result<TopKResult>>(value);
+  const Result<TopKResult>& answer = std::get<Result<TopKResult>>(value);
   return static_cast<int64_t>(sizeof(Result<TopKResult>)) +
-         (median.ok() ? static_cast<int64_t>(median->keys.size() *
+         (answer.ok() ? static_cast<int64_t>(answer->keys.size() *
                                              sizeof(KeyId))
                       : 0);
 }
 
-template <size_t kKind, typename T>
+template <typename T>
 std::shared_ptr<const T> PrecomputeCache::Get(
-    StructKey struct_key, int k, const std::function<T()>& compute) {
+    Kind kind, StructKey struct_key, int k, const std::function<T()>& compute) {
   std::shared_ptr<const Value> value = cache_.GetOrCompute(
-      Key(struct_key.value(), static_cast<int>(kKind), k),
-      [&compute] { return Value(std::in_place_index<kKind>, compute()); });
+      Key(struct_key.value(), static_cast<int>(kind), k),
+      [&compute] { return Value(compute()); });
   // An aliasing handle: it owns the whole entry and points at its one
   // alternative, so it survives eviction exactly like the entry's own.
-  return std::shared_ptr<const T>(value, &std::get<kKind>(*value));
+  return std::shared_ptr<const T>(value, &std::get<T>(*value));
 }
 
-std::shared_ptr<const PrecomputeCache::QMatrix> PrecomputeCache::KendallQ(
-    StructKey struct_key, int k, const std::function<QMatrix()>& compute) {
-  return Get<0>(struct_key, k, compute);
+std::shared_ptr<const Result<TopKResult>> PrecomputeCache::KendallMean(
+    StructKey struct_key, int k,
+    const std::function<Result<TopKResult>()>& compute) {
+  return Get(kKendallMean, struct_key, k, compute);
 }
 
 std::shared_ptr<const Result<TopKResult>> PrecomputeCache::SymDiffMedian(
     StructKey struct_key, int k,
     const std::function<Result<TopKResult>()>& compute) {
-  return Get<1>(struct_key, k, compute);
+  return Get(kSymDiffMedian, struct_key, k, compute);
 }
 
 std::shared_ptr<const std::vector<double>> PrecomputeCache::ExpectedRanks(
     StructKey struct_key,
     const std::function<std::vector<double>()>& compute) {
-  return Get<2>(struct_key, /*k=*/0, compute);
+  return Get(kExpectedRanks, struct_key, /*k=*/0, compute);
 }
 
 }  // namespace cpdb

@@ -4,8 +4,9 @@
 // request still paid after its rank distribution and marginals were cached.
 // One CostLruCache holds three kinds of entry, keyed by (StructKey, kind, k):
 //
-//   * the Kendall q matrix (Engine::KendallQMatrix) per (shape, k) — the
-//     O(n^2)-cell precompute of the kendall mean answer;
+//   * the kendall mean answer (Engine::ConsensusTopKWithDist, metric
+//     kendall, answer mean) per (shape, k) — the final answer, so a warm
+//     request skips the footrule solve and the q columns alike;
 //   * the Theorem 4 median search result (Engine::MedianSymDiffSearch) per
 //     (shape, k) — the final answer, not the per-stratum candidate lists;
 //   * the expected-rank vector (Engine::ExpectedRanks) per shape, with k
@@ -41,21 +42,21 @@ namespace cpdb {
 /// with single-flight computation and byte-budgeted LRU eviction.
 class PrecomputeCache {
  public:
-  using QMatrix = std::vector<std::vector<double>>;
-
   /// \brief `byte_budget` caps the charged bytes of all retained entries
   /// together; kUnboundedCacheBytes never evicts, 0 retains nothing but
   /// still coalesces concurrent computes.
   explicit PrecomputeCache(int64_t byte_budget = kUnboundedCacheBytes);
 
-  /// \brief The Kendall q matrix for (struct_key, k), invoking `compute` on
-  /// a miss — at most once across concurrent callers.
-  std::shared_ptr<const QMatrix> KendallQ(
-      StructKey struct_key, int k, const std::function<QMatrix()>& compute);
+  /// \brief The kendall mean answer for (struct_key, k), invoking `compute`
+  /// on a miss — at most once across concurrent callers. A failed answer is
+  /// cached like a success: it is the engine's deterministic output for the
+  /// key too.
+  std::shared_ptr<const Result<TopKResult>> KendallMean(
+      StructKey struct_key, int k,
+      const std::function<Result<TopKResult>()>& compute);
 
-  /// \brief The symdiff median search result for (struct_key, k). A failed
-  /// search is cached like a success: it is the engine's deterministic
-  /// output for the key too.
+  /// \brief The symdiff median search result for (struct_key, k), cached
+  /// like the kendall mean, failures included.
   std::shared_ptr<const Result<TopKResult>> SymDiffMedian(
       StructKey struct_key, int k,
       const std::function<Result<TopKResult>()>& compute);
@@ -71,15 +72,16 @@ class PrecomputeCache {
   CacheStats stats() const { return cache_.stats(); }
 
  private:
-  // The variant index is the kind, and the kind is part of the key, so
-  // one (shape, k) pair holds its q matrix and its median side by side.
+  // The kind is part of the key, so one (shape, k) pair holds its kendall
+  // mean and its median side by side.
+  enum Kind { kKendallMean, kSymDiffMedian, kExpectedRanks };
   using Key = std::tuple<uint64_t, int, int>;  // (StructKey, kind, k)
-  using Value = std::variant<QMatrix, Result<TopKResult>, std::vector<double>>;
+  using Value = std::variant<Result<TopKResult>, std::vector<double>>;
 
   static int64_t ValueBytes(const Value& value);
 
-  template <size_t kKind, typename T>
-  std::shared_ptr<const T> Get(StructKey struct_key, int k,
+  template <typename T>
+  std::shared_ptr<const T> Get(Kind kind, StructKey struct_key, int k,
                                const std::function<T()>& compute);
 
   CostLruCache<Key, Value> cache_;

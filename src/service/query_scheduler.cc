@@ -318,12 +318,14 @@ class QueryScheduler::Host : public OpHost {
 
   // The tail precomputes: through the precompute cache when caching is on,
   // the base class's fresh computation otherwise.
-  std::shared_ptr<const std::vector<std::vector<double>>> KendallFor(
-      const CatalogEntry& entry, int k) override {
-    if (!shard_->use_cache) return OpHost::KendallFor(entry, k);
-    return shard_->precompute_cache.KendallQ(
-        entry.struct_key, k, [this, &entry, k] {
-          return engine()->KendallQMatrix(*entry.tree, k, entry.program.get());
+  std::shared_ptr<const Result<TopKResult>> KendallMeanFor(
+      const CatalogEntry& entry, const RankDistribution& dist) override {
+    if (!shard_->use_cache) return OpHost::KendallMeanFor(entry, dist);
+    return shard_->precompute_cache.KendallMean(
+        entry.struct_key, dist.k(), [this, &entry, &dist] {
+          return engine()->ConsensusTopKWithDist(
+              *entry.tree, dist, TopKMetric::kKendall, TopKAnswer::kMean,
+              entry.program.get());
         });
   }
 

@@ -24,7 +24,7 @@
 //      slot's fetch runs first, in slot order: the shared precomputes
 //      route through the three caches — rank distributions by
 //      (StructKey, k), leaf marginals by StructKey, and the metric-tail
-//      precomputes (Kendall q matrices, symdiff median searches, expected
+//      tails (kendall mean answers, symdiff median searches, expected
 //      ranks) by (StructKey, kind, k) — so queries sharing a structural
 //      key pay each precompute once, and a batch folds each shape's rank
 //      distribution once, at its largest k, serving smaller k a prefix.

@@ -200,9 +200,9 @@ TEST(EngineTest, ConsensusTopKMatchesDirectCoreCalls) {
   EXPECT_EQ(approx_int->keys, MeanTopKIntersectionApprox(dist).keys);
 }
 
-// The engine's kendall path precomputes the q matrix in parallel and feeds
-// it to KendallEvaluator; the result must match the sequential evaluator
-// bitwise for any thread count.
+// The engine's kendall path computes the footrule answer's q columns in
+// parallel and re-scores it from them alone; the result must match the
+// sequential evaluator bitwise for any thread count.
 TEST(EngineTest, KendallConsensusMatchesSequentialEvaluator) {
   const int k = 3;
   AndXorTree tree = RandomDeepTree(41, 6);

@@ -327,19 +327,20 @@ TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
     // without a supplied program, and the sequential KendallEvaluator — is
     // bitwise the pointer PrInTopKAndBefore matrix.
     for (int q_k : {1, 3, 5}) {
-      std::vector<std::vector<double>> q_ref(
+      // columns_ref[j][i] = q(keys[i], keys[j]).
+      std::vector<std::vector<double>> columns_ref(
           keys.size(), std::vector<double>(keys.size(), 0.0));
       for (size_t i = 0; i < keys.size(); ++i) {
         for (size_t j = 0; j < keys.size(); ++j) {
           if (i != j) {
-            q_ref[i][j] = PrInTopKAndBefore(tree, keys[i], keys[j], q_k);
+            columns_ref[j][i] = PrInTopKAndBefore(tree, keys[i], keys[j], q_k);
           }
         }
       }
       const KendallEvaluator evaluator(tree, q_k);
       for (size_t i = 0; i < keys.size(); ++i) {
         for (size_t j = 0; j < keys.size(); ++j) {
-          ASSERT_EQ(evaluator.Q(keys[i], keys[j]), q_ref[i][j])
+          ASSERT_EQ(evaluator.Q(keys[i], keys[j]), columns_ref[j][i])
               << "k " << q_k << " cell " << i << "," << j;
         }
       }
@@ -347,9 +348,10 @@ TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
         EngineOptions opts;
         opts.num_threads = threads;
         Engine engine(opts);
-        ASSERT_EQ(engine.KendallQMatrix(tree, q_k), q_ref)
+        ASSERT_EQ(engine.KendallQColumns(tree, q_k, keys), columns_ref)
             << "threads " << threads << " k " << q_k;
-        ASSERT_EQ(engine.KendallQMatrix(tree, q_k, &program), q_ref)
+        ASSERT_EQ(engine.KendallQColumns(tree, q_k, keys, &program),
+                  columns_ref)
             << "threads " << threads << " k " << q_k;
       }
     }

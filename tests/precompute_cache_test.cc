@@ -1,7 +1,7 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // Tests for the PrecomputeCache — the serving layer's memo of the metric
-// tails (Kendall q matrices, symdiff median searches, expected ranks). The
+// tails (kendall mean answers, symdiff median searches, expected ranks). The
 // load-bearing property is the usual one for a cache of deterministic
 // values: kendall mean, symdiff median and erank answers are bitwise
 // identical with the cache on or off, under any budget, thread count, shard
@@ -232,7 +232,7 @@ TEST_F(PrecomputeCacheServeTest, TailAnswersBitwiseAcrossConfigurations) {
 }
 
 // Single-flight: N threads issuing one Kendall request at once compute its
-// q matrix exactly once; everyone else hits or coalesces, and all answers
+// answer exactly once; everyone else hits or coalesces, and all answers
 // agree to the byte.
 TEST_F(PrecomputeCacheServeTest, ConcurrentIdenticalKendallRequestsMissOnce) {
   constexpr int kThreads = 8;
@@ -288,10 +288,16 @@ TEST(PrecomputeCacheTest, BytesNeverExceedBudgetUnderChurn) {
         const double fill = static_cast<double>(key);
         switch (key % 3) {
           case 0: {
-            auto q = cache.KendallQ(StructKey(key), 3, [&] {
-              return PrecomputeCache::QMatrix(n, std::vector<double>(n, fill));
+            auto mean = cache.KendallMean(StructKey(key), 3, [&] {
+              TopKResult result;
+              result.keys.assign(n * 2, key);
+              result.expected_distance = fill;
+              return Result<TopKResult>(result);
             });
-            if ((*q)[0][0] != fill || q->size() != n) ++wrong_values;
+            if (!mean->ok() || (*mean)->keys.size() != n * 2 ||
+                (*mean)->expected_distance != fill) {
+              ++wrong_values;
+            }
             break;
           }
           case 1: {
@@ -329,21 +335,62 @@ TEST(PrecomputeCacheTest, BytesNeverExceedBudgetUnderChurn) {
 }
 
 // The kinds share one key space without colliding: one (shape, k) holds a
-// q matrix and a median side by side, and erank's entry ignores k.
+// kendall mean and a median side by side, each its own answer although
+// both are TopKResults, and erank's entry ignores k.
 TEST(PrecomputeCacheTest, KindsAreDistinctEntriesOfOneShape) {
   PrecomputeCache cache;
-  cache.KendallQ(StructKey(7), 3, [] { return PrecomputeCache::QMatrix(2); });
-  cache.SymDiffMedian(StructKey(7), 3,
-                      [] { return Result<TopKResult>(TopKResult()); });
+  auto answer = [](KeyId key) {
+    TopKResult result;
+    result.keys = {key};
+    return Result<TopKResult>(result);
+  };
+  cache.KendallMean(StructKey(7), 3, [&] { return answer(1); });
+  cache.SymDiffMedian(StructKey(7), 3, [&] { return answer(2); });
   cache.ExpectedRanks(StructKey(7), [] { return std::vector<double>(3); });
   cache.ExpectedRanks(StructKey(7), [] { return std::vector<double>(3); });
+  EXPECT_EQ(
+      (*cache.KendallMean(StructKey(7), 3, [&] { return answer(3); }))->keys,
+      std::vector<KeyId>{1});
+  EXPECT_EQ(
+      (*cache.SymDiffMedian(StructKey(7), 3, [&] { return answer(3); }))->keys,
+      std::vector<KeyId>{2});
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 3);
   EXPECT_EQ(stats.misses, 3);
+  EXPECT_EQ(stats.hits, 3);
+}
+
+// A failed kendall mean is the engine's deterministic output for its key,
+// so it is cached like a success and not recomputed. Each answer is charged
+// its Result plus its keys; a failure, no keys.
+TEST(PrecomputeCacheTest, KendallMeanCachesFailuresAndChargesItsKeys) {
+  PrecomputeCache cache;
+  int computes = 0;
+  auto fail = [&] {
+    ++computes;
+    return Result<TopKResult>(Status::InvalidArgument("no answer"));
+  };
+  cache.KendallMean(StructKey(1), 3, fail);
+  auto failed = cache.KendallMean(StructKey(1), 3, fail);
+  EXPECT_EQ(computes, 1);
+  ASSERT_FALSE(failed->ok());
+  EXPECT_EQ(failed->status().code(), StatusCode::kInvalidArgument);
+  const int64_t result_bytes = sizeof(Result<TopKResult>);
+  EXPECT_EQ(cache.stats().bytes, result_bytes);
+
+  cache.KendallMean(StructKey(2), 3, [] {
+    TopKResult result;
+    result.keys = {4, 5, 6};
+    return Result<TopKResult>(result);
+  });
+  EXPECT_EQ(cache.stats().bytes,
+            2 * result_bytes + 3 * static_cast<int64_t>(sizeof(KeyId)));
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.hits, 1);
 }
 
-// A warm Kendall repeat pays neither a compile nor a q fold: the
+// A warm Kendall repeat pays no compile, footrule solve or q column: the
 // precompute cache registers a hit, the engine's compile counter stays
 // put, and the answer is the direct engine call's, bitwise — in a batch
 // and one at a time alike.
@@ -397,7 +444,7 @@ TEST_F(PrecomputeCacheServeTest, ShardedScrapeIsThePerShardSum) {
     }
     EXPECT_EQ(merged.Find(name)->value, sum) << name;
   }
-  // Per tree: one q matrix, two medians (k = 3, 2), one rank vector.
+  // Per tree: one kendall mean, two medians (k = 3, 2), one rank vector.
   const int64_t keys = 4 * static_cast<int64_t>(trees_.size());
   EXPECT_EQ(merged.Find("cpdb_precompute_cache_misses_total")->value, keys);
   EXPECT_EQ(merged.Find("cpdb_precompute_cache_entries")->value, keys);

@@ -1042,7 +1042,7 @@ TEST_F(QuerySchedulerTest, MetricsScrapeAgreesWithStatsOp) {
   EXPECT_EQ(scrape.Find("cpdb_request_errors_total")->value, 0);
   // The engine compiled at least one flat fold to answer the queries.
   EXPECT_GT(scrape.Find("cpdb_fold_compiles_total")->value, 0);
-  // The kendall query's q matrix is the precompute cache's one entry.
+  // The kendall query's mean answer is the precompute cache's one entry.
   EXPECT_EQ(scrape.Find("cpdb_precompute_cache_misses_total")->value,
             scheduler.precompute_stats().misses);
   EXPECT_EQ(scrape.Find("cpdb_precompute_cache_entries")->value, 1);

@@ -173,46 +173,6 @@ TEST(TopKKendallTest, ExactRefusesLargeCandidateSets) {
             StatusCode::kResourceExhausted);
 }
 
-// The Create factory adopts a well-shaped external q matrix bitwise and
-// rejects a mis-shaped one with a Status instead of aborting the process
-// (the PR 1 review item).
-TEST(TopKKendallTest, CreateValidatesExternalMatrixShape) {
-  Rng rng(11);
-  RandomTreeOptions opts;
-  opts.num_keys = 4;
-  opts.max_depth = 3;
-  opts.max_alternatives = 2;
-  auto tree = RandomAndXorTree(opts, &rng);
-  ASSERT_TRUE(tree.ok());
-  KendallEvaluator computed(*tree, kK);
-  const std::vector<KeyId>& keys = computed.keys();
-
-  std::vector<std::vector<double>> q(keys.size(),
-                                     std::vector<double>(keys.size(), 0.0));
-  for (size_t iu = 0; iu < keys.size(); ++iu) {
-    for (size_t it = 0; it < keys.size(); ++it) {
-      q[iu][it] = computed.Q(keys[iu], keys[it]);
-    }
-  }
-  auto adopted = KendallEvaluator::Create(*tree, kK, q);
-  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
-  for (KeyId u : keys) {
-    for (KeyId t : keys) {
-      EXPECT_EQ(adopted->Q(u, t), computed.Q(u, t));
-    }
-  }
-
-  // Too few rows, and a ragged row: both are InvalidArgument, not abort.
-  std::vector<std::vector<double>> short_q(keys.size() - 1,
-                                           std::vector<double>(keys.size()));
-  EXPECT_EQ(KendallEvaluator::Create(*tree, kK, short_q).status().code(),
-            StatusCode::kInvalidArgument);
-  std::vector<std::vector<double>> ragged_q = q;
-  ragged_q.back().pop_back();
-  EXPECT_EQ(KendallEvaluator::Create(*tree, kK, ragged_q).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(TopKKendallTest, TiedScoresBitwiseEqualPointerFold) {
   // A q column's scan queries every leaf of a tie group before it commits
   // the group, the column's own key to zero and the rest to x. Scores from
@@ -221,6 +181,11 @@ TEST(TopKKendallTest, TiedScoresBitwiseEqualPointerFold) {
   // engine's column tasks with and without a program at any thread count,
   // and the sequential evaluator. Trees stay at 60 leaves or fewer, so the
   // pointer fold at k = L + 3 stays cheap.
+  //
+  // The engine's kendall mean re-scores the footrule answer from its own
+  // keys' columns; the evaluator holds every column. One sum order, so
+  // keys and E[d_K] agree to the bit. At k = the key count the answer is
+  // every key; past it both fail alike, as the footrule answer needs k.
   Rng rng(2026);
   RandomTreeOptions deep;
   deep.num_keys = 8;
@@ -249,31 +214,48 @@ TEST(TopKKendallTest, TiedScoresBitwiseEqualPointerFold) {
       } while (tree.NumLeaves() > 60 || !HasTieWithinKey(tree));
       const FlatTree program = FlatTree::Compile(tree);
       const std::vector<KeyId> keys = tree.Keys();
-      for (int k : {1, 3, 5, tree.NumLeaves() + 3}) {
+      const int num_keys = static_cast<int>(keys.size());
+      for (int k : {1, 3, 5, num_keys, tree.NumLeaves() + 3}) {
         const std::string label = "pool " + std::to_string(pool) +
                                   " shape " + std::to_string(shape) + " k " +
                                   std::to_string(k);
-        std::vector<std::vector<double>> q_ref(
+        // columns_ref[j][i] = q(keys[i], keys[j]).
+        std::vector<std::vector<double>> columns_ref(
             keys.size(), std::vector<double>(keys.size(), 0.0));
         for (size_t i = 0; i < keys.size(); ++i) {
           for (size_t j = 0; j < keys.size(); ++j) {
             if (i != j) {
-              q_ref[i][j] = PrInTopKAndBefore(tree, keys[i], keys[j], k);
+              columns_ref[j][i] = PrInTopKAndBefore(tree, keys[i], keys[j], k);
             }
           }
         }
         const KendallEvaluator evaluator(tree, k);
         for (size_t i = 0; i < keys.size(); ++i) {
           for (size_t j = 0; j < keys.size(); ++j) {
-            ASSERT_EQ(evaluator.Q(keys[i], keys[j]), q_ref[i][j])
+            ASSERT_EQ(evaluator.Q(keys[i], keys[j]), columns_ref[j][i])
                 << label << " cell " << i << "," << j;
           }
         }
+        const RankDistribution dist =
+            engines[0]->ComputeRankDistribution(tree, k);
+        const Result<TopKResult> mean =
+            MeanTopKKendallViaFootrule(evaluator, dist);
+        ASSERT_EQ(mean.ok(), k <= num_keys) << label;
         for (const std::unique_ptr<Engine>& engine : engines) {
-          ASSERT_EQ(engine->KendallQMatrix(tree, k), q_ref)
-              << label << " threads " << engine->num_threads();
-          ASSERT_EQ(engine->KendallQMatrix(tree, k, &program), q_ref)
-              << label << " threads " << engine->num_threads();
+          const std::string at =
+              label + " threads " + std::to_string(engine->num_threads());
+          for (const FlatTree* prog : {static_cast<const FlatTree*>(nullptr),
+                                       &program}) {
+            ASSERT_EQ(engine->KendallQColumns(tree, k, keys, prog),
+                      columns_ref)
+                << at;
+            const Result<TopKResult> got = engine->ConsensusTopKWithDist(
+                tree, dist, TopKMetric::kKendall, TopKAnswer::kMean, prog);
+            ASSERT_EQ(got.status().ToString(), mean.status().ToString()) << at;
+            if (!mean.ok()) continue;
+            ASSERT_EQ(got->keys, mean->keys) << at;
+            ASSERT_EQ(got->expected_distance, mean->expected_distance) << at;
+          }
         }
       }
     }

@@ -917,10 +917,10 @@ std::string CliUsage() {
       "                      (PRF-upsilon with harmonic weights; default\n"
       "                      escore)\n"
       "  --cache=on|off      serve only: the rank-distribution,\n"
-      "                      marginals and precompute (Kendall q, symdiff\n"
-      "                      median, expected ranks) caches (default on;\n"
-      "                      answers are bitwise identical either way —\n"
-      "                      off exists for benchmarking)\n"
+      "                      marginals and precompute (kendall mean,\n"
+      "                      symdiff median, expected ranks) caches\n"
+      "                      (default on; answers are bitwise identical\n"
+      "                      either way — off exists for benchmarking)\n"
       "  --cache-budget=B    serve only: byte budget per cache; retained\n"
       "                      entries are LRU-evicted to fit (default\n"
       "                      unbounded; 0 retains nothing; answers are\n"
