@@ -93,14 +93,23 @@ void BM_EngineSetConsensus(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSetConsensus)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The three heavy tail precomputes one at a time, over the trees the serve
-// benchmark's heavy_sharded workload draws: 12 keys, depth 3, 42-45
-// leaves, k = 5. Each iteration runs one tree's tail, cycling through 32
-// trees, so the time per iteration is the per-tree kernel cost. kendall_q
-// is every key's q column (the whole matrix); kendall_mean is the answer
-// serve computes on a cache miss, over the cached rank distribution: the
-// footrule solve plus its answer keys' columns.
-enum class HeavyTail { kKendallQ, kKendallMean, kMedian, kErank };
+// The solves of the serve benchmark's heavy_sharded workload one at a
+// time, over the trees it draws: 12 keys, depth 3, 42-45 leaves, k = 5.
+// Each iteration runs one tree's solve, cycling through 32 trees, so the
+// time per iteration is the per-tree kernel cost. kendall_q is every key's
+// q column (the whole matrix); kendall_mean is the answer serve computes
+// on a cache miss, over the cached rank distribution: the footrule solve
+// plus its answer keys' columns. median is the Theorem 4 scan, erank the
+// expected-rank scan, and footrule_mean / intersection_mean the Hungarian
+// solves over their cost / profit columns.
+enum class HeavyTail {
+  kKendallQ,
+  kKendallMean,
+  kMedian,
+  kErank,
+  kFootruleMean,
+  kIntersectionMean
+};
 
 void BM_EngineHeavyTails(benchmark::State& state, HeavyTail tail) {
   constexpr int kK = 5;
@@ -143,6 +152,16 @@ void BM_EngineHeavyTails(benchmark::State& state, HeavyTail tail) {
       case HeavyTail::kErank:
         benchmark::DoNotOptimize(engine.ExpectedRanks(trees[t]));
         break;
+      case HeavyTail::kFootruleMean:
+        benchmark::DoNotOptimize(engine.ConsensusTopKWithDist(
+            trees[t], dists[t], TopKMetric::kFootrule, TopKAnswer::kMean,
+            &programs[t]));
+        break;
+      case HeavyTail::kIntersectionMean:
+        benchmark::DoNotOptimize(engine.ConsensusTopKWithDist(
+            trees[t], dists[t], TopKMetric::kIntersection, TopKAnswer::kMean,
+            &programs[t]));
+        break;
     }
   }
 }
@@ -156,6 +175,13 @@ BENCHMARK_CAPTURE(BM_EngineHeavyTails, median, HeavyTail::kMedian)
     ->Arg(1)
     ->Arg(4);
 BENCHMARK_CAPTURE(BM_EngineHeavyTails, erank, HeavyTail::kErank)
+    ->Arg(1)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_EngineHeavyTails, footrule_mean, HeavyTail::kFootruleMean)
+    ->Arg(1)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_EngineHeavyTails, intersection_mean,
+                  HeavyTail::kIntersectionMean)
     ->Arg(1)
     ->Arg(4);
 

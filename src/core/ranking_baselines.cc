@@ -39,47 +39,63 @@ std::vector<KeyId> TopKByExpectedScore(const AndXorTree& tree, int k) {
 }
 
 std::vector<double> ExpectedRanks(const AndXorTree& tree) {
+  const std::vector<KeyId> keys = tree.Keys();
+  std::vector<double> expected(keys.size(), 0.0);
   const std::vector<double> marginal = tree.LeafMarginals();
-  std::vector<double> expected;
-  for (KeyId key : tree.Keys()) {
-    expected.push_back(ExpectedRankOfKey(tree, marginal, key));
+  const NodeId root = tree.root();
+  // count[v]: the expected number of inserted leaves under v present,
+  // given v is reached.
+  std::vector<double> count(static_cast<size_t>(tree.NumNodes()), 0.0);
+  auto insert = [&](NodeId leaf) {
+    double w = 1.0;
+    count[static_cast<size_t>(leaf)] += w;
+    for (NodeId v = leaf; v != root; v = tree.parent(v)) {
+      w *= tree.up_edge(v);
+      count[static_cast<size_t>(tree.parent(v))] += w;
+    }
+  };
+  // Sum over leaves l != a inserted so far of Pr(l | a).
+  auto conditional_count = [&](NodeId leaf) {
+    double c = 0.0;
+    for (NodeId v = leaf; v != root; v = tree.parent(v)) {
+      const NodeId p = tree.parent(v);
+      if (tree.node(p).kind == NodeKind::kAnd) {
+        c += count[static_cast<size_t>(p)] - count[static_cast<size_t>(v)];
+      }
+    }
+    return c;
+  };
+
+  std::vector<NodeId> order = tree.LeafIds();
+  auto score = [&](NodeId l) { return tree.node(l).leaf.score; };
+  std::sort(order.begin(), order.end(),
+            [&](NodeId a, NodeId b) { return score(a) > score(b); });
+  std::vector<double> above(order.size());
+  for (size_t i = 0; i < order.size();) {
+    size_t end = i;
+    while (end < order.size() && score(order[end]) == score(order[i])) ++end;
+    for (size_t j = i; j < end; ++j) above[j] = conditional_count(order[j]);
+    for (size_t j = i; j < end; ++j) insert(order[j]);
+    i = end;
+  }
+
+  double total = 0.0;
+  for (NodeId l : tree.LeafIds()) total += marginal[static_cast<size_t>(l)];
+  std::vector<double> present(keys.size(), 0.0);
+  std::vector<double> adjust(keys.size(), 0.0);
+  for (size_t j = 0; j < order.size(); ++j) {
+    const NodeId a = order[j];
+    const size_t ki = static_cast<size_t>(
+        std::lower_bound(keys.begin(), keys.end(), tree.node(a).leaf.key) -
+        keys.begin());
+    const double pa = marginal[static_cast<size_t>(a)];
+    present[ki] += pa;
+    adjust[ki] += pa * (above[j] - conditional_count(a));
+  }
+  for (size_t ki = 0; ki < keys.size(); ++ki) {
+    expected[ki] = 1.0 + (total - present[ki]) + adjust[ki];
   }
   return expected;
-}
-
-double ExpectedRankOfKey(const AndXorTree& tree,
-                         const std::vector<double>& marginal, KeyId key) {
-  const std::vector<NodeId>& leaves = tree.LeafIds();
-  double e = 0.0;
-  double p_present = 0.0;
-  // Present case: rank = 1 + #(higher-scoring other-key leaves present).
-  for (NodeId a : leaves) {
-    const TupleAlternative& alt = tree.node(a).leaf;
-    if (alt.key != key) continue;
-    double pa = marginal[static_cast<size_t>(a)];
-    p_present += pa;
-    e += pa;  // the "1 +" part
-    for (NodeId l : leaves) {
-      const TupleAlternative& other = tree.node(l).leaf;
-      if (other.key == key || other.score <= alt.score) continue;
-      e += tree.PairPresenceProbability(a, l);
-    }
-  }
-  // Absent case: rank = |pw| + 1.
-  // E[(|pw| + 1) * 1(key absent)] = Pr(absent) + sum_l Pr(l present and
-  // key absent), and Pr(l and key absent) = Pr(l) - sum_a Pr(l and a).
-  e += 1.0 - p_present;
-  for (NodeId l : leaves) {
-    const TupleAlternative& other = tree.node(l).leaf;
-    if (other.key == key) continue;  // l present with key absent impossible
-    double p_l_and_key = 0.0;
-    for (NodeId a : leaves) {
-      if (tree.node(a).leaf.key != key) continue;
-      p_l_and_key += tree.PairPresenceProbability(l, a);
-    }
-    e += marginal[static_cast<size_t>(l)] - p_l_and_key;
-  }
-  return e;
 }
 
 std::vector<KeyId> TopKByExpectedRankFromRanks(const std::vector<KeyId>& keys,

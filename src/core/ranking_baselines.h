@@ -25,15 +25,23 @@ namespace cpdb {
 std::vector<KeyId> TopKByExpectedScore(const AndXorTree& tree, int k);
 
 /// \brief Expected ranks: E[r(t)] with an absent tuple ranked at |pw| + 1
-/// (the bottom of the realized world). Closed form via pairwise presence
-/// probabilities; O(L^2 * depth) for L leaves. Indexed like tree.Keys().
+/// (the bottom of the realized world). Indexed like tree.Keys().
+///
+/// Closed form over conditional presence counts: with C_S(a) =
+/// sum over leaves l in S, l != a, of Pr(l | a),
+///   E[r(t)] = 1 + (sum_l Pr(l) - Pr(t))
+///             + sum_{a in t} Pr(a) (C_above(a) - C_all(a)),
+/// where "above" means scoring strictly higher than a. Key-mates of a add
+/// nothing to either count: their LCA with a is a XOR node. Given a, the
+/// leaves under a XOR ancestor's other children are absent and those under
+/// an AND ancestor's other children keep their own conditional counts, so
+/// C_S(a) sums, over a's AND ancestors v, v's count minus that of its child
+/// on a's path. One walk over the leaves in descending score, one tie group
+/// at a time, keeps those per-node counts of the leaves inserted so far
+/// (inserting a leaf carries 1 up its root path, scaled by each XOR edge it
+/// crosses); each group is queried before it is inserted (C_above), every
+/// leaf once more at the end (C_all). O(L * depth) for L leaves.
 std::vector<double> ExpectedRanks(const AndXorTree& tree);
-
-/// \brief One entry of ExpectedRanks: E[r(key)], given `marginal` =
-/// tree.LeafMarginals(). Keys are independent units, which is how
-/// Engine::ExpectedRanks fans them across its pool.
-double ExpectedRankOfKey(const AndXorTree& tree,
-                         const std::vector<double>& marginal, KeyId key);
 
 /// \brief The k keys with the smallest expected rank.
 std::vector<KeyId> TopKByExpectedRank(const AndXorTree& tree, int k);

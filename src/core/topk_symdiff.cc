@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -53,10 +53,74 @@ TopKResult MeanTopKSymDiffUnrestricted(const RankDistribution& dist) {
 namespace {
 
 constexpr double kValueEps = 1e-9;
+constexpr double kPosInf = std::numeric_limits<double>::infinity();
+
+// The median search's inputs, computed once per query (one distinct-score
+// scan and one PrTopK sweep): the Theorem 4 thresholds ascending, the
+// per-node DP values Pr(r(t) <= k) and their centered form
+// Pr(r(t) <= k) - 1/2 (leaves only; other nodes 0). It also fixes the DP's
+// flat layout: the reachable nodes children-first, each node's first row in
+// the thread's DP arena (an AND node owns one row per child, the running
+// max-plus prefix), and each node's position among its parent's children,
+// where the scan's path updates restart an AND node's prefix.
+struct MedianSymDiffContext {
+  int k = 0;
+  std::vector<double> thresholds;
+  std::vector<double> value_p;
+  std::vector<double> value_centered;
+  std::vector<NodeId> post_order;
+  std::vector<int32_t> dp_row;     // indexed by NodeId; -1 if unreachable
+  std::vector<int32_t> child_pos;  // indexed by NodeId; 0 for the root
+  int32_t dp_rows = 0;
+};
+
+MedianSymDiffContext BuildMedianSymDiffContext(const AndXorTree& tree,
+                                               const RankDistribution& dist) {
+  MedianSymDiffContext context;
+  context.k = dist.k();
+  // Distinct leaf scores ascending: the Theorem 4 thresholds, in the order
+  // the first-improvement merge considers them.
+  std::set<double> scores;
+  for (NodeId l : tree.LeafIds()) scores.insert(tree.node(l).leaf.score);
+  context.thresholds.assign(scores.begin(), scores.end());
+  // The DP layout: nodes children-first, and each node's first DP row (an
+  // AND node takes one row per child).
+  context.dp_row.assign(static_cast<size_t>(tree.NumNodes()), -1);
+  context.child_pos.assign(static_cast<size_t>(tree.NumNodes()), 0);
+  std::vector<std::pair<NodeId, bool>> stack;
+  if (tree.root() != kInvalidNode) stack.push_back({tree.root(), false});
+  while (!stack.empty()) {
+    auto [id, expanded] = stack.back();
+    stack.pop_back();
+    const TreeNode& n = tree.node(id);
+    if (!expanded) {
+      stack.push_back({id, true});
+      for (size_t i = 0; i < n.children.size(); ++i) {
+        context.child_pos[static_cast<size_t>(n.children[i])] =
+            static_cast<int32_t>(i);
+        stack.push_back({n.children[i], false});
+      }
+      continue;
+    }
+    context.post_order.push_back(id);
+    context.dp_row[static_cast<size_t>(id)] = context.dp_rows;
+    context.dp_rows += n.kind == NodeKind::kAnd
+                           ? static_cast<int32_t>(n.children.size())
+                           : 1;
+  }
+  context.value_p.assign(static_cast<size_t>(tree.NumNodes()), 0.0);
+  context.value_centered.assign(static_cast<size_t>(tree.NumNodes()), 0.0);
+  for (NodeId l : tree.LeafIds()) {
+    double p = dist.PrTopK(tree.node(l).leaf.key);
+    context.value_p[static_cast<size_t>(l)] = p;
+    context.value_centered[static_cast<size_t>(l)] = p - 0.5;
+  }
+  return context;
+}
 
 // Flat storage for SizeValueDp: one row of cap + 1 values (and XOR
 // choices) per row of the context's DP layout. Grow-only and one per
-// thread, so a thread's strata after its first allocate nothing.
+// thread, so a thread's searches after its first allocate nothing.
 struct DpArena {
   std::vector<double> val;
   std::vector<int> xor_choice;
@@ -84,9 +148,32 @@ class SizeValueDp {
               bool all_active, int max_size, DpArena* arena)
       : tree_(tree),
         context_(context),
+        leaf_value_(leaf_value),
+        threshold_(threshold),
+        all_active_(all_active),
         stride_(static_cast<size_t>(max_size) + 1),
         arena_(arena) {
-    Run(leaf_value, threshold, all_active);
+    const size_t need = static_cast<size_t>(context_.dp_rows) * stride_;
+    if (arena_->val.size() < need) {
+      arena_->val.resize(need);
+      arena_->xor_choice.resize(need);
+    }
+    for (NodeId id : context_.post_order) ComputeNode(id, 0);
+  }
+
+  // Lowers the threshold to `leaf`'s score, activating it, and recomputes
+  // the rows that read it: its own, then on each ancestor a XOR node's row
+  // or an AND node's prefix rows from the child on the path onward. Leaves
+  // must come in descending score order; once every leaf scoring at least
+  // t is in, every row is bitwise the full DP's at threshold t.
+  void Activate(NodeId leaf) {
+    threshold_ = tree_.node(leaf).leaf.score;
+    ComputeNode(leaf, 0);
+    for (NodeId v = leaf; v != tree_.root(); v = tree_.parent(v)) {
+      ComputeNode(tree_.parent(v),
+                  static_cast<size_t>(
+                      context_.child_pos[static_cast<size_t>(v)]));
+    }
   }
 
   // Max value over worlds with exactly `size` active leaves (kNegInf if no
@@ -120,59 +207,58 @@ class SizeValueDp {
     return Row(FirstRow(id) + static_cast<int32_t>(last));
   }
 
-  void Run(const std::vector<double>& leaf_value, double threshold,
-           bool all_active) {
-    const size_t need = static_cast<size_t>(context_.dp_rows) * stride_;
-    if (arena_->val.size() < need) {
-      arena_->val.resize(need);
-      arena_->xor_choice.resize(need);
-    }
+  // Computes node `id`'s rows from its children's current rows; an AND
+  // node's prefix rows only from child `from` on (the rows before it read
+  // unchanged children). The one per-node step of the full DP and of
+  // Activate.
+  void ComputeNode(NodeId id, size_t from) {
+    const TreeNode& n = tree_.node(id);
+    double* val = Row(FirstRow(id));
     const size_t cap = stride_ - 1;
-    for (NodeId id : context_.post_order) {
-      const TreeNode& n = tree_.node(id);
-      double* val = Row(FirstRow(id));
-      switch (n.kind) {
-        case NodeKind::kLeaf: {
-          std::fill(val, val + stride_, kNegInf);
-          if (all_active || n.leaf.score >= threshold) {
-            if (cap >= 1) val[1] = leaf_value[static_cast<size_t>(id)];
-          } else {
-            val[0] = 0.0;  // pruned leaf: contributes nothing
-          }
-          break;
+    switch (n.kind) {
+      case NodeKind::kLeaf: {
+        std::fill(val, val + stride_, kNegInf);
+        if (all_active_ || n.leaf.score >= threshold_) {
+          if (cap >= 1) val[1] = leaf_value_[static_cast<size_t>(id)];
+        } else {
+          val[0] = 0.0;  // pruned leaf: contributes nothing
         }
-        case NodeKind::kAnd: {
+        break;
+      }
+      case NodeKind::kAnd: {
+        if (from == 0) {
           const double* first = Val(n.children[0]);
           std::copy(first, first + stride_, val);
-          for (size_t i = 1; i < n.children.size(); ++i) {
-            double* acc = val + i * stride_;
-            MaxPlusConvolveInto(acc - stride_, stride_, Val(n.children[i]),
-                                stride_, acc, stride_);
-          }
-          break;
+          from = 1;
         }
-        case NodeKind::kXor: {
-          int* choice = Choice(FirstRow(id));
-          std::fill(val, val + stride_, kNegInf);
-          std::fill(choice, choice + stride_, -2);
-          double leftover = 1.0;
-          for (double p : n.edge_probs) leftover -= p;
-          if (leftover > 0.0) {
-            val[0] = 0.0;
-            choice[0] = -1;
-          }
-          for (size_t i = 0; i < n.children.size(); ++i) {
-            if (n.edge_probs[i] <= 0.0) continue;
-            const double* child = Val(n.children[i]);
-            for (size_t s = 0; s <= cap; ++s) {
-              if (child[s] > val[s]) {
-                val[s] = child[s];
-                choice[s] = static_cast<int>(i);
-              }
+        for (size_t i = from; i < n.children.size(); ++i) {
+          double* acc = val + i * stride_;
+          MaxPlusConvolveInto(acc - stride_, stride_, Val(n.children[i]),
+                              stride_, acc, stride_);
+        }
+        break;
+      }
+      case NodeKind::kXor: {
+        int* choice = Choice(FirstRow(id));
+        std::fill(val, val + stride_, kNegInf);
+        std::fill(choice, choice + stride_, -2);
+        double leftover = 1.0;
+        for (double p : n.edge_probs) leftover -= p;
+        if (leftover > 0.0) {
+          val[0] = 0.0;
+          choice[0] = -1;
+        }
+        for (size_t i = 0; i < n.children.size(); ++i) {
+          if (n.edge_probs[i] <= 0.0) continue;
+          const double* child = Val(n.children[i]);
+          for (size_t s = 0; s <= cap; ++s) {
+            if (child[s] > val[s]) {
+              val[s] = child[s];
+              choice[s] = static_cast<int>(i);
             }
           }
-          break;
         }
+        break;
       }
     }
   }
@@ -217,118 +303,85 @@ class SizeValueDp {
 
   const AndXorTree& tree_;
   const MedianSymDiffContext& context_;
+  const std::vector<double>& leaf_value_;
+  double threshold_;
+  bool all_active_;
   size_t stride_;
   DpArena* arena_;
 };
 
 }  // namespace
 
-MedianSymDiffContext BuildMedianSymDiffContext(const AndXorTree& tree,
-                                               const RankDistribution& dist) {
-  MedianSymDiffContext context;
-  context.k = dist.k();
-  // Distinct leaf scores ascending: the Theorem 4 thresholds, in the order
-  // the sequential scan (a std::set walk) considered them historically.
-  std::set<double> scores;
-  for (NodeId l : tree.LeafIds()) scores.insert(tree.node(l).leaf.score);
-  context.thresholds.assign(scores.begin(), scores.end());
-  // The DP layout: nodes children-first, and each node's first DP row (an
-  // AND node takes one row per child).
-  context.dp_row.assign(static_cast<size_t>(tree.NumNodes()), -1);
-  std::vector<std::pair<NodeId, bool>> stack;
-  if (tree.root() != kInvalidNode) stack.push_back({tree.root(), false});
-  while (!stack.empty()) {
-    auto [id, expanded] = stack.back();
-    stack.pop_back();
-    const TreeNode& n = tree.node(id);
-    if (!expanded) {
-      stack.push_back({id, true});
-      for (NodeId c : n.children) stack.push_back({c, false});
-      continue;
-    }
-    context.post_order.push_back(id);
-    context.dp_row[static_cast<size_t>(id)] = context.dp_rows;
-    context.dp_rows += n.kind == NodeKind::kAnd
-                           ? static_cast<int32_t>(n.children.size())
-                           : 1;
-  }
-  context.value_p.assign(static_cast<size_t>(tree.NumNodes()), 0.0);
-  context.value_centered.assign(static_cast<size_t>(tree.NumNodes()), 0.0);
-  for (NodeId l : tree.LeafIds()) {
-    double p = dist.PrTopK(tree.node(l).leaf.key);
-    context.value_p[static_cast<size_t>(l)] = p;
-    context.value_centered[static_cast<size_t>(l)] = p - 0.5;
-  }
-  return context;
-}
-
-int NumMedianSymDiffStrata(const MedianSymDiffContext& context) {
-  return static_cast<int>(context.thresholds.size()) + 1;
-}
-
-std::vector<SymDiffMedianCandidate> EvalMedianSymDiffStratum(
-    const AndXorTree& tree, const MedianSymDiffContext& context, int stratum) {
+Result<TopKResult> MedianTopKSymDiff(const AndXorTree& tree,
+                                     const RankDistribution& dist) {
+  if (tree.NumLeaves() == 0) return Status::InvalidArgument("empty tree");
+  const MedianSymDiffContext context = BuildMedianSymDiffContext(tree, dist);
   const int k = context.k;
-  std::vector<SymDiffMedianCandidate> candidates;
-  if (tree.NumLeaves() == 0 || k < 1) return candidates;
-  if (stratum < 0 || stratum > static_cast<int>(context.thresholds.size())) {
-    return candidates;
-  }
+  if (k < 1) return Status::Infeasible("no candidate Top-k answer found");
+  const std::vector<double>& thresholds = context.thresholds;
+  DpArena& arena = ThreadDpArena();
 
-  if (stratum < static_cast<int>(context.thresholds.size())) {
-    // Candidates of size exactly k above this score threshold (Theorem 4):
-    // a size-k world of the pruned tree is exactly the Top-k of a
-    // realizable full world. DP values are P(t) = Pr(r(t) <= k).
-    const double threshold = context.thresholds[static_cast<size_t>(stratum)];
-    int num_active = 0;
-    for (NodeId l : tree.LeafIds()) {
-      if (tree.node(l).leaf.score >= threshold) ++num_active;
-    }
-    if (num_active < k) return candidates;
-    SizeValueDp dp(tree, context, context.value_p, threshold,
-                   /*all_active=*/false, k, &ThreadDpArena());
-    double v = dp.ValueAt(k);
-    if (v == kNegInf) return candidates;
-    candidates.push_back({v - 0.5 * k, dp.Reconstruct(k)});
-    return candidates;
-  }
-
-  // Final stratum: whole worlds with fewer than k tuples (their Top-k answer
-  // is the world itself), over the unpruned tree with centered values
-  // P(t) - 1/2 so sizes compare on the uniform objective.
-  SizeValueDp dp(tree, context, context.value_centered, /*threshold=*/0.0,
-                 /*all_active=*/true, k - 1, &ThreadDpArena());
-  for (int size = 0; size < k; ++size) {
-    double v = dp.ValueAt(size);
-    if (v == kNegInf) continue;
-    candidates.push_back({v, dp.Reconstruct(size)});
-  }
-  return candidates;
-}
-
-Result<TopKResult> PickMedianSymDiffCandidate(
-    const AndXorTree& tree, const RankDistribution& dist,
-    const std::vector<std::vector<SymDiffMedianCandidate>>& per_stratum) {
-  // First-improvement merge in stratum order — the exact comparison sequence
-  // of the historical sequential scan, so parallel stratum evaluation cannot
-  // change which candidate wins.
-  double best_v = kNegInf;
-  const std::vector<NodeId>* best = nullptr;
-  for (const std::vector<SymDiffMedianCandidate>& stratum : per_stratum) {
-    for (const SymDiffMedianCandidate& c : stratum) {
-      if (c.centered_value > best_v + kValueEps) {
-        best_v = c.centered_value;
-        best = &c.leaves;
+  // Size-k candidates above each score threshold (Theorem 4): a size-k
+  // world of the pruned tree is exactly the Top-k of a realizable full
+  // world. DP values are P(t) = Pr(r(t) <= k); one DP starts with every
+  // leaf pruned and takes the leaves in descending score, and after each
+  // tie group it holds the full DP at that group's threshold.
+  std::vector<double> stratum_value(thresholds.size(), kNegInf);
+  {
+    std::vector<NodeId> order = tree.LeafIds();
+    auto score = [&](NodeId l) { return tree.node(l).leaf.score; };
+    std::sort(order.begin(), order.end(),
+              [&](NodeId a, NodeId b) { return score(a) > score(b); });
+    SizeValueDp scan(tree, context, context.value_p, kPosInf,
+                     /*all_active=*/false, k, &arena);
+    size_t num_active = 0;
+    for (size_t s = thresholds.size(); s-- > 0;) {
+      while (num_active < order.size() &&
+             score(order[num_active]) >= thresholds[s]) {
+        scan.Activate(order[num_active++]);
       }
+      if (num_active < static_cast<size_t>(k)) continue;
+      const double v = scan.ValueAt(k);
+      if (v != kNegInf) stratum_value[s] = v - 0.5 * k;
     }
   }
-  if (best == nullptr) {
+
+  // Whole worlds with fewer than k tuples (their Top-k answer is the world
+  // itself), over the unpruned tree with centered values P(t) - 1/2 so
+  // sizes compare on the uniform objective.
+  SizeValueDp small(tree, context, context.value_centered, /*threshold=*/0.0,
+                    /*all_active=*/true, k - 1, &arena);
+
+  // First-improvement merge: thresholds ascending, then the small-world
+  // sizes ascending.
+  double best_v = kNegInf;
+  size_t best_stratum = thresholds.size();
+  int best_size = -1;
+  for (size_t s = 0; s < thresholds.size(); ++s) {
+    if (stratum_value[s] > best_v + kValueEps) {
+      best_v = stratum_value[s];
+      best_stratum = s;
+    }
+  }
+  for (int size = 0; size < k; ++size) {
+    if (small.ValueAt(size) > best_v + kValueEps) {
+      best_v = small.ValueAt(size);
+      best_size = size;
+    }
+  }
+  std::vector<NodeId> best_leaves;
+  if (best_size >= 0) {
+    best_leaves = small.Reconstruct(best_size);
+  } else if (best_stratum < thresholds.size()) {
+    SizeValueDp dp(tree, context, context.value_p, thresholds[best_stratum],
+                   /*all_active=*/false, k, &arena);
+    best_leaves = dp.Reconstruct(k);
+  } else {
     return Status::Infeasible("no candidate Top-k answer found");
   }
 
   // Order the answer by score descending (its rank order in the witnessing
   // world) and convert leaves to keys.
-  std::vector<NodeId> best_leaves = *best;
   std::sort(best_leaves.begin(), best_leaves.end(), [&](NodeId a, NodeId b) {
     return tree.node(a).leaf.score > tree.node(b).leaf.score;
   });
@@ -336,20 +389,6 @@ Result<TopKResult> PickMedianSymDiffCandidate(
   for (NodeId l : best_leaves) result.keys.push_back(tree.node(l).leaf.key);
   result.expected_distance = ExpectedTopKSymDiff(dist, result.keys);
   return result;
-}
-
-Result<TopKResult> MedianTopKSymDiff(const AndXorTree& tree,
-                                     const RankDistribution& dist) {
-  if (tree.NumLeaves() == 0) return Status::InvalidArgument("empty tree");
-  const MedianSymDiffContext context = BuildMedianSymDiffContext(tree, dist);
-  const int num_strata = NumMedianSymDiffStrata(context);
-  std::vector<std::vector<SymDiffMedianCandidate>> per_stratum(
-      static_cast<size_t>(num_strata));
-  for (int s = 0; s < num_strata; ++s) {
-    per_stratum[static_cast<size_t>(s)] =
-        EvalMedianSymDiffStratum(tree, context, s);
-  }
-  return PickMedianSymDiffCandidate(tree, dist, per_stratum);
 }
 
 }  // namespace cpdb

@@ -8,8 +8,9 @@
 // calibrated to return k tuples, and coincides with Global Top-k semantics.
 //
 // Median answer (Theorem 4): the Top-k answer of some positive-probability
-// world maximizing sum_{t in answer} Pr(r(t) <= k), found by a per-score-
-// threshold dynamic program over the and/xor tree. We extend the paper's
+// world maximizing sum_{t in answer} Pr(r(t) <= k), found by a score-
+// threshold dynamic program over the and/xor tree, run as one score-ordered
+// scan (see the end of this file). We extend the paper's
 // algorithm to also consider worlds with fewer than k tuples (the paper
 // implicitly assumes |pw| >= k): over variable-size candidates the uniform
 // objective is maximizing sum_{t} (Pr(r(t) <= k) - 1/2).
@@ -52,72 +53,36 @@ TopKResult MeanTopKSymDiffUnrestricted(const RankDistribution& dist);
 /// \brief Theorem 4: a median Top-k answer under d_Delta for an and/xor
 /// tree; `dist` must come from ComputeRankDistribution(tree, k).
 /// The answer is ordered by tuple score descending (its rank order in the
-/// witnessing world).
+/// witnessing world). InvalidArgument on an empty tree; Infeasible when no
+/// world yields a candidate (every world holds k or more tuples, and ties
+/// at the k-th score leave no world whose tuples above a threshold number
+/// exactly k).
 Result<TopKResult> MedianTopKSymDiff(const AndXorTree& tree,
                                      const RankDistribution& dist);
 
-// -- Stratum decomposition of MedianTopKSymDiff ----------------------------
+// -- The score-ordered scan behind MedianTopKSymDiff -----------------------
 //
-// The Theorem 4 search runs one size-capped max-value DP per distinct leaf
-// score (candidates of size exactly k, Top-k answers of realizable worlds)
-// plus one DP over the unpruned tree (whole worlds smaller than k). The
-// strata are mutually independent, which makes them the unit of work
-// Engine::ConsensusTopK fans across its thread pool; MedianTopKSymDiff
-// itself evaluates them sequentially and merges with the identical code, so
-// the two paths are bitwise-interchangeable.
-
-/// \brief One candidate answer produced by a stratum: the uniform objective
-/// sum_{t in tau} (Pr(r(t) <= k) - 1/2) and the witnessing leaves (sorted
-/// NodeIds).
-struct SymDiffMedianCandidate {
-  double centered_value = 0.0;
-  std::vector<NodeId> leaves;
-};
-
-/// \brief Shared inputs of every stratum, computed once per query (one
-/// distinct-score scan and one PrTopK sweep instead of one per stratum):
-/// the Theorem 4 thresholds ascending, the per-node DP values
-/// Pr(r(t) <= k), and their centered form Pr(r(t) <= k) - 1/2 (leaves
-/// only; other nodes 0). It also fixes the DP's flat layout, shared by
-/// every stratum: the reachable nodes children-first and each node's first
-/// row in the thread's DP arena (an AND node owns one row per child, the
-/// running max-plus prefix). Build with BuildMedianSymDiffContext.
-struct MedianSymDiffContext {
-  int k = 0;
-  std::vector<double> thresholds;
-  std::vector<double> value_p;
-  std::vector<double> value_centered;
-  std::vector<NodeId> post_order;
-  std::vector<int32_t> dp_row;  // indexed by NodeId; -1 if unreachable
-  int32_t dp_rows = 0;
-};
-
-/// \brief Precomputes the stratum inputs for MedianTopKSymDiff over `tree`;
-/// `dist` must come from ComputeRankDistribution(tree, k).
-MedianSymDiffContext BuildMedianSymDiffContext(const AndXorTree& tree,
-                                               const RankDistribution& dist);
-
-/// \brief Number of independent search strata: one per distinct leaf score,
-/// plus the smaller-than-k stratum. Valid stratum indices are
-/// [0, NumMedianSymDiffStrata(context)).
-int NumMedianSymDiffStrata(const MedianSymDiffContext& context);
-
-/// \brief Evaluates stratum `stratum`: indices below the distinct-score
-/// count run that score-threshold DP (at most one candidate); the final
-/// index runs the small-world DP (up to k candidates, sizes ascending).
-/// Candidates are returned in the exact order the sequential scan considers
-/// them; infeasible strata return an empty vector. Strata are independent
-/// and `context` is only read, so calls may run concurrently.
-std::vector<SymDiffMedianCandidate> EvalMedianSymDiffStratum(
-    const AndXorTree& tree, const MedianSymDiffContext& context, int stratum);
-
-/// \brief Merges per-stratum candidate lists (indexed by stratum) into the
-/// final median answer, replaying the sequential scan's first-improvement
-/// order, and finalizes (rank order by score, expected distance). Shared by
-/// MedianTopKSymDiff and the engine's parallel path.
-Result<TopKResult> PickMedianSymDiffCandidate(
-    const AndXorTree& tree, const RankDistribution& dist,
-    const std::vector<std::vector<SymDiffMedianCandidate>>& per_stratum);
+// Theorem 4's candidates come in strata: one per distinct leaf score t (the
+// size-k worlds of the tree pruned to the leaves scoring >= t, which are
+// the Top-k answers of realizable worlds), plus one stratum of whole worlds
+// smaller than k. A threshold stratum is a size-capped max-value DP over
+// the pruned tree, and the leaves active at threshold t are those active at
+// the next score up plus the tie group scoring t. So the search runs one
+// DP with every leaf pruned and walks the leaves once in descending score,
+// one tie group at a time. Activating a leaf recomputes its own row and,
+// on each ancestor, a XOR node's row or an AND node's max-plus prefix rows
+// from the child on the path onward. Each row is recomputed by the same
+// per-node step the full DP runs and is a pure function of its inputs, so
+// after a tie group the root's size-k cell is bitwise what a full DP at
+// that threshold reads (it is read when at least k leaves are active).
+//
+// The small-world stratum is one full DP over the unpruned tree with
+// centered values Pr(r(t) <= k) - 1/2. The winner is the first improvement
+// by more than 1e-9 in a fixed order, thresholds ascending and then the
+// small-world sizes ascending, and its leaves are reconstructed from one
+// full DP at the winning threshold (or from the small-world DP). The scan
+// costs O(L * depth * fan-in * k^2) for L leaves, where one full DP per
+// distinct score cost O(distinct scores * N * k^2).
 
 }  // namespace cpdb
 

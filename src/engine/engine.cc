@@ -100,18 +100,7 @@ std::vector<double> Engine::LeafMarginals(const AndXorTree& tree,
 }
 
 std::vector<double> Engine::ExpectedRanks(const AndXorTree& tree) const {
-  // The core form is an independent loop over keys writing disjoint slots;
-  // each task runs one key's ExpectedRankOfKey, so the vector is bitwise
-  // the core one for any thread count. The marginals are computed once, up
-  // front, and only read by the tasks.
-  const std::vector<double> marginal = tree.LeafMarginals();
-  const std::vector<KeyId> keys = tree.Keys();
-  std::vector<double> expected(keys.size(), 0.0);
-  pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
-    expected[static_cast<size_t>(t)] =
-        ExpectedRankOfKey(tree, marginal, keys[static_cast<size_t>(t)]);
-  });
-  return expected;
+  return ::cpdb::ExpectedRanks(tree);
 }
 
 std::vector<std::vector<double>> Engine::KendallQColumns(
@@ -139,19 +128,7 @@ std::vector<std::vector<double>> Engine::KendallQColumns(
 
 Result<TopKResult> Engine::MedianSymDiffSearch(
     const AndXorTree& tree, const RankDistribution& dist) const {
-  if (tree.NumLeaves() == 0) return Status::InvalidArgument("empty tree");
-  // One unit per Theorem 4 search stratum (score-threshold DPs plus the
-  // small-world DP); the merge replays the sequential scan's
-  // first-improvement order, so the winner is schedule-independent.
-  const MedianSymDiffContext context = BuildMedianSymDiffContext(tree, dist);
-  const int num_strata = NumMedianSymDiffStrata(context);
-  std::vector<std::vector<SymDiffMedianCandidate>> per_stratum(
-      static_cast<size_t>(num_strata));
-  pool_.ParallelFor(num_strata, [&](int64_t s) {
-    per_stratum[static_cast<size_t>(s)] =
-        EvalMedianSymDiffStratum(tree, context, static_cast<int>(s));
-  });
-  return PickMedianSymDiffCandidate(tree, dist, per_stratum);
+  return MedianTopKSymDiff(tree, dist);
 }
 
 namespace {
@@ -214,7 +191,7 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(
   if (!valid.ok()) return valid;
   // A distribution computed for a different tree would make the metric
   // heads optimize over one key set while the tree-folding tails (kendall
-  // q columns, median strata) use another — a silently wrong answer. The
+  // q columns, median scan) use another — a silently wrong answer. The
   // O(n) key compare is noise next to the O(L^2 k) fold being skipped; it
   // cannot catch a stale dist from different *content* over the same keys,
   // which is the caller's contract (see the header).

@@ -17,9 +17,10 @@
 //     no knob;
 //   * Kendall q columns — one unit per target key, each writing its own
 //     column (the kendall mean reads only its answer's keys' columns);
-//   * median symdiff — one unit per Theorem 4 search stratum (score
-//     threshold DPs plus the small-world DP), merged by replaying the
-//     sequential first-improvement scan;
+//   * median symdiff and expected ranks — none: each is one score-ordered
+//     scan of root-path updates, tens of microseconds per shape, too
+//     little to pay for handing work to the pool, so both run on the
+//     calling thread (the core function itself);
 //   * footrule / intersection assignment — one cost (profit) column per
 //     candidate tuple, fanned across the pool before the Hungarian solve;
 //   * set consensus — one marginal fold per leaf, with the O(N) filter / DP
@@ -99,14 +100,15 @@ class FlatTree;
 
 /// \brief Precomputed metric tails for one consensus query — the answers a
 /// serving cache can supply so a warm query skips its Kendall tail (footrule
-/// solve plus q columns) or its Theorem 4 search. Null members are computed
-/// by the engine exactly as without them; a non-null member must be this
-/// engine's own output for the query's (tree, dist), which makes the answer
-/// bitwise identical either way.
+/// solve plus q columns) or its Theorem 4 median scan. Null members are
+/// computed by the engine exactly as without them; a non-null member must
+/// be this engine's own output for the query's (tree, dist), which makes
+/// the answer bitwise identical either way.
 struct ConsensusTails {
   /// kendall mean: ConsensusTopKWithDist(tree, dist, kKendall, kMean).
   const Result<TopKResult>* kendall_mean = nullptr;
-  /// symdiff median: Engine::MedianSymDiffSearch(tree, dist).
+  /// symdiff median: Engine::MedianSymDiffSearch(tree, dist), the core
+  /// MedianTopKSymDiff scan.
   const Result<TopKResult>* symdiff_median = nullptr;
 };
 
@@ -165,10 +167,10 @@ class Engine {
       const AndXorTree& tree, int k, const std::vector<KeyId>& targets,
       const FlatTree* program = nullptr) const;
 
-  /// \brief The Theorem 4 median search under d_Delta: one unit per search
-  /// stratum, merged by replaying the sequential first-improvement scan, so
-  /// the result is bitwise the core MedianTopKSymDiff's for any thread
-  /// count. `dist` must be ComputeRankDistribution(tree, k);
+  /// \brief The Theorem 4 median search under d_Delta: the core
+  /// MedianTopKSymDiff (core/topk_symdiff.h), one score-ordered scan of
+  /// root-path DP updates on the calling thread, so the result is the same
+  /// for any thread count. `dist` must be ComputeRankDistribution(tree, k);
   /// InvalidArgument on an empty tree.
   Result<TopKResult> MedianSymDiffSearch(const AndXorTree& tree,
                                          const RankDistribution& dist) const;
@@ -177,13 +179,13 @@ class Engine {
 
   /// \brief Computes the consensus Top-k answer for (metric, answer). Every
   /// metric's heavy precomputation runs through the pool: the rank
-  /// distribution always; additionally the Theorem 4 strata (symdiff
-  /// median), the per-candidate Hungarian cost/profit columns (footrule,
-  /// intersection exact), and the footrule columns plus the q columns of
-  /// the answer's keys (kendall). Results are bitwise identical to the
-  /// sequential core functions for any thread count. Unsupported
-  /// combinations (e.g. footrule median) return NotImplemented; unknown
-  /// enum values return InvalidArgument.
+  /// distribution always; additionally the per-candidate Hungarian
+  /// cost/profit columns (footrule, intersection exact), and the footrule
+  /// columns plus the q columns of the answer's keys (kendall). The symdiff
+  /// median is one scan on the calling thread. Results are bitwise
+  /// identical to the sequential core functions for any thread count.
+  /// Unsupported combinations (e.g. footrule median) return
+  /// NotImplemented; unknown enum values return InvalidArgument.
   Result<TopKResult> ConsensusTopK(const AndXorTree& tree, int k,
                                    TopKMetric metric,
                                    TopKAnswer answer = TopKAnswer::kMean,
@@ -204,7 +206,7 @@ class Engine {
   /// repeated queries against one shape skip the O(L^2 k) fold. Because the
   /// fold is schedule-deterministic, answers are bitwise identical whether
   /// `dist` was computed fresh or served from a cache. The metric-specific
-  /// tails (strata, columns, q columns) still run through the pool. The
+  /// tails (columns, q columns) still run through the pool. The
   /// guard here is a cheap key-set compare: a `dist` whose key set does not
   /// match tree.Keys() is InvalidArgument, but a stale distribution from a
   /// *different tree over the identical key set* (say, re-built with new
@@ -249,12 +251,10 @@ class Engine {
   std::vector<double> LeafMarginals(const AndXorTree& tree,
                                     const FlatTree* program = nullptr) const;
 
-  /// \brief Parallel expected ranks (core/ranking_baselines.h
-  /// ExpectedRanks): one task per key runs the core ExpectedRankOfKey and
-  /// writes its own disjoint slot — bitwise identical to the core function
-  /// for any thread count. Each task makes O(L^2) allocation-free
-  /// AndXorTree::PairPresenceProbability walks. Indexed like tree.Keys().
-  /// Serves op=baseline method=erank.
+  /// \brief Expected ranks: the core ExpectedRanks
+  /// (core/ranking_baselines.h), one score-ordered scan of O(depth) root-path
+  /// count updates on the calling thread, so the vector is the same for any
+  /// thread count. Indexed like tree.Keys(). Serves op=baseline method=erank.
   std::vector<double> ExpectedRanks(const AndXorTree& tree) const;
 
   /// \brief A set-consensus world answer: the chosen world's leaves and its

@@ -188,7 +188,7 @@ void AndXorTree::BuildIndex() {
   // Rebuild the leaf index in deterministic DFS order (children
   // left-to-right) and the parent pointers.
   // Each node's up-edge probability (1.0 below an AND) rides along, for
-  // the LeafMarginal and PairPresenceProbability walks.
+  // the LeafMarginal walk and the score-ordered scans' path updates.
   leaf_ids_.clear();
   parents_.assign(nodes_.size(), kInvalidNode);
   up_edge_.assign(nodes_.size(), 1.0);
@@ -263,38 +263,6 @@ double AndXorTree::KeyMarginal(KeyId key) const {
     if (node(l).leaf.key == key) p += marginal[static_cast<size_t>(l)];
   }
   return p;
-}
-
-double AndXorTree::PairPresenceProbability(NodeId leaf1, NodeId leaf2) const {
-  if (leaf1 == leaf2) return LeafMarginal(leaf1);
-  auto parent = [&](NodeId v) { return parents_[static_cast<size_t>(v)]; };
-  // The LCA by the two-pointer walk: each side climbs its own path, then
-  // restarts at the other leaf, so both have walked the same distance when
-  // they first meet, at the LCA. No depths needed.
-  NodeId a = leaf1, b = leaf2;
-  while (a != b) {
-    a = a == root_ ? leaf2 : parent(a);
-    b = b == root_ ? leaf1 : parent(b);
-  }
-  const NodeId lca = a;
-  // If the LCA is a XOR node, the two leaves descend through different
-  // children and can never coexist.
-  if (node(lca).kind == NodeKind::kXor) return 0.0;
-
-  // Product of the up-edge probabilities on the union of the two paths:
-  // leaf1's distinct part, then leaf2's, then the shared part once, each
-  // bottom-up (AND edges multiply by an exact 1.0).
-  double prob = 1.0;
-  for (NodeId v = leaf1; v != lca; v = parent(v)) {
-    prob *= up_edge_[static_cast<size_t>(v)];
-  }
-  for (NodeId v = leaf2; v != lca; v = parent(v)) {
-    prob *= up_edge_[static_cast<size_t>(v)];
-  }
-  for (NodeId v = lca; v != root_; v = parent(v)) {
-    prob *= up_edge_[static_cast<size_t>(v)];
-  }
-  return prob;
 }
 
 std::string AndXorTree::ToString() const {

@@ -110,14 +110,14 @@ class AndXorTree {
   /// constraint).
   double KeyMarginal(KeyId key) const;
 
-  /// \brief Pr(both leaves present in the same world): 0 when they sit under
-  /// different children of a XOR node; otherwise the product of the XOR edge
-  /// probabilities on the union of the two root paths (shared prefix counted
-  /// once), multiplied bottom-up: leaf1's edges below the LCA, then
-  /// leaf2's, then the LCA's path to the root. For two distinct leaves it
-  /// walks the parent index with no allocation, O(depth); the same-leaf
-  /// case is LeafMarginal(leaf1). Requires a prior successful Validate().
-  double PairPresenceProbability(NodeId leaf1, NodeId leaf2) const;
+  /// \brief The parent of a reachable node (kInvalidNode for the root).
+  /// Requires a prior successful Validate().
+  NodeId parent(NodeId id) const { return parents_[static_cast<size_t>(id)]; }
+
+  /// \brief The probability of the edge from a reachable node's parent:
+  /// its XOR edge probability, or 1.0 under an AND and at the root.
+  /// Requires a prior successful Validate().
+  double up_edge(NodeId id) const { return up_edge_[static_cast<size_t>(id)]; }
 
   /// \brief Multi-line debug rendering of the tree.
   std::string ToString() const;

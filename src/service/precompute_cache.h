@@ -8,9 +8,9 @@
 //     kendall, answer mean) per (shape, k) — the final answer, so a warm
 //     request skips the footrule solve and the q columns alike;
 //   * the Theorem 4 median search result (Engine::MedianSymDiffSearch) per
-//     (shape, k) — the final answer, not the per-stratum candidate lists;
+//     (shape, k) — the final answer of the score-ordered DP scan;
 //   * the expected-rank vector (Engine::ExpectedRanks) per shape, with k
-//     fixed at 0 — the O(L^2) pairwise presence sum behind
+//     fixed at 0 — the score-ordered presence-count scan behind
 //     op=baseline method=erank.
 //
 // Same contract as RankDistCache and MarginalsCache: single-flight

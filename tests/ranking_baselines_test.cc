@@ -9,44 +9,129 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/topk_symdiff.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/tail_oracles.h"
+#include "pooled_scores.h"
 #include "workload/generators.h"
 
 namespace cpdb {
 namespace {
 
-class BaselinesProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(BaselinesProperty, ExpectedRanksMatchEnumeration) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 193 + 3);
-  RandomTreeOptions opts;
-  opts.num_keys = 5;
-  opts.max_depth = 3;
-  opts.max_alternatives = 2;
-  auto tree = RandomAndXorTree(opts, &rng);
-  ASSERT_TRUE(tree.ok());
-  auto worlds = EnumerateWorlds(*tree);
+// E[r(key)] over every possible world: 1 + the number of present tuples of
+// other keys scoring strictly higher when the key is present, |pw| + 1 when
+// it is absent.
+void ExpectRanksMatchEnumeration(const AndXorTree& tree) {
+  auto worlds = EnumerateWorlds(tree);
   ASSERT_TRUE(worlds.ok());
-
-  std::vector<KeyId> keys = tree->Keys();
-  std::vector<double> computed = ExpectedRanks(*tree);
+  std::vector<KeyId> keys = tree.Keys();
+  std::vector<double> computed = ExpectedRanks(tree);
+  ASSERT_EQ(computed.size(), keys.size());
   for (size_t ki = 0; ki < keys.size(); ++ki) {
     double expected = 0.0;
     for (const World& w : *worlds) {
-      std::vector<TupleAlternative> tuples = WorldTuples(*tree, w.leaf_ids);
-      int rank = -1;
-      for (size_t pos = 0; pos < tuples.size(); ++pos) {
-        if (tuples[pos].key == keys[ki]) rank = static_cast<int>(pos) + 1;
+      std::vector<TupleAlternative> tuples = WorldTuples(tree, w.leaf_ids);
+      double rank = static_cast<double>(tuples.size()) + 1.0;
+      for (const TupleAlternative& t : tuples) {
+        if (t.key != keys[ki]) continue;
+        rank = 1.0;
+        for (const TupleAlternative& u : tuples) {
+          if (u.score > t.score) rank += 1.0;
+        }
       }
-      expected += w.prob * (rank > 0 ? rank
-                                     : static_cast<double>(tuples.size()) + 1.0);
+      expected += w.prob * rank;
     }
     EXPECT_NEAR(computed[ki], expected, 1e-9) << "key " << keys[ki];
+  }
+}
+
+// Copies `src`'s subtree at `id` into `dst` with every XOR edge
+// probability redrawn as a multiple of 1/16 (the node's total at most 1).
+NodeId CopyWithDyadicProbs(const AndXorTree& src, NodeId id, Rng* rng,
+                           AndXorTree* dst) {
+  const TreeNode& node = src.node(id);
+  if (node.kind == NodeKind::kLeaf) return dst->AddLeaf(node.leaf);
+  std::vector<NodeId> children;
+  for (NodeId child : node.children) {
+    children.push_back(CopyWithDyadicProbs(src, child, rng, dst));
+  }
+  if (node.kind == NodeKind::kAnd) return dst->AddAnd(std::move(children));
+  const int64_t share = std::max<int64_t>(
+      1, 16 / static_cast<int64_t>(children.size()));
+  std::vector<double> probs;
+  for (size_t i = 0; i < children.size(); ++i) {
+    probs.push_back(static_cast<double>(rng->UniformInt(1, share)) / 16.0);
+  }
+  return dst->AddXor(std::move(children), std::move(probs));
+}
+
+// Random and/xor and BID trees of `num_keys` keys, each also with its leaf
+// scores redrawn from a pool of 3 (ties across and within keys).
+std::vector<AndXorTree> ErankTrees(uint64_t seed, int num_keys) {
+  Rng rng(seed);
+  RandomTreeOptions opts;
+  opts.num_keys = num_keys;
+  opts.max_depth = 3 + static_cast<int>(seed % 2);
+  opts.max_alternatives = 2 + static_cast<int>(seed % 2);
+  std::vector<AndXorTree> trees;
+  trees.push_back(*RandomAndXorTree(opts, &rng));
+  trees.push_back(*RandomBid(opts, &rng));
+  for (size_t i = 0; i < 2; ++i) {
+    AndXorTree pooled;
+    pooled.SetRoot(
+        CopyWithPooledScores(trees[i], trees[i].root(), 3, &rng, &pooled));
+    EXPECT_TRUE(pooled.Validate().ok());
+    trees.push_back(std::move(pooled));
+  }
+  return trees;
+}
+
+class BaselinesProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(BaselinesProperty, ExpectedRanksMatchEnumeration) {
+  for (const AndXorTree& tree :
+       ErankTrees(static_cast<uint64_t>(GetParam()) * 193 + 3, 5)) {
+    ExpectRanksMatchEnumeration(tree);
+  }
+}
+
+// The scan against the pair loop it replaced (oracle/tail_oracles.h):
+// within 1e-12 relative on random, BID and pooled-score trees.
+TEST(ExpectedRanksScanTest, WithinRoundingOfThePairLoop) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    for (const AndXorTree& tree :
+         ErankTrees(seed * 7 + 1, 4 + static_cast<int>(seed % 20))) {
+      const std::vector<double> scan = ExpectedRanks(tree);
+      const std::vector<double> pairs = ExpectedRanksByPairs(tree);
+      ASSERT_EQ(scan.size(), pairs.size());
+      for (size_t i = 0; i < scan.size(); ++i) {
+        EXPECT_NEAR(scan[i], pairs[i], 1e-12 * std::fabs(pairs[i]))
+            << "seed " << seed << " key " << i;
+      }
+    }
+  }
+}
+
+// With dyadic edge probabilities every sum and product on either side is
+// exact, so the scan equals the pair loop bit for bit.
+TEST(ExpectedRanksScanTest, EqualsThePairLoopOnDyadicProbabilities) {
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    for (const AndXorTree& base : ErankTrees(seed * 11 + 5, 6)) {
+      Rng rng(seed);
+      AndXorTree tree;
+      tree.SetRoot(CopyWithDyadicProbs(base, base.root(), &rng, &tree));
+      ASSERT_TRUE(tree.Validate().ok());
+      EXPECT_EQ(ExpectedRanks(tree), ExpectedRanksByPairs(tree))
+          << "seed " << seed;
+      ExpectRanksMatchEnumeration(tree);
+    }
   }
 }
 

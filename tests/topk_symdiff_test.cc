@@ -11,12 +11,18 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "engine/engine.h"
+#include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/tail_oracles.h"
 #include "oracle/world_estimators.h"
+#include "pooled_scores.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -209,24 +215,181 @@ TEST(TopKSymDiffTest, SmallWorldsAreConsidered) {
   EXPECT_EQ(median->keys.size(), 2u);  // both tuples, never three
 }
 
-// The median DP's edge cases: every path to the median — the sequential
-// MedianTopKSymDiff and the engine's stratum tasks at 1 and 4 threads —
-// must agree on the keys and the expected_distance bits, and the answer
-// must be the best Top-k answer over all possible worlds.
+// The median scan against the per-stratum search it replaced
+// (oracle/tail_oracles.h): keys and expected_distance bitwise, or the same
+// error code, from the core MedianTopKSymDiff and from the engine at 1, 2
+// and 8 threads. Returns the oracle's winning stratum.
+class MedianScanCheck {
+ public:
+  MedianScanCheck() {
+    for (int threads : {1, 2, 8}) {
+      EngineOptions opts;
+      opts.num_threads = threads;
+      engines_.push_back(std::make_unique<Engine>(opts));
+    }
+  }
+
+  int Check(const AndXorTree& tree, int k, const std::string& where) {
+    const RankDistribution dist = ComputeRankDistribution(tree, k);
+    int stratum = -2;
+    const Result<TopKResult> oracle =
+        MedianTopKSymDiffByStrata(tree, dist, &stratum);
+    Expect(MedianTopKSymDiff(tree, dist), oracle, where + " core");
+    for (const std::unique_ptr<Engine>& engine : engines_) {
+      Expect(engine->MedianSymDiffSearch(tree, dist), oracle,
+             where + " threads " + std::to_string(engine->num_threads()));
+    }
+    return stratum;
+  }
+
+ private:
+  static void Expect(const Result<TopKResult>& got,
+                     const Result<TopKResult>& oracle,
+                     const std::string& where) {
+    ASSERT_EQ(got.ok(), oracle.ok()) << where;
+    if (!oracle.ok()) {
+      ASSERT_EQ(got.status().code(), oracle.status().code()) << where;
+      return;
+    }
+    ASSERT_EQ(got->keys, oracle->keys) << where;
+    ASSERT_EQ(got->expected_distance, oracle->expected_distance) << where;
+  }
+
+  std::vector<std::unique_ptr<Engine>> engines_;
+};
+
+// Leaves scoring exactly the winning stratum's threshold: the tie group the
+// scan activates last before reading the winner's value.
+int LeavesAtWinningThreshold(const AndXorTree& tree, int stratum) {
+  std::set<double> scores;
+  for (NodeId l : tree.LeafIds()) scores.insert(tree.node(l).leaf.score);
+  if (stratum < 0 || stratum >= static_cast<int>(scores.size())) return 0;
+  const double threshold = *std::next(scores.begin(), stratum);
+  int count = 0;
+  for (NodeId l : tree.LeafIds()) {
+    if (tree.node(l).leaf.score == threshold) ++count;
+  }
+  return count;
+}
+
+TEST(MedianScanTest, BitwiseEqualsPerStratumSearch) {
+  MedianScanCheck check;
+  int small_world_wins = 0, tie_group_wins = 0;
+  for (int seed = 0; seed < 30; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 7919 + 11);
+    RandomTreeOptions opts;
+    opts.num_keys = 4 + seed % 6;
+    opts.max_depth = 3 + seed % 2;
+    opts.max_alternatives = 2 + seed % 2;
+    std::vector<std::pair<std::string, AndXorTree>> trees;
+    trees.emplace_back("and/xor", *RandomAndXorTree(opts, &rng));
+    trees.emplace_back("bid", *RandomBid(opts, &rng));
+    for (int f = 0; f < 2; ++f) {
+      const AndXorTree& base = trees[static_cast<size_t>(f)].second;
+      AndXorTree pooled;
+      pooled.SetRoot(CopyWithPooledScores(base, base.root(), 3, &rng, &pooled));
+      ASSERT_TRUE(pooled.Validate().ok());
+      trees.emplace_back("pooled " + trees[static_cast<size_t>(f)].first,
+                         std::move(pooled));
+    }
+    for (const auto& [family, tree] : trees) {
+      const int leaves = tree.NumLeaves();
+      std::set<double> scores;
+      for (NodeId l : tree.LeafIds()) scores.insert(tree.node(l).leaf.score);
+      for (int k : {1, 2, 3, 5, leaves, leaves + 3}) {
+        const int stratum = check.Check(
+            tree, k,
+            family + " seed " + std::to_string(seed) + " k " +
+                std::to_string(k));
+        if (stratum == static_cast<int>(scores.size())) ++small_world_wins;
+        if (LeavesAtWinningThreshold(tree, stratum) >= 2) ++tie_group_wins;
+      }
+    }
+  }
+  // The sweep reaches the small-world stratum and winners activated with a
+  // tie group (the targeted cases below pin one of each as well).
+  EXPECT_GT(small_world_wins, 0);
+  EXPECT_GT(tie_group_wins, 0);
+}
+
+TEST(MedianScanTest, SmallWorldStratumWins) {
+  // Two likely tuples and one unlikely: the size-3 world scores
+  // 0.9 + 0.9 + 0.05 - 1.5 = 0.35 on the centered objective, the two-tuple
+  // world 0.4 + 0.4 = 0.8.
+  std::vector<IndependentTuple> tuples;
+  const double probs[] = {0.9, 0.9, 0.05};
+  for (int i = 0; i < 3; ++i) {
+    IndependentTuple t;
+    t.alt.key = i;
+    t.alt.score = 3.0 - i;
+    t.prob = probs[i];
+    tuples.push_back(t);
+  }
+  auto tree = MakeTupleIndependent(tuples);
+  ASSERT_TRUE(tree.ok());
+  MedianScanCheck check;
+  EXPECT_EQ(check.Check(*tree, 3, "small world"), 3);  // 3 thresholds
+  EXPECT_EQ(MedianTopKSymDiff(*tree, ComputeRankDistribution(*tree, 3))
+                ->keys.size(),
+            2u);
+}
+
+TEST(MedianScanTest, NoStratumFeasible) {
+  // Two certain tuples tied at one score and k = 1: the only threshold
+  // keeps both (no size-1 world) and the empty world has probability 0.
+  std::vector<IndependentTuple> tuples;
+  for (int i = 0; i < 2; ++i) {
+    IndependentTuple t;
+    t.alt.key = i;
+    t.alt.score = 5.0;
+    t.prob = 1.0;
+    tuples.push_back(t);
+  }
+  auto tree = MakeTupleIndependent(tuples);
+  ASSERT_TRUE(tree.ok());
+  MedianScanCheck check;
+  EXPECT_EQ(check.Check(*tree, 1, "infeasible"), -1);
+  auto median = MedianTopKSymDiff(*tree, ComputeRankDistribution(*tree, 1));
+  ASSERT_FALSE(median.ok());
+  EXPECT_EQ(median.status().code(), StatusCode::kInfeasible);
+}
+
+TEST(MedianScanTest, WinnerActivatedWithATieGroup) {
+  // Keys 0 and 1 tie at score 5 (p = 0.9 each); key 2 scores 3 and is
+  // certain, key 3 scores 1. Threshold 3 forces key 2 in, so its size-2
+  // worlds pair it with one 5-scorer; threshold 5's world is {0, 1}, and it
+  // wins: the scan activates both tied leaves before reading it.
+  std::vector<IndependentTuple> tuples;
+  const double scores[] = {5.0, 5.0, 3.0, 1.0};
+  const double probs[] = {0.9, 0.9, 1.0, 0.6};
+  for (int i = 0; i < 4; ++i) {
+    IndependentTuple t;
+    t.alt.key = i;
+    t.alt.score = scores[i];
+    t.prob = probs[i];
+    tuples.push_back(t);
+  }
+  auto tree = MakeTupleIndependent(tuples);
+  ASSERT_TRUE(tree.ok());
+  MedianScanCheck check;
+  const int stratum = check.Check(*tree, 2, "tie group");
+  EXPECT_EQ(stratum, 2);  // thresholds {1, 3, 5}
+  EXPECT_EQ(LeavesAtWinningThreshold(*tree, stratum), 2);
+  auto median = MedianTopKSymDiff(*tree, ComputeRankDistribution(*tree, 2));
+  ASSERT_TRUE(median.ok());
+  EXPECT_EQ(std::set<KeyId>(median->keys.begin(), median->keys.end()),
+            (std::set<KeyId>{0, 1}));
+}
+
+// The median DP's edge cases: the scan agrees bitwise with the per-stratum
+// search (core and engine), and the answer is the best Top-k answer over
+// all possible worlds.
 void ExpectMedianPathsAgree(const AndXorTree& tree, int k) {
+  MedianScanCheck check;
+  check.Check(tree, k, "k " + std::to_string(k));
   const RankDistribution dist = ComputeRankDistribution(tree, k);
   auto core = MedianTopKSymDiff(tree, dist);
   ASSERT_TRUE(core.ok()) << core.status().ToString();
-  for (int threads : {1, 4}) {
-    EngineOptions opts;
-    opts.num_threads = threads;
-    Engine engine(opts);
-    auto parallel = engine.MedianSymDiffSearch(tree, dist);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(parallel->keys, core->keys) << "threads " << threads;
-    EXPECT_EQ(parallel->expected_distance, core->expected_distance)
-        << "threads " << threads;
-  }
   auto worlds = EnumerateWorlds(tree);
   ASSERT_TRUE(worlds.ok());
   double best = std::numeric_limits<double>::infinity();

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/tail_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -283,7 +284,7 @@ TEST(AndXorTreeTest, PairPresenceIndependentTuples) {
   std::vector<NodeId> leaves = tree.LeafIds();
   std::vector<double> m = tree.LeafMarginals();
   // leaf 0 is (1, 8) with marginal 0.1; leaf 2 is (2, 3) with marginal 0.4.
-  EXPECT_NEAR(tree.PairPresenceProbability(leaves[0], leaves[2]),
+  EXPECT_NEAR(PairPresenceProbability(tree, leaves[0], leaves[2]),
               m[static_cast<size_t>(leaves[0])] * m[static_cast<size_t>(leaves[2])],
               1e-12);
 }
@@ -292,13 +293,13 @@ TEST(AndXorTreeTest, PairPresenceMutuallyExclusiveIsZero) {
   AndXorTree tree = Figure1iTree();
   std::vector<NodeId> leaves = tree.LeafIds();
   // Two alternatives of tuple 1 can never coexist.
-  EXPECT_EQ(tree.PairPresenceProbability(leaves[0], leaves[1]), 0.0);
+  EXPECT_EQ(PairPresenceProbability(tree, leaves[0], leaves[1]), 0.0);
 }
 
 TEST(AndXorTreeTest, PairPresenceSelfIsMarginal) {
   AndXorTree tree = Figure1iTree();
   std::vector<NodeId> leaves = tree.LeafIds();
-  EXPECT_NEAR(tree.PairPresenceProbability(leaves[0], leaves[0]), 0.1, 1e-12);
+  EXPECT_NEAR(PairPresenceProbability(tree, leaves[0], leaves[0]), 0.1, 1e-12);
 }
 
 // Property test: pairwise presence probabilities match exhaustive
@@ -329,8 +330,8 @@ TEST_P(PairPresenceProperty, MatchesEnumeration) {
                                         leaves[j]);
         if (has_i && has_j) expected += w.prob;
       }
-      EXPECT_NEAR(tree.PairPresenceProbability(leaves[i], leaves[j]), expected,
-                  1e-9)
+      EXPECT_NEAR(PairPresenceProbability(tree, leaves[i], leaves[j]),
+                  expected, 1e-9)
           << "leaves " << leaves[i] << ", " << leaves[j];
     }
   }
@@ -339,8 +340,9 @@ TEST_P(PairPresenceProperty, MatchesEnumeration) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PairPresenceProperty,
                          ::testing::Range(0, 12));
 
-// The historical path-vector PairPresenceProbability, kept as the oracle
-// for the parent walk: it builds both root paths (parents recovered from
+// The historical path-vector pair presence, kept as the reference for the
+// oracle's parent walk (which also checks the parent() and up_edge()
+// accessors): it builds both root paths (parents recovered from
 // the children lists), finds the LCA as their longest common suffix, and
 // multiplies leaf1's distinct edges, leaf2's, then the shared part.
 double PairPresenceOracle(const AndXorTree& tree, NodeId leaf1, NodeId leaf2) {
@@ -393,7 +395,7 @@ void ExpectPairPresenceMatchesOracle(const AndXorTree& tree) {
   for (NodeId a : leaves) {
     ASSERT_EQ(tree.LeafMarginal(a), PairPresenceOracle(tree, a, a));
     for (NodeId b : leaves) {
-      ASSERT_EQ(tree.PairPresenceProbability(a, b),
+      ASSERT_EQ(PairPresenceProbability(tree, a, b),
                 PairPresenceOracle(tree, a, b))
           << "leaves " << a << ", " << b;
     }
@@ -435,8 +437,8 @@ TEST(AndXorTreeTest, PairPresenceOnDeepChainWalksWithoutRecursion) {
   for (int i = 0; i < 20000; ++i) node = tree.AddXor({node}, {0.9999});
   tree.SetRoot(node);
   ASSERT_TRUE(tree.Validate().ok());
-  EXPECT_EQ(tree.PairPresenceProbability(b, c), 0.0);
-  EXPECT_GT(tree.PairPresenceProbability(a, b), 0.0);
+  EXPECT_EQ(PairPresenceProbability(tree, b, c), 0.0);
+  EXPECT_GT(PairPresenceProbability(tree, a, b), 0.0);
   ExpectPairPresenceMatchesOracle(tree);
 }
 

@@ -21,7 +21,12 @@
 #     sampler, or an enumerated or sampled expected distance;
 #   * a per-world distance (distance_pattern) declared, defined or called:
 #     TopKListDistance( and the four Top-k list distances it dispatches to,
-#     or JaccardDistance( — production computes expected distances only.
+#     or JaccardDistance( — production computes expected distances only;
+#   * a replaced solve tail (tail_pattern): ExpectedRankOfKey( and
+#     PairPresenceProbability( (the O(L^2) expected-rank pair loop) or
+#     EvalMedianSymDiffStratum( (one full median DP per score threshold) —
+#     production runs the score-ordered scans of core/ranking_baselines.h
+#     and core/topk_symdiff.h instead.
 # Tests, benches and perfbench are exempt.
 #
 # Usage: tools/check_oracle_hygiene.sh [repo-root]
@@ -39,10 +44,12 @@ pointer_pattern='[A-Za-z0-9_]Pointer[[:space:]]*\('
 per_leaf_pattern='LeafRankContribution[[:space:]]*\('
 estimator_pattern='[M]cEstimate|[E]stimateOverWorlds|([E]numExpected|[M]cExpected)[A-Za-z0-9_]*[[:space:]]*\('
 distance_pattern='(^|[^A-Za-z0-9_])([T]opKListDistance|[T]opKSymmetricDifference|[T]opKIntersectionDistance|[T]opKFootrule|[T]opKKendall|[J]accardDistance)[[:space:]]*\('
+tail_pattern='(^|[^A-Za-z0-9_])([E]xpectedRankOfKey|[P]airPresenceProbability|[E]valMedianSymDiffStratum)[[:space:]]*\('
 
 violations=$(grep -RnE -e "$include_pattern" -e "$template_pattern" \
   -e "$pointer_pattern" -e "$per_leaf_pattern" -e "$estimator_pattern" \
-  -e "$distance_pattern" src tools --include='*.h' --include='*.cc' || true)
+  -e "$distance_pattern" -e "$tail_pattern" src tools --include='*.h' \
+  --include='*.cc' || true)
 
 if [ -n "$violations" ]; then
   echo "oracle-hygiene lint FAILED: production code reaches the test oracles." >&2

@@ -784,8 +784,8 @@ int CmdAggregate(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 // semantics of core/ranking_baselines.h over one tree. The printed keys csv
 // is byte-identical to the serve response's keys field for the same
 // canonical-content tree: escore is a deterministic fold, erank's serve-side
-// parallel Engine::ExpectedRanks is bitwise identical to the sequential core
-// form used here, and the distribution-backed methods (global, prf) read the
+// Engine::ExpectedRanks forwards to the core scan used here, and the
+// distribution-backed methods (global, prf) read the
 // same schedule-deterministic ComputeRankDistribution the serve cache
 // memoizes.
 int CmdBaseline(const CliOptions& opts, std::FILE* out, std::FILE* err) {
