@@ -82,12 +82,14 @@ void BM_EngineKendall(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineKendall)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Chunked per-leaf marginal folds feeding the sequential min-cost DP.
+// The leaf marginals of one compile pass feeding the sequential min-cost
+// DP, through the engine's world entry point.
 void BM_EngineSetConsensus(benchmark::State& state) {
   AndXorTree tree = MakeDeepTree(200);
   Engine engine = MakeEngine(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    std::vector<NodeId> world = engine.MedianWorldSymDiff(tree);
+    auto world = engine.ConsensusWorldWithMarginals(
+        tree, engine.LeafMarginals(tree), /*median=*/true);
     benchmark::DoNotOptimize(world);
   }
 }

@@ -15,7 +15,6 @@
 #include "model/flat_tree.h"
 #include "oracle/generating_function.h"
 #include "oracle/poly1.h"
-#include "poly/poly_arena.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -28,13 +27,13 @@ Poly1 SizeGf(const AndXorTree& tree, int max_degree) {
 }
 
 // The flat-path equivalent of SizeGf: every leaf tagged x, dy = 0. The
-// FlatTree is compiled once outside the timed loop (matching how the engine
-// amortizes compilation across leaves) and the arena is reused so the
-// steady state allocates nothing.
-void SizeGfFlat(const FlatTree& flat, int max_degree, double* out,
-                PolyArena* arena) {
-  flat.EvalGeneratingFunction(
-      max_degree, 0, [](int, double* row) { row[1] = 1.0; }, out, arena);
+// FlatTree is compiled once outside the timed loop (matching how the
+// library amortizes compilation across folds) and the scratch is reused so
+// the steady state allocates nothing. Returns the root row.
+const double* SizeGfFlat(const FlatTree& flat, int max_degree,
+                         FlatRefold::Scratch* scratch) {
+  return FlatRefold::FoldOnce(flat, max_degree, 0, [](int) { return 1; },
+                              scratch);
 }
 
 void BM_SizeGfTupleIndependentFull(benchmark::State& state) {
@@ -84,7 +83,7 @@ void BM_SizeGfBid(benchmark::State& state) {
 BENCHMARK(BM_SizeGfBid)->RangeMultiplier(2)->Range(64, 2048)->Complexity();
 
 // Flat-vs-pointer ablation (tentpole measurement): the same truncated size
-// PGF through the compiled FlatTree + arena + vectorized kernels. Compare
+// PGF through the compiled FlatTree + slot rows + vectorized kernels. Compare
 // against BM_SizeGfTupleIndependentTruncated / BM_SizeGfBid at equal n.
 void BM_SizeGfFlatTupleIndependentTruncated(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -92,11 +91,9 @@ void BM_SizeGfFlatTupleIndependentTruncated(benchmark::State& state) {
   Rng rng(42);
   auto tree = RandomTupleIndependent(n, &rng);
   const FlatTree flat = FlatTree::Compile(*tree);
-  std::vector<double> out(static_cast<size_t>(k) + 1);
-  PolyArena arena;
+  FlatRefold::Scratch scratch;
   for (auto _ : state) {
-    SizeGfFlat(flat, k, out.data(), &arena);
-    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(SizeGfFlat(flat, k, &scratch));
     benchmark::ClobberMemory();
   }
   state.SetComplexityN(n);
@@ -114,11 +111,9 @@ void BM_SizeGfFlatBid(benchmark::State& state) {
   opts.max_alternatives = 3;
   auto tree = RandomBid(opts, &rng);
   const FlatTree flat = FlatTree::Compile(*tree);
-  std::vector<double> out(33);
-  PolyArena arena;
+  FlatRefold::Scratch scratch;
   for (auto _ : state) {
-    SizeGfFlat(flat, 32, out.data(), &arena);
-    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(SizeGfFlat(flat, 32, &scratch));
     benchmark::ClobberMemory();
   }
   state.SetComplexityN(n);
@@ -171,11 +166,9 @@ void BM_SizeGfFlatDeepAndXor(benchmark::State& state) {
   auto tree = RandomAndXorTree(opts, &rng);
   state.counters["leaves"] = tree->NumLeaves();
   const FlatTree flat = FlatTree::Compile(*tree);
-  std::vector<double> out(33);
-  PolyArena arena;
+  FlatRefold::Scratch scratch;
   for (auto _ : state) {
-    SizeGfFlat(flat, 32, out.data(), &arena);
-    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(SizeGfFlat(flat, 32, &scratch));
     benchmark::ClobberMemory();
   }
 }

@@ -6,7 +6,8 @@
 // cache on, the O(L^2 k) fold runs once per (tree, k) instead of once per
 // query. Three points on the curve:
 //
-//   BM_ServeBatchUncached — cache disabled: every query pays the fold.
+//   BM_ServeBatchUncached — a cache budget of 0 bytes: nothing is
+//       retained, so every query pays the fold.
 //   BM_ServeBatchColdCache — fresh scheduler per iteration: the first
 //       query of each (tree, k) pays, the rest hit (the within-batch win).
 //   BM_ServeBatchWarmCache — one long-lived scheduler: all queries hit
@@ -27,8 +28,9 @@
 //       unbounded. The cache_bytes counter reports the retained footprint:
 //       bounded by the budget under churn (tests/cache_eviction_test.cc
 //       pins bytes <= budget in *every* snapshot, and warm-hit answers
-//       bitwise identical to uncached), while the unbounded arm shows the
-//       memory an immortal cache would accrete. evictions counts the churn.
+//       bitwise identical to direct engine calls), while the unbounded arm
+//       shows the memory an immortal cache would accrete. evictions counts
+//       the churn.
 //   BM_ServeStreamingChurn — the same request stream through
 //       ExecuteStreaming (the serve --stream execution path): per-request
 //       emission, caches still shared across the stream. The first
@@ -39,8 +41,8 @@
 //
 //   BM_ServeSharded — a shard-disjoint batch (32 distinct trees, so the
 //       fingerprint partition spreads requests across every shard) through
-//       a ShardedScheduler of 1/2/4/8 single-threaded shards, caches off so
-//       every iteration pays its folds. Throughput should scale near-
+//       a ShardedScheduler of 1/2/4/8 single-threaded shards, caches that
+//       retain nothing (budget 0) so every iteration pays its folds. Throughput should scale near-
 //       linearly with the shard count: the shards share no state at all,
 //       which is the whole premise of partitioning by fingerprint. Answers
 //       are bitwise identical at every point on the curve
@@ -153,7 +155,7 @@ void BM_ServeBatchUncached(benchmark::State& state) {
   ServiceFixture fixture(static_cast<int>(state.range(0)),
                          static_cast<int>(state.range(1)));
   SchedulerOptions options;
-  options.use_cache = false;
+  options.cache_budget_bytes = 0;
   QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog, options);
   std::vector<ServiceRequest> batch = SharedBatch();
   for (auto _ : state) {
@@ -328,15 +330,16 @@ void BM_ServeStreamingChurn(benchmark::State& state) {
 BENCHMARK(BM_ServeStreamingChurn)->Arg(16 << 10)->Arg(kUnboundedCacheBytes);
 
 // Shard scaling on shard-disjoint traffic: one Top-k request per distinct
-// tree, caches disabled so each iteration measures fold throughput, one
-// thread per shard engine so parallelism comes only from the shard fan-out.
+// tree, caches that retain nothing so each iteration measures fold
+// throughput, one thread per shard engine so parallelism comes only from
+// the shard fan-out.
 void BM_ServeSharded(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
   constexpr int kTrees = 32;
   EngineOptions engine_options;
   engine_options.num_threads = 1;
   SchedulerOptions options;
-  options.use_cache = false;
+  options.cache_budget_bytes = 0;
   ShardedScheduler sharded(shards, engine_options, options);
 
   Rng rng(53);
@@ -374,7 +377,7 @@ void BM_ServeHeavyTailUncached(benchmark::State& state) {
   ServiceFixture fixture(static_cast<int>(state.range(0)),
                          static_cast<int>(state.range(1)));
   SchedulerOptions options;
-  options.use_cache = false;
+  options.cache_budget_bytes = 0;
   QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog, options);
   std::vector<ServiceRequest> batch = HeavyTailBatch();
   for (auto _ : state) {
@@ -593,10 +596,10 @@ BENCHMARK(BM_ServeTraceReplay)
     ->UseRealTime();
 
 // The analytics-serving acceptance benchmark: op=marginals replayed
-// against a long-lived scheduler. Arg is use_cache — with the marginals
-// cache on, steady state pays only the per-key summation over the cached
+// against a long-lived scheduler. Arg 1 is an unbounded cache budget —
+// steady state pays only the per-key summation over the cached
 // leaf-marginal vector (the same vector op=world and op=aggregate read);
-// off, every request re-folds the tree. Answers are bitwise identical in
+// arg 0 a budget of 0 bytes, so every request re-folds the tree. Answers are bitwise identical in
 // both arms (tests/op_registry_test.cc pins them against the offline
 // `marginals` command).
 void BM_ServeMarginalsCached(benchmark::State& state) {
@@ -621,7 +624,7 @@ void BM_ServeMarginalsCached(benchmark::State& state) {
   }
 
   SchedulerOptions options;
-  options.use_cache = state.range(0) != 0;
+  if (state.range(0) == 0) options.cache_budget_bytes = 0;
   QueryScheduler scheduler(&engine, &catalog, options);
   std::vector<ServiceRequest> batch;
   for (int i = 0; i < 32; ++i) {

@@ -26,26 +26,24 @@ double PairCoClusterGeneric(const FlatTree& flat, KeyId ki, KeyId kj) {
     if (leaf.key == ki) labels_i.insert(leaf.label);
     if (leaf.key == kj) labels_j.insert(leaf.label);
   }
-  // x on the leaves `tagged` selects, the constant 1 elsewhere.
-  double f[3];
+  // x on the leaves `tagged` selects, the constant 1 elsewhere; the root
+  // row, valid until the next fold.
   const auto fold = [&](const auto& tagged) {
-    flat.EvalGeneratingFunction(
-        2, 0,
-        [&](int i, double* row) {
-          row[tagged(leaves[static_cast<size_t>(i)]) ? 1 : 0] = 1.0;
-        },
-        f, &FlatFoldScratch());
+    return FlatRefold::FoldOnce(
+        flat, 2, 0,
+        [&](int i) { return tagged(leaves[static_cast<size_t>(i)]) ? 1 : 0; },
+        &FlatRefoldScratch());
   };
   double w = 0.0;
   for (int32_t a : labels_i) {
     if (labels_j.count(a) == 0) continue;
-    fold([&](const FlatLeaf& leaf) {
+    w += fold([&](const FlatLeaf& leaf) {
       return (leaf.key == ki || leaf.key == kj) && leaf.label == a;
-    });
-    w += f[2];
+    })[2];
   }
-  fold([&](const FlatLeaf& leaf) { return leaf.key == ki || leaf.key == kj; });
-  w += f[0];
+  w += fold([&](const FlatLeaf& leaf) {
+    return leaf.key == ki || leaf.key == kj;
+  })[0];
   return w;
 }
 

@@ -21,18 +21,17 @@ double ExpectedJaccardDistance(const FlatTree& flat,
   // probability that |pw ∩ W| = i and |pw \ W| = j, hence
   // d_J = (|W| - i + j) / (|W| + j). Rows have shape (w+1) × (out+1),
   // row-major: Index(i, j) = i * (out + 1) + j; a monomial beyond the
-  // bounds is the zero polynomial.
+  // bounds (-1) is the zero polynomial.
   const std::vector<FlatLeaf>& leaves = flat.leaves();
-  const auto leaf_init = [&](int i, double* row) {
-    if (in_world.count(leaves[static_cast<size_t>(i)].node) > 0) {
-      if (w >= 1) row[out + 1] = 1.0;  // x = x^1 y^0
-    } else if (out >= 1) {
-      row[1] = 1.0;  // y = x^0 y^1
-    }
-  };
-  std::vector<double> f(static_cast<size_t>(w + 1) *
-                        static_cast<size_t>(out + 1));
-  flat.EvalGeneratingFunction(w, out, leaf_init, f.data(), &FlatFoldScratch());
+  const double* f = FlatRefold::FoldOnce(
+      flat, w, out,
+      [&](int i) {
+        if (in_world.count(leaves[static_cast<size_t>(i)].node) > 0) {
+          return w >= 1 ? out + 1 : -1;  // x = x^1 y^0
+        }
+        return out >= 1 ? 1 : -1;  // y = x^0 y^1
+      },
+      &FlatRefoldScratch());
   double expected = 0.0;
   for (int i = 0; i <= w; ++i) {
     for (int j = 0; j <= out; ++j) {

@@ -77,7 +77,6 @@ std::vector<std::vector<double>> Engine::PerKeyColumns(
   pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
     columns[static_cast<size_t>(t)] =
         column(dist, keys[static_cast<size_t>(t)]);
-    NoteArenaHighWater(FlatFoldScratch().CapacityBytes());
   });
   return columns;
 }
@@ -171,11 +170,16 @@ Status Engine::ValidateConsensusRequest(TopKMetric metric, TopKAnswer answer) {
   return ValidateTopKRequest(metric, answer);
 }
 
+Status Engine::ValidateConsensusRequest(int k, TopKMetric metric,
+                                        TopKAnswer answer) {
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  return ValidateTopKRequest(metric, answer);
+}
+
 Result<TopKResult> Engine::ConsensusTopK(const AndXorTree& tree, int k,
                                          TopKMetric metric, TopKAnswer answer,
                                          const FlatTree* program) const {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  Status valid = ValidateTopKRequest(metric, answer);
+  Status valid = ValidateConsensusRequest(k, metric, answer);
   if (!valid.ok()) return valid;
   return ConsensusTopKWithDist(tree, ComputeRankDistribution(tree, k, program),
                                metric, answer, program);
@@ -186,8 +190,7 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(
     TopKAnswer answer, const FlatTree* program,
     const ConsensusTails& tails) const {
   const int k = dist.k();
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  Status valid = ValidateTopKRequest(metric, answer);
+  Status valid = ValidateConsensusRequest(k, metric, answer);
   if (!valid.ok()) return valid;
   // A distribution computed for a different tree would make the metric
   // heads optimize over one key set while the tree-folding tails (kendall
@@ -254,20 +257,6 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(
     }
   }
   return Status::InvalidArgument("unknown metric or answer kind");
-}
-
-std::vector<NodeId> Engine::MeanWorldSymDiff(const AndXorTree& tree) const {
-  return MeanWorldSymDiffFromMarginals(tree, LeafMarginals(tree));
-}
-
-std::vector<NodeId> Engine::MedianWorldSymDiff(const AndXorTree& tree) const {
-  return MedianWorldSymDiffFromMarginals(tree, LeafMarginals(tree));
-}
-
-double Engine::ExpectedSymDiffDistance(
-    const AndXorTree& tree, const std::vector<NodeId>& world) const {
-  return ExpectedSymDiffDistanceFromMarginals(tree, LeafMarginals(tree),
-                                              world);
 }
 
 Result<Engine::WorldResult> Engine::ConsensusWorldWithMarginals(

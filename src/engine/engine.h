@@ -23,8 +23,9 @@
 //     calling thread (the core function itself);
 //   * footrule / intersection assignment — one cost (profit) column per
 //     candidate tuple, fanned across the pool before the Hungarian solve;
-//   * set consensus — one marginal fold per leaf, with the O(N) filter / DP
-//     on the calling thread.
+//   * set consensus — none: the leaf marginals are read off the one O(N)
+//     compile pass (LeafMarginals), and the O(N) filter / DP runs on the
+//     calling thread.
 //
 // ParallelFor hands the same pool to callers fanning whole queries (the
 // serving layer's per-batch solves): queries nest their own ParallelFor
@@ -199,6 +200,14 @@ class Engine {
   /// only fail.
   static Status ValidateConsensusRequest(TopKMetric metric, TopKAnswer answer);
 
+  /// \brief The whole up-front check of a top-k request at cutoff `k`:
+  /// InvalidArgument "k must be >= 1" for k < 1, else the (metric, answer)
+  /// check above. ConsensusTopK and ConsensusTopKWithDist return exactly
+  /// this status for a request they reject before any work, so a layer
+  /// that skips the fold for such a request answers the same error.
+  static Status ValidateConsensusRequest(int k, TopKMetric metric,
+                                         TopKAnswer answer);
+
   /// \brief ConsensusTopK with the rank-distribution precompute supplied by
   /// the caller: the cache-aware entry point. `dist` must be the engine's
   /// ComputeRankDistribution(tree, dist.k()) — the serving layer's
@@ -222,30 +231,12 @@ class Engine {
 
   // -- Set consensus (Section 4.1) ----------------------------------------
 
-  /// \brief The mean world under symmetric difference (Theorem 2). The
-  /// per-leaf marginal folds run across the pool (one unit per leaf, like
-  /// the rank-distribution path); the O(L) filter runs on the calling
-  /// thread. Bitwise identical to the core function for any thread count.
-  std::vector<NodeId> MeanWorldSymDiff(const AndXorTree& tree) const;
-
-  /// \brief The median world under symmetric difference (Corollary 1);
-  /// parallel marginal folds feeding the sequential O(N) min-cost DP.
-  /// Bitwise identical to the core function for any thread count.
-  std::vector<NodeId> MedianWorldSymDiff(const AndXorTree& tree) const;
-
-  /// \brief E[d_Delta(world, pw)] for a fixed leaf set, with the marginal
-  /// folds run across the pool and the sum accumulated in DFS leaf order —
-  /// bitwise identical to the core ExpectedSymDiffDistance.
-  double ExpectedSymDiffDistance(const AndXorTree& tree,
-                                 const std::vector<NodeId>& world) const;
-
   /// \brief Leaf marginals (indexed by NodeId), read off one O(N)
   /// FlatTree::Compile pass (which carries the root-to-leaf XOR edge
   /// product in the same multiplication order as the per-leaf pointer
-  /// walks); bitwise identical to tree.LeafMarginals(). Callers issuing
-  /// several set-consensus operations against one tree (e.g. an answer
-  /// plus its expected distance) compute this once and use the core
-  /// *FromMarginals functions, paying the compile a single time. With a
+  /// walks); bitwise identical to tree.LeafMarginals(). It feeds
+  /// ConsensusWorldWithMarginals, which derives a world answer and its
+  /// expected distance from one such vector. With a
   /// non-null `program` (== FlatTree::Compile(tree)) no compile happens at
   /// all: the marginals are read straight off the supplied leaf table.
   std::vector<double> LeafMarginals(const AndXorTree& tree,
@@ -275,9 +266,9 @@ class Engine {
   /// contract, which is why the serving layer keys its MarginalsCache by
   /// the catalog's structural key. Everything downstream of the fold
   /// (filter, min-cost DP, distance sum) is sequential O(N), so the result
-  /// is bitwise identical to MeanWorldSymDiff / MedianWorldSymDiff plus
-  /// ExpectedSymDiffDistance, whether `marginals` was computed fresh or
-  /// served from a cache.
+  /// is bitwise identical to the core MeanWorldSymDiff / MedianWorldSymDiff
+  /// plus ExpectedSymDiffDistance (core/set_consensus.h), whether
+  /// `marginals` was computed fresh or served from a cache.
   Result<WorldResult> ConsensusWorldWithMarginals(
       const AndXorTree& tree, const std::vector<double>& marginals,
       bool median) const;

@@ -164,44 +164,6 @@ FlatTree FlatTree::Compile(const AndXorTree& tree) {
   return flat;
 }
 
-void FlatTree::EvalGeneratingFunction(
-    int max_dx, int max_dy,
-    const std::function<void(int leaf_index, double* row)>& leaf_init,
-    double* out, PolyArena* arena) const {
-  const int row_len = (max_dx + 1) * (max_dy + 1);
-  arena->Reserve(num_slots_, row_len);
-
-  int leaf_index = 0;
-  for (const FlatOp& op : ops_) {
-    double* o = arena->Row(op.out_slot);
-    switch (op.kind) {
-      case FlatOpKind::kLeaf:
-        std::fill(o, o + row_len, 0.0);
-        leaf_init(leaf_index++, o);
-        break;
-      case FlatOpKind::kXorInit:
-        std::fill(o, o + row_len, 0.0);
-        o[0] = op.weight;
-        break;
-      case FlatOpKind::kXorAccum:
-        AddScaledRow(o, arena->Row(op.arg_slot), op.weight, row_len);
-        break;
-      case FlatOpKind::kMul:
-        std::fill(o, o + row_len, 0.0);
-        ConvolveRowsTruncated(arena->Row(op.lhs_slot), arena->Row(op.arg_slot),
-                              o, max_dx, max_dy);
-        break;
-    }
-  }
-
-  if (root_slot_ >= 0) {
-    const double* root = arena->Row(root_slot_);
-    std::copy(root, root + row_len, out);
-  } else {
-    std::fill(out, out + row_len, 0.0);
-  }
-}
-
 std::string FlatTree::ToString() const {
   std::string s;
   char line[160];
@@ -227,11 +189,6 @@ std::string FlatTree::ToString() const {
     s += line;
   }
   return s;
-}
-
-PolyArena& FlatFoldScratch() {
-  thread_local PolyArena arena;
-  return arena;
 }
 
 FlatRefold::FlatRefold(const FlatTree& flat) : flat_(&flat) {
@@ -423,6 +380,37 @@ const double* FlatRefold::Fold(int max_dx, int max_dy,
             *scratch);
   }
   return RowData(static_cast<int32_t>(rows_.size()) - 1, *scratch);
+}
+
+const double* FlatRefold::FoldOnce(const FlatTree& flat, int max_dx,
+                                   int max_dy, const LeafTerm& leaf_term,
+                                   Scratch* scratch) {
+  const int row_len = (max_dx + 1) * (max_dy + 1);
+  PolyArena& slots = scratch->overlay;
+  slots.Reserve(std::max(flat.num_slots(), 1), row_len);
+  if (flat.root_slot() < 0) {
+    std::fill(slots.Row(0), slots.Row(0) + row_len, 0.0);
+    return slots.Row(0);
+  }
+  int leaf = 0;
+  for (const FlatOp& op : flat.ops()) {
+    double* o = slots.Row(op.out_slot);
+    if (op.kind == FlatOpKind::kXorAccum) {
+      AddScaledRow(o, slots.Row(op.arg_slot), op.weight, row_len);
+      continue;
+    }
+    std::fill(o, o + row_len, 0.0);
+    if (op.kind == FlatOpKind::kLeaf) {
+      const int term = leaf_term(leaf++);
+      if (term >= 0 && term < row_len) o[term] = 1.0;
+    } else if (op.kind == FlatOpKind::kXorInit) {
+      o[0] = op.weight;
+    } else {  // kMul
+      ConvolveRowsTruncated(slots.Row(op.lhs_slot), slots.Row(op.arg_slot), o,
+                            max_dx, max_dy);
+    }
+  }
+  return slots.Row(flat.root_slot());
 }
 
 void FlatRefold::Reserve(int max_dx, int max_dy, Scratch* scratch) const {

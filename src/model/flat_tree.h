@@ -13,7 +13,7 @@
 // A flattened, cache-friendly compilation of a validated AndXorTree.
 //
 // This is the library's one generating-function fold. A pointer-tree fold
-// (the test oracle EvalGeneratingFunction in tests/oracle/) re-walks
+// (the test oracle in tests/oracle/generating_function.h) re-walks
 // parent/child pointers and allocates a fresh coefficient vector per node on
 // every evaluation. FlatTree::Compile walks the tree ONCE and emits:
 //
@@ -23,37 +23,38 @@
 //   * compile-time slot lifetimes: each op names which scratch rows it reads
 //     and writes, slot ids are assigned from a LIFO free list, and a child's
 //     row is recycled the moment its parent consumes it, so num_slots() is
-//     the fold's live high-water mark (O(depth × log fan-in), not
-//     O(nodes)) and all
-//     scratch lives in one reusable PolyArena buffer;
+//     the op stream's live high-water mark (O(depth × log fan-in), not
+//     O(nodes)) and a one-shot fold needs only that many rows;
 //   * a leaf table (FlatLeaf) in left-to-right DFS order — identical to
 //     AndXorTree::LeafIds() order — carrying (key, score, label, node id)
 //     so per-target leaf classification is a linear scan over a packed
 //     array, plus each leaf's precomputed marginal probability;
 //   * precomputed XOR leftover mass per node (stored on the kXorInit op).
 //
-// Bitwise contract: EvalGeneratingFunction here performs the same arithmetic
-// operations in the same order as the pointer fold — leaves combine into XOR
-// accumulators via AddScaledRow in child order, and AND children multiply
-// via ConvolveRowsTruncated as balanced products, not left to right: a
-// binary counter pairs equal-sized partial products as children finish,
-// earlier on the left, then multiplies the partials left from the newest
-// back (see Compile) — so for identical leaf polynomials the resulting
-// coefficients are bit-identical. An AND of two or three children
-// multiplies left to right either way. Only the memory layout and
-// allocation strategy change. The pointer fold lives on as the
-// differential reference in tests/oracle/ (tests/flat_tree_test.cc).
-// FlatRefold (below) keeps the same arithmetic but holds every row
-// resident, so a fold that differs in a few leaves recomputes only their
-// ancestors.
+// FlatRefold (below) is the op stream's one executor, over monomial
+// leaves: FoldOnce() runs the stream in its recycled slots, for folds that
+// are read once; Fold() holds every row resident, so a later fold that
+// differs in a few leaves recomputes only their ancestors.
+//
+// Bitwise contract: a fold here performs the same arithmetic operations in
+// the same order as the pointer fold — leaves combine into XOR accumulators
+// via AddScaledRow in child order, and AND children multiply via
+// ConvolveRowsTruncated as balanced products, not left to right: a binary
+// counter pairs equal-sized partial products as children finish, earlier
+// on the left, then multiplies the partials left from the newest back (see
+// Compile) — so for identical leaf polynomials the resulting coefficients
+// are bit-identical. An AND of two or three children multiplies left to
+// right either way. Only the memory layout and allocation strategy change.
+// The pointer fold lives on as the differential reference in tests/oracle/
+// (tests/flat_tree_test.cc).
 //
 // A compiled FlatTree is immutable and safe to share across threads; each
-// evaluating thread supplies its own PolyArena (see FlatFoldScratch()).
+// evaluating thread supplies its own scratch.
 
 namespace cpdb {
 
 enum class FlatOpKind : int32_t {
-  kLeaf,      // zero row out_slot, then caller's leaf_init writes the monomial
+  kLeaf,      // row out_slot holds the leaf's polynomial
   kXorInit,   // zero row out_slot, set coefficient 0 to `weight` (leftover)
   kXorAccum,  // row out_slot += weight * row arg_slot; frees arg_slot
   kMul,       // row out_slot = conv(row lhs_slot, row arg_slot); frees both
@@ -91,18 +92,6 @@ class FlatTree {
   const std::vector<FlatOp>& ops() const { return ops_; }
   const std::vector<FlatLeaf>& leaves() const { return leaves_; }
 
-  /// Runs the generating-function fold over coefficient rows of logical
-  /// shape (max_dx + 1) × (max_dy + 1), row-major (Poly2 layout; Poly1 is
-  /// max_dy == 0). For each leaf, in leaf-table order, `leaf_init(i, row)`
-  /// is called with a zeroed row to write leaf i's polynomial. The root
-  /// polynomial's coefficients are copied into `out` (length
-  /// (max_dx + 1) * (max_dy + 1)). `arena` provides the scratch rows and is
-  /// resized to this fold's geometry; pass FlatFoldScratch() on hot paths.
-  void EvalGeneratingFunction(
-      int max_dx, int max_dy,
-      const std::function<void(int leaf_index, double* row)>& leaf_init,
-      double* out, PolyArena* arena) const;
-
   /// Human-readable record table (op stream + leaf table), for
   /// `cpdb_cli dump-flat` and debugging.
   std::string ToString() const;
@@ -113,12 +102,6 @@ class FlatTree {
   int32_t num_slots_ = 0;
   int32_t root_slot_ = -1;
 };
-
-/// This thread's reusable fold scratch. Hot paths evaluate many same-shaped
-/// folds back to back (one per leaf, one per pairwise cell); routing them
-/// all through one thread_local arena means zero-allocation steady state,
-/// including across Engine::ParallelFor task boundaries on a pool thread.
-PolyArena& FlatFoldScratch();
 
 /// The resident-row form of a FlatTree's fold, for folds that differ from
 /// a base fold only in a few leaves, each leaf a monomial.
@@ -135,10 +118,11 @@ PolyArena& FlatFoldScratch();
 /// the leftover, then AddScaledRow over its children in child order; kMul:
 /// ConvolveRowsTruncated), reading clean inputs from the resident rows.
 /// Every row is a pure function of its inputs' bits, and a clean row's
-/// subtree holds no re-set leaf, so the root is bitwise the full
-/// EvalGeneratingFunction fold with those leaves' rows holding the new
-/// monomials. Commit() makes such a change permanent by recomputing the
-/// same rows in place.
+/// subtree holds no re-set leaf, so the root is bitwise the full Fold()
+/// with those leaves' rows holding the new monomials. Commit() makes such a
+/// change permanent by recomputing the same rows in place. FoldOnce() runs
+/// the same fold without the row graph, so without a FlatRefold, over the
+/// op stream's recycled slots, for folds no refold follows.
 ///
 /// Immutable after construction and shareable across threads; each thread
 /// brings its own Scratch. `flat` must outlive the FlatRefold.
@@ -156,8 +140,9 @@ class FlatRefold {
   /// One refold's state, used by one thread at a time: the resident rows
   /// in `rows` (one per non-leaf row of the graph), the leaf monomials in
   /// `units`, each leaf's resident unit row, and one `overlay` row per
-  /// dirty non-leaf row of the last Refold. The dirty marks are versioned,
-  /// so starting a refold clears the previous one's marks in O(1).
+  /// dirty non-leaf row of the last Refold (or the last FoldOnce's slot
+  /// rows). The dirty marks are versioned, so starting a refold clears the
+  /// previous one's marks in O(1).
   struct Scratch {
     PolyArena rows;
     // Row 0 is the zero polynomial and row 1 the two-term leaf of the
@@ -188,13 +173,23 @@ class FlatRefold {
   /// that another then uses without allocating.
   void Reserve(int max_dx, int max_dy, Scratch* scratch) const;
 
-  /// The full fold, as FlatTree::EvalGeneratingFunction with the same
-  /// geometry and each leaf's row holding the monomial `leaf_term` names
+  /// The full fold over coefficient rows of logical shape
+  /// (max_dx + 1) × (max_dy + 1), row-major (Poly2 layout; Poly1 is
+  /// max_dy == 0), each leaf's row holding the monomial `leaf_term` names
   /// (called once per leaf, in leaf order), keeping every row resident in
-  /// `scratch`. Returns the root row, valid until the next Fold or Commit
-  /// on `scratch`.
+  /// `scratch`. An empty tree folds to the zero row. Returns the root row,
+  /// valid until the next Fold or Commit on `scratch`.
   const double* Fold(int max_dx, int max_dy, const LeafTerm& leaf_term,
                      Scratch* scratch) const;
+
+  /// Fold()'s root row, bitwise, computed in the op stream's order in
+  /// FlatTree::num_slots() recycled rows instead of one resident row per
+  /// node: for folds that are read once, whose width would make resident
+  /// rows costly (Lemma 1's rows are (|W| + 1) × (L − |W| + 1)). Uses only
+  /// `scratch`'s overlay rows, so a resident fold in it stays as it is.
+  /// The returned row is valid until the next call on `scratch`.
+  static const double* FoldOnce(const FlatTree& flat, int max_dx, int max_dy,
+                                const LeafTerm& leaf_term, Scratch* scratch);
 
   /// The root row of the resident fold with the leaves `leaves`
   /// (leaf-table indices) set to the monomials `leaf_term` names. The
@@ -262,9 +257,11 @@ class FlatRefold {
 };
 
 /// This thread's reusable refold state, for refold users that run as pool
-/// tasks (the Kendall q columns). Safe because such a task never calls back
-/// into a thread pool while its rows are live: nothing else can run on the
-/// thread between its Fold and its last refold.
+/// tasks (the Kendall q columns) and for one-shot folds (Lemma 1, the
+/// clustering co-occurrence folds), whose slot rows it keeps allocated from
+/// one fold to the next. Safe because no such user calls back into a
+/// thread pool while its rows are live: nothing else can run on the thread
+/// between its Fold and its last refold, or inside a FoldOnce.
 FlatRefold::Scratch& FlatRefoldScratch();
 
 }  // namespace cpdb

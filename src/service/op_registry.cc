@@ -230,10 +230,9 @@ Status ParseTopK(const RequestLine& line, ServiceRequest* request) {
 // The gate GatedDistFor applies: a request that can only fail reads no
 // distribution.
 int TopKRankK(const ServiceRequest& request) {
-  return request.k >= 1 &&
-                 Engine::ValidateConsensusRequest(request.metric,
-                                                  request.answer)
-                     .ok()
+  return Engine::ValidateConsensusRequest(request.k, request.metric,
+                                          request.answer)
+                 .ok()
              ? request.k
              : 0;
 }
@@ -261,19 +260,20 @@ Result<ServiceResponse> SolveTopK(const Engine& engine,
                                   const CatalogEntry& entry,
                                   const ServiceRequest& request,
                                   const OpInputs& inputs) {
-  // With a fetched distribution the engine runs only what the fetched
-  // tails leave of the metric tail; without one (caching off, or a request
-  // that can only fail) it runs the full query.
+  // No distribution means a request that can only fail: its error is the
+  // one Engine::ConsensusTopK returns, without the fold. Otherwise the
+  // engine runs only what the fetched tails leave of the metric tail.
+  if (inputs.dist == nullptr) {
+    return Engine::ValidateConsensusRequest(request.k, request.metric,
+                                            request.answer);
+  }
   CPDB_ASSIGN_OR_RETURN(
       TopKResult result,
-      inputs.dist != nullptr
-          ? engine.ConsensusTopKWithDist(
-                *entry.tree, *inputs.dist, request.metric, request.answer,
-                entry.program.get(),
-                ConsensusTails{inputs.kendall_mean.get(),
-                               inputs.symdiff_median.get()})
-          : engine.ConsensusTopK(*entry.tree, request.k, request.metric,
-                                 request.answer, entry.program.get()));
+      engine.ConsensusTopKWithDist(
+          *entry.tree, *inputs.dist, request.metric, request.answer,
+          entry.program.get(),
+          ConsensusTails{inputs.kendall_mean.get(),
+                         inputs.symdiff_median.get()}));
   ServiceResponse response;
   response.op = ServiceRequest::Op::kTopK;
   response.tree_name = request.tree_name;

@@ -94,27 +94,26 @@ class OpHost {
   virtual const Engine* engine() const = 0;
 
   /// The rank distribution for a *valid* consensus request, through the
-  /// RankDistCache when enabled: nullptr when caching is off or the request
-  /// can only fail (the engine rejects it before paying the fold, and the
-  /// cache must not be populated for it). The topk row's rank_k hook is
-  /// that gate: 0 for a request that can only fail.
+  /// RankDistCache: nullptr only when the request can only fail (its solve
+  /// rejects it without a fold, and the cache must not be populated for
+  /// it). The topk row's rank_k hook is that gate: 0 for a request that can
+  /// only fail.
   virtual std::shared_ptr<const RankDistribution> GatedDistFor(
       const CatalogEntry& entry, const ServiceRequest& request) = 0;
 
-  /// The rank distribution at cutoff k unconditionally — through the
-  /// RankDistCache when enabled, computed fresh otherwise. The baseline
-  /// rankings (method=global|prf) route here.
+  /// The rank distribution at cutoff k unconditionally, through the
+  /// RankDistCache. The baseline rankings (method=global|prf) route here.
   virtual std::shared_ptr<const RankDistribution> RankDistFor(
       const CatalogEntry& entry, int k) = 0;
 
-  /// The tree's leaf marginals through the MarginalsCache (computed fresh
-  /// when caching is off). world, marginals, and aggregate route here.
+  /// The tree's leaf marginals through the MarginalsCache. world,
+  /// marginals, and aggregate route here.
   virtual std::shared_ptr<const std::vector<double>> MarginalsFor(
       const CatalogEntry& entry) = 0;
 
-  /// The metric-tail precomputes, through the PrecomputeCache on a
-  /// scheduler with caching on. The defaults compute fresh through
-  /// engine(), so a host without a cache answers the same bytes.
+  /// The metric-tail precomputes, through the scheduler's PrecomputeCache.
+  /// The defaults compute fresh through engine(), so a host that keeps no
+  /// cache answers the same bytes.
   ///
   /// The kendall mean answer (Engine::ConsensusTopKWithDist, metric
   /// kendall, answer mean) over `dist`, the entry's rank distribution at
@@ -153,8 +152,8 @@ struct OpInputs {
   /// Whether the fetch made any lookup: the `cache` span is recorded only
   /// then (hardness and baseline method=escore look nothing up).
   bool fetched = false;
-  /// topk (GatedDistFor: null when caching is off or the request can only
-  /// fail); baseline method=global|prf (RankDistFor).
+  /// topk (GatedDistFor: null only for a request that can only fail);
+  /// baseline method=global|prf (RankDistFor).
   std::shared_ptr<const RankDistribution> dist;
   /// world, marginals, aggregate.
   std::shared_ptr<const std::vector<double>> marginals;

@@ -146,7 +146,6 @@ class QueryScheduler::Shard {
         const SchedulerOptions& options)
       : engine(engine_in),
         catalog(catalog_in),
-        use_cache(options.use_cache),
         instruments(options.enable_metrics
                         ? std::make_unique<ServeInstruments>()
                         : nullptr),
@@ -163,11 +162,11 @@ class QueryScheduler::Shard {
   }
 
   /// The rank distribution at cutoff k unconditionally (the baseline
-  /// rankings' precompute too): through the cache when enabled, computed
-  /// fresh otherwise. Keyed by (StructKey, k), so permuted duplicates, and
-  /// a baseline probe and a Top-k query against one shape, share one fold
-  /// — which runs over the catalog's canonical tree with its precompiled
-  /// program, so a miss pays the O(L^2 k) fold but never a compile.
+  /// rankings' precompute too), through the cache. Keyed by (StructKey, k),
+  /// so permuted duplicates, and a baseline probe and a Top-k query against
+  /// one shape, share one fold — which runs over the catalog's canonical
+  /// tree with its precompiled program, so a miss pays the O(L^2 k) fold
+  /// but never a compile.
   ///
   /// With a batch's `plan`, each shape folds once, at its planned k: a miss
   /// below it is a prefix (bitwise the direct fold, the prefix lemma in
@@ -182,7 +181,6 @@ class QueryScheduler::Shard {
       return engine->ComputeRankDistribution(*entry.tree, at,
                                              entry.program.get());
     };
-    if (!use_cache) return std::make_shared<const RankDistribution>(fold(k));
     return cache.GetOrCompute(entry.struct_key, k, [&]() -> RankDistribution {
       PlannedShape* shape = nullptr;
       if (plan != nullptr) {
@@ -207,15 +205,13 @@ class QueryScheduler::Shard {
     });
   }
 
-  /// The leaf marginals for a tree-addressed request: through the
-  /// marginals cache when enabled, computed fresh otherwise.
+  /// The leaf marginals for a tree-addressed request, through the marginals
+  /// cache.
   std::shared_ptr<const std::vector<double>> MarginalsFor(
       const CatalogEntry& entry) {
-    auto fold = [this, &entry] {
+    return marginals_cache.GetOrCompute(entry.struct_key, [this, &entry] {
       return engine->LeafMarginals(*entry.tree, entry.program.get());
-    };
-    if (!use_cache) return std::make_shared<const std::vector<double>>(fold());
-    return marginals_cache.GetOrCompute(entry.struct_key, fold);
+    });
   }
 
   /// Counts one request into this shard's registry.
@@ -278,7 +274,6 @@ class QueryScheduler::Shard {
   std::unique_ptr<TreeCatalog> owned_catalog;
   const Engine* engine;
   TreeCatalog* catalog;
-  const bool use_cache;
   const std::unique_ptr<ServeInstruments> instruments;
   RankDistCache cache;
   MarginalsCache marginals_cache;
@@ -296,13 +291,12 @@ class QueryScheduler::Host : public OpHost {
   const Engine* engine() const override { return shard_->engine; }
 
   // Through the cache (single-flight, charged against the budget), or
-  // nullptr when caching is off or the request can only fail — the engine
-  // rejects such queries before paying the fold, and the cache must not be
-  // populated for them.
+  // nullptr when the request can only fail — its solve rejects it without
+  // a fold, and the cache must not be populated for it.
   std::shared_ptr<const RankDistribution> GatedDistFor(
       const CatalogEntry& entry, const ServiceRequest& request) override {
     const int k = OpRegistry::Get().spec(request.op).rank_k(request);
-    if (!shard_->use_cache || k == 0) return nullptr;
+    if (k == 0) return nullptr;
     return RankDistFor(entry, k);
   }
 
@@ -316,11 +310,9 @@ class QueryScheduler::Host : public OpHost {
     return shard_->MarginalsFor(entry);
   }
 
-  // The tail precomputes: through the precompute cache when caching is on,
-  // the base class's fresh computation otherwise.
+  // The tail precomputes, through the precompute cache.
   std::shared_ptr<const Result<TopKResult>> KendallMeanFor(
       const CatalogEntry& entry, const RankDistribution& dist) override {
-    if (!shard_->use_cache) return OpHost::KendallMeanFor(entry, dist);
     return shard_->precompute_cache.KendallMean(
         entry.struct_key, dist.k(), [this, &entry, &dist] {
           return engine()->ConsensusTopKWithDist(
@@ -331,7 +323,6 @@ class QueryScheduler::Host : public OpHost {
 
   std::shared_ptr<const Result<TopKResult>> MedianSymDiffFor(
       const CatalogEntry& entry, const RankDistribution& dist) override {
-    if (!shard_->use_cache) return OpHost::MedianSymDiffFor(entry, dist);
     return shard_->precompute_cache.SymDiffMedian(
         entry.struct_key, dist.k(), [this, &entry, &dist] {
           return engine()->MedianSymDiffSearch(*entry.tree, dist);
@@ -340,7 +331,6 @@ class QueryScheduler::Host : public OpHost {
 
   std::shared_ptr<const std::vector<double>> ExpectedRanksFor(
       const CatalogEntry& entry) override {
-    if (!shard_->use_cache) return OpHost::ExpectedRanksFor(entry);
     return shard_->precompute_cache.ExpectedRanks(
         entry.struct_key,
         [this, &entry] { return engine()->ExpectedRanks(*entry.tree); });
@@ -634,7 +624,6 @@ CatalogSnapshot QueryScheduler::BuildSnapshot(
 
 bool QueryScheduler::SeedRankDistribution(
     StructKey struct_key, int k, std::shared_ptr<const RankDistribution> dist) {
-  if (!options_.use_cache) return false;
   // Each (StructKey, k) key lives on exactly one shard — the one every
   // query for that shape reaches.
   return shards_[static_cast<size_t>(ShardOfKey(struct_key, num_shards()))]

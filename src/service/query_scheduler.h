@@ -41,11 +41,11 @@
 // Determinism: every (StructKey, k) cache key lives on exactly one shard
 // and sees its requests in slot order, and the engine is schedule
 // deterministic, so answers are bitwise identical for every op, thread
-// count, shard count and cache budget — with the caches enabled,
-// disabled, cold, warm or evicting. Sharding shows only in throughput and
-// in the kStats per-shard breakdown (rendered only when N > 1); a finite
-// budget applies per shard cache, so eviction-driven counters may differ
-// across shard counts while answers never do.
+// count, shard count and cache budget — with the caches cold, warm or
+// evicting. Sharding shows only in throughput and in the kStats per-shard
+// breakdown (rendered only when N > 1); a finite budget applies per shard
+// cache, so eviction-driven counters may differ across shard counts while
+// answers never do.
 //
 // Besides ExecuteBatch there is a streaming path: ExecuteStreaming pulls
 // requests one at a time and emits each response before reading the next
@@ -196,11 +196,6 @@ Result<AndXorTree> LoadRequestTree(const ServiceRequest& request);
 
 /// \brief Scheduler knobs.
 struct SchedulerOptions {
-  /// Disables all three memo caches: every query recomputes its folds through
-  /// the engine. Exists for the parity tests and the cache-speedup
-  /// benchmarks; production serving keeps it on.
-  bool use_cache = true;
-
   /// Byte budget applied to *each* owned cache (the CLI's --cache-budget):
   /// retained entries are charged their size-based footprint and evicted
   /// LRU-first when the charge would exceed the budget.
@@ -379,9 +374,8 @@ class QueryScheduler {
   /// precomputed entry — the warm-restart seam: a catalog snapshot's
   /// persisted distributions land here so a restarted replica's first
   /// batch hits warm instead of re-folding. No-op (returns false) when
-  /// caching is disabled or the entry is not retained (existing entry,
-  /// over-budget); never changes answers, exactly like every other cache
-  /// path.
+  /// the entry is not retained (existing entry, over-budget); never
+  /// changes answers, exactly like every other cache path.
   bool SeedRankDistribution(StructKey struct_key, int k,
                             std::shared_ptr<const RankDistribution> dist);
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "direct_answers.h"
 #include "engine/engine.h"
 #include "io/tree_text.h"
 #include "service/marginals_cache.h"
@@ -327,7 +328,7 @@ TEST(CacheEvictionTest, MarginalsCacheChurnKeepsBudgetAndBits) {
 
 // The acceptance scenario, at the scheduler level: a churn workload (many
 // distinct (tree, k) keys) against a tiny budget answers bitwise exactly
-// what an unbounded cache and no cache answer, while the tiny cache
+// what an unbounded cache and direct engine calls answer, while the tiny cache
 // actually evicts and never exceeds its budget.
 TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
   constexpr int kTrees = 6;
@@ -362,27 +363,24 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
   tiny_options.cache_budget_bytes = 4096;  // a couple of entries at most
   QueryScheduler tiny(&engine, &catalog, tiny_options);
   QueryScheduler unbounded(&engine, &catalog);
-  SchedulerOptions no_cache;
-  no_cache.use_cache = false;
-  QueryScheduler uncached(&engine, &catalog, no_cache);
 
   auto tiny_results = tiny.ExecuteBatch(churn);
   auto warm_tiny_results = tiny.ExecuteBatch(churn);  // evicted + re-folded
   auto unbounded_results = unbounded.ExecuteBatch(churn);
-  auto uncached_results = uncached.ExecuteBatch(churn);
+  auto direct_results = DirectAnswers(catalog, churn);
   for (size_t i = 0; i < churn.size(); ++i) {
     ASSERT_TRUE(tiny_results[i].ok()) << tiny_results[i].status().ToString();
     ASSERT_TRUE(unbounded_results[i].ok());
-    ASSERT_TRUE(uncached_results[i].ok());
-    EXPECT_EQ(tiny_results[i]->keys, uncached_results[i]->keys) << i;
+    ASSERT_TRUE(direct_results[i].ok());
+    EXPECT_EQ(tiny_results[i]->keys, direct_results[i]->keys) << i;
     EXPECT_EQ(tiny_results[i]->expected_distance,
-              uncached_results[i]->expected_distance);
-    EXPECT_EQ(warm_tiny_results[i]->keys, uncached_results[i]->keys);
+              direct_results[i]->expected_distance);
+    EXPECT_EQ(warm_tiny_results[i]->keys, direct_results[i]->keys);
     EXPECT_EQ(warm_tiny_results[i]->expected_distance,
-              uncached_results[i]->expected_distance);
-    EXPECT_EQ(unbounded_results[i]->keys, uncached_results[i]->keys);
+              direct_results[i]->expected_distance);
+    EXPECT_EQ(unbounded_results[i]->keys, direct_results[i]->keys);
     EXPECT_EQ(unbounded_results[i]->expected_distance,
-              uncached_results[i]->expected_distance);
+              direct_results[i]->expected_distance);
   }
   // The tiny cache worked for its living: it evicted, stayed in budget,
   // and the unbounded sibling kept every distinct (fingerprint, k) entry.

@@ -571,22 +571,10 @@ TEST_F(CliTest, ServeAnswersBatchedRequests) {
   EXPECT_NE(r.out.find("ok\top=world\ttree=b\tmetric=symdiff\tanswer=median"),
             std::string::npos);
 
-  // The caches must be invisible in the answers: --cache=off yields the
-  // same response lines except for the stats counters.
-  CliResult uncached =
-      RunCliArgs({"serve", requests_path, "--threads=2", "--cache=off"});
-  EXPECT_EQ(uncached.code, 0) << uncached.err;
+  // The caches must be invisible in the answers: a budget too small to
+  // retain anything changes counters (everything misses, nothing is kept),
+  // never answers.
   std::string cached_lines = r.out.substr(0, r.out.find("ok\top=stats"));
-  std::string uncached_lines =
-      uncached.out.substr(0, uncached.out.find("ok\top=stats"));
-  EXPECT_EQ(cached_lines, uncached_lines);
-  ResponseLine off = FindResponse(uncached.out, {{"op", "stats"}});
-  EXPECT_EQ(*off.Find("hits"), "0");
-  EXPECT_EQ(*off.Find("misses"), "0");
-  EXPECT_EQ(*off.Find("marg_misses"), "0");
-
-  // So must the byte budget: a budget too small to retain anything changes
-  // counters (everything misses, nothing is kept), never answers.
   CliResult squeezed = RunCliArgs(
       {"serve", requests_path, "--threads=2", "--cache-budget=1"});
   EXPECT_EQ(squeezed.code, 0) << squeezed.err;
@@ -756,7 +744,6 @@ TEST_F(CliTest, ServeReportsRequestErrorsInBand) {
   // The healthy request between the failures was answered.
   EXPECT_NE(r.out.find("ok\top=topk\ttree=t"), std::string::npos);
   // Flag-level garbage is a usage error (exit 2), before any serving.
-  EXPECT_EQ(RunCliArgs({"serve", requests_path, "--cache=maybe"}).code, 2);
   EXPECT_EQ(RunCliArgs({"serve", requests_path, "--threads=two"}).code, 2);
   EXPECT_EQ(RunCliArgs({"serve", requests_path, "--cache-budget=1x"}).code, 2);
   EXPECT_EQ(RunCliArgs({"serve", requests_path, "--cache-budget=-5"}).code, 2);
@@ -765,7 +752,7 @@ TEST_F(CliTest, ServeReportsRequestErrorsInBand) {
   EXPECT_NE(valued.err.find("takes no value"), std::string::npos);
   // The serve-only flags belong to serve; other commands reject them
   // rather than silently ignoring them.
-  for (const char* flag : {"--cache=off", "--cache-budget=9", "--stream"}) {
+  for (const char* flag : {"--cache-budget=9", "--stream"}) {
     CliResult scoped = RunCliArgs({"topk", tree_path_, "--k=2", flag});
     EXPECT_EQ(scoped.code, 2) << flag;
     EXPECT_NE(scoped.err.find("applies only to serve"), std::string::npos)
@@ -775,6 +762,23 @@ TEST_F(CliTest, ServeReportsRequestErrorsInBand) {
   // in both execution modes.
   EXPECT_EQ(RunCliArgs({"serve", "/does/not/exist.req"}).code, 1);
   EXPECT_EQ(RunCliArgs({"serve", "/does/not/exist.req", "--stream"}).code, 1);
+}
+
+// Every precompute goes through the caches: serve has no switch that turns
+// them off, so --cache is an unknown flag (usage error, nothing served).
+// --cache-budget=0 is the configuration that retains nothing.
+TEST_F(CliTest, ServeHasNoCacheSwitch) {
+  const std::string requests_path = ::testing::TempDir() + "/cli_nocache.txt";
+  ASSERT_TRUE(WriteStringToFile(requests_path, "op=load name=t file=" +
+                                                   tree_path_ + "\n")
+                  .ok());
+  for (const char* flag : {"--cache=off", "--cache=on"}) {
+    CliResult r = RunCliArgs({"serve", requests_path, flag});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_TRUE(r.out.empty()) << flag << ": " << r.out;
+    EXPECT_NE(r.err.find("unknown flag --cache"), std::string::npos)
+        << flag << ": " << r.err;
+  }
 }
 
 // serve --save-catalog / --catalog: a replica restored from a snapshot

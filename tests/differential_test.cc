@@ -312,8 +312,12 @@ TEST(DifferentialTest, SetConsensusMatchesEnumeration) {
     std::vector<RankedWorld> worlds = MaterializeWorlds(tree, 1);
     // Mean world: closed-form objective equals the brute sum, and no leaf
     // subset whatsoever does better (Theorem 2 optimality).
-    std::vector<NodeId> mean = engine.MeanWorldSymDiff(tree);
-    double mean_expected = engine.ExpectedSymDiffDistance(tree, mean);
+    const std::vector<double> marginals = engine.LeafMarginals(tree);
+    Result<Engine::WorldResult> mean_world =
+        engine.ConsensusWorldWithMarginals(tree, marginals, /*median=*/false);
+    ASSERT_TRUE(mean_world.ok());
+    const std::vector<NodeId>& mean = mean_world->leaf_ids;
+    const double mean_expected = mean_world->expected_distance;
     ASSERT_NEAR(mean_expected, BruteExpectedSetDistance(worlds, mean), kTol);
     const std::vector<NodeId>& leaves = tree.LeafIds();
     for (uint32_t mask = 0; mask < (1u << leaves.size()); ++mask) {
@@ -326,8 +330,11 @@ TEST(DifferentialTest, SetConsensusMatchesEnumeration) {
     }
     // Median world: realizable, and the best among all realizable worlds
     // (Corollary 1: its objective also ties the unrestricted mean's).
-    std::vector<NodeId> median = engine.MedianWorldSymDiff(tree);
-    double median_expected = engine.ExpectedSymDiffDistance(tree, median);
+    Result<Engine::WorldResult> median_world =
+        engine.ConsensusWorldWithMarginals(tree, marginals, /*median=*/true);
+    ASSERT_TRUE(median_world.ok());
+    const std::vector<NodeId>& median = median_world->leaf_ids;
+    const double median_expected = median_world->expected_distance;
     ASSERT_NEAR(median_expected, BruteExpectedSetDistance(worlds, median),
                 kTol);
     bool realizable = false;

@@ -275,23 +275,33 @@ TEST(EngineTest, AssignmentMetricsBitwiseAcrossThreadCounts) {
   }
 }
 
-// The set-consensus paths chunk one marginal fold per leaf across the pool;
-// worlds and expected distances must match the sequential core bitwise.
+// The world entry point over the engine's leaf marginals: worlds and
+// expected distances must match the sequential core bitwise for any thread
+// count.
 TEST(EngineTest, SetConsensusBitwiseAcrossThreadCounts) {
   for (uint64_t seed : {7u, 59u, 61u}) {
     AndXorTree tree = RandomDeepTree(seed);
     std::vector<NodeId> mean = MeanWorldSymDiff(tree);
     std::vector<NodeId> median = MedianWorldSymDiff(tree);
     double mean_expected = ExpectedSymDiffDistance(tree, mean);
+    double median_expected = ExpectedSymDiffDistance(tree, median);
     for (int threads : {1, 2, 4, 8}) {
       EngineOptions opts;
       opts.num_threads = threads;
       Engine engine(opts);
-      ASSERT_EQ(engine.MeanWorldSymDiff(tree), mean)
+      const std::vector<double> marginals = engine.LeafMarginals(tree);
+      ASSERT_EQ(marginals, tree.LeafMarginals());
+      auto mean_world = engine.ConsensusWorldWithMarginals(tree, marginals,
+                                                           /*median=*/false);
+      auto median_world = engine.ConsensusWorldWithMarginals(tree, marginals,
+                                                             /*median=*/true);
+      ASSERT_TRUE(mean_world.ok());
+      ASSERT_TRUE(median_world.ok());
+      ASSERT_EQ(mean_world->leaf_ids, mean)
           << "seed " << seed << " threads " << threads;
-      ASSERT_EQ(engine.MedianWorldSymDiff(tree), median);
-      ASSERT_EQ(engine.ExpectedSymDiffDistance(tree, mean), mean_expected);
-      ASSERT_EQ(engine.LeafMarginals(tree), tree.LeafMarginals());
+      ASSERT_EQ(mean_world->expected_distance, mean_expected);
+      ASSERT_EQ(median_world->leaf_ids, median);
+      ASSERT_EQ(median_world->expected_distance, median_expected);
     }
   }
 }
@@ -351,8 +361,13 @@ TEST(EngineTest, ConsensusTopKRejectsBadArguments) {
 TEST(EngineTest, SetConsensusDelegatesToCore) {
   AndXorTree tree = RandomDeepTree(19);
   Engine engine;
-  EXPECT_EQ(engine.MeanWorldSymDiff(tree), MeanWorldSymDiff(tree));
-  EXPECT_EQ(engine.MedianWorldSymDiff(tree), MedianWorldSymDiff(tree));
+  const std::vector<double> marginals = engine.LeafMarginals(tree);
+  EXPECT_EQ(engine.ConsensusWorldWithMarginals(tree, marginals, false)
+                ->leaf_ids,
+            MeanWorldSymDiff(tree));
+  EXPECT_EQ(engine.ConsensusWorldWithMarginals(tree, marginals, true)
+                ->leaf_ids,
+            MedianWorldSymDiff(tree));
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 // function — across random generator trees of all three structural
 // families and engine thread counts {1, 2, 4, 8}. Also pins the structural claims: leaf-table order equals
 // LeafIds() order, precompiled marginals match the pointer walks bit for
-// bit, and slot recycling keeps the arena working set O(depth × log
-// fan-in) rather than O(nodes).
+// bit, and slot recycling keeps the op stream's live slot count
+// O(depth × log fan-in) rather than O(nodes).
 
 #include "model/flat_tree.h"
 
@@ -31,6 +31,7 @@
 #include "oracle/fold_oracles.h"
 #include "oracle/generating_function.h"
 #include "oracle/poly1.h"
+#include "oracle/poly2.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -59,6 +60,36 @@ std::vector<AndXorTree> GeneratorTrees(uint64_t seed) {
   if (deep.ok()) trees.push_back(*std::move(deep));
 
   return trees;
+}
+
+// The pointer fold over rows of shape (max_dx + 1) × (max_dy + 1), leaf i
+// (in leaf-table order) holding the row-major monomial term(i); a term
+// outside the row is the zero polynomial. Returned row-major, as FlatRefold
+// lays out its rows.
+std::vector<double> PointerFold(const AndXorTree& tree, int max_dx, int max_dy,
+                                const FlatRefold::LeafTerm& term) {
+  const int row_len = (max_dx + 1) * (max_dy + 1);
+  std::vector<int> leaf_index(static_cast<size_t>(tree.NumNodes()), -1);
+  for (size_t i = 0; i < tree.LeafIds().size(); ++i) {
+    leaf_index[static_cast<size_t>(tree.LeafIds()[i])] = static_cast<int>(i);
+  }
+  auto leaf_poly = [&](NodeId id) {
+    const int t = term(leaf_index[static_cast<size_t>(id)]);
+    if (t < 0 || t >= row_len) return Poly2::Constant(max_dx, max_dy, 0.0);
+    return Poly2::Monomial(max_dx, max_dy, t / (max_dy + 1), t % (max_dy + 1),
+                           1.0);
+  };
+  auto make_const = [&](double c) {
+    return Poly2::Constant(max_dx, max_dy, c);
+  };
+  const Poly2 f = EvalGeneratingFunction<Poly2>(tree, leaf_poly, make_const);
+  std::vector<double> row(static_cast<size_t>(row_len));
+  for (int i = 0; i <= max_dx; ++i) {
+    for (int j = 0; j <= max_dy; ++j) {
+      row[static_cast<size_t>(i * (max_dy + 1) + j)] = f.Coeff(i, j);
+    }
+  }
+  return row;
 }
 
 class FlatTreeDifferential : public ::testing::TestWithParam<uint64_t> {};
@@ -96,7 +127,7 @@ TEST_P(FlatTreeDifferential, LeafTableMatchesPointerTree) {
 
 TEST_P(FlatTreeDifferential, GeneratingFunctionBitwiseEqualsPointerFold) {
   // The raw fold: world-size generating function (every leaf tagged x),
-  // flat vs pointer, bitwise.
+  // flat (resident and one-shot) vs pointer, bitwise.
   const int kMaxDegree = 24;
   for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
     auto leaf_poly = [&](NodeId) {
@@ -107,13 +138,17 @@ TEST_P(FlatTreeDifferential, GeneratingFunctionBitwiseEqualsPointerFold) {
         EvalGeneratingFunction<Poly1>(tree, leaf_poly, make_const);
 
     const FlatTree flat = FlatTree::Compile(tree);
-    std::vector<double> got(kMaxDegree + 1);
-    flat.EvalGeneratingFunction(
-        kMaxDegree, 0, [](int, double* row) { row[1] = 1.0; }, got.data(),
-        &FlatFoldScratch());
+    FlatRefold::Scratch scratch;
+    const auto all_x = [](int) { return 1; };
+    const double* resident =
+        FlatRefold(flat).Fold(kMaxDegree, 0, all_x, &scratch);
     for (int d = 0; d <= kMaxDegree; ++d) {
-      ASSERT_EQ(got[static_cast<size_t>(d)], reference.Coeff(d))
-          << "degree " << d;
+      ASSERT_EQ(resident[d], reference.Coeff(d)) << "degree " << d;
+    }
+    const double* once =
+        FlatRefold::FoldOnce(flat, kMaxDegree, 0, all_x, &scratch);
+    for (int d = 0; d <= kMaxDegree; ++d) {
+      ASSERT_EQ(once[d], reference.Coeff(d)) << "degree " << d;
     }
   }
 }
@@ -169,10 +204,12 @@ TEST_P(FlatTreeDifferential, PairwiseOrderAndKendallBitwiseEqualPointerFold) {
 }
 
 TEST_P(FlatTreeDifferential, RefoldZeroedBitwiseEqualsFullFold) {
-  // A refold over any zeroed leaf subset is bitwise the full slot-recycled
-  // fold with those leaves' rows left zero, in both the univariate
+  // A refold over any zeroed leaf subset is bitwise the pointer fold with
+  // those leaves' polynomials zero, in both the univariate
   // (world-size) and the bivariate (Kendall) geometry, and one resident
-  // base fold serves many refolds in a row.
+  // base fold serves many refolds in a row. So is the one-shot fold of the
+  // same leaves, run on the same scratch between refolds: it leaves the
+  // resident fold as it is.
   Rng rng(GetParam() * 7919 + 1);
   for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
     const FlatTree flat = FlatTree::Compile(tree);
@@ -187,14 +224,9 @@ TEST_P(FlatTreeDifferential, RefoldZeroedBitwiseEqualsFullFold) {
         const bool y = i % 3 == 2 && max_dy == 1;
         return i % 3 == 0 ? 0 : (y ? 1 : max_dy + 1);
       };
-      auto base_init = [&](int i, double* row) { row[base_term(i)] = 1.0; };
-      PolyArena reference_arena;
-      std::vector<double> reference(static_cast<size_t>(row_len));
-      std::vector<double> base(static_cast<size_t>(row_len));
-      flat.EvalGeneratingFunction(max_dx, max_dy, base_init, base.data(),
-                                  &reference_arena);
       const double* root = refold.Fold(max_dx, max_dy, base_term, &scratch);
-      ASSERT_EQ(std::vector<double>(root, root + row_len), base);
+      ASSERT_EQ(std::vector<double>(root, root + row_len),
+                PointerFold(tree, max_dx, max_dy, base_term));
       for (int trial = 0; trial < 6; ++trial) {
         std::vector<int> zeroed;
         std::vector<bool> is_zeroed(static_cast<size_t>(num_leaves), false);
@@ -204,16 +236,22 @@ TEST_P(FlatTreeDifferential, RefoldZeroedBitwiseEqualsFullFold) {
             is_zeroed[static_cast<size_t>(i)] = true;
           }
         }
-        flat.EvalGeneratingFunction(
-            max_dx, max_dy,
-            [&](int i, double* row) {
-              if (!is_zeroed[static_cast<size_t>(i)]) base_init(i, row);
-            },
-            reference.data(), &reference_arena);
+        const std::vector<double> reference =
+            PointerFold(tree, max_dx, max_dy, [&](int i) {
+              return is_zeroed[static_cast<size_t>(i)] ? -1 : base_term(i);
+            });
         const double* got =
             refold.Refold(zeroed, [](int) { return -1; }, &scratch);
         ASSERT_EQ(std::vector<double>(got, got + row_len), reference)
             << "trial " << trial << " max_dy " << max_dy;
+        const double* once = FlatRefold::FoldOnce(
+            flat, max_dx, max_dy,
+            [&](int i) {
+              return is_zeroed[static_cast<size_t>(i)] ? -1 : base_term(i);
+            },
+            &scratch);
+        ASSERT_EQ(std::vector<double>(once, once + row_len), reference)
+            << "one-shot, trial " << trial << " max_dy " << max_dy;
       }
     }
   }
@@ -375,7 +413,7 @@ TupleAlternative Alt(KeyId key, double score) {
 TEST(FlatTreeTest, DeepChainCompilesToConstantSlotCount) {
   // The compile-time analogue of the fold-memory bugfix: a 20000-deep XOR
   // chain must compile to 2 scratch slots (child + accumulator), so the
-  // arena working set is independent of depth.
+  // op stream's live row count is independent of depth.
   AndXorTree tree;
   NodeId node = tree.AddLeaf(Alt(1, 1));
   for (int i = 0; i < 20000; ++i) node = tree.AddXor({node}, {0.5});
@@ -391,12 +429,18 @@ TEST(FlatTreeTest, DeepChainCompilesToConstantSlotCount) {
   auto make_const = [&](double c) { return Poly1::Constant(1, c); };
   const Poly1 reference =
       EvalGeneratingFunction<Poly1>(tree, leaf_poly, make_const);
-  double got[2];
-  flat.EvalGeneratingFunction(
-      1, 0, [](int, double* row) { row[1] = 1.0; }, got,
-      &FlatFoldScratch());
+  FlatRefold::Scratch scratch;
+  const double* got =
+      FlatRefold(flat).Fold(1, 0, [](int) { return 1; }, &scratch);
   EXPECT_EQ(got[0], reference.Coeff(0));
   EXPECT_EQ(got[1], reference.Coeff(1));
+
+  // The one-shot fold runs in the two slots: two rows of two coefficients.
+  FlatRefold::Scratch once_scratch;
+  got = FlatRefold::FoldOnce(flat, 1, 0, [](int) { return 1; }, &once_scratch);
+  EXPECT_EQ(got[0], reference.Coeff(0));
+  EXPECT_EQ(got[1], reference.Coeff(1));
+  EXPECT_EQ(once_scratch.CapacityBytes(), 4 * sizeof(double));
 }
 
 TEST(FlatTreeTest, WideAndCompilesToLogarithmicSlotCount) {

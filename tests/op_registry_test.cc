@@ -14,7 +14,8 @@
 //     canonical-content trees;
 //   * transcript identity — one serve input produces byte-identical
 //     response transcripts across shard counts, thread counts, cache
-//     settings, budgets, metrics on/off, batch/stream, and warm restarts;
+//     budgets, metrics on/off, batch/stream, and warm restarts;
+//   * fetch is the precompute, solve the tail: no solve folds;
 //   * the parallel Engine::ExpectedRanks is bitwise the sequential core
 //     fold, and repeated analytics requests fold marginals once.
 
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -510,13 +512,12 @@ TEST_F(OpPipelineTest, TranscriptIsByteIdenticalAcrossConfigurations) {
   const std::string baseline = ServeTranscript(path, {});
   ASSERT_FALSE(baseline.empty());
   // Answers — and error lines — are bitwise independent of parallelism,
-  // sharding, caching, budgets, instruments, and batching. Each variant
+  // sharding, cache budgets, instruments, and batching. Each variant
   // flips one or two knobs; the transcript must not move by a byte.
   const std::vector<std::vector<std::string>> kVariants = {
       {"--stream"},
       {"--threads=8"},
       {"--stream", "--threads=8"},
-      {"--cache=off"},
       {"--cache-budget=0"},
       {"--metrics=off"},
       {"--shards=1"},
@@ -617,6 +618,122 @@ TEST_F(OpPipelineTest, ExecuteOneIsAOneSlotBatch) {
               batch_scrape.Find(name)->hist.count)
         << name;
   }
+}
+
+// An OpHost that computes every precompute fresh over the catalog entry's
+// program, as the scheduler's caches do on a miss, with the same gate on
+// requests that can only fail.
+class FreshHost : public OpHost {
+ public:
+  explicit FreshHost(const Engine* engine) : engine_(engine) {}
+
+  const Engine* engine() const override { return engine_; }
+  std::shared_ptr<const RankDistribution> GatedDistFor(
+      const CatalogEntry& entry, const ServiceRequest& request) override {
+    const int k = OpRegistry::Get().spec(request.op).rank_k(request);
+    return k == 0 ? nullptr : RankDistFor(entry, k);
+  }
+  std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
+                                                      int k) override {
+    return std::make_shared<const RankDistribution>(
+        engine_->ComputeRankDistribution(*entry.tree, k, entry.program.get()));
+  }
+  std::shared_ptr<const std::vector<double>> MarginalsFor(
+      const CatalogEntry& entry) override {
+    return std::make_shared<const std::vector<double>>(
+        engine_->LeafMarginals(*entry.tree, entry.program.get()));
+  }
+  ServiceResponse StatsNow() override { return ServiceResponse(); }
+  Result<MetricsSnapshot> MetricsNow() override {
+    return MetricsDisabledError();
+  }
+  Result<ServiceResponse> ExecuteLoadOp(const ServiceRequest&, const Clock*,
+                                        ResponseTiming*) override {
+    return Status::Internal("FreshHost serves tree-addressed hooks only");
+  }
+
+ private:
+  const Engine* engine_;
+};
+
+// Fetch is the precompute and solve the tail: over the inputs FetchOpInputs
+// returned, SolveOp folds no rank distribution and compiles no tree, for
+// every tree-addressed op of the request mix and every topk (metric,
+// answer) pair at k = 3 and k = 0 — the pairs and cutoffs that can only
+// fail included.
+TEST_F(OpPipelineTest, SolveOverFetchedInputsNeverFolds) {
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  const Engine engine(engine_options);
+  TreeCatalog catalog;
+  for (size_t i = 0; i < trees_.size(); ++i) {
+    ASSERT_TRUE(catalog.Insert(names_[i], trees_[i]).ok());
+  }
+  ASSERT_TRUE(
+      catalog.Insert("unlab", *ParseTree(*ReadFileToString(unlabeled_path_)))
+          .ok());
+
+  std::vector<ServiceRequest> requests;
+  for (const std::string& text : SplitLines(QueryRequests())) {
+    Result<ServiceRequest> parsed = ParseLine(text);
+    if (parsed.ok()) requests.push_back(*parsed);
+  }
+  for (TopKMetric metric : {TopKMetric::kSymDiff, TopKMetric::kIntersection,
+                            TopKMetric::kFootrule, TopKMetric::kKendall}) {
+    for (TopKAnswer answer : {TopKAnswer::kMean, TopKAnswer::kMedian,
+                              TopKAnswer::kMeanUnrestricted,
+                              TopKAnswer::kMeanApprox}) {
+      for (int k : {3, 0}) {
+        ServiceRequest request;
+        request.op = ServiceRequest::Op::kTopK;
+        request.tree_name = "d1";
+        request.k = k;
+        request.metric = metric;
+        request.answer = answer;
+        requests.push_back(request);
+      }
+    }
+  }
+
+  FreshHost host(&engine);
+  int solved = 0;
+  int failed = 0;
+  for (const ServiceRequest& request : requests) {
+    Result<CatalogEntry> entry = catalog.Lookup(request.tree_name);
+    if (!entry.ok()) continue;  // an unknown tree fails before its fetch
+    SCOPED_TRACE(FormatResponseLine({{"op", OpRegistry::Get()
+                                                .spec(request.op)
+                                                .name},
+                                     {"tree", request.tree_name},
+                                     {"k", std::to_string(request.k)},
+                                     {"metric", TopKMetricName(request.metric)},
+                                     {"answer",
+                                      TopKAnswerName(request.answer)}}));
+    const OpSpec& spec = OpRegistry::Get().spec(request.op);
+    ResponseTiming timing;
+    const OpInputs inputs =
+        FetchOpInputs(spec, host, *entry, request, nullptr, &timing);
+    const EngineObsCounters before = engine.obs_counters();
+    const Result<ServiceResponse> response =
+        SolveOp(spec, engine, *entry, request, inputs, nullptr, &timing);
+    const EngineObsCounters after = engine.obs_counters();
+    EXPECT_EQ(after.rank_folds, before.rank_folds);
+    EXPECT_EQ(after.fold_compiles, before.fold_compiles);
+    ++(response.ok() ? solved : failed);
+    // A topk that can only fail answers Engine::ConsensusTopK's error.
+    if (request.op == ServiceRequest::Op::kTopK && !response.ok()) {
+      EXPECT_EQ(response.status().ToString(),
+                engine
+                    .ConsensusTopK(*entry->tree, request.k, request.metric,
+                                   request.answer)
+                    .status()
+                    .ToString());
+    }
+  }
+  // Every topk pair at k = 0, the nine unsupported pairs at k = 3 and the
+  // unlabeled aggregate fail; the rest answer.
+  EXPECT_EQ(failed, 16 + 9 + 1);
+  EXPECT_EQ(solved, static_cast<int>(requests.size()) - 1 - failed);
 }
 
 TEST_F(OpPipelineTest, WarmRestartServesTheSameAnalyticsBytes) {

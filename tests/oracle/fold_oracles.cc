@@ -41,20 +41,18 @@ std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
   // bounds is the zero polynomial.
   const std::vector<FlatLeaf>& leaves = flat.leaves();
   const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
-  const auto leaf_init = [&](int i, double* row) {
-    if (i == target) {
-      row[1] = 1.0;  // y = x^0 y^1
-      return;
-    }
-    const FlatLeaf& other = leaves[static_cast<size_t>(i)];
-    if (other.key != alt.key && other.score > alt.score) {
-      if (k >= 1) row[2] = 1.0;  // x = x^1 y^0, counts toward the rank
-      return;
-    }
-    row[0] = 1.0;  // constant 1
-  };
-  std::vector<double> f(static_cast<size_t>(k + 1) * 2);
-  flat.EvalGeneratingFunction(k, 1, leaf_init, f.data(), &FlatFoldScratch());
+  FlatRefold::Scratch scratch;
+  const double* f = FlatRefold::FoldOnce(
+      flat, k, 1,
+      [&](int i) {
+        if (i == target) return 1;  // y = x^0 y^1
+        const FlatLeaf& other = leaves[static_cast<size_t>(i)];
+        if (other.key != alt.key && other.score > alt.score) {
+          return 2;  // x = x^1 y^0, counts toward the rank
+        }
+        return 0;  // constant 1
+      },
+      &scratch);
   std::vector<double> contribution(static_cast<size_t>(k) + 1, 0.0);
   for (int i = 1; i <= k; ++i) {
     contribution[static_cast<size_t>(i)] =
@@ -109,23 +107,21 @@ double PrRanksBefore(const FlatTree& flat, KeyId u, KeyId v) {
   // index 1; the answer Coeff(1, 0) is read from index 2.
   double total = 0.0;
   const std::vector<FlatLeaf>& leaves = flat.leaves();
-  double f[4];
+  FlatRefold::Scratch scratch;
   for (int target = 0; target < flat.num_leaves(); ++target) {
     const FlatLeaf& alt = leaves[static_cast<size_t>(target)];
     if (alt.key != u) continue;
-    const auto leaf_init = [&](int i, double* row) {
-      if (i == target) {
-        row[2] = 1.0;  // y = x^1 y^0
-        return;
-      }
-      const FlatLeaf& other = leaves[static_cast<size_t>(i)];
-      if (other.key == v && other.score > alt.score) {
-        row[1] = 1.0;  // z = x^0 y^1
-        return;
-      }
-      row[0] = 1.0;  // constant 1
-    };
-    flat.EvalGeneratingFunction(1, 1, leaf_init, f, &FlatFoldScratch());
+    const double* f = FlatRefold::FoldOnce(
+        flat, 1, 1,
+        [&](int i) {
+          if (i == target) return 2;  // y = x^1 y^0
+          const FlatLeaf& other = leaves[static_cast<size_t>(i)];
+          if (other.key == v && other.score > alt.score) {
+            return 1;  // z = x^0 y^1
+          }
+          return 0;  // constant 1
+        },
+        &scratch);
     total += f[2];  // Coeff(1, 0)
   }
   return total;

@@ -3,9 +3,9 @@
 // Tests for the PrecomputeCache — the serving layer's memo of the metric
 // tails (kendall mean answers, symdiff median searches, expected ranks). The
 // load-bearing property is the usual one for a cache of deterministic
-// values: kendall mean, symdiff median and erank answers are bitwise
-// identical with the cache on or off, under any budget, thread count, shard
-// count, execution mode, cold or warm. Also pinned: single-flight (N
+// values: kendall mean, symdiff median and erank answers are bitwise the
+// direct engine calls' under any budget, thread count, shard count,
+// execution mode, cold or warm. Also pinned: single-flight (N
 // concurrent identical Kendall requests compute once), the byte budget in
 // every stats snapshot, a warm Kendall repeat served without folding, and
 // the sharded scrape as the per-shard sum. Real threads throughout, so the
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "direct_answers.h"
 #include "engine/engine.h"
 #include "io/request_protocol.h"
 #include "model/canonical.h"
@@ -178,52 +179,40 @@ class PrecomputeCacheServeTest : public ::testing::Test {
   std::vector<std::string> names_;
 };
 
-// The acceptance matrix: cache on/off x budget {0, 4096, unbounded} x
-// threads {1, 4} x shards {1, 4} x batch/stream x cold/warm, every answer
-// against an uncached single-threaded reference — and the budget binding
-// every shard's charged bytes afterwards.
+// The acceptance matrix: budget {0, 4096, unbounded} x threads {1, 4} x
+// shards {1, 4} x batch/stream x cold/warm, every answer against direct
+// single-thread engine calls — and the budget binding every shard's charged
+// bytes afterwards.
 TEST_F(PrecomputeCacheServeTest, TailAnswersBitwiseAcrossConfigurations) {
   const std::vector<ServiceRequest> batch = TailBatch(names_);
-  SchedulerOptions off;
-  off.use_cache = false;
-  Backend reference_backend(1, 1, off);
-  Seed(&reference_backend);
+  TreeCatalog reference_catalog;
+  for (size_t i = 0; i < trees_.size(); ++i) {
+    ASSERT_TRUE(reference_catalog.Insert(names_[i], trees_[i]).ok());
+  }
   const std::vector<std::string> reference =
-      Render(reference_backend.Run(batch, /*stream=*/false));
+      Render(DirectAnswers(reference_catalog, batch));
   for (const std::string& line : reference) {
     ASSERT_EQ(line.rfind("ok\t", 0), 0u) << line;
   }
 
-  for (bool use_cache : {false, true}) {
-    const std::vector<int64_t> budgets =
-        use_cache ? std::vector<int64_t>{0, 4096, kUnboundedCacheBytes}
-                  : std::vector<int64_t>{kUnboundedCacheBytes};
-    for (int64_t budget : budgets) {
-      for (int threads : {1, 4}) {
-        for (int shards : {1, 4}) {
-          for (bool stream : {false, true}) {
-            SCOPED_TRACE("cache=" + std::to_string(use_cache) +
-                         " budget=" + std::to_string(budget) +
-                         " threads=" + std::to_string(threads) +
-                         " shards=" + std::to_string(shards) +
-                         " stream=" + std::to_string(stream));
-            SchedulerOptions options;
-            options.use_cache = use_cache;
-            options.cache_budget_bytes = budget;
-            Backend backend(shards, threads, options);
-            Seed(&backend);
-            EXPECT_EQ(Render(backend.Run(batch, stream)), reference) << "cold";
-            EXPECT_EQ(Render(backend.Run(batch, stream)), reference) << "warm";
-            for (const MetricsSnapshot& scrape : backend.PerShardScrapes()) {
-              const int64_t bytes =
-                  scrape.Find("cpdb_precompute_cache_bytes")->value;
-              if (budget != kUnboundedCacheBytes) {
-                EXPECT_LE(bytes, budget);
-              }
-              if (!use_cache) {
-                EXPECT_EQ(bytes, 0);
-              }
-            }
+  for (int64_t budget : {int64_t{0}, int64_t{4096}, kUnboundedCacheBytes}) {
+    for (int threads : {1, 4}) {
+      for (int shards : {1, 4}) {
+        for (bool stream : {false, true}) {
+          SCOPED_TRACE("budget=" + std::to_string(budget) +
+                       " threads=" + std::to_string(threads) +
+                       " shards=" + std::to_string(shards) +
+                       " stream=" + std::to_string(stream));
+          SchedulerOptions options;
+          options.cache_budget_bytes = budget;
+          Backend backend(shards, threads, options);
+          Seed(&backend);
+          EXPECT_EQ(Render(backend.Run(batch, stream)), reference) << "cold";
+          EXPECT_EQ(Render(backend.Run(batch, stream)), reference) << "warm";
+          if (budget == kUnboundedCacheBytes) continue;
+          for (const MetricsSnapshot& scrape : backend.PerShardScrapes()) {
+            EXPECT_LE(scrape.Find("cpdb_precompute_cache_bytes")->value,
+                      budget);
           }
         }
       }

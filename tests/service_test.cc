@@ -21,6 +21,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "core/set_consensus.h"
+#include "direct_answers.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
@@ -332,9 +333,9 @@ class QuerySchedulerTest : public ::testing::Test {
 };
 
 // The acceptance-criteria test: for all four metrics on one catalog tree,
-// answers must be bitwise identical with the cache cold, warm, and
-// disabled — and equal to direct one-at-a-time engine calls.
-TEST_F(QuerySchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
+// answers must be bitwise identical with the cache cold and warm — and
+// equal to direct one-at-a-time single-thread engine calls.
+TEST_F(QuerySchedulerTest, CachedAnswersAreBitwiseDirectEngineAnswers) {
   const int k = 3;
   const TopKMetric kMetrics[] = {TopKMetric::kSymDiff,
                                  TopKMetric::kIntersection,
@@ -349,30 +350,26 @@ TEST_F(QuerySchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
   Engine engine(engine_options);
 
   QueryScheduler cached(&engine, &catalog_);
-  SchedulerOptions no_cache;
-  no_cache.use_cache = false;
-  QueryScheduler uncached(&engine, &catalog_, no_cache);
+  EngineOptions direct_options;
+  direct_options.num_threads = 1;
+  Engine direct_engine(direct_options);
 
   auto cold = cached.ExecuteBatch(batch);   // cache cold: all misses
   auto warm = cached.ExecuteBatch(batch);   // cache warm: all hits
-  auto direct = uncached.ExecuteBatch(batch);
   ASSERT_EQ(cold.size(), batch.size());
 
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(cold[i].ok()) << "slot " << i << ": "
                               << cold[i].status().ToString();
     ASSERT_TRUE(warm[i].ok());
-    ASSERT_TRUE(direct[i].ok());
-    auto engine_answer =
-        engine.ConsensusTopK(deep_, k, batch[i].metric, batch[i].answer);
+    auto engine_answer = direct_engine.ConsensusTopK(
+        deep_, k, batch[i].metric, batch[i].answer);
     ASSERT_TRUE(engine_answer.ok());
     // Bitwise: same keys, and EXPECT_EQ (not NEAR) on the distance.
     EXPECT_EQ(cold[i]->keys, engine_answer->keys) << "slot " << i;
     EXPECT_EQ(cold[i]->expected_distance, engine_answer->expected_distance);
     EXPECT_EQ(warm[i]->keys, cold[i]->keys);
     EXPECT_EQ(warm[i]->expected_distance, cold[i]->expected_distance);
-    EXPECT_EQ(direct[i]->keys, cold[i]->keys);
-    EXPECT_EQ(direct[i]->expected_distance, cold[i]->expected_distance);
   }
 
   // The counters tell the sharing story: 4 queries on one (tree, k) cost
@@ -381,8 +378,6 @@ TEST_F(QuerySchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, 7);
   EXPECT_EQ(stats.entries, 1);
-  CacheStats untouched = uncached.cache_stats();
-  EXPECT_EQ(untouched.hits + untouched.misses, 0);
 }
 
 // A heterogeneous batch (two trees, mixed k / metric / answer, an unknown
@@ -438,7 +433,8 @@ TEST_F(QuerySchedulerTest, WorldRequestsMatchEngineSetConsensus) {
   ASSERT_TRUE(results[1].ok());
 
   std::vector<double> marginal = engine.LeafMarginals(deep_);
-  std::vector<NodeId> mean_world = engine.MeanWorldSymDiff(deep_);
+  std::vector<NodeId> mean_world =
+      MeanWorldSymDiffFromMarginals(deep_, marginal);
   std::vector<KeyId> mean_keys;
   for (const TupleAlternative& t : WorldTuples(deep_, mean_world)) {
     mean_keys.push_back(t.key);
@@ -446,7 +442,8 @@ TEST_F(QuerySchedulerTest, WorldRequestsMatchEngineSetConsensus) {
   EXPECT_EQ(results[0]->keys, mean_keys);
   EXPECT_EQ(results[0]->expected_distance,
             ExpectedSymDiffDistanceFromMarginals(deep_, marginal, mean_world));
-  std::vector<NodeId> median_world = engine.MedianWorldSymDiff(deep_);
+  std::vector<NodeId> median_world =
+      MedianWorldSymDiffFromMarginals(deep_, marginal);
   std::vector<KeyId> median_keys;
   for (const TupleAlternative& t : WorldTuples(deep_, median_world)) {
     median_keys.push_back(t.key);
@@ -631,11 +628,6 @@ TEST(FoldPlanTest, OneFoldPerShapePerBatchAtItsLargestK) {
 TEST_F(QuerySchedulerTest, ResidentLargerKServesASmallerKWithoutAFold) {
   Engine engine;
   QueryScheduler scheduler(&engine, &catalog_);
-  QueryScheduler uncached(&engine, &catalog_, [] {
-    SchedulerOptions options;
-    options.use_cache = false;
-    return options;
-  }());
   const std::vector<ServiceRequest> warm = {
       TopKRequest("deep", 8, TopKMetric::kSymDiff)};
   ASSERT_TRUE(scheduler.ExecuteBatch(warm)[0].ok());
@@ -650,7 +642,7 @@ TEST_F(QuerySchedulerTest, ResidentLargerKServesASmallerKWithoutAFold) {
   const CacheStats stats = scheduler.cache_stats();
   EXPECT_EQ(stats.misses, 3);  // 8 cold, then 4 and 3 warm
   EXPECT_EQ(stats.hits, 1);
-  const auto reference = uncached.ExecuteBatch(batch);
+  const auto reference = DirectAnswers(catalog_, batch);
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(WireLine(served[i]), WireLine(reference[i])) << "slot " << i;
   }
@@ -674,13 +666,9 @@ TEST_F(QuerySchedulerTest, ConcurrentBatchesPlanTheirOwnFolds) {
   batches[1] = MixedKRequests({names[4], names[3], names[2], names[1]});
   std::reverse(batches[1].begin(), batches[1].end());
 
-  Engine engine;
-  SchedulerOptions off;
-  off.use_cache = false;
-  QueryScheduler sequential(&engine, &catalog_, off);
   std::vector<std::vector<std::string>> reference(2);
   for (size_t b = 0; b < batches.size(); ++b) {
-    for (const auto& response : sequential.ExecuteBatch(batches[b])) {
+    for (const auto& response : DirectAnswers(catalog_, batches[b])) {
       reference[b].push_back(WireLine(response));
     }
   }
@@ -767,7 +755,7 @@ TEST_F(QuerySchedulerTest, StatsRequestReportsCacheCounters) {
 }
 
 // World queries share one marginal fold per content fingerprint — across
-// batches, across mean/median, and in agreement with uncached execution.
+// batches, across mean/median, and in agreement with direct engine calls.
 TEST_F(QuerySchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
   ServiceRequest mean;
   mean.op = ServiceRequest::Op::kWorld;
@@ -779,17 +767,14 @@ TEST_F(QuerySchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
   engine_options.num_threads = 2;
   Engine engine(engine_options);
   QueryScheduler cached(&engine, &catalog_);
-  SchedulerOptions no_cache;
-  no_cache.use_cache = false;
-  QueryScheduler uncached(&engine, &catalog_, no_cache);
 
   auto first = cached.ExecuteBatch({mean, median});
   auto second = cached.ExecuteBatch({median, mean});
-  auto direct = uncached.ExecuteBatch({mean, median});
+  auto direct = DirectAnswers(catalog_, {mean, median});
   for (auto* results : {&first, &second, &direct}) {
     for (auto& slot : *results) ASSERT_TRUE(slot.ok());
   }
-  // Bitwise parity cached/warm/uncached, mean and median alike.
+  // Bitwise parity cached/warm/direct, mean and median alike.
   EXPECT_EQ(first[0]->keys, direct[0]->keys);
   EXPECT_EQ(first[0]->expected_distance, direct[0]->expected_distance);
   EXPECT_EQ(first[1]->keys, direct[1]->keys);
@@ -801,8 +786,6 @@ TEST_F(QuerySchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, 3);
   EXPECT_EQ(stats.entries, 1);
-  CacheStats untouched = uncached.marginals_stats();
-  EXPECT_EQ(untouched.hits + untouched.misses, 0);
 }
 
 // ---------------------------------------------------------------------------

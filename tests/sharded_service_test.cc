@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "direct_answers.h"
 #include "io/request_protocol.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
@@ -245,7 +246,9 @@ TEST_F(ShardedSchedulerTest, BatchParityAcrossShardCountsUnbounded) {
 
 // Budgeted caches (including a zero budget that retains nothing): answers
 // stay bitwise identical; only counters may differ, since each shard's
-// caches evict locally.
+// caches evict locally. The reference's answers are themselves direct
+// single-thread engine answers in every slot but the stats probes (which
+// describe a scheduler), errors included.
 TEST_F(ShardedSchedulerTest, BatchParityUnderCacheBudgets) {
   std::vector<ServiceRequest> batch = DifferentialBatch(names_);
 
@@ -255,8 +258,10 @@ TEST_F(ShardedSchedulerTest, BatchParityUnderCacheBudgets) {
   QueryScheduler reference(&reference_engine, &reference_catalog);
   auto want = reference.ExecuteBatch(batch);
   auto want_warm = reference.ExecuteBatch(batch);
+  ExpectSameResponses(want, DirectAnswers(reference_catalog, batch),
+                      /*compare_stats=*/false, "direct");
 
-  for (int shards : {1, 4}) {
+  for (int shards : {1, 2, 4, 8}) {
     for (int64_t budget : {int64_t{0}, int64_t{700}, int64_t{1} << 20}) {
       SchedulerOptions options;
       options.cache_budget_bytes = budget;
@@ -276,27 +281,6 @@ TEST_F(ShardedSchedulerTest, BatchParityUnderCacheBudgets) {
         }
       }
     }
-  }
-}
-
-// The disabled-cache configuration, for completeness of the matrix.
-TEST_F(ShardedSchedulerTest, BatchParityWithCacheDisabled) {
-  std::vector<ServiceRequest> batch = DifferentialBatch(names_);
-  SchedulerOptions no_cache;
-  no_cache.use_cache = false;
-
-  Engine reference_engine(ReferenceEngineOptions());
-  TreeCatalog reference_catalog;
-  Seed(nullptr, &reference_catalog);
-  QueryScheduler reference(&reference_engine, &reference_catalog, no_cache);
-  auto want = reference.ExecuteBatch(batch);
-
-  for (int shards : {2, 8}) {
-    ShardedScheduler sharded(shards, ReferenceEngineOptions(), no_cache);
-    Seed(&sharded, nullptr);
-    ExpectSameResponses(sharded.ExecuteBatch(batch), want,
-                        /*compare_stats=*/true,
-                        "uncached shards=" + std::to_string(shards));
   }
 }
 

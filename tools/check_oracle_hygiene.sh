@@ -2,8 +2,9 @@
 # Oracle-hygiene lint: the library folds through FlatTree only.
 #
 # Every generating-function statistic in cpdb runs on the compiled FlatTree
-# fold (src/model/flat_tree.h). The pointer-tree fold (EvalGeneratingFunction
-# and its Poly1/Poly2 types), the oracle-only statistics and the
+# fold (src/model/flat_tree.h). The pointer-tree fold (the template of
+# generating_function.h and its Poly1/Poly2 types), the oracle-only
+# statistics and the
 # possible-worlds estimators (enumerated and sampled expectations) live in
 # tests/oracle/, linked into the test and bench binaries alone, so the
 # differential suites keep an independent reference. This script fails the
@@ -11,8 +12,11 @@
 #   * an #include of an oracle/ header, generating_function.h, poly1.h,
 #     poly2.h, or the Monte-Carlo and evaluation headers that used to hold
 #     the possible-worlds estimators;
-#   * an EvalGeneratingFunction< instantiation (the pointer-fold template;
-#     FlatTree::EvalGeneratingFunction is not a template);
+#   * a second fold executor (executor_pattern), anywhere, comments
+#     included: the pointer-fold template's name, or the names of the
+#     slot-recycled FlatTree executor and its thread-local arena that
+#     FlatRefold::FoldOnce and FlatRefoldScratch() replaced — FlatRefold
+#     is the op stream's one executor;
 #   * a *Pointer( function — the naming convention of the pointer-fold
 #     oracles — declared, defined or called;
 #   * LeafRankContribution( — the one-full-fold-per-leaf rank contribution,
@@ -39,14 +43,14 @@ cd "$root"
 # One letter of each estimator name sits in a bracket class, so a plain grep
 # for the names finds no use in src/ or tools/, this file included.
 include_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]([^">]*/)?(oracle/[^">]*|generating_function\.h|poly[12]\.h|[m]onte_carlo\.h|[e]valuation\.h)[">]'
-template_pattern='EvalGeneratingFunction[[:space:]]*<'
+executor_pattern='[E]valGeneratingFunction|[F]latFoldScratch'
 pointer_pattern='[A-Za-z0-9_]Pointer[[:space:]]*\('
 per_leaf_pattern='LeafRankContribution[[:space:]]*\('
 estimator_pattern='[M]cEstimate|[E]stimateOverWorlds|([E]numExpected|[M]cExpected)[A-Za-z0-9_]*[[:space:]]*\('
 distance_pattern='(^|[^A-Za-z0-9_])([T]opKListDistance|[T]opKSymmetricDifference|[T]opKIntersectionDistance|[T]opKFootrule|[T]opKKendall|[J]accardDistance)[[:space:]]*\('
 tail_pattern='(^|[^A-Za-z0-9_])([E]xpectedRankOfKey|[P]airPresenceProbability|[E]valMedianSymDiffStratum)[[:space:]]*\('
 
-violations=$(grep -RnE -e "$include_pattern" -e "$template_pattern" \
+violations=$(grep -RnE -e "$include_pattern" -e "$executor_pattern" \
   -e "$pointer_pattern" -e "$per_leaf_pattern" -e "$estimator_pattern" \
   -e "$distance_pattern" -e "$tail_pattern" src tools --include='*.h' \
   --include='*.cc' || true)

@@ -12,7 +12,6 @@
 #include "core/jaccard.h"
 #include "core/rank_distribution.h"
 #include "core/ranking_baselines.h"
-#include "core/set_consensus.h"
 #include "core/topk_metrics.h"
 #include "core/topk_symdiff.h"
 #include "engine/engine.h"
@@ -42,8 +41,6 @@ struct CliOptions {
   size_t max_worlds = 4096;
   uint64_t seed = 1;
   int threads = 1;
-  bool cache = true;       // serve: memo caches on/off
-  bool cache_set = false;  // --cache given (only serve accepts it)
   int64_t cache_budget = kUnboundedCacheBytes;  // serve: cache byte budget
   bool cache_budget_set = false;  // --cache-budget given (serve only)
   bool stream = false;     // serve: flush one response per request
@@ -99,8 +96,8 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
     } else if (name == "answer") {
       opts.answer = value;
     } else if (name == "method") {
-      // Strict enum parse, same convention as --cache: a typo'd value must
-      // not silently fall back to the default semantics. The value set is
+      // Strict enum parse, like the integer flags: a typo'd value must not
+      // silently fall back to the default semantics. The value set is
       // the serve protocol's op=baseline method field, verbatim.
       if (value != "escore" && value != "erank" && value != "global" &&
           value != "prf") {
@@ -144,18 +141,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       // Clamp before narrowing; the pool caps the count anyway.
       opts.threads = static_cast<int>(
           std::min<long long>(std::max<long long>(threads, -1), 1 << 20));
-    } else if (name == "cache") {
-      // Strict enum parse, like the integer flags: a typo'd value must not
-      // silently leave the cache in its default state.
-      if (value == "on") {
-        opts.cache = true;
-      } else if (value == "off") {
-        opts.cache = false;
-      } else {
-        return Status::InvalidArgument("--cache expects on or off, got '" +
-                                       value + "'");
-      }
-      opts.cache_set = true;
     } else if (name == "cache-budget") {
       CPDB_ASSIGN_OR_RETURN(long long budget, ParseIntFlag(name, value));
       if (budget < 0) {
@@ -192,7 +177,7 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       }
       opts.mmap = true;
     } else if (name == "metrics") {
-      // Strict enum parse, same convention as --cache.
+      // Strict enum parse, same convention as --method.
       if (value == "on") {
         opts.metrics = true;
       } else if (value == "off") {
@@ -229,9 +214,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
   // The serve-only flags configure the serve scheduler and nothing else;
   // accepting them elsewhere would be the silently-ignored-flag failure
   // mode the strict value parses exist to prevent.
-  if (opts.cache_set && opts.command != "serve") {
-    return Status::InvalidArgument("--cache applies only to serve");
-  }
   if (opts.cache_budget_set && opts.command != "serve") {
     return Status::InvalidArgument("--cache-budget applies only to serve");
   }
@@ -422,15 +404,17 @@ int CmdConsensusWorld(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::vector<NodeId> world;
   double expected = 0.0;
   if (opts.metric == "symdiff") {
-    // Through the engine: the per-leaf marginal folds honor --threads
-    // (results are thread-count independent, like every engine path). One
-    // marginal pass serves both the answer and its expected distance.
+    // The engine's world entry point, as serve's op=world: one marginal
+    // pass serves both the answer and its expected distance.
     Engine engine = MakeEngine(opts);
-    std::vector<double> marginal = engine.LeafMarginals(*tree);
-    world = opts.answer == "median"
-                ? MedianWorldSymDiffFromMarginals(*tree, marginal)
-                : MeanWorldSymDiffFromMarginals(*tree, marginal);
-    expected = ExpectedSymDiffDistanceFromMarginals(*tree, marginal, world);
+    Result<Engine::WorldResult> result = engine.ConsensusWorldWithMarginals(
+        *tree, engine.LeafMarginals(*tree), opts.answer == "median");
+    if (!result.ok()) {
+      std::fprintf(err, "%s\n", result.status().ToString().c_str());
+      return 1;
+    }
+    world = std::move(result->leaf_ids);
+    expected = result->expected_distance;
   } else if (opts.metric == "jaccard") {
     Result<std::vector<NodeId>> result =
         opts.answer == "median" && IsBlockIndependent(*tree) &&
@@ -576,7 +560,6 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   }
 
   SchedulerOptions scheduler_options;
-  scheduler_options.use_cache = opts.cache;
   scheduler_options.cache_budget_bytes = opts.cache_budget;
   scheduler_options.enable_metrics = opts.metrics;
 
@@ -916,15 +899,13 @@ std::string CliUsage() {
       "                      (expected rank), global (global top-k) or prf\n"
       "                      (PRF-upsilon with harmonic weights; default\n"
       "                      escore)\n"
-      "  --cache=on|off      serve only: the rank-distribution,\n"
-      "                      marginals and precompute (kendall mean,\n"
-      "                      symdiff median, expected ranks) caches\n"
-      "                      (default on; answers are bitwise identical\n"
-      "                      either way — off exists for benchmarking)\n"
-      "  --cache-budget=B    serve only: byte budget per cache; retained\n"
-      "                      entries are LRU-evicted to fit (default\n"
-      "                      unbounded; 0 retains nothing; answers are\n"
-      "                      bitwise independent of the budget)\n"
+      "  --cache-budget=B    serve only: byte budget for each of the\n"
+      "                      rank-distribution, marginals and precompute\n"
+      "                      (kendall mean, symdiff median, expected\n"
+      "                      ranks) caches; retained entries are\n"
+      "                      LRU-evicted to fit (default unbounded; 0\n"
+      "                      retains nothing; answers are bitwise\n"
+      "                      independent of the budget)\n"
       "  --stream            serve only: flush one response line per\n"
       "                      request instead of batching the whole input;\n"
       "                      queries see only trees loaded earlier in the\n"
