@@ -2,6 +2,9 @@
 //
 // Scaling of the parallel evaluation engine: rank distributions at 1/2/4/8
 // threads, against the sequential core function as the 1-thread baseline.
+// The engine splits a scan only when its cells pay for the handoff
+// (FanOutUnits), so the small trees' curves are flat by design and the
+// ~3,000-leaf arm is the one that measures the split.
 // Because every engine path is schedule-deterministic, these runs also
 // double as a determinism smoke check: all thread counts produce the same
 // answers, only the wall-clock changes (on multi-core hosts; a 1-core
@@ -29,6 +32,20 @@ AndXorTree MakeTree(int num_keys) {
   return *RandomAndXorTree(opts, &rng);
 }
 
+// 320 keys at depth 4, drawn until the tree has 2,900-3,100 leaves: a scan
+// large enough that the engine still splits it across the pool.
+AndXorTree MakeLargeTree() {
+  Rng rng(31);
+  RandomTreeOptions opts;
+  opts.num_keys = 320;
+  opts.max_depth = 4;
+  opts.max_alternatives = 2;
+  while (true) {
+    AndXorTree tree = *RandomAndXorTree(opts, &rng);
+    if (tree.NumLeaves() >= 2900 && tree.NumLeaves() <= 3100) return tree;
+  }
+}
+
 void BM_CoreRankDist(benchmark::State& state) {
   AndXorTree tree = MakeTree(static_cast<int>(state.range(0)));
   const int k = 10;
@@ -39,12 +56,15 @@ void BM_CoreRankDist(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreRankDist)->Arg(40)->Arg(80);
 
+// Args: {keys, threads}; 320 keys is MakeLargeTree, the others MakeTree.
 void BM_EngineRankDist(benchmark::State& state) {
-  AndXorTree tree = MakeTree(static_cast<int>(state.range(0)));
+  const int num_keys = static_cast<int>(state.range(0));
+  AndXorTree tree = num_keys == 320 ? MakeLargeTree() : MakeTree(num_keys);
   const int k = 10;
   EngineOptions opts;
   opts.num_threads = static_cast<int>(state.range(1));
   Engine engine(opts);
+  state.counters["leaves"] = tree.NumLeaves();
   for (auto _ : state) {
     RankDistribution dist = engine.ComputeRankDistribution(tree, k);
     benchmark::DoNotOptimize(dist);
@@ -58,7 +78,9 @@ BENCHMARK(BM_EngineRankDist)
     ->Args({80, 1})
     ->Args({80, 2})
     ->Args({80, 4})
-    ->Args({80, 8});
+    ->Args({80, 8})
+    ->Args({320, 1})
+    ->Args({320, 4});
 
 // The two tree shapes perfbench's cold_batch workload loads: deep (24
 // keys, depth 5, 100-110 leaves) and wide (64 keys, depth 2, 160-170

@@ -174,8 +174,10 @@ class RankDistributionScan {
  public:
   /// Orders `flat`'s leaves, splits them into at most `max_chunks` chunks
   /// of about equal size, and sizes each chunk's scratch on the calling
-  /// thread. A `max_chunks` of 0 plans no chunk: the scan then only serves
-  /// Scan() in the caller's scratch. `flat` must outlive the scan.
+  /// thread; each extra chunk repeats the base fold (the engine's
+  /// FanOutUnits decides when that pays). A `max_chunks` of 0 plans no
+  /// chunk: the scan then only serves Scan() in the caller's scratch.
+  /// `flat` must outlive the scan.
   RankDistributionScan(const FlatTree& flat, int k, int max_chunks);
 
   int num_chunks() const { return static_cast<int>(chunk_begin_.size()) - 1; }

@@ -47,17 +47,53 @@ Engine::~Engine() = default;
 
 int Engine::num_threads() const { return pool_.num_threads(); }
 
+namespace {
+
+// The least work one pool unit must carry, in cells: a leaf times a rank
+// of a scan, or one of a cost column's k² terms. Measured on a 4-vCPU VM
+// (Release, GCC 12.2), chunk counts interleaved, medians of 7 rounds: an
+// empty 4-way ParallelFor costs 7-12 µs wall and 12-16 µs CPU. A scan
+// cell costs 0.2-0.3 µs, and every extra chunk repeats the base fold: at
+// 176-3,040 cells (44-304 leaves, k 4-10) a 4-chunk scan ran 0.55-1.5x the
+// one-chunk speed for 39-220% more CPU, at 3,500-30,000 cells (515-3,001
+// leaves) 1.03-1.85x for 18-90% more. A cost-column cell costs 5-60 ns, so
+// a unit of columns this size is 10-120 µs, at least the handoff. So a
+// scan splits from 4,096 cells, where extra chunks start to pay.
+constexpr int64_t kMinCellsPerPoolUnit = 2048;
+
+}  // namespace
+
+int FanOutUnits(int64_t units, int64_t cells, int threads) {
+  return static_cast<int>(std::max<int64_t>(
+      1, std::min({static_cast<int64_t>(threads), units,
+                   cells / kMinCellsPerPoolUnit})));
+}
+
+void Engine::FanOut(int64_t n, int64_t cells,
+                    const std::function<void(int64_t)>& body) const {
+  // One unit needs no branch: ParallelFor runs it on the calling thread.
+  const int64_t units = FanOutUnits(n, cells, num_threads());
+  pool_.ParallelFor(units, [&](int64_t u) {
+    for (int64_t i = n * u / units; i < n * (u + 1) / units; ++i) body(i);
+  });
+}
+
 RankDistribution Engine::ComputeRankDistribution(
     const AndXorTree& tree, int k, const FlatTree* program) const {
   // Compile the flat form once (or reuse the caller's shared program); the
-  // immutable FlatTree and the scan's row graph are shared read-only by one
-  // score-order chunk per pool thread. Each chunk folds in its own scratch,
-  // sized here on the calling thread, so no pool thread keeps fold rows.
+  // immutable FlatTree and the scan's row graph are shared read-only by the
+  // score-order chunks FanOutUnits plans from the scan's L × min(k, L)
+  // cells. Each chunk folds in its own scratch, sized here on the calling
+  // thread, so no pool thread keeps fold rows.
   rank_folds_.fetch_add(1, std::memory_order_relaxed);
   std::optional<FlatTree> owned;
   if (program == nullptr) owned.emplace(CompileCounted(tree));
-  RankDistributionScan scan(program != nullptr ? *program : *owned, k,
-                            num_threads());
+  const FlatTree& flat = program != nullptr ? *program : *owned;
+  const int64_t leaves = flat.num_leaves();
+  RankDistributionScan scan(
+      flat, k,
+      FanOutUnits(leaves, leaves * std::clamp<int64_t>(k, 0, leaves),
+                  num_threads()));
   pool_.ParallelFor(scan.num_chunks(), [&](int64_t c) {
     scan.RunChunk(static_cast<int>(c));
   });
@@ -73,8 +109,9 @@ std::vector<std::vector<double>> Engine::PerKeyColumns(
     const std::function<std::vector<double>(const RankDistribution&, KeyId)>&
         column) const {
   const std::vector<KeyId>& keys = dist.keys();
+  const int64_t n = static_cast<int64_t>(keys.size());
   std::vector<std::vector<double>> columns(keys.size());
-  pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
+  FanOut(n, n * dist.k() * dist.k(), [&](int64_t t) {
     columns[static_cast<size_t>(t)] =
         column(dist, keys[static_cast<size_t>(t)]);
   });
@@ -106,15 +143,16 @@ std::vector<std::vector<double>> Engine::KendallQColumns(
     const AndXorTree& tree, int k, const std::vector<KeyId>& targets,
     const FlatTree* program) const {
   // One compiled tree and one score order shared read-only by the column
-  // tasks, each scanning in its thread's scratch and writing only its own
-  // column, so the columns are schedule-deterministic.
+  // tasks, each a full scan of L × ranks() cells in its thread's scratch,
+  // writing only its own column, so the columns are schedule-deterministic.
   const std::vector<KeyId> keys = tree.Keys();
   std::optional<FlatTree> owned;
   if (program == nullptr) owned.emplace(CompileCounted(tree));
   const RankDistributionScan scan(program != nullptr ? *program : *owned, k,
                                   /*max_chunks=*/0);
+  const int64_t n = static_cast<int64_t>(targets.size());
   std::vector<std::vector<double>> columns(targets.size());
-  pool_.ParallelFor(static_cast<int64_t>(targets.size()), [&](int64_t j) {
+  FanOut(n, n * scan.flat().num_leaves() * scan.ranks(), [&](int64_t j) {
     const KeyId target = targets[static_cast<size_t>(j)];
     const size_t it = static_cast<size_t>(
         std::lower_bound(keys.begin(), keys.end(), target) - keys.begin());
@@ -219,7 +257,7 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(
     case TopKMetric::kIntersection:
       switch (answer) {
         case TopKAnswer::kMean:
-          // One profit column per candidate tuple across the pool; the
+          // One profit column per candidate tuple through FanOut; the
           // Hungarian solve runs on the calling thread.
           return MeanTopKIntersectionExactFromColumns(
               dist, PerKeyColumns(dist, IntersectionProfitColumn));
@@ -232,13 +270,13 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(
       }
       break;
     case TopKMetric::kFootrule:
-      // One cost column per candidate tuple across the pool; the Hungarian
+      // One cost column per candidate tuple through FanOut; the Hungarian
       // solve runs on the calling thread.
       return MeanTopKFootruleFromColumns(
           dist, PerKeyColumns(dist, FootruleCostColumn));
     case TopKMetric::kKendall: {
       if (tails.kendall_mean != nullptr) return *tails.kendall_mean;
-      // The footrule answer from parallel cost columns, re-scored under d_K
+      // The footrule answer from its cost columns, re-scored under d_K
       // from the q columns of its own keys: every term of E[d_K] has its t
       // in the answer, so the other keys' columns are never read.
       CPDB_ASSIGN_OR_RETURN(

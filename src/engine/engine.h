@@ -6,23 +6,26 @@
 // Every parallel path is *schedule-deterministic*: the result is bitwise
 // identical for any thread count (including 1), because work is split into
 // fixed units whose partial results are merged in a fixed order on the
-// calling thread:
+// calling thread. How many pool units a fan-out gets is one rule,
+// FanOutUnits, sized by the cells of work the caller already knows, so a
+// loop too small to pay for the handoff runs on the calling thread:
 //
-//   * rank distributions — one RankDistributionScan chunk per pool thread:
-//     a run of the score order, cut at tie-group boundaries, scanned from
-//     its own base fold. Each leaf's contribution is bitwise its full
-//     per-leaf fold whichever chunk computes it, and the merge runs in DFS
-//     leaf order, the accumulation order of the sequential
-//     ComputeRankDistribution — so the chunk count moves no bit and needs
-//     no knob;
-//   * Kendall q columns — one unit per target key, each writing its own
-//     column (the kendall mean reads only its answer's keys' columns);
+//   * rank distributions — RankDistributionScan chunks, planned from the
+//     scan's L × min(k, L) cells: runs of the score order, cut at
+//     tie-group boundaries, each scanned from its own base fold. Each
+//     leaf's contribution is bitwise its full per-leaf fold whichever chunk
+//     computes it, and the merge runs in DFS leaf order, the accumulation
+//     order of the sequential ComputeRankDistribution — so the chunk count
+//     moves no bit and needs no knob;
+//   * Kendall q columns — runs of target keys, each column a full scan of
+//     L × min(k, L) cells writing its own slot (the kendall mean reads
+//     only its answer's keys' columns);
 //   * median symdiff and expected ranks — none: each is one score-ordered
 //     scan of root-path updates, tens of microseconds per shape, too
 //     little to pay for handing work to the pool, so both run on the
 //     calling thread (the core function itself);
-//   * footrule / intersection assignment — one cost (profit) column per
-//     candidate tuple, fanned across the pool before the Hungarian solve;
+//   * footrule / intersection assignment — runs of candidate tuples, each
+//     tuple's cost (profit) column k² cells, before the Hungarian solve;
 //   * set consensus — none: the leaf marginals are read off the one O(N)
 //     compile pass (LeafMarginals), and the O(N) filter / DP runs on the
 //     calling thread.
@@ -113,6 +116,16 @@ struct ConsensusTails {
   const Result<TopKResult>* symdiff_median = nullptr;
 };
 
+/// \brief The engine's one fan-out rule: how many pool units a loop over
+/// `units` independent pieces, `cells` of work in all, gets on `threads`
+/// threads — as many as `threads` and `units` allow while every unit
+/// carries at least 2,048 cells (the measured threshold, see engine.cc),
+/// and at least 1, which runs the loop on the calling thread. A cell is a
+/// leaf times a rank of a scan, or a term of a cost column (k² per column).
+/// It only sizes the split: every unit writes its own slots, so no result
+/// depends on it.
+int FanOutUnits(int64_t units, int64_t cells, int threads);
+
 /// \brief Parallel evaluation engine; thread-safe for concurrent queries
 /// against distinct trees (the engine itself holds no per-query state).
 class Engine {
@@ -137,8 +150,9 @@ class Engine {
   // -- Rank distributions (Section 5 sufficient statistics) ---------------
 
   /// \brief Parallel ComputeRankDistribution: the tree is compiled to a
-  /// FlatTree once and scanned by a RankDistributionScan split into one
-  /// score-order chunk per pool thread (chunk boundaries on tie groups).
+  /// FlatTree once and scanned by a RankDistributionScan split into the
+  /// score-order chunks FanOutUnits gives its L × min(k, L) cells (chunk
+  /// boundaries on tie groups; a small scan is one chunk).
   /// Each chunk runs its own base fold, then per leaf one pass over only
   /// the leaf's root path, in the chunk's own resident rows. Every leaf's
   /// contribution is bitwise its full per-leaf fold and the merge runs in
@@ -157,7 +171,8 @@ class Engine {
 
   /// \brief The Kendall q columns of `targets`, each a key of the tree:
   /// result[j][i] = q(keys[i], targets[j]) over keys = tree.Keys() (see
-  /// KendallQColumn; 0 at targets[j] itself). One task per target runs
+  /// KendallQColumn; 0 at targets[j] itself). FanOutUnits splits the
+  /// targets into runs (L × min(k, L) cells each); each runs
   /// KendallQColumn in its thread's FlatRefoldScratch(): one score-ordered
   /// scan shared read-only by every task, one root path per leaf, with the
   /// target's leaves zeroed once passed. The kendall mean asks for its
@@ -179,8 +194,8 @@ class Engine {
   // -- Consensus Top-k (Section 5) ----------------------------------------
 
   /// \brief Computes the consensus Top-k answer for (metric, answer). Every
-  /// metric's heavy precomputation runs through the pool: the rank
-  /// distribution always; additionally the per-candidate Hungarian
+  /// metric's heavy precomputation is sized for the pool by FanOutUnits:
+  /// the rank distribution always; additionally the per-candidate Hungarian
   /// cost/profit columns (footrule, intersection exact), and the footrule
   /// columns plus the q columns of the answer's keys (kendall). The symdiff
   /// median is one scan on the calling thread. Results are bitwise
@@ -287,8 +302,14 @@ class Engine {
   }
 
  private:
-  /// One `column(dist, key)` evaluation per key of `dist`, fanned across
-  /// the pool — the per-candidate unit of the assignment-based metrics.
+  /// Runs body(0) ... body(n - 1) in the FanOutUnits(n, cells) pool
+  /// units, each a contiguous run of indices.
+  void FanOut(int64_t n, int64_t cells,
+              const std::function<void(int64_t)>& body) const;
+
+  /// One `column(dist, key)` evaluation per key of `dist`, k² cells each,
+  /// through FanOut — the per-candidate unit of the assignment-based
+  /// metrics.
   std::vector<std::vector<double>> PerKeyColumns(
       const RankDistribution& dist,
       const std::function<std::vector<double>(const RankDistribution&, KeyId)>&

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -273,6 +274,108 @@ TEST(EngineTest, AssignmentMetricsBitwiseAcrossThreadCounts) {
       ASSERT_EQ(inter->expected_distance, int_direct->expected_distance);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Engine — the fan-out rule
+// ---------------------------------------------------------------------------
+
+// Deep random tree with a leaf count in [lo, hi].
+AndXorTree DeepTreeWithLeaves(uint64_t seed, int num_keys, int depth, int lo,
+                              int hi) {
+  Rng rng(seed);
+  RandomTreeOptions opts;
+  opts.num_keys = num_keys;
+  opts.max_depth = depth;
+  opts.max_alternatives = 2;
+  while (true) {
+    Result<AndXorTree> tree = RandomAndXorTree(opts, &rng);
+    EXPECT_TRUE(tree.ok());
+    if (tree->NumLeaves() >= lo && tree->NumLeaves() <= hi) {
+      return *std::move(tree);
+    }
+  }
+}
+
+// A scan's cells: L × min(k, L).
+int64_t ScanCells(int64_t leaves, int64_t k) {
+  return leaves * std::min(k, leaves);
+}
+
+TEST(FanOutUnitsTest, SizesUnitsByWorkNotByThreads) {
+  // One thread never fans out, however large the loop.
+  EXPECT_EQ(FanOutUnits(3000, ScanCells(3000, 10), 1), 1);
+  EXPECT_EQ(FanOutUnits(1 << 20, int64_t{1} << 40, 1), 1);
+  // The heavy_sharded shape (44 leaves, k 5) and the cold_batch wide shape
+  // (163 leaves, k 8) fold on the calling thread at 4 threads.
+  EXPECT_EQ(FanOutUnits(44, ScanCells(44, 5), 4), 1);
+  EXPECT_EQ(FanOutUnits(163, ScanCells(163, 8), 4), 1);
+  // Twelve k = 5 cost columns, the heavy_sharded assignment tails.
+  EXPECT_EQ(FanOutUnits(12, 12 * 5 * 5, 4), 1);
+  // A ~3,000-leaf tree at k 10 pays for the handoff.
+  EXPECT_GT(FanOutUnits(3000, ScanCells(3000, 10), 4), 1);
+  // Never more units than threads or than pieces, never fewer than 1.
+  for (int threads : {1, 2, 3, 4, 8, 256}) {
+    for (int64_t units : {1, 2, 3, 5, 64, 3000}) {
+      for (int64_t cells : {int64_t{0}, int64_t{1}, int64_t{4095},
+                            int64_t{4096}, int64_t{30000},
+                            int64_t{1} << 40}) {
+        const int got = FanOutUnits(units, cells, threads);
+        EXPECT_GE(got, 1);
+        EXPECT_LE(got, threads);
+        EXPECT_LE(got, units);
+      }
+    }
+  }
+  EXPECT_EQ(FanOutUnits(0, 0, 4), 1);
+}
+
+// Above the threshold every fan-out splits across the pool; each must still
+// be bitwise its 1-thread result.
+TEST(EngineTest, FannedOutWorkBitwiseEqualsOneThread) {
+  EngineOptions one_opts;
+  one_opts.num_threads = 1;
+  EngineOptions four_opts;
+  four_opts.num_threads = 4;
+  const Engine one(one_opts);
+  const Engine four(four_opts);
+
+  // A rank scan of ~3,000 leaves at k 10 splits into chunks.
+  const AndXorTree large = DeepTreeWithLeaves(31, 320, 4, 2900, 3100);
+  ASSERT_GT(FanOutUnits(large.NumLeaves(), ScanCells(large.NumLeaves(), 10),
+                        4),
+            1);
+  const RankDistribution dist_one = one.ComputeRankDistribution(large, 10);
+  const RankDistribution dist_four = four.ComputeRankDistribution(large, 10);
+  ASSERT_EQ(dist_four.keys(), dist_one.keys());
+  for (KeyId key : dist_one.keys()) {
+    for (int i = 1; i <= 10; ++i) {
+      ASSERT_EQ(dist_four.PrRankEq(key, i), dist_one.PrRankEq(key, i))
+          << "key " << key << " rank " << i;
+      ASSERT_EQ(dist_four.PrRankLe(key, i), dist_one.PrRankLe(key, i));
+    }
+  }
+
+  // 128 cost columns of k² = 64 cells each.
+  const AndXorTree bid = RandomBidTree(67, 128);
+  const RankDistribution bid_dist = ComputeRankDistribution(bid, 8);
+  ASSERT_GT(FanOutUnits(128, 128 * 8 * 8, 4), 1);
+  for (TopKMetric metric : {TopKMetric::kFootrule, TopKMetric::kIntersection}) {
+    auto got_one = one.ConsensusTopKWithDist(bid, bid_dist, metric);
+    auto got_four = four.ConsensusTopKWithDist(bid, bid_dist, metric);
+    ASSERT_TRUE(got_one.ok());
+    ASSERT_TRUE(got_four.ok());
+    ASSERT_EQ(got_four->keys, got_one->keys) << TopKMetricName(metric);
+    ASSERT_EQ(got_four->expected_distance, got_one->expected_distance);
+  }
+
+  // The whole Kendall q matrix of a ~100-leaf tree at k 8, column by column.
+  const AndXorTree mid = DeepTreeWithLeaves(71, 24, 4, 95, 115);
+  const std::vector<KeyId> keys = mid.Keys();
+  const int64_t n = static_cast<int64_t>(keys.size());
+  ASSERT_GT(FanOutUnits(n, n * ScanCells(mid.NumLeaves(), 8), 4), 1);
+  ASSERT_EQ(four.KendallQColumns(mid, 8, keys),
+            one.KendallQColumns(mid, 8, keys));
 }
 
 // The world entry point over the engine's leaf marginals: worlds and

@@ -124,7 +124,9 @@ TEST(RankDistributionScanTest, TiesAndChunkBoundariesBitwiseEqualPointerFold) {
   // chunk rebuilds the resident rows from its own base fold. Trees of 200+
   // leaves with scores from a small pool put tie groups across keys and
   // within a key, and the nominal chunk boundaries inside tie groups; every
-  // coefficient must still be the pointer fold's, for any thread count.
+  // coefficient must still be the pointer fold's, for any chunk count and
+  // any thread count. The chunks are planned and run here, since the
+  // engine folds most of these trees as one chunk.
   Rng rng(2027);
   RandomTreeOptions deep;
   deep.num_keys = 40;
@@ -141,10 +143,13 @@ TEST(RankDistributionScanTest, TiesAndChunkBoundariesBitwiseEqualPointerFold) {
       const RankDistribution reference = ComputeRankDistributionPointer(tree, k);
       std::vector<RankDistribution> dists;
       dists.push_back(ComputeRankDistribution(tree, k));
+      for (int max_chunks : {2, 3, 4, 8}) {
+        RankDistributionScan scan(flat, k, max_chunks);
+        if (scan.num_chunks() > 1) ++multi_chunk_scans;
+        for (int c = 0; c < scan.num_chunks(); ++c) scan.RunChunk(c);
+        dists.push_back(scan.Build(tree.Keys()));
+      }
       for (int threads : {1, 2, 3, 4, 8}) {
-        if (RankDistributionScan(flat, k, threads).num_chunks() > 1) {
-          ++multi_chunk_scans;
-        }
         EngineOptions opts;
         opts.num_threads = threads;
         dists.push_back(Engine(opts).ComputeRankDistribution(tree, k));
