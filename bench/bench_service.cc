@@ -65,13 +65,16 @@
 //       (64 keys, depth 2, ~165 leaves). Each load validates once,
 //       serializes once and canonicalizes in one walk.
 //   BM_SnapshotDecode — DecodeCatalogSnapshot of 256 heavy_sharded-shaped
-//       tree records, the bulk of `serve --catalog` set-up.
+//       tree records, each shape with its k = 5 rank distribution as in
+//       heavy_sharded's snapshot: the bulk of `serve --catalog` set-up.
+//       The arg is the decode thread count (real time).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -777,21 +780,39 @@ BENCHMARK(BM_TreeLoad)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_SnapshotDecode(benchmark::State& state) {
   constexpr int kRecords = 256;
+  constexpr int kK = 5;
   Rng rng(73);
   TreeCatalog catalog;
   for (int i = 0; i < kRecords; ++i) {
     catalog.Insert("h" + std::to_string(i), LoadShape(1, &rng)).ValueOrDie();
   }
-  const std::string bytes =
-      EncodeCatalogSnapshot(BuildCatalogSnapshot(catalog, nullptr));
+  CatalogSnapshot source = BuildCatalogSnapshot(catalog, nullptr);
+  const Engine engine;
+  std::set<StructKey> shapes;
+  for (const SnapshotTree& tree : source.trees) {
+    if (!shapes.insert(tree.struct_key).second) continue;
+    SnapshotDistribution dist;
+    dist.struct_key = tree.struct_key;
+    dist.k = kK;
+    dist.dist = std::make_shared<const RankDistribution>(
+        engine.ComputeRankDistribution(*tree.canonical_tree, kK));
+    source.distributions.push_back(std::move(dist));
+  }
+  const std::string bytes = EncodeCatalogSnapshot(source);
+  const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     CatalogSnapshot snapshot =
-        DecodeCatalogSnapshot(bytes.data(), bytes.size()).ValueOrDie();
+        DecodeCatalogSnapshot(bytes.data(), bytes.size(), threads)
+            .ValueOrDie();
     benchmark::DoNotOptimize(snapshot);
   }
   state.counters["bytes"] = static_cast<double>(bytes.size());
 }
-BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotDecode)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cpdb

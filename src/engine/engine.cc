@@ -47,8 +47,6 @@ Engine::~Engine() = default;
 
 int Engine::num_threads() const { return pool_.num_threads(); }
 
-namespace {
-
 // The least work one pool unit must carry, in cells: a leaf times a rank
 // of a scan, or one of a cost column's k² terms. Measured on a 4-vCPU VM
 // (Release, GCC 12.2), chunk counts interleaved, medians of 7 rounds: an
@@ -59,20 +57,31 @@ namespace {
 // leaves) 1.03-1.85x for 18-90% more. A cost-column cell costs 5-60 ns, so
 // a unit of columns this size is 10-120 µs, at least the handoff. So a
 // scan splits from 4,096 cells, where extra chunks start to pay.
-constexpr int64_t kMinCellsPerPoolUnit = 2048;
+const int64_t kMinCellsPerPoolUnit = 2048;
 
-}  // namespace
+// A Kendall q column is a whole scan of L × min(k, L) cells that repeats
+// no base fold, so a unit of columns need only outweigh the handoff. On
+// the same VM (BM_EngineHeavyTails, 42-45 leaves, k 5, medians of 7-9,
+// four rounds) a column costs 19-28 µs, 85-130 ns a cell, against
+// the 7-12 µs handoff. At 256 cells a unit is one or more whole columns:
+// the twelve columns of kendall_q ran at 4 threads in 128-135 µs against
+// 243-340 µs at 1, and kendall_mean's five (1,100 cells, four units) in
+// 104-116 µs against 110-139 µs; at 512 cells kendall_mean's two units
+// read 128-150 µs against 109-160 µs.
+const int64_t kMinQColumnCellsPerPoolUnit = 256;
 
-int FanOutUnits(int64_t units, int64_t cells, int threads) {
+int FanOutUnits(int64_t units, int64_t cells, int threads,
+                int64_t min_cells_per_unit) {
   return static_cast<int>(std::max<int64_t>(
       1, std::min({static_cast<int64_t>(threads), units,
-                   cells / kMinCellsPerPoolUnit})));
+                   cells / min_cells_per_unit})));
 }
 
-void Engine::FanOut(int64_t n, int64_t cells,
+void Engine::FanOut(int64_t n, int64_t cells, int64_t min_cells_per_unit,
                     const std::function<void(int64_t)>& body) const {
   // One unit needs no branch: ParallelFor runs it on the calling thread.
-  const int64_t units = FanOutUnits(n, cells, num_threads());
+  const int64_t units =
+      FanOutUnits(n, cells, num_threads(), min_cells_per_unit);
   pool_.ParallelFor(units, [&](int64_t u) {
     for (int64_t i = n * u / units; i < n * (u + 1) / units; ++i) body(i);
   });
@@ -111,7 +120,7 @@ std::vector<std::vector<double>> Engine::PerKeyColumns(
   const std::vector<KeyId>& keys = dist.keys();
   const int64_t n = static_cast<int64_t>(keys.size());
   std::vector<std::vector<double>> columns(keys.size());
-  FanOut(n, n * dist.k() * dist.k(), [&](int64_t t) {
+  FanOut(n, n * dist.k() * dist.k(), kMinCellsPerPoolUnit, [&](int64_t t) {
     columns[static_cast<size_t>(t)] =
         column(dist, keys[static_cast<size_t>(t)]);
   });
@@ -152,7 +161,8 @@ std::vector<std::vector<double>> Engine::KendallQColumns(
                                   /*max_chunks=*/0);
   const int64_t n = static_cast<int64_t>(targets.size());
   std::vector<std::vector<double>> columns(targets.size());
-  FanOut(n, n * scan.flat().num_leaves() * scan.ranks(), [&](int64_t j) {
+  FanOut(n, n * scan.flat().num_leaves() * scan.ranks(),
+         kMinQColumnCellsPerPoolUnit, [&](int64_t j) {
     const KeyId target = targets[static_cast<size_t>(j)];
     const size_t it = static_cast<size_t>(
         std::lower_bound(keys.begin(), keys.end(), target) - keys.begin());

@@ -116,15 +116,22 @@ struct ConsensusTails {
   const Result<TopKResult>* symdiff_median = nullptr;
 };
 
+/// \brief The least cells one pool unit carries: kMinCellsPerPoolUnit for
+/// rank-scan chunks and cost columns, kMinQColumnCellsPerPoolUnit for
+/// Kendall q columns, which repeat no base fold. The measurements behind
+/// both are quoted in engine.cc.
+extern const int64_t kMinCellsPerPoolUnit;
+extern const int64_t kMinQColumnCellsPerPoolUnit;
+
 /// \brief The engine's one fan-out rule: how many pool units a loop over
 /// `units` independent pieces, `cells` of work in all, gets on `threads`
 /// threads — as many as `threads` and `units` allow while every unit
-/// carries at least 2,048 cells (the measured threshold, see engine.cc),
-/// and at least 1, which runs the loop on the calling thread. A cell is a
-/// leaf times a rank of a scan, or a term of a cost column (k² per column).
-/// It only sizes the split: every unit writes its own slots, so no result
-/// depends on it.
-int FanOutUnits(int64_t units, int64_t cells, int threads);
+/// carries at least `min_cells_per_unit` cells, and at least 1, which runs
+/// the loop on the calling thread. A cell is a leaf times a rank of a scan
+/// or q column, or a term of a cost column (k² per column). It only sizes
+/// the split: every unit writes its own slots, so no result depends on it.
+int FanOutUnits(int64_t units, int64_t cells, int threads,
+                int64_t min_cells_per_unit = kMinCellsPerPoolUnit);
 
 /// \brief Parallel evaluation engine; thread-safe for concurrent queries
 /// against distinct trees (the engine itself holds no per-query state).
@@ -172,7 +179,8 @@ class Engine {
   /// \brief The Kendall q columns of `targets`, each a key of the tree:
   /// result[j][i] = q(keys[i], targets[j]) over keys = tree.Keys() (see
   /// KendallQColumn; 0 at targets[j] itself). FanOutUnits splits the
-  /// targets into runs (L × min(k, L) cells each); each runs
+  /// targets into runs (L × min(k, L) cells each, at least
+  /// kMinQColumnCellsPerPoolUnit cells a unit); each runs
   /// KendallQColumn in its thread's FlatRefoldScratch(): one score-ordered
   /// scan shared read-only by every task, one root path per leaf, with the
   /// target's leaves zeroed once passed. The kendall mean asks for its
@@ -302,9 +310,9 @@ class Engine {
   }
 
  private:
-  /// Runs body(0) ... body(n - 1) in the FanOutUnits(n, cells) pool
-  /// units, each a contiguous run of indices.
-  void FanOut(int64_t n, int64_t cells,
+  /// Runs body(0) ... body(n - 1) in the FanOutUnits(n, cells,
+  /// min_cells_per_unit) pool units, each a contiguous run of indices.
+  void FanOut(int64_t n, int64_t cells, int64_t min_cells_per_unit,
               const std::function<void(int64_t)>& body) const;
 
   /// One `column(dist, key)` evaluation per key of `dist`, k² cells each,

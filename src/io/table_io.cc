@@ -2,6 +2,8 @@
 
 #include "io/table_io.h"
 
+#include <sys/stat.h>
+
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -139,6 +141,14 @@ Result<std::string> ReadFileToString(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("cannot open file: " + path);
   std::string content;
+  // A regular file is read in one call into a buffer of its size (a
+  // snapshot is megabytes); a pipe or device, or bytes appended since,
+  // are read in chunks.
+  struct stat st;
+  if (fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    content.resize(static_cast<size_t>(st.st_size));
+    content.resize(std::fread(content.data(), 1, content.size(), f));
+  }
   char buf[4096];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);

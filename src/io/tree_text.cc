@@ -2,6 +2,7 @@
 
 #include "io/tree_text.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -67,8 +68,15 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : lexer_(text) { Advance(); }
 
-  Result<AndXorTree> Parse() {
+  Result<AndXorTree> Parse(std::string_view text) {
     AndXorTree tree;
+    // Every node opens with one '(', so this is the node count of a valid
+    // text. Capped, so hostile text of bare parentheses cannot reserve
+    // more than a few MB before its parse fails.
+    constexpr size_t kMaxReservedNodes = size_t{1} << 16;
+    tree.ReserveNodes(std::min<size_t>(
+        static_cast<size_t>(std::count(text.begin(), text.end(), '(')),
+        kMaxReservedNodes));
     CPDB_ASSIGN_OR_RETURN(NodeId root, ParseNode(&tree));
     if (cur_.kind != Token::kEnd) {
       return Err("trailing input after tree");
@@ -315,7 +323,7 @@ void FormatNode(const AndXorTree& tree, NodeId id, bool indent, int depth,
 
 Result<AndXorTree> ParseTree(std::string_view text) {
   Parser parser(text);
-  return parser.Parse();
+  return parser.Parse(text);
 }
 
 std::string FormatTree(const AndXorTree& tree, bool indent) {

@@ -71,6 +71,7 @@ Status AndXorTree::CheckConstraints() const {
 
   // Dense key slots, so "previous leaf of this key" is an array read.
   std::vector<std::pair<KeyId, NodeId>> by_key;
+  by_key.reserve(size);
   for (NodeId id = 0; id < NumNodes(); ++id) {
     const TreeNode& n = nodes_[static_cast<size_t>(id)];
     if (n.kind == NodeKind::kLeaf) by_key.emplace_back(n.leaf.key, id);
@@ -190,9 +191,15 @@ void AndXorTree::BuildIndex() {
   // Each node's up-edge probability (1.0 below an AND) rides along, for
   // the LeafMarginal walk and the score-ordered scans' path updates.
   leaf_ids_.clear();
+  leaf_ids_.reserve(static_cast<size_t>(
+      std::count_if(nodes_.begin(), nodes_.end(), [](const TreeNode& n) {
+        return n.kind == NodeKind::kLeaf;
+      })));
   parents_.assign(nodes_.size(), kInvalidNode);
   up_edge_.assign(nodes_.size(), 1.0);
-  std::vector<NodeId> stack = {root_};
+  std::vector<NodeId> stack;
+  stack.reserve(nodes_.size());
+  stack.push_back(root_);
   while (!stack.empty()) {
     NodeId id = stack.back();
     stack.pop_back();

@@ -66,6 +66,10 @@ class AndXorTree {
   /// probabilities (parallel vectors); returns its NodeId.
   NodeId AddXor(std::vector<NodeId> children, std::vector<double> edge_probs);
 
+  /// \brief Reserves room for `n` nodes, so a builder that knows its node
+  /// count up front (ParseTree) grows the node array once.
+  void ReserveNodes(size_t n) { nodes_.reserve(n); }
+
   void SetRoot(NodeId root) {
     root_ = root;
     validated_ = false;

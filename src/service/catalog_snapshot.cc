@@ -8,9 +8,11 @@
 #include <map>
 #include <set>
 #include <string_view>
+#include <thread>
 #include <utility>
 
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "io/mmap_file.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
@@ -108,6 +110,206 @@ Status Truncated(const std::string& what) {
   return Status::ParseError("catalog snapshot truncated: " + what);
 }
 
+std::string TreeWhere(uint64_t index) {
+  return "tree record " + std::to_string(index);
+}
+
+std::string DistWhere(uint64_t index) {
+  return "distribution record " + std::to_string(index);
+}
+
+// One tree record's fields, viewing the snapshot bytes. `struct_key` is
+// the stored one (0 in v1, which stores none).
+struct TreeFrame {
+  std::string_view name;
+  uint64_t fingerprint = 0;
+  uint64_t struct_key = 0;
+  std::string_view text;
+};
+
+// One distribution record's fields; `block` holds its `key_count` key
+// blocks (a key id and k probabilities each).
+struct DistFrame {
+  uint64_t key = 0;  // the owning tree's structural key (v1: fingerprint)
+  uint32_t k = 0;
+  uint64_t key_count = 0;
+  std::string_view block;
+};
+
+// Reads every record's lengths, bounds-checked, into frames, stopping at
+// the first framing defect, which it returns.
+Status FrameRecords(uint32_t version, uint64_t tree_count,
+                    uint64_t dist_count, Reader* reader,
+                    std::vector<TreeFrame>* trees,
+                    std::vector<DistFrame>* dists) {
+  for (uint64_t index = 0; index < tree_count; ++index) {
+    TreeFrame frame;
+    uint32_t name_len = 0;
+    if (!reader->ReadU32(&name_len) || reader->remaining() < name_len) {
+      return Truncated(TreeWhere(index) + " name");
+    }
+    reader->ReadBytes(name_len, &frame.name);
+    uint64_t content_len = 0;
+    if (!reader->ReadU64(&frame.fingerprint) ||
+        (version >= 2 && !reader->ReadU64(&frame.struct_key)) ||
+        !reader->ReadU64(&content_len)) {
+      return Truncated(TreeWhere(index));
+    }
+    if (content_len > reader->remaining()) {
+      return Truncated(TreeWhere(index) + " tree text");
+    }
+    reader->ReadBytes(static_cast<size_t>(content_len), &frame.text);
+    trees->push_back(frame);
+  }
+  for (uint64_t index = 0; index < dist_count; ++index) {
+    DistFrame frame;
+    if (!reader->ReadU64(&frame.key) || !reader->ReadU32(&frame.k) ||
+        !reader->ReadU64(&frame.key_count)) {
+      return Truncated(DistWhere(index));
+    }
+    if (frame.k < 1 || frame.k > static_cast<uint32_t>(kMaxRankK)) {
+      return Status::ParseError(DistWhere(index) + ": k " +
+                                std::to_string(frame.k) + " out of range [1, " +
+                                std::to_string(kMaxRankK) + "]");
+    }
+    const size_t key_block = kMinKeyBlockBytes +
+                             (static_cast<size_t>(frame.k) - 1) *
+                                 sizeof(uint64_t);
+    if (frame.key_count > reader->remaining() / key_block) {
+      return Truncated(DistWhere(index) + ": key count " +
+                       std::to_string(frame.key_count) +
+                       " cannot fit in the remaining payload");
+    }
+    reader->ReadBytes(static_cast<size_t>(frame.key_count) * key_block,
+                      &frame.block);
+    dists->push_back(frame);
+  }
+  return Status::OK();
+}
+
+// A tree record's own checks, which read no other record: the content goes
+// through exactly the checks line-by-line loading applies, plus the
+// format's invariants. In this order: the fingerprint must hash the
+// content bytes, the bytes must parse and be the round-trip serialization
+// of the tree they parse to (so ContentFp stays injective over formatted
+// texts — a hand-crafted denormalized record would corrupt the catalog's
+// content dedup), and in v2 and v3 the stored structural key must hash
+// the canonical re-orientation.
+Status DecodeTree(uint32_t version, uint64_t index, const TreeFrame& frame,
+                  TreeIdentity* identity_out) {
+  auto where = [&] {
+    return TreeWhere(index) + " ('" + std::string(frame.name) + "')";
+  };
+  // The identity is derived exactly as a live load derives it; only the
+  // stored fields are checked against it, never trusted (v1 has no
+  // structural key to go by; in v2 and v3 a forged key would route the
+  // binding to the wrong shard and the wrong cache lines). Derived first,
+  // so the text is hashed once: a text that round-trips is the identity's
+  // content, whose ContentFp was hashed in one pass with the canonical
+  // bytes. Any other text is hashed on its own, so the fingerprint check
+  // still comes first.
+  Result<AndXorTree> parsed = ParseTree(frame.text);
+  const Status parse_status = parsed.status();
+  Result<TreeIdentity> identity =
+      parse_status.ok()
+          ? TreeCatalog::ComputeIdentity(std::move(parsed).ValueOrDie())
+          : Result<TreeIdentity>(parse_status);
+  const bool round_trips = identity.ok() && identity->content == frame.text;
+  const uint64_t text_fp = round_trips
+                               ? identity->content_fp.value()
+                               : Fnv1a64(frame.text.data(), frame.text.size());
+  if (frame.fingerprint != text_fp) {
+    return Status::ParseError(
+        where() + ": stored fingerprint does not hash the stored tree text");
+  }
+  if (!parse_status.ok()) {
+    return Status::ParseError(where() + ": embedded tree does not parse: " +
+                              parse_status.message());
+  }
+  if (!identity.ok()) {
+    return Status::ParseError(where() +
+                              ": embedded tree does not canonicalize: " +
+                              identity.status().message());
+  }
+  if (!round_trips) {
+    return Status::ParseError(where() +
+                              ": stored tree text is not in canonical form");
+  }
+  if (version >= 2 && frame.struct_key != identity->struct_key.value()) {
+    return Status::ParseError(
+        where() +
+        ": stored structural key does not hash the canonical form of the "
+        "stored tree");
+  }
+  *identity_out = std::move(identity).ValueOrDie();
+  return Status::OK();
+}
+
+// A distribution record's own checks: ascending keys, probabilities in
+// [0, 1], and exactly its tree's key set (`tree_keys`, sorted), without
+// which the engine would be served zeros for keys it ranks.
+// (Canonicalization permutes children, never leaves, so the key set is
+// orientation-independent and valid under both addressings.)
+Status DecodeDistribution(uint64_t index, const DistFrame& frame,
+                          const std::string& tree_name,
+                          const std::vector<KeyId>& tree_keys,
+                          RankDistribution* dist_out) {
+  Reader reader(reinterpret_cast<const uint8_t*>(frame.block.data()),
+                frame.block.size());
+  RankDistributionBuilder builder(static_cast<int>(frame.k));
+  // Sized only when a key's k probabilities are in the payload: a record
+  // with no keys may still claim a k of 2^20.
+  std::vector<double> row(frame.key_count > 0 ? frame.k : 0);
+  KeyId previous_key = 0;
+  for (uint64_t key_index = 0; key_index < frame.key_count; ++key_index) {
+    uint32_t raw_key = 0;
+    if (!reader.ReadU32(&raw_key)) {
+      return Truncated(DistWhere(index) + " keys");
+    }
+    const KeyId key = static_cast<KeyId>(raw_key);
+    if (key_index > 0 && key <= previous_key) {
+      return Status::ParseError(DistWhere(index) +
+                                ": keys are not strictly ascending");
+    }
+    previous_key = key;
+    for (uint32_t i = 1; i <= frame.k; ++i) {
+      double pr = 0.0;
+      if (!reader.ReadDoubleBits(&pr)) {
+        return Truncated(DistWhere(index) + " probabilities");
+      }
+      if (!std::isfinite(pr) || pr < 0.0 || pr > 1.0) {
+        return Status::ParseError(DistWhere(index) + ": Pr(r = " +
+                                  std::to_string(i) +
+                                  ") is not a probability");
+      }
+      row[i - 1] = pr;
+    }
+    builder.AddRow(key, row.data(), static_cast<int>(frame.k));
+  }
+  RankDistribution dist = std::move(builder).Build();
+  if (dist.keys() != tree_keys) {
+    return Status::ParseError(
+        DistWhere(index) +
+        ": distribution keys do not match the keys of its tree ('" +
+        tree_name + "')");
+  }
+  *dist_out = std::move(dist);
+  return Status::OK();
+}
+
+// Runs one record's decode on a pool thread. Pool tasks must not throw, so
+// an exception fails the record it came from, as a batch's solve does.
+template <typename Fn>
+Status Guarded(std::string (*where)(uint64_t), uint64_t index, Fn&& decode) {
+  try {
+    return decode();
+  } catch (const std::exception& e) {
+    return Status::Internal(where(index) + ": decode failed: " + e.what());
+  } catch (...) {
+    return Status::Internal(where(index) + ": decode failed");
+  }
+}
+
 }  // namespace
 
 std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot) {
@@ -166,7 +368,8 @@ std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot) {
   return out;
 }
 
-Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
+Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
+                                              int threads) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
 
   // 1. Shape: even an empty snapshot carries the full header and checksum.
@@ -247,173 +450,132 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
         " payload bytes");
   }
 
-  CatalogSnapshot snapshot;
-  snapshot.trees.reserve(static_cast<size_t>(tree_count));
-  std::set<std::string> seen_names;
-  // v1 dist records address trees by content fingerprint; v2 and v3 by
-  // structural key.
-  std::map<uint64_t, const SnapshotTree*> by_fingerprint;
-  std::map<uint64_t, const SnapshotTree*> by_struct_key;
-
-  for (uint64_t index = 0; index < tree_count; ++index) {
-    const std::string where = "tree record " + std::to_string(index);
-    // Views into the snapshot bytes: the text is parsed in place, and only
-    // the identity derived from it is kept.
-    std::string_view name_bytes;
-    std::string_view text;
-    uint32_t name_len = 0;
-    if (!reader.ReadU32(&name_len) || reader.remaining() < name_len) {
-      return Truncated(where + " name");
-    }
-    reader.ReadBytes(name_len, &name_bytes);
-    std::string name(name_bytes);
-    uint64_t fingerprint = 0;
-    uint64_t stored_struct_key = 0;
-    uint64_t content_len = 0;
-    if (!reader.ReadU64(&fingerprint) ||
-        (version >= 2 && !reader.ReadU64(&stored_struct_key)) ||
-        !reader.ReadU64(&content_len)) {
-      return Truncated(where);
-    }
-    if (content_len > reader.remaining()) {
-      return Truncated(where + " tree text");
-    }
-    reader.ReadBytes(static_cast<size_t>(content_len), &text);
-
-    // Semantic validation. Names and content go through exactly the checks
-    // line-by-line loading applies, plus the format's own invariants: the
-    // fingerprint must hash the content bytes, the bytes must be the
-    // round-trip serialization of the tree they parse to (so ContentFp
-    // stays injective over formatted texts — a hand-crafted denormalized
-    // record would corrupt the catalog's content dedup), and in v2 the
-    // stored structural key must hash the canonical re-orientation.
-    if (name.empty()) {
-      return Status::ParseError(where + ": catalog name must not be empty");
-    }
-    if (!seen_names.insert(name).second) {
-      return Status::ParseError(where + ": duplicate catalog name '" + name +
-                                "'");
-    }
-    if (fingerprint != Fnv1a64(text.data(), text.size())) {
-      return Status::ParseError(
-          where + " ('" + name +
-          "'): stored fingerprint does not hash the stored tree text");
-    }
-    Result<AndXorTree> parsed = ParseTree(text);
-    if (!parsed.ok()) {
-      return Status::ParseError(where + " ('" + name +
-                                "'): embedded tree does not parse: " +
-                                parsed.status().message());
-    }
-    // The identity is derived exactly as a live load derives it; only the
-    // stored fields are checked against it, never trusted (v1 has no
-    // structural key to go by; in v2 a forged key would route the binding
-    // to the wrong shard and the wrong cache lines).
-    Result<TreeIdentity> identity =
-        TreeCatalog::ComputeIdentity(std::move(parsed).ValueOrDie());
-    if (!identity.ok()) {
-      return Status::ParseError(where + " ('" + name +
-                                "'): embedded tree does not canonicalize: " +
-                                identity.status().message());
-    }
-    if (identity->content != text) {
-      return Status::ParseError(
-          where + " ('" + name +
-          "'): stored tree text is not in canonical form");
-    }
-    if (version >= 2 && stored_struct_key != identity->struct_key.value()) {
-      return Status::ParseError(
-          where + " ('" + name +
-          "'): stored structural key does not hash the canonical form of "
-          "the stored tree");
-    }
-    snapshot.trees.push_back(
-        SnapshotTree{std::move(identity).ValueOrDie(), std::move(name)});
-    const SnapshotTree* record = &snapshot.trees.back();
-    by_fingerprint.emplace(fingerprint, record);
-    by_struct_key.emplace(record->struct_key.value(), record);
+  // 6. Framing: walk every record's lengths, keeping views into the
+  // snapshot bytes, up to the first framing defect. Nothing is parsed yet.
+  // (v1 dist records address trees by content fingerprint; v2 and v3 by
+  // structural key.)
+  std::vector<TreeFrame> tree_frames;
+  std::vector<DistFrame> dist_frames;
+  tree_frames.reserve(static_cast<size_t>(tree_count));
+  Status framing = FrameRecords(version, tree_count, dist_count, &reader,
+                                &tree_frames, &dist_frames);
+  // The cursor must land exactly on the checksum: bytes between the last
+  // record and the trailing u64 are garbage even when the file's author
+  // re-stamped a checksum over them.
+  if (framing.ok() && reader.pos() != payload_end) {
+    framing = Status::ParseError(
+        "catalog snapshot has " + std::to_string(payload_end - reader.pos()) +
+        " bytes of trailing garbage after the last record");
   }
 
-  snapshot.distributions.reserve(static_cast<size_t>(dist_count));
-  std::set<std::pair<uint64_t, int>> seen_dists;
+  // 7. The per-record work — parse, identity, distribution build — is
+  // independent per record, so it fans out over a pool that lives for
+  // this decode. Each task writes only its own slot and reports its own
+  // defect; the in-order passes below report the first defect in record
+  // order, so the result and every message are the same at any thread
+  // count.
+  const uint64_t records = tree_frames.size() + dist_frames.size();
+  if (threads < 1) {
+    threads = static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+  }
+  ThreadPool pool(static_cast<int>(
+      std::max<uint64_t>(1, std::min<uint64_t>(threads, records))));
 
-  for (uint64_t index = 0; index < dist_count; ++index) {
-    const std::string where = "distribution record " + std::to_string(index);
-    uint64_t dist_key = 0;
-    uint32_t k = 0;
-    uint64_t key_count = 0;
-    if (!reader.ReadU64(&dist_key) || !reader.ReadU32(&k) ||
-        !reader.ReadU64(&key_count)) {
-      return Truncated(where);
+  struct DecodedTree {
+    Status status;
+    TreeIdentity identity;
+    std::vector<KeyId> keys;  // sorted; only when there are distributions
+  };
+  std::vector<DecodedTree> decoded_trees(tree_frames.size());
+  pool.ParallelFor(static_cast<int64_t>(tree_frames.size()), [&](int64_t i) {
+    const TreeFrame& frame = tree_frames[static_cast<size_t>(i)];
+    DecodedTree& out = decoded_trees[static_cast<size_t>(i)];
+    out.status = Guarded(TreeWhere, static_cast<uint64_t>(i), [&] {
+      CPDB_RETURN_NOT_OK(DecodeTree(version, static_cast<uint64_t>(i), frame,
+                                    &out.identity));
+      // Every distribution of this tree compares its keys against these,
+      // sorted once per tree.
+      if (!dist_frames.empty()) {
+        out.keys = out.identity.canonical_tree->Keys();
+      }
+      return Status::OK();
+    });
+  });
+
+  // 8. Trees in record order: the name checks, which depend on earlier
+  // records, then the record's own decode.
+  CatalogSnapshot snapshot;
+  snapshot.trees.reserve(tree_frames.size());
+  std::set<std::string_view> seen_names;
+  std::map<uint64_t, size_t> tree_of_key;
+  for (size_t index = 0; index < tree_frames.size(); ++index) {
+    const TreeFrame& frame = tree_frames[index];
+    if (frame.name.empty()) {
+      return Status::ParseError(TreeWhere(index) +
+                                ": catalog name must not be empty");
     }
-    if (k < 1 || k > static_cast<uint32_t>(kMaxRankK)) {
-      return Status::ParseError(where + ": k " + std::to_string(k) +
-                                " out of range [1, " +
-                                std::to_string(kMaxRankK) + "]");
+    if (!seen_names.insert(frame.name).second) {
+      return Status::ParseError(TreeWhere(index) +
+                                ": duplicate catalog name '" +
+                                std::string(frame.name) + "'");
     }
-    const size_t key_block = kMinKeyBlockBytes +
-                             (static_cast<size_t>(k) - 1) * sizeof(uint64_t);
-    if (key_count > reader.remaining() / key_block) {
-      return Truncated(where + ": key count " + std::to_string(key_count) +
-                       " cannot fit in the remaining payload");
-    }
-    // v1 addresses the owning tree by content fingerprint, v2 and v3 by
-    // structural key; a dangling reference is a defect in all.
-    const std::map<uint64_t, const SnapshotTree*>& dist_index =
-        version >= 2 ? by_struct_key : by_fingerprint;
-    auto tree_it = dist_index.find(dist_key);
-    if (tree_it == dist_index.end()) {
-      return Status::ParseError(
-          where + ": distribution for " +
+    CPDB_RETURN_NOT_OK(decoded_trees[index].status);
+    // Decoded, both stored keys equal the recomputed ones.
+    tree_of_key.emplace(version >= 2 ? frame.struct_key : frame.fingerprint,
+                        index);
+    snapshot.trees.push_back(
+        SnapshotTree{std::move(decoded_trees[index].identity),
+                     std::string(frame.name)});
+  }
+  if (tree_frames.size() < tree_count) return framing;
+
+  // 9. Distributions: the dangling and duplicate checks depend on earlier
+  // records, so they run in order up to the first defect; the records
+  // before it decode in parallel.
+  Status dist_defect;
+  std::vector<size_t> dist_tree;
+  std::set<std::pair<uint64_t, uint32_t>> seen_dists;
+  for (size_t index = 0; index < dist_frames.size(); ++index) {
+    const DistFrame& frame = dist_frames[index];
+    auto tree_it = tree_of_key.find(frame.key);
+    if (tree_it == tree_of_key.end()) {
+      dist_defect = Status::ParseError(
+          DistWhere(index) + ": distribution for " +
           std::string(version >= 2 ? "structural key " : "fingerprint ") +
-          HashToHex(dist_key) +
+          HashToHex(frame.key) +
           ", which no tree record in this snapshot carries");
+      break;
     }
-    const SnapshotTree& tree = *tree_it->second;
-    if (!seen_dists.emplace(dist_key, static_cast<int>(k)).second) {
-      return Status::ParseError(
-          where + ": duplicate (" +
+    if (!seen_dists.emplace(frame.key, frame.k).second) {
+      dist_defect = Status::ParseError(
+          DistWhere(index) + ": duplicate (" +
           std::string(version >= 2 ? "structural key" : "fingerprint") +
-          ", k) = (" + HashToHex(dist_key) + ", " + std::to_string(k) + ")");
+          ", k) = (" + HashToHex(frame.key) + ", " + std::to_string(frame.k) +
+          ")");
+      break;
     }
+    dist_tree.push_back(tree_it->second);
+  }
+  struct DecodedDist {
+    Status status;
+    RankDistribution dist;
+  };
+  std::vector<DecodedDist> decoded_dists(dist_tree.size());
+  pool.ParallelFor(static_cast<int64_t>(dist_tree.size()), [&](int64_t i) {
+    const size_t t = dist_tree[static_cast<size_t>(i)];
+    DecodedDist& out = decoded_dists[static_cast<size_t>(i)];
+    out.status = Guarded(DistWhere, static_cast<uint64_t>(i), [&] {
+      return DecodeDistribution(static_cast<uint64_t>(i),
+                                dist_frames[static_cast<size_t>(i)],
+                                snapshot.trees[t].name, decoded_trees[t].keys,
+                                &out.dist);
+    });
+  });
 
-    RankDistributionBuilder builder(static_cast<int>(k));
-    KeyId previous_key = 0;
-    for (uint64_t key_index = 0; key_index < key_count; ++key_index) {
-      uint32_t raw_key = 0;
-      if (!reader.ReadU32(&raw_key)) {
-        return Truncated(where + " keys");
-      }
-      const KeyId key = static_cast<KeyId>(raw_key);
-      if (key_index > 0 && key <= previous_key) {
-        return Status::ParseError(
-            where + ": keys are not strictly ascending");
-      }
-      previous_key = key;
-      builder.EnsureKey(key);
-      for (uint32_t i = 1; i <= k; ++i) {
-        double pr = 0.0;
-        if (!reader.ReadDoubleBits(&pr)) {
-          return Truncated(where + " probabilities");
-        }
-        if (!std::isfinite(pr) || pr < 0.0 || pr > 1.0) {
-          return Status::ParseError(
-              where + ": Pr(r = " + std::to_string(i) +
-              ") is not a probability");
-        }
-        builder.Add(key, static_cast<int>(i), pr);
-      }
-    }
-    // The distribution must cover exactly its tree's keys: a mismatched set
-    // would serve zeros for keys the engine would rank. (Canonicalization
-    // permutes children, never leaves, so the key set is orientation-
-    // independent and this check is valid under both addressings.)
-    RankDistribution dist = std::move(builder).Build();
-    if (dist.keys() != tree.canonical_tree->Keys()) {
-      return Status::ParseError(
-          where + ": distribution keys do not match the keys of its tree ('" +
-          tree.name + "')");
-    }
+  snapshot.distributions.reserve(dist_tree.size());
+  for (size_t index = 0; index < dist_tree.size(); ++index) {
+    CPDB_RETURN_NOT_OK(decoded_dists[index].status);
     if (version < 3) {
       // Folded before v3, with AND children multiplied left to right (and
       // in v1 possibly over a non-canonical orientation): its bits can
@@ -424,21 +586,14 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
       continue;
     }
     SnapshotDistribution record;
-    record.struct_key = tree.struct_key;
-    record.k = static_cast<int>(k);
-    record.dist = std::make_shared<const RankDistribution>(std::move(dist));
+    record.struct_key = snapshot.trees[dist_tree[index]].struct_key;
+    record.k = static_cast<int>(dist_frames[index].k);
+    record.dist = std::make_shared<const RankDistribution>(
+        std::move(decoded_dists[index].dist));
     snapshot.distributions.push_back(std::move(record));
   }
-
-  // 6. The cursor must land exactly on the checksum: bytes between the last
-  // record and the trailing u64 are garbage even when the file's author
-  // re-stamped a checksum over them.
-  if (reader.pos() != payload_end) {
-    return Status::ParseError(
-        "catalog snapshot has " + std::to_string(payload_end - reader.pos()) +
-        " bytes of trailing garbage after the last record");
-  }
-
+  CPDB_RETURN_NOT_OK(dist_defect);
+  CPDB_RETURN_NOT_OK(framing);
   return snapshot;
 }
 
@@ -495,14 +650,16 @@ Status WriteCatalogSnapshotFile(const std::string& path,
   return WriteStringToFile(path, EncodeCatalogSnapshot(snapshot));
 }
 
-Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path) {
+Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path,
+                                                int threads) {
   CPDB_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeCatalogSnapshot(bytes.data(), bytes.size());
+  return DecodeCatalogSnapshot(bytes.data(), bytes.size(), threads);
 }
 
-Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path) {
+Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path,
+                                                int threads) {
   CPDB_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-  return DecodeCatalogSnapshot(file.data(), file.size());
+  return DecodeCatalogSnapshot(file.data(), file.size(), threads);
 }
 
 }  // namespace cpdb

@@ -131,9 +131,20 @@ std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot);
 /// round-trip serialization, a fingerprint that does not hash its bytes, a
 /// structural key that does not hash the canonical re-orientation,
 /// duplicate or dangling records, non-finite probabilities, trailing
-/// garbage — returns a typed Status describing the first defect found.
-/// Never aborts, never returns a partially valid snapshot.
-Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size);
+/// garbage — returns a typed Status describing the first defect in record
+/// order. Never aborts, never returns a partially valid snapshot.
+///
+/// The header, checksum and record framing are read on the calling
+/// thread; each record's own work (its fingerprint check, parse, identity
+/// and structural-key checks, or a distribution's key and probability
+/// checks and build) then runs on a pool of min(`threads`, records)
+/// threads that lives for this call (`threads` < 1: all hardware cores;
+/// at most ThreadPool::kMaxThreads). The checks that depend on earlier
+/// records (names, dangling and duplicate distributions) run in record
+/// order afterwards, so the snapshot returned and every error message are
+/// the same at any thread count.
+Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
+                                              int threads = 1);
 
 /// \brief Captures the live serving state: every catalog binding (with its
 /// stored wire-visible content bytes), plus — when `scheduler` is non-null
@@ -164,14 +175,17 @@ Status WriteCatalogSnapshotFile(const std::string& path,
                                 const CatalogSnapshot& snapshot);
 
 /// \brief The streaming-read load path: reads the whole file into memory,
-/// then decodes. A missing or unreadable path is an error (a warm restart
-/// must not silently fall back to a cold start).
-Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path);
+/// then decodes on `threads` (as DecodeCatalogSnapshot). A missing or
+/// unreadable path is an error (a warm restart must not silently fall back
+/// to a cold start).
+Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path,
+                                                int threads = 1);
 
 /// \brief The mmap load path: maps the file read-only (io/mmap_file.h) and
 /// decodes from the mapping — same validation, same typed errors, same
 /// resulting snapshot as the read path; only how the bytes arrive differs.
-Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path);
+Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path,
+                                                int threads = 1);
 
 }  // namespace cpdb
 

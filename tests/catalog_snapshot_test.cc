@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -160,10 +161,15 @@ std::string Restamped(std::string bytes) {
   return bytes;
 }
 
+// The decode thread counts every decode contract is checked at: the
+// result and every error message must not depend on them.
+constexpr int kDecodeThreads[] = {1, 2, 4, 8};
+
 // The full rejection contract for one corrupt byte string: DecodeCatalogSnapshot
-// returns the expected typed Status (both from memory and through both file
-// load paths, which must agree byte-for-byte on the error), and a catalog
-// fed through the serve path's decode-then-install sequence is untouched.
+// returns the expected typed Status at every decode thread count (both from
+// memory and through both file load paths, which must agree byte-for-byte
+// on the error), and a catalog fed through the serve path's
+// decode-then-install sequence is untouched.
 void ExpectRejected(const std::string& bytes, StatusCode code,
                     const std::string& needle, const std::string& label) {
   SCOPED_TRACE(label);
@@ -176,13 +182,21 @@ void ExpectRejected(const std::string& bytes, StatusCode code,
 
   const std::string path = ::testing::TempDir() + "/corrupt.snap";
   ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
-  Result<CatalogSnapshot> read = ReadCatalogSnapshotFile(path);
-  Result<CatalogSnapshot> mapped = MmapCatalogSnapshotFile(path);
-  ASSERT_FALSE(read.ok());
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(read.status().code(), code);
-  EXPECT_EQ(read.status().message(), decoded.status().message());
-  EXPECT_EQ(mapped.status().message(), decoded.status().message());
+  for (int threads : kDecodeThreads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Result<CatalogSnapshot> in_memory =
+        DecodeCatalogSnapshot(bytes.data(), bytes.size(), threads);
+    Result<CatalogSnapshot> read = ReadCatalogSnapshotFile(path, threads);
+    Result<CatalogSnapshot> mapped = MmapCatalogSnapshotFile(path, threads);
+    ASSERT_FALSE(in_memory.ok());
+    ASSERT_FALSE(read.ok());
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(in_memory.status().code(), code);
+    EXPECT_EQ(read.status().code(), code);
+    EXPECT_EQ(in_memory.status().message(), decoded.status().message());
+    EXPECT_EQ(read.status().message(), decoded.status().message());
+    EXPECT_EQ(mapped.status().message(), decoded.status().message());
+  }
 
   // The serve path decodes before touching any catalog, so a pre-populated
   // catalog and a warm cache survive a corrupt file bit-for-bit.
@@ -233,14 +247,17 @@ TEST(CatalogSnapshotCorruptionTest, TruncationAtEveryByteIsRejected) {
     ASSERT_TRUE(
         DecodeCatalogSnapshot(valid.data(), valid.size()).ok());
     for (size_t len = 0; len < valid.size(); ++len) {
-      Result<CatalogSnapshot> decoded =
-          DecodeCatalogSnapshot(valid.data(), len);
-      ASSERT_FALSE(decoded.ok())
-          << "accepted a " << len << "-byte prefix (dists=" << with_dists
-          << ")";
-      // Typed, never a crash: truncation surfaces as ParseError (either
-      // "truncated" below the minimum size or a checksum mismatch beyond).
-      ASSERT_EQ(decoded.status().code(), StatusCode::kParseError);
+      for (int threads : kDecodeThreads) {
+        Result<CatalogSnapshot> decoded =
+            DecodeCatalogSnapshot(valid.data(), len, threads);
+        ASSERT_FALSE(decoded.ok())
+            << "accepted a " << len << "-byte prefix (dists=" << with_dists
+            << ", threads=" << threads << ")";
+        // Typed, never a crash: truncation surfaces as ParseError (either
+        // "truncated" below the minimum size or a checksum mismatch
+        // beyond).
+        ASSERT_EQ(decoded.status().code(), StatusCode::kParseError);
+      }
     }
   }
 }
@@ -253,7 +270,7 @@ TEST(CatalogSnapshotCorruptionTest, ZeroLengthAndTinyFilesAreRejected) {
   const std::string path = ::testing::TempDir() + "/empty.snap";
   ASSERT_TRUE(WriteStringToFile(path, "").ok());
   for (auto load : {ReadCatalogSnapshotFile, MmapCatalogSnapshotFile}) {
-    Result<CatalogSnapshot> loaded = load(path);
+    Result<CatalogSnapshot> loaded = load(path, 1);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   }
@@ -475,7 +492,7 @@ TEST(CatalogSnapshotCorruptionTest, DistributionRecordDefectsAreRejected) {
 TEST(CatalogSnapshotCorruptionTest, MissingFileIsATypedError) {
   const std::string path = ::testing::TempDir() + "/does_not_exist.snap";
   for (auto load : {ReadCatalogSnapshotFile, MmapCatalogSnapshotFile}) {
-    Result<CatalogSnapshot> loaded = load(path);
+    Result<CatalogSnapshot> loaded = load(path, 1);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
   }
@@ -833,6 +850,184 @@ TEST(CatalogSnapshotV1CompatTest, CorruptV1FilesAreRejected) {
       EncodeV1Snapshot({}, {{text, &dist}}, /*k=*/2);
   ExpectRejected(missing_tree, StatusCode::kParseError, "no tree record",
                  "v1 dangling fingerprint");
+}
+
+// ---------------------------------------------------------------------------
+// Parallel decode: the same snapshot and the same first defect at any
+// thread count
+// ---------------------------------------------------------------------------
+
+// A catalog of generated trees with a k = 3 distribution per shape, large
+// enough that every decode thread count splits its records.
+CatalogSnapshot GeneratedSnapshot(bool with_distributions) {
+  Engine engine(TestEngineOptions());
+  TreeCatalog catalog;
+  QueryScheduler scheduler(&engine, &catalog);
+  Rng rng(29);
+  RandomTreeOptions opts;
+  opts.num_keys = 9;
+  opts.max_depth = 3;
+  for (int i = 0; i < 24; ++i) {
+    Result<AndXorTree> tree = i % 3 == 0   ? RandomBid(opts, &rng)
+                              : i % 3 == 1 ? RandomAndXorTree(opts, &rng)
+                                           : RandomTupleIndependent(7, &rng);
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    const std::string name = "g" + std::to_string(i);
+    EXPECT_TRUE(catalog.Insert(name, *std::move(tree)).ok());
+    if (with_distributions) {
+      EXPECT_TRUE(scheduler.ExecuteOne(TopKRequest(name, 3)).ok());
+    }
+  }
+  return BuildCatalogSnapshot(catalog,
+                              with_distributions ? &scheduler : nullptr);
+}
+
+// Asserts two decodes of one file are the same snapshot, bit for bit.
+void ExpectSameSnapshot(const CatalogSnapshot& got,
+                        const CatalogSnapshot& want) {
+  ASSERT_EQ(got.trees.size(), want.trees.size());
+  for (size_t i = 0; i < want.trees.size(); ++i) {
+    ASSERT_EQ(got.trees[i].name, want.trees[i].name);
+    ASSERT_EQ(got.trees[i].content, want.trees[i].content);
+    ASSERT_EQ(got.trees[i].canonical_bytes, want.trees[i].canonical_bytes);
+    ASSERT_EQ(got.trees[i].content_fp, want.trees[i].content_fp);
+    ASSERT_EQ(got.trees[i].struct_key, want.trees[i].struct_key);
+    ASSERT_EQ(FormatTree(*got.trees[i].canonical_tree, /*indent=*/false),
+              want.trees[i].canonical_bytes);
+  }
+  ASSERT_EQ(got.distributions.size(), want.distributions.size());
+  for (size_t d = 0; d < want.distributions.size(); ++d) {
+    const SnapshotDistribution& g = got.distributions[d];
+    const SnapshotDistribution& w = want.distributions[d];
+    ASSERT_EQ(g.struct_key, w.struct_key);
+    ASSERT_EQ(g.k, w.k);
+    ASSERT_EQ(g.dist->keys(), w.dist->keys());
+    for (KeyId key : w.dist->keys()) {
+      for (int i = 1; i <= w.k; ++i) {
+        const double got_pr = g.dist->PrRankEq(key, i);
+        const double want_pr = w.dist->PrRankEq(key, i);
+        ASSERT_EQ(std::memcmp(&got_pr, &want_pr, sizeof(double)), 0)
+            << "key " << key << " rank " << i;
+      }
+    }
+  }
+}
+
+TEST(CatalogSnapshotThreadsTest, EveryVersionDecodesAlikeAtAnyThreadCount) {
+  for (bool with_dists : {false, true}) {
+    const CatalogSnapshot source = GeneratedSnapshot(with_dists);
+    ASSERT_EQ(source.trees.size(), 24u);
+    ASSERT_EQ(!source.distributions.empty(), with_dists);
+    const std::string v3 = EncodeCatalogSnapshot(source);
+    std::string v2 = v3;
+    PokeU32(&v2, kVersionOffset, 2);
+    v2 = Restamped(std::move(v2));
+    // v1: the same bindings, each distribution addressed by the content
+    // fingerprint of the first tree of its shape.
+    std::vector<std::pair<std::string, std::string>> v1_trees;
+    for (const SnapshotTree& tree : source.trees) {
+      v1_trees.emplace_back(tree.name, tree.content);
+    }
+    std::vector<std::pair<std::string, const RankDistribution*>> v1_dists;
+    for (const SnapshotDistribution& dist : source.distributions) {
+      for (const SnapshotTree& tree : source.trees) {
+        if (tree.struct_key == dist.struct_key) {
+          v1_dists.emplace_back(tree.content, dist.dist.get());
+          break;
+        }
+      }
+    }
+    const std::string v1 = EncodeV1Snapshot(v1_trees, v1_dists, /*k=*/3);
+
+    for (const auto& [version, bytes] :
+         std::vector<std::pair<int, std::string>>{{1, v1}, {2, v2}, {3, v3}}) {
+      SCOPED_TRACE("v" + std::to_string(version) +
+                   (with_dists ? " with distributions" : " trees only"));
+      Result<CatalogSnapshot> reference =
+          DecodeCatalogSnapshot(bytes.data(), bytes.size());
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ASSERT_EQ(reference->distributions.size(),
+                version == 3 ? source.distributions.size() : 0u);
+      if (version == 3) {
+        // Every stored field and distribution bit, against the source.
+        ASSERT_EQ(EncodeCatalogSnapshot(*reference), v3);
+      }
+      for (int threads : kDecodeThreads) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        Result<CatalogSnapshot> decoded =
+            DecodeCatalogSnapshot(bytes.data(), bytes.size(), threads);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        ExpectSameSnapshot(*decoded, *reference);
+      }
+    }
+  }
+}
+
+// Records are decoded in parallel, but the defect reported is the first in
+// record order, whichever phase finds it: record 0 here fails to parse only
+// at the end of a long text, so it finishes after a later record's defect
+// is known.
+TEST(CatalogSnapshotThreadsTest, EarliestDefectInRecordOrderWins) {
+  Rng rng(5);
+  const std::string slow_garbage =
+      FormatTree(*RandomTupleIndependent(3000, &rng), /*indent=*/false) +
+      " )";
+  auto with_slow_first = [&](std::vector<SnapshotTree> later) {
+    CatalogSnapshot snapshot;
+    snapshot.trees.push_back(MakeTreeRecord("a0", slow_garbage));
+    for (int i = 0; i < 16; ++i) {
+      snapshot.trees.push_back(CatalogTreeRecord(
+          "b" + std::to_string(10 + i), i % 2 ? kTreeText : kOtherTreeText));
+    }
+    for (SnapshotTree& record : later) {
+      snapshot.trees.push_back(std::move(record));
+    }
+    return EncodeCatalogSnapshot(snapshot);
+  };
+  const std::string first_defect = "tree record 0 ('a0'): embedded tree does "
+                                   "not parse: trailing input after tree";
+
+  // A later record that fails to parse at once.
+  const std::string later_parse =
+      with_slow_first({MakeTreeRecord("c", "(and (xor 0.5")});
+  // A later duplicate name, found by the in-order pass.
+  const std::string later_duplicate = with_slow_first(
+      {CatalogTreeRecord("c", kTreeText), CatalogTreeRecord("c", kTreeText)});
+  // A later record whose text runs past the payload, found while framing.
+  std::string later_truncated =
+      with_slow_first({CatalogTreeRecord("c", kTreeText)});
+  later_truncated.erase(later_truncated.size() - 8 - 5, 5);
+  later_truncated = Restamped(std::move(later_truncated));
+
+  for (const auto& [label, bytes] : std::vector<std::pair<std::string,
+                                                          std::string>>{
+           {"later parse error", later_parse},
+           {"later duplicate name", later_duplicate},
+           {"later truncated record", later_truncated}}) {
+    ExpectRejected(bytes, StatusCode::kParseError, first_defect, label);
+  }
+
+  // The same among distribution records: record 0's bad probability wins
+  // over a later duplicate.
+  LiveService live(/*with_distributions=*/true);
+  CatalogSnapshot valid = live.Snapshot(true);
+  ASSERT_EQ(valid.distributions.size(), 2u);
+  CatalogSnapshot dists = valid;
+  std::sort(dists.distributions.begin(), dists.distributions.end(),
+            [](const SnapshotDistribution& a, const SnapshotDistribution& b) {
+              return a.struct_key < b.struct_key;
+            });
+  RankDistributionBuilder poisoned(dists.distributions[0].k);
+  for (KeyId key : dists.distributions[0].dist->keys()) {
+    poisoned.Add(key, 1, 2.0);
+  }
+  dists.distributions[0].dist =
+      std::make_shared<const RankDistribution>(std::move(poisoned).Build());
+  dists.distributions.push_back(dists.distributions[1]);
+  const std::string dist_bytes = EncodeCatalogSnapshot(dists);
+  ExpectRejected(dist_bytes, StatusCode::kParseError,
+                 "distribution record 0: Pr(r = 1) is not a probability",
+                 "bad probability before a duplicate");
 }
 
 }  // namespace

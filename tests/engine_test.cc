@@ -312,6 +312,16 @@ TEST(FanOutUnitsTest, SizesUnitsByWorkNotByThreads) {
   EXPECT_EQ(FanOutUnits(163, ScanCells(163, 8), 4), 1);
   // Twelve k = 5 cost columns, the heavy_sharded assignment tails.
   EXPECT_EQ(FanOutUnits(12, 12 * 5 * 5, 4), 1);
+  // Kendall q columns repeat no base fold: the heavy shape's twelve, and
+  // the kendall mean's five, fan out; a lone column runs inline.
+  EXPECT_EQ(FanOutUnits(12, 12 * ScanCells(44, 5), 4,
+                        kMinQColumnCellsPerPoolUnit),
+            4);
+  EXPECT_EQ(FanOutUnits(5, 5 * ScanCells(44, 5), 4,
+                        kMinQColumnCellsPerPoolUnit),
+            4);
+  EXPECT_EQ(FanOutUnits(1, ScanCells(44, 5), 4, kMinQColumnCellsPerPoolUnit),
+            1);
   // A ~3,000-leaf tree at k 10 pays for the handoff.
   EXPECT_GT(FanOutUnits(3000, ScanCells(3000, 10), 4), 1);
   // Never more units than threads or than pieces, never fewer than 1.
@@ -376,6 +386,26 @@ TEST(EngineTest, FannedOutWorkBitwiseEqualsOneThread) {
   ASSERT_GT(FanOutUnits(n, n * ScanCells(mid.NumLeaves(), 8), 4), 1);
   ASSERT_EQ(four.KendallQColumns(mid, 8, keys),
             one.KendallQColumns(mid, 8, keys));
+
+  // A heavy-band shape's q columns, split by the q-column minimum, and
+  // the kendall mean built on the columns of its answer's keys.
+  const AndXorTree heavy = DeepTreeWithLeaves(12, 12, 3, 42, 45);
+  const std::vector<KeyId> heavy_keys = heavy.Keys();
+  const int64_t heavy_n = static_cast<int64_t>(heavy_keys.size());
+  ASSERT_GT(FanOutUnits(heavy_n, heavy_n * ScanCells(heavy.NumLeaves(), 5),
+                        4, kMinQColumnCellsPerPoolUnit),
+            1);
+  ASSERT_EQ(four.KendallQColumns(heavy, 5, heavy_keys),
+            one.KendallQColumns(heavy, 5, heavy_keys));
+  const RankDistribution heavy_dist = ComputeRankDistribution(heavy, 5);
+  auto kendall_one = one.ConsensusTopKWithDist(heavy, heavy_dist,
+                                               TopKMetric::kKendall);
+  auto kendall_four = four.ConsensusTopKWithDist(heavy, heavy_dist,
+                                                 TopKMetric::kKendall);
+  ASSERT_TRUE(kendall_one.ok());
+  ASSERT_TRUE(kendall_four.ok());
+  ASSERT_EQ(kendall_four->keys, kendall_one->keys);
+  ASSERT_EQ(kendall_four->expected_distance, kendall_one->expected_distance);
 }
 
 // The world entry point over the engine's leaf marginals: worlds and

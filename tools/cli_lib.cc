@@ -573,10 +573,11 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   // operator asked for a warm catalog, so silently serving cold (and
   // answering every query with "no catalog tree named ...") would be the
   // silently-misread failure mode the strict flag parses exist to prevent.
+  // The records decode on --threads (see DecodeCatalogSnapshot).
   if (!opts.catalog_path.empty()) {
     Result<CatalogSnapshot> snapshot =
-        opts.mmap ? MmapCatalogSnapshotFile(opts.catalog_path)
-                  : ReadCatalogSnapshotFile(opts.catalog_path);
+        opts.mmap ? MmapCatalogSnapshotFile(opts.catalog_path, opts.threads)
+                  : ReadCatalogSnapshotFile(opts.catalog_path, opts.threads);
     Status installed = snapshot.ok() ? scheduler.InstallSnapshot(*snapshot)
                                      : snapshot.status();
     if (!installed.ok()) {
@@ -893,7 +894,8 @@ std::string CliUsage() {
       "  --max-worlds=N      enumeration guard for `worlds` (default 4096)\n"
       "  (integer flags are parsed strictly: '--k=1o' is an error, not 1)\n"
       "  --threads=N         evaluation threads for topk, consensus-world,\n"
-      "                      baseline and serve (default 1; 0 = all\n"
+      "                      baseline and serve, which also decodes its\n"
+      "                      --catalog snapshot on them (default 1; 0 = all\n"
       "                      hardware cores; results are independent of N)\n"
       "  --method=M          baseline only: escore (expected score), erank\n"
       "                      (expected rank), global (global top-k) or prf\n"
