@@ -3,6 +3,7 @@
 #include "core/rank_distribution.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <numeric>
 #include <utility>
@@ -85,24 +86,7 @@ void RankDistributionBuilder::AddRow(KeyId key, const double* probs,
 }
 
 RankDistribution RankDistributionBuilder::Build() && {
-  // keys_ must be sorted ascending like ComputeRankDistribution produces.
-  // Keys registered in ascending order (the scan's, a snapshot's) already
-  // are, and index their own rows; any others are sorted and reindexed.
-  if (!std::is_sorted(dist_.keys_.begin(), dist_.keys_.end())) {
-    std::vector<KeyId> sorted = dist_.keys_;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<std::vector<double>> pr_eq(sorted.size());
-    for (size_t i = 0; i < sorted.size(); ++i) {
-      pr_eq[i] = std::move(
-          dist_.pr_eq_[static_cast<size_t>(dist_.key_index_[sorted[i]])]);
-    }
-    dist_.keys_ = std::move(sorted);
-    dist_.pr_eq_ = std::move(pr_eq);
-    dist_.key_index_.clear();
-    for (size_t i = 0; i < dist_.keys_.size(); ++i) {
-      dist_.key_index_[dist_.keys_[i]] = static_cast<int>(i);
-    }
-  }
+  assert(std::is_sorted(dist_.keys_.begin(), dist_.keys_.end()));
   dist_.pr_le_ = dist_.pr_eq_;
   for (auto& row : dist_.pr_le_) {
     for (size_t i = 2; i < row.size(); ++i) row[i] += row[i - 1];

@@ -87,8 +87,10 @@ class RankDistribution {
 
 /// \brief Assembles a RankDistribution from externally computed
 /// Pr(r(key) = i) values (RankDistributionScan's per-leaf merge and the
-/// snapshot decoder). A k below 0 is k = 0. Build() sorts keys and
-/// finalizes prefix sums in O(n (log n + k)).
+/// snapshot decoder). A k below 0 is k = 0. Keys must be registered
+/// (first EnsureKey/Add/AddRow) in ascending order, since keys() is
+/// ascending and each key's row is its registration index; every caller
+/// walks a sorted key set. Build() finalizes prefix sums in O(n k).
 class RankDistributionBuilder {
  public:
   explicit RankDistributionBuilder(int k) { dist_.k_ = std::max(k, 0); }
@@ -208,9 +210,9 @@ class RankDistributionScan {
   /// working set.
   size_t ChunkScratchBytes() const;
 
-  /// The distribution over `keys` (the tree's Keys()) once every chunk has
-  /// run: each key's leaf contributions summed in leaf-table order, the
-  /// order of the pointer-fold oracle.
+  /// The distribution over `keys` (the tree's Keys(): ascending, every
+  /// leaf key) once every chunk has run: each key's leaf contributions
+  /// summed in leaf-table order, the order of the pointer-fold oracle.
   RankDistribution Build(const std::vector<KeyId>& keys) const;
 
  private:
