@@ -67,7 +67,8 @@
 //   BM_SnapshotDecode — DecodeCatalogSnapshot of 256 heavy_sharded-shaped
 //       tree records, each shape with its k = 5 rank distribution as in
 //       heavy_sharded's snapshot: the bulk of `serve --catalog` set-up.
-//       The arg is the decode thread count (real time).
+//       The arg is the size of the pool the records decode on, built
+//       outside the timed loop, as serve's scheduler pool is (real time).
 
 #include <benchmark/benchmark.h>
 
@@ -80,6 +81,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "io/tree_text.h"
 #include "model/and_xor_tree.h"
@@ -366,7 +368,7 @@ void BM_ServeSharded(benchmark::State& state) {
     auto results = sharded.ExecuteBatch(batch);
     benchmark::DoNotOptimize(results);
   }
-  // Real time, not CPU time: the work happens on the shard helper threads,
+  // Real time, not CPU time: the work happens on the scheduler's pool,
   // so the main thread's CPU clock under-reports by design. Requests/sec
   // then scales with min(shards, cores) — near-linear wherever the
   // hardware has the cores to back the shard count.
@@ -799,11 +801,10 @@ void BM_SnapshotDecode(benchmark::State& state) {
     source.distributions.push_back(std::move(dist));
   }
   const std::string bytes = EncodeCatalogSnapshot(source);
-  const int threads = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     CatalogSnapshot snapshot =
-        DecodeCatalogSnapshot(bytes.data(), bytes.size(), threads)
-            .ValueOrDie();
+        DecodeCatalogSnapshot(bytes.data(), bytes.size(), &pool).ValueOrDie();
     benchmark::DoNotOptimize(snapshot);
   }
   state.counters["bytes"] = static_cast<double>(bytes.size());

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace cpdb {
 
@@ -59,66 +60,45 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::ParallelFor(int64_t n,
-                             const std::function<void(int64_t)>& body) {
+                             const std::function<void(int64_t)>& body,
+                             int width) {
   if (n <= 0) return;
-  if (workers_.empty() || n == 1) {
+  const int helpers = static_cast<int>(std::min<int64_t>(
+      {static_cast<int64_t>(workers_.size()), n - 1,
+       static_cast<int64_t>(width) - 1}));
+  if (helpers <= 0) {
     for (int64_t i = 0; i < n; ++i) body(i);
     return;
   }
 
-  // Shared loop state: workers and the caller claim indices from `next`
-  // until exhausted; `pending` counts helper tasks still running so the
-  // caller knows when every claimed index has completed.
+  // Shared loop state: helpers and the caller claim indices from `next`
+  // until exhausted, and add the bodies they ran to `done`. A helper that
+  // starts after the loop returned claims an index >= n and touches
+  // neither `body` nor `done`; the shared_ptr keeps `next` alive for it.
   struct LoopState {
     std::atomic<int64_t> next{0};
     std::mutex mu;
     std::condition_variable done_cv;
-    int pending = 0;
+    int64_t done = 0;
   };
   auto state = std::make_shared<LoopState>();
   auto run = [state, n, &body] {
+    int64_t ran = 0;
     for (int64_t i = state->next.fetch_add(1); i < n;
          i = state->next.fetch_add(1)) {
       body(i);
+      ++ran;
     }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->done += ran;
+    if (state->done == n) state->done_cv.notify_one();
   };
-
-  int helpers = static_cast<int>(
-      std::min<int64_t>(static_cast<int64_t>(workers_.size()), n - 1));
-  state->pending = helpers;
-  for (int h = 0; h < helpers; ++h) {
-    Submit([state, run] {
-      run();
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (--state->pending == 0) state->done_cv.notify_one();
-    });
-  }
+  for (int h = 0; h < helpers; ++h) Submit(run);
   run();  // the calling thread participates
-  // While helpers are outstanding, the caller executes queued tasks instead
-  // of blocking: a helper of this loop (or of a nested one) may still sit in
-  // the queue behind us, and sleeping on it would deadlock.
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (state->pending == 0) return;
-    }
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-    }
-    if (task) {
-      task();
-    } else {
-      // Queue empty: the remaining helpers are running on other threads.
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->done_cv.wait(lock, [&] { return state->pending == 0; });
-      return;
-    }
-  }
+  // Every index is claimed; wait for the ones running on other threads.
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->done_cv.wait(lock, [&] { return state->done == n; });
 }
 
 }  // namespace cpdb

@@ -1,9 +1,10 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// A fixed-size worker pool shared by the parallel evaluation engine
-// (engine/engine.h). Work is submitted either as fire-and-forget closures
-// or through ParallelFor, a blocking index-space loop in which the calling
-// thread participates — so a pool constructed with one thread degrades to
+// A fixed-size worker pool, owned by an Engine or, in serve, by the
+// scheduler whose shard engines, shard dispatch and snapshot decode share
+// it. Work is submitted either as fire-and-forget closures or through
+// ParallelFor, a blocking index-space loop in which the calling thread
+// participates — so a 1-thread pool, or a loop at width 1, degrades to
 // plain sequential execution with no cross-thread handoff.
 
 #ifndef CPDB_COMMON_THREAD_POOL_H_
@@ -55,13 +56,21 @@ class ThreadPool {
   /// acquire locks it holds).
   void Submit(std::function<void()> task);
 
-  /// \brief Runs `body(i)` for every i in [0, n), distributing indices over
-  /// the workers and the calling thread; returns when all n calls finished.
-  /// Indices are claimed dynamically, so per-index work may be uneven; any
-  /// state shared across indices must be independent per index (the engine
+  /// \brief Runs `body(i)` for every i in [0, n) on at most `width`
+  /// threads, the calling thread among them, and returns when all n calls
+  /// finished; at width 1 every call runs on the calling thread. Indices
+  /// are claimed dynamically, so per-index work may be uneven; any state
+  /// shared across indices must be independent per index (the engine
   /// writes results into per-index slots and merges in index order, which
   /// keeps results deterministic regardless of the schedule).
-  void ParallelFor(int64_t n, const std::function<void(int64_t)>& body);
+  ///
+  /// The caller claims indices until none is left, then waits only for the
+  /// indices other threads claimed: it never runs another loop's work, so
+  /// a body may block on a compute in flight on another thread. Loops nest
+  /// freely; a helper that starts after every index is claimed returns
+  /// without calling `body`.
+  void ParallelFor(int64_t n, const std::function<void(int64_t)>& body,
+                   int width = kMaxThreads);
 
  private:
   void WorkerLoop();

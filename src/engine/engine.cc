@@ -3,6 +3,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -41,11 +42,13 @@ Result<TopKAnswer> ParseTopKAnswerName(const std::string& name) {
       "' (expected mean, median, any-size or approx)");
 }
 
-Engine::Engine(const EngineOptions& options) : pool_(options.num_threads) {}
+Engine::Engine(const EngineOptions& options)
+    : owned_pool_(std::make_unique<ThreadPool>(options.num_threads)),
+      pool_(owned_pool_.get()),
+      width_(pool_->num_threads()) {}
 
-Engine::~Engine() = default;
-
-int Engine::num_threads() const { return pool_.num_threads(); }
+Engine::Engine(ThreadPool* pool, int width)
+    : pool_(pool), width_(std::clamp(width, 1, pool->num_threads())) {}
 
 // The least work one pool unit must carry, in cells: a leaf times a rank
 // of a scan, or one of a cost column's k² terms. Measured on a 4-vCPU VM
@@ -82,7 +85,7 @@ void Engine::FanOut(int64_t n, int64_t cells, int64_t min_cells_per_unit,
   // One unit needs no branch: ParallelFor runs it on the calling thread.
   const int64_t units =
       FanOutUnits(n, cells, num_threads(), min_cells_per_unit);
-  pool_.ParallelFor(units, [&](int64_t u) {
+  ParallelFor(units, [&](int64_t u) {
     for (int64_t i = n * u / units; i < n * (u + 1) / units; ++i) body(i);
   });
 }
@@ -103,7 +106,7 @@ RankDistribution Engine::ComputeRankDistribution(
       flat, k,
       FanOutUnits(leaves, leaves * std::clamp<int64_t>(k, 0, leaves),
                   num_threads()));
-  pool_.ParallelFor(scan.num_chunks(), [&](int64_t c) {
+  ParallelFor(scan.num_chunks(), [&](int64_t c) {
     scan.RunChunk(static_cast<int>(c));
   });
   NoteArenaHighWater(scan.ChunkScratchBytes());

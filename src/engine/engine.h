@@ -1,8 +1,10 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // cpdb::Engine — the parallel evaluation facade over the Section 4-5
-// consensus algorithms. One Engine owns one ThreadPool and routes
-// rank-distribution, consensus Top-k and set-consensus queries through it.
+// consensus algorithms. An Engine routes rank-distribution, consensus
+// Top-k and set-consensus queries through a ThreadPool at a width: a pool
+// it owns, or one it borrows (serve's scheduler lends one pool to all of
+// its shard engines).
 // Every parallel path is *schedule-deterministic*: the result is bitwise
 // identical for any thread count (including 1), because work is split into
 // fixed units whose partial results are merged in a fixed order on the
@@ -30,9 +32,9 @@
 //     compile pass (LeafMarginals), and the O(N) filter / DP runs on the
 //     calling thread.
 //
-// ParallelFor hands the same pool to callers fanning whole queries (the
-// serving layer's per-batch solves): queries nest their own ParallelFor
-// calls, and the pool is nest-safe.
+// ParallelFor hands the same pool, at the same width, to callers fanning
+// whole queries (the serving layer's per-batch solves): queries nest their
+// own ParallelFor calls, and the pool is nest-safe.
 
 #ifndef CPDB_ENGINE_ENGINE_H_
 #define CPDB_ENGINE_ENGINE_H_
@@ -137,21 +139,27 @@ int FanOutUnits(int64_t units, int64_t cells, int threads,
 /// against distinct trees (the engine itself holds no per-query state).
 class Engine {
  public:
+  /// \brief Owns a pool of EngineOptions::num_threads threads, at its
+  /// full width.
   explicit Engine(const EngineOptions& options = EngineOptions());
-  ~Engine();
+
+  /// \brief Borrows `pool`, which must outlive the engine, at `width`
+  /// threads (clamped to [1, pool size]); width 1 runs every loop on the
+  /// calling thread.
+  Engine(ThreadPool* pool, int width);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// \brief Actual thread count (EngineOptions::num_threads resolved).
-  int num_threads() const;
+  /// \brief The engine's width: the most threads one of its loops runs on.
+  int num_threads() const { return width_; }
 
-  /// \brief Runs body(0) ... body(n - 1) across the engine's pool and
-  /// returns when all have finished (ThreadPool::ParallelFor). Bodies may
-  /// call back into this engine — the pool is nest-safe, so inner units of
-  /// one body fill gaps left by another — and must not throw.
+  /// \brief Runs body(0) ... body(n - 1) on at most num_threads() threads
+  /// of the engine's pool and returns when all have finished
+  /// (ThreadPool::ParallelFor). Bodies may call back into this engine —
+  /// the pool is nest-safe — and must not throw.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& body) const {
-    pool_.ParallelFor(n, body);
+    pool_->ParallelFor(n, body, width_);
   }
 
   // -- Rank distributions (Section 5 sufficient statistics) ---------------
@@ -332,8 +340,10 @@ class Engine {
   /// scan's largest chunk scratch.
   void NoteArenaHighWater(size_t bytes) const;
 
-  // ParallelFor mutates pool bookkeeping; queries are logically const.
-  mutable ThreadPool pool_;
+  // Null for an engine that borrows its pool.
+  std::unique_ptr<ThreadPool> owned_pool_;
+  ThreadPool* pool_;
+  int width_;
   // Observability counters (see obs_counters()); queries are logically
   // const, so the instruments they bump are mutable atomics.
   mutable std::atomic<int64_t> fold_compiles_{0};

@@ -5,10 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "common/hash.h"
@@ -369,7 +369,7 @@ std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot) {
 }
 
 Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
-                                              int threads) {
+                                              ThreadPool* pool) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
 
   // 1. Shape: even an empty snapshot carries the full header and checksum.
@@ -469,18 +469,18 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
   }
 
   // 7. The per-record work — parse, identity, distribution build — is
-  // independent per record, so it fans out over a pool that lives for
-  // this decode. Each task writes only its own slot and reports its own
-  // defect; the in-order passes below report the first defect in record
-  // order, so the result and every message are the same at any thread
-  // count.
-  const uint64_t records = tree_frames.size() + dist_frames.size();
-  if (threads < 1) {
-    threads = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
-  ThreadPool pool(static_cast<int>(
-      std::max<uint64_t>(1, std::min<uint64_t>(threads, records))));
+  // independent per record, so it fans out over the caller's pool. Each
+  // task writes only its own slot and reports its own defect; the in-order
+  // passes below report the first defect in record order, so the result
+  // and every message are the same on any pool.
+  auto for_each_record = [pool](int64_t n,
+                                const std::function<void(int64_t)>& body) {
+    if (pool != nullptr) {
+      pool->ParallelFor(n, body);
+    } else {
+      for (int64_t i = 0; i < n; ++i) body(i);
+    }
+  };
 
   struct DecodedTree {
     Status status;
@@ -488,7 +488,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
     std::vector<KeyId> keys;  // sorted; only when there are distributions
   };
   std::vector<DecodedTree> decoded_trees(tree_frames.size());
-  pool.ParallelFor(static_cast<int64_t>(tree_frames.size()), [&](int64_t i) {
+  for_each_record(static_cast<int64_t>(tree_frames.size()), [&](int64_t i) {
     const TreeFrame& frame = tree_frames[static_cast<size_t>(i)];
     DecodedTree& out = decoded_trees[static_cast<size_t>(i)];
     out.status = Guarded(TreeWhere, static_cast<uint64_t>(i), [&] {
@@ -562,7 +562,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
     RankDistribution dist;
   };
   std::vector<DecodedDist> decoded_dists(dist_tree.size());
-  pool.ParallelFor(static_cast<int64_t>(dist_tree.size()), [&](int64_t i) {
+  for_each_record(static_cast<int64_t>(dist_tree.size()), [&](int64_t i) {
     const size_t t = dist_tree[static_cast<size_t>(i)];
     DecodedDist& out = decoded_dists[static_cast<size_t>(i)];
     out.status = Guarded(DistWhere, static_cast<uint64_t>(i), [&] {
@@ -651,15 +651,15 @@ Status WriteCatalogSnapshotFile(const std::string& path,
 }
 
 Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path,
-                                                int threads) {
+                                                ThreadPool* pool) {
   CPDB_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeCatalogSnapshot(bytes.data(), bytes.size(), threads);
+  return DecodeCatalogSnapshot(bytes.data(), bytes.size(), pool);
 }
 
 Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path,
-                                                int threads) {
+                                                ThreadPool* pool) {
   CPDB_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-  return DecodeCatalogSnapshot(file.data(), file.size(), threads);
+  return DecodeCatalogSnapshot(file.data(), file.size(), pool);
 }
 
 }  // namespace cpdb

@@ -79,6 +79,7 @@
 namespace cpdb {
 
 class QueryScheduler;
+class ThreadPool;
 
 /// \brief The 8 magic bytes opening every snapshot file.
 inline constexpr char kCatalogSnapshotMagic[8] = {'C', 'P', 'D', 'B',
@@ -137,14 +138,13 @@ std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot);
 /// The header, checksum and record framing are read on the calling
 /// thread; each record's own work (its fingerprint check, parse, identity
 /// and structural-key checks, or a distribution's key and probability
-/// checks and build) then runs on a pool of min(`threads`, records)
-/// threads that lives for this call (`threads` < 1: all hardware cores;
-/// at most ThreadPool::kMaxThreads). The checks that depend on earlier
-/// records (names, dangling and duplicate distributions) run in record
-/// order afterwards, so the snapshot returned and every error message are
-/// the same at any thread count.
+/// checks and build) then runs as one ParallelFor index on `pool`, or on
+/// the calling thread when `pool` is null (serve passes its scheduler's
+/// pool). The checks that depend on earlier records (names, dangling and
+/// duplicate distributions) run in record order afterwards, so the
+/// snapshot returned and every error message are the same on any pool.
 Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
-                                              int threads = 1);
+                                              ThreadPool* pool = nullptr);
 
 /// \brief Captures the live serving state: every catalog binding (with its
 /// stored wire-visible content bytes), plus — when `scheduler` is non-null
@@ -175,17 +175,17 @@ Status WriteCatalogSnapshotFile(const std::string& path,
                                 const CatalogSnapshot& snapshot);
 
 /// \brief The streaming-read load path: reads the whole file into memory,
-/// then decodes on `threads` (as DecodeCatalogSnapshot). A missing or
+/// then decodes on `pool` (as DecodeCatalogSnapshot). A missing or
 /// unreadable path is an error (a warm restart must not silently fall back
 /// to a cold start).
 Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path,
-                                                int threads = 1);
+                                                ThreadPool* pool = nullptr);
 
 /// \brief The mmap load path: maps the file read-only (io/mmap_file.h) and
 /// decodes from the mapping — same validation, same typed errors, same
 /// resulting snapshot as the read path; only how the bytes arrive differs.
 Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path,
-                                                int threads = 1);
+                                                ThreadPool* pool = nullptr);
 
 }  // namespace cpdb
 

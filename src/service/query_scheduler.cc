@@ -480,7 +480,8 @@ QueryScheduler::QueryScheduler(const Engine* engine, TreeCatalog* catalog,
                                SchedulerOptions options)
     : options_(options),
       clock_(options.clock != nullptr ? options.clock
-                                      : SteadyClock::Instance()) {
+                                      : SteadyClock::Instance()),
+      pool_(std::make_unique<ThreadPool>(1)) {
   shards_.push_back(std::make_unique<Shard>(engine, catalog, options_));
 }
 
@@ -491,10 +492,15 @@ QueryScheduler::QueryScheduler(int num_shards,
       clock_(options.clock != nullptr ? options.clock
                                       : SteadyClock::Instance()) {
   const int n = std::max(num_shards, 1);
+  // ThreadsPerShard(t, 1) resolves a width < 1 to the hardware concurrency,
+  // as an engine's own pool would.
+  const int width = ThreadsPerShard(engine_options.num_threads, 1);
+  pool_ = std::make_unique<ThreadPool>(static_cast<int>(
+      std::min<int64_t>(ThreadPool::kMaxThreads, int64_t{width} * n)));
   shards_.reserve(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
     shards_.push_back(std::make_unique<Shard>(
-        std::make_unique<Engine>(engine_options),
+        std::make_unique<Engine>(pool_.get(), width),
         std::make_unique<TreeCatalog>(), options_));
   }
 }
@@ -571,19 +577,21 @@ Result<CatalogEntry> QueryScheduler::Insert(const std::string& name,
   return InsertRouted(
       name, identity.struct_key,
       [&](TreeCatalog* catalog) {
-        return catalog->InsertWithIdentity(name, identity);
+        return catalog->InsertWithIdentity(name, std::move(identity));
       },
       out_shard);
 }
 
-Status QueryScheduler::InstallSnapshot(const CatalogSnapshot& snapshot) {
-  for (const SnapshotTree& record : snapshot.trees) {
-    // Routed by the decoder-verified structural key; inserted with the
-    // record's own identity as is, like a live load after ComputeIdentity.
+Status QueryScheduler::InstallSnapshot(CatalogSnapshot snapshot) {
+  for (SnapshotTree& record : snapshot.trees) {
+    // Routed by the decoder-verified structural key; the record's own
+    // identity moves into the catalog as is, like a live load after
+    // ComputeIdentity, and its name stays.
+    TreeIdentity& identity = record;
     CPDB_RETURN_NOT_OK(InsertRouted(record.name, record.struct_key,
-                                    [&record](TreeCatalog* catalog) {
+                                    [&](TreeCatalog* catalog) {
                                       return catalog->InsertWithIdentity(
-                                          record.name, record);
+                                          record.name, std::move(identity));
                                     })
                            .status());
   }
@@ -772,15 +780,15 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
     slots[*shard].push_back(i);
   }
 
-  // Fan the shards out concurrently: one helper thread per busy shard
-  // beyond the first, which runs on the calling thread (a one-shard
-  // scheduler spawns nothing). Each shard writes only its own slots. The
-  // helpers are created per batch on purpose: the steady-state threads
-  // live in the shard engines' pools, and one short-lived dispatcher per
-  // busy shard is noise next to the folds it dispatches. A throw must fail
-  // slots, not the process: an exception escaping a helper's entry — or
-  // unwinding past joinable threads — is std::terminate.
-  auto run_shard = [&](size_t s) {
+  // Fan the busy shards out over the pool; each writes only its own
+  // slots. A throw must fail slots, not the process: pool tasks must not
+  // throw.
+  std::vector<size_t> busy;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!slots[s].empty()) busy.push_back(s);
+  }
+  pool_->ParallelFor(static_cast<int64_t>(busy.size()), [&](int64_t b) {
+    const size_t s = busy[static_cast<size_t>(b)];
     try {
       shards_[s]->ExecuteSlots(this, requests, slots[s], clk, &responses,
                                &timings);
@@ -794,41 +802,13 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
         responses[slot] = Status::Internal("shard execution failed");
       }
     }
-  };
-  std::vector<std::thread> helpers;
-  // Joins whatever was spawned on every exit path (spawning helper K can
-  // throw while helpers 0..K-1 run).
-  struct JoinHelpers {
-    std::vector<std::thread>* threads;
-    ~JoinHelpers() {
-      for (std::thread& helper : *threads) {
-        if (helper.joinable()) helper.join();
-      }
-    }
-  } join_guard{&helpers};
-  int first_busy = -1;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (slots[s].empty()) continue;
-    if (first_busy < 0) {
-      first_busy = static_cast<int>(s);
-      continue;
-    }
-    try {
-      helpers.emplace_back(run_shard, s);
-    } catch (...) {
-      // Thread exhaustion degrades this shard to the calling thread —
-      // slower, never fatal (run_shard itself cannot throw).
-      run_shard(s);
-    }
-  }
-  if (first_busy >= 0) run_shard(static_cast<size_t>(first_busy));
-  for (std::thread& helper : helpers) helper.join();
+  });
 
   // Admin phases in declared order — stats next-to-last (the counters
   // describe the batch that just ran), metrics last of all (a scrape in a
   // batch answers for everything the batch did, its own admin requests
-  // included), regardless of slot order. Every helper has joined, so the
-  // shard registries are quiescent.
+  // included), regardless of slot order. The dispatch loop has returned,
+  // so the shard registries are quiescent.
   for (const ServiceRequest& request : requests) {
     if (ops.spec(request.op).routing == OpRouting::kAdmin) {
       shards_[0]->Count(request);

@@ -20,7 +20,9 @@
 //      owning shard's catalog;
 //   2. every tree-addressed request (the OpRegistry's kTreeAddressed rows)
 //      routes to the shard holding its tree, and the per-shard sub-batches
-//      run concurrently, each on its shard's engine. Inside a shard every
+//      run concurrently, one ParallelFor over the busy shards on the
+//      scheduler's one pool, which every shard engine borrows (serve
+//      decodes its snapshot on it too). Inside a shard every
 //      slot's fetch runs first, in slot order: the shared precomputes
 //      route through the three caches — rank distributions by
 //      (StructKey, k), leaf marginals by StructKey, and the metric-tail
@@ -28,7 +30,7 @@
 //      ranks) by (StructKey, kind, k) — so queries sharing a structural
 //      key pay each precompute once, and a batch folds each shape's rank
 //      distribution once, at its largest k, serving smaller k a prefix.
-//      Then every slot's solve fans across the shard engine's pool;
+//      Then every slot's solve fans across the shard engine's width;
 //   3. the admin ops (stats, metrics) answer last with the shards' state
 //      merged: counters summed, registries merged bucket-wise.
 //
@@ -66,6 +68,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/hardness.h"
 #include "engine/engine.h"
 #include "io/request_protocol.h"
@@ -293,8 +296,9 @@ class QueryScheduler {
                  SchedulerOptions options = SchedulerOptions());
 
   /// \brief `num_shards` (clamped to >= 1) owned contexts, each with its
-  /// own Engine(engine_options) — callers wanting a fixed total thread
-  /// count split it with ThreadsPerShard — and caches configured by
+  /// own engine, at a width of engine_options.num_threads — callers wanting
+  /// a fixed total thread count split it with ThreadsPerShard — on one
+  /// pool of width × num_shards threads, and caches configured by
   /// `options` (so a cache budget applies to each shard's caches).
   QueryScheduler(int num_shards, const EngineOptions& engine_options,
                  SchedulerOptions options = SchedulerOptions());
@@ -316,7 +320,8 @@ class QueryScheduler {
   /// drops any remainder, and the floor of 1 means more shards than
   /// threads raises the effective total to num_shards — every shard
   /// engine needs at least one thread to exist. `serve --shards=N
-  /// --threads=T` sizes each shard engine with this.
+  /// --threads=T` sizes each shard engine's width with this, and the
+  /// scheduler's pool at N times it.
   static int ThreadsPerShard(int total_threads, int num_shards);
 
   /// \brief Registers `tree` under `name` in the owning shard's catalog —
@@ -334,7 +339,9 @@ class QueryScheduler {
   /// every persisted rank distribution seeds the cache of the shard that
   /// owns its key. Placement is a pure function of content, so a snapshot
   /// saved at --shards=M restores correctly at --shards=N for any M, N.
-  Status InstallSnapshot(const CatalogSnapshot& snapshot);
+  /// The records' identities move into the catalogs; pass a copy to keep
+  /// the snapshot.
+  Status InstallSnapshot(CatalogSnapshot snapshot);
 
   /// \brief Captures the merged serving state as one snapshot: the union
   /// of the shard catalogs (each name lives on exactly one shard) plus,
@@ -385,6 +392,10 @@ class QueryScheduler {
   std::vector<RankDistCache::RetainedEntry> RetainedRankDistributions() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
+
+  /// \brief The pool the shard engines borrow and the shard dispatch runs
+  /// on; one thread (no workers) over a caller's engine.
+  ThreadPool* pool() const { return pool_.get(); }
 
   /// \brief Rank-distribution cache counters, summed over shards (each
   /// shard's snapshot is consistent; the sum is taken shard by shard, like
@@ -482,6 +493,8 @@ class QueryScheduler {
 
   SchedulerOptions options_;
   const Clock* clock_;
+  // Declared before shards_, so it outlives the engines that borrow it.
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // Guards directory_ (name -> owning shard), used only with N > 1: queries
   // address trees by name, and the key is only known to the shard that

@@ -50,20 +50,15 @@ Result<CatalogEntry> TreeCatalog::Insert(const std::string& name,
   }
   CPDB_ASSIGN_OR_RETURN(TreeIdentity identity,
                         ComputeIdentity(std::move(tree)));
-  return InsertWithIdentity(name, identity);
+  return InsertWithIdentity(name, std::move(identity));
 }
 
-Result<CatalogEntry> TreeCatalog::InsertWithIdentity(
-    const std::string& name, const TreeIdentity& identity) {
+Result<CatalogEntry> TreeCatalog::InsertWithIdentity(const std::string& name,
+                                                     TreeIdentity identity) {
   if (name.empty()) {
     return Status::InvalidArgument("catalog name must not be empty");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  return InsertWithIdentityLocked(name, identity);
-}
-
-Result<CatalogEntry> TreeCatalog::InsertWithIdentityLocked(
-    const std::string& name, const TreeIdentity& identity) {
   // Whenever a hash matches existing state — at the name, content, or shape
   // level — confirm the bytes match too: the hashes are 64-bit and
   // non-cryptographic, and the dedup below plus the (StructKey, k) caches
@@ -100,19 +95,21 @@ Result<CatalogEntry> TreeCatalog::InsertWithIdentityLocked(
   if (shape == by_shape_.end()) {
     // First time this shape enters the catalog: compile its fold program
     // once. Every future load of any orientation of this shape — and every
-    // query against it — reuses the program through the shared_ptr.
+    // query against it — reuses the program through the shared_ptr. The
+    // byte compares are done, so new records take the identity's strings
+    // and tree over instead of copying them.
     ShapeRecord record;
-    record.tree = identity.canonical_tree;
-    record.program = std::make_shared<const FlatTree>(
-        FlatTree::Compile(*identity.canonical_tree));
-    record.canonical_bytes = identity.canonical_bytes;
+    record.tree = std::move(identity.canonical_tree);
+    record.program =
+        std::make_shared<const FlatTree>(FlatTree::Compile(*record.tree));
+    record.canonical_bytes = std::move(identity.canonical_bytes);
     ++fold_compiles_;
     shape = by_shape_.emplace(identity.struct_key, std::move(record)).first;
   }
   if (content == by_content_.end()) {
     by_content_.emplace(identity.content_fp,
                         ContentRecord{identity.struct_key,
-                                      identity.content});
+                                      std::move(identity.content)});
   }
   CatalogEntry entry{name, identity.content_fp, identity.struct_key,
                      shape->second.tree, shape->second.program};

@@ -122,9 +122,11 @@ class TreeCatalog {
   /// twice per load, and so a snapshot record (an identity the decoder
   /// computed and verified, or one IdentityOf returned) installs without
   /// re-deriving it; Insert is ComputeIdentity + this. The identity is
-  /// trusted: every field must be what ComputeIdentity would return.
+  /// trusted: every field must be what ComputeIdentity would return. A new
+  /// content or shape record takes the identity's bytes and tree over, so
+  /// callers done with the identity move it in.
   Result<CatalogEntry> InsertWithIdentity(const std::string& name,
-                                          const TreeIdentity& identity);
+                                          TreeIdentity identity);
 
   /// \brief Parses `text` (the s-expression tree format) and inserts it.
   Result<CatalogEntry> InsertFromText(const std::string& name,
@@ -177,9 +179,6 @@ class TreeCatalog {
     std::shared_ptr<const FlatTree> program;     // compiled once
     std::string canonical_bytes;                 // collision defense
   };
-
-  Result<CatalogEntry> InsertWithIdentityLocked(const std::string& name,
-                                                const TreeIdentity& identity);
 
   mutable std::mutex mu_;
   std::map<std::string, CatalogEntry> by_name_;

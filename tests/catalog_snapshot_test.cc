@@ -33,6 +33,7 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
@@ -165,6 +166,15 @@ std::string Restamped(std::string bytes) {
 // result and every error message must not depend on them.
 constexpr int kDecodeThreads[] = {1, 2, 4, 8};
 
+// A pool of each kDecodeThreads size, built once and shared by every check.
+ThreadPool* DecodePool(int threads) {
+  static ThreadPool one(1), two(2), four(4), eight(8);
+  for (ThreadPool* pool : {&one, &two, &four, &eight}) {
+    if (pool->num_threads() == threads) return pool;
+  }
+  return nullptr;
+}
+
 // The full rejection contract for one corrupt byte string: DecodeCatalogSnapshot
 // returns the expected typed Status at every decode thread count (both from
 // memory and through both file load paths, which must agree byte-for-byte
@@ -185,9 +195,11 @@ void ExpectRejected(const std::string& bytes, StatusCode code,
   for (int threads : kDecodeThreads) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     Result<CatalogSnapshot> in_memory =
-        DecodeCatalogSnapshot(bytes.data(), bytes.size(), threads);
-    Result<CatalogSnapshot> read = ReadCatalogSnapshotFile(path, threads);
-    Result<CatalogSnapshot> mapped = MmapCatalogSnapshotFile(path, threads);
+        DecodeCatalogSnapshot(bytes.data(), bytes.size(), DecodePool(threads));
+    Result<CatalogSnapshot> read =
+        ReadCatalogSnapshotFile(path, DecodePool(threads));
+    Result<CatalogSnapshot> mapped =
+        MmapCatalogSnapshotFile(path, DecodePool(threads));
     ASSERT_FALSE(in_memory.ok());
     ASSERT_FALSE(read.ok());
     ASSERT_FALSE(mapped.ok());
@@ -249,7 +261,7 @@ TEST(CatalogSnapshotCorruptionTest, TruncationAtEveryByteIsRejected) {
     for (size_t len = 0; len < valid.size(); ++len) {
       for (int threads : kDecodeThreads) {
         Result<CatalogSnapshot> decoded =
-            DecodeCatalogSnapshot(valid.data(), len, threads);
+            DecodeCatalogSnapshot(valid.data(), len, DecodePool(threads));
         ASSERT_FALSE(decoded.ok())
             << "accepted a " << len << "-byte prefix (dists=" << with_dists
             << ", threads=" << threads << ")";
@@ -270,7 +282,7 @@ TEST(CatalogSnapshotCorruptionTest, ZeroLengthAndTinyFilesAreRejected) {
   const std::string path = ::testing::TempDir() + "/empty.snap";
   ASSERT_TRUE(WriteStringToFile(path, "").ok());
   for (auto load : {ReadCatalogSnapshotFile, MmapCatalogSnapshotFile}) {
-    Result<CatalogSnapshot> loaded = load(path, 1);
+    Result<CatalogSnapshot> loaded = load(path, nullptr);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   }
@@ -492,7 +504,7 @@ TEST(CatalogSnapshotCorruptionTest, DistributionRecordDefectsAreRejected) {
 TEST(CatalogSnapshotCorruptionTest, MissingFileIsATypedError) {
   const std::string path = ::testing::TempDir() + "/does_not_exist.snap";
   for (auto load : {ReadCatalogSnapshotFile, MmapCatalogSnapshotFile}) {
-    Result<CatalogSnapshot> loaded = load(path, 1);
+    Result<CatalogSnapshot> loaded = load(path, nullptr);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
   }
@@ -955,7 +967,8 @@ TEST(CatalogSnapshotThreadsTest, EveryVersionDecodesAlikeAtAnyThreadCount) {
       for (int threads : kDecodeThreads) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         Result<CatalogSnapshot> decoded =
-            DecodeCatalogSnapshot(bytes.data(), bytes.size(), threads);
+            DecodeCatalogSnapshot(bytes.data(), bytes.size(),
+                                  DecodePool(threads));
         ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
         ExpectSameSnapshot(*decoded, *reference);
       }

@@ -10,6 +10,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -101,6 +108,105 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     pool.ParallelFor(8, [&](int64_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 64);
+}
+
+// The outer index whose body this thread is running, or -1.
+thread_local int64_t current_outer = -1;
+
+// A caller waiting in ParallelFor runs only its own loop's indices: a
+// thread inside outer body i never starts another outer body, and the inner
+// bodies it runs are loop i's. (A waiting caller that ran queued tasks
+// would run other loops' helpers with its own tag still set.)
+TEST(ThreadPoolTest, WaitingCallerNeverRunsAnotherLoopsBody) {
+  ThreadPool pool(4);
+  std::atomic<int> foreign{0};
+  std::atomic<int> inner_calls{0};
+  pool.ParallelFor(32, [&](int64_t i) {
+    if (current_outer != -1) foreign.fetch_add(1);
+    current_outer = i;
+    pool.ParallelFor(16, [&, i](int64_t) {
+      if (current_outer != -1 && current_outer != i) foreign.fetch_add(1);
+      inner_calls.fetch_add(1);
+      // Uneven, slow enough that callers wait on one another's indices.
+      std::this_thread::sleep_for(std::chrono::microseconds(20 + i % 3 * 20));
+    });
+    current_outer = -1;
+  });
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(inner_calls.load(), 32 * 16);
+}
+
+// A helper that starts after its loop returned claims nothing and leaves
+// `body`, by then destroyed, alone. The one worker is blocked while the
+// caller runs every index, so the loop's helper can only start late.
+TEST(ThreadPoolTest, LateHelperOfReturnedLoopTouchesNothing) {
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Submit([released] { released.wait(); });
+  std::atomic<int> calls{0};
+  {
+    auto body = std::make_unique<std::function<void(int64_t)>>(
+        [&calls](int64_t) { calls.fetch_add(1); });
+    pool.ParallelFor(8, *body);
+    EXPECT_EQ(calls.load(), 8);
+  }  // `body` is freed while the helper is still queued.
+  release.set_value();
+  // FIFO with one worker: this runs after the late helper.
+  std::promise<void> drained;
+  pool.Submit([&drained] { drained.set_value(); });
+  drained.get_future().wait();
+  EXPECT_EQ(calls.load(), 8);
+}
+
+// A loop runs on at most `width` threads, the caller among them; width 1
+// runs every index on the calling thread.
+TEST(ThreadPoolTest, ParallelForRunsOnAtMostWidthThreads) {
+  ThreadPool pool(8);
+  for (int width : {1, 2, 3}) {
+    std::mutex mu;
+    std::set<std::thread::id> seen;
+    pool.ParallelFor(
+        64,
+        [&](int64_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          std::lock_guard<std::mutex> lock(mu);
+          seen.insert(std::this_thread::get_id());
+        },
+        width);
+    EXPECT_LE(static_cast<int>(seen.size()), width) << "width " << width;
+    if (width == 1) {
+      EXPECT_EQ(seen.count(std::this_thread::get_id()), 1u);
+    }
+  }
+}
+
+// An engine that borrows a pool runs at its width, clamped to the pool,
+// and answers as an engine owning a pool of that size does.
+TEST(EngineTest, BorrowedPoolRunsAtItsWidth) {
+  ThreadPool pool(4);
+  EXPECT_EQ(Engine(&pool, 0).num_threads(), 1);
+  EXPECT_EQ(Engine(&pool, 2).num_threads(), 2);
+  EXPECT_EQ(Engine(&pool, 9).num_threads(), 4);
+  const Engine narrow(&pool, 1);
+  std::set<std::thread::id> seen;
+  narrow.ParallelFor(16, [&](int64_t) {
+    seen.insert(std::this_thread::get_id());  // one thread: no race
+  });
+  EXPECT_EQ(seen, std::set<std::thread::id>{std::this_thread::get_id()});
+
+  // Enough cells that the scan splits into chunks on the borrowed pool.
+  const AndXorTree tree = RandomDeepTree(7, 40);
+  ASSERT_GE(FanOutUnits(tree.NumLeaves(), tree.NumLeaves() * 30, 4), 2);
+  const Engine wide(&pool, 4);
+  const RankDistribution got = wide.ComputeRankDistribution(tree, 30);
+  const RankDistribution want = ComputeRankDistribution(tree, 30);
+  ASSERT_EQ(got.keys(), want.keys());
+  for (KeyId key : want.keys()) {
+    for (int i = 1; i <= 30; ++i) {
+      ASSERT_EQ(got.PrRankEq(key, i), want.PrRankEq(key, i));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

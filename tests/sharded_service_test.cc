@@ -17,9 +17,11 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "direct_answers.h"
 #include "io/request_protocol.h"
 #include "io/table_io.h"
@@ -212,6 +214,23 @@ TEST(ShardRoutingTest, ThreadsPerShardSplitsTheBudget) {
   EXPECT_EQ(ShardedScheduler::ThreadsPerShard(1, 1), 1);
   // total < 1 resolves to the hardware concurrency before splitting.
   EXPECT_GE(ShardedScheduler::ThreadsPerShard(0, 1), 1);
+}
+
+// The N-shard scheduler owns one pool of ThreadsPerShard(T, N) × N threads,
+// the total its shard engines borrow; over a caller's engine it runs its
+// one shard's dispatch on the calling thread.
+TEST(ShardRoutingTest, PoolHoldsThreadsPerShardTimesShards) {
+  for (const auto& [total, shards] : std::vector<std::pair<int, int>>{
+           {1, 1}, {4, 1}, {4, 4}, {8, 2}, {8, 3}, {2, 8}}) {
+    const int width = ShardedScheduler::ThreadsPerShard(total, shards);
+    ShardedScheduler sharded(shards, ReferenceEngineOptions(width));
+    EXPECT_EQ(sharded.pool()->num_threads(), width * shards)
+        << total << " threads, " << shards << " shards";
+  }
+  Engine engine(ReferenceEngineOptions(2));
+  TreeCatalog catalog;
+  QueryScheduler borrowed(&engine, &catalog);
+  EXPECT_EQ(borrowed.pool()->num_threads(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +570,8 @@ TEST_F(ShardedSchedulerTest, StreamingIsOrderSensitive) {
 
 // Concurrent ExecuteBatch calls through one sharded front-end: every
 // answer equals the single-threaded reference; TSan watches the directory
-// mutex, the per-shard catalogs/caches, and the fan-out helper threads.
+// mutex, the per-shard catalogs/caches, and the shard dispatch on the
+// scheduler's one pool.
 TEST_F(ShardedSchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
   ShardedScheduler sharded(3, ReferenceEngineOptions());
   Seed(&sharded, nullptr);
@@ -583,6 +603,70 @@ TEST_F(ShardedSchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
   for (const auto& results : observed) {
     ExpectSameResponses(results, reference, /*compare_stats=*/false,
                         "concurrent");
+  }
+}
+
+// Concurrent batches over trees whose rank scans split across the pool.
+// Every batch asks for the same shapes under a budget that retains nothing,
+// so a fetch often waits on another batch's in-flight fold of the same key
+// while that fold's chunks run on the shared pool. A thread waiting inside
+// a fold must never pick up another batch's dispatch for the same shard:
+// that dispatch would wait on the fold lower on its own stack. So the test
+// must finish, with the one-thread answers.
+TEST(ShardedConcurrencyTest, ConcurrentBatchesOverSplitScansFinish) {
+  constexpr int kK = 41;
+  std::vector<AndXorTree> trees;
+  for (uint64_t seed = 1; trees.size() < 4; ++seed) {
+    Rng rng(seed);
+    RandomTreeOptions opts;
+    opts.num_keys = 50;
+    opts.max_alternatives = 3;
+    AndXorTree tree = *RandomBid(opts, &rng);
+    if (tree.NumLeaves() >= 100) trees.push_back(std::move(tree));
+  }
+  std::vector<ServiceRequest> batch;
+  for (size_t i = 0; i < trees.size(); ++i) {
+    // At least 4,096 cells: a 2-wide engine splits the scan in two.
+    ASSERT_EQ(FanOutUnits(trees[i].NumLeaves(), trees[i].NumLeaves() * kK, 2),
+              2);
+    const std::string name = "big" + std::to_string(i);
+    batch.push_back(TopKRequest(name, kK, TopKMetric::kSymDiff));
+    batch.push_back(TopKRequest(name, 20, TopKMetric::kSymDiff,
+                                TopKAnswer::kMedian));
+    batch.push_back(WorldRequest(name));
+  }
+  auto seed = [&trees](ShardedScheduler* scheduler) {
+    for (size_t i = 0; i < trees.size(); ++i) {
+      ASSERT_TRUE(
+          scheduler->Insert("big" + std::to_string(i), trees[i]).ok());
+    }
+  };
+  ShardedScheduler one_thread(1, ReferenceEngineOptions(1));
+  seed(&one_thread);
+  const auto reference = one_thread.ExecuteBatch(batch);
+  for (const auto& slot : reference) ASSERT_TRUE(slot.ok());
+
+  SchedulerOptions options;
+  options.cache_budget_bytes = 0;
+  ShardedScheduler sharded(2, ReferenceEngineOptions(2), options);
+  ASSERT_EQ(sharded.pool()->num_threads(), 4);
+  seed(&sharded);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 16;
+  std::vector<std::vector<Result<ServiceResponse>>> observed(kCallers *
+                                                            kRounds);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&sharded, &batch, &observed, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        observed[t * kRounds + round] = sharded.ExecuteBatch(batch);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const auto& results : observed) {
+    ExpectSameResponses(results, reference, /*compare_stats=*/false,
+                        "concurrent split scans");
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -525,7 +526,9 @@ bool ReadLine(std::FILE* in, std::string* line) {
 // The serve command: reads one request per line (the protocol of
 // io/request_protocol.h) and answers through a QueryScheduler over
 // --shards=N (engine, catalog, cache) contexts, default 1, partitioned by
-// tree shape, splitting --threads evenly across the shard engines. Answers
+// tree shape, splitting --threads evenly across the shard engines, which
+// borrow the scheduler's one pool (the --catalog decode runs on it too, so
+// serve starts its threads in one place). Answers
 // are bitwise identical in every configuration; only throughput and, with
 // N > 1, the stats breakdown change.
 // Two execution modes:
@@ -573,13 +576,15 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   // operator asked for a warm catalog, so silently serving cold (and
   // answering every query with "no catalog tree named ...") would be the
   // silently-misread failure mode the strict flag parses exist to prevent.
-  // The records decode on --threads (see DecodeCatalogSnapshot).
+  // The records decode on the scheduler's pool (see DecodeCatalogSnapshot).
   if (!opts.catalog_path.empty()) {
     Result<CatalogSnapshot> snapshot =
-        opts.mmap ? MmapCatalogSnapshotFile(opts.catalog_path, opts.threads)
-                  : ReadCatalogSnapshotFile(opts.catalog_path, opts.threads);
-    Status installed = snapshot.ok() ? scheduler.InstallSnapshot(*snapshot)
-                                     : snapshot.status();
+        opts.mmap
+            ? MmapCatalogSnapshotFile(opts.catalog_path, scheduler.pool())
+            : ReadCatalogSnapshotFile(opts.catalog_path, scheduler.pool());
+    Status installed = snapshot.ok()
+                           ? scheduler.InstallSnapshot(std::move(*snapshot))
+                           : snapshot.status();
     if (!installed.ok()) {
       std::fprintf(err, "catalog error: cannot load '%s': %s\n",
                    opts.catalog_path.c_str(), installed.ToString().c_str());
@@ -894,9 +899,9 @@ std::string CliUsage() {
       "  --max-worlds=N      enumeration guard for `worlds` (default 4096)\n"
       "  (integer flags are parsed strictly: '--k=1o' is an error, not 1)\n"
       "  --threads=N         evaluation threads for topk, consensus-world,\n"
-      "                      baseline and serve, which also decodes its\n"
-      "                      --catalog snapshot on them (default 1; 0 = all\n"
-      "                      hardware cores; results are independent of N)\n"
+      "                      baseline and serve (one pool for its shards and\n"
+      "                      --catalog decode; default 1; 0 = all hardware\n"
+      "                      cores; results are independent of N)\n"
       "  --method=M          baseline only: escore (expected score), erank\n"
       "                      (expected rank), global (global top-k) or prf\n"
       "                      (PRF-upsilon with harmonic weights; default\n"
@@ -915,7 +920,7 @@ std::string CliUsage() {
       "  --shards=N          serve only: partition requests across N\n"
       "                      engine shards by structural key (default 1;\n"
       "                      each shard engine gets max(1, threads/N)\n"
-      "                      threads, so N > threads raises the total to\n"
+      "                      threads, so N > threads raises the pool to\n"
       "                      N; a --cache-budget applies to each shard's\n"
       "                      caches, so retained bytes scale with N;\n"
       "                      answers are bitwise identical for any N;\n"
