@@ -13,7 +13,6 @@
 
 #include "common/hash.h"
 #include "common/thread_pool.h"
-#include "io/mmap_file.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "service/query_scheduler.h"
@@ -26,12 +25,10 @@ constexpr size_t kChecksumBytes = 8;   // trailing u64
 // The smallest possible record of each kind — the divisor that lets the
 // decoder reject a forged count before iterating: `count` records need at
 // least count * minimum bytes, so a count exceeding remaining/minimum can
-// never fit, however the records are shaped. v2 tree records carry one
-// extra u64 (the structural key) over v1's.
-constexpr size_t kMinTreeRecordBytesV1 = 4 + 8 + 8;      // empty name/content
-constexpr size_t kMinTreeRecordBytesV2 = 4 + 8 + 8 + 8;  // + struct key
-constexpr size_t kMinDistRecordBytes = 8 + 4 + 8;   // zero keys
-constexpr size_t kMinKeyBlockBytes = 4 + 8;         // key id + one double
+// never fit, however the records are shaped.
+constexpr size_t kMinTreeRecordBytes = 4 + 8 + 8 + 8;  // empty name/content
+constexpr size_t kMinDistRecordBytes = 8 + 4 + 8;      // zero keys
+constexpr size_t kMinKeyBlockBytes = 4 + 8;            // key id + one double
 
 // --- little-endian primitives (explicit byte shifts: the format must not
 // depend on host endianness or on struct layout) -------------------------
@@ -118,8 +115,7 @@ std::string DistWhere(uint64_t index) {
   return "distribution record " + std::to_string(index);
 }
 
-// One tree record's fields, viewing the snapshot bytes. `struct_key` is
-// the stored one (0 in v1, which stores none).
+// One tree record's fields, viewing the snapshot bytes.
 struct TreeFrame {
   std::string_view name;
   uint64_t fingerprint = 0;
@@ -130,7 +126,7 @@ struct TreeFrame {
 // One distribution record's fields; `block` holds its `key_count` key
 // blocks (a key id and k probabilities each).
 struct DistFrame {
-  uint64_t key = 0;  // the owning tree's structural key (v1: fingerprint)
+  uint64_t key = 0;  // the owning tree's structural key
   uint32_t k = 0;
   uint64_t key_count = 0;
   std::string_view block;
@@ -138,8 +134,7 @@ struct DistFrame {
 
 // Reads every record's lengths, bounds-checked, into frames, stopping at
 // the first framing defect, which it returns.
-Status FrameRecords(uint32_t version, uint64_t tree_count,
-                    uint64_t dist_count, Reader* reader,
+Status FrameRecords(uint64_t tree_count, uint64_t dist_count, Reader* reader,
                     std::vector<TreeFrame>* trees,
                     std::vector<DistFrame>* dists) {
   for (uint64_t index = 0; index < tree_count; ++index) {
@@ -151,7 +146,7 @@ Status FrameRecords(uint32_t version, uint64_t tree_count,
     reader->ReadBytes(name_len, &frame.name);
     uint64_t content_len = 0;
     if (!reader->ReadU64(&frame.fingerprint) ||
-        (version >= 2 && !reader->ReadU64(&frame.struct_key)) ||
+        !reader->ReadU64(&frame.struct_key) ||
         !reader->ReadU64(&content_len)) {
       return Truncated(TreeWhere(index));
     }
@@ -193,21 +188,20 @@ Status FrameRecords(uint32_t version, uint64_t tree_count,
 // content bytes, the bytes must parse and be the round-trip serialization
 // of the tree they parse to (so ContentFp stays injective over formatted
 // texts — a hand-crafted denormalized record would corrupt the catalog's
-// content dedup), and in v2 and v3 the stored structural key must hash
-// the canonical re-orientation.
-Status DecodeTree(uint32_t version, uint64_t index, const TreeFrame& frame,
+// content dedup), and the stored structural key must hash the canonical
+// re-orientation.
+Status DecodeTree(uint64_t index, const TreeFrame& frame,
                   TreeIdentity* identity_out) {
   auto where = [&] {
     return TreeWhere(index) + " ('" + std::string(frame.name) + "')";
   };
   // The identity is derived exactly as a live load derives it; only the
-  // stored fields are checked against it, never trusted (v1 has no
-  // structural key to go by; in v2 and v3 a forged key would route the
-  // binding to the wrong shard and the wrong cache lines). Derived first,
-  // so the text is hashed once: a text that round-trips is the identity's
-  // content, whose ContentFp was hashed in one pass with the canonical
-  // bytes. Any other text is hashed on its own, so the fingerprint check
-  // still comes first.
+  // stored fields are checked against it, never trusted (a forged
+  // structural key would route the binding to the wrong shard and the
+  // wrong cache lines). Derived first, so the text is hashed once: a text
+  // that round-trips is the identity's content, whose ContentFp was hashed
+  // in one pass with the canonical bytes. Any other text is hashed on its
+  // own, so the fingerprint check still comes first.
   Result<AndXorTree> parsed = ParseTree(frame.text);
   const Status parse_status = parsed.status();
   Result<TreeIdentity> identity =
@@ -235,7 +229,7 @@ Status DecodeTree(uint32_t version, uint64_t index, const TreeFrame& frame,
     return Status::ParseError(where() +
                               ": stored tree text is not in canonical form");
   }
-  if (version >= 2 && frame.struct_key != identity->struct_key.value()) {
+  if (frame.struct_key != identity->struct_key.value()) {
     return Status::ParseError(
         where() +
         ": stored structural key does not hash the canonical form of the "
@@ -248,8 +242,8 @@ Status DecodeTree(uint32_t version, uint64_t index, const TreeFrame& frame,
 // A distribution record's own checks: ascending keys, probabilities in
 // [0, 1], and exactly its tree's key set (`tree_keys`, sorted), without
 // which the engine would be served zeros for keys it ranks.
-// (Canonicalization permutes children, never leaves, so the key set is
-// orientation-independent and valid under both addressings.)
+// (Canonicalization permutes children, never leaves, so every tree of the
+// record's structural key has that key set, whatever its orientation.)
 Status DecodeDistribution(uint64_t index, const DistFrame& frame,
                           const std::string& tree_name,
                           const std::vector<KeyId>& tree_keys,
@@ -392,17 +386,18 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
   std::string_view magic;
   reader.ReadBytes(sizeof(kCatalogSnapshotMagic), &magic);
 
-  // 3. Version: refuse anything newer than this build writes — a future
-  // format may carry semantics this decoder would silently drop, and
-  // guessing wrong corrupts answers, so unknown version => hard error.
+  // 3. Version: refuse anything but the version this build writes — a
+  // newer format may carry semantics this decoder would silently drop, an
+  // older one distributions folded differently, and guessing wrong corrupts
+  // answers, so any other version => hard error.
   uint32_t version = 0;
   uint32_t reserved = 0;
   reader.ReadU32(&version);
   reader.ReadU32(&reserved);
-  if (version == 0 || version > kCatalogSnapshotVersion) {
+  if (version != kCatalogSnapshotVersion) {
     return Status::InvalidArgument(
         "catalog snapshot format version " + std::to_string(version) +
-        " is not supported by this build (newest supported: " +
+        " is not supported by this build (the one supported version is " +
         std::to_string(kCatalogSnapshotVersion) + "); refusing to guess");
   }
   if (reserved != 0) {
@@ -434,10 +429,8 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
   // 5. Counts vs payload: a record count whose minimum encoding exceeds the
   // remaining bytes is forged — reject before looping (this is the
   // entry-count-overflow defense; the division cannot overflow).
-  const size_t min_tree_record_bytes =
-      version >= 2 ? kMinTreeRecordBytesV2 : kMinTreeRecordBytesV1;
   const size_t payload_remaining = reader.remaining();
-  if (tree_count > payload_remaining / min_tree_record_bytes) {
+  if (tree_count > payload_remaining / kMinTreeRecordBytes) {
     return Status::ParseError(
         "catalog snapshot tree count " + std::to_string(tree_count) +
         " cannot fit in the remaining " + std::to_string(payload_remaining) +
@@ -452,13 +445,11 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
 
   // 6. Framing: walk every record's lengths, keeping views into the
   // snapshot bytes, up to the first framing defect. Nothing is parsed yet.
-  // (v1 dist records address trees by content fingerprint; v2 and v3 by
-  // structural key.)
   std::vector<TreeFrame> tree_frames;
   std::vector<DistFrame> dist_frames;
   tree_frames.reserve(static_cast<size_t>(tree_count));
-  Status framing = FrameRecords(version, tree_count, dist_count, &reader,
-                                &tree_frames, &dist_frames);
+  Status framing = FrameRecords(tree_count, dist_count, &reader, &tree_frames,
+                                &dist_frames);
   // The cursor must land exactly on the checksum: bytes between the last
   // record and the trailing u64 are garbage even when the file's author
   // re-stamped a checksum over them.
@@ -492,8 +483,8 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
     const TreeFrame& frame = tree_frames[static_cast<size_t>(i)];
     DecodedTree& out = decoded_trees[static_cast<size_t>(i)];
     out.status = Guarded(TreeWhere, static_cast<uint64_t>(i), [&] {
-      CPDB_RETURN_NOT_OK(DecodeTree(version, static_cast<uint64_t>(i), frame,
-                                    &out.identity));
+      CPDB_RETURN_NOT_OK(
+          DecodeTree(static_cast<uint64_t>(i), frame, &out.identity));
       // Every distribution of this tree compares its keys against these,
       // sorted once per tree.
       if (!dist_frames.empty()) {
@@ -522,8 +513,7 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
     }
     CPDB_RETURN_NOT_OK(decoded_trees[index].status);
     // Decoded, both stored keys equal the recomputed ones.
-    tree_of_key.emplace(version >= 2 ? frame.struct_key : frame.fingerprint,
-                        index);
+    tree_of_key.emplace(frame.struct_key, index);
     snapshot.trees.push_back(
         SnapshotTree{std::move(decoded_trees[index].identity),
                      std::string(frame.name)});
@@ -541,18 +531,15 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
     auto tree_it = tree_of_key.find(frame.key);
     if (tree_it == tree_of_key.end()) {
       dist_defect = Status::ParseError(
-          DistWhere(index) + ": distribution for " +
-          std::string(version >= 2 ? "structural key " : "fingerprint ") +
+          DistWhere(index) + ": distribution for structural key " +
           HashToHex(frame.key) +
           ", which no tree record in this snapshot carries");
       break;
     }
     if (!seen_dists.emplace(frame.key, frame.k).second) {
       dist_defect = Status::ParseError(
-          DistWhere(index) + ": duplicate (" +
-          std::string(version >= 2 ? "structural key" : "fingerprint") +
-          ", k) = (" + HashToHex(frame.key) + ", " + std::to_string(frame.k) +
-          ")");
+          DistWhere(index) + ": duplicate (structural key, k) = (" +
+          HashToHex(frame.key) + ", " + std::to_string(frame.k) + ")");
       break;
     }
     dist_tree.push_back(tree_it->second);
@@ -576,15 +563,6 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
   snapshot.distributions.reserve(dist_tree.size());
   for (size_t index = 0; index < dist_tree.size(); ++index) {
     CPDB_RETURN_NOT_OK(decoded_dists[index].status);
-    if (version < 3) {
-      // Folded before v3, with AND children multiplied left to right (and
-      // in v1 possibly over a non-canonical orientation): its bits can
-      // differ in the last place from this build's balanced-product fold,
-      // so seeding it would make an answer depend on which entries a warm
-      // restart kept. Fully validated above, then dropped — the restarted
-      // replica recomputes it on first use.
-      continue;
-    }
     SnapshotDistribution record;
     record.struct_key = snapshot.trees[dist_tree[index]].struct_key;
     record.k = static_cast<int>(dist_frames[index].k);
@@ -654,12 +632,6 @@ Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path,
                                                 ThreadPool* pool) {
   CPDB_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
   return DecodeCatalogSnapshot(bytes.data(), bytes.size(), pool);
-}
-
-Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path,
-                                                ThreadPool* pool) {
-  CPDB_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-  return DecodeCatalogSnapshot(file.data(), file.size(), pool);
 }
 
 }  // namespace cpdb

@@ -4,8 +4,9 @@
 // restarted serving process (or a newly spawned shard replica) come up warm
 // instead of re-parsing and re-folding every tree. A snapshot file holds:
 //
-//   * a magic + format-version header (unknown version => refuse, never
-//     guess — the untangle basetree.h BASETREE_MAGIC discipline);
+//   * a magic + format-version header (any version but this build's =>
+//     refuse, never guess — the untangle basetree.h BASETREE_MAGIC
+//     discipline);
 //   * one record per catalog binding: (name, content fingerprint,
 //     structural key, content serialization). The content text is the
 //     format's source of truth: ContentFp is definitionally Fnv1a64 over
@@ -30,7 +31,8 @@
 // catalog (tests/catalog_snapshot_test.cc runs the corruption torture
 // matrix under ASan/UBSan).
 //
-// Format v3 (the version this build writes), all integers little-endian:
+// Format v3 (the one version this build reads and writes), all integers
+// little-endian:
 //
 //   offset 0   8 bytes   magic "CPDBSNAP"
 //   offset 8   u32       format version (3)
@@ -46,16 +48,14 @@
 //                 i32 key id, then k doubles (raw IEEE-754 bits, little-
 //                 endian): Pr(r(key) = i) for i = 1..k
 //
-// Format v2 (still readable) has v3's layout; only its distributions'
-// bits differ: they were folded with AND children multiplied left to
-// right, where this build multiplies them as balanced products (see
-// model/flat_tree.h). Format v1 (still readable) also differs in layout:
-// tree records carry no structural key (it is recomputed on load by
-// canonicalizing the parsed tree), and dist records are keyed by content
-// fingerprint. The trees of a v1 or v2 file load as usual; its dist
-// records are fully validated and then dropped, not seeded: a persisted
-// fold could differ in the last bit from the fold this build would serve
-// cold, and an answer must not depend on what a warm restart kept.
+// Files of formats v1 and v2 (earlier builds) are refused like any other
+// version. v2's distributions were folded with AND children multiplied left
+// to right, where this build multiplies them as balanced products (see
+// model/flat_tree.h), so seeding one could make an answer depend on what a
+// warm restart kept. To carry such a file forward, load and save it with
+// the last build that still read v1 and v2 (it writes v3 and seeds no v1 or
+// v2 distribution): `cpdb_cli serve --catalog=old --save-catalog=new
+// < /dev/null`.
 //
 // Records are written in sorted order (trees by name, distributions by
 // (StructKey, k)), so encoding is a pure function of the logical content:
@@ -85,11 +85,10 @@ class ThreadPool;
 inline constexpr char kCatalogSnapshotMagic[8] = {'C', 'P', 'D', 'B',
                                                   'S', 'N', 'A', 'P'};
 
-/// \brief The newest format version this build reads and the only one it
-/// writes. A file stamped with a larger version is refused outright — a
-/// newer format may carry semantics this decoder would silently drop.
-/// Versions 1 and 2 are still read, without their distributions; see the
-/// format notes above.
+/// \brief The one format version this build reads and writes. A file
+/// stamped with any other version is refused outright — a newer format may
+/// carry semantics this decoder would silently drop, and an older one
+/// distributions folded differently; see the format notes above.
 inline constexpr uint32_t kCatalogSnapshotVersion = 3;
 
 /// \brief One persisted catalog binding: a named TreeIdentity. `content` is
@@ -124,9 +123,8 @@ struct CatalogSnapshot {
 /// pure function of the logical content.
 std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot);
 
-/// \brief Parses and fully validates `size` bytes of snapshot (v1, v2 or
-/// v3; the distributions of a v1 or v2 file are validated, not returned).
-/// On any defect — truncation, bad magic, unsupported future version,
+/// \brief Parses and fully validates `size` bytes of a v3 snapshot.
+/// On any defect — truncation, bad magic, any other format version,
 /// checksum mismatch, counts or lengths overflowing the payload, an
 /// embedded tree that fails ParseTree or whose stored text is not the
 /// round-trip serialization, a fingerprint that does not hash its bytes, a
@@ -174,17 +172,13 @@ Status InstallCatalogSnapshot(const CatalogSnapshot& snapshot,
 Status WriteCatalogSnapshotFile(const std::string& path,
                                 const CatalogSnapshot& snapshot);
 
-/// \brief The streaming-read load path: reads the whole file into memory,
-/// then decodes on `pool` (as DecodeCatalogSnapshot). A missing or
-/// unreadable path is an error (a warm restart must not silently fall back
-/// to a cold start).
+/// \brief The load path: reads the whole file into memory (a pipe or FIFO
+/// reads like a file), then decodes on `pool` (as DecodeCatalogSnapshot).
+/// A missing or unreadable path is an error (a warm restart must not
+/// silently fall back to a cold start). A file rewritten while it is read
+/// yields short or mixed bytes, which the decoder reports as a typed
+/// truncation or checksum error.
 Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path,
-                                                ThreadPool* pool = nullptr);
-
-/// \brief The mmap load path: maps the file read-only (io/mmap_file.h) and
-/// decodes from the mapping — same validation, same typed errors, same
-/// resulting snapshot as the read path; only how the bytes arrive differs.
-Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path,
                                                 ThreadPool* pool = nullptr);
 
 }  // namespace cpdb

@@ -101,6 +101,11 @@ std::string FormatSlowQueryLine(int64_t line_number,
   return out;
 }
 
+namespace {
+
+// Reads and parses a kLoad request's file into a validated tree
+// (request.load_format selects the parser) — the front half of load
+// execution, ahead of identity and routing.
 Result<AndXorTree> LoadRequestTree(const ServiceRequest& request) {
   CPDB_ASSIGN_OR_RETURN(std::string content,
                         ReadFileToString(request.load_file));
@@ -110,8 +115,6 @@ Result<AndXorTree> LoadRequestTree(const ServiceRequest& request) {
   CPDB_ASSIGN_OR_RETURN(std::vector<Block> blocks, ParseBidTable(content));
   return MakeBlockIndependent(blocks);
 }
-
-namespace {
 
 void AccumulateCacheStats(CacheStats* total, const CacheStats& part) {
   total->hits += part.hits;

@@ -192,11 +192,6 @@ struct ServiceResponse {
 /// FormatResponseLine. The inverse direction of ServiceRequestFromLine.
 std::vector<RequestField> ResponseToFields(const ServiceResponse& response);
 
-/// \brief Reads and parses a kLoad request's file into a validated tree
-/// (request.load_format selects the parser) — the front half of load
-/// execution, ahead of identity and routing.
-Result<AndXorTree> LoadRequestTree(const ServiceRequest& request);
-
 /// \brief Scheduler knobs.
 struct SchedulerOptions {
   /// Byte budget applied to *each* owned cache (the CLI's --cache-budget):

@@ -5,18 +5,17 @@
 //
 //   * Corruption rejection: a snapshot file is untrusted input, and every
 //     way of mangling one — truncation at *every* byte boundary, a zeroed
-//     file, bad magic, a future format version, a flipped payload or
-//     checksum byte, record counts that cannot fit the payload, embedded
-//     trees that fail ParseTree or are non-canonical, fingerprints that do
-//     not hash their bytes, duplicate or dangling records, non-finite
-//     probabilities, trailing garbage — must come back as a clean typed
-//     Status, never an abort, and never a partially mutated catalog. This
-//     suite runs under ASan/UBSan in CI, so an out-of-bounds read in the
-//     decoder fails the build, not just the expectation.
+//     file, bad magic, any format version but this build's, a flipped
+//     payload or checksum byte, record counts that cannot fit the payload,
+//     embedded trees that fail ParseTree or are non-canonical, fingerprints
+//     that do not hash their bytes, duplicate or dangling records,
+//     non-finite probabilities, trailing garbage — must come back as a clean
+//     typed Status, never an abort, and never a partially mutated catalog.
+//     This suite runs under ASan/UBSan in CI, so an out-of-bounds read in
+//     the decoder fails the build, not just the expectation.
 //
-//   * Round-trip fidelity: save -> load -> save is byte-identical, loaded
-//     trees fingerprint identically to the originals, and the mmap load
-//     path agrees with the streaming-read path bit for bit — over
+//   * Round-trip fidelity: save -> load -> save is byte-identical, and
+//     loaded trees fingerprint identically to the originals — over
 //     hand-written trees and the full random-generator families.
 
 #include "service/catalog_snapshot.h"
@@ -177,8 +176,8 @@ ThreadPool* DecodePool(int threads) {
 
 // The full rejection contract for one corrupt byte string: DecodeCatalogSnapshot
 // returns the expected typed Status at every decode thread count (both from
-// memory and through both file load paths, which must agree byte-for-byte
-// on the error), and a catalog fed through the serve path's
+// memory and through the file load path, which must agree byte-for-byte on
+// the error), and a catalog fed through the serve path's
 // decode-then-install sequence is untouched.
 void ExpectRejected(const std::string& bytes, StatusCode code,
                     const std::string& needle, const std::string& label) {
@@ -198,16 +197,12 @@ void ExpectRejected(const std::string& bytes, StatusCode code,
         DecodeCatalogSnapshot(bytes.data(), bytes.size(), DecodePool(threads));
     Result<CatalogSnapshot> read =
         ReadCatalogSnapshotFile(path, DecodePool(threads));
-    Result<CatalogSnapshot> mapped =
-        MmapCatalogSnapshotFile(path, DecodePool(threads));
     ASSERT_FALSE(in_memory.ok());
     ASSERT_FALSE(read.ok());
-    ASSERT_FALSE(mapped.ok());
     EXPECT_EQ(in_memory.status().code(), code);
     EXPECT_EQ(read.status().code(), code);
     EXPECT_EQ(in_memory.status().message(), decoded.status().message());
     EXPECT_EQ(read.status().message(), decoded.status().message());
-    EXPECT_EQ(mapped.status().message(), decoded.status().message());
   }
 
   // The serve path decodes before touching any catalog, so a pre-populated
@@ -281,11 +276,9 @@ TEST(CatalogSnapshotCorruptionTest, ZeroLengthAndTinyFilesAreRejected) {
   // An empty *file* through the read path reports the same typed error.
   const std::string path = ::testing::TempDir() + "/empty.snap";
   ASSERT_TRUE(WriteStringToFile(path, "").ok());
-  for (auto load : {ReadCatalogSnapshotFile, MmapCatalogSnapshotFile}) {
-    Result<CatalogSnapshot> loaded = load(path, nullptr);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-  }
+  Result<CatalogSnapshot> loaded = ReadCatalogSnapshotFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
 TEST(CatalogSnapshotCorruptionTest, BadMagicIsRejected) {
@@ -298,14 +291,18 @@ TEST(CatalogSnapshotCorruptionTest, BadMagicIsRejected) {
   ExpectRejected(other, StatusCode::kParseError, "bad magic", "other format");
 }
 
+// Every version but this build's is refused by name — the older ones
+// (1 and 2, which earlier builds wrote) as firmly as the future ones.
 TEST(CatalogSnapshotCorruptionTest, UnsupportedVersionsAreRefusedNotGuessed) {
-  for (uint32_t version : {uint32_t{0}, kCatalogSnapshotVersion + 1,
-                           uint32_t{0xffffffff}}) {
+  for (uint32_t version : {uint32_t{0}, uint32_t{1}, uint32_t{2},
+                           kCatalogSnapshotVersion + 1, uint32_t{0xffffffff}}) {
     std::string bytes = ValidBytes(true);
     PokeU32(&bytes, kVersionOffset, version);
     // Restamped: the version gate itself must fire, not the checksum.
     ExpectRejected(Restamped(std::move(bytes)), StatusCode::kInvalidArgument,
-                   "not supported", "version " + std::to_string(version));
+                   "format version " + std::to_string(version) +
+                       " is not supported",
+                   "version " + std::to_string(version));
   }
 }
 
@@ -394,7 +391,7 @@ TEST(CatalogSnapshotCorruptionTest, FingerprintNotHashingItsBytesIsRejected) {
 }
 
 TEST(CatalogSnapshotCorruptionTest, ForgedStructuralKeyIsRejected) {
-  // A v2 record whose stored structural key is not the hash of the
+  // A record whose stored structural key is not the hash of the
   // canonical re-orientation: accepting it would route the binding to the
   // wrong shard and the wrong cache lines, so the decoder recomputes and
   // compares.
@@ -424,14 +421,14 @@ TEST(CatalogSnapshotCorruptionTest, DistributionRecordDefectsAreRejected) {
   CatalogSnapshot valid = live.Snapshot(true);
   ASSERT_FALSE(valid.distributions.empty());
 
-  // Dangling: a distribution whose fingerprint no tree record carries.
+  // Dangling: a distribution whose structural key no tree record carries.
   CatalogSnapshot dangling = valid;
   dangling.distributions[0].struct_key =
       StructKey(dangling.distributions[0].struct_key.value() ^ 1);
   ExpectRejected(EncodeCatalogSnapshot(dangling), StatusCode::kParseError,
                  "no tree record", "dangling structural key");
 
-  // Duplicate (fingerprint, k).
+  // Duplicate (structural key, k).
   CatalogSnapshot duplicate = valid;
   duplicate.distributions.push_back(duplicate.distributions[0]);
   ExpectRejected(EncodeCatalogSnapshot(duplicate), StatusCode::kParseError,
@@ -503,11 +500,9 @@ TEST(CatalogSnapshotCorruptionTest, DistributionRecordDefectsAreRejected) {
 // until traffic notices the latency).
 TEST(CatalogSnapshotCorruptionTest, MissingFileIsATypedError) {
   const std::string path = ::testing::TempDir() + "/does_not_exist.snap";
-  for (auto load : {ReadCatalogSnapshotFile, MmapCatalogSnapshotFile}) {
-    Result<CatalogSnapshot> loaded = load(path, nullptr);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
-  }
+  Result<CatalogSnapshot> loaded = ReadCatalogSnapshotFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------
@@ -567,7 +562,7 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     ASSERT_EQ(original.distributions.size(), 4u);
     const std::string bytes = EncodeCatalogSnapshot(original);
 
-    // load -> save: byte identity, from memory and through both file paths.
+    // load -> save: byte identity, from memory and through the file path.
     Result<CatalogSnapshot> decoded =
         DecodeCatalogSnapshot(bytes.data(), bytes.size());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -576,11 +571,8 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     const std::string path = ::testing::TempDir() + "/roundtrip.snap";
     ASSERT_TRUE(WriteCatalogSnapshotFile(path, original).ok());
     Result<CatalogSnapshot> read = ReadCatalogSnapshotFile(path);
-    Result<CatalogSnapshot> mapped = MmapCatalogSnapshotFile(path);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_EQ(EncodeCatalogSnapshot(*read), bytes);
-    EXPECT_EQ(EncodeCatalogSnapshot(*mapped), bytes);
 
     // Every loaded tree re-fingerprints to the original value — the loaded
     // catalog's identity map is the cold catalog's by construction.
@@ -663,208 +655,6 @@ TEST(CatalogSnapshotRoundTripTest, LoadedDistributionsAreBitwiseExact) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 compatibility
-// ---------------------------------------------------------------------------
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  AppendU32(out, static_cast<uint32_t>(v & 0xffffffffULL));
-  AppendU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-// Encodes the pre-structural-key v1 layout: tree records carry no struct
-// key, and distribution records are addressed by content fingerprint.
-std::string EncodeV1Snapshot(
-    const std::vector<std::pair<std::string, std::string>>& trees,
-    const std::vector<std::pair<std::string, const RankDistribution*>>&
-        dists_by_text,
-    int k) {
-  std::string out;
-  out.append(kCatalogSnapshotMagic, sizeof(kCatalogSnapshotMagic));
-  AppendU32(&out, 1);  // version
-  AppendU32(&out, 0);  // reserved
-  AppendU64(&out, trees.size());
-  AppendU64(&out, dists_by_text.size());
-  for (const auto& [name, text] : trees) {
-    AppendU32(&out, static_cast<uint32_t>(name.size()));
-    out.append(name);
-    AppendU64(&out, Fnv1a64(text));
-    AppendU64(&out, text.size());
-    out.append(text);
-  }
-  for (const auto& [text, dist] : dists_by_text) {
-    AppendU64(&out, Fnv1a64(text));
-    AppendU32(&out, static_cast<uint32_t>(k));
-    AppendU64(&out, dist->keys().size());
-    for (KeyId key : dist->keys()) {
-      AppendU32(&out, static_cast<uint32_t>(key));
-      for (int i = 1; i <= k; ++i) {
-        double pr = dist->PrRankEq(key, i);
-        uint64_t bits = 0;
-        std::memcpy(&bits, &pr, sizeof(bits));
-        AppendU64(&out, bits);
-      }
-    }
-  }
-  AppendU64(&out, Fnv1a64(out.data(), out.size()));
-  return out;
-}
-
-// A v1 file loads through the same decode + InsertWithIdentity seam, with
-// structural keys recomputed from the stored content. Its distributions,
-// keyed by content fingerprint, are validated and dropped: they predate
-// the balanced-product fold, so this build's cold fold could differ in the
-// last bit (see V2DistributionsAreNotSeeded).
-TEST(CatalogSnapshotV1CompatTest, V1FilesLoadWithRecomputedKeys) {
-  // Two orientations of one shape: exactly one is the canonical one.
-  AndXorTree ab = Tree(
-      "(and (xor 0.6 (leaf key=1 score=8) 0.3 (leaf key=1 score=5))"
-      " (xor 0.7 (leaf key=2 score=9)))");
-  AndXorTree ba = Tree(
-      "(and (xor 0.7 (leaf key=2 score=9))"
-      " (xor 0.6 (leaf key=1 score=8) 0.3 (leaf key=1 score=5)))");
-  const std::string ab_text = FormatTree(ab, /*indent=*/false);
-  const std::string ba_text = FormatTree(ba, /*indent=*/false);
-  ASSERT_NE(ab_text, ba_text);
-  const std::string canon_text =
-      FormatTree(*CanonicalizeTree(ab), /*indent=*/false);
-  ASSERT_EQ(canon_text, FormatTree(*CanonicalizeTree(ba), /*indent=*/false));
-  const std::string other_text = ab_text == canon_text ? ba_text : ab_text;
-  const StructKey shape_key(Fnv1a64(canon_text));
-
-  Engine dist_engine(TestEngineOptions());
-  const RankDistribution canon_dist =
-      dist_engine.ComputeRankDistribution(Tree(canon_text), 2);
-  const RankDistribution other_dist =
-      dist_engine.ComputeRankDistribution(Tree(other_text), 2);
-  const std::string bytes = EncodeV1Snapshot(
-      {{"canon", canon_text}, {"perm", other_text}},
-      {{canon_text, &canon_dist}, {other_text, &other_dist}}, /*k=*/2);
-
-  Result<CatalogSnapshot> decoded =
-      DecodeCatalogSnapshot(bytes.data(), bytes.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->trees.size(), 2u);
-  for (const SnapshotTree& record : decoded->trees) {
-    // Content identity is preserved verbatim; the structural key is
-    // recomputed, and both orientations collapse to one shape.
-    EXPECT_EQ(record.content_fp, ContentFp(Fnv1a64(record.content)));
-    EXPECT_EQ(record.struct_key, shape_key);
-  }
-  // No v1 fold is seeded, the canonical orientation's included.
-  EXPECT_TRUE(decoded->distributions.empty());
-
-  // Installing lands both names on one shared shape, with no fold seeded.
-  Engine engine(TestEngineOptions());
-  TreeCatalog catalog;
-  QueryScheduler scheduler(&engine, &catalog);
-  ASSERT_TRUE(InstallCatalogSnapshot(*decoded, &catalog, &scheduler).ok());
-  const CatalogCounts counts = catalog.Counts();
-  EXPECT_EQ(counts.names, 2);
-  EXPECT_EQ(counts.contents, 2);
-  EXPECT_EQ(counts.shapes, 1);
-  EXPECT_EQ(scheduler.cache_stats().entries, 0);
-
-  // Re-saving writes the current version; the upgraded file round-trips
-  // byte-identically from then on.
-  const std::string upgraded =
-      EncodeCatalogSnapshot(BuildCatalogSnapshot(catalog, &scheduler));
-  Result<CatalogSnapshot> reloaded =
-      DecodeCatalogSnapshot(upgraded.data(), upgraded.size());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(EncodeCatalogSnapshot(*reloaded), upgraded);
-}
-
-// A v2 file has the v3 layout, but its distributions were folded with AND
-// children multiplied left to right. Its trees install; its distributions
-// are not seeded, so the served distribution is bitwise a cold fold's
-// whatever the file carried.
-TEST(CatalogSnapshotVersionTest, V2DistributionsAreNotSeeded) {
-  const std::string text =
-      "(and (xor 0.6 (leaf key=1 score=8) 0.3 (leaf key=1 score=5))"
-      " (xor 0.7 (leaf key=2 score=9))"
-      " (xor 0.5 (leaf key=3 score=7) 0.5 (leaf key=3 score=6))"
-      " (xor 0.45 (leaf key=4 score=4)) (xor 0.35 (leaf key=5 score=6.5)))";
-  const int k = 3;
-  Engine engine(TestEngineOptions());
-  TreeCatalog catalog;
-  QueryScheduler scheduler(&engine, &catalog);
-  ASSERT_TRUE(catalog.Insert("t", Tree(text)).ok());
-  ASSERT_TRUE(scheduler.ExecuteOne(TopKRequest("t", k)).ok());
-  CatalogSnapshot snapshot = BuildCatalogSnapshot(catalog, &scheduler);
-  ASSERT_EQ(snapshot.distributions.size(), 1u);
-  // A stale record, valid but not the fold: if it were seeded, it would
-  // be served.
-  RankDistributionBuilder stale(k);
-  for (KeyId key : snapshot.distributions[0].dist->keys()) {
-    for (int i = 1; i <= k; ++i) stale.Add(key, i, 0.125);
-  }
-  snapshot.distributions[0].dist =
-      std::make_shared<const RankDistribution>(std::move(stale).Build());
-  const std::string v3 = EncodeCatalogSnapshot(snapshot);
-  Result<CatalogSnapshot> as_v3 = DecodeCatalogSnapshot(v3.data(), v3.size());
-  ASSERT_TRUE(as_v3.ok()) << as_v3.status().ToString();
-  ASSERT_EQ(as_v3->distributions.size(), 1u);
-
-  std::string v2 = v3;
-  PokeU32(&v2, kVersionOffset, 2);
-  v2 = Restamped(std::move(v2));
-  Result<CatalogSnapshot> decoded = DecodeCatalogSnapshot(v2.data(), v2.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->trees.size(), 1u);
-  EXPECT_TRUE(decoded->distributions.empty());
-
-  Engine warm_engine(TestEngineOptions());
-  TreeCatalog warm_catalog;
-  QueryScheduler warm(&warm_engine, &warm_catalog);
-  ASSERT_TRUE(InstallCatalogSnapshot(*decoded, &warm_catalog, &warm).ok());
-  ASSERT_TRUE(warm.ExecuteOne(TopKRequest("t", k)).ok());
-  EXPECT_EQ(warm.cache_stats().misses, 1);
-  const std::vector<RankDistCache::RetainedEntry> served =
-      warm.RetainedRankDistributions();
-  ASSERT_EQ(served.size(), 1u);
-  const RankDistribution cold = Engine(TestEngineOptions())
-      .ComputeRankDistribution(*decoded->trees[0].canonical_tree, k);
-  ASSERT_EQ(served[0].dist->keys(), cold.keys());
-  for (KeyId key : cold.keys()) {
-    for (int i = 1; i <= k; ++i) {
-      const double got = served[0].dist->PrRankEq(key, i);
-      const double want = cold.PrRankEq(key, i);
-      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
-          << "key " << key << " rank " << i;
-    }
-  }
-}
-
-// v1 files get the same adversarial treatment as v2: a fingerprint that
-// does not hash its bytes, or a dangling distribution, is rejected with
-// the same typed errors.
-TEST(CatalogSnapshotV1CompatTest, CorruptV1FilesAreRejected) {
-  AndXorTree tree = Tree(kTreeText);
-  const std::string text = FormatTree(tree, /*indent=*/false);
-  Engine dist_engine(TestEngineOptions());
-  const RankDistribution dist = dist_engine.ComputeRankDistribution(tree, 2);
-
-  std::string forged_fp =
-      EncodeV1Snapshot({{"t", text}}, {}, /*k=*/2);
-  // Flip a fingerprint bit (offset: header 32 + u32 name len 4 + name).
-  const size_t fp_offset = 32 + 4 + 1;
-  forged_fp[fp_offset] = static_cast<char>(forged_fp[fp_offset] ^ 1);
-  ExpectRejected(Restamped(std::move(forged_fp)), StatusCode::kParseError,
-                 "does not hash", "v1 forged fingerprint");
-
-  const std::string missing_tree =
-      EncodeV1Snapshot({}, {{text, &dist}}, /*k=*/2);
-  ExpectRejected(missing_tree, StatusCode::kParseError, "no tree record",
-                 "v1 dangling fingerprint");
-}
-
-// ---------------------------------------------------------------------------
 // Parallel decode: the same snapshot and the same first defect at any
 // thread count
 // ---------------------------------------------------------------------------
@@ -925,53 +715,25 @@ void ExpectSameSnapshot(const CatalogSnapshot& got,
   }
 }
 
-TEST(CatalogSnapshotThreadsTest, EveryVersionDecodesAlikeAtAnyThreadCount) {
+TEST(CatalogSnapshotThreadsTest, V3FileDecodesAlikeAtAnyThreadCount) {
   for (bool with_dists : {false, true}) {
+    SCOPED_TRACE(with_dists ? "with distributions" : "trees only");
     const CatalogSnapshot source = GeneratedSnapshot(with_dists);
     ASSERT_EQ(source.trees.size(), 24u);
     ASSERT_EQ(!source.distributions.empty(), with_dists);
-    const std::string v3 = EncodeCatalogSnapshot(source);
-    std::string v2 = v3;
-    PokeU32(&v2, kVersionOffset, 2);
-    v2 = Restamped(std::move(v2));
-    // v1: the same bindings, each distribution addressed by the content
-    // fingerprint of the first tree of its shape.
-    std::vector<std::pair<std::string, std::string>> v1_trees;
-    for (const SnapshotTree& tree : source.trees) {
-      v1_trees.emplace_back(tree.name, tree.content);
-    }
-    std::vector<std::pair<std::string, const RankDistribution*>> v1_dists;
-    for (const SnapshotDistribution& dist : source.distributions) {
-      for (const SnapshotTree& tree : source.trees) {
-        if (tree.struct_key == dist.struct_key) {
-          v1_dists.emplace_back(tree.content, dist.dist.get());
-          break;
-        }
-      }
-    }
-    const std::string v1 = EncodeV1Snapshot(v1_trees, v1_dists, /*k=*/3);
-
-    for (const auto& [version, bytes] :
-         std::vector<std::pair<int, std::string>>{{1, v1}, {2, v2}, {3, v3}}) {
-      SCOPED_TRACE("v" + std::to_string(version) +
-                   (with_dists ? " with distributions" : " trees only"));
-      Result<CatalogSnapshot> reference =
-          DecodeCatalogSnapshot(bytes.data(), bytes.size());
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-      ASSERT_EQ(reference->distributions.size(),
-                version == 3 ? source.distributions.size() : 0u);
-      if (version == 3) {
-        // Every stored field and distribution bit, against the source.
-        ASSERT_EQ(EncodeCatalogSnapshot(*reference), v3);
-      }
-      for (int threads : kDecodeThreads) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        Result<CatalogSnapshot> decoded =
-            DecodeCatalogSnapshot(bytes.data(), bytes.size(),
-                                  DecodePool(threads));
-        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-        ExpectSameSnapshot(*decoded, *reference);
-      }
+    const std::string bytes = EncodeCatalogSnapshot(source);
+    Result<CatalogSnapshot> reference =
+        DecodeCatalogSnapshot(bytes.data(), bytes.size());
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_EQ(reference->distributions.size(), source.distributions.size());
+    // Every stored field and distribution bit, against the source.
+    ASSERT_EQ(EncodeCatalogSnapshot(*reference), bytes);
+    for (int threads : kDecodeThreads) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      Result<CatalogSnapshot> decoded = DecodeCatalogSnapshot(
+          bytes.data(), bytes.size(), DecodePool(threads));
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ExpectSameSnapshot(*decoded, *reference);
     }
   }
 }

@@ -5,8 +5,7 @@
 // loaded the same trees line-by-line. The load-bearing comparisons are
 // byte-level — responses are rendered through the actual protocol
 // formatter and compared as strings — across every op (all four Top-k
-// metrics, both worlds, stats, error lines), shard counts {1, 2, 4}, and
-// both snapshot load paths (streaming read and mmap).
+// metrics, both worlds, stats, error lines) and shard counts {1, 2, 4}.
 //
 // Stats parity splits by snapshot flavor, by design:
 //   * trees-only snapshot: full byte parity *including* stats lines — both
@@ -190,10 +189,9 @@ class CatalogWarmRestartTest : public ::testing::Test {
                     .ok());
   }
 
-  // Loads the snapshot through the selected path, as serve --catalog does.
-  Result<CatalogSnapshot> LoadSnapshot(bool mmap) const {
-    return mmap ? MmapCatalogSnapshotFile(snapshot_path_)
-                : ReadCatalogSnapshotFile(snapshot_path_);
+  // Loads the snapshot file, as serve --catalog does.
+  Result<CatalogSnapshot> LoadSnapshot() const {
+    return ReadCatalogSnapshotFile(snapshot_path_);
   }
 
   std::vector<AndXorTree> trees_;
@@ -207,8 +205,8 @@ class CatalogWarmRestartTest : public ::testing::Test {
 
 // A trees-only snapshot restores a service whose *entire wire transcript* —
 // answers, error lines, and stats lines — is byte-identical to a cold
-// service fed the same trees line-by-line, on both load paths, batch and
-// streaming, cold and re-run warm.
+// service fed the same trees line-by-line, batch and streaming, cold and
+// re-run warm.
 TEST_F(CatalogWarmRestartTest, TreesOnlySnapshotIsByteIdenticalToColdStart) {
   SaveTreesOnlySnapshot();
   const std::vector<ServiceRequest> batch = DifferentialBatch(names_);
@@ -220,23 +218,19 @@ TEST_F(CatalogWarmRestartTest, TreesOnlySnapshotIsByteIdenticalToColdStart) {
   auto want_first = cold.ExecuteBatch(batch);
   auto want_second = cold.ExecuteBatch(batch);
 
-  for (bool mmap : {false, true}) {
-    const std::string label = mmap ? "mmap" : "read";
-    Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    Engine warm_engine(ReferenceEngineOptions());
-    TreeCatalog warm_catalog;
-    QueryScheduler warm(&warm_engine, &warm_catalog);
-    ASSERT_TRUE(
-        InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
-    EXPECT_EQ(warm_catalog.size(), trees_.size());
-    // No distribution sections => the restored cache is exactly as cold as
-    // a fresh one, so even hit/miss counters must match byte-for-byte.
-    ExpectSameWire(warm.ExecuteBatch(batch), want_first,
-                   /*compare_stats=*/true, label + " first batch");
-    ExpectSameWire(warm.ExecuteBatch(batch), want_second,
-                   /*compare_stats=*/true, label + " second batch");
-  }
+  Result<CatalogSnapshot> snapshot = LoadSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  Engine warm_engine(ReferenceEngineOptions());
+  TreeCatalog warm_catalog;
+  QueryScheduler warm(&warm_engine, &warm_catalog);
+  ASSERT_TRUE(InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
+  EXPECT_EQ(warm_catalog.size(), trees_.size());
+  // No distribution sections => the restored cache is exactly as cold as
+  // a fresh one, so even hit/miss counters must match byte-for-byte.
+  ExpectSameWire(warm.ExecuteBatch(batch), want_first,
+                 /*compare_stats=*/true, "first batch");
+  ExpectSameWire(warm.ExecuteBatch(batch), want_second,
+                 /*compare_stats=*/true, "second batch");
 }
 
 TEST_F(CatalogWarmRestartTest, StreamingTranscriptMatchesColdStart) {
@@ -263,21 +257,18 @@ TEST_F(CatalogWarmRestartTest, StreamingTranscriptMatchesColdStart) {
   SeedCold(&cold_catalog, nullptr);
   auto want = stream_through(&cold);
 
-  for (bool mmap : {false, true}) {
-    Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-    ASSERT_TRUE(snapshot.ok());
-    Engine warm_engine(ReferenceEngineOptions());
-    TreeCatalog warm_catalog;
-    QueryScheduler warm(&warm_engine, &warm_catalog);
-    ASSERT_TRUE(
-        InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
-    ExpectSameWire(stream_through(&warm), want, /*compare_stats=*/true,
-                   mmap ? "streaming mmap" : "streaming read");
-  }
+  Result<CatalogSnapshot> snapshot = LoadSnapshot();
+  ASSERT_TRUE(snapshot.ok());
+  Engine warm_engine(ReferenceEngineOptions());
+  TreeCatalog warm_catalog;
+  QueryScheduler warm(&warm_engine, &warm_catalog);
+  ASSERT_TRUE(InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
+  ExpectSameWire(stream_through(&warm), want, /*compare_stats=*/true,
+                 "streaming");
 }
 
 // ---------------------------------------------------------------------------
-// Sharded: warm vs cold across shard counts, both load paths
+// Sharded: warm vs cold across shard counts
 // ---------------------------------------------------------------------------
 
 TEST_F(CatalogWarmRestartTest, ShardedWarmStartMatchesColdAcrossShardCounts) {
@@ -306,18 +297,15 @@ TEST_F(CatalogWarmRestartTest, ShardedWarmStartMatchesColdAcrossShardCounts) {
     ExpectSameWire(cold_first, want_first, /*compare_stats=*/false,
                    "cold shards=" + std::to_string(shards));
 
-    for (bool mmap : {false, true}) {
-      const std::string label = "shards=" + std::to_string(shards) +
-                                (mmap ? " mmap" : " read");
-      Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-      ShardedScheduler warm(shards, ReferenceEngineOptions());
-      ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
-      ExpectSameWire(warm.ExecuteBatch(batch), cold_first,
-                     /*compare_stats=*/true, label + " first");
-      ExpectSameWire(warm.ExecuteBatch(batch), cold_second,
-                     /*compare_stats=*/true, label + " second");
-    }
+    const std::string label = "shards=" + std::to_string(shards);
+    Result<CatalogSnapshot> snapshot = LoadSnapshot();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ShardedScheduler warm(shards, ReferenceEngineOptions());
+    ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+    ExpectSameWire(warm.ExecuteBatch(batch), cold_first,
+                   /*compare_stats=*/true, label + " first");
+    ExpectSameWire(warm.ExecuteBatch(batch), cold_second,
+                   /*compare_stats=*/true, label + " second");
   }
 }
 
@@ -371,48 +359,45 @@ TEST_F(CatalogWarmRestartTest, PrecomputedDistributionsMakeFirstBatchWarm) {
   ASSERT_GT(after_cold.misses, 0);
 
   for (int shards : {0, 1, 2, 4}) {  // 0 = the single-engine scheduler
-    for (bool mmap : {false, true}) {
-      const std::string label = "shards=" + std::to_string(shards) +
-                                (mmap ? " mmap" : " read");
-      Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-      ASSERT_EQ(snapshot->distributions.size(),
-                static_cast<size_t>(after_cold.entries));
+    const std::string label = "shards=" + std::to_string(shards);
+    Result<CatalogSnapshot> snapshot = LoadSnapshot();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ASSERT_EQ(snapshot->distributions.size(),
+              static_cast<size_t>(after_cold.entries));
 
-      std::vector<Result<ServiceResponse>> got;
-      CacheStats warm_stats;
-      if (shards == 0) {
-        Engine warm_engine(ReferenceEngineOptions());
-        TreeCatalog warm_catalog;
-        QueryScheduler warm(&warm_engine, &warm_catalog);
-        ASSERT_TRUE(
-            InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
-        // Seeding provisions the cache without pretending to be traffic:
-        // entries and bytes are charged, counters stay zero.
-        EXPECT_EQ(warm.cache_stats().entries, after_cold.entries);
-        EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes);
-        EXPECT_EQ(warm.cache_stats().hits, 0);
-        EXPECT_EQ(warm.cache_stats().misses, 0);
-        got = warm.ExecuteBatch(batch);
-        warm_stats = warm.cache_stats();
-      } else {
-        ShardedScheduler warm(shards, ReferenceEngineOptions());
-        ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
-        EXPECT_EQ(warm.cache_stats().entries, after_cold.entries);
-        EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes);
-        got = warm.ExecuteBatch(batch);
-        warm_stats = warm.cache_stats();
-      }
-
-      // Answers (and error lines) byte-identical; stats lines excluded —
-      // their difference is the feature under test, asserted directly:
-      ExpectSameWire(got, want_cold, /*compare_stats=*/false, label);
-      // ...the warm service's first batch re-folded nothing.
-      EXPECT_EQ(warm_stats.misses, 0) << label;
-      EXPECT_GT(warm_stats.hits, 0) << label;
-      EXPECT_EQ(warm_stats.entries, after_cold.entries) << label;
-      EXPECT_EQ(warm_stats.bytes, after_cold.bytes) << label;
+    std::vector<Result<ServiceResponse>> got;
+    CacheStats warm_stats;
+    if (shards == 0) {
+      Engine warm_engine(ReferenceEngineOptions());
+      TreeCatalog warm_catalog;
+      QueryScheduler warm(&warm_engine, &warm_catalog);
+      ASSERT_TRUE(
+          InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
+      // Seeding provisions the cache without pretending to be traffic:
+      // entries and bytes are charged, counters stay zero.
+      EXPECT_EQ(warm.cache_stats().entries, after_cold.entries);
+      EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes);
+      EXPECT_EQ(warm.cache_stats().hits, 0);
+      EXPECT_EQ(warm.cache_stats().misses, 0);
+      got = warm.ExecuteBatch(batch);
+      warm_stats = warm.cache_stats();
+    } else {
+      ShardedScheduler warm(shards, ReferenceEngineOptions());
+      ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+      EXPECT_EQ(warm.cache_stats().entries, after_cold.entries);
+      EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes);
+      got = warm.ExecuteBatch(batch);
+      warm_stats = warm.cache_stats();
     }
+
+    // Answers (and error lines) byte-identical; stats lines excluded —
+    // their difference is the feature under test, asserted directly:
+    ExpectSameWire(got, want_cold, /*compare_stats=*/false, label);
+    // ...the warm service's first batch re-folded nothing.
+    EXPECT_EQ(warm_stats.misses, 0) << label;
+    EXPECT_GT(warm_stats.hits, 0) << label;
+    EXPECT_EQ(warm_stats.entries, after_cold.entries) << label;
+    EXPECT_EQ(warm_stats.bytes, after_cold.bytes) << label;
   }
 }
 
@@ -430,7 +415,7 @@ TEST_F(CatalogWarmRestartTest, SeedingRespectsTheCacheBudget) {
                   snapshot_path_, BuildCatalogSnapshot(cold_catalog, &cold))
                   .ok());
 
-  Result<CatalogSnapshot> snapshot = LoadSnapshot(false);
+  Result<CatalogSnapshot> snapshot = LoadSnapshot();
   ASSERT_TRUE(snapshot.ok());
   for (int64_t budget : {int64_t{0}, int64_t{700}}) {
     SchedulerOptions options;
@@ -581,7 +566,7 @@ TEST_F(CatalogWarmRestartTest, QueriesDuringInstallSeeNotFoundOrExactAnswer) {
   ASSERT_TRUE(WriteCatalogSnapshotFile(
                   snapshot_path_, BuildCatalogSnapshot(cold_catalog, &cold))
                   .ok());
-  Result<CatalogSnapshot> snapshot = LoadSnapshot(true);
+  Result<CatalogSnapshot> snapshot = LoadSnapshot();
   ASSERT_TRUE(snapshot.ok());
 
   ShardedScheduler warm(3, ReferenceEngineOptions());

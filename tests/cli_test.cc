@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/set_consensus.h"
 #include "engine/engine.h"
 #include "io/request_protocol.h"
@@ -782,8 +783,8 @@ TEST_F(CliTest, ServeHasNoCacheSwitch) {
 }
 
 // serve --save-catalog / --catalog: a replica restored from a snapshot
-// answers the same requests with byte-identical stdout, on both load paths,
-// and the snapshot round-trips through a serve process byte-identically.
+// answers the same requests with byte-identical stdout, and the snapshot
+// round-trips through a serve process byte-identically.
 TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
   const std::string cold_path = ::testing::TempDir() + "/cli_snap_cold.txt";
   const std::string warm_path = ::testing::TempDir() + "/cli_snap_warm.txt";
@@ -811,14 +812,10 @@ TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
   queries_start = cold.out.find("\n", queries_start + 1);  // after load b
   const std::string want = cold.out.substr(queries_start + 1);
 
-  for (const char* extra : {"", "--mmap"}) {
-    std::vector<std::string> args = {"serve", warm_path, "--threads=2",
-                                     "--catalog=" + snap_path};
-    if (*extra != '\0') args.push_back(extra);
-    CliResult warm = RunCliArgs(args);
-    EXPECT_EQ(warm.code, 0) << warm.err;
-    EXPECT_EQ(warm.out, want) << "load path: " << (*extra ? extra : "read");
-  }
+  CliResult warm = RunCliArgs(
+      {"serve", warm_path, "--threads=2", "--catalog=" + snap_path});
+  EXPECT_EQ(warm.code, 0) << warm.err;
+  EXPECT_EQ(warm.out, want);
 
   // The snapshot carried the distributions the cold run computed: a warm
   // replica's first (and only) batch never misses the rank-dist cache.
@@ -841,6 +838,51 @@ TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
   EXPECT_EQ(*ReadFileToString(snap2_path), *ReadFileToString(snap_path));
 }
 
+// Warm restart has one loader and one format: there is no --mmap switch,
+// and a file stamped with an earlier format version is a startup error
+// naming that version — never a silent cold start.
+TEST_F(CliTest, ServeReadsOneSnapshotFormatThroughOneLoader) {
+  const std::string load_path = ::testing::TempDir() + "/cli_v2_load.txt";
+  const std::string empty_path = ::testing::TempDir() + "/cli_v2_none.txt";
+  const std::string snap_path = ::testing::TempDir() + "/cli_v2_src.snap";
+  const std::string v2_path = ::testing::TempDir() + "/cli_v2.snap";
+  ASSERT_TRUE(
+      WriteStringToFile(load_path, "op=load name=t file=" + tree_path_ + "\n")
+          .ok());
+  ASSERT_TRUE(WriteStringToFile(empty_path, "# no requests\n").ok());
+  CliResult saved =
+      RunCliArgs({"serve", load_path, "--save-catalog=" + snap_path});
+  ASSERT_EQ(saved.code, 0) << saved.err;
+
+  CliResult mmap = RunCliArgs(
+      {"serve", empty_path, "--catalog=" + snap_path, "--mmap"});
+  EXPECT_EQ(mmap.code, 2);
+  EXPECT_TRUE(mmap.out.empty()) << mmap.out;
+  EXPECT_NE(mmap.err.find("unknown flag --mmap"), std::string::npos)
+      << mmap.err;
+
+  // The same file stamped version 2 (offset 8), its checksum restamped so
+  // the version gate is what fires.
+  std::string bytes = *ReadFileToString(snap_path);
+  ASSERT_GT(bytes.size(), 40u);
+  bytes[8] = 2;
+  const uint64_t checksum = Fnv1a64(bytes.data(), bytes.size() - 8);
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + static_cast<size_t>(i)] =
+        static_cast<char>((checksum >> (8 * i)) & 0xff);
+  }
+  ASSERT_TRUE(WriteStringToFile(v2_path, bytes).ok());
+  CliResult v2 = RunCliArgs({"serve", empty_path, "--catalog=" + v2_path});
+  EXPECT_EQ(v2.code, 1);
+  EXPECT_TRUE(v2.out.empty()) << v2.out;
+  EXPECT_NE(v2.err.find("catalog error: cannot load '" + v2_path + "'"),
+            std::string::npos)
+      << v2.err;
+  EXPECT_NE(v2.err.find("format version 2 is not supported"),
+            std::string::npos)
+      << v2.err;
+}
+
 TEST_F(CliTest, ServeSnapshotFlagHygiene) {
   const std::string requests_path =
       ::testing::TempDir() + "/cli_snap_req.txt";
@@ -849,20 +891,14 @@ TEST_F(CliTest, ServeSnapshotFlagHygiene) {
   // Value hygiene at parse time: exit 2 plus usage, before any serving.
   for (const std::vector<std::string>& args :
        {std::vector<std::string>{"serve", requests_path, "--catalog="},
-        std::vector<std::string>{"serve", requests_path, "--save-catalog="},
-        std::vector<std::string>{"serve", requests_path, "--mmap=on"},
-        std::vector<std::string>{"serve", requests_path, "--mmap"}}) {
+        std::vector<std::string>{"serve", requests_path, "--save-catalog="}}) {
     CliResult r = RunCliArgs(args);
     EXPECT_EQ(r.code, 2) << args.back();
     EXPECT_NE(r.err.find("usage"), std::string::npos) << args.back();
   }
-  // --mmap without --catalog is a contradiction, not a no-op.
-  CliResult orphan = RunCliArgs({"serve", requests_path, "--mmap"});
-  EXPECT_NE(orphan.err.find("--mmap requires --catalog"), std::string::npos);
 
   // Serve-only scope, like every other serve flag.
-  for (const char* flag : {"--catalog=/tmp/x", "--save-catalog=/tmp/x",
-                           "--mmap"}) {
+  for (const char* flag : {"--catalog=/tmp/x", "--save-catalog=/tmp/x"}) {
     CliResult scoped = RunCliArgs({"topk", tree_path_, "--k=2", flag});
     EXPECT_EQ(scoped.code, 2) << flag;
     EXPECT_NE(scoped.err.find("applies only to serve"), std::string::npos)
@@ -870,16 +906,12 @@ TEST_F(CliTest, ServeSnapshotFlagHygiene) {
   }
 
   // A missing snapshot is a startup error — never a silent cold start
-  // masquerading as a warm one — on both load paths.
-  for (const char* extra : {"", "--mmap"}) {
-    std::vector<std::string> args = {"serve", requests_path,
-                                     "--catalog=/does/not/exist.snap"};
-    if (*extra != '\0') args.push_back(extra);
-    CliResult r = RunCliArgs(args);
-    EXPECT_EQ(r.code, 1) << (*extra ? extra : "read");
-    EXPECT_NE(r.err.find("catalog error: cannot load"), std::string::npos)
-        << r.err;
-  }
+  // masquerading as a warm one.
+  CliResult missing = RunCliArgs(
+      {"serve", requests_path, "--catalog=/does/not/exist.snap"});
+  EXPECT_EQ(missing.code, 1);
+  EXPECT_NE(missing.err.find("catalog error: cannot load"), std::string::npos)
+      << missing.err;
 
   // A corrupt snapshot is rejected the same way.
   const std::string bad_path = ::testing::TempDir() + "/cli_snap_bad.snap";

@@ -758,7 +758,7 @@ TEST_F(OpPipelineTest, WarmRestartServesTheSameAnalyticsBytes) {
                                             {"--catalog=" + snapshot})),
             MaskLineNumbers(query_transcript));
   EXPECT_EQ(MaskLineNumbers(ServeTranscript(
-                query_path, {"--catalog=" + snapshot, "--mmap", "--shards=2"})),
+                query_path, {"--catalog=" + snapshot, "--shards=2"})),
             MaskLineNumbers(query_transcript));
 }
 

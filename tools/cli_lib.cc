@@ -49,7 +49,6 @@ struct CliOptions {
   bool shards_set = false;  // --shards given (serve only)
   std::string catalog_path;       // serve: snapshot to load at startup
   std::string save_catalog_path;  // serve: snapshot to write at shutdown
-  bool mmap = false;  // serve: load --catalog via mmap instead of read
   bool metrics = true;      // serve: instruments + op=metrics on/off
   bool metrics_set = false;  // --metrics given (serve only)
   int64_t slow_query_ms = 0;      // serve: slow-query log threshold
@@ -170,13 +169,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
         return Status::InvalidArgument("--save-catalog requires a file path");
       }
       opts.save_catalog_path = value;
-    } else if (name == "mmap") {
-      // A boolean presence flag, same convention as --stream.
-      if (eq != std::string::npos) {
-        return Status::InvalidArgument("--mmap takes no value, got '" + value +
-                                       "'");
-      }
-      opts.mmap = true;
     } else if (name == "metrics") {
       // Strict enum parse, same convention as --method.
       if (value == "on") {
@@ -229,12 +221,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
   }
   if (!opts.save_catalog_path.empty() && opts.command != "serve") {
     return Status::InvalidArgument("--save-catalog applies only to serve");
-  }
-  if (opts.mmap && opts.command != "serve") {
-    return Status::InvalidArgument("--mmap applies only to serve");
-  }
-  if (opts.mmap && opts.catalog_path.empty()) {
-    return Status::InvalidArgument("--mmap requires --catalog");
   }
   if (opts.metrics_set && opts.command != "serve") {
     return Status::InvalidArgument("--metrics applies only to serve");
@@ -579,9 +565,7 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   // The records decode on the scheduler's pool (see DecodeCatalogSnapshot).
   if (!opts.catalog_path.empty()) {
     Result<CatalogSnapshot> snapshot =
-        opts.mmap
-            ? MmapCatalogSnapshotFile(opts.catalog_path, scheduler.pool())
-            : ReadCatalogSnapshotFile(opts.catalog_path, scheduler.pool());
+        ReadCatalogSnapshotFile(opts.catalog_path, scheduler.pool());
     Status installed = snapshot.ok()
                            ? scheduler.InstallSnapshot(std::move(*snapshot))
                            : snapshot.status();
@@ -926,19 +910,17 @@ std::string CliUsage() {
       "                      answers are bitwise identical for any N;\n"
       "                      with N > 1 op=stats adds per-shard breakdown\n"
       "                      fields)\n"
-      "  --catalog=FILE      serve only: load a catalog snapshot (written\n"
-      "                      by --save-catalog) before reading requests —\n"
-      "                      the warm-restart path. A missing or corrupt\n"
-      "                      snapshot is a startup error, never a silent\n"
+      "  --catalog=FILE      serve only: load a catalog snapshot (format v3,\n"
+      "                      as --save-catalog writes) before reading\n"
+      "                      requests — the warm-restart path. A missing or\n"
+      "                      corrupt snapshot, or one of another format\n"
+      "                      version, is a startup error, never a silent\n"
       "                      cold start. Answers are bitwise identical to\n"
       "                      loading the same trees via op=load lines\n"
       "  --save-catalog=FILE serve only: after answering all requests,\n"
       "                      write the catalog (and the retained rank\n"
       "                      distributions, so the next process's first\n"
       "                      batch hits warm) as a checksummed snapshot\n"
-      "  --mmap              serve only, requires --catalog: map the\n"
-      "                      snapshot read-only instead of streaming it\n"
-      "                      into memory; same validation, same answers\n"
       "  --metrics=on|off    serve only: the metrics registry behind\n"
       "                      op=metrics (default on; off disables all\n"
       "                      timing reads and makes op=metrics an error;\n"
