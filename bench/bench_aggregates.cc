@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "core/aggregates.h"
+#include "oracle/references.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "core/clustering.h"
 #include "model/builders.h"
+#include "oracle/references.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -2,8 +2,7 @@
 //
 // Experiment E4: the rank-distribution engine (Example 3 machinery) that
 // powers every Section 5 algorithm: the rank scan's scaling over n and k,
-// on BID and deep and/xor inputs, plus the pairwise order statistics for
-// Kendall.
+// on BID and deep and/xor inputs.
 
 #include <benchmark/benchmark.h>
 
@@ -77,54 +76,6 @@ void BM_RankDistDeepAndXor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankDistDeepAndXor)->ArgsProduct({{16, 32, 64, 128}, {10}});
-
-void BM_PairwiseOrderProbabilities(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Rng rng(23);
-  RandomTreeOptions opts;
-  opts.num_keys = n;
-  opts.max_alternatives = 2;
-  auto tree = RandomBid(opts, &rng);
-  std::vector<KeyId> keys = tree->Keys();
-  for (auto _ : state) {
-    auto p = PairwiseOrderProbabilities(*tree, keys);
-    benchmark::DoNotOptimize(p);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_PairwiseOrderProbabilities)
-    ->RangeMultiplier(2)
-    ->Range(8, 64)
-    ->Complexity();
-
-// Pointer-tree reference for the pairwise matrix: what the code did before
-// the satellite fix — re-walk the pointer tree for every (u, v) cell
-// instead of compiling the FlatTree once for all n^2 cells.
-void BM_PairwiseOrderProbabilitiesPointer(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Rng rng(23);
-  RandomTreeOptions opts;
-  opts.num_keys = n;
-  opts.max_alternatives = 2;
-  auto tree = RandomBid(opts, &rng);
-  std::vector<KeyId> keys = tree->Keys();
-  for (auto _ : state) {
-    std::vector<std::vector<double>> p(
-        keys.size(), std::vector<double>(keys.size(), 0.0));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      for (size_t j = 0; j < keys.size(); ++j) {
-        if (i == j) continue;
-        p[i][j] = PrRanksBeforePointer(*tree, keys[i], keys[j]);
-      }
-    }
-    benchmark::DoNotOptimize(p);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_PairwiseOrderProbabilitiesPointer)
-    ->RangeMultiplier(2)
-    ->Range(8, 64)
-    ->Complexity();
 
 }  // namespace
 }  // namespace cpdb

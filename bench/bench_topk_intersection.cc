@@ -10,9 +10,9 @@
 
 #include <cstdio>
 
-#include "common/math_utils.h"
 #include "common/rng.h"
 #include "core/topk_intersection.h"
+#include "oracle/references.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -2,9 +2,9 @@
 //
 // Experiment E9: Kendall-tau consensus Top-k. Exact optimization is NP-hard;
 // the paper offers constant-factor approximations. We measure the footrule
-// and pivot aggregations against exact brute force on small instances (the
-// ratios should sit far below the proven factor 2) and time the pairwise
-// statistic precomputation that drives everything.
+// aggregation against the exact subset-DP optimum (the ratios should sit far
+// below the proven factor 2) and time the pairwise statistic precomputation
+// that drives everything.
 
 #include <benchmark/benchmark.h>
 
@@ -12,8 +12,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "core/topk_kendall.h"
-#include "oracle/fold_oracles.h"
+#include "oracle/kendall_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -37,29 +36,12 @@ BENCHMARK(BM_KendallEvaluatorPrecompute)
     ->Range(8, 64)
     ->Complexity();
 
-void BM_KendallPivot(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Rng rng(61);
-  RandomTreeOptions opts;
-  opts.num_keys = n;
-  opts.max_alternatives = 2;
-  auto tree = RandomBid(opts, &rng);
-  KendallEvaluator evaluator(*tree, 5);
-  auto order_probs = PairwiseOrderProbabilities(*tree, evaluator.keys());
-  for (auto _ : state) {
-    auto pivot = MeanTopKKendallPivot(evaluator, order_probs, &rng);
-    benchmark::DoNotOptimize(pivot);
-  }
-}
-BENCHMARK(BM_KendallPivot)->RangeMultiplier(2)->Range(8, 64);
-
 void PrintQualityTable() {
   std::printf("\n## E9: Kendall-tau approximation ratios vs exact"
               " (small instances, k = 2)\n\n");
-  std::printf("| seed | E[d_K] exact | footrule 2-approx | pivot | footrule "
-              "ratio | pivot ratio |\n");
-  std::printf("|---|---|---|---|---|---|\n");
-  double worst_footrule = 0.0, worst_pivot = 0.0;
+  std::printf("| seed | E[d_K] exact | footrule 2-approx | footrule ratio |\n");
+  std::printf("|---|---|---|---|\n");
+  double worst_footrule = 0.0;
   for (int seed = 0; seed < 8; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 997 + 71);
     RandomTreeOptions opts;
@@ -71,33 +53,24 @@ void PrintQualityTable() {
     RankDistribution dist = ComputeRankDistribution(*tree, k);
     if (static_cast<int>(dist.keys().size()) < k) continue;
     KendallEvaluator evaluator(*tree, k);
-    auto exact = MeanTopKKendallExact(evaluator, dist, /*max_candidates=*/8);
+    auto exact = MeanTopKKendallExactDp(evaluator, dist);
     if (!exact.ok()) continue;
     auto footrule = MeanTopKKendallViaFootrule(evaluator, dist);
-    auto order_probs = PairwiseOrderProbabilities(*tree, evaluator.keys());
-    auto pivot = MeanTopKKendallPivot(evaluator, order_probs, &rng);
     double fr = exact->expected_distance > 1e-9
                     ? footrule->expected_distance / exact->expected_distance
                     : 1.0;
-    double pr = exact->expected_distance > 1e-9
-                    ? pivot->expected_distance / exact->expected_distance
-                    : 1.0;
     worst_footrule = std::max(worst_footrule, fr);
-    worst_pivot = std::max(worst_pivot, pr);
-    std::printf("| %d | %.4f | %.4f | %.4f | %.3f | %.3f |\n", seed,
-                exact->expected_distance, footrule->expected_distance,
-                pivot->expected_distance, fr, pr);
+    std::printf("| %d | %.4f | %.4f | %.3f |\n", seed,
+                exact->expected_distance, footrule->expected_distance, fr);
   }
-  std::printf("\nWorst measured ratios: footrule %.3f (bound 2.0), pivot "
-              "%.3f.\n\n",
-              worst_footrule, worst_pivot);
+  std::printf("\nWorst measured ratio: footrule %.3f (bound 2.0).\n\n",
+              worst_footrule);
 
-  // E9b: the subset DP pushes the exact baseline to mid-size instances.
+  // E9b: mid-size instances.
   std::printf("## E9b: approximation ratios vs the subset-DP exact optimum"
               " (n = 14, k = 4)\n\n");
-  std::printf("| seed | E[d_K] exact (DP) | footrule | pivot | footrule "
-              "ratio | pivot ratio |\n");
-  std::printf("|---|---|---|---|---|---|\n");
+  std::printf("| seed | E[d_K] exact (DP) | footrule | footrule ratio |\n");
+  std::printf("|---|---|---|---|\n");
   for (int seed = 0; seed < 5; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 1009 + 3);
     RandomTreeOptions opts;
@@ -110,13 +83,9 @@ void PrintQualityTable() {
     auto exact = MeanTopKKendallExactDp(evaluator, dist);
     if (!exact.ok()) continue;
     auto footrule = MeanTopKKendallViaFootrule(evaluator, dist);
-    auto order_probs = PairwiseOrderProbabilities(*tree, evaluator.keys());
-    auto pivot = MeanTopKKendallPivot(evaluator, order_probs, &rng);
     double fr = footrule->expected_distance / exact->expected_distance;
-    double pr = pivot->expected_distance / exact->expected_distance;
-    std::printf("| %d | %.4f | %.4f | %.4f | %.3f | %.3f |\n", seed,
-                exact->expected_distance, footrule->expected_distance,
-                pivot->expected_distance, fr, pr);
+    std::printf("| %d | %.4f | %.4f | %.3f |\n", seed,
+                exact->expected_distance, footrule->expected_distance, fr);
   }
   std::printf("\n");
 }

@@ -6,12 +6,6 @@
 
 namespace cpdb {
 
-double HarmonicNumber(int k) {
-  double h = 0.0;
-  for (int i = 1; i <= k; ++i) h += 1.0 / i;
-  return h;
-}
-
 void MaxPlusConvolveInto(const double* a, size_t a_size, const double* b,
                          size_t b_size, double* out, size_t out_size) {
   std::fill(out, out + out_size, kNegInf);

@@ -13,9 +13,6 @@ namespace cpdb {
 /// \brief Negative infinity sentinel used by max-plus dynamic programs.
 inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// \brief H_k, the k-th harmonic number (H_0 = 0).
-double HarmonicNumber(int k);
-
 /// \brief Max-plus convolution of two value rows truncated to `out_size`
 /// entries: out[i] = max_{p+q=i} a[p] + b[q] over out[0, out_size)
 /// (distinct from a and b). Entries equal to kNegInf mark infeasible

@@ -58,23 +58,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
 
 bool Rng::Bernoulli(double p) { return Uniform01() < p; }
 
-double Rng::Gaussian(double mean, double stddev) {
-  if (have_spare_gaussian_) {
-    have_spare_gaussian_ = false;
-    return mean + stddev * spare_gaussian_;
-  }
-  double u, v, s;
-  do {
-    u = Uniform(-1.0, 1.0);
-    v = Uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  double m = std::sqrt(-2.0 * std::log(s) / s);
-  spare_gaussian_ = v * m;
-  have_spare_gaussian_ = true;
-  return mean + stddev * u * m;
-}
-
 int64_t Rng::Zipf(int64_t n, double theta) {
   if (n <= 1) return 0;
   if (zipf_n_ != n || zipf_theta_ != theta) {
@@ -100,19 +83,6 @@ int64_t Rng::Zipf(int64_t n, double theta) {
     }
   }
   return lo;
-}
-
-int64_t Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) return -1;
-  double u = Uniform01() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (u < acc) return static_cast<int64_t>(i);
-  }
-  return static_cast<int64_t>(weights.size()) - 1;
 }
 
 }  // namespace cpdb

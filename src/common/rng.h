@@ -37,17 +37,10 @@ class Rng {
   /// \brief Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 
-  /// \brief Standard normal via Box-Muller.
-  double Gaussian(double mean = 0.0, double stddev = 1.0);
-
   /// \brief Zipf-like draw over {0,...,n-1} with exponent `theta`
   /// (theta = 0 is uniform). Uses the normalized CDF; O(log n) per draw
   /// after O(n) setup amortized per (n, theta) pair.
   int64_t Zipf(int64_t n, double theta);
-
-  /// \brief Samples an index from an unnormalized non-negative weight vector.
-  /// Returns -1 if all weights are zero.
-  int64_t Categorical(const std::vector<double>& weights);
 
   /// \brief In-place Fisher-Yates shuffle.
   template <typename T>
@@ -64,8 +57,6 @@ class Rng {
   int64_t zipf_n_ = -1;
   double zipf_theta_ = -1.0;
   std::vector<double> zipf_cdf_;
-  bool have_spare_gaussian_ = false;
-  double spare_gaussian_ = 0.0;
 };
 
 }  // namespace cpdb

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 
 #include "matching/min_cost_flow.h"
@@ -161,90 +160,6 @@ Result<std::vector<int64_t>> ClosestPossibleAggregate(
     }
   }
   return counts;
-}
-
-namespace {
-
-// Recursively enumerates assignments for ExactMedianAggregate. `choice[i]`
-// in [0, m] where m means absent.
-void EnumerateAssignments(const GroupByInstance& instance, int i,
-                          std::vector<int>* choice, double prob,
-                          std::vector<std::vector<int64_t>>* answers,
-                          std::vector<double>* answer_probs,
-                          int64_t* budget) {
-  if (*budget <= 0) return;
-  const int n = instance.num_tuples();
-  const int m = instance.num_groups();
-  if (i == n) {
-    --*budget;
-    std::vector<int64_t> counts(static_cast<size_t>(m), 0);
-    for (int t = 0; t < n; ++t) {
-      if ((*choice)[static_cast<size_t>(t)] < m) {
-        ++counts[static_cast<size_t>((*choice)[static_cast<size_t>(t)])];
-      }
-    }
-    // Linear scan for an existing identical answer (instances are tiny).
-    for (size_t a = 0; a < answers->size(); ++a) {
-      if ((*answers)[a] == counts) {
-        (*answer_probs)[a] += prob;
-        return;
-      }
-    }
-    answers->push_back(std::move(counts));
-    answer_probs->push_back(prob);
-    return;
-  }
-  double row_sum = 0.0;
-  for (int j = 0; j < m; ++j) {
-    double p = instance.probs[static_cast<size_t>(i)][static_cast<size_t>(j)];
-    row_sum += p;
-    if (p <= 0.0) continue;
-    (*choice)[static_cast<size_t>(i)] = j;
-    EnumerateAssignments(instance, i + 1, choice, prob * p, answers,
-                         answer_probs, budget);
-  }
-  if (row_sum < 1.0 - 1e-12) {
-    (*choice)[static_cast<size_t>(i)] = m;
-    EnumerateAssignments(instance, i + 1, choice, prob * (1.0 - row_sum),
-                         answers, answer_probs, budget);
-  }
-}
-
-}  // namespace
-
-Result<std::vector<int64_t>> ExactMedianAggregate(
-    const GroupByInstance& instance, int64_t max_assignments) {
-  CPDB_RETURN_NOT_OK(ValidateGroupBy(instance));
-  std::vector<std::vector<int64_t>> answers;
-  std::vector<double> answer_probs;
-  std::vector<int> choice(static_cast<size_t>(instance.num_tuples()), -1);
-  int64_t budget = max_assignments;
-  EnumerateAssignments(instance, 0, &choice, 1.0, &answers, &answer_probs,
-                       &budget);
-  if (budget <= 0) {
-    return Status::ResourceExhausted("too many assignments to enumerate");
-  }
-  if (answers.empty()) return Status::Infeasible("no possible answers");
-
-  // E[d(candidate, r)] = sum over possible answers of prob * squared dist.
-  double best = std::numeric_limits<double>::infinity();
-  size_t best_idx = 0;
-  for (size_t a = 0; a < answers.size(); ++a) {
-    double expected = 0.0;
-    for (size_t b = 0; b < answers.size(); ++b) {
-      double d = 0.0;
-      for (size_t j = 0; j < answers[a].size(); ++j) {
-        double diff = static_cast<double>(answers[a][j] - answers[b][j]);
-        d += diff * diff;
-      }
-      expected += answer_probs[b] * d;
-    }
-    if (expected < best) {
-      best = expected;
-      best_idx = a;
-    }
-  }
-  return answers[best_idx];
 }
 
 }  // namespace cpdb

@@ -66,12 +66,6 @@ double ExpectedSquaredDistance(const GroupByInstance& instance,
 Result<std::vector<int64_t>> ClosestPossibleAggregate(
     const GroupByInstance& instance);
 
-/// \brief Exact median answer by exhaustive enumeration of the (m+1)^n
-/// assignments; fails beyond `max_assignments` enumerated states. Test/bench
-/// ground truth only.
-Result<std::vector<int64_t>> ExactMedianAggregate(
-    const GroupByInstance& instance, int64_t max_assignments = 1 << 22);
-
 }  // namespace cpdb
 
 #endif  // CPDB_CORE_AGGREGATES_H_

@@ -3,7 +3,6 @@
 #include "core/clustering.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <set>
 
@@ -168,41 +167,6 @@ ClusteringAnswer LocalSearchClustering(const ClusteringProblem& problem,
     if (!improved) break;
   }
   return answer;
-}
-
-Result<ClusteringAnswer> ExactClustering(const ClusteringProblem& problem,
-                                         int max_keys) {
-  int n = problem.num_keys();
-  if (n > max_keys) {
-    return Status::ResourceExhausted("too many keys for exact clustering");
-  }
-  ClusteringAnswer best;
-  best.cluster_of.assign(static_cast<size_t>(n), 0);
-  double best_cost = std::numeric_limits<double>::infinity();
-  // Enumerate set partitions in restricted-growth form.
-  std::vector<int> rg(static_cast<size_t>(n), 0);
-  while (true) {
-    ClusteringAnswer candidate;
-    candidate.cluster_of = rg;
-    double cost = problem.Expected(candidate);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = candidate;
-    }
-    // Next restricted-growth string.
-    int i = n - 1;
-    for (; i > 0; --i) {
-      int max_prefix = 0;
-      for (int j = 0; j < i; ++j) max_prefix = std::max(max_prefix, rg[static_cast<size_t>(j)]);
-      if (rg[static_cast<size_t>(i)] <= max_prefix) {
-        ++rg[static_cast<size_t>(i)];
-        for (int j = i + 1; j < n; ++j) rg[static_cast<size_t>(j)] = 0;
-        break;
-      }
-    }
-    if (i <= 0) break;  // n == 0 starts at i == -1: one empty clustering
-  }
-  return best;
 }
 
 ClusteringAnswer ClusteringOfWorld(const AndXorTree& tree,

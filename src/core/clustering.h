@@ -67,11 +67,6 @@ ClusteringAnswer LocalSearchClustering(const ClusteringProblem& problem,
                                        const ClusteringAnswer& start,
                                        int max_rounds = 100);
 
-/// \brief Exact mean clustering by enumerating set partitions (Bell(n);
-/// requires num_keys <= max_keys). Test/bench ground truth only.
-Result<ClusteringAnswer> ExactClustering(const ClusteringProblem& problem,
-                                         int max_keys = 10);
-
 /// \brief The clustering induced by a possible world (same label together;
 /// absent keys share one artificial cluster), expressed over problem.keys().
 ClusteringAnswer ClusteringOfWorld(const AndXorTree& tree,

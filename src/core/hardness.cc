@@ -3,140 +3,11 @@
 #include "core/hardness.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 
 #include "core/jaccard.h"
 
 namespace cpdb {
-
-bool ClauseSatisfied(const TwoSatClause& clause,
-                     const std::vector<bool>& assignment) {
-  bool lit1 = assignment[static_cast<size_t>(clause.var1)] == clause.positive1;
-  bool lit2 = assignment[static_cast<size_t>(clause.var2)] == clause.positive2;
-  return lit1 || lit2;
-}
-
-namespace {
-
-Status CheckInstance(const Max2SatInstance& instance) {
-  if (instance.num_vars < 1 || instance.num_vars > 20) {
-    return Status::InvalidArgument("num_vars must be in [1, 20]");
-  }
-  for (const TwoSatClause& c : instance.clauses) {
-    if (c.var1 < 0 || c.var1 >= instance.num_vars || c.var2 < 0 ||
-        c.var2 >= instance.num_vars) {
-      return Status::InvalidArgument("clause variable out of range");
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<bool> AssignmentFromMask(uint32_t mask, int num_vars) {
-  std::vector<bool> assignment(static_cast<size_t>(num_vars));
-  for (int v = 0; v < num_vars; ++v) assignment[static_cast<size_t>(v)] = mask & (1u << v);
-  return assignment;
-}
-
-}  // namespace
-
-Result<int> BruteForceMax2Sat(const Max2SatInstance& instance) {
-  CPDB_RETURN_NOT_OK(CheckInstance(instance));
-  int best = 0;
-  for (uint32_t mask = 0; mask < (1u << instance.num_vars); ++mask) {
-    std::vector<bool> assignment = AssignmentFromMask(mask, instance.num_vars);
-    int satisfied = 0;
-    for (const TwoSatClause& c : instance.clauses) {
-      satisfied += ClauseSatisfied(c, assignment) ? 1 : 0;
-    }
-    best = std::max(best, satisfied);
-  }
-  return best;
-}
-
-Result<std::vector<ResultWorld>> EnumerateQueryResultWorlds(
-    const Max2SatInstance& instance) {
-  CPDB_RETURN_NOT_OK(CheckInstance(instance));
-  std::map<std::vector<int>, double> outcomes;
-  double p = 1.0 / static_cast<double>(1u << instance.num_vars);
-  for (uint32_t mask = 0; mask < (1u << instance.num_vars); ++mask) {
-    std::vector<bool> assignment = AssignmentFromMask(mask, instance.num_vars);
-    std::vector<int> satisfied;
-    for (size_t i = 0; i < instance.clauses.size(); ++i) {
-      if (ClauseSatisfied(instance.clauses[i], assignment)) {
-        satisfied.push_back(static_cast<int>(i));
-      }
-    }
-    outcomes[satisfied] += p;
-  }
-  std::vector<ResultWorld> worlds;
-  worlds.reserve(outcomes.size());
-  for (auto& [clauses, prob] : outcomes) {
-    worlds.push_back({clauses, prob});
-  }
-  return worlds;
-}
-
-Result<std::vector<int>> MedianQueryResult(const Max2SatInstance& instance) {
-  CPDB_ASSIGN_OR_RETURN(std::vector<ResultWorld> worlds,
-                        EnumerateQueryResultWorlds(instance));
-  // Median = possible answer minimizing the expected key-level symmetric
-  // difference. For a candidate S: E[d] = sum_c in S Pr(c absent) +
-  // sum_c notin S Pr(c present), evaluated over the result distribution.
-  std::vector<double> present(instance.clauses.size(), 0.0);
-  for (const ResultWorld& w : worlds) {
-    for (int c : w.satisfied_clauses) present[static_cast<size_t>(c)] += w.prob;
-  }
-  const std::vector<int>* best = nullptr;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const ResultWorld& w : worlds) {
-    double cost = 0.0;
-    std::vector<bool> in_world(instance.clauses.size(), false);
-    for (int c : w.satisfied_clauses) in_world[static_cast<size_t>(c)] = true;
-    for (size_t c = 0; c < instance.clauses.size(); ++c) {
-      cost += in_world[c] ? (1.0 - present[c]) : present[c];
-    }
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = &w.satisfied_clauses;
-    }
-  }
-  if (best == nullptr) return Status::Infeasible("no result worlds");
-  return *best;
-}
-
-Result<AndXorTree> BuildQueryResultTree(const Max2SatInstance& instance) {
-  CPDB_ASSIGN_OR_RETURN(std::vector<ResultWorld> worlds,
-                        EnumerateQueryResultWorlds(instance));
-  AndXorTree tree;
-  std::vector<NodeId> branches;
-  std::vector<double> probs;
-  double score = 1.0;
-  for (const ResultWorld& w : worlds) {
-    std::vector<NodeId> leaves;
-    for (int c : w.satisfied_clauses) {
-      TupleAlternative alt;
-      alt.key = c;
-      alt.score = score;
-      score += 1.0;
-      leaves.push_back(tree.AddLeaf(alt));
-    }
-    if (leaves.empty()) {
-      // An assignment satisfying no clause contributes leftover probability
-      // (the empty world) rather than a branch.
-      continue;
-    }
-    branches.push_back(leaves.size() == 1 ? leaves[0]
-                                          : tree.AddAnd(std::move(leaves)));
-    probs.push_back(w.prob);
-  }
-  if (branches.empty()) {
-    return Status::Infeasible("no clause is ever satisfied");
-  }
-  tree.SetRoot(tree.AddXor(std::move(branches), std::move(probs)));
-  CPDB_RETURN_NOT_OK(tree.Validate());
-  return tree;
-}
 
 TreeHardness ComputeTreeHardness(const AndXorTree& tree) {
   TreeHardness stats;

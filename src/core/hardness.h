@@ -1,79 +1,23 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// The paper's NP-hardness construction for median worlds under arbitrary
-// correlations (Section 4.1): a MAX-2-SAT instance becomes a two-relation
-// query R join S where S holds two equiprobable mutually exclusive tuples
-// per variable and R maps clauses to their literals. Each clause appears in
-// the projected result with marginal probability 3/4, but the result tuples
-// are correlated through the shared variable choices, and the median world
-// (over result *keys*) selects the assignment satisfying the most clauses.
-//
-// This module materializes the construction so the reduction can be
-// exercised end to end on small instances: the key-level median recovered by
-// brute force over the result distribution must match the brute-force
-// MAX-2-SAT optimum. It also shows why Corollary 1 does not extend: the
-// and/xor-tree representation of the result distribution duplicates clause
-// keys across assignment branches, so the tractable *leaf-level* median does
-// not answer the *key-level* question.
+// The structural statistics behind the paper's tractability frontier
+// (Section 4.1), which serve reports through op=hardness. Median worlds are
+// NP-hard under arbitrary correlations; tests/hardness_test.cc builds the
+// paper's MAX-2-SAT reduction on small instances.
 
 #ifndef CPDB_CORE_HARDNESS_H_
 #define CPDB_CORE_HARDNESS_H_
 
-#include <vector>
+#include <cstdint>
 
-#include "common/result.h"
 #include "model/and_xor_tree.h"
 
 namespace cpdb {
 
-/// \brief A 2-CNF clause over variables 0..num_vars-1.
-struct TwoSatClause {
-  int var1 = 0;
-  bool positive1 = true;
-  int var2 = 0;
-  bool positive2 = true;
-};
-
-/// \brief A MAX-2-SAT instance.
-struct Max2SatInstance {
-  int num_vars = 0;
-  std::vector<TwoSatClause> clauses;
-};
-
-/// \brief True iff the assignment satisfies the clause.
-bool ClauseSatisfied(const TwoSatClause& clause,
-                     const std::vector<bool>& assignment);
-
-/// \brief Exhaustive MAX-2-SAT: the maximum number of simultaneously
-/// satisfiable clauses. Requires num_vars <= 20.
-Result<int> BruteForceMax2Sat(const Max2SatInstance& instance);
-
-/// \brief The distribution over query results pi_C(R join S): one outcome
-/// per assignment (probability 2^-num_vars), whose value is the sorted set
-/// of satisfied clause indices. Outcomes with identical clause sets are
-/// merged.
-struct ResultWorld {
-  std::vector<int> satisfied_clauses;
-  double prob = 0.0;
-};
-Result<std::vector<ResultWorld>> EnumerateQueryResultWorlds(
-    const Max2SatInstance& instance);
-
-/// \brief The median answer of the result distribution under the key-level
-/// symmetric difference (brute force over possible answers); by the paper's
-/// reduction its size equals BruteForceMax2Sat.
-Result<std::vector<int>> MedianQueryResult(const Max2SatInstance& instance);
-
-/// \brief Materializes the result distribution as an and/xor tree (a XOR of
-/// per-assignment AND branches; clause keys repeat across branches, legally,
-/// since their LCA is the XOR root). Clause i becomes key i; scores are
-/// distinct per (branch, clause) leaf.
-Result<AndXorTree> BuildQueryResultTree(const Max2SatInstance& instance);
-
 /// \brief Descriptive hardness statistics for one tree — the structural
 /// signals behind the paper's tractability frontier. Key duplication is
-/// the load-bearing one: the hardness construction above duplicates clause
-/// keys across assignment branches, which is exactly what divorces the
+/// the load-bearing one: the hardness construction duplicates clause keys
+/// across assignment branches, which is exactly what divorces the
 /// tractable leaf-level median from the NP-hard key-level one, while
 /// tuple-/block-independent shapes admit the fast paths. All fields are
 /// exact integer/boolean counts, so the stats are trivially deterministic.

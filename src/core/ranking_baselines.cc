@@ -128,26 +128,6 @@ std::vector<KeyId> GlobalTopK(const RankDistribution& dist) {
   return TopKeysByValue(dist.keys(), value, dist.k(), /*descending=*/true);
 }
 
-Result<std::vector<KeyId>> UTopKExact(const AndXorTree& tree, int k,
-                                      size_t max_worlds) {
-  CPDB_ASSIGN_OR_RETURN(std::vector<World> worlds,
-                        EnumerateWorlds(tree, max_worlds));
-  std::map<std::vector<KeyId>, double> list_prob;
-  for (const World& w : worlds) {
-    list_prob[TopKOfWorld(tree, w.leaf_ids, k)] += w.prob;
-  }
-  const std::vector<KeyId>* best = nullptr;
-  double best_prob = -1.0;
-  for (const auto& [list, prob] : list_prob) {
-    if (prob > best_prob) {
-      best_prob = prob;
-      best = &list;
-    }
-  }
-  if (best == nullptr) return Status::Infeasible("no worlds");
-  return *best;
-}
-
 std::vector<KeyId> UTopKSampled(const AndXorTree& tree, int k, int num_samples,
                                 Rng* rng) {
   std::map<std::vector<KeyId>, int> counts;

@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "common/result.h"
 #include "common/rng.h"
 #include "core/rank_distribution.h"
 #include "model/and_xor_tree.h"
@@ -63,12 +62,6 @@ std::vector<KeyId> ProbabilisticThresholdTopK(const RankDistribution& dist,
 /// \brief Global Top-k: the k keys with the largest Pr(r(t) <= k). Theorem 3
 /// of the paper shows this equals the mean Top-k answer under d_Delta.
 std::vector<KeyId> GlobalTopK(const RankDistribution& dist);
-
-/// \brief U-Top-k: the Top-k *list* with the highest probability of being
-/// the realized Top-k answer, via exhaustive world enumeration (exact;
-/// fails on instances with more than `max_worlds` worlds).
-Result<std::vector<KeyId>> UTopKExact(const AndXorTree& tree, int k,
-                                      size_t max_worlds = 1 << 20);
 
 /// \brief Monte-Carlo U-Top-k: the most frequent Top-k list across
 /// `num_samples` sampled worlds.

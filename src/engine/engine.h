@@ -193,8 +193,8 @@ class Engine {
   /// scan shared read-only by every task, one root path per leaf, with the
   /// target's leaves zeroed once passed. The kendall mean asks for its
   /// answer's keys only; every key gives the whole q matrix, column by
-  /// column. Bitwise identical to the pointer-fold oracle and to
-  /// KendallEvaluator(tree, k) for any thread count.
+  /// column. Bitwise identical to the pointer-fold and sequential-column
+  /// oracles in tests/oracle/ for any thread count.
   std::vector<std::vector<double>> KendallQColumns(
       const AndXorTree& tree, int k, const std::vector<KeyId>& targets,
       const FlatTree* program = nullptr) const;

@@ -2,8 +2,11 @@
 
 #include "io/table_io.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -46,6 +49,24 @@ std::string IoErrorMessage(const char* what, const std::string& path,
   message += ": ";
   message += std::strerror(err);
   return message;
+}
+
+// Creates a new file in `path`'s directory, so renaming it over `path`
+// stays on one file system, and puts its name in *temp; -1 with errno set
+// when the directory refuses it. O_EXCL never opens a name in use, such as
+// a file a crashed save left behind.
+int CreateFileBeside(const std::string& path, std::string* temp) {
+  static std::atomic<unsigned> serial{0};
+  const size_t slash = path.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? "" : path.substr(0, slash + 1);
+  for (;;) {
+    *temp = dir + ".cpdb-save-" + std::to_string(getpid()) + "-" +
+            std::to_string(serial++);
+    const int fd =
+        open(temp->c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd >= 0 || errno != EEXIST) return fd;
+  }
 }
 
 }  // namespace
@@ -124,19 +145,6 @@ Result<std::vector<Block>> ParseBidTable(const std::string& text) {
   return blocks;
 }
 
-std::string FormatBidTable(const std::vector<Block>& blocks) {
-  std::ostringstream os;
-  os << "# key prob score [label]\n";
-  for (const Block& b : blocks) {
-    for (const BlockAlternative& a : b) {
-      os << a.alt.key << " " << a.prob << " " << a.alt.score;
-      if (a.alt.label >= 0) os << " " << a.alt.label;
-      os << "\n";
-    }
-  }
-  return os.str();
-}
-
 Result<std::string> ReadFileToString(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("cannot open file: " + path);
@@ -164,17 +172,40 @@ Result<std::string> ReadFileToString(const std::string& path) {
 }
 
 Status WriteStringToFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // A rename over a device, a FIFO or a symlink would replace the node
+  // itself, so those are written in place.
+  struct stat st;
+  const bool exists = lstat(path.c_str(), &st) == 0;
+  const bool in_place = exists && !S_ISREG(st.st_mode);
+  std::string temp;
+  std::FILE* f = nullptr;
+  if (in_place) {
+    f = std::fopen(path.c_str(), "wb");
+  } else if (const int fd = CreateFileBeside(path, &temp); fd >= 0) {
+    // The replacement keeps the replaced file's permission bits.
+    if (exists) (void)fchmod(fd, st.st_mode & 07777);
+    f = fdopen(fd, "wb");
+    if (f == nullptr) {
+      close(fd);
+      unlink(temp.c_str());
+    }
+  }
   if (f == nullptr) return Status::InvalidArgument("cannot open file: " + path);
-  const bool wrote =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  const int write_errno = errno;
+  bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  int err = errno;
   // The bytes may still sit in stdio's buffer: a full device reports only
   // when fclose flushes them.
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    return Status::Internal(IoErrorMessage("cannot write file: ", path,
-                                           wrote ? errno : write_errno));
+  if (std::fclose(f) != 0 && ok) {
+    ok = false;
+    err = errno;
+  }
+  if (ok && !in_place && std::rename(temp.c_str(), path.c_str()) != 0) {
+    ok = false;
+    err = errno;
+  }
+  if (!ok) {
+    if (!in_place) unlink(temp.c_str());
+    return Status::Internal(IoErrorMessage("cannot write file: ", path, err));
   }
   return Status::OK();
 }

@@ -32,16 +32,18 @@ namespace cpdb {
 /// exceeding 1.
 Result<std::vector<Block>> ParseBidTable(const std::string& text);
 
-/// \brief Formats blocks in the format accepted by ParseBidTable.
-std::string FormatBidTable(const std::vector<Block>& blocks);
-
 /// \brief Reads an entire file into a string. NotFound when the file cannot
 /// be opened; InvalidArgument naming the path when a read fails (a
 /// directory, an I/O error), never a truncated string.
 Result<std::string> ReadFileToString(const std::string& path);
 
-/// \brief Writes a string to a file (truncating). Internal naming the path
-/// when a write or the closing flush fails (a full device).
+/// \brief Writes a string to a file, replacing it whole: the bytes go to a
+/// new file in the same directory, renamed over `path` once closed, so a
+/// reader never sees a mix and a failed write leaves the old file. A
+/// target that exists and is not a regular file (a device, a FIFO, a
+/// symlink) is written in place. InvalidArgument when the file cannot be
+/// created; Internal naming the path when a write, the closing flush (a
+/// full device) or the rename fails.
 Status WriteStringToFile(const std::string& path, const std::string& content);
 
 }  // namespace cpdb

@@ -110,8 +110,6 @@ class Canonicalizer {
     moved_[i] = moved;
   }
 
-  uint64_t hash(NodeId id) const { return hash_[static_cast<size_t>(id)]; }
-
   // Whether the visited input is its own canonical form: no child list
   // moved, and the walk below would number every node as the input already
   // does, so it would rebuild an identical tree.
@@ -350,12 +348,6 @@ Result<CanonicalForm> CanonicalizeValidated(AndXorTree tree,
   form.bytes.reserve(content.size());
   CPDB_ASSIGN_OR_RETURN(form.tree, canon.Reorient(&tree, &form.bytes));
   return form;
-}
-
-uint64_t StructuralHash(const AndXorTree& tree, NodeId node) {
-  Canonicalizer canon(tree);
-  canon.Visit(node);
-  return canon.hash(node);
 }
 
 }  // namespace cpdb

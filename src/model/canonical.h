@@ -70,11 +70,6 @@ struct CanonicalForm {
 Result<CanonicalForm> CanonicalizeValidated(AndXorTree tree,
                                             std::string_view content);
 
-/// \brief Bottom-up structural hash of the subtree rooted at `node` —
-/// invariant under commutative child permutations. Exposed for tests; the
-/// identity the stack keys on is StructKey, not this value.
-uint64_t StructuralHash(const AndXorTree& tree, NodeId node);
-
 }  // namespace cpdb
 
 #endif  // CPDB_MODEL_CANONICAL_H_

@@ -12,6 +12,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "oracle/references.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -20,11 +20,17 @@
 
 #include "service/catalog_snapshot.h"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -503,6 +509,78 @@ TEST(CatalogSnapshotCorruptionTest, MissingFileIsATypedError) {
   Result<CatalogSnapshot> loaded = ReadCatalogSnapshotFile(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+// The names in `dir`, "." and ".." aside.
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (const dirent* e = readdir(d)) {
+    const std::string name = e->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  closedir(d);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// Everything left to read from `f`.
+std::string ReadRest(std::FILE* f) {
+  std::string bytes;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  return bytes;
+}
+
+// A save writes a new file and renames it over the target: a reader that
+// opened the old file keeps reading the old bytes whole, a loader starting
+// mid-save sees one file or the other, and a save that fails leaves the
+// old file and no temporary file behind.
+TEST(CatalogSnapshotFileTest, SaveReplacesTheFileWhole) {
+  std::string dir_template = ::testing::TempDir() + "/snap_save_XXXXXX";
+  ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+  const std::string dir = dir_template;
+  const std::string path = dir + "/catalog.snap";
+
+  CatalogSnapshot old_snapshot;
+  old_snapshot.trees.push_back(CatalogTreeRecord("a", kTreeText));
+  CatalogSnapshot new_snapshot;
+  new_snapshot.trees.push_back(CatalogTreeRecord("b", kOtherTreeText));
+  const std::string old_bytes = EncodeCatalogSnapshot(old_snapshot);
+  const std::string new_bytes = EncodeCatalogSnapshot(new_snapshot);
+  ASSERT_NE(old_bytes, new_bytes);
+
+  ASSERT_TRUE(WriteCatalogSnapshotFile(path, old_snapshot).ok());
+  std::FILE* reader = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(reader, nullptr);
+  ASSERT_TRUE(WriteCatalogSnapshotFile(path, new_snapshot).ok());
+  EXPECT_EQ(ReadRest(reader), old_bytes);
+  std::fclose(reader);
+  Result<std::string> saved = ReadFileToString(path);
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(*saved, new_bytes);
+  EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"catalog.snap"});
+
+  // A write past this process's file-size limit fails (EFBIG) midway.
+  struct rlimit limit;
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &limit), 0);
+  struct rlimit small = limit;
+  small.rlim_cur = 16;
+  void (*old_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &small), 0);
+  const Status failed = WriteCatalogSnapshotFile(path, old_snapshot);
+  setrlimit(RLIMIT_FSIZE, &limit);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed.ToString();
+  saved = ReadFileToString(path);
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(*saved, new_bytes);
+  EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"catalog.snap"});
+
+  std::remove(path.c_str());
+  rmdir(dir.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/references.h"
 #include "oracle/world_estimators.h"
 #include "workload/generators.h"
 

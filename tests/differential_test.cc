@@ -21,10 +21,10 @@
 #include "common/rng.h"
 #include "core/rank_distribution.h"
 #include "core/set_consensus.h"
-#include "core/topk_kendall.h"
 #include "core/topk_metrics.h"
 #include "engine/engine.h"
 #include "model/possible_worlds.h"
+#include "oracle/kendall_oracles.h"
 #include "oracle/list_distances.h"
 #include "workload/generators.h"
 

@@ -25,10 +25,10 @@
 #include "core/set_consensus.h"
 #include "core/topk_footrule.h"
 #include "core/topk_intersection.h"
-#include "core/topk_kendall.h"
 #include "core/topk_symdiff.h"
 #include "model/builders.h"
 #include "oracle/fold_oracles.h"
+#include "oracle/kendall_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -29,6 +29,7 @@
 #include "core/topk_kendall.h"
 #include "engine/engine.h"
 #include "oracle/fold_oracles.h"
+#include "oracle/kendall_oracles.h"
 #include "oracle/generating_function.h"
 #include "oracle/poly1.h"
 #include "oracle/poly2.h"

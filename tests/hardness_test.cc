@@ -3,17 +3,187 @@
 // Exercises the Section 4.1 MAX-2-SAT reduction end to end: the key-level
 // median of the projected query result recovers the MAX-2-SAT optimum, and
 // the tractable leaf-level and/xor median is a *different* (easier) problem.
-
-#include "core/hardness.h"
+//
+// The reduction: a MAX-2-SAT instance becomes a two-relation query R join S
+// where S holds two equiprobable mutually exclusive tuples per variable and
+// R maps clauses to their literals. Each clause appears in the projected
+// result with marginal probability 3/4, but the result tuples are
+// correlated through the shared variable choices, and the median world
+// (over result *keys*) selects the assignment satisfying the most clauses.
+// The and/xor tree of the result distribution duplicates clause keys across
+// assignment branches, which is why Corollary 1 does not extend.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <vector>
+
+#include "common/result.h"
 #include "common/rng.h"
 #include "core/set_consensus.h"
+#include "model/and_xor_tree.h"
 #include "model/possible_worlds.h"
 
 namespace cpdb {
 namespace {
+
+// A 2-CNF clause over variables 0..num_vars-1.
+struct TwoSatClause {
+  int var1 = 0;
+  bool positive1 = true;
+  int var2 = 0;
+  bool positive2 = true;
+};
+
+struct Max2SatInstance {
+  int num_vars = 0;
+  std::vector<TwoSatClause> clauses;
+};
+
+bool ClauseSatisfied(const TwoSatClause& clause,
+                     const std::vector<bool>& assignment) {
+  bool lit1 = assignment[static_cast<size_t>(clause.var1)] == clause.positive1;
+  bool lit2 = assignment[static_cast<size_t>(clause.var2)] == clause.positive2;
+  return lit1 || lit2;
+}
+
+Status CheckInstance(const Max2SatInstance& instance) {
+  if (instance.num_vars < 1 || instance.num_vars > 20) {
+    return Status::InvalidArgument("num_vars must be in [1, 20]");
+  }
+  for (const TwoSatClause& c : instance.clauses) {
+    if (c.var1 < 0 || c.var1 >= instance.num_vars || c.var2 < 0 ||
+        c.var2 >= instance.num_vars) {
+      return Status::InvalidArgument("clause variable out of range");
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<bool> AssignmentFromMask(uint32_t mask, int num_vars) {
+  std::vector<bool> assignment(static_cast<size_t>(num_vars));
+  for (int v = 0; v < num_vars; ++v) assignment[static_cast<size_t>(v)] = mask & (1u << v);
+  return assignment;
+}
+
+// Exhaustive MAX-2-SAT: the maximum number of simultaneously satisfiable
+// clauses. Requires num_vars <= 20.
+Result<int> BruteForceMax2Sat(const Max2SatInstance& instance) {
+  CPDB_RETURN_NOT_OK(CheckInstance(instance));
+  int best = 0;
+  for (uint32_t mask = 0; mask < (1u << instance.num_vars); ++mask) {
+    std::vector<bool> assignment = AssignmentFromMask(mask, instance.num_vars);
+    int satisfied = 0;
+    for (const TwoSatClause& c : instance.clauses) {
+      satisfied += ClauseSatisfied(c, assignment) ? 1 : 0;
+    }
+    best = std::max(best, satisfied);
+  }
+  return best;
+}
+
+// The distribution over query results pi_C(R join S): one outcome per
+// assignment (probability 2^-num_vars), whose value is the sorted set of
+// satisfied clause indices. Outcomes with identical clause sets are merged.
+struct ResultWorld {
+  std::vector<int> satisfied_clauses;
+  double prob = 0.0;
+};
+
+Result<std::vector<ResultWorld>> EnumerateQueryResultWorlds(
+    const Max2SatInstance& instance) {
+  CPDB_RETURN_NOT_OK(CheckInstance(instance));
+  std::map<std::vector<int>, double> outcomes;
+  double p = 1.0 / static_cast<double>(1u << instance.num_vars);
+  for (uint32_t mask = 0; mask < (1u << instance.num_vars); ++mask) {
+    std::vector<bool> assignment = AssignmentFromMask(mask, instance.num_vars);
+    std::vector<int> satisfied;
+    for (size_t i = 0; i < instance.clauses.size(); ++i) {
+      if (ClauseSatisfied(instance.clauses[i], assignment)) {
+        satisfied.push_back(static_cast<int>(i));
+      }
+    }
+    outcomes[satisfied] += p;
+  }
+  std::vector<ResultWorld> worlds;
+  worlds.reserve(outcomes.size());
+  for (auto& [clauses, prob] : outcomes) {
+    worlds.push_back({clauses, prob});
+  }
+  return worlds;
+}
+
+// The median answer of the result distribution under the key-level
+// symmetric difference (brute force over possible answers); by the paper's
+// reduction its size equals BruteForceMax2Sat.
+Result<std::vector<int>> MedianQueryResult(const Max2SatInstance& instance) {
+  CPDB_ASSIGN_OR_RETURN(std::vector<ResultWorld> worlds,
+                        EnumerateQueryResultWorlds(instance));
+  // Median = possible answer minimizing the expected key-level symmetric
+  // difference. For a candidate S: E[d] = sum_c in S Pr(c absent) +
+  // sum_c notin S Pr(c present), evaluated over the result distribution.
+  std::vector<double> present(instance.clauses.size(), 0.0);
+  for (const ResultWorld& w : worlds) {
+    for (int c : w.satisfied_clauses) present[static_cast<size_t>(c)] += w.prob;
+  }
+  const std::vector<int>* best = nullptr;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (const ResultWorld& w : worlds) {
+    double cost = 0.0;
+    std::vector<bool> in_world(instance.clauses.size(), false);
+    for (int c : w.satisfied_clauses) in_world[static_cast<size_t>(c)] = true;
+    for (size_t c = 0; c < instance.clauses.size(); ++c) {
+      cost += in_world[c] ? (1.0 - present[c]) : present[c];
+    }
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = &w.satisfied_clauses;
+    }
+  }
+  if (best == nullptr) return Status::Infeasible("no result worlds");
+  return *best;
+}
+
+// Materializes the result distribution as an and/xor tree (a XOR of
+// per-assignment AND branches; clause keys repeat across branches, legally,
+// since their LCA is the XOR root). Clause i becomes key i; scores are
+// distinct per (branch, clause) leaf.
+Result<AndXorTree> BuildQueryResultTree(const Max2SatInstance& instance) {
+  CPDB_ASSIGN_OR_RETURN(std::vector<ResultWorld> worlds,
+                        EnumerateQueryResultWorlds(instance));
+  AndXorTree tree;
+  std::vector<NodeId> branches;
+  std::vector<double> probs;
+  double score = 1.0;
+  for (const ResultWorld& w : worlds) {
+    std::vector<NodeId> leaves;
+    for (int c : w.satisfied_clauses) {
+      TupleAlternative alt;
+      alt.key = c;
+      alt.score = score;
+      score += 1.0;
+      leaves.push_back(tree.AddLeaf(alt));
+    }
+    if (leaves.empty()) {
+      // An assignment satisfying no clause contributes leftover probability
+      // (the empty world) rather than a branch.
+      continue;
+    }
+    branches.push_back(leaves.size() == 1 ? leaves[0]
+                                          : tree.AddAnd(std::move(leaves)));
+    probs.push_back(w.prob);
+  }
+  if (branches.empty()) {
+    return Status::Infeasible("no clause is ever satisfied");
+  }
+  tree.SetRoot(tree.AddXor(std::move(branches), std::move(probs)));
+  CPDB_RETURN_NOT_OK(tree.Validate());
+  return tree;
+}
+
 
 Max2SatInstance PaperStyleInstance() {
   // (x0 or !x1), (x1 or x2), (!x0 or !x2), (x0 or x2)

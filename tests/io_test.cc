@@ -16,6 +16,7 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/possible_worlds.h"
+#include "oracle/references.h"
 #include "strtod_reference.h"
 #include "workload/generators.h"
 

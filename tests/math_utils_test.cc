@@ -6,6 +6,8 @@
 
 #include <vector>
 
+#include "oracle/references.h"
+
 namespace cpdb {
 namespace {
 

@@ -131,20 +131,6 @@ double PrRanksBefore(const AndXorTree& tree, KeyId u, KeyId v) {
   return PrRanksBefore(FlatTree::Compile(tree), u, v);
 }
 
-std::vector<std::vector<double>> PairwiseOrderProbabilities(
-    const AndXorTree& tree, const std::vector<KeyId>& keys) {
-  const FlatTree flat = FlatTree::Compile(tree);
-  std::vector<std::vector<double>> p(
-      keys.size(), std::vector<double>(keys.size(), 0.0));
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (size_t j = 0; j < keys.size(); ++j) {
-      if (i == j) continue;
-      p[i][j] = PrRanksBefore(flat, keys[i], keys[j]);
-    }
-  }
-  return p;
-}
-
 double PrInTopKAndBefore(const AndXorTree& tree, KeyId u, KeyId t, int k) {
   // Sum over alternatives b of u of
   //   Pr(b present, no higher-scoring alternative of t present, and at most

@@ -13,8 +13,8 @@
 //     each bitwise the flat path, because both folds run the same kernels
 //     in the same order;
 //   * the pairwise order probability Pr(r(u) < r(v)), which no production
-//     path needs (Kendall answers run on the q statistic), kept to
-//     cross-check the Kendall pivot heuristic and enumeration.
+//     path needs (Kendall answers run on the q statistic), checked against
+//     enumeration and between the two folds.
 //
 // Linked only into the test and bench binaries (the cpdb_oracle target).
 
@@ -55,11 +55,6 @@ double PrRanksBefore(const AndXorTree& tree, KeyId u, KeyId v);
 
 /// \brief Pointer-fold PrRanksBefore; bitwise the flat form.
 double PrRanksBeforePointer(const AndXorTree& tree, KeyId u, KeyId v);
-
-/// \brief result[i][j] = Pr(r(keys[i]) < r(keys[j])), diagonal 0, over one
-/// compiled tree — the majority tournament MeanTopKKendallPivot takes.
-std::vector<std::vector<double>> PairwiseOrderProbabilities(
-    const AndXorTree& tree, const std::vector<KeyId>& keys);
 
 /// \brief Pointer-fold q(u, t) = Pr(r(u) <= k and r(u) < r(t)); bitwise
 /// KendallQColumn's cell.

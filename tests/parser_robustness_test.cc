@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
+#include "oracle/references.h"
 #include "workload/generators.h"
 
 namespace cpdb {

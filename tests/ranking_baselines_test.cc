@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -24,6 +25,29 @@
 
 namespace cpdb {
 namespace {
+
+// U-Top-k: the Top-k *list* with the highest probability of being the
+// realized Top-k answer, via exhaustive world enumeration (exact; fails on
+// instances with more than `max_worlds` worlds).
+Result<std::vector<KeyId>> UTopKExact(const AndXorTree& tree, int k,
+                                      size_t max_worlds = 1 << 20) {
+  CPDB_ASSIGN_OR_RETURN(std::vector<World> worlds,
+                        EnumerateWorlds(tree, max_worlds));
+  std::map<std::vector<KeyId>, double> list_prob;
+  for (const World& w : worlds) {
+    list_prob[TopKOfWorld(tree, w.leaf_ids, k)] += w.prob;
+  }
+  const std::vector<KeyId>* best = nullptr;
+  double best_prob = -1.0;
+  for (const auto& [list, prob] : list_prob) {
+    if (prob > best_prob) {
+      best_prob = prob;
+      best = &list;
+    }
+  }
+  if (best == nullptr) return Status::Infeasible("no worlds");
+  return *best;
+}
 
 // E[r(key)] over every possible world: 1 + the number of present tuples of
 // other keys scoring strictly higher when the key is present, |pw| + 1 when

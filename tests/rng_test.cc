@@ -66,21 +66,6 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(13);
-  double sum = 0.0, sq = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    double g = rng.Gaussian(2.0, 3.0);
-    sum += g;
-    sq += g * g;
-  }
-  double mean = sum / n;
-  double var = sq / n - mean * mean;
-  EXPECT_NEAR(mean, 2.0, 0.05);
-  EXPECT_NEAR(var, 9.0, 0.2);
-}
-
 TEST(RngTest, ZipfSkewsTowardSmallIndices) {
   Rng rng(17);
   std::vector<int> counts(10, 0);
@@ -95,28 +80,6 @@ TEST(RngTest, ZipfThetaZeroIsUniform) {
   const int n = 80000;
   for (int i = 0; i < n; ++i) ++counts[static_cast<size_t>(rng.Zipf(4, 0.0))];
   for (int c : counts) EXPECT_NEAR(c, n / 4, n / 4 * 0.1);
-}
-
-TEST(RngTest, CategoricalFollowsWeights) {
-  Rng rng(23);
-  std::vector<double> w = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    int64_t v = rng.Categorical(w);
-    ASSERT_GE(v, 0);
-    ++counts[static_cast<size_t>(v)];
-  }
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.015);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.015);
-}
-
-TEST(RngTest, CategoricalAllZeroReturnsMinusOne) {
-  Rng rng(29);
-  EXPECT_EQ(rng.Categorical({0.0, 0.0}), -1);
-  EXPECT_EQ(rng.Categorical({}), -1);
 }
 
 TEST(RngTest, ShuffleIsPermutation) {

@@ -12,8 +12,8 @@
 #include <functional>
 #include <limits>
 
-#include "common/math_utils.h"
 #include "common/rng.h"
+#include "oracle/references.h"
 #include "oracle/world_estimators.h"
 #include "workload/generators.h"
 

@@ -30,7 +30,15 @@
 #     PairPresenceProbability( (the O(L^2) expected-rank pair loop) or
 #     EvalMedianSymDiffStratum( (one full median DP per score threshold) —
 #     production runs the score-ordered scans of core/ranking_baselines.h
-#     and core/topk_symdiff.h instead.
+#     and core/topk_symdiff.h instead;
+#   * a reference no production binary reaches (reference_pattern),
+#     anywhere, comments included: the Kendall evaluator over the full q
+#     matrix and its mean answers (tests/oracle/kendall_oracles.h), the
+#     exact optima, H_k and the BID formatter (tests/oracle/references.h),
+#     the MAX-2-SAT reduction (tests/hardness_test.cc), the exact U-Top-k
+#     (tests/ranking_baselines_test.cc), and the deleted pivot and brute-force
+#     Kendall answers, per-node structural hash and Gaussian and
+#     categorical draws.
 # Tests, benches and perfbench are exempt.
 #
 # Usage: tools/check_oracle_hygiene.sh [repo-root]
@@ -49,10 +57,12 @@ per_leaf_pattern='LeafRankContribution[[:space:]]*\('
 estimator_pattern='[M]cEstimate|[E]stimateOverWorlds|([E]numExpected|[M]cExpected)[A-Za-z0-9_]*[[:space:]]*\('
 distance_pattern='(^|[^A-Za-z0-9_])([T]opKListDistance|[T]opKSymmetricDifference|[T]opKIntersectionDistance|[T]opKFootrule|[T]opKKendall|[J]accardDistance)[[:space:]]*\('
 tail_pattern='(^|[^A-Za-z0-9_])([E]xpectedRankOfKey|[P]airPresenceProbability|[E]valMedianSymDiffStratum)[[:space:]]*\('
+reference_pattern='(^|[^A-Za-z0-9_])([K]endallEvaluator|[M]eanTopKKendall[A-Za-z]*|[E]xactClustering|[E]xactMedianAggregate|[E]numerateAssignments|[H]armonicNumber|[F]ormatBidTable|[T]woSatClause|[M]ax2SatInstance|[C]lauseSatisfied|[B]ruteForceMax2Sat|[R]esultWorld|[E]numerateQueryResultWorlds|[M]edianQueryResult|[B]uildQueryResultTree|[U]TopKExact|[S]tructuralHash|[G]aussian|[C]ategorical)([^A-Za-z0-9_]|$)'
 
 violations=$(grep -RnE -e "$include_pattern" -e "$executor_pattern" \
   -e "$pointer_pattern" -e "$per_leaf_pattern" -e "$estimator_pattern" \
-  -e "$distance_pattern" -e "$tail_pattern" src tools --include='*.h' \
+  -e "$distance_pattern" -e "$tail_pattern" -e "$reference_pattern" src \
+  tools --include='*.h' \
   --include='*.cc' || true)
 
 if [ -n "$violations" ]; then
