@@ -62,10 +62,10 @@ std::vector<NodeId> MedianWorldSymDiff(const AndXorTree& tree);
 // The three functions above each start from tree.LeafMarginals() — the only
 // super-constant-per-leaf work on these O(N) paths. The variants below take
 // the marginal vector (indexed by NodeId, as produced by LeafMarginals() or
-// by per-leaf AndXorTree::LeafMarginal calls) as an argument, so the engine
-// can compute the per-leaf folds across its thread pool and keep the cheap
-// filter / DP / sum on the calling thread. Each wrapper above is exactly
-// `FromMarginals(tree, tree.LeafMarginals(), ...)`.
+// by the engine from a compiled FlatTree's leaf table) as an argument, so
+// the engine can compute the per-leaf folds across its thread pool and keep
+// the cheap filter / DP / sum on the calling thread. Each wrapper above is
+// exactly `FromMarginals(tree, tree.LeafMarginals(), ...)`.
 
 /// \brief MeanWorldSymDiff from precomputed leaf marginals.
 std::vector<NodeId> MeanWorldSymDiffFromMarginals(

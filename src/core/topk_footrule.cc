@@ -14,15 +14,6 @@ double Upsilon2(const RankDistribution& dist, KeyId key) {
   return v;
 }
 
-double Upsilon3(const RankDistribution& dist, KeyId key, int i) {
-  double v = 0.0;
-  for (int j = 1; j <= dist.k(); ++j) {
-    v += std::abs(i - j) * dist.PrRankEq(key, j);
-  }
-  v += i * dist.PrBeyondK(key);
-  return v;
-}
-
 double FootrulePositionCost(const RankDistribution& dist, KeyId key,
                             int position) {
   const int k = dist.k();

@@ -6,12 +6,13 @@
 // assignment problem. The per-position statistics are
 //   Upsilon1(t)    = Pr(r(t) <= k)
 //   Upsilon2(t)    = sum_{i<=k} i * Pr(r(t) = i)
-//   Upsilon3(t, i) = sum_{j<=k} |i - j| Pr(r(t) = j) + i * Pr(r(t) > k).
+// and a third, per (tuple, position) i:
+//   sum_{j<=k} |i - j| Pr(r(t) = j) + i * Pr(r(t) > k).
 //
 // NOTE (reproduction finding, see EXPERIMENTS.md): the final combined
 // expression in the paper's Figure 2 drops a (k+1-2i)*Pr(r(t)>k) term while
-// folding the derivation into Upsilon3. Re-deriving from the F^(k+1)
-// definition (and verifying against exhaustive enumeration in
+// folding the derivation into that third statistic. Re-deriving from the
+// F^(k+1) definition (and verifying against exhaustive enumeration in
 // tests/topk_footrule_test.cc) gives the assignment cost implemented here:
 //   f(t, i) = sum_{j<=k} |i-j| Pr(r(t)=j) + (k+1-i) Pr(r(t)>k)
 //             - (k+1) Upsilon1(t) + Upsilon2(t),
@@ -32,9 +33,6 @@ namespace cpdb {
 
 /// \brief Upsilon2(t) = sum_{i<=k} i * Pr(r(t) = i).
 double Upsilon2(const RankDistribution& dist, KeyId key);
-
-/// \brief Upsilon3(t, i) = sum_{j<=k} |i-j| Pr(r(t)=j) + i Pr(r(t)>k).
-double Upsilon3(const RankDistribution& dist, KeyId key, int i);
 
 /// \brief The assignment cost f(t, i) of placing tuple t at position i.
 double FootrulePositionCost(const RankDistribution& dist, KeyId key,

@@ -133,7 +133,7 @@ std::vector<std::vector<double>> Engine::PerKeyColumns(
 std::vector<double> Engine::LeafMarginals(const AndXorTree& tree,
                                           const FlatTree* program) const {
   // FlatTree::Compile carries the root-to-leaf XOR edge product down its
-  // single O(N) walk, multiplying in the exact order tree.LeafMarginal
+  // single O(N) walk, multiplying in the exact order tree.LeafMarginals()
   // does, so scattering the precomputed leaf-table marginals is bitwise
   // identical to the historical per-leaf pointer walks — and replaces L
   // O(depth) walks with one pass (or zero, with a supplied program).

@@ -189,7 +189,7 @@ void AndXorTree::BuildIndex() {
   // Rebuild the leaf index in deterministic DFS order (children
   // left-to-right) and the parent pointers.
   // Each node's up-edge probability (1.0 below an AND) rides along, for
-  // the LeafMarginal walk and the score-ordered scans' path updates.
+  // the score-ordered scans' path updates.
   leaf_ids_.clear();
   leaf_ids_.reserve(static_cast<size_t>(
       std::count_if(nodes_.begin(), nodes_.end(), [](const TreeNode& n) {
@@ -237,21 +237,6 @@ std::vector<double> AndXorTree::LeafMarginals() const {
     }
   }
   return marginal;
-}
-
-double AndXorTree::LeafMarginal(NodeId leaf) const {
-  // Multiply the up-edges top-down — the accumulation order of
-  // LeafMarginals()'s DFS, which is what makes the two bitwise
-  // interchangeable (AND edges multiply by an exact 1.0).
-  std::vector<NodeId> path;  // leaf ... the root's child
-  for (NodeId v = leaf; v != root_; v = parents_[static_cast<size_t>(v)]) {
-    path.push_back(v);
-  }
-  double p = 1.0;
-  for (size_t i = path.size(); i-- > 0;) {
-    p *= up_edge_[static_cast<size_t>(path[i])];
-  }
-  return p;
 }
 
 std::vector<KeyId> AndXorTree::Keys() const {

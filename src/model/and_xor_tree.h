@@ -100,12 +100,6 @@ class AndXorTree {
   /// Requires a prior successful Validate().
   std::vector<double> LeafMarginals() const;
 
-  /// \brief Pr(`leaf` present) for a single leaf, multiplying the XOR edge
-  /// probabilities root-to-leaf — the same order as LeafMarginals(), so the
-  /// value is bitwise identical to LeafMarginals()[leaf]. O(path length)
-  /// per call. Requires a prior successful Validate().
-  double LeafMarginal(NodeId leaf) const;
-
   /// \brief Distinct keys appearing in the tree, sorted ascending.
   std::vector<KeyId> Keys() const;
 

@@ -137,7 +137,7 @@ FlatTree FlatTree::Compile(const AndXorTree& tree) {
       const NodeId child = n.children[f.next_child];
       // Leaf marginals multiply only at XOR edges; the pointer walk's
       // AND-edge factor is exactly 1.0 and p * 1.0 == p bitwise, so
-      // skipping it preserves LeafMarginal()'s bits.
+      // skipping it preserves the pointer walk's bits.
       const double child_prob = n.kind == NodeKind::kXor
                                     ? f.path_prob * n.edge_probs[f.next_child]
                                     : f.path_prob;

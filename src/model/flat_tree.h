@@ -77,7 +77,7 @@ struct FlatLeaf {
   int32_t label;
   NodeId node;       // originating AndXorTree node id
   int32_t op_index;  // index of this leaf's kLeaf op in ops()
-  double marginal;   // Pr[leaf present]; bitwise == AndXorTree::LeafMarginal
+  double marginal;   // Pr[leaf present]; bitwise == tree.LeafMarginals()
 };
 
 class FlatTree {

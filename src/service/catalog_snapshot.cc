@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
+#include "model/flat_tree.h"
 #include "service/query_scheduler.h"
 
 namespace cpdb {
@@ -405,61 +406,52 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
         "catalog snapshot reserved header field is nonzero");
   }
 
-  // 4. Checksum, before trusting any count or length: Fnv1a64 over every
-  // byte up to the trailing u64. Catches bit rot, truncation-with-padding,
-  // and bytes appended after the original checksum (the checksum is *at*
-  // size-8, so growing the file moves where we look).
-  {
-    uint64_t computed = Fnv1a64(bytes, size - kChecksumBytes);
-    Reader tail(bytes + size - kChecksumBytes, kChecksumBytes);
-    uint64_t stored = 0;
-    tail.ReadU64(&stored);
-    if (computed != stored) {
-      return Status::ParseError(
-          "catalog snapshot checksum mismatch (file corrupted): stored " +
-          HashToHex(stored) + ", computed " + HashToHex(computed));
-    }
-  }
-
   uint64_t tree_count = 0;
   uint64_t dist_count = 0;
   reader.ReadU64(&tree_count);
   reader.ReadU64(&dist_count);
 
-  // 5. Counts vs payload: a record count whose minimum encoding exceeds the
+  // 4. Counts vs payload: a record count whose minimum encoding exceeds the
   // remaining bytes is forged — reject before looping (this is the
-  // entry-count-overflow defense; the division cannot overflow).
+  // entry-count-overflow defense; the division cannot overflow). Reported
+  // after the checksum (step 7), like every later defect.
   const size_t payload_remaining = reader.remaining();
+  Status counts;
   if (tree_count > payload_remaining / kMinTreeRecordBytes) {
-    return Status::ParseError(
+    counts = Status::ParseError(
         "catalog snapshot tree count " + std::to_string(tree_count) +
         " cannot fit in the remaining " + std::to_string(payload_remaining) +
         " payload bytes");
-  }
-  if (dist_count > payload_remaining / kMinDistRecordBytes) {
-    return Status::ParseError(
+  } else if (dist_count > payload_remaining / kMinDistRecordBytes) {
+    counts = Status::ParseError(
         "catalog snapshot distribution count " + std::to_string(dist_count) +
         " cannot fit in the remaining " + std::to_string(payload_remaining) +
         " payload bytes");
   }
 
-  // 6. Framing: walk every record's lengths, keeping views into the
-  // snapshot bytes, up to the first framing defect. Nothing is parsed yet.
+  // 5. Framing, under plausible counts: walk every record's lengths,
+  // keeping views into the snapshot bytes, up to the first framing defect.
+  // Nothing is parsed yet. The reader is bounds-checked, so framing needs
+  // no trust in the checksum.
   std::vector<TreeFrame> tree_frames;
   std::vector<DistFrame> dist_frames;
-  tree_frames.reserve(static_cast<size_t>(tree_count));
-  Status framing = FrameRecords(tree_count, dist_count, &reader, &tree_frames,
-                                &dist_frames);
-  // The cursor must land exactly on the checksum: bytes between the last
-  // record and the trailing u64 are garbage even when the file's author
-  // re-stamped a checksum over them.
-  if (framing.ok() && reader.pos() != payload_end) {
-    framing = Status::ParseError(
-        "catalog snapshot has " + std::to_string(payload_end - reader.pos()) +
-        " bytes of trailing garbage after the last record");
+  Status framing;
+  if (counts.ok()) {
+    tree_frames.reserve(static_cast<size_t>(tree_count));
+    framing = FrameRecords(tree_count, dist_count, &reader, &tree_frames,
+                           &dist_frames);
+    // The cursor must land exactly on the checksum: bytes between the last
+    // record and the trailing u64 are garbage even when the file's author
+    // re-stamped a checksum over them.
+    if (framing.ok() && reader.pos() != payload_end) {
+      framing = Status::ParseError(
+          "catalog snapshot has " +
+          std::to_string(payload_end - reader.pos()) +
+          " bytes of trailing garbage after the last record");
+    }
   }
 
-  // 7. The per-record work — parse, identity, distribution build — is
+  // 6. The per-record work — parse, identity, distribution build — is
   // independent per record, so it fans out over the caller's pool. Each
   // task writes only its own slot and reports its own defect; the in-order
   // passes below report the first defect in record order, so the result
@@ -473,18 +465,40 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
     }
   };
 
+  // The first record of each stored structural key compiles its shape's
+  // fold program, which install hands to the catalog (see
+  // TreeCatalog::InsertWithIdentity). A decoded file's stored keys are
+  // the recomputed ones, so that is one compile per distinct shape.
+  std::vector<bool> compiles(tree_frames.size());
+  {
+    std::set<uint64_t> keys;
+    for (size_t i = 0; i < tree_frames.size(); ++i) {
+      compiles[i] = keys.insert(tree_frames[i].struct_key).second;
+    }
+  }
   struct DecodedTree {
     Status status;
     TreeIdentity identity;
     std::vector<KeyId> keys;  // sorted; only when there are distributions
   };
   std::vector<DecodedTree> decoded_trees(tree_frames.size());
-  for_each_record(static_cast<int64_t>(tree_frames.size()), [&](int64_t i) {
-    const TreeFrame& frame = tree_frames[static_cast<size_t>(i)];
-    DecodedTree& out = decoded_trees[static_cast<size_t>(i)];
-    out.status = Guarded(TreeWhere, static_cast<uint64_t>(i), [&] {
-      CPDB_RETURN_NOT_OK(
-          DecodeTree(static_cast<uint64_t>(i), frame, &out.identity));
+  // Task 0 is the whole-file checksum, one sequential pass over every
+  // byte, so it runs beside the records rather than before them; task
+  // i + 1 decodes tree record i.
+  uint64_t computed_checksum = 0;
+  auto decode_task = [&](int64_t task) {
+    if (task == 0) {
+      computed_checksum = Fnv1a64(bytes, payload_end);
+      return;
+    }
+    const size_t i = static_cast<size_t>(task - 1);
+    DecodedTree& out = decoded_trees[i];
+    out.status = Guarded(TreeWhere, i, [&] {
+      CPDB_RETURN_NOT_OK(DecodeTree(i, tree_frames[i], &out.identity));
+      if (compiles[i]) {
+        out.identity.program = std::make_shared<const FlatTree>(
+            FlatTree::Compile(*out.identity.canonical_tree));
+      }
       // Every distribution of this tree compares its keys against these,
       // sorted once per tree.
       if (!dist_frames.empty()) {
@@ -492,7 +506,25 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
       }
       return Status::OK();
     });
-  });
+  };
+  for_each_record(static_cast<int64_t>(tree_frames.size()) + 1, decode_task);
+
+  // 7. Checksum, reported before any count, length or record defect:
+  // Fnv1a64 over every byte up to the trailing u64. Catches bit rot,
+  // truncation-with-padding, and bytes appended after the original
+  // checksum (the checksum is *at* size-8, so growing the file moves where
+  // we look).
+  {
+    Reader tail(bytes + payload_end, kChecksumBytes);
+    uint64_t stored = 0;
+    tail.ReadU64(&stored);
+    if (computed_checksum != stored) {
+      return Status::ParseError(
+          "catalog snapshot checksum mismatch (file corrupted): stored " +
+          HashToHex(stored) + ", computed " + HashToHex(computed_checksum));
+    }
+  }
+  CPDB_RETURN_NOT_OK(counts);
 
   // 8. Trees in record order: the name checks, which depend on earlier
   // records, then the record's own decode.

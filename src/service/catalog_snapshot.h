@@ -93,12 +93,14 @@ inline constexpr uint32_t kCatalogSnapshotVersion = 3;
 
 /// \brief One persisted catalog binding: a named TreeIdentity. `content` is
 /// the wire-visible serialization (what a kLoad of this binding carried)
-/// and `content_fp` its Fnv1a64; `struct_key`, `canonical_bytes` and
-/// `canonical_tree` are its shape. The decoder fills the identity from one
-/// TreeCatalog::ComputeIdentity call over the parsed content and verifies
-/// it against the stored fields; a built snapshot copies the catalog's
-/// stored identity (TreeCatalog::IdentityOf). Either way install inserts
-/// the record as is, without re-deriving anything.
+/// and `content_fp` its Fnv1a64; `struct_key`, `canonical_bytes`,
+/// `canonical_tree` and `program` are its shape. The decoder fills the
+/// identity from one TreeCatalog::ComputeIdentity call over the parsed
+/// content, verifies it against the stored fields, and compiles `program`
+/// for the first record of each shape (the rest carry none); a built
+/// snapshot copies the catalog's stored identity (TreeCatalog::IdentityOf).
+/// Either way install inserts the record as is, without re-deriving
+/// anything. The program is never written: the format holds the text.
 struct SnapshotTree : TreeIdentity {
   std::string name;
 };
@@ -133,14 +135,17 @@ std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot);
 /// garbage — returns a typed Status describing the first defect in record
 /// order. Never aborts, never returns a partially valid snapshot.
 ///
-/// The header, checksum and record framing are read on the calling
-/// thread; each record's own work (its fingerprint check, parse, identity
-/// and structural-key checks, or a distribution's key and probability
-/// checks and build) then runs as one ParallelFor index on `pool`, or on
-/// the calling thread when `pool` is null (serve passes its scheduler's
-/// pool). The checks that depend on earlier records (names, dangling and
-/// duplicate distributions) run in record order afterwards, so the
-/// snapshot returned and every error message are the same on any pool.
+/// The header and record framing are read on the calling thread; each
+/// record's own work (its fingerprint check, parse, identity and
+/// structural-key checks and, for the first record of a shape, its
+/// FlatTree compile, or a distribution's key and probability checks and
+/// build) then runs as one ParallelFor index on `pool`, or on the calling
+/// thread when `pool` is null (serve passes its scheduler's pool). The
+/// whole-file checksum is one more index beside the tree records. Its
+/// mismatch, then a forged count, then the checks that depend on earlier
+/// records (names, dangling and duplicate distributions) are reported in
+/// that order afterwards, so the snapshot returned and every error message
+/// are the same on any pool.
 Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size,
                                               ThreadPool* pool = nullptr);
 
@@ -156,8 +161,9 @@ CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
 /// record through TreeCatalog::InsertWithIdentity — the seam line-by-line
 /// loading ends in, so identities, dedup, and AlreadyExists/rebind
 /// semantics are byte-identical to feeding the content texts as individual
-/// loads, and the first record of each shape donates its canonical tree to
-/// the catalog — and, when `scheduler` is non-null, seeds its
+/// loads, and the first record of each shape donates its canonical tree
+/// (and the program a decode compiled for it) to the catalog — and, when
+/// `scheduler` is non-null, seeds its
 /// rank-distribution cache with the snapshot's precomputed sections.
 /// (QueryScheduler::InstallSnapshot is the routed form.) Records are
 /// trusted: the decoder verified every field, and a built snapshot copies a

@@ -94,14 +94,17 @@ Result<CatalogEntry> TreeCatalog::InsertWithIdentity(const std::string& name,
   }
   if (shape == by_shape_.end()) {
     // First time this shape enters the catalog: compile its fold program
-    // once. Every future load of any orientation of this shape — and every
-    // query against it — reuses the program through the shared_ptr. The
-    // byte compares are done, so new records take the identity's strings
-    // and tree over instead of copying them.
+    // once, unless the identity brings it compiled. Every future load of any
+    // orientation of this shape — and every query against it — reuses the
+    // program through the shared_ptr. The byte compares are done, so new
+    // records take the identity's strings, tree and program over instead of
+    // copying them.
     ShapeRecord record;
     record.tree = std::move(identity.canonical_tree);
-    record.program =
-        std::make_shared<const FlatTree>(FlatTree::Compile(*record.tree));
+    record.program = identity.program != nullptr
+                         ? std::move(identity.program)
+                         : std::make_shared<const FlatTree>(
+                               FlatTree::Compile(*record.tree));
     record.canonical_bytes = std::move(identity.canonical_bytes);
     ++fold_compiles_;
     shape = by_shape_.emplace(identity.struct_key, std::move(record)).first;
@@ -166,7 +169,7 @@ Result<TreeIdentity> TreeCatalog::IdentityOf(ContentFp content_fp) const {
   const ShapeRecord& shape = by_shape_.at(content->second.struct_key);
   return TreeIdentity{content_fp, content->second.struct_key,
                       content->second.bytes, shape.canonical_bytes,
-                      shape.tree};
+                      shape.tree, shape.program};
 }
 
 std::vector<CatalogEntry> TreeCatalog::SnapshotEntries() const {

@@ -57,7 +57,8 @@ struct CatalogEntry {
   /// The canonical orientation, shared per StructKey.
   std::shared_ptr<const AndXorTree> tree;
   /// The compiled fold program for `tree`, shared per StructKey; compiled
-  /// once when the shape first enters the catalog.
+  /// once, when the shape first enters the catalog or before (a snapshot
+  /// decode's TreeIdentity::program).
   std::shared_ptr<const FlatTree> program;
 };
 
@@ -75,6 +76,11 @@ struct TreeIdentity {
   /// hashes. Equal to content iff the input was already canonical.
   std::string canonical_bytes;
   std::shared_ptr<const AndXorTree> canonical_tree;
+  /// FlatTree::Compile(*canonical_tree), or null. ComputeIdentity leaves it
+  /// null and IdentityOf returns the catalog's; a snapshot decode compiles
+  /// one per distinct shape on its pool, so install compiles nothing under
+  /// the catalog lock.
+  std::shared_ptr<const FlatTree> program;
 };
 
 /// \brief Sizes of the three identity levels; names >= contents >= shapes.
@@ -92,7 +98,8 @@ struct CatalogCounts {
 /// Concurrency: all members may be called from any thread. Lookups return
 /// shared immutable state. The internal mutex guards the maps; the only
 /// non-trivial work under it is the one-time FlatTree compile when a NEW
-/// shape arrives (bounded by tree size, and exactly once per shape).
+/// shape arrives without a program (bounded by tree size, and exactly once
+/// per shape).
 class TreeCatalog {
  public:
   /// \brief Computes the full two-level identity of `tree`: content bytes
@@ -122,9 +129,12 @@ class TreeCatalog {
   /// twice per load, and so a snapshot record (an identity the decoder
   /// computed and verified, or one IdentityOf returned) installs without
   /// re-deriving it; Insert is ComputeIdentity + this. The identity is
-  /// trusted: every field must be what ComputeIdentity would return. A new
-  /// content or shape record takes the identity's bytes and tree over, so
-  /// callers done with the identity move it in.
+  /// trusted: every field must be what ComputeIdentity would return, and a
+  /// non-null `program` must compile `canonical_tree`. A new content or
+  /// shape record takes the identity's bytes, tree and program over, so
+  /// callers done with the identity move it in; a new shape that brings no
+  /// program is compiled here, and a program whose shape is already
+  /// present is dropped.
   Result<CatalogEntry> InsertWithIdentity(const std::string& name,
                                           TreeIdentity identity);
 
@@ -148,16 +158,17 @@ class TreeCatalog {
   /// \brief Sizes of all three identity levels, read atomically.
   CatalogCounts Counts() const;
 
-  /// \brief Number of FlatTree programs compiled by this catalog — exactly
-  /// the number of distinct shapes ever inserted. Feeds the
+  /// \brief Number of FlatTree programs installed by this catalog — exactly
+  /// the number of distinct shapes ever inserted, whether the program was
+  /// compiled here or came with the identity. Feeds the
   /// cpdb_fold_compiles_total metric alongside the engine's own counter.
   int64_t fold_compiles() const;
 
   /// \brief The stored identity of a ContentFp, or NotFound: the content
-  /// bytes its wire identity hashes, plus its shape's key, canonical bytes
-  /// and shared canonical tree. Snapshot building reads this so records
-  /// persist the content orientation, not the canonical one, and carry the
-  /// tree the catalog already holds.
+  /// bytes its wire identity hashes, plus its shape's key, canonical bytes,
+  /// shared canonical tree and program. Snapshot building reads this so
+  /// records persist the content orientation, not the canonical one, and
+  /// carry the tree the catalog already holds.
   Result<TreeIdentity> IdentityOf(ContentFp content_fp) const;
 
   /// \brief Every entry, in name order — deterministic regardless of load
@@ -176,7 +187,7 @@ class TreeCatalog {
   /// Third identity level: one per distinct shape; owns the shared state.
   struct ShapeRecord {
     std::shared_ptr<const AndXorTree> tree;      // canonical orientation
-    std::shared_ptr<const FlatTree> program;     // compiled once
+    std::shared_ptr<const FlatTree> program;     // compiled once per shape
     std::string canonical_bytes;                 // collision defense
   };
 

@@ -883,5 +883,84 @@ TEST(CatalogSnapshotThreadsTest, EarliestDefectInRecordOrderWins) {
                  "bad probability before a duplicate");
 }
 
+// The checksum runs as one more decode task beside the tree records, yet
+// its mismatch is still the first defect reported: before a forged count,
+// a framing defect, a record that fails its own checks or one that fails
+// an in-order check, whichever task finishes first. Each file below carries
+// one of those defects and a wrong checksum; ExpectRejected checks the
+// message at one, two, four and eight decode threads.
+TEST(CatalogSnapshotThreadsTest, ChecksumMismatchIsReportedFirst) {
+  // A wrong stored checksum over otherwise untouched bytes.
+  auto with_bad_checksum = [](std::string bytes) {
+    const size_t at = bytes.size() - 8;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+    return bytes;
+  };
+  // Many records, so the decode tasks split across every pool; the first
+  // is a long text that fails to parse only at its end.
+  auto records = [](std::vector<SnapshotTree> extra) {
+    CatalogSnapshot snapshot;
+    for (int i = 0; i < 16; ++i) {
+      snapshot.trees.push_back(CatalogTreeRecord(
+          "b" + std::to_string(10 + i), i % 2 ? kTreeText : kOtherTreeText));
+    }
+    for (SnapshotTree& record : extra) {
+      snapshot.trees.push_back(std::move(record));
+    }
+    return EncodeCatalogSnapshot(snapshot);
+  };
+
+  std::vector<std::pair<std::string, std::string>> defects;
+  {
+    std::string trees = ValidBytes(false);
+    PokeU64(&trees, kTreeCountOffset, uint64_t{1} << 60);
+    defects.emplace_back("forged tree count", Restamped(trees));
+    std::string dists = ValidBytes(true);
+    PokeU64(&dists, kDistCountOffset, uint64_t{1} << 60);
+    defects.emplace_back("forged distribution count", Restamped(dists));
+  }
+  {
+    std::string truncated = records({CatalogTreeRecord("c", kTreeText)});
+    truncated.erase(truncated.size() - 8 - 5, 5);
+    defects.emplace_back("truncated record", Restamped(truncated));
+    std::string garbage = records({});
+    garbage.insert(garbage.size() - 8, "JUNK");
+    defects.emplace_back("trailing garbage", Restamped(garbage));
+  }
+  Rng rng(11);
+  defects.emplace_back(
+      "record that does not parse",
+      records({MakeTreeRecord(
+          "a0", FormatTree(*RandomTupleIndependent(3000, &rng),
+                           /*indent=*/false) +
+                    " )")}));
+  defects.emplace_back(
+      "duplicate name",
+      records({CatalogTreeRecord("c", kTreeText),
+               CatalogTreeRecord("c", kTreeText)}));
+  {
+    LiveService live(/*with_distributions=*/true);
+    CatalogSnapshot dangling = live.Snapshot(true);
+    dangling.trees.pop_back();
+    defects.emplace_back("dangling distribution",
+                         EncodeCatalogSnapshot(dangling));
+  }
+
+  for (const auto& [label, bytes] : defects) {
+    // Each file is rejected for its own defect while its checksum holds...
+    {
+      SCOPED_TRACE(label);
+      Result<CatalogSnapshot> own =
+          DecodeCatalogSnapshot(bytes.data(), bytes.size(), DecodePool(4));
+      ASSERT_FALSE(own.ok());
+      EXPECT_EQ(own.status().message().find("checksum"), std::string::npos)
+          << own.status().ToString();
+    }
+    // ...and for its checksum once that is wrong too.
+    ExpectRejected(with_bad_checksum(bytes), StatusCode::kParseError,
+                   "catalog snapshot checksum mismatch", label);
+  }
+}
+
 }  // namespace
 }  // namespace cpdb

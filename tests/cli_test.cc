@@ -1088,5 +1088,112 @@ TEST_F(CliTest, ServeMetricsOffParityAndSlowQueryLog) {
             std::string::npos);
 }
 
+// The transcript with every trace_*=<nanoseconds> field's value dropped:
+// trace=on answers carry wall-clock spans, which differ run to run.
+std::string WithoutTraceTimes(const std::string& out) {
+  std::string kept;
+  for (const std::string& line : OutputLines(out)) {
+    size_t begin = 0;
+    for (size_t field; (field = line.find("\ttrace_", begin)) !=
+                       std::string::npos;) {
+      const size_t value = line.find('=', field) + 1;
+      size_t end = line.find('\t', value);
+      if (end == std::string::npos) end = line.size();
+      kept.append(line, begin, value - begin);
+      begin = end;
+    }
+    kept.append(line, begin, std::string::npos);
+    kept += '\n';
+  }
+  return kept;
+}
+
+// A batch well above four of batch serve's 128-line pool units, so its
+// parse and its answer format run split across the pool at --threads=4.
+// Comment and blank lines, lines that are not name=value, unknown ops,
+// out-of-range k, unknown trees and trace=on ride among valid requests of
+// both input formats. The transcript must not depend on --threads or
+// --shards, must match --stream (the loads come first), and every error
+// line must name its input line.
+TEST_F(CliTest, ServeLargeBatchIsIndependentOfThreadsAndShards) {
+  const std::vector<std::pair<std::string, bool>> cycle = {
+      // (request line, whether it answers with an error line)
+      {"op=topk tree=t k=2 metric=symdiff", false},
+      {"# a comment line", false},
+      {"op=topk tree=b k=3 metric=footrule", false},
+      {"not_a_field", true},
+      {"op=topk tree=t k=2 metric=kendall trace=on", false},
+      {"", false},
+      {"op=frobnicate tree=t", true},
+      {"op=world tree=b answer=median", false},
+      {"op=topk tree=t k=0 metric=symdiff", true},
+      {"op=topk tree=b k=2 metric=intersection", false},
+      {"op=topk tree=nope k=2", true},
+      {"op=marginals tree=t", false},
+      {"op=topk tree=t k=99999999", true},
+  };
+  std::string requests = "# fan-out batch\n"
+                         "op=load name=t file=" + tree_path_ + "\n"
+                         "op=load name=b file=" + bid_path_ +
+                         " format=bid\n";
+  // (input line number, error expected) per response line, in order.
+  std::vector<std::pair<size_t, bool>> responses = {{2, false}, {3, false}};
+  size_t line_number = 3;
+  for (int i = 0; i < 1500; ++i) {
+    const auto& [text, error] = cycle[static_cast<size_t>(i) % cycle.size()];
+    requests += text + "\n";
+    ++line_number;
+    if (!text.empty() && text[0] != '#') responses.emplace_back(line_number,
+                                                                error);
+  }
+  const std::string requests_path =
+      ::testing::TempDir() + "/cli_serve_large.txt";
+  ASSERT_TRUE(WriteStringToFile(requests_path, requests).ok());
+
+  CliResult reference = RunCliArgs(
+      {"serve", requests_path, "--threads=1", "--shards=1",
+       "--slow-query-ms=0"});
+  EXPECT_EQ(reference.code, 1);  // some requests failed, in-band
+  const std::vector<std::string> lines = OutputLines(reference.out);
+  ASSERT_EQ(lines.size(), responses.size());
+  size_t answered = 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const auto& [number, error] = responses[i];
+    const std::string prefix =
+        error ? "error\tline=" + std::to_string(number) + "\tmsg=" : "ok\t";
+    ASSERT_EQ(lines[i].compare(0, prefix.size(), prefix), 0)
+        << "response " << i << " to line " << number << ": " << lines[i];
+    if (!error) ++answered;
+  }
+  EXPECT_NE(reference.out.find("\ttrace_total_ns="), std::string::npos);
+  // The slow-query log names every answered request, in line order.
+  size_t logged = 0;
+  size_t previous = 0;
+  for (const std::string& entry : OutputLines(reference.err)) {
+    ASSERT_EQ(entry.compare(0, 16, "slow-query\tline="), 0) << entry;
+    const size_t number = std::stoul(entry.substr(16));
+    EXPECT_GT(number, previous);
+    previous = number;
+    ++logged;
+  }
+  EXPECT_EQ(logged, answered);
+
+  const std::string expected = WithoutTraceTimes(reference.out);
+  for (const char* threads : {"--threads=1", "--threads=4"}) {
+    for (const char* shards : {"--shards=1", "--shards=4"}) {
+      for (bool stream : {false, true}) {
+        SCOPED_TRACE(std::string(threads) + " " + shards +
+                     (stream ? " --stream" : ""));
+        std::vector<std::string> args = {"serve", requests_path, threads,
+                                         shards};
+        if (stream) args.push_back("--stream");
+        CliResult run = RunCliArgs(args);
+        EXPECT_EQ(run.code, 1) << run.err;
+        EXPECT_EQ(WithoutTraceTimes(run.out), expected);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cpdb

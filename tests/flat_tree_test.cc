@@ -33,6 +33,7 @@
 #include "oracle/generating_function.h"
 #include "oracle/poly1.h"
 #include "oracle/poly2.h"
+#include "oracle/tail_oracles.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -110,7 +111,7 @@ TEST_P(FlatTreeDifferential, LeafTableMatchesPointerTree) {
       const TupleAlternative& alt = tree.node(leaf.node).leaf;
       ASSERT_EQ(leaf.key, alt.key);
       ASSERT_EQ(leaf.score, alt.score);
-      ASSERT_EQ(leaf.marginal, tree.LeafMarginal(leaf.node));
+      ASSERT_EQ(leaf.marginal, LeafMarginal(tree, leaf.node));
       ASSERT_EQ(leaf.marginal,
                 pointer_marginals[static_cast<size_t>(leaf.node)]);
     }

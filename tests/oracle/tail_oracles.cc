@@ -328,9 +328,19 @@ Result<TopKResult> MedianTopKSymDiffByStrata(const AndXorTree& tree,
   return result;
 }
 
+double LeafMarginal(const AndXorTree& tree, NodeId leaf) {
+  std::vector<NodeId> path;  // leaf ... the root's child
+  for (NodeId v = leaf; v != tree.root(); v = tree.parent(v)) {
+    path.push_back(v);
+  }
+  double p = 1.0;
+  for (size_t i = path.size(); i-- > 0;) p *= tree.up_edge(path[i]);
+  return p;
+}
+
 double PairPresenceProbability(const AndXorTree& tree, NodeId leaf1,
                                NodeId leaf2) {
-  if (leaf1 == leaf2) return tree.LeafMarginal(leaf1);
+  if (leaf1 == leaf2) return LeafMarginal(tree, leaf1);
   const NodeId root = tree.root();
   // The LCA by the two-pointer walk: each side climbs its own path, then
   // restarts at the other leaf, so both have walked the same distance when

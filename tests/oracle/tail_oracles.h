@@ -14,7 +14,8 @@
 //   * the expected ranks as the O(L^2) pair loop over pairwise presence
 //     probabilities, within a few ulps of the scan (exact on trees whose
 //     edge probabilities are dyadic), and the pairwise presence
-//     probability itself.
+//     probability itself, with the single-leaf marginal walk it starts
+//     from.
 //
 // Linked only into the test and bench binaries (the cpdb_oracle target).
 
@@ -39,11 +40,18 @@ Result<TopKResult> MedianTopKSymDiffByStrata(const AndXorTree& tree,
                                              const RankDistribution& dist,
                                              int* winning_stratum = nullptr);
 
+/// \brief Pr(`leaf` present) for a single leaf: the product of the up-edge
+/// probabilities (tree.up_edge) along the parent chain, multiplied top-down —
+/// the accumulation order of tree.LeafMarginals()'s DFS, so the value is
+/// bitwise LeafMarginals()[leaf] (AND edges multiply by an exact 1.0).
+/// O(path length). Requires a validated tree.
+double LeafMarginal(const AndXorTree& tree, NodeId leaf);
+
 /// \brief Pr(both leaves present in the same world): 0 when their LCA is a
 /// XOR node; otherwise the product of the XOR edge probabilities on the
 /// union of the two root paths (shared part once), multiplied leaf1's edges
 /// below the LCA, then leaf2's, then the LCA's path to the root. The
-/// same-leaf case is tree.LeafMarginal(leaf1). Requires a validated tree.
+/// same-leaf case is LeafMarginal(tree, leaf1). Requires a validated tree.
 double PairPresenceProbability(const AndXorTree& tree, NodeId leaf1,
                                NodeId leaf2);
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 
@@ -21,6 +22,18 @@ namespace cpdb {
 namespace {
 
 constexpr int kK = 3;
+
+// The third per-position statistic of Section 5.4:
+// sum_{j<=k} |i-j| Pr(r(t)=j) + i Pr(r(t)>k). The served assignment cost,
+// FootrulePositionCost, folds in its corrected form (see topk_footrule.h).
+double Upsilon3(const RankDistribution& dist, KeyId key, int i) {
+  double v = 0.0;
+  for (int j = 1; j <= dist.k(); ++j) {
+    v += std::abs(i - j) * dist.PrRankEq(key, j);
+  }
+  v += i * dist.PrBeyondK(key);
+  return v;
+}
 
 class TopKFootruleProperty : public ::testing::TestWithParam<int> {};
 

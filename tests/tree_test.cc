@@ -393,7 +393,7 @@ double PairPresenceOracle(const AndXorTree& tree, NodeId leaf1, NodeId leaf2) {
 void ExpectPairPresenceMatchesOracle(const AndXorTree& tree) {
   const std::vector<NodeId>& leaves = tree.LeafIds();
   for (NodeId a : leaves) {
-    ASSERT_EQ(tree.LeafMarginal(a), PairPresenceOracle(tree, a, a));
+    ASSERT_EQ(LeafMarginal(tree, a), PairPresenceOracle(tree, a, a));
     for (NodeId b : leaves) {
       ASSERT_EQ(PairPresenceProbability(tree, a, b),
                 PairPresenceOracle(tree, a, b))

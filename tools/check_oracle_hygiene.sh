@@ -36,8 +36,10 @@
 #     matrix and its mean answers (tests/oracle/kendall_oracles.h), the
 #     exact optima, H_k and the BID formatter (tests/oracle/references.h),
 #     the MAX-2-SAT reduction (tests/hardness_test.cc), the exact U-Top-k
-#     (tests/ranking_baselines_test.cc), and the deleted pivot and brute-force
-#     Kendall answers, per-node structural hash and Gaussian and
+#     (tests/ranking_baselines_test.cc), the paper's third footrule
+#     statistic as printed (tests/topk_footrule_test.cc), the single-leaf
+#     marginal walk (tests/oracle/tail_oracles.h), and the deleted pivot and
+#     brute-force Kendall answers, per-node structural hash and Gaussian and
 #     categorical draws.
 # Tests, benches and perfbench are exempt.
 #
@@ -57,7 +59,7 @@ per_leaf_pattern='LeafRankContribution[[:space:]]*\('
 estimator_pattern='[M]cEstimate|[E]stimateOverWorlds|([E]numExpected|[M]cExpected)[A-Za-z0-9_]*[[:space:]]*\('
 distance_pattern='(^|[^A-Za-z0-9_])([T]opKListDistance|[T]opKSymmetricDifference|[T]opKIntersectionDistance|[T]opKFootrule|[T]opKKendall|[J]accardDistance)[[:space:]]*\('
 tail_pattern='(^|[^A-Za-z0-9_])([E]xpectedRankOfKey|[P]airPresenceProbability|[E]valMedianSymDiffStratum)[[:space:]]*\('
-reference_pattern='(^|[^A-Za-z0-9_])([K]endallEvaluator|[M]eanTopKKendall[A-Za-z]*|[E]xactClustering|[E]xactMedianAggregate|[E]numerateAssignments|[H]armonicNumber|[F]ormatBidTable|[T]woSatClause|[M]ax2SatInstance|[C]lauseSatisfied|[B]ruteForceMax2Sat|[R]esultWorld|[E]numerateQueryResultWorlds|[M]edianQueryResult|[B]uildQueryResultTree|[U]TopKExact|[S]tructuralHash|[G]aussian|[C]ategorical)([^A-Za-z0-9_]|$)'
+reference_pattern='(^|[^A-Za-z0-9_])([K]endallEvaluator|[M]eanTopKKendall[A-Za-z]*|[E]xactClustering|[E]xactMedianAggregate|[E]numerateAssignments|[H]armonicNumber|[F]ormatBidTable|[T]woSatClause|[M]ax2SatInstance|[C]lauseSatisfied|[B]ruteForceMax2Sat|[R]esultWorld|[E]numerateQueryResultWorlds|[M]edianQueryResult|[B]uildQueryResultTree|[U]TopKExact|[S]tructuralHash|[G]aussian|[C]ategorical|[U]psilon3|[L]eafMarginal)([^A-Za-z0-9_]|$)'
 
 violations=$(grep -RnE -e "$include_pattern" -e "$executor_pattern" \
   -e "$pointer_pattern" -e "$per_leaf_pattern" -e "$estimator_pattern" \
