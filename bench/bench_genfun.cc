@@ -15,6 +15,7 @@
 #include "model/flat_tree.h"
 #include "oracle/generating_function.h"
 #include "oracle/poly1.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "core/rank_distribution.h"
 #include "oracle/fold_oracles.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

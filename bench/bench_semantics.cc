@@ -20,6 +20,7 @@
 #include "core/topk_footrule.h"
 #include "core/topk_intersection.h"
 #include "core/topk_symdiff.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

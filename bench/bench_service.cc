@@ -31,11 +31,11 @@
 //       bitwise identical to direct engine calls), while the unbounded arm
 //       shows the memory an immortal cache would accrete. evictions counts
 //       the churn.
-//   BM_ServeStreamingChurn — the same request stream through
-//       ExecuteStreaming (the serve --stream execution path): per-request
-//       emission, caches still shared across the stream. The first
-//       response is emitted before the second request is even pulled —
-//       streaming latency is per-request, not per-input.
+//   BM_ServeStreamingChurn — the same request stream executed the way
+//       serve --stream does, each request its own one-request batch
+//       (ExecuteAlone), caches still shared across the stream. Each
+//       response exists before the next request runs — streaming latency
+//       is per-request, not per-input.
 //
 // And the sharding PR's scaling scenario:
 //
@@ -83,6 +83,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "engine/engine.h"
+#include "execute_alone.h"
 #include "io/tree_text.h"
 #include "model/and_xor_tree.h"
 #include "service/catalog_snapshot.h"
@@ -313,17 +314,11 @@ void BM_ServeStreamingChurn(benchmark::State& state) {
   std::vector<ServiceRequest> stream = fixture.Stream();
   int64_t emitted = 0;
   for (auto _ : state) {
-    size_t cursor = 0;
-    scheduler.ExecuteStreaming(
-        [&](ServiceRequest* request) {
-          if (cursor == stream.size()) return false;
-          *request = stream[cursor++];
-          return true;
-        },
-        [&](const Result<ServiceResponse>& response) {
-          ++emitted;
-          benchmark::DoNotOptimize(response);
-        });
+    for (const ServiceRequest& request : stream) {
+      Result<ServiceResponse> response = ExecuteAlone(scheduler, request);
+      ++emitted;
+      benchmark::DoNotOptimize(response);
+    }
   }
   // Per-iteration, not accumulated: the value must describe the workload
   // (72 responses per stream) regardless of how many iterations ran.
@@ -482,7 +477,7 @@ void BM_ServeWarmRestart(benchmark::State& state) {
         return;
       }
     }
-    auto first = scheduler.ExecuteOne(batch[0]);
+    auto first = ExecuteAlone(scheduler, batch[0]);
     first_response_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

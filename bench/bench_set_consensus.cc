@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "core/set_consensus.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

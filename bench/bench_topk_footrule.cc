@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "core/topk_footrule.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "core/topk_symdiff.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

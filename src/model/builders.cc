@@ -4,23 +4,6 @@
 
 namespace cpdb {
 
-Result<AndXorTree> MakeTupleIndependent(
-    const std::vector<IndependentTuple>& tuples) {
-  AndXorTree tree;
-  std::vector<NodeId> tops;
-  tops.reserve(tuples.size());
-  for (const IndependentTuple& t : tuples) {
-    NodeId leaf = tree.AddLeaf(t.alt);
-    tops.push_back(tree.AddXor({leaf}, {t.prob}));
-  }
-  if (tops.empty()) {
-    return Status::InvalidArgument("tuple-independent table must be non-empty");
-  }
-  tree.SetRoot(tops.size() == 1 ? tops[0] : tree.AddAnd(std::move(tops)));
-  CPDB_RETURN_NOT_OK(tree.Validate());
-  return tree;
-}
-
 Result<AndXorTree> MakeBlockIndependent(const std::vector<Block>& blocks) {
   AndXorTree tree;
   std::vector<NodeId> tops;

@@ -1,8 +1,10 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // Convenience constructors for the special cases of the and/xor tree model
-// that prior work studied (Section 3.1/3.2 of the paper): tuple-independent
-// tables, block-independent disjoint (BID) tables, and x-tuples.
+// that prior work studied (Section 3.1/3.2 of the paper): block-independent
+// disjoint (BID) tables and x-tuples, and attribute-uncertain tables. The
+// tuple-independent builder, which only tests and benches call, lives with
+// the test oracles (tests/oracle/table_generators.h).
 
 #ifndef CPDB_MODEL_BUILDERS_H_
 #define CPDB_MODEL_BUILDERS_H_
@@ -14,13 +16,6 @@
 
 namespace cpdb {
 
-/// \brief One independent probabilistic tuple: a single alternative that is
-/// present with probability `prob` and absent otherwise.
-struct IndependentTuple {
-  TupleAlternative alt;
-  double prob = 1.0;
-};
-
 /// \brief One alternative of a BID block / x-tuple, with its probability.
 struct BlockAlternative {
   TupleAlternative alt;
@@ -31,10 +26,6 @@ struct BlockAlternative {
 /// alternatives share a key; in an x-tuple they may have distinct keys.
 /// Probabilities must sum to at most 1; the leftover is "block absent".
 using Block = std::vector<BlockAlternative>;
-
-/// \brief Builds a validated tree for a tuple-independent table:
-/// AND over one XOR(leaf) per tuple.
-Result<AndXorTree> MakeTupleIndependent(const std::vector<IndependentTuple>& tuples);
 
 /// \brief Builds a validated tree for a set of independent blocks (covers
 /// both the BID model and x-tuples): AND over one XOR per block.

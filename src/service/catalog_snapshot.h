@@ -174,7 +174,8 @@ CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
 Status InstallCatalogSnapshot(const CatalogSnapshot& snapshot,
                               TreeCatalog* catalog, QueryScheduler* scheduler);
 
-/// \brief Encodes and writes `snapshot` to `path` (truncating).
+/// \brief Encodes `snapshot` and replaces the file at `path` whole
+/// (WriteStringToFile: a temporary file beside it, renamed over it).
 Status WriteCatalogSnapshotFile(const std::string& path,
                                 const CatalogSnapshot& snapshot);
 

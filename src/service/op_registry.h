@@ -25,14 +25,14 @@
 //     hook, and
 //   * a deterministic response formatter.
 //
-// QueryScheduler::ExecuteBatch/ExecuteOne/ExecuteStreaming and its shard
-// fan-out are generic walks of this table: adding an op means adding one
-// row here (plus its core/engine computation), not editing dispatch
-// sites. Every tree-addressed request runs the same pipeline: its fetch in
-// slot order on the shard's dispatching thread, then its solve, fanned
-// with the batch's other solves across the shard engine's pool. The wire
-// error for an unknown op enumerates the valid names from the table, so
-// the message can never go stale.
+// QueryScheduler::ExecuteBatch and its shard fan-out are generic walks of
+// this table: adding an op means adding one row here (plus its core/engine
+// computation), not editing dispatch sites. Every tree-addressed request
+// runs the same pipeline: its fetch in slot order on the shard's
+// dispatching thread, then its solve, fanned with the batch's other solves
+// across the shard engine's pool. The wire error for an unknown op
+// enumerates the valid names from the table, so the message can never go
+// stale.
 //
 // Determinism contract: every solve computes through schedule-deterministic
 // Engine forms over inputs that are a pure function of (tree shape,

@@ -826,23 +826,6 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
   return responses;
 }
 
-Result<ServiceResponse> QueryScheduler::ExecuteOne(
-    const ServiceRequest& request) {
-  return ExecuteBatch({request})[0];
-}
-
-void QueryScheduler::ExecuteStreaming(
-    const std::function<bool(ServiceRequest*)>& next,
-    const std::function<void(const Result<ServiceResponse>&)>& emit) {
-  ServiceRequest request;
-  // The contract is the loop shape itself: each response is emitted before
-  // the next request is pulled, so a client driving `next` from a pipe has
-  // answer N in hand while composing request N+1.
-  while (next(&request)) {
-    emit(ExecuteOne(request));
-  }
-}
-
 CacheStats QueryScheduler::cache_stats() const {
   CacheStats total;
   for (const auto& shard : shards_) {

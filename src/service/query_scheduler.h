@@ -49,12 +49,10 @@
 // cache, so eviction-driven counters may differ across shard counts while
 // answers never do.
 //
-// Besides ExecuteBatch there is a streaming path: ExecuteStreaming pulls
-// requests one at a time and emits each response before reading the next
-// request — the serve --stream mode, where a client on a pipe sees answer
-// N before writing request N+1. Requests then execute strictly in input
-// order (a query may only reference trees loaded *earlier*), and `stats`
-// reports the counters at its point in the stream rather than post-batch.
+// ExecuteBatch is the only way a request executes. serve --stream runs each
+// request as a one-request batch, so there a query may only reference trees
+// loaded *earlier*, and `stats` reports the counters as of its line rather
+// than post-batch.
 
 #ifndef CPDB_SERVICE_QUERY_SCHEDULER_H_
 #define CPDB_SERVICE_QUERY_SCHEDULER_H_
@@ -278,10 +276,10 @@ std::string FormatSlowQueryLine(int64_t line_number,
 /// \brief Executes request batches over N >= 1 shards, each an (Engine,
 /// TreeCatalog, caches, instruments) context.
 ///
-/// Thread-compatible: concurrent ExecuteBatch / ExecuteOne calls are safe
-/// (catalogs and caches are internally locked, the name directory has its
-/// own mutex, the engines are stateless per query), though batches racing
-/// on `load` of conflicting content may observe AlreadyExists.
+/// Thread-compatible: concurrent ExecuteBatch calls are safe (catalogs and
+/// caches are internally locked, the name directory has its own mutex, the
+/// engines are stateless per query), though batches racing on `load` of
+/// conflicting content may observe AlreadyExists.
 class QueryScheduler {
  public:
   /// \brief One shard over a caller-owned engine and catalog. Neither
@@ -353,24 +351,6 @@ class QueryScheduler {
   /// keeping with loads-before-queries batch semantics.
   std::vector<Result<ServiceResponse>> ExecuteBatch(
       const std::vector<ServiceRequest>& requests);
-
-  /// \brief Executes one request immediately — the unit of the streaming
-  /// path: exactly ExecuteBatch({request})[0]. Streaming implies two
-  /// order-sensitive differences from one whole batch: a tree-addressed
-  /// request sees only trees loaded before this call, and kStats reports
-  /// the counters as of now.
-  Result<ServiceResponse> ExecuteOne(const ServiceRequest& request);
-
-  /// \brief The incremental serve loop: repeatedly pulls a request from
-  /// `next` (which returns false when the input is exhausted) and passes
-  /// its response to `emit` — always emitting request N's response
-  /// *before* pulling request N+1, so a streaming client observes answers
-  /// as it writes. Equivalent to calling ExecuteOne in a loop; exists so
-  /// the interleaving contract lives (and is tested) in the scheduler
-  /// rather than in every transport.
-  void ExecuteStreaming(
-      const std::function<bool(ServiceRequest*)>& next,
-      const std::function<void(const Result<ServiceResponse>&)>& emit);
 
   /// \brief Seeds the owning shard's rank-distribution cache with a
   /// precomputed entry — the warm-restart seam: a catalog snapshot's

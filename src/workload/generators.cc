@@ -7,72 +7,16 @@
 
 namespace cpdb {
 
-namespace {
-
-/// Hands out globally distinct scores in random order.
-class ScorePool {
- public:
-  ScorePool(int capacity, Rng* rng) {
-    scores_.resize(static_cast<size_t>(capacity));
-    std::iota(scores_.begin(), scores_.end(), 1);
-    rng->Shuffle(&scores_);
-  }
-  double Next() {
-    double s = static_cast<double>(scores_.back());
-    scores_.pop_back();
-    return s;
-  }
-
- private:
-  std::vector<int> scores_;
-};
-
-}  // namespace
-
-Result<AndXorTree> RandomTupleIndependent(int num_keys, Rng* rng) {
-  ScorePool scores(num_keys, rng);
-  std::vector<IndependentTuple> tuples;
-  tuples.reserve(static_cast<size_t>(num_keys));
-  for (int i = 0; i < num_keys; ++i) {
-    IndependentTuple t;
-    t.alt.key = i;
-    t.alt.score = scores.Next();
-    t.prob = rng->Uniform(0.05, 0.95);
-    tuples.push_back(t);
-  }
-  return MakeTupleIndependent(tuples);
+ScorePool::ScorePool(int capacity, Rng* rng) {
+  scores_.resize(static_cast<size_t>(capacity));
+  std::iota(scores_.begin(), scores_.end(), 1);
+  rng->Shuffle(&scores_);
 }
 
-std::vector<Block> RandomBidBlocks(const RandomTreeOptions& opts, Rng* rng) {
-  ScorePool scores(opts.num_keys * opts.max_alternatives, rng);
-  std::vector<Block> blocks;
-  blocks.reserve(static_cast<size_t>(opts.num_keys));
-  for (int key = 0; key < opts.num_keys; ++key) {
-    int alts = static_cast<int>(rng->UniformInt(1, opts.max_alternatives));
-    double mass = rng->Uniform(opts.min_xor_mass, 1.0);
-    // Random probability split of `mass` over the alternatives.
-    std::vector<double> cuts(static_cast<size_t>(alts));
-    double total = 0.0;
-    for (double& c : cuts) {
-      c = rng->Uniform(0.1, 1.0);
-      total += c;
-    }
-    Block block;
-    for (int a = 0; a < alts; ++a) {
-      BlockAlternative alt;
-      alt.alt.key = key;
-      alt.alt.score = scores.Next();
-      alt.alt.label = static_cast<int32_t>(rng->UniformInt(0, 7));
-      alt.prob = mass * cuts[static_cast<size_t>(a)] / total;
-      block.push_back(alt);
-    }
-    blocks.push_back(std::move(block));
-  }
-  return blocks;
-}
-
-Result<AndXorTree> RandomBid(const RandomTreeOptions& opts, Rng* rng) {
-  return MakeBlockIndependent(RandomBidBlocks(opts, rng));
+double ScorePool::Next() {
+  double s = static_cast<double>(scores_.back());
+  scores_.pop_back();
+  return s;
 }
 
 namespace {

@@ -3,13 +3,14 @@
 // Synthetic workload generators. The paper evaluates nothing empirically
 // (pure theory), so these generators define the instance families used by
 // our benchmark harness and randomized property tests:
-//  * tuple-independent tables with controllable presence probabilities;
-//  * BID tables (blocks of mutually exclusive alternatives);
 //  * deep random and/xor trees exercising the full correlation model;
 //  * group-by matrices with Zipf-skewed label distributions.
+// The tuple-independent and BID table generators, which only tests and
+// benches draw, live with the test oracles (tests/oracle/table_generators.h).
 //
 // All scores generated within one instance are globally distinct, matching
-// the paper's tie-free assumption (Section 5).
+// the paper's tie-free assumption (Section 5); every generator draws them
+// from a ScorePool.
 
 #ifndef CPDB_WORKLOAD_GENERATORS_H_
 #define CPDB_WORKLOAD_GENERATORS_H_
@@ -21,6 +22,17 @@
 #include "model/builders.h"
 
 namespace cpdb {
+
+/// \brief Hands out the globally distinct scores 1..capacity in random
+/// order; each Next() returns one not handed out before.
+class ScorePool {
+ public:
+  ScorePool(int capacity, Rng* rng);
+  double Next();
+
+ private:
+  std::vector<int> scores_;
+};
 
 /// \brief Options for random tree generation.
 struct RandomTreeOptions {
@@ -35,17 +47,6 @@ struct RandomTreeOptions {
   /// Lower bound on the mass assigned at XOR nodes (leftover is absence).
   double min_xor_mass = 0.5;
 };
-
-/// \brief A tuple-independent table with presence probabilities drawn
-/// uniformly from [0.05, 0.95] and distinct scores.
-Result<AndXorTree> RandomTupleIndependent(int num_keys, Rng* rng);
-
-/// \brief BID blocks: each key gets 1..max_alternatives alternatives with a
-/// random probability vector of total mass in [min_xor_mass, 1].
-std::vector<Block> RandomBidBlocks(const RandomTreeOptions& opts, Rng* rng);
-
-/// \brief A validated BID tree built from RandomBidBlocks.
-Result<AndXorTree> RandomBid(const RandomTreeOptions& opts, Rng* rng);
 
 /// \brief A random deep and/xor tree over `opts.num_keys` keys.
 ///

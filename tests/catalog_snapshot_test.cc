@@ -40,12 +40,15 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "engine/engine.h"
+#include "execute_alone.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
+#include "oracle/table_generators.h"
 #include "service/query_scheduler.h"
 #include "service/tree_catalog.h"
 #include "strtod_reference.h"
+#include "temp_path.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -128,8 +131,8 @@ struct LiveService {
     EXPECT_TRUE(catalog.Insert("a", Tree(kTreeText)).ok());
     EXPECT_TRUE(catalog.Insert("b", Tree(kOtherTreeText)).ok());
     if (with_distributions) {
-      EXPECT_TRUE(scheduler.ExecuteOne(TopKRequest("a", 3)).ok());
-      EXPECT_TRUE(scheduler.ExecuteOne(TopKRequest("b", 2)).ok());
+      EXPECT_TRUE(ExecuteAlone(scheduler, TopKRequest("a", 3)).ok());
+      EXPECT_TRUE(ExecuteAlone(scheduler, TopKRequest("b", 2)).ok());
     }
   }
 
@@ -195,7 +198,7 @@ void ExpectRejected(const std::string& bytes, StatusCode code,
   EXPECT_NE(decoded.status().message().find(needle), std::string::npos)
       << decoded.status().ToString();
 
-  const std::string path = ::testing::TempDir() + "/corrupt.snap";
+  const std::string path = TempPath("corrupt.snap");
   ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
   for (int threads : kDecodeThreads) {
     SCOPED_TRACE("threads " + std::to_string(threads));
@@ -217,7 +220,7 @@ void ExpectRejected(const std::string& bytes, StatusCode code,
   TreeCatalog catalog;
   QueryScheduler scheduler(&engine, &catalog);
   ASSERT_TRUE(catalog.Insert("existing", Tree(kTreeText)).ok());
-  ASSERT_TRUE(scheduler.ExecuteOne(TopKRequest("existing", 2)).ok());
+  ASSERT_TRUE(ExecuteAlone(scheduler, TopKRequest("existing", 2)).ok());
   const CacheStats before = scheduler.cache_stats();
   Result<CatalogSnapshot> loaded = ReadCatalogSnapshotFile(path);
   if (loaded.ok()) {
@@ -280,7 +283,7 @@ TEST(CatalogSnapshotCorruptionTest, ZeroLengthAndTinyFilesAreRejected) {
   ExpectRejected("CPDBSNAP", StatusCode::kParseError, "truncated",
                  "magic only");
   // An empty *file* through the read path reports the same typed error.
-  const std::string path = ::testing::TempDir() + "/empty.snap";
+  const std::string path = TempPath("empty.snap");
   ASSERT_TRUE(WriteStringToFile(path, "").ok());
   Result<CatalogSnapshot> loaded = ReadCatalogSnapshotFile(path);
   ASSERT_FALSE(loaded.ok());
@@ -632,7 +635,7 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     insert("fixed", Tree(kTreeText));
     // Warm the cache so the snapshot carries distribution sections too.
     for (const char* name : {"deep", "bid", "ti", "fixed"}) {
-      ASSERT_TRUE(scheduler.ExecuteOne(TopKRequest(name, 3)).ok());
+      ASSERT_TRUE(ExecuteAlone(scheduler, TopKRequest(name, 3)).ok());
     }
 
     const CatalogSnapshot original = BuildCatalogSnapshot(catalog, &scheduler);
@@ -646,7 +649,7 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(EncodeCatalogSnapshot(*decoded), bytes);
 
-    const std::string path = ::testing::TempDir() + "/roundtrip.snap";
+    const std::string path = TempPath("roundtrip.snap");
     ASSERT_TRUE(WriteCatalogSnapshotFile(path, original).ok());
     Result<CatalogSnapshot> read = ReadCatalogSnapshotFile(path);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -755,7 +758,7 @@ CatalogSnapshot GeneratedSnapshot(bool with_distributions) {
     const std::string name = "g" + std::to_string(i);
     EXPECT_TRUE(catalog.Insert(name, *std::move(tree)).ok());
     if (with_distributions) {
-      EXPECT_TRUE(scheduler.ExecuteOne(TopKRequest(name, 3)).ok());
+      EXPECT_TRUE(ExecuteAlone(scheduler, TopKRequest(name, 3)).ok());
     }
   }
   return BuildCatalogSnapshot(catalog,

@@ -29,6 +29,7 @@
 
 #include "common/rng.h"
 #include "engine/engine.h"
+#include "execute_alone.h"
 #include "io/request_protocol.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
@@ -36,6 +37,7 @@
 #include "service/query_scheduler.h"
 #include "service/sharded_scheduler.h"
 #include "service/tree_catalog.h"
+#include "temp_path.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -164,7 +166,7 @@ class CatalogWarmRestartTest : public ::testing::Test {
     for (size_t i = 0; i < trees_.size(); ++i) {
       names_.push_back("t" + std::to_string(i));
     }
-    snapshot_path_ = ::testing::TempDir() + "/warm_restart.snap";
+    snapshot_path_ = TempPath("warm_restart.snap");
   }
 
   // The cold path: feed every tree line-by-line (Insert, the seam op=load
@@ -238,16 +240,9 @@ TEST_F(CatalogWarmRestartTest, StreamingTranscriptMatchesColdStart) {
   const std::vector<ServiceRequest> requests = DifferentialBatch(names_);
   auto stream_through = [&requests](QueryScheduler* scheduler) {
     std::vector<Result<ServiceResponse>> responses;
-    size_t cursor = 0;
-    scheduler->ExecuteStreaming(
-        [&](ServiceRequest* out) {
-          if (cursor == requests.size()) return false;
-          *out = requests[cursor++];
-          return true;
-        },
-        [&](const Result<ServiceResponse>& response) {
-          responses.push_back(response);
-        });
+    for (const ServiceRequest& request : requests) {
+      responses.push_back(ExecuteAlone(*scheduler, request));
+    }
     return responses;
   };
 
@@ -442,7 +437,7 @@ TEST_F(CatalogWarmRestartTest, SeedingRespectsTheCacheBudget) {
 // installing the decoded file.
 TEST_F(CatalogWarmRestartTest, InMemoryInstallKeepsNonCanonicalIdentity) {
   const std::string tree_path =
-      ::testing::TempDir() + "/warm_restart_noncanonical.sexp";
+      TempPath("warm_restart_noncanonical.sexp");
   ASSERT_TRUE(WriteStringToFile(tree_path, kOtherTreeText).ok());
   Result<TreeIdentity> identity =
       TreeCatalog::ComputeIdentity(*ParseTree(kOtherTreeText));

@@ -6,12 +6,15 @@
 #include "tools/cli_lib.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/hash.h"
@@ -23,6 +26,7 @@
 #include "model/builders.h"
 #include "model/flat_tree.h"
 #include "model/possible_worlds.h"
+#include "temp_path.h"
 
 namespace cpdb {
 namespace {
@@ -35,8 +39,8 @@ struct CliResult {
 };
 
 CliResult RunCliArgs(const std::vector<std::string>& args) {
-  std::string out_path = ::testing::TempDir() + "/cli_out.txt";
-  std::string err_path = ::testing::TempDir() + "/cli_err.txt";
+  std::string out_path = TempPath("cli_out.txt");
+  std::string err_path = TempPath("cli_err.txt");
   std::FILE* out = std::fopen(out_path.c_str(), "w+");
   std::FILE* err = std::fopen(err_path.c_str(), "w+");
   std::vector<std::string> full = {"cpdb_cli"};
@@ -50,8 +54,8 @@ CliResult RunCliArgs(const std::vector<std::string>& args) {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    tree_path_ = ::testing::TempDir() + "/cli_tree.sexp";
-    bid_path_ = ::testing::TempDir() + "/cli_table.bid";
+    tree_path_ = TempPath("cli_tree.sexp");
+    bid_path_ = TempPath("cli_table.bid");
     ASSERT_TRUE(WriteStringToFile(
                     tree_path_,
                     "(and (xor 0.6 (leaf key=1 score=8 label=0)"
@@ -87,7 +91,7 @@ TEST_F(CliTest, ValidateBothFormats) {
 }
 
 TEST_F(CliTest, ValidateRejectsBrokenInput) {
-  std::string bad = ::testing::TempDir() + "/cli_bad.sexp";
+  std::string bad = TempPath("cli_bad.sexp");
   ASSERT_TRUE(WriteStringToFile(
                   bad, "(xor 0.9 (leaf key=1 score=1) 0.9 (leaf key=1 score=2))")
                   .ok());
@@ -100,7 +104,7 @@ TEST_F(CliTest, ValidateRejectsKeysAndLabelsThatDoNotFitInt32) {
   // Each of these used to validate, and dump-canon showed what the cast
   // made of it: key=-2147483648 for 1e20 and 4294967297, key=1 for 1.5,
   // and no label at all for label=-5.
-  const std::string path = ::testing::TempDir() + "/cli_narrow.sexp";
+  const std::string path = TempPath("cli_narrow.sexp");
   for (const char* bad : {"(leaf key=1e20 score=1)",
                           "(leaf key=4294967297 score=1)",
                           "(leaf key=1.5 score=1)",
@@ -113,7 +117,7 @@ TEST_F(CliTest, ValidateRejectsKeysAndLabelsThatDoNotFitInt32) {
           << command << " " << bad << "\n" << r.err;
     }
   }
-  const std::string bid = ::testing::TempDir() + "/cli_narrow.bid";
+  const std::string bid = TempPath("cli_narrow.bid");
   ASSERT_TRUE(WriteStringToFile(bid, "4294967297 0.5 1\n").ok());
   CliResult r = RunCliArgs({"validate", bid, "--format=bid"});
   EXPECT_EQ(r.code, 1) << r.out;
@@ -168,7 +172,7 @@ TEST_F(CliTest, DumpFlatPrintsTheCompiledRecordTable) {
 TEST_F(CliTest, DumpCanonPrintsTheTwoLevelIdentity) {
   // A second file holding the fixture tree with its commutative AND
   // children rotated: a different wire identity, the same shape.
-  std::string permuted_path = ::testing::TempDir() + "/cli_tree_perm.sexp";
+  std::string permuted_path = TempPath("cli_tree_perm.sexp");
   ASSERT_TRUE(WriteStringToFile(
                   permuted_path,
                   "(and (xor 0.5 (leaf key=3 score=7 label=1)"
@@ -515,7 +519,7 @@ ResponseLine FindResponse(const std::string& out,
 // bits "%.6f" used to truncate) — a world query, a stats probe showing the
 // cache sharing, and in-band per-request errors.
 TEST_F(CliTest, ServeAnswersBatchedRequests) {
-  std::string requests_path = ::testing::TempDir() + "/cli_serve_req.txt";
+  std::string requests_path = TempPath("cli_serve_req.txt");
   ASSERT_TRUE(WriteStringToFile(
                   requests_path,
                   "# serve batch\n"
@@ -593,7 +597,7 @@ TEST_F(CliTest, ServeAnswersBatchedRequests) {
 // trees loaded earlier (batch mode resolves loads first), and op=stats
 // reports its point in the stream rather than the post-input state.
 TEST_F(CliTest, ServeStreamingAnswersInInputOrder) {
-  std::string ordered_path = ::testing::TempDir() + "/cli_stream_ok.txt";
+  std::string ordered_path = TempPath("cli_stream_ok.txt");
   ASSERT_TRUE(WriteStringToFile(
                   ordered_path,
                   "op=load name=t file=" + tree_path_ + "\n"
@@ -611,7 +615,7 @@ TEST_F(CliTest, ServeStreamingAnswersInInputOrder) {
   // stats line executes, the same work has happened).
   EXPECT_EQ(stream.out, batch.out);
 
-  std::string disordered_path = ::testing::TempDir() + "/cli_stream_bad.txt";
+  std::string disordered_path = TempPath("cli_stream_bad.txt");
   ASSERT_TRUE(WriteStringToFile(
                   disordered_path,
                   "op=stats\n"
@@ -639,11 +643,79 @@ TEST_F(CliTest, ServeStreamingAnswersInInputOrder) {
   EXPECT_EQ(lines[3], batch_lines[3]);
 }
 
+// Reads one '\n'-terminated line from `fd` into `line` (newline dropped),
+// waiting at most `timeout_ms` for each byte; false on a timeout or at end
+// of input, so a transport that holds an answer back fails the caller
+// instead of hanging it.
+bool ReadLineWithin(int fd, int timeout_ms, std::string* line) {
+  line->clear();
+  for (;;) {
+    pollfd ready = {fd, POLLIN, 0};
+    if (poll(&ready, 1, timeout_ms) != 1) return false;
+    char c;
+    if (read(fd, &c, 1) != 1) return false;
+    if (c == '\n') return true;
+    line->push_back(c);
+  }
+}
+
+// serve --stream on pipes, at one shard and at four: the answer to request
+// 1 arrives on the output pipe before request 2 is written, and a comment
+// line between them answers nothing. A serve that read ahead for request 2
+// would never answer request 1, and the bounded read fails the test.
+TEST_F(CliTest, ServeStreamAnswersEachRequestBeforeTheNextIsWritten) {
+  constexpr int kTimeoutMs = 30000;
+  for (const char* shards : {"--shards=1", "--shards=4"}) {
+    SCOPED_TRACE(shards);
+    int in_pipe[2];
+    int out_pipe[2];
+    ASSERT_EQ(pipe(in_pipe), 0);
+    ASSERT_EQ(pipe(out_pipe), 0);
+    std::FILE* out = fdopen(out_pipe[1], "w");
+    std::FILE* err = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    ASSERT_NE(err, nullptr);
+    int code = -1;
+    std::thread server([&] {
+      code = RunCli({"cpdb_cli", "serve", "--stream", shards,
+                     "/dev/fd/" + std::to_string(in_pipe[0])},
+                    out, err);
+      std::fclose(out);  // the client sees end of output
+    });
+    auto send = [&](const std::string& text) {
+      return write(in_pipe[1], text.data(), text.size()) ==
+             static_cast<ssize_t>(text.size());
+    };
+
+    std::string first;
+    std::string second;
+    EXPECT_TRUE(send("op=load name=t file=" + tree_path_ + "\n"));
+    const bool answered_first =
+        ReadLineWithin(out_pipe[0], kTimeoutMs, &first);
+    EXPECT_TRUE(answered_first) << "no answer to request 1 before request 2";
+    if (answered_first) {
+      EXPECT_TRUE(send("# a comment answers nothing\nop=topk tree=t k=2\n"));
+      EXPECT_TRUE(ReadLineWithin(out_pipe[0], kTimeoutMs, &second));
+    }
+    close(in_pipe[1]);  // end of input: serve returns
+    server.join();
+    std::string rest;
+    EXPECT_FALSE(ReadLineWithin(out_pipe[0], kTimeoutMs, &rest)) << rest;
+    close(in_pipe[0]);
+    close(out_pipe[0]);
+    std::fclose(err);
+
+    EXPECT_EQ(code, 0);
+    EXPECT_EQ(first.rfind("ok\top=load\tname=t", 0), 0u) << first;
+    EXPECT_EQ(second.rfind("ok\top=topk\ttree=t", 0), 0u) << second;
+  }
+}
+
 // serve --shards=N: answers bitwise identical to --shards=1 and to the
 // default single scheduler for every op, in both execution modes; op=stats
 // keeps identical aggregate totals and adds the per-shard breakdown.
 TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
-  std::string requests_path = ::testing::TempDir() + "/cli_shard_req.txt";
+  std::string requests_path = TempPath("cli_shard_req.txt");
   ASSERT_TRUE(WriteStringToFile(
                   requests_path,
                   "op=load name=t file=" + tree_path_ + "\n"
@@ -726,7 +798,7 @@ TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
 }
 
 TEST_F(CliTest, ServeReportsRequestErrorsInBand) {
-  std::string requests_path = ::testing::TempDir() + "/cli_serve_err.txt";
+  std::string requests_path = TempPath("cli_serve_err.txt");
   ASSERT_TRUE(WriteStringToFile(
                   requests_path,
                   "op=load name=t file=" + tree_path_ + "\n"
@@ -769,7 +841,7 @@ TEST_F(CliTest, ServeReportsRequestErrorsInBand) {
 // them off, so --cache is an unknown flag (usage error, nothing served).
 // --cache-budget=0 is the configuration that retains nothing.
 TEST_F(CliTest, ServeHasNoCacheSwitch) {
-  const std::string requests_path = ::testing::TempDir() + "/cli_nocache.txt";
+  const std::string requests_path = TempPath("cli_nocache.txt");
   ASSERT_TRUE(WriteStringToFile(requests_path, "op=load name=t file=" +
                                                    tree_path_ + "\n")
                   .ok());
@@ -786,9 +858,9 @@ TEST_F(CliTest, ServeHasNoCacheSwitch) {
 // answers the same requests with byte-identical stdout, and the snapshot
 // round-trips through a serve process byte-identically.
 TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
-  const std::string cold_path = ::testing::TempDir() + "/cli_snap_cold.txt";
-  const std::string warm_path = ::testing::TempDir() + "/cli_snap_warm.txt";
-  const std::string snap_path = ::testing::TempDir() + "/cli_snap.snap";
+  const std::string cold_path = TempPath("cli_snap_cold.txt");
+  const std::string warm_path = TempPath("cli_snap_warm.txt");
+  const std::string snap_path = TempPath("cli_snap.snap");
   const std::string queries =
       "op=topk tree=t k=2 metric=symdiff\n"
       "op=topk tree=t k=2 metric=kendall\n"
@@ -819,7 +891,7 @@ TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
 
   // The snapshot carried the distributions the cold run computed: a warm
   // replica's first (and only) batch never misses the rank-dist cache.
-  const std::string stats_path = ::testing::TempDir() + "/cli_snap_stats.txt";
+  const std::string stats_path = TempPath("cli_snap_stats.txt");
   ASSERT_TRUE(WriteStringToFile(stats_path, queries + "op=stats\n").ok());
   CliResult stats = RunCliArgs(
       {"serve", stats_path, "--catalog=" + snap_path});
@@ -828,8 +900,8 @@ TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
 
   // Load-then-save through an otherwise idle serve process reproduces the
   // snapshot byte-for-byte.
-  const std::string empty_path = ::testing::TempDir() + "/cli_snap_none.txt";
-  const std::string snap2_path = ::testing::TempDir() + "/cli_snap2.snap";
+  const std::string empty_path = TempPath("cli_snap_none.txt");
+  const std::string snap2_path = TempPath("cli_snap2.snap");
   ASSERT_TRUE(WriteStringToFile(empty_path, "# no requests\n").ok());
   CliResult resave = RunCliArgs({"serve", empty_path,
                                  "--catalog=" + snap_path,
@@ -842,10 +914,10 @@ TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
 // and a file stamped with an earlier format version is a startup error
 // naming that version — never a silent cold start.
 TEST_F(CliTest, ServeReadsOneSnapshotFormatThroughOneLoader) {
-  const std::string load_path = ::testing::TempDir() + "/cli_v2_load.txt";
-  const std::string empty_path = ::testing::TempDir() + "/cli_v2_none.txt";
-  const std::string snap_path = ::testing::TempDir() + "/cli_v2_src.snap";
-  const std::string v2_path = ::testing::TempDir() + "/cli_v2.snap";
+  const std::string load_path = TempPath("cli_v2_load.txt");
+  const std::string empty_path = TempPath("cli_v2_none.txt");
+  const std::string snap_path = TempPath("cli_v2_src.snap");
+  const std::string v2_path = TempPath("cli_v2.snap");
   ASSERT_TRUE(
       WriteStringToFile(load_path, "op=load name=t file=" + tree_path_ + "\n")
           .ok());
@@ -884,8 +956,7 @@ TEST_F(CliTest, ServeReadsOneSnapshotFormatThroughOneLoader) {
 }
 
 TEST_F(CliTest, ServeSnapshotFlagHygiene) {
-  const std::string requests_path =
-      ::testing::TempDir() + "/cli_snap_req.txt";
+  const std::string requests_path = TempPath("cli_snap_req.txt");
   ASSERT_TRUE(WriteStringToFile(requests_path, "# empty\n").ok());
 
   // Value hygiene at parse time: exit 2 plus usage, before any serving.
@@ -914,7 +985,7 @@ TEST_F(CliTest, ServeSnapshotFlagHygiene) {
       << missing.err;
 
   // A corrupt snapshot is rejected the same way.
-  const std::string bad_path = ::testing::TempDir() + "/cli_snap_bad.snap";
+  const std::string bad_path = TempPath("cli_snap_bad.snap");
   ASSERT_TRUE(WriteStringToFile(bad_path, "BASETREEgarbage").ok());
   CliResult corrupt = RunCliArgs(
       {"serve", requests_path, "--catalog=" + bad_path});
@@ -959,7 +1030,7 @@ TEST_F(CliTest, ErrorsOnBadUsage) {
 // request counters this very batch produced, and the prom scrape travels
 // as one escaped body= field that unescapes to a valid exposition.
 TEST_F(CliTest, ServeAnswersMetricsRequests) {
-  std::string requests_path = ::testing::TempDir() + "/cli_serve_metrics.txt";
+  std::string requests_path = TempPath("cli_serve_metrics.txt");
   ASSERT_TRUE(WriteStringToFile(
                   requests_path,
                   "op=load name=t file=" + tree_path_ + "\n"
@@ -999,7 +1070,7 @@ TEST_F(CliTest, ServeAnswersMetricsRequests) {
             std::string::npos);
 
   // trace=on surfaces side-band trace_* fields on that request's line.
-  std::string traced_path = ::testing::TempDir() + "/cli_serve_traced.txt";
+  std::string traced_path = TempPath("cli_serve_traced.txt");
   ASSERT_TRUE(WriteStringToFile(
                   traced_path,
                   "op=load name=t file=" + tree_path_ + "\n"
@@ -1016,7 +1087,7 @@ TEST_F(CliTest, ServeAnswersMetricsRequests) {
 // is byte-exact), the slow-query log goes to stderr only, and op=metrics
 // under --metrics=off is an in-band request error.
 TEST_F(CliTest, ServeMetricsOffParityAndSlowQueryLog) {
-  std::string requests_path = ::testing::TempDir() + "/cli_serve_sq.txt";
+  std::string requests_path = TempPath("cli_serve_sq.txt");
   // Deterministic output only (no metrics scrape: its latency values
   // differ run to run with the real clock).
   ASSERT_TRUE(WriteStringToFile(
@@ -1059,7 +1130,7 @@ TEST_F(CliTest, ServeMetricsOffParityAndSlowQueryLog) {
   EXPECT_TRUE(quiet.err.empty()) << quiet.err;
 
   // op=metrics with metrics disabled is an in-band request error.
-  std::string refused_path = ::testing::TempDir() + "/cli_serve_refused.txt";
+  std::string refused_path = TempPath("cli_serve_refused.txt");
   ASSERT_TRUE(WriteStringToFile(refused_path, "op=metrics\n").ok());
   CliResult refused =
       RunCliArgs({"serve", refused_path, "--metrics=off"});
@@ -1146,8 +1217,7 @@ TEST_F(CliTest, ServeLargeBatchIsIndependentOfThreadsAndShards) {
     if (!text.empty() && text[0] != '#') responses.emplace_back(line_number,
                                                                 error);
   }
-  const std::string requests_path =
-      ::testing::TempDir() + "/cli_serve_large.txt";
+  const std::string requests_path = TempPath("cli_serve_large.txt");
   ASSERT_TRUE(WriteStringToFile(requests_path, requests).ok());
 
   CliResult reference = RunCliArgs(

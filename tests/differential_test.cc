@@ -26,6 +26,7 @@
 #include "model/possible_worlds.h"
 #include "oracle/kendall_oracles.h"
 #include "oracle/list_distances.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -29,6 +29,7 @@
 #include "model/builders.h"
 #include "oracle/fold_oracles.h"
 #include "oracle/kendall_oracles.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "model/builders.h"
+#include "oracle/table_generators.h"
 
 namespace cpdb {
 namespace {

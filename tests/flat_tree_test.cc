@@ -33,6 +33,7 @@
 #include "oracle/generating_function.h"
 #include "oracle/poly1.h"
 #include "oracle/poly2.h"
+#include "oracle/table_generators.h"
 #include "oracle/tail_oracles.h"
 #include "workload/generators.h"
 

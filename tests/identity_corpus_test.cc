@@ -27,6 +27,7 @@
 #include "io/tree_text.h"
 #include "model/and_xor_tree.h"
 #include "model/canonical.h"
+#include "oracle/table_generators.h"
 #include "service/tree_catalog.h"
 #include "strtod_reference.h"
 #include "workload/generators.h"

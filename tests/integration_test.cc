@@ -19,6 +19,7 @@
 #include "io/tree_text.h"
 #include "model/possible_worlds.h"
 #include "oracle/fold_oracles.h"
+#include "oracle/table_generators.h"
 #include "oracle/world_estimators.h"
 #include "workload/generators.h"
 

@@ -17,7 +17,9 @@
 #include "io/tree_text.h"
 #include "model/possible_worlds.h"
 #include "oracle/references.h"
+#include "oracle/table_generators.h"
 #include "strtod_reference.h"
+#include "temp_path.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -486,7 +488,7 @@ TEST(BidTableTest, RoundTrip) {
 }
 
 TEST(FileIoTest, WriteAndReadBack) {
-  std::string path = ::testing::TempDir() + "/cpdb_io_test.txt";
+  std::string path = TempPath("cpdb_io_test.txt");
   ASSERT_TRUE(WriteStringToFile(path, "hello\nworld\n").ok());
   auto content = ReadFileToString(path);
   ASSERT_TRUE(content.ok());

@@ -14,6 +14,7 @@
 #include "model/builders.h"
 #include "model/possible_worlds.h"
 #include "oracle/list_distances.h"
+#include "oracle/table_generators.h"
 #include "oracle/world_estimators.h"
 #include "workload/generators.h"
 

@@ -11,6 +11,7 @@
 #include "core/set_consensus.h"
 #include "core/topk_symdiff.h"
 #include "model/possible_worlds.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -12,6 +12,7 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "oracle/references.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

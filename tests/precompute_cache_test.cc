@@ -24,6 +24,7 @@
 #include "common/rng.h"
 #include "direct_answers.h"
 #include "engine/engine.h"
+#include "execute_alone.h"
 #include "io/request_protocol.h"
 #include "model/canonical.h"
 #include "obs/metrics.h"
@@ -126,24 +127,11 @@ class Backend {
 
   std::vector<Result<ServiceResponse>> Run(
       const std::vector<ServiceRequest>& batch, bool stream) {
-    if (!stream) {
-      return sharded_ != nullptr ? sharded_->ExecuteBatch(batch)
-                                 : scheduler_->ExecuteBatch(batch);
-    }
+    QueryScheduler& scheduler = sharded_ != nullptr ? *sharded_ : *scheduler_;
+    if (!stream) return scheduler.ExecuteBatch(batch);
     std::vector<Result<ServiceResponse>> results;
-    size_t next = 0;
-    auto pull = [&](ServiceRequest* request) {
-      if (next == batch.size()) return false;
-      *request = batch[next++];
-      return true;
-    };
-    auto emit = [&](const Result<ServiceResponse>& response) {
-      results.push_back(response);
-    };
-    if (sharded_ != nullptr) {
-      sharded_->ExecuteStreaming(pull, emit);
-    } else {
-      scheduler_->ExecuteStreaming(pull, emit);
+    for (const ServiceRequest& request : batch) {
+      results.push_back(ExecuteAlone(scheduler, request));
     }
     return results;
   }
@@ -239,7 +227,7 @@ TEST_F(PrecomputeCacheServeTest, ConcurrentIdenticalKendallRequestsMissOnce) {
     workers.emplace_back([&, t] {
       while (!go.load()) std::this_thread::yield();
       lines[static_cast<size_t>(t)] =
-          Render({scheduler.ExecuteOne(KendallRequest("big", 4))})[0];
+          Render({ExecuteAlone(scheduler, KendallRequest("big", 4))})[0];
     });
   }
   go.store(true);
@@ -397,7 +385,7 @@ TEST_F(PrecomputeCacheServeTest, WarmKendallRepeatHitsWithoutFolding) {
   EXPECT_EQ(before.misses, 1);
 
   EXPECT_EQ(Render(scheduler.ExecuteBatch({request})), cold);
-  EXPECT_EQ(Render({scheduler.ExecuteOne(request)}), cold);
+  EXPECT_EQ(Render({ExecuteAlone(scheduler, request)}), cold);
   const CacheStats after = scheduler.precompute_stats();
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_EQ(after.hits, before.hits + 2);

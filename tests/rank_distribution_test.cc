@@ -20,6 +20,7 @@
 #include "model/flat_tree.h"
 #include "model/possible_worlds.h"
 #include "oracle/fold_oracles.h"
+#include "oracle/table_generators.h"
 #include "pooled_scores.h"
 #include "workload/generators.h"
 

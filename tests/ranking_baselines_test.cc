@@ -19,6 +19,7 @@
 #include "core/topk_symdiff.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/table_generators.h"
 #include "oracle/tail_oracles.h"
 #include "pooled_scores.h"
 #include "workload/generators.h"

@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "core/set_consensus.h"
 #include "direct_answers.h"
+#include "execute_alone.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
@@ -29,6 +30,7 @@
 #include "service/catalog_snapshot.h"
 #include "service/rank_dist_cache.h"
 #include "service/tree_catalog.h"
+#include "temp_path.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -611,7 +613,7 @@ TEST(FoldPlanTest, OneFoldPerShapePerBatchAtItsLargestK) {
 
     std::vector<Result<ServiceResponse>> apart;
     for (const ServiceRequest& request : batch) {
-      apart.push_back(one_by_one.ExecuteOne(request));
+      apart.push_back(ExecuteAlone(one_by_one, request));
     }
     EXPECT_EQ(RankFolds(one_by_one), 2 * static_cast<int64_t>(trees.size()))
         << shards << " shards";
@@ -699,8 +701,8 @@ TEST_F(QuerySchedulerTest, ConcurrentBatchesPlanTheirOwnFolds) {
 // Loads apply before queries in the same batch, both input formats work,
 // and a load failure stays in its slot.
 TEST_F(QuerySchedulerTest, LoadsApplyBeforeQueriesInTheSameBatch) {
-  std::string tree_path = ::testing::TempDir() + "/service_load.sexp";
-  std::string bid_path = ::testing::TempDir() + "/service_load.bid";
+  std::string tree_path = TempPath("service_load.sexp");
+  std::string bid_path = TempPath("service_load.bid");
   ASSERT_TRUE(WriteStringToFile(tree_path, kOtherTreeText).ok());
   ASSERT_TRUE(WriteStringToFile(bid_path,
                                 "1 0.6 8\n1 0.3 5\n2 0.7 9\n")
@@ -789,37 +791,8 @@ TEST_F(QuerySchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming execution
+// Streamed execution: each request its own one-request batch (ExecuteAlone)
 // ---------------------------------------------------------------------------
-
-// The streaming contract itself: response N is emitted before request N+1
-// is pulled — the property that lets a client on a pipe see answers while
-// composing the next request ("the first response before the last request
-// is read").
-TEST_F(QuerySchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
-  Engine engine;
-  QueryScheduler scheduler(&engine, &catalog_);
-  std::vector<ServiceRequest> requests = {
-      TopKRequest("t", 2, TopKMetric::kSymDiff),
-      TopKRequest("t", 2, TopKMetric::kFootrule),
-      TopKRequest("t", 3, TopKMetric::kSymDiff),
-  };
-  std::vector<std::string> events;
-  size_t cursor = 0;
-  scheduler.ExecuteStreaming(
-      [&](ServiceRequest* out) {
-        if (cursor == requests.size()) return false;
-        events.push_back("read" + std::to_string(cursor));
-        *out = requests[cursor++];
-        return true;
-      },
-      [&](const Result<ServiceResponse>& response) {
-        ASSERT_TRUE(response.ok());
-        events.push_back("emit" + std::to_string(cursor - 1));
-      });
-  EXPECT_EQ(events, (std::vector<std::string>{"read0", "emit0", "read1",
-                                              "emit1", "read2", "emit2"}));
-}
 
 // Streamed answers are bitwise the batch answers, and the folds still share
 // the caches (the second symdiff k=2 request hits the entry the first one
@@ -843,16 +816,9 @@ TEST_F(QuerySchedulerTest, StreamingAnswersMatchBatchBitwise) {
 
   QueryScheduler stream_scheduler(&engine, &catalog_);
   std::vector<Result<ServiceResponse>> streamed;
-  size_t cursor = 0;
-  stream_scheduler.ExecuteStreaming(
-      [&](ServiceRequest* out) {
-        if (cursor == requests.size()) return false;
-        *out = requests[cursor++];
-        return true;
-      },
-      [&](const Result<ServiceResponse>& response) {
-        streamed.push_back(response);
-      });
+  for (const ServiceRequest& request : requests) {
+    streamed.push_back(ExecuteAlone(stream_scheduler, request));
+  }
   ASSERT_EQ(streamed.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(batch[i].ok());
@@ -875,7 +841,7 @@ TEST_F(QuerySchedulerTest, StreamingAnswersMatchBatchBitwise) {
 // not reference a tree loaded later in the stream, and stats report their
 // point in the stream, not the post-input state.
 TEST_F(QuerySchedulerTest, StreamingIsOrderSensitiveWhereBatchIsNot) {
-  std::string tree_path = ::testing::TempDir() + "/stream_late.sexp";
+  std::string tree_path = TempPath("stream_late.sexp");
   ASSERT_TRUE(WriteStringToFile(tree_path, kOtherTreeText).ok());
   ServiceRequest query = TopKRequest("stream_late", 1, TopKMetric::kSymDiff);
   ServiceRequest load;
@@ -901,16 +867,9 @@ TEST_F(QuerySchedulerTest, StreamingIsOrderSensitiveWhereBatchIsNot) {
 
   QueryScheduler stream_scheduler(&engine, &stream_catalog);
   std::vector<Result<ServiceResponse>> streamed;
-  size_t cursor = 0;
-  stream_scheduler.ExecuteStreaming(
-      [&](ServiceRequest* out) {
-        if (cursor == requests.size()) return false;
-        *out = requests[cursor++];
-        return true;
-      },
-      [&](const Result<ServiceResponse>& response) {
-        streamed.push_back(response);
-      });
+  for (const ServiceRequest& request : requests) {
+    streamed.push_back(ExecuteAlone(stream_scheduler, request));
+  }
   ASSERT_EQ(streamed.size(), 4u);
   // Point-in-time stats: nothing had executed yet.
   ASSERT_TRUE(streamed[0].ok());
@@ -1095,7 +1054,7 @@ TEST_F(QuerySchedulerTest, TraceFieldsGatedByRequest) {
 // catalog serves whatever that catalog holds — trees inserted straight
 // into it before or after construction, and trees installed through
 // InstallCatalogSnapshot — and an unknown name gets the catalog's own
-// NotFound bytes, in batch and one-at-a-time alike.
+// NotFound bytes.
 TEST_F(QuerySchedulerTest, BorrowedCatalogServesEveryWayATreeArrives) {
   Engine engine;
   QueryScheduler scheduler(&engine, &catalog_);  // "t", "deep" inserted
@@ -1116,11 +1075,12 @@ TEST_F(QuerySchedulerTest, BorrowedCatalogServesEveryWayATreeArrives) {
   for (const char* name : {"t", "deep", "later", "installed"}) {
     SCOPED_TRACE(name);
     const ServiceRequest request = TopKRequest(name, 2, TopKMetric::kSymDiff);
-    const Result<ServiceResponse> want = reference.ExecuteOne(request);
+    const Result<ServiceResponse> want = ExecuteAlone(reference, request);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    for (const Result<ServiceResponse>& got :
-         {scheduler.ExecuteBatch({request})[0],
-          scheduler.ExecuteOne(request)}) {
+    // The first pass computes cold; the second answers from the warm cache.
+    for (int pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE("pass " + std::to_string(pass));
+      const Result<ServiceResponse> got = ExecuteAlone(scheduler, request);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got->keys, want->keys);
       EXPECT_EQ(got->expected_distance, want->expected_distance);
@@ -1129,8 +1089,9 @@ TEST_F(QuerySchedulerTest, BorrowedCatalogServesEveryWayATreeArrives) {
 
   const ServiceRequest ghost = TopKRequest("ghost", 2, TopKMetric::kSymDiff);
   const Status unknown = TreeCatalog::UnknownTreeError("ghost");
-  for (const Result<ServiceResponse>& got :
-       {scheduler.ExecuteBatch({ghost})[0], scheduler.ExecuteOne(ghost)}) {
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("ghost pass " + std::to_string(pass));
+    const Result<ServiceResponse> got = ExecuteAlone(scheduler, ghost);
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.status().code(), unknown.code());
     EXPECT_EQ(got.status().message(), unknown.message());
@@ -1146,14 +1107,12 @@ TEST_F(QuerySchedulerTest, UnknownTreeLeavesOneSetOfMetricRecords) {
   QueryScheduler sharded(4, EngineOptions());
   const ServiceRequest ghost = TopKRequest("ghost", 2, TopKMetric::kSymDiff);
   for (QueryScheduler* scheduler : {&borrowed, &sharded}) {
-    for (bool batch : {true, false}) {
+    // A repeat of the same unknown name leaves one more set, not two.
+    for (int pass = 0; pass < 2; ++pass) {
       SCOPED_TRACE("shards=" + std::to_string(scheduler->num_shards()) +
-                   (batch ? " batch" : " one"));
+                   " pass " + std::to_string(pass));
       const MetricsSnapshot before = scheduler->MetricsSnapshotNow();
-      const Result<ServiceResponse> got =
-          batch ? scheduler->ExecuteBatch({ghost})[0]
-                : scheduler->ExecuteOne(ghost);
-      ASSERT_FALSE(got.ok());
+      ASSERT_FALSE(ExecuteAlone(*scheduler, ghost).ok());
       const MetricsSnapshot after = scheduler->MetricsSnapshotNow();
       for (const char* counter :
            {"cpdb_request_errors_total", "cpdb_topk_requests_total",

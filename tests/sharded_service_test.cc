@@ -7,8 +7,8 @@
 // must be observable only in throughput and in the kStats per-shard
 // breakdown. Also covered: deterministic routing, name-directory semantics
 // (cross-shard rebind conflicts, idempotent re-loads), stats aggregation,
-// the streaming interleaving contract, and concurrent ExecuteBatch calls
-// (this suite runs in the TSan CI job).
+// streamed order sensitivity, and concurrent ExecuteBatch calls (this
+// suite runs in the TSan CI job).
 
 #include "service/sharded_scheduler.h"
 
@@ -23,11 +23,14 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "direct_answers.h"
+#include "execute_alone.h"
 #include "io/request_protocol.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "oracle/table_generators.h"
+#include "temp_path.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -321,22 +324,16 @@ TEST_F(ShardedSchedulerTest, AnswersIndependentOfShardThreadCounts) {
   }
 }
 
-// Streaming mode: same differential workload through ExecuteStreaming,
-// compared slot-for-slot against the single scheduler's streaming path.
+// Streaming mode: the same differential workload, each request its own
+// one-request batch, compared slot-for-slot against the single scheduler
+// run the same way.
 TEST_F(ShardedSchedulerTest, StreamingParityAcrossShardCounts) {
   std::vector<ServiceRequest> requests = DifferentialBatch(names_);
-  auto stream_through = [&requests](auto* scheduler) {
+  auto stream_through = [&requests](QueryScheduler* scheduler) {
     std::vector<Result<ServiceResponse>> responses;
-    size_t cursor = 0;
-    scheduler->ExecuteStreaming(
-        [&](ServiceRequest* out) {
-          if (cursor == requests.size()) return false;
-          *out = requests[cursor++];
-          return true;
-        },
-        [&](const Result<ServiceResponse>& response) {
-          responses.push_back(response);
-        });
+    for (const ServiceRequest& request : requests) {
+      responses.push_back(ExecuteAlone(*scheduler, request));
+    }
     return responses;
   };
 
@@ -353,33 +350,6 @@ TEST_F(ShardedSchedulerTest, StreamingParityAcrossShardCounts) {
                         /*compare_stats=*/true,
                         "streaming shards=" + std::to_string(shards));
   }
-}
-
-// The streaming interleaving contract survives sharding: response N is
-// emitted before request N+1 is pulled, regardless of which shard answers.
-TEST_F(ShardedSchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
-  ShardedScheduler sharded(4, ReferenceEngineOptions());
-  Seed(&sharded, nullptr);
-  std::vector<ServiceRequest> requests = {
-      TopKRequest(names_[0], 2, TopKMetric::kSymDiff),
-      TopKRequest(names_[1], 1, TopKMetric::kFootrule),
-      WorldRequest(names_[2]),
-  };
-  std::vector<std::string> events;
-  size_t cursor = 0;
-  sharded.ExecuteStreaming(
-      [&](ServiceRequest* out) {
-        if (cursor == requests.size()) return false;
-        events.push_back("read" + std::to_string(cursor));
-        *out = requests[cursor++];
-        return true;
-      },
-      [&](const Result<ServiceResponse>& response) {
-        ASSERT_TRUE(response.ok()) << response.status().ToString();
-        events.push_back("emit" + std::to_string(cursor - 1));
-      });
-  EXPECT_EQ(events, (std::vector<std::string>{"read0", "emit0", "read1",
-                                              "emit1", "read2", "emit2"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -462,8 +432,8 @@ TEST_F(ShardedSchedulerTest, StatsResponseRendersShardBreakdownFields) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ShardedSchedulerTest, LoadsRouteByFingerprintAndApplyBeforeQueries) {
-  std::string tree_path = ::testing::TempDir() + "/sharded_load.sexp";
-  std::string bid_path = ::testing::TempDir() + "/sharded_load.bid";
+  std::string tree_path = TempPath("sharded_load.sexp");
+  std::string bid_path = TempPath("sharded_load.bid");
   ASSERT_TRUE(WriteStringToFile(tree_path, kOtherTreeText).ok());
   ASSERT_TRUE(WriteStringToFile(bid_path, "1 0.6 8\n1 0.3 5\n2 0.7 9\n").ok());
 
@@ -519,7 +489,7 @@ TEST_F(ShardedSchedulerTest, DirectorySemanticsMatchTheSingleCatalog) {
   // Unknown names: the routing layer's NotFound is byte-identical to
   // TreeCatalog::Lookup's.
   auto sharded_missing =
-      sharded.ExecuteOne(TopKRequest("ghost", 2, TopKMetric::kSymDiff));
+      ExecuteAlone(sharded, TopKRequest("ghost", 2, TopKMetric::kSymDiff));
   auto single_missing = single.Lookup("ghost");
   ASSERT_FALSE(sharded_missing.ok());
   EXPECT_EQ(sharded_missing.status().code(), StatusCode::kNotFound);
@@ -533,7 +503,7 @@ TEST_F(ShardedSchedulerTest, DirectorySemanticsMatchTheSingleCatalog) {
 // Streaming order sensitivity carries over: a query before its load fails,
 // the same query after it succeeds, stats are point-in-time.
 TEST_F(ShardedSchedulerTest, StreamingIsOrderSensitive) {
-  std::string tree_path = ::testing::TempDir() + "/sharded_stream.sexp";
+  std::string tree_path = TempPath("sharded_stream.sexp");
   ASSERT_TRUE(WriteStringToFile(tree_path, kTreeText).ok());
   ServiceRequest load;
   load.op = ServiceRequest::Op::kLoad;
@@ -545,16 +515,9 @@ TEST_F(ShardedSchedulerTest, StreamingIsOrderSensitive) {
 
   ShardedScheduler sharded(2, ReferenceEngineOptions());
   std::vector<Result<ServiceResponse>> streamed;
-  size_t cursor = 0;
-  sharded.ExecuteStreaming(
-      [&](ServiceRequest* out) {
-        if (cursor == requests.size()) return false;
-        *out = requests[cursor++];
-        return true;
-      },
-      [&](const Result<ServiceResponse>& response) {
-        streamed.push_back(response);
-      });
+  for (const ServiceRequest& request : requests) {
+    streamed.push_back(ExecuteAlone(sharded, request));
+  }
   ASSERT_EQ(streamed.size(), 4u);
   ASSERT_TRUE(streamed[0].ok());
   EXPECT_EQ(streamed[0]->stats.misses, 0);
@@ -849,12 +812,12 @@ TEST_F(ShardedSchedulerTest, WireBytesIdenticalAcrossMetricsTraceAndShards) {
 TEST_F(ShardedSchedulerTest, MetricsOpFormatsAndDisabledRefusal) {
   ShardedScheduler sharded(2, ReferenceEngineOptions());
   Seed(&sharded, nullptr);
-  auto kv = sharded.ExecuteOne(MetricsRequest("kv"));
+  auto kv = ExecuteAlone(sharded, MetricsRequest("kv"));
   ASSERT_TRUE(kv.ok());
   EXPECT_EQ(kv->metrics_format, "kv");
   EXPECT_NE(kv->metrics.Find("cpdb_requests_total"), nullptr);
 
-  auto prom = sharded.ExecuteOne(MetricsRequest("prom"));
+  auto prom = ExecuteAlone(sharded, MetricsRequest("prom"));
   ASSERT_TRUE(prom.ok());
   EXPECT_EQ(prom->metrics_format, "prom");
   const std::string body = MetricsToPrometheusText(prom->metrics);
@@ -863,14 +826,14 @@ TEST_F(ShardedSchedulerTest, MetricsOpFormatsAndDisabledRefusal) {
   SchedulerOptions off;
   off.enable_metrics = false;
   ShardedScheduler disabled(2, ReferenceEngineOptions(), off);
-  auto refused = disabled.ExecuteOne(MetricsRequest());
+  auto refused = ExecuteAlone(disabled, MetricsRequest());
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 
   Engine engine(ReferenceEngineOptions());
   TreeCatalog catalog;
   QueryScheduler single(&engine, &catalog, off);
-  auto single_refused = single.ExecuteOne(MetricsRequest());
+  auto single_refused = ExecuteAlone(single, MetricsRequest());
   ASSERT_FALSE(single_refused.ok());
   // Refusal parity is wire parity: same code, same message.
   EXPECT_EQ(single_refused.status().code(), refused.status().code());

@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "oracle/references.h"
+#include "oracle/table_generators.h"
 #include "oracle/world_estimators.h"
 #include "workload/generators.h"
 

@@ -19,6 +19,7 @@
 #include "model/possible_worlds.h"
 #include "oracle/fold_oracles.h"
 #include "oracle/kendall_oracles.h"
+#include "oracle/table_generators.h"
 #include "oracle/world_estimators.h"
 #include "pooled_scores.h"
 #include "workload/generators.h"

@@ -20,6 +20,7 @@
 #include "engine/engine.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/table_generators.h"
 #include "oracle/tail_oracles.h"
 #include "oracle/world_estimators.h"
 #include "pooled_scores.h"

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
+#include "oracle/table_generators.h"
 #include "oracle/tail_oracles.h"
 #include "workload/generators.h"
 

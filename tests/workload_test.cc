@@ -7,6 +7,7 @@
 #include <set>
 
 #include "model/possible_worlds.h"
+#include "oracle/table_generators.h"
 
 namespace cpdb {
 namespace {

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "model/builders.h"
+#include "oracle/table_generators.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -500,8 +500,8 @@ int CmdTopK(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 }
 
 // Reads one input line (up to '\n' or EOF, newline not included). Returns
-// false at end of input. Incremental on purpose: the streaming serve mode
-// must not read request N+1 before answering request N.
+// false at end of input. Incremental on purpose: serve --stream must not
+// read request N+1 before answering request N.
 bool ReadLine(std::FILE* in, std::string* line) {
   line->clear();
   int c;
@@ -564,17 +564,18 @@ void FanOutLines(ThreadPool* pool, int64_t n,
 // serve starts its threads in one place). Answers
 // are bitwise identical in every configuration; only throughput and, with
 // N > 1, the stats breakdown change.
-// Two execution modes:
+// Two modes, which differ only in where a unit of input (one scheduler
+// batch) ends:
 //
-//   batch (default)  — the whole input is one scheduler batch: catalog
-//       loads apply first (queries may reference trees loaded later in the
-//       input), shared folds are deduplicated through the caches, and one
-//       response line per request is written at the end, in input order.
-//   --stream         — each request executes as it is read and its
-//       response line is flushed before the next line is read, so a client
-//       on a pipe sees answer N while composing request N+1. Requests
-//       execute strictly in input order: a query may only reference trees
-//       loaded earlier, and op=stats reports counters as of its line.
+//   batch (default)  — the whole input is one unit: catalog loads apply
+//       first (queries may reference trees loaded later in the input),
+//       shared folds are deduplicated through the caches, and one response
+//       line per request is written at the end, in input order.
+//   --stream         — each line is a unit: its response line is flushed
+//       before the next line is read, so a client on a pipe sees answer N
+//       while composing request N+1. Requests execute strictly in input
+//       order: a query may only reference trees loaded earlier, and
+//       op=stats reports counters as of its line.
 //
 // In both modes request-level garbage produces an in-band error line for
 // that request only; the command keeps serving the rest.
@@ -632,80 +633,25 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   const Clock* clk = instruments != nullptr ? scheduler.clock() : nullptr;
   const int64_t slow_nanos =
       opts.slow_query_set ? opts.slow_query_ms * 1000000 : -1;
-  // Logs one stderr line for an answered request that ran longer than the
-  // threshold: line number, total and per-stage times, and the raw request
-  // echoed through EscapeFieldValue (a hostile request must not be able to
-  // forge log lines). Strictly side-band — stdout bytes never change.
-  auto maybe_log_slow = [&](size_t request_line_number,
-                            const std::string& raw_request,
-                            const ServiceResponse& response) {
-    if (slow_nanos < 0 || response.timing.total_ns <= slow_nanos) return;
-    std::fprintf(err, "%s\n",
-                 FormatSlowQueryLine(static_cast<int64_t>(request_line_number),
-                                     raw_request, response.timing)
-                     .c_str());
-  };
 
+  // One loop serves both modes, unit by unit: a unit's lines are tokenized
+  // and typed on the scheduler's pool, each line into its own slot
+  // (comment and blank lines fill none and produce no response), executed
+  // as one scheduler batch, rendered on the pool, written in line order and
+  // flushed before the next unit is read. A line's number counts from the
+  // start of the input.
   int failed = 0;
-  if (opts.stream) {
-    // Streaming: the scheduler pulls requests through `next` — which
-    // parses lines, reporting garbage in-band without surfacing a request
-    // — and every response is written and flushed by `emit` before the
-    // next line is read. `line_number` always names the line of the
-    // request currently in flight, so emit's error lines attribute
-    // correctly.
-    size_t line_number = 0;
-    std::string current_raw;  // the in-flight request's text, for the log
-    auto next = [&](ServiceRequest* request) -> bool {
-      std::string text;
-      while (ReadLine(in, &text)) {
-        ++line_number;
-        Stopwatch parse_watch(clk);
-        Result<RequestLine> line = ParseRequestLine(text);
-        if (line.ok() && line->fields.empty()) continue;
-        Result<ServiceRequest> mapped =
-            line.ok() ? ServiceRequestFromLine(*line)
-                      : Result<ServiceRequest>(line.status());
-        if (instruments != nullptr) {
-          instruments->stage_parse->Record(parse_watch.ElapsedNanos());
-        }
-        if (!mapped.ok()) {
-          std::fprintf(out, "%s",
-                       FormatErrorLine(line_number, mapped.status()).c_str());
-          std::fflush(out);
-          ++failed;
-          continue;
-        }
-        current_raw = text;
-        *request = *std::move(mapped);
-        return true;
-      }
-      return false;
-    };
-    auto emit = [&](const Result<ServiceResponse>& response) {
-      if (!response.ok()) {
-        std::fprintf(out, "%s",
-                     FormatErrorLine(line_number, response.status()).c_str());
-        ++failed;
-      } else {
-        Stopwatch format_watch(clk);
-        const std::string rendered =
-            FormatResponseLine(ResponseToFields(*response));
-        if (instruments != nullptr) {
-          instruments->stage_format->Record(format_watch.ElapsedNanos());
-        }
-        std::fprintf(out, "%s", rendered.c_str());
-        maybe_log_slow(line_number, current_raw, *response);
-      }
-      std::fflush(out);
-    };
-    scheduler.ExecuteStreaming(next, emit);
-  } else {
-    // Batch: read every line, then tokenize and type them on the
-    // scheduler's pool, each line into its own slot; comment and blank
-    // lines fill none and produce no response. A line's number is its
-    // index + 1. Requests move into the batch in line order.
-    const std::vector<std::string> lines = ReadAllLines(in);
+  std::vector<std::string> lines;
+  size_t first_line = 1;  // the number of the unit's first line
+  bool input_left = true;
+  while (input_left) {
+    if (opts.stream) {
+      lines.resize(1);
+      if (!ReadLine(in, &lines[0])) break;
+    } else {
+      lines = ReadAllLines(in);
+      input_left = false;
+    }
     std::vector<std::optional<Result<ServiceRequest>>> parsed(lines.size());
     FanOutLines(scheduler.pool(), static_cast<int64_t>(lines.size()),
                 [&](int64_t i) {
@@ -751,26 +697,39 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
                 });
     size_t cursor = 0;
     for (size_t i : slots) {
+      const size_t line_number = first_line + i;
       const Result<ServiceRequest>& request = *parsed[i];
       if (!request.ok()) {
         std::fprintf(out, "%s",
-                     FormatErrorLine(i + 1, request.status()).c_str());
+                     FormatErrorLine(line_number, request.status()).c_str());
         ++failed;
         continue;
       }
       const size_t j = cursor++;
       if (!results[j].ok()) {
         std::fprintf(out, "%s",
-                     FormatErrorLine(i + 1, results[j].status()).c_str());
+                     FormatErrorLine(line_number, results[j].status()).c_str());
         ++failed;
         continue;
       }
       std::fwrite(rendered[j].data(), 1, rendered[j].size(), out);
-      maybe_log_slow(i + 1, lines[i], *results[j]);
+      // An answer slower than the threshold logs one stderr line: line
+      // number, total and per-stage times, and the raw request echoed
+      // through EscapeFieldValue (a hostile request must not be able to
+      // forge log lines). Strictly side-band: stdout bytes never change.
+      const ResponseTiming& timing = results[j]->timing;
+      if (slow_nanos >= 0 && timing.total_ns > slow_nanos) {
+        std::fprintf(err, "%s\n",
+                     FormatSlowQueryLine(static_cast<int64_t>(line_number),
+                                         lines[i], timing)
+                         .c_str());
+      }
     }
-    // The transcript is complete: hand it to the client now, not at exit
-    // after the catalog save and the scheduler's teardown.
+    // The unit's answers are complete: hand them to the client now, and
+    // the whole transcript before the catalog save and the scheduler's
+    // teardown.
     std::fflush(out);
+    first_line += lines.size();
   }
   if (owned_in != nullptr) std::fclose(owned_in);
 
